@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-workers test-procs test-sparse lint run-ci serve-smoke bench bench-compare bench-compare-ci artifacts
+.PHONY: test test-workers test-sparse lint run-ci serve-smoke bench bench-compare bench-compare-ci artifacts
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -64,14 +64,6 @@ serve-smoke:
 ## serial contract and are env-robust; see docs/performance.md).
 test-workers:
 	REPRO_WORKERS=2 $(PYTHON) -m pytest -x -q
-
-## Process-tier leg of the CI matrix: the FULL tier-1 suite with the
-## REPRO_EXECUTOR default set to processes (2-wide), routing every
-## eligible sharded settle / AIS sweep through the spawn-pool +
-## shared-memory layer — draw-identical to the thread tier by contract,
-## so the whole suite must pass unchanged.
-test-procs:
-	REPRO_EXECUTOR=processes REPRO_WORKERS=2 $(PYTHON) -m pytest -x -q
 
 ## Run the kernel benchmark harness and refresh the evidence file
 ## (includes the multicore *_workers4 entries; their speedup is bounded by

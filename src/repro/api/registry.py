@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: Compute knobs routed through ``RunSpec.compute`` rather than params.
-COMPUTE_KNOBS: Tuple[str, ...] = ("dtype", "workers", "fast_path", "executor")
+COMPUTE_KNOBS: Tuple[str, ...] = ("dtype", "workers", "fast_path")
 
 
 def _accepted_parameters(runner: Callable[..., ExperimentResult]) -> frozenset:

@@ -190,60 +190,6 @@ def _settle_batch_workers_kernel(
     return kernel
 
 
-def _settle_batch_procs_kernel(
-    n_visible: int,
-    n_hidden: int,
-    chains: int,
-    n_steps: int,
-    workers: int,
-    fast: bool,
-):
-    """Process-tier sharded settles vs same-width thread shards.
-
-    Both legs run ``workers`` shards of the float32 fast path; ``fast``
-    selects ``executor="processes"`` (spawn pool + shared-memory coupling
-    matrix) against the ``executor="threads"`` baseline, so the ratio is
-    the process tier's win over the GIL-bound thread pool at equal width.
-    Draw-identical by contract — only the execution substrate differs.
-    """
-    substrate = _substrate(n_visible, n_hidden, dtype="float32")
-    weights = np.random.default_rng(1).normal(0, 0.1, (n_visible, n_hidden))
-    substrate.program(weights, np.zeros(n_visible), np.zeros(n_hidden))
-    hidden = (np.random.default_rng(2).random((chains, n_hidden)) < 0.5).astype(float)
-    executor = "processes" if fast else "threads"
-
-    def kernel():
-        substrate.settle_batch(hidden, n_steps, workers=workers, executor=executor)
-
-    return kernel
-
-
-def _ais_procs_kernel(n_visible: int, n_hidden: int, workers: int, fast: bool):
-    """Process-pool AIS chain shards vs the same-width thread pool."""
-    rbm = BernoulliRBM(n_visible, n_hidden, rng=0)
-    rng = np.random.default_rng(1)
-    rbm.set_parameters(
-        rng.normal(0, 0.1, (n_visible, n_hidden)),
-        rng.normal(0, 0.2, n_visible),
-        rng.normal(0, 0.2, n_hidden),
-    )
-    executor = "processes" if fast else "threads"
-
-    def kernel():
-        AISEstimator(
-            spec=EstimatorSpec(
-                chains=64,
-                betas=20,
-                compute=ComputeSpec(
-                    dtype="float32", workers=workers, executor=executor
-                ),
-            ),
-            rng=3,
-        ).estimate_log_partition(rbm)
-
-    return kernel
-
-
 def _ais_workers_kernel(n_visible: int, n_hidden: int, workers: int, fast: bool):
     """Threaded AIS chain pool vs the serial sweep (float32 tier both legs)."""
     rbm = BernoulliRBM(n_visible, n_hidden, rng=0)
@@ -568,8 +514,22 @@ def _ais_kernel(fast: bool, n_visible: int = 49, n_hidden: int = 32):
     return kernel
 
 
+def blas_threads() -> Optional[int]:
+    """The BLAS thread count the environment pins, or ``None``.
+
+    Reads ``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``; ``None``
+    means neither is set to an integer, i.e. the library default (one
+    thread per core for OpenBLAS).
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        raw = os.environ.get(name, "").strip()
+        if raw.isdigit():
+            return int(raw)
+    return None
+
+
 def annotate_oversubscription(results: Dict) -> List[str]:
-    """Flag ``*_workersK``/``*_procsK`` entries timed with more workers than cores.
+    """Flag ``*_workersK`` entries timed with more workers than cores.
 
     A K-wide shard/pool on fewer than K cores measures scheduling overhead,
     not the multicore win, so its speedup is not comparable across machines.
@@ -582,7 +542,7 @@ def annotate_oversubscription(results: Dict) -> List[str]:
     if not cpu_count:
         return flagged
     for name, row in results.get("kernels", {}).items():
-        match = re.search(r"_(?:workers|procs)(\d+)$", name)
+        match = re.search(r"_workers(\d+)$", name)
         if match and int(match.group(1)) > cpu_count:
             row["oversubscribed"] = True
             flagged.append(name)
@@ -664,15 +624,6 @@ def run_benchmarks(
         kernels[f"ais_logz_784x500_float32_workers{workers}"] = lambda fast: (
             _ais_workers_kernel(784, 500, workers, fast)
         )
-        # Process-tier entries: legacy = the K-wide THREAD pool, fast = the
-        # K-wide spawn-process pool over the shared-memory coupling matrix,
-        # so the ratio isolates what leaving the GIL buys at equal width.
-        kernels[f"substrate_settle_batch_p256_784x500_float32_procs{workers}"] = (
-            lambda fast: _settle_batch_procs_kernel(784, 500, 256, 2, workers, fast)
-        )
-        kernels[f"ais_logz_784x500_float32_procs{workers}"] = lambda fast: (
-            _ais_procs_kernel(784, 500, workers, fast)
-        )
         # Sparse entries: legacy = dense visibles, fast = the same values as
         # scipy CSR at the real one-hot workload density.
         sparse_dense, sparse_csr = _sparse_benchmark_batch(
@@ -712,6 +663,9 @@ def run_benchmarks(
             # only); the >=2x target applies on 4+ cores.  Recording the
             # timing machine's core count keeps the evidence file honest.
             "cpu_count": os.cpu_count(),
+            # Each shard thread calls BLAS, so the multicore rows also depend
+            # on the BLAS thread count (None = the library default).
+            "blas_threads": blas_threads(),
             "workers": workers,
             "note": (
                 "median per-call wall-clock seconds (inner-loop calibrated "
@@ -734,10 +688,6 @@ def run_benchmarks(
                 "kernel and fast = the K-way sharded settle / threaded AIS "
                 "pool (speedup bounded by meta.cpu_count; entries timed "
                 "with more workers than cores carry oversubscribed=true); "
-                "for *_procsK entries legacy = the K-wide thread pool and "
-                "fast = the K-wide spawn-process pool over the shared-memory "
-                "coupling matrix (executor=processes, draw-identical to the "
-                "thread leg; same oversubscription caveat); "
                 "for *_sparse entries legacy = dense visibles and fast = "
                 "the same values as scipy CSR at meta.sparse_density — the "
                 "positive-phase entry times the deterministic data-side "

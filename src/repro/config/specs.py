@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analog.noise import NoiseConfig
-from repro.utils.parallel import (
-    default_executor,
-    default_workers,
-    resolve_executor,
-    resolve_workers,
-)
+from repro.utils.parallel import default_workers, resolve_workers
 from repro.utils.validation import ValidationError, check_in_range, check_positive
 
 __all__ = [
@@ -177,13 +172,6 @@ class ComputeSpec(Spec):
         Multicore knob: a positive int, ``"auto"`` (core count), or ``None``
         to defer to the ``REPRO_WORKERS`` environment default — the
         deferred form is preserved until :meth:`resolve`.
-    executor:
-        Execution tier for sharded call sites: ``"threads"`` (the default
-        tier), ``"processes"`` (spawn pool + shared-memory coupling
-        matrix; draw-identical to threads at the same ``workers``), or
-        ``None`` to defer to the ``REPRO_EXECUTOR`` environment default —
-        like ``workers``, the deferred form survives until
-        :meth:`resolve`.  A no-op while ``workers`` resolves to 1.
     fast_path:
         Cached-effective-weight / trusted-sampling kernels (the default);
         ``False`` keeps the legacy per-settle reference path.
@@ -192,7 +180,14 @@ class ComputeSpec(Spec):
     dtype: str = "float64"
     workers: Union[None, int, str] = None
     fast_path: bool = True
-    executor: Optional[str] = None
+
+    #: Retired knobs that serialized specs may still carry, with the values
+    #: that were valid for them.  Sharding once had a second, process-based
+    #: tier selected here; it drew the same numbers as the thread tier, so
+    #: dropping the key on load keeps the recorded provenance exact.
+    _LEGACY_KEYS: ClassVar[Dict[str, Tuple[Any, ...]]] = {
+        "executor": (None, "threads", "processes"),
+    }
 
     def __post_init__(self) -> None:
         if isinstance(self.dtype, str) and self.dtype.strip().lower() == QINT8:
@@ -223,28 +218,32 @@ class ComputeSpec(Spec):
             resolve_workers(self.workers)
             if isinstance(self.workers, np.integer):
                 object.__setattr__(self, "workers", int(self.workers))
-        if self.executor is not None:
-            # Validate-only, same contract as workers: the env default
-            # (REPRO_EXECUTOR) is read at resolve() time, not here.
-            resolve_executor(self.executor)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "ComputeSpec":
+        """:meth:`Spec.from_dict`, dropping a :attr:`_LEGACY_KEYS` entry
+        that holds one of its once-valid values (older saved run specs);
+        any other value still raises a :class:`ValidationError`."""
+        if isinstance(data, Mapping):
+            data = dict(data)
+            for key, valid in cls._LEGACY_KEYS.items():
+                if key in data and data.pop(key) not in valid:
+                    raise ValidationError(
+                        f"legacy ComputeSpec key {key!r} must be one of {valid}; "
+                        "the knob was removed and sharding always runs on threads"
+                    )
+        return super().from_dict(data)  # type: ignore[return-value]
 
     def resolve(self) -> "ComputeSpec":
-        """Expand ``workers``/``executor``: env defaults and ``"auto"``.
+        """Expand ``workers``: the env default and ``"auto"``.
 
-        This is the single place the environment variables are parsed on
-        the spec path; garbage values raise a :class:`ValidationError`
-        naming ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` (see
-        :mod:`repro.utils.parallel`) instead of leaking a bare ``int()``
-        traceback.
+        This is the single place the environment variable is parsed on the
+        spec path; garbage values raise a :class:`ValidationError` naming
+        ``REPRO_WORKERS`` (see :mod:`repro.utils.parallel`) instead of
+        leaking a bare ``int()`` traceback.
         """
         workers = default_workers() if self.workers is None else resolve_workers(self.workers)
-        executor = default_executor() if self.executor is None else resolve_executor(self.executor)
-        changes: Dict[str, Any] = {}
-        if workers != self.workers:
-            changes["workers"] = workers
-        if executor != self.executor:
-            changes["executor"] = executor
-        return self.replace(**changes) if changes else self  # type: ignore[return-value]
+        return self if workers == self.workers else self.replace(workers=workers)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -641,7 +640,8 @@ class RunSpec(Spec):
         tuples) so the dict round trip is exact; names are validated
         against the experiment's signature by the registry at run time.
         The reserved knobs ``seed``/``dtype``/``workers``/``fast_path``
-        must live in their typed fields, not here.
+        must live in their typed fields, not here, and a retired compute
+        knob (:attr:`ComputeSpec._LEGACY_KEYS`) is rejected outright.
     """
 
     experiment: str
@@ -672,7 +672,12 @@ class RunSpec(Spec):
         for key, value in self.params.items():
             if not isinstance(key, str):
                 raise ValidationError(f"params keys must be strings, got {key!r}")
-            if key in ("seed", "dtype", "workers", "fast_path", "executor"):
+            if key in ComputeSpec._LEGACY_KEYS:
+                raise ValidationError(
+                    f"{key!r} is no longer a knob: it was removed and sharding "
+                    "always runs on threads (set workers instead)"
+                )
+            if key == "seed" or key in _COMPUTE_FIELDS:
                 raise ValidationError(
                     f"params may not carry {key!r}; set it through the typed "
                     "RunSpec fields (seed / compute) so it is recorded once"
@@ -683,11 +688,10 @@ class RunSpec(Spec):
     def with_overrides(self, **settings: Any) -> "RunSpec":
         """Apply ``--set``-style overrides, routing each key to its field.
 
-        Compute knobs (``dtype``, ``workers``, ``fast_path``, ``executor``)
-        land in :attr:`compute` (created on demand), ``seed`` in
-        :attr:`seed`, and everything else in :attr:`params`.  The preset
-        label flips to ``"custom"`` so recorded metadata distinguishes
-        overridden runs.
+        Compute knobs (``dtype``, ``workers``, ``fast_path``) land in
+        :attr:`compute` (created on demand), ``seed`` in :attr:`seed`, and
+        everything else in :attr:`params`.  The preset label flips to
+        ``"custom"`` so recorded metadata distinguishes overridden runs.
         """
         if not settings:
             return self
@@ -695,7 +699,7 @@ class RunSpec(Spec):
         seed = self.seed
         params = dict(self.params)
         for key, value in settings.items():
-            if key in ("dtype", "workers", "fast_path", "executor"):
+            if key in _COMPUTE_FIELDS:
                 compute = (compute or ComputeSpec()).replace(**{key: value})
             elif key == "seed":
                 seed = value
@@ -709,6 +713,9 @@ class RunSpec(Spec):
             params=params,
         )
 
+
+#: The settable :class:`ComputeSpec` knobs, routed by ``RunSpec``.
+_COMPUTE_FIELDS: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ComputeSpec))
 
 #: Nested-spec field registry used by ``Spec.from_dict`` to rebuild
 #: sub-specs from their serialized dict form.

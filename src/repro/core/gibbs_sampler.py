@@ -176,18 +176,14 @@ class GibbsSamplerMachine:
         cd_k: int,
         *,
         workers: "int | str | None" = None,
-        executor: "str | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Let the substrate evolve for ``cd_k`` steps from the hidden state.
 
         ``workers`` forwards to the substrate's sharded settle layer (the
         hidden rows are independent chains, so a minibatch-seeded negative
-        phase shards exactly like a PCD pool); ``executor`` picks its
-        execution tier (threads/processes, draw-identical).
+        phase shards exactly like a PCD pool).
         """
-        v_neg, h_neg = self.substrate.gibbs_chain(
-            h_init, cd_k, workers=workers, executor=executor
-        )
+        v_neg, h_neg = self.substrate.gibbs_chain(h_init, cd_k, workers=workers)
         self.host.record_sample_read(2)
         return v_neg, h_neg
 
@@ -198,7 +194,6 @@ class GibbsSamplerMachine:
         *,
         batch_chains: bool = True,
         workers: "int | str | None" = None,
-        executor: "str | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``p`` independent negative chains by ``cd_k`` steps each.
 
@@ -213,16 +208,13 @@ class GibbsSamplerMachine:
         when ``p > 1``.  The sequential mode exists for benchmarking the
         chain-parallel kernel against repeated single-chain settles.
 
-        ``workers`` (and its ``executor`` tier) forwards to the substrate's
-        sharded settle layer (:mod:`repro.utils.parallel`); the sequential
-        benchmarking mode ignores both — it is the serial baseline by
-        definition.
+        ``workers`` forwards to the substrate's sharded settle layer
+        (:mod:`repro.utils.parallel`); the sequential benchmarking mode
+        ignores it — it is the serial baseline by definition.
         """
         chains_h = np.atleast_2d(np.asarray(chains_h, dtype=float))
         if batch_chains or chains_h.shape[0] == 1:
-            v_neg, h_neg = self.substrate.settle_batch(
-                chains_h, cd_k, workers=workers, executor=executor
-            )
+            v_neg, h_neg = self.substrate.settle_batch(chains_h, cd_k, workers=workers)
         else:
             pairs = [
                 self.substrate.gibbs_chain(chains_h[i : i + 1], cd_k)
@@ -372,7 +364,6 @@ class GibbsSamplerTrainer:
         self.persistent = spec.sampler.persistent
         self.chain_batch = spec.sampler.chain_batch
         self.workers = spec.compute.workers
-        self.executor = spec.compute.executor
         self.weight_decay = spec.weight_decay
         self.streaming = spec.streaming
         self.stream_chunk_size = spec.stream_chunk_size
@@ -481,14 +472,11 @@ class GibbsSamplerTrainer:
         chain_engine = self.persistent or self.chains > 1
         h_pos = machine.positive_phase(batch)
         if not chain_engine:
-            v_neg, h_neg = machine.negative_phase(
-                h_pos, self.cd_k, workers=self.workers, executor=self.executor
-            )
+            v_neg, h_neg = machine.negative_phase(h_pos, self.cd_k, workers=self.workers)
         elif self.persistent:
             v_neg, h_neg = machine.negative_phase_chains(
                 self._chains_h, self.cd_k,
                 batch_chains=self.chain_batch, workers=self.workers,
-                executor=self.executor,
             )
             self._chains_h = h_neg
         else:
@@ -499,7 +487,6 @@ class GibbsSamplerTrainer:
             v_neg, h_neg = machine.negative_phase_chains(
                 h_pos[seed_rows], self.cd_k,
                 batch_chains=self.chain_batch, workers=self.workers,
-                executor=self.executor,
             )
 
         # Step 8: host computes the gradient from the read-out samples.  The

@@ -229,7 +229,6 @@ class BoltzmannGradientFollower:
         n_steps: int = 1,
         *,
         workers: "int | str | None" = None,
-        executor: "str | None" = None,
     ) -> None:
         """Advance *all* ``p`` persistent particles through one chain-parallel
         settle batch (``settle_batch``), without touching the weights.
@@ -240,15 +239,11 @@ class BoltzmannGradientFollower:
         it can use the substrate's batched kernel: ``n_steps`` settles of the
         whole ``(p, n)`` block as single matmuls — or, with ``workers=k``,
         as ``k`` thread-parallel shards (the multicore layer; see
-        :meth:`~repro.ising.bipartite.BipartiteIsingSubstrate.settle_batch`),
-        or with ``executor="processes"`` as ``k`` process-parallel shards
-        over the shared-memory coupling matrix (draw-identical to threads).
+        :meth:`~repro.ising.bipartite.BipartiteIsingSubstrate.settle_batch`).
         """
         if self._particles is None:
             raise ValidationError("initialize must be called before refresh_particles")
-        _, hidden = self.substrate.settle_batch(
-            self._particles, n_steps, workers=workers, executor=executor
-        )
+        _, hidden = self.substrate.settle_batch(self._particles, n_steps, workers=workers)
         self._particles = hidden
 
     # ------------------------------------------------------------------ #
@@ -558,7 +553,6 @@ class BGFTrainer:
         self.config = config
         self.particle_burn_in = spec.sampler.burn_in
         self.workers = spec.compute.workers
-        self.executor = spec.compute.executor
         self.noise_config = (
             noise_config
             if noise_config is not None
@@ -619,9 +613,7 @@ class BGFTrainer:
             # Decorrelate the freshly-drawn particle pool before learning;
             # the default of 0 keeps runs bit-identical to the no-burn-in
             # implementation (the refresh draws from the substrate streams).
-            machine.refresh_particles(
-                self.particle_burn_in, workers=self.workers, executor=self.executor
-            )
+            machine.refresh_particles(self.particle_burn_in, workers=self.workers)
 
         history = TrainingHistory()
         for epoch in range(epochs):

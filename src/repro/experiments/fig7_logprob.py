@@ -47,10 +47,11 @@ PAPER_FIGURE7_CONFIG: Dict[str, object] = {
     "dtype": "float32",
     "ais_chains": 64,
     "ais_betas": 500,
-    # Multicore layer: shard the PCD settles and the AIS chain pool across
-    # the machine's cores (resolved per host; 1 core degrades gracefully to
-    # the serial kernels).  See docs/performance.md for the RNG contract.
-    "workers": "auto",
+    # Serial kernels: sharding pays only with single-threaded BLAS, because
+    # every shard thread calls a multi-threaded GEMM that already uses the
+    # cores.  Pass workers=k explicitly (with OPENBLAS_NUM_THREADS=1) to
+    # shard; see docs/performance.md, "Workers and BLAS threads".
+    "workers": 1,
 }
 
 
@@ -63,7 +64,6 @@ def _logprob_recorder(
     seed: int,
     dtype: str = "float64",
     workers=None,
-    executor=None,
 ):
     """Build a per-epoch callback appending the AIS average log probability."""
 
@@ -71,7 +71,7 @@ def _logprob_recorder(
         trajectory.append(
             average_log_probability(
                 rbm, data, n_chains=n_chains, n_betas=n_betas, rng=seed + epoch,
-                dtype=dtype, workers=workers, executor=executor,
+                dtype=dtype, workers=workers,
             )
         )
 
@@ -92,7 +92,6 @@ def run_figure7(
     dtype: str = "float64",
     train_samples: Optional[int] = None,
     workers: "int | str | None" = None,
-    executor: Optional[str] = None,
     seed: int = 0,
 ) -> ExperimentResult:
     """Train with CD-1, CD-10 and BGF and record log-probability trajectories.
@@ -113,10 +112,7 @@ def run_figure7(
     ``workers`` is the multicore knob, threaded into the GS trainer's
     sharded negative phase, the BGF trainer's particle refresh, and the
     AIS estimator's threaded chain pool (``"auto"`` = core count; the
-    default of ``None`` keeps the serial, bit-identical kernels);
-    ``executor`` picks the execution tier for those sharded paths
-    (``"threads"``/``"processes"``, draw-identical at the same worker
-    count; ``None`` defers to ``REPRO_EXECUTOR``).  The
+    default of ``None`` keeps the serial, bit-identical kernels).  The
     defaults leave the CI-scale output contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """
@@ -149,12 +145,12 @@ def run_figure7(
         base_rbm.init_visible_bias_from_data(data)
         initial_logprob = average_log_probability(
             base_rbm, data, n_chains=ais_chains, n_betas=ais_betas, rng=seed,
-            dtype=dtype, workers=workers, executor=executor,
+            dtype=dtype, workers=workers,
         )
 
         # Trainers are built through the typed spec layer (the kwarg-style
         # constructors are deprecated shims over the same code path).
-        hardware_compute = ComputeSpec(dtype=dtype, workers=workers, executor=executor)
+        hardware_compute = ComputeSpec(dtype=dtype, workers=workers)
         factories = {
             "cd1": lambda: CDTrainer(
                 spec=TrainerSpec.cd(learning_rate, cd_k=1, batch_size=batch_size),
@@ -192,7 +188,7 @@ def run_figure7(
             trajectory: List[float] = [float(initial_logprob)]
             trainer.callback = _logprob_recorder(
                 data, trajectory, n_chains=ais_chains, n_betas=ais_betas, seed=seed,
-                dtype=dtype, workers=workers, executor=executor,
+                dtype=dtype, workers=workers,
             )
             rbm = base_rbm.copy()
             trainer.train(rbm, data, epochs=epochs)
@@ -222,7 +218,6 @@ def run_figure7(
             "dtype": str(dtype),
             "train_samples": train_samples,
             "workers": workers,
-            "executor": executor,
             "seed": seed,
         },
     )

@@ -43,14 +43,13 @@ TABLE4_IMAGE_BENCHMARKS: Sequence[str] = (
 
 def _make_trainer(
     method: str, *, learning_rate: float, batch_size: int, rng, gs_chains: int = 8,
-    dtype: str = "float64", workers=None, executor=None,
+    dtype: str = "float64", workers=None,
 ):
     """Build the per-layer trainer for ``method`` ('cd10', 'bgf' or 'gs').
 
     ``dtype`` selects the substrate precision tier for the hardware methods
     (BGF and GS); the software CD reference always trains in float64.
-    ``workers`` threads the hardware methods' sharded settle layer and
-    ``executor`` picks its execution tier (threads/processes).  All
+    ``workers`` threads the hardware methods' sharded settle layer.  All
     three build through the typed spec layer (:mod:`repro.config`).
     """
     if method == "cd10":
@@ -58,7 +57,7 @@ def _make_trainer(
             spec=TrainerSpec.cd(learning_rate, cd_k=10, batch_size=batch_size),
             rng=rng,
         )
-    hardware_compute = ComputeSpec(dtype=dtype, workers=workers, executor=executor)
+    hardware_compute = ComputeSpec(dtype=dtype, workers=workers)
     if method == "bgf":
         return BGFTrainer(
             spec=TrainerSpec.bgf(
@@ -96,7 +95,7 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> tuple:
 def _rbm_feature_accuracy(
     dataset, n_hidden: int, method: str, *, epochs: int, learning_rate: float,
     batch_size: int, seed: int, gs_chains: int = 8, dtype: str = "float64",
-    train_samples: Optional[int] = None, workers=None, executor=None,
+    train_samples: Optional[int] = None, workers=None,
 ) -> float:
     """Accuracy of a logistic head on single-RBM features trained by ``method``."""
     rngs = spawn_rngs(seed, 3)
@@ -108,7 +107,7 @@ def _rbm_feature_accuracy(
     rbm.init_visible_bias_from_data(train_x)
     trainer = _make_trainer(
         method, learning_rate=learning_rate, batch_size=batch_size, rng=rngs[1],
-        gs_chains=gs_chains, dtype=dtype, workers=workers, executor=executor,
+        gs_chains=gs_chains, dtype=dtype, workers=workers,
     )
     trainer.train(rbm, train_x, epochs=epochs)
     features_train, features_test = _standardize(
@@ -158,7 +157,6 @@ def run_table4(
     dtype: str = "float64",
     train_samples: Optional[int] = None,
     workers: "int | str | None" = None,
-    executor: Optional[str] = None,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Table 4: quality metric per benchmark for cd-10 and BGF.
@@ -172,9 +170,7 @@ def run_table4(
     ``train_samples`` caps the image-benchmark training rows for downsized
     smoke runs; ``workers`` is the multicore knob for the hardware trainers
     (sharded settles / particle refresh; ``"auto"`` = core count, ``None``
-    keeps the serial kernels) and ``executor`` its execution tier
-    (``"threads"``/``"processes"``, draw-identical at the same worker
-    count).  The defaults leave the CI-scale output
+    keeps the serial kernels).  The defaults leave the CI-scale output
     contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """
@@ -191,7 +187,7 @@ def run_table4(
                 epochs=epochs, learning_rate=learning_rate,
                 batch_size=batch_size, seed=seed + index,
                 gs_chains=gs_chains or 8, dtype=dtype,
-                train_samples=train_samples, workers=workers, executor=executor,
+                train_samples=train_samples, workers=workers,
             )
         if include_dbn and cfg.has_dbn:
             layers = (
@@ -261,7 +257,6 @@ def run_table4(
             "dtype": str(dtype),
             "train_samples": train_samples,
             "workers": workers,
-            "executor": executor,
             "seed": seed,
         },
     )
@@ -281,9 +276,11 @@ PAPER_TABLE4_CONFIG: Dict[str, object] = {
     "epochs": 10,
     "gs_chains": 8,
     "dtype": "float32",
-    # Multicore layer: shard the hardware trainers' settles across the
-    # machine's cores (1 core degrades gracefully to the serial kernels).
-    "workers": "auto",
+    # Serial kernels: sharding pays only with single-threaded BLAS, because
+    # every shard thread calls a multi-threaded GEMM that already uses the
+    # cores.  Pass workers=k explicitly (with OPENBLAS_NUM_THREADS=1) to
+    # shard; see docs/performance.md, "Workers and BLAS threads".
+    "workers": 1,
 }
 
 

@@ -41,11 +41,7 @@ from repro.analog.sigmoid_unit import SigmoidUnit
 from repro.config.specs import QINT8, ComputeSpec, NoiseSpec, SubstrateSpec, compute_dtype
 from repro.utils.deprecation import warn_kwargs_deprecated
 from repro.utils.parallel import (
-    ProcessShardedExecutor,
     ShardedExecutor,
-    SharedNDArray,
-    attach_shared_array,
-    resolve_executor,
     resolve_workers,
     shard_seed_sequence,
     shard_slices,
@@ -76,14 +72,15 @@ class _ShardContext(NamedTuple):
 
 
 class _ShardKernel(NamedTuple):
-    """Picklable snapshot of the settle evaluation's static inputs.
+    """Per-call snapshot of the settle evaluation's static inputs.
 
     Everything the settle loop needs beyond the coupling matrix and a
     shard's circuits: biases, sigmoid units, the precision tier, and the
-    fused-latch eligibility.  Built fresh per settle call (reprogramming
-    swaps the bias arrays), cheap to construct, and — critically — small
-    enough to pickle per task: the p×(n·m) coupling data travels through
-    shared memory instead (see ``_process_settle_shard``).
+    fused-latch eligibility.  Built once per settle call (reprogramming
+    swaps the bias arrays) and shared by every shard thread of a sharded
+    settle, so a reprogramming that lands mid-settle cannot hand different
+    shards different biases — the same staleness semantics as the static
+    coupling pair each settle grabs at entry.
     """
 
     hidden_bias: np.ndarray
@@ -101,9 +98,8 @@ def _dynamic_pair_kernel(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply fresh dynamic coupling noise (when configured) to the cached
     static pair — the per-evaluation half of the coupling realization,
-    shared by the serial, thread-sharded and process-sharded kernels
-    (``noise_model`` selects whose stream draws; ``None`` means the ideal
-    no-noise corner)."""
+    shared by the serial and sharded kernels (``noise_model`` selects whose
+    stream draws; ``None`` means the ideal no-noise corner)."""
     if noise_model is None:
         return static_pair
     effective = np.asarray(noise_model.apply_dynamic(static_pair[0]), dtype=dtype)
@@ -119,10 +115,10 @@ def _field_kernel(
     """Fast-path field kernel: summed currents plus (conditional) node noise.
 
     Single source shared by the substrate's public field methods, the
-    trusted samplers, and every sharded settle tier, so they cannot drift
-    apart.  Runs in the coupling's precision tier; ``noise_model`` selects
-    whose stream the node noise draws from, ``None`` skips it (the
-    noise-free corner)."""
+    trusted samplers, and the sharded settle, so they cannot drift apart.
+    Runs in the coupling's precision tier; ``noise_model`` selects whose
+    stream the node noise draws from, ``None`` skips it (the noise-free
+    corner)."""
     if state.dtype != coupling.dtype:
         state = state.astype(coupling.dtype)
     # safe_sparse_dot falls through to the plain operator for dense
@@ -145,14 +141,12 @@ def _settle_eval_kernel(
     hidden_side: bool,
 ) -> np.ndarray:
     """One settle-and-latch: the single evaluation kernel behind the serial
-    trusted samplers and both sharded settle tiers.
+    trusted samplers and the sharded settle.
 
     The per-evaluation order is fixed — dynamic coupling draw, field
     (matmul + bias + node noise), latch — and ``ctx`` selects whose
     circuits draw: the substrate's own (the serial path) or a worker
-    shard's substream clones.  A module-level function (not a method) so a
-    spawned worker process can run the *same body* on a pickled context —
-    one body means no executor tier can diverge from another.
+    shard's substream clones.
     """
     effective, effective_t = _dynamic_pair_kernel(static_pair, ctx.noise_model, kern.dtype)
     coupling = effective if hidden_side else effective_t
@@ -184,72 +178,6 @@ def _settle_loop_kernel(
         visible = _settle_eval_kernel(hidden, static_pair, ctx, kern, hidden_side=False)
     hidden = _settle_eval_kernel(visible, static_pair, ctx, kern, hidden_side=True)
     return visible, hidden
-
-
-def _light_context(ctx: _ShardContext) -> _ShardContext:
-    """A pickling-weight clone of a shard context for process dispatch.
-
-    The settle loop only ever calls ``apply_dynamic``/``node_noise`` on a
-    shard's noise model — never ``static_effective`` — because the chip's
-    variation gain is already folded into the shared static matrix.  So
-    the m×n ``_coupling_gain`` product is stripped before the context
-    crosses the pickle boundary: the per-task payload stays O(shard rows),
-    never O(n·m).  The samplers are shipped as-is (their comparator
-    offsets are O(n) and shared by reference parent-side)."""
-    noise_model = ctx.noise_model
-    if noise_model is None:
-        return ctx
-    light = object.__new__(NoiseModel)
-    light.config = noise_model.config
-    light.coupling_shape = noise_model.coupling_shape
-    light._rng = noise_model._rng
-    light._coupling_gain = None
-    return ctx._replace(noise_model=light)
-
-
-def _context_rng_states(ctx: _ShardContext) -> Tuple[dict, dict, Optional[dict]]:
-    """The context's current RNG positions (bit-generator state dicts)."""
-    return (
-        ctx.hidden_sampler.noise_source._rng.bit_generator.state,
-        ctx.visible_sampler.noise_source._rng.bit_generator.state,
-        None if ctx.noise_model is None else ctx.noise_model._rng.bit_generator.state,
-    )
-
-
-def _restore_context_rng_states(
-    ctx: _ShardContext, states: Tuple[dict, dict, Optional[dict]]
-) -> None:
-    """Write a worker's advanced RNG positions back into the parent's cached
-    context — the step that keeps shard streams stateful across calls when
-    the draws happened in another process."""
-    hidden_state, visible_state, noise_state = states
-    ctx.hidden_sampler.noise_source._rng.bit_generator.state = hidden_state
-    ctx.visible_sampler.noise_source._rng.bit_generator.state = visible_state
-    if noise_state is not None and ctx.noise_model is not None:
-        ctx.noise_model._rng.bit_generator.state = noise_state
-
-
-def _process_settle_shard(task):
-    """Worker body for one process-sharded settle task.
-
-    ``task`` is ``(descriptor, hidden_rows, n_steps, ctx, kern)``: the
-    shared-memory descriptor of the static coupling matrix, the shard's
-    chain rows, and the pickled shard circuits.  Attaches a zero-copy view
-    over the published matrix, runs the same settle loop as every other
-    tier, and returns the results plus the advanced RNG states so the
-    parent can keep its cached streams in sync.  Runs inline in the parent
-    when the dispatcher decides a pool would not pay (same code path).
-    """
-    descriptor, hidden, n_steps, ctx, kern = task
-    segment, static = attach_shared_array(descriptor)
-    try:
-        static_pair = (static, static.T)
-        visible, hidden_out = _settle_loop_kernel(hidden, n_steps, static_pair, ctx, kern)
-    finally:
-        # Sampler outputs are fresh arrays — nothing returned can alias the
-        # segment, so unmapping here is safe.
-        segment.close()
-    return visible, hidden_out, _context_rng_states(ctx)
 
 
 class BipartiteIsingSubstrate:
@@ -295,7 +223,7 @@ class BipartiteIsingSubstrate:
         with per-column float32 scales at the cache boundary (biases to
         per-tensor codes at programming), fields accumulate in float32 on
         the dequantized matrix, and everything below that point — fused
-        latch, shard kernels, executors — is the float32 tier's machinery
+        latch, shard kernels, sharded settles — is the float32 tier's machinery
         unchanged.  Statistically pinned like float32
         (``tests/property/test_qint8_tier.py``); requires the fast path.
     spec:
@@ -308,10 +236,10 @@ class BipartiteIsingSubstrate:
     """
 
     # Lock discipline (enforced by reprolint R003, see docs/dev.md): the
-    # effective-weight cache, its qint8 code/scale snapshot, and its
-    # shared-memory publication are one consistent unit — every access
-    # outside the lock must carry an explicit justification.
-    # reprolint: guard(_cache_lock)=_eff_cache,_quantized_static,_shm_static
+    # effective-weight cache and its qint8 code/scale snapshot are one
+    # consistent unit — every access outside the lock must carry an
+    # explicit justification.
+    # reprolint: guard(_cache_lock)=_eff_cache,_quantized_static
 
     # reprolint: lockfree -- construction happens-before sharing: no other thread holds a reference until __init__ returns, so the initial cache-field writes need no lock
     def __init__(
@@ -447,12 +375,6 @@ class BipartiteIsingSubstrate:
         # the cache is invalid).  Introspection/serving state — the settle
         # kernels consume the dequantized float32 matrix in ``_eff_cache``.
         self._quantized_static: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        # Shared-memory publication of the static effective matrix for the
-        # process executor tier: created lazily on the first process-sharded
-        # settle, reused until the next (re)programming/invalidation drops
-        # it (see _drop_effective_cache).  The SharedNDArray carries its own
-        # GC finalizer, so an abandoned substrate cannot leak the segment.
-        self._shm_static: Optional[SharedNDArray] = None
         # Per-worker-count shard circuits, built lazily from the shard
         # seed root (stream 6) and cached so shard streams stay stateful
         # across settle calls — fixed (seed, workers) is reproducible run
@@ -462,7 +384,7 @@ class BipartiteIsingSubstrate:
             self._shard_seed_root = np.random.SeedSequence()
         self._shard_contexts: Dict[int, List[_ShardContext]] = {}
         # The serial path is just the shared evaluation kernel running on
-        # the substrate's own circuits (see _settle_eval).
+        # the substrate's own circuits (see _settle_eval_kernel).
         self._serial_context = _ShardContext(
             hidden_sampler=self.hidden_sampler,
             visible_sampler=self.visible_sampler,
@@ -544,16 +466,12 @@ class BipartiteIsingSubstrate:
         self._drop_effective_cache()
 
     def _drop_effective_cache(self) -> None:
-        """Invalidate the effective-coupling cache *and* its shared-memory
-        publication — the single invalidation point shared by ``program``,
-        ``program_trusted`` and the BGF's in-place charge-pump updates, so
-        a process-sharded settle can never read a stale coupling matrix."""
+        """Invalidate the effective-coupling cache and its qint8 snapshot —
+        the single invalidation point shared by ``program``,
+        ``program_trusted`` and the BGF's in-place charge-pump updates."""
         with self._cache_lock:
             self._eff_cache = None
             self._quantized_static = None
-            shm, self._shm_static = self._shm_static, None
-        if shm is not None:
-            shm.close()
 
     @property
     def _chain_skip_clamp(self) -> bool:
@@ -624,20 +542,9 @@ class BipartiteIsingSubstrate:
         configured, is still applied per call, in the same draw order as the
         legacy per-settle path.
         """
-        return self._dynamic_pair(
-            self._static_pair(), self.noise_model if self._has_dynamic else None
+        return _dynamic_pair_kernel(
+            self._static_pair(), self._serial_context.noise_model, self.dtype
         )
-
-    def _dynamic_pair(
-        self,
-        static_pair: Tuple[np.ndarray, np.ndarray],
-        noise_model: Optional[NoiseModel],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Apply fresh dynamic coupling noise (when configured) to the cached
-        static pair — delegates to the module-level kernel shared with the
-        worker processes (``noise_model`` selects whose stream draws;
-        ``None`` means the ideal no-noise corner)."""
-        return _dynamic_pair_kernel(static_pair, noise_model, self.dtype)
 
     def _static_pair(self) -> Tuple[np.ndarray, np.ndarray]:
         """The cached static (variation-scaled) coupling pair, built safely.
@@ -682,24 +589,6 @@ class BipartiteIsingSubstrate:
             return self._effective_pair()[0]
         return self.noise_model.perturbed_coupling(self.weights)
 
-    def _field(
-        self,
-        state: np.ndarray,
-        coupling: np.ndarray,
-        bias: np.ndarray,
-        noise_model: Optional[NoiseModel] = None,
-    ) -> np.ndarray:
-        """Fast-path field kernel — delegates to the module-level
-        :func:`_field_kernel` shared with the worker processes.
-        ``noise_model`` selects whose stream the node noise draws from (a
-        worker shard's substream clone); ``None`` means the substrate's
-        own, and the noise-free corner skips the draw entirely."""
-        if not self._has_dynamic:
-            noise_model = None
-        elif noise_model is None:
-            noise_model = self.noise_model
-        return _field_kernel(state, coupling, bias, noise_model)
-
     def hidden_field(self, visible: np.ndarray) -> np.ndarray:
         """Summed column currents seen by the hidden nodes (plus node noise)."""
         if is_sparse(visible):
@@ -710,7 +599,9 @@ class BipartiteIsingSubstrate:
             visible = np.atleast_2d(np.asarray(visible, dtype=self.dtype))
         if self.fast_path:
             effective, _ = self._effective_pair()
-            return self._field(visible, effective, self.hidden_bias)
+            return _field_kernel(
+                visible, effective, self.hidden_bias, self._serial_context.noise_model
+            )
         field = safe_sparse_dot(visible, self._effective_weights()) + self.hidden_bias
         scale = max(float(np.std(field)), 1.0)
         return field + self.noise_model.node_noise(field.shape, scale=scale)
@@ -720,7 +611,9 @@ class BipartiteIsingSubstrate:
         hidden = np.atleast_2d(np.asarray(hidden, dtype=self.dtype))
         if self.fast_path:
             _, effective_t = self._effective_pair()
-            return self._field(hidden, effective_t, self.visible_bias)
+            return _field_kernel(
+                hidden, effective_t, self.visible_bias, self._serial_context.noise_model
+            )
         field = hidden @ self._effective_weights().T + self.visible_bias
         scale = max(float(np.std(field)), 1.0)
         return field + self.noise_model.node_noise(field.shape, scale=scale)
@@ -732,21 +625,6 @@ class BipartiteIsingSubstrate:
     def visible_probability(self, hidden: np.ndarray) -> np.ndarray:
         """Sigmoid-unit output voltages at the visible nodes."""
         return self.visible_sigmoid(self.visible_field(hidden))
-
-    def _settle_eval(
-        self,
-        state: np.ndarray,
-        static_pair: Tuple[np.ndarray, np.ndarray],
-        ctx: _ShardContext,
-        *,
-        hidden_side: bool,
-    ) -> np.ndarray:
-        """One settle-and-latch — delegates to the module-level
-        :func:`_settle_eval_kernel` shared with the worker processes, so
-        no executor tier can diverge from the serial trusted samplers."""
-        return _settle_eval_kernel(
-            state, static_pair, ctx, self._kernel(), hidden_side=hidden_side
-        )
 
     def _kernel(self) -> _ShardKernel:
         """Snapshot the settle kernel's static inputs (built per call —
@@ -762,14 +640,16 @@ class BipartiteIsingSubstrate:
 
     def _sample_hidden_trusted(self, clamped: np.ndarray) -> np.ndarray:
         """Trusted settle-and-latch: ``clamped`` is 2-D float, DTC-driven."""
-        return self._settle_eval(
-            clamped, self._static_pair(), self._serial_context, hidden_side=True
+        return _settle_eval_kernel(
+            clamped, self._static_pair(), self._serial_context, self._kernel(),
+            hidden_side=True,
         )
 
     def _sample_visible_trusted(self, hidden: np.ndarray) -> np.ndarray:
         """Trusted settle-and-latch: ``hidden`` is a 2-D binary latch state."""
-        return self._settle_eval(
-            hidden, self._static_pair(), self._serial_context, hidden_side=False
+        return _settle_eval_kernel(
+            hidden, self._static_pair(), self._serial_context, self._kernel(),
+            hidden_side=False,
         )
 
     def sample_hidden_given_visible(self, visible: np.ndarray) -> np.ndarray:
@@ -834,19 +714,6 @@ class BipartiteIsingSubstrate:
             self._shard_contexts[workers] = contexts
         return contexts
 
-    def _settle_shard(
-        self,
-        hidden: np.ndarray,
-        n_steps: int,
-        static_pair: Tuple[np.ndarray, np.ndarray],
-        ctx: _ShardContext,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance one chain block for ``n_steps`` alternating settles under
-        ``ctx``'s circuits — delegates to the module-level
-        :func:`_settle_loop_kernel` shared with the worker processes (the
-        serial fast path is the single-block case of this loop)."""
-        return _settle_loop_kernel(hidden, n_steps, static_pair, ctx, self._kernel())
-
     def _shard_incompatibility(self) -> Optional[str]:
         """Why this substrate cannot shard its settles, or ``None`` if it can.
 
@@ -886,82 +753,25 @@ class BipartiteIsingSubstrate:
         The settle matmuls, elementwise kernels, and Generator fills all
         release the GIL, so shard threads genuinely occupy multiple cores;
         the static effective pair is built once (under the cache lock) on
-        the dispatching thread and shared read-only, so shard threads never
-        touch the substrate's cache or its serial streams.
+        the dispatching thread and shared read-only (with one
+        :class:`_ShardKernel` snapshot), so shard threads never touch the
+        substrate's cache or its serial streams.
         """
         static_pair = self._static_pair()
+        kern = self._kernel()
         contexts = self._shard_contexts_for(workers)
         slices = shard_slices(hidden.shape[0], workers)
 
         def settle(indexed_slice: Tuple[int, slice]) -> Tuple[np.ndarray, np.ndarray]:
             index, rows = indexed_slice
-            return self._settle_shard(
-                hidden[rows], n_steps, static_pair, contexts[index]
+            return _settle_loop_kernel(
+                hidden[rows], n_steps, static_pair, contexts[index], kern
             )
 
         results = ShardedExecutor(workers).map(settle, list(enumerate(slices)))
         return (
             np.concatenate([pair[0] for pair in results], axis=0),
             np.concatenate([pair[1] for pair in results], axis=0),
-        )
-
-    def _shared_static(self) -> SharedNDArray:
-        """The static effective matrix, published once into shared memory.
-
-        Built (or reused) lazily by the process-sharded settle path; the
-        publication is dropped and unlinked by ``_drop_effective_cache`` at
-        every point the static pair itself invalidates — reprogramming and
-        the BGF's in-place charge-pump writes — so worker views can never
-        observe a stale program.
-
-        Returns the publication *pinned* (caller must ``release()``): an
-        invalidation racing the settle then defers the segment's unlink
-        until the in-flight workers are done with it — same staleness
-        semantics as the thread tier, where a settle keeps the pair it
-        grabbed at entry.  The identity re-check below keeps an
-        invalidation that lands between the pair build and the publication
-        from caching a stale matrix for *future* settles.
-        """
-        while True:
-            static_pair = self._static_pair()
-            with self._cache_lock:
-                if self._eff_cache is not static_pair:
-                    continue  # invalidated mid-build; rebuild and re-publish
-                if self._shm_static is None:
-                    self._shm_static = SharedNDArray(static_pair[0])
-                return self._shm_static.pin()
-
-    def _settle_batch_procs(
-        self, hidden: np.ndarray, n_steps: int, workers: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Shard the chain block row-wise and settle the shards in processes.
-
-        Identical draws to the thread tier by construction: the same shard
-        contexts (current RNG positions included) are pickled to the
-        workers, the same settle loop runs there against a zero-copy view
-        of the shared static matrix, and the advanced RNG states are
-        written back into the parent's cached contexts afterwards — so
-        shard streams stay stateful across calls exactly as they do under
-        threads, and the executor knob never changes what is drawn.
-        """
-        shared = self._shared_static()
-        try:
-            contexts = self._shard_contexts_for(workers)
-            slices = shard_slices(hidden.shape[0], workers)
-            kern = self._kernel()
-            descriptor = shared.descriptor
-            tasks = [
-                (descriptor, hidden[rows], n_steps, _light_context(contexts[index]), kern)
-                for index, rows in enumerate(slices)
-            ]
-            results = ProcessShardedExecutor(workers).map(_process_settle_shard, tasks)
-        finally:
-            shared.release()
-        for index, (_, _, states) in enumerate(results):
-            _restore_context_rng_states(contexts[index], states)
-        return (
-            np.concatenate([shard[0] for shard in results], axis=0),
-            np.concatenate([shard[1] for shard in results], axis=0),
         )
 
     # ------------------------------------------------------------------ #
@@ -973,7 +783,6 @@ class BipartiteIsingSubstrate:
         n_steps: int,
         *,
         workers: "int | str | None" = None,
-        executor: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Evolve ``p`` independent chains in parallel for ``n_steps`` settles.
 
@@ -1007,15 +816,6 @@ class BipartiteIsingSubstrate:
         noise-free DTC/sigmoid-output draws (dynamic coupling/node noise is
         fine — each shard perturbs its replica from its own substream).
 
-        ``executor`` picks the execution tier for a sharded settle:
-        ``"threads"`` (the default) or ``"processes"`` (a spawn pool fed
-        zero-copy views of the shared-memory static coupling matrix) —
-        **draw-identical** to threads at the same ``workers=k``, because
-        the same shard contexts run the same settle loop and their
-        advanced RNG states are written back (``None`` defers to
-        ``REPRO_EXECUTOR``/``"threads"``).  A no-op until the call
-        actually shards.
-
         Returns the final ``(visible, hidden)`` samples, shaped
         ``(p, n_visible)`` and ``(p, n_hidden)``, in the substrate's
         precision tier (``self.dtype``) — a float32 substrate returns
@@ -1025,7 +825,6 @@ class BipartiteIsingSubstrate:
         """
         explicit = workers is not None
         workers = resolve_workers(workers)
-        executor = resolve_executor(executor)
         if n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
         hidden = check_binary(
@@ -1034,8 +833,6 @@ class BipartiteIsingSubstrate:
         if workers > 1 and hidden.shape[0] > 1:
             reason = self._shard_incompatibility()
             if reason is None:
-                if executor == "processes":
-                    return self._settle_batch_procs(hidden, n_steps, workers)
                 return self._settle_batch_sharded(hidden, n_steps, workers)
             if explicit:
                 raise ValidationError(reason)
@@ -1051,8 +848,8 @@ class BipartiteIsingSubstrate:
             # re-clamp is skipped too — both are value-preserving.  The loop
             # is the shared settle kernel running on the substrate's own
             # circuits (one body with the sharded path).
-            return self._settle_shard(
-                hidden, n_steps, self._static_pair(), self._serial_context
+            return _settle_loop_kernel(
+                hidden, n_steps, self._static_pair(), self._serial_context, self._kernel()
             )
         visible = self.sample_visible_given_hidden(hidden)
         for _ in range(n_steps - 1):
@@ -1067,18 +864,17 @@ class BipartiteIsingSubstrate:
         n_steps: int,
         *,
         workers: "int | str | None" = None,
-        executor: Optional[str] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run ``n_steps`` alternating settles starting from a hidden state.
 
         Mirrors the negative phase of Algorithm 1 / the annealing trajectory
         of the BGF's negative sample: hidden -> visible -> hidden, repeated.
         Delegates to :meth:`settle_batch` (a chain is the single- or
-        multi-row case of the chain-parallel kernel; ``workers`` and
-        ``executor`` are forwarded to its sharded execution layer) and
-        returns the final ``(visible, hidden)`` samples.
+        multi-row case of the chain-parallel kernel; ``workers`` is
+        forwarded to its sharded execution layer) and returns the final
+        ``(visible, hidden)`` samples.
         """
-        return self.settle_batch(hidden_init, n_steps, workers=workers, executor=executor)
+        return self.settle_batch(hidden_init, n_steps, workers=workers)
 
     def reconstruct(self, visible: np.ndarray) -> np.ndarray:
         """Mean-field reconstruction through the analog sigmoid units."""

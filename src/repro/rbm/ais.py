@@ -28,11 +28,7 @@ from repro.utils.numerics import (
     sigmoid,
 )
 from repro.utils.parallel import (
-    ProcessShardedExecutor,
     ShardedExecutor,
-    SharedNDArray,
-    attach_shared_array,
-    resolve_executor,
     resolve_workers,
     shard_seed_sequence,
     shard_slices,
@@ -60,8 +56,7 @@ def _ais_log_unnormalized(
     v: np.ndarray,
     beta: float,
 ) -> np.ndarray:
-    """log p*_beta(v) of the interpolated distribution (module-level so the
-    legacy reference sweep can run in a worker process)."""
+    """log p*_beta(v) of the interpolated distribution (legacy sweep)."""
     hidden_input = beta * (v @ weights + hidden_bias)
     return (
         (1.0 - beta) * (v @ base_bias)
@@ -79,7 +74,8 @@ def _ais_transition(
     beta: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One Gibbs transition that leaves the beta-interpolated model invariant."""
+    """One Gibbs transition that leaves the beta-interpolated model invariant
+    (legacy sweep)."""
     h_prob = sigmoid(beta * (v @ weights + hidden_bias))
     h = bernoulli_sample(h_prob, rng)
     v_field = beta * (h @ weights.T + visible_bias) + (1.0 - beta) * base_bias
@@ -100,13 +96,12 @@ def _ais_sweep(
 ) -> np.ndarray:
     """Run the full beta sweep for ``n_chains`` particles on ``rng``.
 
-    The whole estimator minus the seed/shard bookkeeping, as a module-level
-    function of plain arrays: the serial path calls it once with the
-    estimator's own generator (bit-identical to the pre-threading
-    implementation), the threaded pool calls it once per shard with that
-    shard's substream, and a spawned worker process runs the *same body* on
-    a zero-copy shared-memory view of ``weights`` — the chains are mutually
-    independent, so the sweep is identical on every tier.
+    The whole estimator minus the seed/shard bookkeeping, as a function of
+    plain arrays: the serial path calls it once with the estimator's own
+    generator (bit-identical to the pre-threading implementation), and the
+    threaded pool calls it once per shard with that shard's substream — the
+    chains are mutually independent, so sharding only moves chains between
+    streams.
     """
     # Initial samples from the base-rate model.
     v = bernoulli_sample(np.tile(sigmoid(base_bias), (n_chains, 1)), rng)
@@ -165,31 +160,6 @@ def _ais_sweep(
                 weights, visible_bias, hidden_bias, base_bias, v, beta, rng
             )
     return log_w
-
-
-def _process_ais_sweep(task):
-    """Worker body for one process-sharded AIS shard.
-
-    ``task`` carries the shared-memory descriptor of the weight matrix, the
-    (small) bias vectors, the shard's chain count and its generator — whose
-    pickled state is exactly the parent's cached substream position.  Runs
-    the same sweep as every other tier and returns the log weights plus the
-    advanced RNG state for parent-side write-back.  Runs inline in the
-    parent when the dispatcher decides a pool would not pay.
-    """
-    (descriptor, visible_bias, hidden_bias, base_bias, betas, size, rng,
-     fast_path, dtype) = task
-    segment, weights = attach_shared_array(descriptor)
-    try:
-        log_w = _ais_sweep(
-            weights, visible_bias, hidden_bias, base_bias, betas, size, rng,
-            fast_path=fast_path, dtype=dtype,
-        )
-    finally:
-        # log_w accumulates in a fresh float64 array — nothing returned can
-        # alias the segment, so unmapping here is safe.
-        segment.close()
-    return log_w, rng.bit_generator.state
 
 
 @dataclass
@@ -279,12 +249,7 @@ class AISEstimator:
         serial estimator, ``workers=k`` is reproducible for fixed seed and
         ``k``, and estimates across worker counts agree statistically
         (``tests/property/test_parallel_statistics.py``).  ``"auto"``
-        resolves to the machine's core count.  The spec's ``executor``
-        knob picks the pool's execution tier — ``"threads"`` (default) or
-        ``"processes"`` (spawn pool + shared-memory weights), which is
-        **draw-identical** to threads at the same ``workers=k`` because
-        the same shard generators run the same sweep and their advanced
-        states are written back.
+        resolves to the machine's core count.
 
     RNG stream order
     ----------------
@@ -348,7 +313,6 @@ class AISEstimator:
         self.quantized = spec.compute.dtype == QINT8
         self.dtype = compute_dtype(spec.compute.dtype)
         self.workers = spec.compute.workers
-        self.executor = spec.compute.executor
         # Seed root for the threaded chain pool's per-shard substreams;
         # shard generators are cached per worker count so their streams
         # stay stateful across estimates (reproducible run to run).  The
@@ -385,25 +349,6 @@ class AISEstimator:
         p = np.clip(np.mean(data, axis=0), smoothing, 1.0 - smoothing)
         return np.log(p / (1.0 - p))
 
-    def _log_unnormalized(self, rbm: BernoulliRBM, base_bias: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
-        """log p*_beta(v) of the interpolated distribution."""
-        return _ais_log_unnormalized(
-            rbm.weights, rbm.visible_bias, rbm.hidden_bias, base_bias, v, beta
-        )
-
-    def _transition(
-        self,
-        rbm: BernoulliRBM,
-        base_bias: np.ndarray,
-        v: np.ndarray,
-        beta: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """One Gibbs transition that leaves the beta-interpolated model invariant."""
-        return _ais_transition(
-            rbm.weights, rbm.visible_bias, rbm.hidden_bias, base_bias, v, beta, rng
-        )
-
     def _sweep_params(self, rbm: BernoulliRBM) -> tuple:
         """The ``(weights, visible_bias, hidden_bias)`` triple the sweep runs on.
 
@@ -420,23 +365,6 @@ class AISEstimator:
             dequantize_symmetric(*quantize_symmetric(rbm.weights, axis=0)),
             dequantize_symmetric(*quantize_symmetric(rbm.visible_bias)),
             dequantize_symmetric(*quantize_symmetric(rbm.hidden_bias)),
-        )
-
-    def _sweep(
-        self,
-        params: tuple,
-        base_bias: np.ndarray,
-        betas: list,
-        n_chains: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Run the full beta sweep for ``n_chains`` particles on ``rng`` —
-        delegates to the module-level :func:`_ais_sweep` shared with the
-        worker processes.  ``params`` is the :meth:`_sweep_params` triple."""
-        weights, visible_bias, hidden_bias = params
-        return _ais_sweep(
-            weights, visible_bias, hidden_bias, base_bias,
-            betas, n_chains, rng, fast_path=self.fast_path, dtype=self.dtype,
         )
 
     def _shard_rngs(self, workers: int) -> list:
@@ -460,12 +388,11 @@ class AISEstimator:
     def estimate_log_partition(self, rbm: BernoulliRBM) -> AISResult:
         """Run AIS and return the estimated log partition function."""
         workers = resolve_workers(self.workers)
-        executor = resolve_executor(self.executor)
         base_bias = self._base_bias(rbm)
         # On the qint8 tier the RBM parameters are quantize-dequantized once
-        # per estimate; every shard (serial, thread, process) sweeps the same
+        # per estimate; every shard (serial or threaded) sweeps the same
         # realized couplings, so worker count cannot change the statistics.
-        params = self._sweep_params(rbm)
+        weights, visible_bias, hidden_bias = self._sweep_params(rbm)
         # Python-float betas: a NumPy float64 scalar is not a "weak" scalar
         # under NEP 50, so `beta * float32_array` would silently promote the
         # whole float32 sweep back to float64; Python floats multiply
@@ -476,8 +403,14 @@ class AISEstimator:
         # and visible units factorize over (1 + exp(base_bias)).
         log_z_base = rbm.n_hidden * np.log(2.0) + float(np.sum(log1pexp(base_bias)))
 
+        def sweep(n_chains: int, rng: np.random.Generator) -> np.ndarray:
+            return _ais_sweep(
+                weights, visible_bias, hidden_bias, base_bias, betas, n_chains,
+                rng, fast_path=self.fast_path, dtype=self.dtype,
+            )
+
         if workers == 1 or self.n_chains == 1:
-            log_w = self._sweep(params, base_bias, betas, self.n_chains, self._rng)
+            log_w = sweep(self.n_chains, self._rng)
         else:
             # Threaded chain pool: each shard runs the whole sweep for its
             # slice of the particle population on its own substream; the
@@ -485,45 +418,8 @@ class AISEstimator:
             # GIL and occupy separate cores.  Shard sizes are the balanced
             # contiguous split of n_chains, gathered in shard order.
             sizes = [s.stop - s.start for s in shard_slices(self.n_chains, workers)]
-            rngs = self._shard_rngs(workers)
-
-            if executor == "processes":
-                # Process-sharded chain pool: the weight matrix is published
-                # once into shared memory for this estimate (AIS weights are
-                # a per-call input, not substrate state, so there is no
-                # cross-call cache to keep coherent) and each worker maps a
-                # zero-copy view; the shard generators travel by pickle —
-                # state included — and their advanced states are written
-                # back, so the draws are identical to the thread tier and
-                # shard streams stay stateful across estimates.
-                shared = SharedNDArray(np.asarray(params[0], dtype=float))
-                try:
-                    descriptor = shared.descriptor
-                    tasks = [
-                        (
-                            descriptor, np.asarray(params[1], dtype=float),
-                            np.asarray(params[2], dtype=float), base_bias,
-                            betas, size, rngs[index], self.fast_path, self.dtype,
-                        )
-                        for index, size in enumerate(sizes)
-                    ]
-                    results = ProcessShardedExecutor(workers).map(
-                        _process_ais_sweep, tasks
-                    )
-                finally:
-                    shared.close()
-                blocks = []
-                for index, (block, state) in enumerate(results):
-                    rngs[index].bit_generator.state = state
-                    blocks.append(block)
-            else:
-
-                def sweep(indexed_size):
-                    index, size = indexed_size
-                    return self._sweep(params, base_bias, betas, size, rngs[index])
-
-                blocks = ShardedExecutor(workers).map(sweep, list(enumerate(sizes)))
-            log_w = np.concatenate(blocks)
+            jobs = list(zip(sizes, self._shard_rngs(workers)))
+            log_w = np.concatenate(ShardedExecutor(workers).map(lambda job: sweep(*job), jobs))
 
         log_z = log_z_base + float(logsumexp(log_w) - np.log(self.n_chains))
         return AISResult(log_partition=log_z, log_weights=log_w, log_partition_base=log_z_base)
@@ -539,23 +435,19 @@ def estimate_log_partition(
     fast_path: bool = True,
     dtype: "str" = "float64",
     workers: "int | str | None" = None,
-    executor: Optional[str] = None,
 ) -> float:
     """Convenience wrapper returning just the estimated log Z.
 
     When ``data`` is given, the base-rate model's visible biases are set to
     the data log-odds, which substantially reduces estimator variance.
-    ``workers`` shards the chain pool and ``executor`` picks its execution
-    tier (see :class:`AISEstimator`).
+    ``workers`` shards the chain pool (see :class:`AISEstimator`).
     """
     base_bias = None if data is None else AISEstimator.base_bias_from_data(data)
     estimator = AISEstimator(
         spec=EstimatorSpec(
             chains=n_chains,
             betas=n_betas,
-            compute=ComputeSpec(
-                dtype=dtype, workers=workers, fast_path=fast_path, executor=executor
-            ),
+            compute=ComputeSpec(dtype=dtype, workers=workers, fast_path=fast_path),
         ),
         base_visible_bias=base_bias,
         rng=rng,
@@ -573,7 +465,6 @@ def average_log_probability(
     log_partition: Optional[float] = None,
     dtype: "str" = "float64",
     workers: "int | str | None" = None,
-    executor: Optional[str] = None,
 ) -> float:
     """Average log probability of ``data`` rows, the paper's quality metric.
 
@@ -581,8 +472,7 @@ def average_log_probability(
     in directly via ``log_partition`` to reuse an existing estimate).
     ``dtype="float32"`` runs the AIS sweep in the single-precision tier; the
     free energies of the data always evaluate in float64.  ``workers``
-    shards the AIS chain pool and ``executor`` picks its execution tier
-    (see :class:`AISEstimator`).
+    shards the AIS chain pool (see :class:`AISEstimator`).
     """
     data = check_array(data, name="data", ndim=2)
     if data.shape[1] != rbm.n_visible:
@@ -592,6 +482,6 @@ def average_log_probability(
     if log_partition is None:
         log_partition = estimate_log_partition(
             rbm, n_chains=n_chains, n_betas=n_betas, data=data, rng=rng,
-            dtype=dtype, workers=workers, executor=executor,
+            dtype=dtype, workers=workers,
         )
     return float(np.mean(-rbm.free_energy(data)) - log_partition)

@@ -196,9 +196,9 @@ class LockDiscipline(Rule):
 
     A class declares its invariant once, in its own body::
 
-        # reprolint: guard(_cache_lock)=_eff_cache,_shm_static
+        # reprolint: guard(_cache_lock)=_eff_cache,_quantized_static
 
-    and every ``self._eff_cache`` / ``self._shm_static`` access in that
+    and every ``self._eff_cache`` / ``self._quantized_static`` access in that
     class must then sit inside ``with self._cache_lock`` — or in a method
     carrying ``# reprolint: lockfree -- <reason>`` (e.g. ``__init__``
     publishing state before the object is shared).  This is the contract

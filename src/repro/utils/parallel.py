@@ -7,11 +7,13 @@ analogue so far was *batched* (one matmul over all chains); this module
 adds the *multicore* analogue: split the chain block into per-worker
 shards and advance the shards concurrently on a thread pool.
 
-Threads (not processes) are the right tool here because the settle kernels
-are BLAS-bound: NumPy's matmul, elementwise ufuncs, and the Generator's
-fill routines all release the GIL while they run, so ``k`` shard threads
-drive ``k`` cores without any pickling or shared-memory choreography —
-the coupling matrix is shared read-only across shards by reference.
+Threads are enough here because the settle kernels are BLAS-bound:
+NumPy's matmul, elementwise ufuncs, and the Generator's fill routines all
+release the GIL while they run, so ``k`` shard threads drive ``k`` cores
+while the coupling matrix is shared read-only across shards by reference.
+Each shard thread still calls a (by default multi-threaded) BLAS, so
+``workers`` and ``OPENBLAS_NUM_THREADS`` multiply: see "Workers and BLAS
+threads" in docs/performance.md before raising ``workers`` above 1.
 
 Determinism contract (see docs/performance.md, "The multicore layer"):
 
@@ -29,49 +31,25 @@ Determinism contract (see docs/performance.md, "The multicore layer"):
 ``workers=None`` defers to :func:`default_workers` — the ``REPRO_WORKERS``
 environment variable (the CI matrix's knob) or 1 — and ``workers="auto"``
 resolves to the machine's core count.
-
-The process tier
-----------------
-
-Threads stop paying once shards contend on memory bandwidth and on the
-GIL-held slices of the Generator fill routines.  ``executor="processes"``
-(:class:`ProcessShardedExecutor`, ``REPRO_EXECUTOR``) moves each shard
-into its own interpreter: the coupling matrix is published **once per
-program** into ``multiprocessing.shared_memory`` (:class:`SharedNDArray`)
-and workers map zero-copy ``np.ndarray`` views over it, so the per-settle
-task payload is only the shard's chain rows plus its RNG state — the
-p×(n·m) hot data never crosses a pickle boundary.  Shard RNG streams are
-shipped to the worker and their advanced states written back afterwards,
-which makes ``executor="processes"`` **draw-identical** to
-``executor="threads"`` at the same ``workers=k`` — the executor knob moves
-*where* a shard runs, never *what* it draws.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
-
-import multiprocessing
-import weakref
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, List, Sequence, TypeVar, Union
 
 import numpy as np
 
 from repro.utils.validation import ValidationError
 
 __all__ = [
-    "ProcessShardedExecutor",
-    "SharedNDArray",
     "ShardedExecutor",
-    "default_executor",
     "default_workers",
-    "resolve_executor",
     "resolve_workers",
     "shard_seed_sequence",
     "shard_slices",
-    "shutdown_process_pools",
 ]
 
 T = TypeVar("T")
@@ -87,46 +65,6 @@ WorkersLike = Union[None, int, str]
 #: legitimately diverge under this variable — the suites that pin those
 #: contracts pass ``workers=1`` explicitly or clear the variable.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable consulted when ``executor=None`` — selects which
-#: execution tier sharded call sites use (``"threads"`` or ``"processes"``).
-#: Orthogonal to ``REPRO_WORKERS``: with ``workers=1`` the serial kernels
-#: run regardless of the executor, so the variable is a no-op until a call
-#: site actually shards.
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
-#: The valid executor tiers, in documentation order.
-EXECUTORS = ("threads", "processes")
-
-
-def default_executor() -> str:
-    """Executor tier used when a caller passes ``executor=None``.
-
-    Reads ``REPRO_EXECUTOR`` (``"threads"`` or ``"processes"``); unset
-    means ``"threads"`` — the PR-4 thread tier, which remains the default
-    because it needs no pickling or shared-memory choreography.
-    """
-    raw = os.environ.get(EXECUTOR_ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return "threads"
-    return resolve_executor(raw.strip(), name=EXECUTOR_ENV_VAR)
-
-
-def resolve_executor(executor: Optional[str], *, name: str = "executor") -> str:
-    """Normalize an ``executor`` knob into ``"threads"`` or ``"processes"``.
-
-    ``None`` defers to :func:`default_executor` (``REPRO_EXECUTOR`` or
-    ``"threads"``).  Anything else must be one of the two tier names —
-    a typo fails at the API boundary with a :class:`ValidationError`
-    instead of silently running serial.
-    """
-    if executor is None:
-        return default_executor()
-    if isinstance(executor, str) and executor in EXECUTORS:
-        return executor
-    raise ValidationError(
-        f"{name} must be one of {EXECUTORS} or None, got {executor!r}"
-    )
 
 
 def default_workers() -> int:
@@ -264,172 +202,3 @@ class ShardedExecutor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardedExecutor(workers={self.workers})"
-
-
-# --------------------------------------------------------------------------
-# Process tier: shared-memory array publication + a spawn-based pool.
-# --------------------------------------------------------------------------
-
-
-class SharedNDArray:
-    """A read-only ndarray published once into ``multiprocessing.shared_memory``.
-
-    The owner constructs it from a source array (one copy, at publication
-    time); workers rebuild a zero-copy view from the ``(name, shape,
-    dtype)`` descriptor via :func:`attach_shared_array`.  ``close()``
-    unlinks the segment; a ``weakref.finalize`` backstop unlinks it at
-    garbage collection so an abandoned owner cannot leak the segment for
-    the life of the machine.
-
-    ``pin()``/``release()`` let an in-flight consumer hold the segment
-    across a ``close()`` racing in from another thread (the substrate's
-    invalidate-while-settling case): a close that lands while pins are
-    outstanding is deferred until the last ``release()``, so workers that
-    were already handed the descriptor can still attach.
-    """
-
-    # The pin count and the deferred-close flag form one atomic unit: close
-    # decides "defer or unlink" and release decides "last pin runs the
-    # deferred close" — both decisions are wrong if the fields are read
-    # without the lock (enforced by reprolint R003, see docs/dev.md).
-    # reprolint: guard(_pin_lock)=_pins,_close_pending
-
-    # reprolint: lockfree -- construction happens-before sharing: the array is published to other threads only after __init__ returns
-    def __init__(self, array: np.ndarray):
-        from multiprocessing import shared_memory
-
-        array = np.ascontiguousarray(array)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=self._shm.buf)
-        view[...] = array
-        self.name = self._shm.name
-        self.shape = tuple(array.shape)
-        self.dtype = np.dtype(array.dtype)
-        self._pin_lock = threading.Lock()
-        self._pins = 0
-        self._close_pending = False
-        self._finalizer = weakref.finalize(self, _release_segment, self._shm)
-
-    @property
-    def descriptor(self) -> Tuple[str, Tuple[int, ...], str, int]:
-        """Picklable handle a worker turns back into an ndarray view."""
-        return (self.name, self.shape, self.dtype.str, os.getpid())
-
-    def asarray(self) -> np.ndarray:
-        """The owner-side view over the segment (no copy)."""
-        return np.ndarray(self.shape, dtype=self.dtype, buffer=self._shm.buf)
-
-    def pin(self) -> "SharedNDArray":
-        """Hold the segment alive across a racing :meth:`close` (chainable)."""
-        with self._pin_lock:
-            self._pins += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one pin; runs a deferred close once the last pin is gone."""
-        with self._pin_lock:
-            self._pins -= 1
-            ready = self._close_pending and self._pins <= 0
-        if ready:
-            self._finalizer()
-
-    def close(self) -> None:
-        """Unmap and unlink the segment (idempotent).
-
-        With pins outstanding the unlink is deferred to the final
-        :meth:`release` — the segment stays attachable for consumers that
-        already hold its descriptor.
-        """
-        with self._pin_lock:
-            if self._pins > 0:
-                self._close_pending = True
-                return
-        self._finalizer()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedNDArray(name={self.name!r}, shape={self.shape}, dtype={self.dtype})"
-
-
-def _release_segment(shm) -> None:
-    try:
-        shm.close()
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already unlinked elsewhere
-        pass
-
-
-def attach_shared_array(descriptor: Tuple[str, Tuple[int, ...], str, int]):
-    """Attach to a published segment; returns ``(segment, ndarray_view)``.
-
-    The caller must ``segment.close()`` when done with the view.  On
-    Python <= 3.12 attaching re-registers the segment with the resource
-    tracker (gh-82300), but our workers are spawn children of the creator
-    and therefore *share* the creator's tracker process — the duplicate
-    registrations collapse into one tracker-cache entry, which the
-    creator's ``unlink`` clears.  So no ``unregister`` workaround is
-    needed (and issuing one would strip the owner's legitimate entry).
-    """
-    from multiprocessing import shared_memory
-
-    name, shape, dtype, _creator_pid = descriptor
-    segment = shared_memory.SharedMemory(name=name)
-    view = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf)
-    return segment, view
-
-
-# One spawn-based process pool per worker count, mirroring the thread-pool
-# cache above.  Spawn (not fork) because the parent may hold live thread
-# pools and BLAS state that fork would duplicate mid-flight; the import
-# cost is paid once per (worker count, process lifetime) and amortized
-# across every subsequent sharded call.
-_PROC_POOLS: dict = {}
-_PROC_POOLS_LOCK = threading.Lock()
-
-
-def _process_pool(workers: int) -> ProcessPoolExecutor:
-    with _PROC_POOLS_LOCK:
-        pool = _PROC_POOLS.get(workers)
-        if pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-            _PROC_POOLS[workers] = pool
-        return pool
-
-
-def shutdown_process_pools(wait: bool = True) -> None:
-    """Shut down every cached process pool (tests; interpreter exit handles
-    the rest).  Safe to call when no pool was ever created."""
-    with _PROC_POOLS_LOCK:
-        pools = list(_PROC_POOLS.values())
-        _PROC_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=wait)
-
-
-class ProcessShardedExecutor:
-    """:class:`ShardedExecutor` semantics on a spawn-based process pool.
-
-    Same contract: ``workers=1`` (or a single item) runs inline on the
-    calling thread — identical results, zero pickling — and ``workers=k``
-    dispatches onto the shared ``k``-process pool, gathering results in
-    submission order.  ``fn`` and every item must be picklable;
-    shard-sized payloads only — bulk read-only data goes through
-    :class:`SharedNDArray`.
-    """
-
-    def __init__(self, workers: WorkersLike = None):
-        self.workers = resolve_workers(workers)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, across processes when it pays off."""
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        pool = _process_pool(self.workers)
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessShardedExecutor(workers={self.workers})"

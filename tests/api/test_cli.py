@@ -109,6 +109,23 @@ class TestMain:
         assert main(["run", "figure7", "--set", "workers=0"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["processes", "threads"])
+    def test_removed_executor_knob_fails_before_training(self, monkeypatch, capsys, value):
+        """The retired knob is rejected at the --set boundary; it must not
+        fall through into params and be silently ignored by a runner."""
+        from repro.core import BGFTrainer, GibbsSamplerTrainer
+        from repro.rbm import CDTrainer
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        for trainer in (BGFTrainer, CDTrainer, GibbsSamplerTrainer):
+            monkeypatch.setattr(trainer, "train", no_training)
+        assert main(["run", "figure7", "--set", f"executor={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "executor" in captured.err
+        assert "=== figure7" not in captured.out
+
     def test_validation_happens_for_all_names_before_any_run(self, capsys):
         # figure99 is invalid: table2 must not run first.
         assert main(["run", "table2", "figure99"]) == 2

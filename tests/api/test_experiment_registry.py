@@ -67,13 +67,16 @@ class TestPresetRoundTrips:
             experiment = get_experiment(name)
             kwargs = experiment.materialize_kwargs(experiment.presets["paper"])
             kwargs.pop("seed")
-            # executor is an execution-tier knob with a deferred (None)
-            # default, not a tuned paper setting; the legacy dicts predate it.
-            assert kwargs.pop("executor") is None
             assert kwargs == {
                 key: (tuple(v) if isinstance(v, list) else v)
                 for key, v in config.items()
             }
+
+    @pytest.mark.parametrize("name", ["figure7", "table4"])
+    def test_paper_presets_run_serial_kernels(self, name):
+        """Sharding on top of a multi-threaded BLAS oversubscribes the cores,
+        so the paper presets default to one worker."""
+        assert get_experiment(name).preset("paper").compute.workers == 1
 
 
 class TestMaterializeKwargs:

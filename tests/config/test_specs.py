@@ -1,5 +1,7 @@
 """Spec-layer tests: construction validation, resolve(), dict round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,34 +85,10 @@ class TestComputeSpec:
         monkeypatch.setenv("REPRO_WORKERS", "7")
         assert ComputeSpec(workers=2).resolve().workers == 2
 
-    def test_executor_defaults_deferred_until_resolve(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        spec = ComputeSpec()
-        assert spec.executor is None
-        assert spec.resolve().executor == "threads"
-
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
-    def test_valid_executor_accepted(self, executor):
-        assert ComputeSpec(executor=executor).executor == executor
-        assert ComputeSpec(executor=executor).resolve().executor == executor
-
-    @pytest.mark.parametrize("executor", ["forks", "PROCESSES", "", 2])
-    def test_bad_executor_rejected_at_construction(self, executor):
-        with pytest.raises(ValidationError, match="executor"):
-            ComputeSpec(executor=executor)
-
-    def test_resolve_reads_executor_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "processes")
-        assert ComputeSpec().resolve().executor == "processes"
-        # Explicit beats environment.
-        assert ComputeSpec(executor="threads").resolve().executor == "threads"
-
-    def test_resolve_rejects_garbage_executor_env_naming_the_variable(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_EXECUTOR", "forks")
-        with pytest.raises(ValidationError, match="REPRO_EXECUTOR"):
-            ComputeSpec().resolve()
+    def test_three_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(ComputeSpec)] == [
+            "dtype", "workers", "fast_path",
+        ]
 
 
 class TestSamplerAndNoiseSpecs:
@@ -224,10 +202,12 @@ class TestRunSpec:
         assert spec.compute == ComputeSpec(dtype="float32", workers=4)
         assert spec.params == {"epochs": 3}
 
-    def test_with_overrides_routes_executor(self):
-        spec = RunSpec(experiment="figure7").with_overrides(executor="processes")
-        assert spec.compute == ComputeSpec(executor="processes")
-        assert spec.params == {}
+    @pytest.mark.parametrize("value", ["threads", "processes"])
+    def test_with_overrides_rejects_removed_executor_knob(self, value):
+        """The retired knob must fail at the boundary, not fall through into
+        params where a runner would silently ignore it."""
+        with pytest.raises(ValidationError, match="executor"):
+            RunSpec(experiment="figure7").with_overrides(executor=value)
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
@@ -279,6 +259,19 @@ class TestFromDictValidation:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown ComputeSpec keys"):
             ComputeSpec.from_dict({"dtype": "float64", "threads": 4})
+
+    @pytest.mark.parametrize("value", [None, "threads", "processes"])
+    def test_legacy_executor_key_dropped(self, value):
+        """Specs saved while the process tier existed still load."""
+        data = {"dtype": "float32", "workers": 2, "fast_path": True, "executor": value}
+        assert ComputeSpec.from_dict(data) == ComputeSpec(dtype="float32", workers=2)
+        run = {"experiment": "figure7", "compute": data}
+        assert RunSpec.from_dict(run).compute == ComputeSpec(dtype="float32", workers=2)
+
+    @pytest.mark.parametrize("value", ["forks", "PROCESSES", "", 2])
+    def test_legacy_executor_key_with_invalid_value_rejected(self, value):
+        with pytest.raises(ValidationError, match="executor"):
+            ComputeSpec.from_dict({"dtype": "float64", "executor": value})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValidationError, match="mapping"):

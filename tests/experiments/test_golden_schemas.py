@@ -23,19 +23,19 @@ from repro.experiments.fig7_logprob import (
 from repro.experiments.table4_accuracy import PAPER_TABLE4_CONFIG, run_table4
 
 RUN_SPEC_KEYS = {"experiment", "preset", "seed", "compute", "params"}
-COMPUTE_KEYS = {"dtype", "workers", "fast_path", "executor"}
+COMPUTE_KEYS = {"dtype", "workers", "fast_path"}
 
 FIG7_ROW_KEYS = {"dataset", "method", "epoch", "avg_log_probability"}
 FIG7_METADATA_KEYS = {
     "datasets", "scale", "epochs", "learning_rate", "gs_chains", "methods",
-    "dtype", "train_samples", "workers", "executor", "seed",
+    "dtype", "train_samples", "workers", "seed",
 }
 TABLE4_ROW_KEYS = {
     "benchmark", "metric", "rbm_cd10", "rbm_bgf", "dbn_cd10", "dbn_bgf",
 }
 TABLE4_METADATA_KEYS = {
     "scale", "epochs", "learning_rate", "gs_chains", "dtype", "train_samples",
-    "workers", "executor", "seed",
+    "workers", "seed",
 }
 
 

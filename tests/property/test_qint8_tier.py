@@ -12,13 +12,12 @@ quantized reference that could be wrong the same way:
 
 * on the exactly-enumerable 6x4 RBM, the qint8 sampler's long-run moments
   and visible-marginal KL match the exact model distribution — for the
-  full acceptance matrix of ``workers`` in {1, 2} under both the thread
-  and the process executor,
+  full acceptance matrix of ``workers`` in {1, 2},
 * at 48x24 — beyond enumeration — qint8 settles agree Geweke-style with
   the float64 reference,
 * the qint8 AIS estimate lands within the estimator's statistical
   tolerance of the exact log Z and of the float64 estimate, again across
-  the worker/executor matrix,
+  the worker matrix,
 * GS/PCD and BGF training runs on the qint8 tier learn float64-grade
   models (the host-side accumulator stays full precision by design).
 
@@ -56,10 +55,10 @@ pytestmark = pytest.mark.filterwarnings(
 
 N_VISIBLE, N_HIDDEN = 6, 4
 
-# The tier's acceptance matrix: serial, 2-way thread shards, and 2-way
-# process shards all sample the same quantized model.
-POOL_CONFIGS = [(1, "threads"), (2, "threads"), (2, "processes")]
-POOL_IDS = [f"w{workers}-{executor}" for workers, executor in POOL_CONFIGS]
+# The tier's acceptance matrix: serial and 2-way thread shards both sample
+# the same quantized model.
+POOL_CONFIGS = [1, 2]
+POOL_IDS = [f"w{workers}" for workers in POOL_CONFIGS]
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +88,6 @@ def _collect_samples(
     burn_in=250,
     sweeps=350,
     workers=1,
-    executor="threads",
 ):
     substrate = BipartiteIsingSubstrate(
         rbm.n_visible, rbm.n_hidden, input_bits=None, rng=seed, dtype=dtype
@@ -98,28 +96,22 @@ def _collect_samples(
     hidden = (
         np.random.default_rng(seed).random((chains, rbm.n_hidden)) < 0.5
     ).astype(float)
-    _, hidden = substrate.settle_batch(
-        hidden, burn_in, workers=workers, executor=executor
-    )
+    _, hidden = substrate.settle_batch(hidden, burn_in, workers=workers)
     v_samples, h_samples = [], []
     for _ in range(sweeps):
-        visible, hidden = substrate.settle_batch(
-            hidden, 1, workers=workers, executor=executor
-        )
+        visible, hidden = substrate.settle_batch(hidden, 1, workers=workers)
         v_samples.append(visible)
         h_samples.append(hidden)
     return np.concatenate(v_samples), np.concatenate(h_samples)
 
 
 class TestQint8SamplerMatchesExactDistribution:
-    """Exact-enumeration pinning across the worker/executor matrix."""
+    """Exact-enumeration pinning across the worker matrix."""
 
     @pytest.fixture(scope="class", params=POOL_CONFIGS, ids=POOL_IDS)
     def qint8_samples(self, request, enumerable_rbm):
-        workers, executor = request.param
-        return _collect_samples(
-            enumerable_rbm, seed=23 + workers, workers=workers, executor=executor
-        )
+        workers = request.param
+        return _collect_samples(enumerable_rbm, seed=23 + workers, workers=workers)
 
     def test_moments(self, qint8_samples, exact_moments):
         v, h = qint8_samples
@@ -211,15 +203,15 @@ class TestQint8AIS:
             f64.log_partition, abs=AIS_LOGZ_STAT_ATOL
         )
 
-    @pytest.mark.parametrize(("workers", "executor"), POOL_CONFIGS, ids=POOL_IDS)
-    def test_pool_matches_exact(self, tiny_rbm, workers, executor):
+    @pytest.mark.parametrize("workers", POOL_CONFIGS, ids=POOL_IDS)
+    def test_pool_matches_exact(self, tiny_rbm, workers):
         """The acceptance matrix for the estimator: the sharded chain pool
-        sweeps the same quantized parameters on every execution tier."""
+        sweeps the same quantized parameters at every worker count."""
         exact = exact_log_partition(tiny_rbm)
         spec = EstimatorSpec(
             chains=100,
             betas=300,
-            compute=ComputeSpec(dtype="qint8", workers=workers, executor=executor),
+            compute=ComputeSpec(dtype="qint8", workers=workers),
         )
         pooled = AISEstimator(spec=spec, rng=0).estimate_log_partition(tiny_rbm)
         assert pooled.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analog import dequantize_symmetric, quantize_symmetric
-from repro.config.specs import RunSpec
+from repro.config.specs import ComputeSpec, RunSpec
 from repro.core import GibbsSamplerTrainer
 from repro.eval import RBMAnomalyDetector, RBMRecommender
 from repro.rbm import BernoulliRBM, PCDTrainer
@@ -126,6 +126,31 @@ class TestRoundTrip:
         # The dict form is accepted too (what the CLI passes through).
         save_model(_random_rbm(), tmp_path / "m2", run_spec=spec.to_dict())
         assert load_model(tmp_path / "m2").run_spec == spec
+
+
+def _save_with_legacy_executor(path, value):
+    """Save a bundle whose run_spec JSON carries ``compute.executor``, as
+    artifacts written while the process tier existed do."""
+    spec = RunSpec(experiment="figure7", compute=ComputeSpec(dtype="float32", workers=2))
+    save_model(_random_rbm(), path, run_spec=spec)
+    json_path = path.with_suffix(".json")
+    meta = json.loads(json_path.read_text())
+    meta["run_spec"]["compute"]["executor"] = value
+    json_path.write_text(json.dumps(meta))
+    return spec
+
+
+class TestLegacyExecutorKey:
+    @pytest.mark.parametrize("value", [None, "threads", "processes"])
+    def test_once_valid_value_is_dropped_on_load(self, tmp_path, value):
+        spec = _save_with_legacy_executor(tmp_path / "model", value)
+        assert load_model(tmp_path / "model").run_spec == spec
+
+    @pytest.mark.parametrize("value", ["forks", "PROCESSES", 2])
+    def test_other_values_fail_naming_the_key(self, tmp_path, value):
+        _save_with_legacy_executor(tmp_path / "model", value)
+        with pytest.raises(ValidationError, match="executor"):
+            load_model(tmp_path / "model")
 
 
 class TestQuantizedArtifact:

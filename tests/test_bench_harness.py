@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import annotate_oversubscription, run_benchmarks
+from repro.bench.kernels import blas_threads
 
 
 def _results(cpu_count, names):
@@ -43,12 +44,30 @@ class TestAnnotateOversubscription:
         assert annotate_oversubscription(results) == []
 
 
+class TestBlasThreads:
+    def test_library_default_is_none(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert blas_threads() is None
+
+    def test_openblas_variable_wins_over_omp(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        assert blas_threads() == 1
+
+    def test_omp_variable_is_the_fallback(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert blas_threads() == 2
+
+
 class TestOnlyFilter:
     def test_only_restricts_to_matching_kernels(self):
         results = run_benchmarks(repeats=1, include_large=False, only="cd1")
         assert list(results["kernels"]) == ["cd1_training_epoch_49x32"]
         row = results["kernels"]["cd1_training_epoch_49x32"]
         assert row["legacy_median_s"] > 0 and row["fast_median_s"] > 0
+        assert "blas_threads" in results["meta"]
 
     def test_only_with_no_match_raises(self):
         with pytest.raises(ValueError, match="matches no benchmark entries"):

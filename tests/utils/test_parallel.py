@@ -7,21 +7,14 @@ deterministically, substream keys are pure functions of (seed, k, i), and
 order.
 """
 
-import os
 import threading
 
 import numpy as np
 import pytest
 
-from helpers import procjobs
 from repro.utils.parallel import (
-    ProcessShardedExecutor,
     ShardedExecutor,
-    SharedNDArray,
-    attach_shared_array,
-    default_executor,
     default_workers,
-    resolve_executor,
     resolve_workers,
     shard_seed_sequence,
     shard_slices,
@@ -141,135 +134,16 @@ class TestShardedExecutor:
         with pytest.raises(ValidationError):
             ShardedExecutor(0)
 
+    def test_shard_exception_propagates_to_the_caller(self):
+        def job(i):
+            if i == 2:
+                raise ValueError("shard 2 failed")
+            return i
 
-class TestResolveExecutor:
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
-    def test_valid_names_pass_through(self, executor):
-        assert resolve_executor(executor) == executor
+        with pytest.raises(ValueError, match="shard 2 failed"):
+            ShardedExecutor(4).map(job, range(4))
 
-    def test_none_defaults_to_threads_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert resolve_executor(None) == "threads"
-        assert default_executor() == "threads"
-
-    def test_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "processes")
-        assert resolve_executor(None) == "processes"
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-        assert resolve_executor(None) == "threads"
-
-    @pytest.mark.parametrize("executor", ["forks", "PROCESSES", "", 2])
-    def test_unknown_names_rejected_with_clear_error(self, executor):
-        with pytest.raises(ValidationError, match="executor"):
-            resolve_executor(executor)
-
-    def test_bad_env_values_fail_loudly_naming_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "forks")
-        with pytest.raises(ValidationError, match="REPRO_EXECUTOR"):
-            default_executor()
-
-
-class TestSharedNDArray:
-    def test_descriptor_round_trip_is_zero_copy_equal(self):
-        payload = np.arange(24, dtype=np.float64).reshape(4, 6)
-        shared = SharedNDArray(payload)
-        try:
-            segment, view = attach_shared_array(shared.descriptor)
-            try:
-                np.testing.assert_array_equal(view, payload)
-                assert view.dtype == payload.dtype
-                # The attached view aliases the segment, not a pickle copy.
-                assert not view.flags.owndata
-            finally:
-                del view
-                segment.close()
-        finally:
-            shared.close()
-
-    def test_preserves_dtype_and_shape(self):
-        payload = np.ones((3, 2), dtype=np.float32)
-        shared = SharedNDArray(payload)
-        try:
-            name, shape, dtype_str, pid = shared.descriptor
-            assert shape == (3, 2)
-            assert np.dtype(dtype_str) == np.float32
-            assert pid == os.getpid()
-            np.testing.assert_array_equal(shared.asarray(), payload)
-        finally:
-            shared.close()
-
-    def test_close_is_idempotent_and_unlinks(self):
-        shared = SharedNDArray(np.zeros(4))
-        descriptor = shared.descriptor
-        shared.close()
-        shared.close()  # second close is a no-op
-        with pytest.raises(FileNotFoundError):
-            attach_shared_array(descriptor)
-
-    def test_pinned_segment_survives_a_racing_close(self):
-        """A close landing while a consumer holds a pin (the substrate's
-        invalidate-while-settling race) defers the unlink to the last
-        release, so the descriptor stays attachable for in-flight workers."""
-        shared = SharedNDArray(np.arange(6, dtype=np.float64))
-        descriptor = shared.descriptor
-        shared.pin()
-        shared.close()  # deferred: a pin is outstanding
-        segment, view = attach_shared_array(descriptor)
-        np.testing.assert_array_equal(view, np.arange(6.0))
-        del view
-        segment.close()
-        shared.release()  # last pin gone -> the deferred close runs now
-        with pytest.raises(FileNotFoundError):
-            attach_shared_array(descriptor)
-
-    def test_release_without_pending_close_keeps_the_segment(self):
-        shared = SharedNDArray(np.ones(3))
-        shared.pin()
-        shared.release()
-        segment, view = attach_shared_array(shared.descriptor)
-        np.testing.assert_array_equal(view, np.ones(3))
-        del view
-        segment.close()
-        shared.close()
-
-    def test_workers_read_the_segment_without_pickling_it(self):
-        payload = np.arange(10, dtype=np.float64)
-        shared = SharedNDArray(payload)
-        try:
-            tasks = [(shared.descriptor, scale) for scale in (1.0, 2.0, 3.0)]
-            sums = ProcessShardedExecutor(2).map(procjobs.shared_sum, tasks)
-        finally:
-            shared.close()
-        assert sums == [45.0, 90.0, 135.0]
-
-
-class TestProcessShardedExecutor:
-    def test_workers_one_runs_inline_in_this_process(self):
-        pids = ProcessShardedExecutor(1).map(procjobs.worker_pid, range(3))
-        assert set(pids) == {os.getpid()}
-
-    def test_single_item_runs_inline(self):
-        assert ProcessShardedExecutor(4).map(procjobs.worker_pid, [0]) == [
-            os.getpid()
+    def test_accepts_a_one_shot_iterable(self):
+        assert ShardedExecutor(2).map(lambda i: i * i, (i for i in range(5))) == [
+            0, 1, 4, 9, 16,
         ]
-
-    def test_map_runs_in_other_processes(self):
-        pids = ProcessShardedExecutor(2).map(procjobs.worker_pid, range(4))
-        assert os.getpid() not in pids
-
-    def test_map_preserves_submission_order(self):
-        # Reverse-staggered sleeps: later items complete first, so any
-        # completion-order gather would return the list reversed.
-        items = [(i, 0.02 * (4 - i)) for i in range(4)]
-        assert ProcessShardedExecutor(4).map(procjobs.sleepy_index, items) == [
-            0, 1, 2, 3,
-        ]
-
-    def test_map_computes(self):
-        assert ProcessShardedExecutor(2).map(procjobs.square, [1, 2, 3]) == [
-            1, 4, 9,
-        ]
-
-    def test_invalid_workers_rejected_at_construction(self):
-        with pytest.raises(ValidationError):
-            ProcessShardedExecutor(0)
