@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-workers test-sparse lint run-ci serve-smoke bench bench-compare bench-compare-ci artifacts
+.PHONY: test test-workers test-sparse lint run-ci serve-smoke examples-smoke bench bench-compare bench-compare-ci artifacts
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -9,7 +9,7 @@ test:
 ## Static-analysis leg of the tier-1 workflow: reprolint enforces the
 ## repo's own invariants over src/ (R001 no global RNG, R002 dtype-tier
 ## hygiene in kernel modules, R003 lock discipline, R004 async purity in
-## the serving layer, R005 spec-layer construction — see docs/dev.md),
+## the serving layer — see docs/dev.md),
 ## then ruff runs the generic pyflakes/import-hygiene baseline from
 ## pyproject.toml.  ruff is optional locally (the dev container doesn't
 ## ship it); CI installs it, so the baseline still gates every PR.
@@ -57,6 +57,15 @@ serve-smoke:
 	$(PYTHON) -m repro serve /tmp/repro-serve-smoke-q --self-test
 	$(PYTHON) -m repro run figure9 --set epochs=3 --set seed=1 --save-model /tmp/repro-serve-smoke-b
 	$(PYTHON) examples/serve_multimodel_roundtrip.py /tmp/repro-serve-smoke /tmp/repro-serve-smoke-b
+
+## Examples leg of the tier-1 workflow: run the two training examples whose
+## trainers are built from specs end to end (tests/integration/
+## test_examples.py only imports them, so a stale constructor argument
+## would otherwise surface only when a user runs them).  anomaly_detection.py
+## (~77 s on a 2-core host) stays import-only.
+examples-smoke:
+	$(PYTHON) examples/image_classification.py
+	$(PYTHON) examples/recommender_system.py
 
 ## Multicore leg of the CI matrix: the FULL tier-1 suite with the
 ## REPRO_WORKERS default set, so every eligible settle/AIS call runs

@@ -15,6 +15,7 @@ evidence file for the ``compare_bench.py`` regression gate.
 import numpy as np
 import pytest
 
+from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.ising import BRIMConfig, BRIMSimulator, BipartiteIsingSubstrate, IsingModel
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
@@ -31,55 +32,69 @@ def data():
 
 def test_cd1_training_epoch(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = CDTrainer(0.1, cd_k=1, batch_size=10, rng=1)
+    trainer = CDTrainer(spec=TrainerSpec.cd(0.1, cd_k=1, batch_size=10), rng=1)
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
 def test_cd10_training_epoch(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = CDTrainer(0.1, cd_k=10, batch_size=10, rng=1)
+    trainer = CDTrainer(spec=TrainerSpec.cd(0.1, cd_k=10, batch_size=10), rng=1)
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
 def test_gibbs_sampler_training_epoch(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = GibbsSamplerTrainer(0.1, cd_k=1, batch_size=10, rng=1)
+    trainer = GibbsSamplerTrainer(
+        spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10), rng=1
+    )
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
 def test_gibbs_sampler_training_epoch_legacy(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = GibbsSamplerTrainer(0.1, cd_k=1, batch_size=10, rng=1, fast_path=False)
+    trainer = GibbsSamplerTrainer(
+        spec=TrainerSpec.gs(
+            0.1, cd_k=1, batch_size=10, compute=ComputeSpec(fast_path=False)
+        ),
+        rng=1,
+    )
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
 def test_bgf_training_epoch(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = BGFTrainer(0.1, reference_batch_size=10, rng=1)
+    trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
 def test_bgf_training_epoch_legacy(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = BGFTrainer(0.1, reference_batch_size=10, rng=1, fast_path=False)
+    trainer = BGFTrainer(
+        spec=TrainerSpec.bgf(
+            0.1, reference_batch_size=10, compute=ComputeSpec(fast_path=False)
+        ),
+        rng=1,
+    )
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
 def test_substrate_conditional_sampling(benchmark, data):
-    substrate = BipartiteIsingSubstrate(49, 32, rng=0)
+    substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(49, 32), rng=0)
     substrate.program(np.random.default_rng(1).normal(0, 0.1, (49, 32)), np.zeros(49), np.zeros(32))
     benchmark(substrate.sample_hidden_given_visible, data)
 
 
 def test_substrate_conditional_sampling_legacy(benchmark, data):
-    substrate = BipartiteIsingSubstrate(49, 32, rng=0, fast_path=False)
+    substrate = BipartiteIsingSubstrate(
+        spec=SubstrateSpec(49, 32, compute=ComputeSpec(fast_path=False)), rng=0
+    )
     substrate.program(np.random.default_rng(1).normal(0, 0.1, (49, 32)), np.zeros(49), np.zeros(32))
     benchmark(substrate.sample_hidden_given_visible, data)
 
 
 def test_substrate_conditional_sampling_784x500(benchmark):
     """Substrate sampling at the paper's MNIST scale (784 visible, 500 hidden)."""
-    substrate = BipartiteIsingSubstrate(784, 500, rng=0)
+    substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(784, 500), rng=0)
     substrate.program(
         np.random.default_rng(1).normal(0, 0.1, (784, 500)), np.zeros(784), np.zeros(500)
     )
@@ -89,8 +104,10 @@ def test_substrate_conditional_sampling_784x500(benchmark):
 
 def test_ais_partition_estimate(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
-    CDTrainer(0.1, cd_k=1, batch_size=10, rng=1).train(rbm, data, epochs=3)
-    estimator = AISEstimator(n_chains=32, n_betas=100, rng=2)
+    CDTrainer(
+        spec=TrainerSpec.cd(0.1, cd_k=1, batch_size=10), rng=1
+    ).train(rbm, data, epochs=3)
+    estimator = AISEstimator(spec=EstimatorSpec(chains=32, betas=100), rng=2)
     benchmark(estimator.estimate_log_partition, rbm)
 
 

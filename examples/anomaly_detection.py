@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analog.noise import NoiseConfig
+from repro.config import NoiseSpec, TrainerSpec
 from repro.core import BGFTrainer
 from repro.datasets import make_fraud_like
 from repro.eval import RBMAnomalyDetector
@@ -31,16 +31,19 @@ def main() -> None:
 
     print("\narea under the ROC curve (higher is better)")
     for name, trainer in (
-        ("CD-10", CDTrainer(learning_rate=0.05, cd_k=10, batch_size=20, rng=1)),
-        ("BGF", BGFTrainer(learning_rate=0.05, reference_batch_size=20, rng=1)),
+        ("CD-10", CDTrainer(spec=TrainerSpec.cd(0.05, cd_k=10, batch_size=20), rng=1)),
+        ("BGF", BGFTrainer(spec=TrainerSpec.bgf(0.05, reference_batch_size=20), rng=1)),
     ):
         detector = RBMAnomalyDetector(n_hidden=10, trainer=trainer, epochs=20, rng=0).fit(dataset)
         print(f"  {name:>6}: AUC {detector.evaluate_auc(dataset):.3f}")
 
     print("\nnoise robustness of the BGF-trained detector (Figure 10)")
     for rms in (0.0, 0.05, 0.1, 0.2, 0.3):
-        noise = NoiseConfig(rms, rms)
-        trainer = BGFTrainer(learning_rate=0.05, reference_batch_size=20, noise_config=noise, rng=1)
+        noise = NoiseSpec(rms, rms)
+        trainer = BGFTrainer(
+            spec=TrainerSpec.bgf(0.05, reference_batch_size=20, noise=noise),
+            rng=1,
+        )
         detector = RBMAnomalyDetector(n_hidden=10, trainer=trainer, epochs=20, rng=0).fit(dataset)
         fpr, tpr, _ = detector.evaluate_roc(dataset)
         auc = detector.evaluate_auc(dataset)

@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from repro.config import TrainerSpec
 from repro.core import BGFTrainer
 from repro.datasets import load_benchmark_dataset, get_benchmark
 from repro.eval import LogisticRegressionClassifier
@@ -31,9 +32,13 @@ def train_rbm_features(data, n_hidden: int, method: str, seed: int = 0):
     rbm = BernoulliRBM(data.n_features, n_hidden, rng=rngs[0])
     rbm.init_visible_bias_from_data(data.train_x)
     if method == "cd10":
-        trainer = CDTrainer(learning_rate=0.2, cd_k=10, batch_size=10, rng=rngs[1])
+        trainer = CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=10, batch_size=10), rng=rngs[1]
+        )
     else:
-        trainer = BGFTrainer(learning_rate=0.2, reference_batch_size=10, rng=rngs[1])
+        trainer = BGFTrainer(
+            spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=rngs[1]
+        )
     trainer.train(rbm, data.train_x, epochs=20)
     return rbm
 
@@ -55,9 +60,13 @@ def dbn_accuracy(data, method: str, seed: int = 0) -> float:
 
     def layer_trainer(rbm, layer_data):
         if method == "cd10":
-            trainer = CDTrainer(learning_rate=0.2, cd_k=10, batch_size=10, rng=seed + 1)
+            trainer = CDTrainer(
+                spec=TrainerSpec.cd(0.2, cd_k=10, batch_size=10), rng=seed + 1
+            )
         else:
-            trainer = BGFTrainer(learning_rate=0.2, reference_batch_size=10, rng=seed + 1)
+            trainer = BGFTrainer(
+                spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=seed + 1
+            )
         return trainer.train(rbm, layer_data, epochs=12)
 
     dbn.pretrain(data.train_x, layer_trainer=layer_trainer)

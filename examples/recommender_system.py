@@ -14,7 +14,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analog.noise import NoiseConfig
+from repro.config import NoiseSpec, TrainerSpec
 from repro.core import BGFTrainer
 from repro.datasets import make_movielens_like
 from repro.eval import RBMRecommender
@@ -29,9 +29,9 @@ def main() -> None:
     )
 
     trainers = {
-        "CD-1": CDTrainer(learning_rate=0.2, cd_k=1, batch_size=10, rng=1),
-        "CD-10": CDTrainer(learning_rate=0.2, cd_k=10, batch_size=10, rng=1),
-        "BGF": BGFTrainer(learning_rate=0.2, reference_batch_size=10, rng=1),
+        "CD-1": CDTrainer(spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=1),
+        "CD-10": CDTrainer(spec=TrainerSpec.cd(0.2, cd_k=10, batch_size=10), rng=1),
+        "BGF": BGFTrainer(spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1),
     }
     print("\nmean absolute error of held-out rating predictions")
     baseline = None
@@ -45,8 +45,11 @@ def main() -> None:
 
     print("\nnoise robustness of the BGF-trained recommender (Figure 9)")
     for rms in (0.0, 0.05, 0.1, 0.3):
-        noise = NoiseConfig(rms, rms)
-        trainer = BGFTrainer(learning_rate=0.2, reference_batch_size=10, noise_config=noise, rng=1)
+        noise = NoiseSpec(rms, rms)
+        trainer = BGFTrainer(
+            spec=TrainerSpec.bgf(0.2, reference_batch_size=10, noise=noise),
+            rng=1,
+        )
         recommender = RBMRecommender(n_hidden=40, trainer=trainer, epochs=40, rng=0).fit(ratings)
         print(f"  variation/noise RMS {rms:4.0%}: MAE {recommender.evaluate_mae(ratings):.3f}")
 

@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build_lint_parser(
         subparsers.add_parser(
             "lint",
-            help="run reprolint, the repo's AST checks (R001-R005)",
+            help="run reprolint, the repo's AST checks (R001-R004)",
             description="reprolint: AST-based checks of the repo's"
             " invariants (see docs/dev.md).",
         )

@@ -5,11 +5,6 @@ One function per artifact class: :func:`build_substrate`,
 (the registry-driven experiment entry point).  Runtime objects — RNG
 seeds/generators, callbacks, pre-built machines — stay function arguments;
 everything declarative lives in the spec (see :mod:`repro.config`).
-
-The builders construct the exact same objects the deprecated kwarg-style
-constructors do (those shims build specs internally and share one code
-path), so a spec-built trainer is bit-identical to its kwarg twin under a
-fixed seed — pinned in ``tests/api/test_facade.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +16,7 @@ from repro.config.specs import (
     RunSpec,
     SubstrateSpec,
     TrainerSpec,
+    check_spec,
 )
 from repro.core.gibbs_sampler import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.core.gradient_follower import BGFConfig, BGFTrainer
@@ -43,10 +39,6 @@ def build_substrate(
     spec: SubstrateSpec, *, rng: SeedLike = None
 ) -> BipartiteIsingSubstrate:
     """Construct a :class:`BipartiteIsingSubstrate` from its spec."""
-    if not isinstance(spec, SubstrateSpec):
-        raise ValidationError(
-            f"build_substrate needs a SubstrateSpec, got {type(spec).__name__}"
-        )
     return BipartiteIsingSubstrate(spec=spec, rng=rng)
 
 
@@ -65,10 +57,7 @@ def build_trainer(
     operating parameters, BGF only) are runtime escape hatches; passing one
     to the wrong kind raises.
     """
-    if not isinstance(spec, TrainerSpec):
-        raise ValidationError(
-            f"build_trainer needs a TrainerSpec, got {type(spec).__name__}"
-        )
+    check_spec(spec, TrainerSpec, "build_trainer")
     if machine is not None and spec.kind != "gs":
         raise ValidationError(
             f"machine= applies to the 'gs' trainer, not kind={spec.kind!r}"
@@ -95,10 +84,6 @@ def build_estimator(
     ``base_visible_bias`` is data-derived (the log-odds trick), so it stays
     a runtime argument rather than a spec field.
     """
-    if not isinstance(spec, EstimatorSpec):
-        raise ValidationError(
-            f"build_estimator needs an EstimatorSpec, got {type(spec).__name__}"
-        )
     return AISEstimator(spec=spec, rng=rng, base_visible_bias=base_visible_bias)
 
 

@@ -8,10 +8,9 @@ used to live as ``PAPER_FIGURE7_CONFIG``-style dicts are converted into
 (:func:`runspec_from_legacy_config`), so the dicts stay the single source
 of the tuned knob values while the registry exposes them declaratively.
 
-The registry is what ``python -m repro run`` and the legacy
-``repro.experiments.runner`` drive; :func:`repro.api.run_experiment`
-validates a spec's params against the runner's signature here before
-executing it.
+The registry is what ``python -m repro run`` drives;
+:func:`repro.api.run_experiment` validates a spec's params against the
+runner's signature here before executing it.
 """
 
 from __future__ import annotations

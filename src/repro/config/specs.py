@@ -30,7 +30,12 @@ import numpy as np
 
 from repro.analog.noise import NoiseConfig
 from repro.utils.parallel import default_workers, resolve_workers
-from repro.utils.validation import ValidationError, check_in_range, check_positive
+from repro.utils.validation import (
+    ValidationError,
+    check_finite,
+    check_in_range,
+    check_positive,
+)
 
 __all__ = [
     "Spec",
@@ -62,20 +67,30 @@ def _to_jsonable(value: Any) -> Any:
     return value
 
 
-def _normalize_params(value: Any) -> Any:
+def _normalize_params(value: Any, key: str) -> Any:
     """Canonical in-memory form for ``RunSpec.params`` values.
 
     Serialization emits lists (JSON has no tuples); construction normalizes
     them back to tuples so ``RunSpec.from_dict(spec.to_dict()) == spec``
-    holds exactly.
+    holds exactly.  Floats must be finite (``json.loads`` parses ``NaN``).
     """
     if isinstance(value, (list, tuple)):
-        return tuple(_normalize_params(item) for item in value)
+        return tuple(_normalize_params(item, key) for item in value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return check_finite(value, name=key)
     return value
+
+
+def _check_int(value: Any, name: str, minimum: int) -> int:
+    """``value`` as an int ``>= minimum``; floats and bools are rejected,
+    not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class Spec:
@@ -139,6 +154,19 @@ class Spec:
         return self.replace(**changes) if changes else self
 
 
+def check_spec(spec: Any, cls: type, owner: str, *, kind: Optional[str] = None) -> None:
+    """Raise a :class:`ValidationError` unless ``spec`` is a ``cls`` (of
+    trainer ``kind``, when given) — the constructors' ``spec=`` gate."""
+    if not isinstance(spec, cls):
+        raise ValidationError(
+            f"{owner} needs a {cls.__name__}, got {type(spec).__name__}"
+        )
+    if kind is not None and spec.kind != kind:
+        raise ValidationError(
+            f"{owner} needs a {cls.__name__} with kind={kind!r}, got kind={spec.kind!r}"
+        )
+
+
 QINT8 = "qint8"
 
 
@@ -197,7 +225,7 @@ class ComputeSpec(Spec):
         else:
             try:
                 canonical = np.dtype(self.dtype)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(
                     f"dtype must be float32, float64 or qint8, got {self.dtype!r}"
                 ) from exc
@@ -273,16 +301,8 @@ class SamplerSpec(Spec):
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.chains, (int, np.integer)) or isinstance(self.chains, bool):
-            raise ValidationError(f"chains must be an int >= 1, got {self.chains!r}")
-        if self.chains < 1:
-            raise ValidationError(f"chains must be >= 1, got {self.chains}")
-        if not isinstance(self.burn_in, (int, np.integer)) or isinstance(self.burn_in, bool):
-            raise ValidationError(f"burn_in must be an int >= 0, got {self.burn_in!r}")
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
-        object.__setattr__(self, "chains", int(self.chains))
-        object.__setattr__(self, "burn_in", int(self.burn_in))
+        object.__setattr__(self, "chains", _check_int(self.chains, "chains", 1))
+        object.__setattr__(self, "burn_in", _check_int(self.burn_in, "burn_in", 0))
         object.__setattr__(self, "persistent", bool(self.persistent))
         object.__setattr__(self, "chain_batch", bool(self.chain_batch))
 
@@ -335,24 +355,27 @@ class SubstrateSpec(Spec):
     compute: ComputeSpec = field(default_factory=ComputeSpec)
 
     def __post_init__(self) -> None:
-        if self.n_visible <= 0 or self.n_hidden <= 0:
-            raise ValidationError(
-                f"substrate dimensions must be positive, got "
-                f"({self.n_visible}, {self.n_hidden})"
-            )
+        dims = (self.n_visible, self.n_hidden)
+        if not all(
+            isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+            for d in dims
+        ):
+            raise ValidationError(f"substrate dimensions must be positive ints, got {dims}")
         object.__setattr__(self, "n_visible", int(self.n_visible))
         object.__setattr__(self, "n_hidden", int(self.n_hidden))
-        check_positive(self.sigmoid_gain, name="sigmoid_gain")
+        object.__setattr__(
+            self, "sigmoid_gain", check_positive(self.sigmoid_gain, name="sigmoid_gain")
+        )
         if self.input_bits is not None:
-            if not isinstance(self.input_bits, (int, np.integer)) or isinstance(
-                self.input_bits, bool
-            ) or self.input_bits < 1:
-                raise ValidationError(
-                    f"input_bits must be an int >= 1 or None, got {self.input_bits!r}"
-                )
-            object.__setattr__(self, "input_bits", int(self.input_bits))
-        check_positive(
-            self.comparator_offset_rms, name="comparator_offset_rms", strict=False
+            object.__setattr__(
+                self, "input_bits", _check_int(self.input_bits, "input_bits", 1)
+            )
+        object.__setattr__(
+            self,
+            "comparator_offset_rms",
+            check_positive(
+                self.comparator_offset_rms, name="comparator_offset_rms", strict=False
+            ),
         )
         if not isinstance(self.noise, NoiseSpec):
             raise ValidationError("noise must be a NoiseSpec")
@@ -410,24 +433,28 @@ class TrainerSpec(Spec):
             raise ValidationError(
                 f"unknown trainer kind {self.kind!r}; choose from {TRAINER_KINDS}"
             )
-        check_positive(self.learning_rate, name="learning_rate")
-        if self.cd_k < 1:
-            raise ValidationError(f"cd_k must be >= 1, got {self.cd_k}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        object.__setattr__(self, "cd_k", int(self.cd_k))
-        object.__setattr__(self, "batch_size", int(self.batch_size))
-        check_positive(self.weight_decay, name="weight_decay", strict=False)
-        check_in_range(self.momentum, 0.0, 1.0, name="momentum", inclusive=(True, False))
-        if self.reference_batch_size < 1:
-            raise ValidationError(
-                f"reference_batch_size must be >= 1, got {self.reference_batch_size}"
-            )
-        object.__setattr__(
-            self, "reference_batch_size", int(self.reference_batch_size)
-        )
+        checked = {
+            "learning_rate": check_positive(self.learning_rate, name="learning_rate"),
+            "cd_k": _check_int(self.cd_k, "cd_k", 1),
+            "batch_size": _check_int(self.batch_size, "batch_size", 1),
+            "weight_decay": check_positive(
+                self.weight_decay, name="weight_decay", strict=False
+            ),
+            "momentum": check_in_range(
+                self.momentum, 0.0, 1.0, name="momentum", inclusive=(True, False)
+            ),
+            "reference_batch_size": _check_int(
+                self.reference_batch_size, "reference_batch_size", 1
+            ),
+        }
         if self.step_size is not None:
-            check_positive(self.step_size, name="step_size")
+            checked["step_size"] = check_positive(self.step_size, name="step_size")
+        if self.stream_chunk_size is not None:
+            checked["stream_chunk_size"] = _check_int(
+                self.stream_chunk_size, "stream_chunk_size", 1
+            )
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not isinstance(self.sampler, SamplerSpec):
             raise ValidationError("sampler must be a SamplerSpec")
         if not isinstance(self.noise, NoiseSpec):
@@ -485,21 +512,8 @@ class TrainerSpec(Spec):
                 f"streaming training is a GS knob (partial_fit pipeline); the "
                 f"{self.kind!r} trainer runs whole-loop"
             )
-        if self.stream_chunk_size is not None:
-            if not self.streaming:
-                raise ValidationError(
-                    "stream_chunk_size requires streaming=True"
-                )
-            if (
-                not isinstance(self.stream_chunk_size, (int, np.integer))
-                or isinstance(self.stream_chunk_size, bool)
-                or self.stream_chunk_size < 1
-            ):
-                raise ValidationError(
-                    f"stream_chunk_size must be an int >= 1 or None, got "
-                    f"{self.stream_chunk_size!r}"
-                )
-            object.__setattr__(self, "stream_chunk_size", int(self.stream_chunk_size))
+        if self.stream_chunk_size is not None and not self.streaming:
+            raise ValidationError("stream_chunk_size requires streaming=True")
         if self.sparse_visible and self.kind == "bgf":
             raise ValidationError(
                 "sparse_visible applies to the data-side kernels of the 'cd' "
@@ -607,12 +621,8 @@ class EstimatorSpec(Spec):
     compute: ComputeSpec = field(default_factory=ComputeSpec)
 
     def __post_init__(self) -> None:
-        if self.chains < 1:
-            raise ValidationError(f"n_chains must be >= 1, got {self.chains}")
-        if self.betas < 2:
-            raise ValidationError(f"n_betas must be >= 2, got {self.betas}")
-        object.__setattr__(self, "chains", int(self.chains))
-        object.__setattr__(self, "betas", int(self.betas))
+        object.__setattr__(self, "chains", _check_int(self.chains, "n_chains", 1))
+        object.__setattr__(self, "betas", _check_int(self.betas, "n_betas", 2))
         if not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec")
 
@@ -659,9 +669,7 @@ class RunSpec(Spec):
             raise ValidationError(
                 f"preset must be a non-empty string, got {self.preset!r}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an int, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
         if self.compute is not None and not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec or None")
         if not isinstance(self.params, Mapping):
@@ -682,7 +690,7 @@ class RunSpec(Spec):
                     f"params may not carry {key!r}; set it through the typed "
                     "RunSpec fields (seed / compute) so it is recorded once"
                 )
-            params[key] = _normalize_params(value)
+            params[key] = _normalize_params(value, key)
         object.__setattr__(self, "params", params)
 
     def with_overrides(self, **settings: Any) -> "RunSpec":

@@ -21,20 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analog.noise import NoiseConfig
-from repro.config.specs import (
-    ComputeSpec,
-    compute_dtype,
-    NoiseSpec,
-    SamplerSpec,
-    SubstrateSpec,
-    TrainerSpec,
-)
+from repro.config.specs import SubstrateSpec, TrainerSpec, check_spec, compute_dtype
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.rbm import BernoulliRBM, TrainingHistory
 from repro.utils.batching import iter_chunks, minibatches, rebatch
-from repro.utils.deprecation import warn_kwargs_deprecated
 from repro.utils.numerics import (
     is_sparse,
     safe_sparse_dot,
@@ -42,12 +33,7 @@ from repro.utils.numerics import (
     sparse_mean_squared_error,
 )
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import (
-    ValidationError,
-    check_array,
-    check_data_matrix,
-    reject_kwargs_with_spec,
-)
+from repro.utils.validation import ValidationError, check_array, check_data_matrix
 
 
 class GibbsSamplerMachine:
@@ -55,70 +41,18 @@ class GibbsSamplerMachine:
 
     Parameters
     ----------
-    n_visible, n_hidden:
-        Array dimensions.
-    noise_config:
-        Analog noise/variation operating point (defaults to ideal).
-    sigmoid_gain, input_bits:
-        Forwarded to the underlying :class:`BipartiteIsingSubstrate`.
-    dtype:
-        Substrate precision tier (``"float64"`` default, or ``"float32"``
-        for the single-precision kernels with the fused Bernoulli latch);
-        forwarded to the substrate.  Host-side statistics stay float64.
     spec:
-        Typed substrate configuration
-        (:class:`~repro.config.SubstrateSpec`) superseding the per-knob
-        keyword arguments; the kwarg form builds the identical spec
-        internally (one ``DeprecationWarning`` per process) and stays
-        bit-identical under fixed seeds.
+        Typed substrate configuration (:class:`~repro.config.SubstrateSpec`):
+        dimensions, analog noise operating point, sigmoid gain, DTC
+        resolution and the substrate precision tier.  Host-side statistics
+        stay float64 whatever the tier.
+    rng:
+        Master seed of the substrate's sampling streams.
     """
 
-    def __init__(
-        self,
-        n_visible: Optional[int] = None,
-        n_hidden: Optional[int] = None,
-        *,
-        noise_config: Optional[NoiseConfig] = None,
-        sigmoid_gain: float = 1.0,
-        input_bits: Optional[int] = 8,
-        rng: SeedLike = None,
-        fast_path: bool = True,
-        dtype: "str" = "float64",
-        spec: Optional[SubstrateSpec] = None,
-    ):
-        if spec is not None:
-            if n_visible is not None or n_hidden is not None:
-                raise ValidationError(
-                    "pass either spec= or (n_visible, n_hidden) dimensions, not both"
-                )
-            reject_kwargs_with_spec(
-                "GibbsSamplerMachine",
-                noise_config=(noise_config, None),
-                sigmoid_gain=(sigmoid_gain, 1.0),
-                input_bits=(input_bits, 8),
-                fast_path=(fast_path, True),
-                dtype=(dtype, "float64"),
-            )
-        else:
-            if n_visible is None or n_hidden is None:
-                raise ValidationError(
-                    "machine dimensions (n_visible, n_hidden) are required "
-                    "when no spec is given"
-                )
-            spec = SubstrateSpec(
-                n_visible=n_visible,
-                n_hidden=n_hidden,
-                sigmoid_gain=sigmoid_gain,
-                input_bits=input_bits,
-                noise=NoiseSpec.from_noise_config(noise_config),
-                compute=ComputeSpec(dtype=dtype, fast_path=fast_path),
-            )
-            warn_kwargs_deprecated(
-                "GibbsSamplerMachine",
-                "repro.config.SubstrateSpec (+ repro.api.build_trainer)",
-            )
-        self.spec = spec
+    def __init__(self, spec: SubstrateSpec, *, rng: SeedLike = None):
         self.substrate = BipartiteIsingSubstrate(spec=spec, rng=rng)
+        self.spec = spec
         self.fast_path = spec.compute.fast_path
         self.host = HostStatistics()
 
@@ -231,59 +165,38 @@ class GibbsSamplerTrainer:
 
     Parameters
     ----------
-    learning_rate, cd_k, batch_size, weight_decay:
-        As in the software :class:`~repro.rbm.rbm.CDTrainer`.
-    chains:
-        Number of independent negative-phase chains ``p``.  The default of 1
-        (with ``persistent=False``) keeps the conventional CD behavior where
-        the minibatch's own positive samples seed the negative chains —
-        bit-identical to the pre-multi-chain implementation under a fixed
-        seed.  With ``chains=p > 1`` the negative statistics come from ``p``
-        chains evolved in parallel through the substrate's chain-parallel
-        ``settle_batch`` kernel.
-    persistent:
-        PCD-style persistence (Tieleman 2008): the ``p`` chains are
-        initialized once and carried across minibatches (and, with
-        ``reset_chains=False`` at ``train`` time, across ``train`` calls)
-        instead of being re-seeded from the data each minibatch.  Because
-        persistence changes the sampling *statistics*, this mode is pinned by
-        the distribution-level tests in
-        ``tests/property/test_chain_statistics.py`` rather than by seed.
-    chain_batch:
-        ``True`` (default) advances all ``p`` chains as single batched
-        matmuls; ``False`` advances them one at a time through the
-        single-chain fast path (the benchmarking baseline for the
-        chain-parallel kernel).  Statistically equivalent; bit-identical
-        only for ``p = 1``.
-    workers:
-        Multicore knob for the negative phase: forwarded to the substrate's
-        sharded ``settle_batch`` layer, which splits the chain block across
-        a thread pool with per-shard RNG substreams.  ``None`` (default)
-        defers to ``REPRO_WORKERS``/1 — the serial, bit-identical kernel —
-        and ``"auto"`` resolves to the core count; ``workers=k > 1`` runs
-        are reproducible for fixed seed and ``k`` but pinned statistically
-        across worker counts (``tests/property/test_parallel_statistics.py``).
+    spec:
+        Typed configuration (:class:`~repro.config.TrainerSpec` with
+        ``kind="gs"``; see :meth:`~repro.config.TrainerSpec.gs`).
+        ``learning_rate``, ``cd_k``, ``batch_size`` and ``weight_decay`` act
+        as in the software :class:`~repro.rbm.rbm.CDTrainer`.
+        ``sampler.chains`` is the number ``p`` of negative-phase chains: the
+        default of 1 (not persistent) keeps conventional CD, where the
+        minibatch's own positive samples seed the negative chain; ``p > 1``
+        evolves ``p`` chains through the substrate's chain-parallel
+        ``settle_batch`` kernel.  ``sampler.persistent`` carries the chains
+        across minibatches (PCD; Tieleman 2008) and, with
+        ``reset_chains=False`` at ``train`` time, across ``train`` calls; it
+        changes the sampling statistics, so it is pinned distributionally
+        (``tests/property/test_chain_statistics.py``).
+        ``sampler.chain_batch=False`` advances the chains one at a time (the
+        benchmarking baseline; bit-identical only for ``p = 1``).
+        ``compute.workers`` shards the negative phase across threads with
+        per-shard RNG substreams (``None`` defers to ``REPRO_WORKERS``/1,
+        the serial bit-identical kernel; ``k > 1`` is reproducible for fixed
+        seed and ``k``, statistical across ``k``).  ``compute.dtype`` is the
+        lazily-created machine's precision tier: ``"float32"`` samples in
+        single precision while gradients and the RBM's parameters stay
+        float64 (``tests/property/test_precision_tiers.py``).  ``noise`` is
+        the lazily-created machine's operating point.
+    rng:
+        Trainer generator (see the stream order below).
+    callback:
+        Optional ``callback(epoch, rbm)`` hook invoked after every epoch.
     machine:
         Optional pre-built machine (useful to share one across layers or to
         configure its noise); when omitted, a machine matching the RBM's
         shape is created lazily at ``train`` time.
-    noise_config:
-        Noise operating point used when the machine is created lazily.
-    dtype:
-        Precision tier of the lazily-created machine's substrate
-        (``"float64"`` default).  ``"float32"`` runs every settle in single
-        precision — the MNIST-scale (784x500) configuration — while the
-        host-side gradient accumulation and the RBM's parameters stay
-        float64 (mixed-precision training: sample in the tier, accumulate
-        in double).  Float32 sampling is pinned statistically, not by seed
-        (``tests/property/test_precision_tiers.py``).
-    spec:
-        Typed configuration (:class:`~repro.config.TrainerSpec` with
-        ``kind="gs"``) superseding the per-knob keyword arguments above
-        (``machine``/``rng``/``callback`` stay runtime arguments).  The
-        kwarg form builds the identical spec internally (one
-        ``DeprecationWarning`` per process) and runs the same code path,
-        so seeded results are bit-identical.  See ``docs/api.md``.
 
     RNG stream order
     ----------------
@@ -299,63 +212,13 @@ class GibbsSamplerTrainer:
 
     def __init__(
         self,
-        learning_rate: float = 0.1,
-        cd_k: int = 1,
-        batch_size: int = 10,
+        spec: TrainerSpec,
         *,
-        chains: int = 1,
-        persistent: bool = False,
-        chain_batch: bool = True,
-        workers: "int | str | None" = None,
-        weight_decay: float = 0.0,
-        machine: Optional[GibbsSamplerMachine] = None,
-        noise_config: Optional[NoiseConfig] = None,
         rng: SeedLike = None,
         callback=None,
-        fast_path: bool = True,
-        dtype: "str" = "float64",
-        spec: Optional[TrainerSpec] = None,
+        machine: Optional[GibbsSamplerMachine] = None,
     ):
-        if spec is not None:
-            if spec.kind != "gs":
-                raise ValidationError(
-                    f"GibbsSamplerTrainer needs a TrainerSpec with kind='gs', "
-                    f"got kind={spec.kind!r}"
-                )
-            reject_kwargs_with_spec(
-                "GibbsSamplerTrainer",
-                learning_rate=(learning_rate, 0.1),
-                cd_k=(cd_k, 1),
-                batch_size=(batch_size, 10),
-                chains=(chains, 1),
-                persistent=(persistent, False),
-                chain_batch=(chain_batch, True),
-                workers=(workers, None),
-                weight_decay=(weight_decay, 0.0),
-                noise_config=(noise_config, None),
-                fast_path=(fast_path, True),
-                dtype=(dtype, "float64"),
-            )
-        else:
-            # Kwarg-style shim: ComputeSpec validates workers without
-            # expanding it, so None stays deferred and the REPRO_WORKERS
-            # environment default is still read per settle call.
-            spec = TrainerSpec(
-                kind="gs",
-                learning_rate=learning_rate,
-                cd_k=cd_k,
-                batch_size=batch_size,
-                weight_decay=weight_decay,
-                sampler=SamplerSpec(
-                    chains=chains, persistent=persistent, chain_batch=chain_batch
-                ),
-                noise=NoiseSpec.from_noise_config(noise_config),
-                compute=ComputeSpec(dtype=dtype, workers=workers, fast_path=fast_path),
-            )
-            warn_kwargs_deprecated(
-                "GibbsSamplerTrainer",
-                "repro.config.TrainerSpec(kind='gs') (+ repro.api.build_trainer)",
-            )
+        check_spec(spec, TrainerSpec, "GibbsSamplerTrainer", kind="gs")
         self.spec = spec
         self.learning_rate = spec.learning_rate
         self.cd_k = spec.cd_k
@@ -369,11 +232,6 @@ class GibbsSamplerTrainer:
         self.stream_chunk_size = spec.stream_chunk_size
         self.sparse_visible = spec.sparse_visible
         self.machine = machine
-        self.noise_config = (
-            noise_config
-            if noise_config is not None
-            else (None if spec.noise.is_ideal else spec.noise.to_noise_config())
-        )
         self._rng = as_rng(rng)
         self.callback = callback
         self.fast_path = spec.compute.fast_path

@@ -36,24 +36,18 @@ from repro.analog.converters import AnalogToDigitalConverter
 from repro.analog.noise import NoiseConfig
 from repro.config.specs import (
     ComputeSpec,
-    compute_dtype,
     NoiseSpec,
-    SamplerSpec,
     SubstrateSpec,
     TrainerSpec,
+    check_spec,
+    compute_dtype,
 )
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.rbm import BernoulliRBM, TrainingHistory
-from repro.utils.deprecation import warn_kwargs_deprecated
 from repro.utils.numerics import bernoulli_sample
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
-from repro.utils.validation import (
-    ValidationError,
-    check_array,
-    check_positive,
-    reject_kwargs_with_spec,
-)
+from repro.utils.validation import ValidationError, check_array, check_positive
 
 
 @dataclass(frozen=True)
@@ -428,136 +422,58 @@ class BGFTrainer:
 
     Parameters
     ----------
-    config:
-        BGF operating parameters.  When ``step_size`` is not supplied
-        explicitly the trainer derives it from ``learning_rate`` and
-        ``reference_batch_size`` as ``learning_rate / reference_batch_size``
-        — the paper's guidance that a minibatch of 1 needs a roughly
-        ``batch_size``-times smaller step.
-    particle_burn_in:
-        Chain-parallel settle steps applied to the whole persistent-particle
-        pool right after initialization (via
-        :meth:`BoltzmannGradientFollower.refresh_particles`).  0 (default)
-        skips the refresh and reproduces the original behavior exactly.
-    workers:
-        Multicore knob for the particle-pool refresh (the burn-in settles
-        shard across a thread pool; see :mod:`repro.utils.parallel`).  The
-        in-sample learning loop is strictly sequential by algorithm — the
-        paper's mid-step updates serialize it — so ``workers`` touches only
-        the pool refresh.  ``None`` defers to ``REPRO_WORKERS``/1.
-    epochs_per_call:
-        Ignored; present only for signature compatibility notes.  The epoch
-        count is passed to :meth:`train` like the other trainers.
-    dtype:
-        Substrate precision tier of the lazily-created machine
-        (``"float64"`` default; ``"float32"`` for the single-precision
-        settle kernels — statistically pinned, not bit-identical).
     spec:
         Typed configuration (:class:`~repro.config.TrainerSpec` with
-        ``kind="bgf"``; ``cd_k`` maps to ``anneal_steps``,
-        ``sampler.chains`` to ``n_particles``, ``sampler.burn_in`` to
-        ``particle_burn_in``) superseding the keyword arguments above.  The
-        kwarg form builds the equivalent spec internally (one
-        ``DeprecationWarning`` per process) and runs the same code path, so
-        seeded results are bit-identical; an explicit ``config`` object
-        stays authoritative for the expert knobs the spec does not model.
+        ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`).  It
+        derives the :class:`BGFConfig`: ``cd_k`` is ``anneal_steps``,
+        ``sampler.chains`` is ``n_particles``, and ``step_size=None``
+        derives ``learning_rate / reference_batch_size`` — the paper's
+        guidance that a minibatch of 1 needs a roughly ``batch_size``-times
+        smaller step.  ``sampler.burn_in`` settles the whole persistent
+        pool that many chain-parallel steps right after initialization (0
+        skips the refresh).  ``compute.workers`` shards only that refresh:
+        the learning loop is sequential by algorithm (the paper's mid-step
+        updates serialize it).  ``compute.dtype`` is the lazily-created
+        machine's precision tier, ``noise`` its operating point.
+    rng, callback:
+        Trainer generator and optional ``callback(epoch, rbm)`` hook.
+    config:
+        Expert :class:`BGFConfig` for the knobs the spec does not model
+        (``weight_range``, ``saturation``, ``readout_bits``).  It is
+        authoritative: the recorded spec's ``step_size``, ``cd_k`` and
+        ``sampler.chains`` are reconciled to it.
     """
 
     def __init__(
         self,
-        learning_rate: float = 0.1,
+        spec: TrainerSpec,
         *,
-        reference_batch_size: int = 50,
-        particle_burn_in: int = 0,
-        workers: "int | str | None" = None,
-        config: Optional[BGFConfig] = None,
-        noise_config: Optional[NoiseConfig] = None,
         rng: SeedLike = None,
         callback=None,
-        fast_path: bool = True,
-        dtype: "str" = "float64",
-        spec: Optional[TrainerSpec] = None,
+        config: Optional[BGFConfig] = None,
     ):
-        if spec is not None:
-            if spec.kind != "bgf":
-                raise ValidationError(
-                    f"BGFTrainer needs a TrainerSpec with kind='bgf', "
-                    f"got kind={spec.kind!r}"
-                )
-            reject_kwargs_with_spec(
-                "BGFTrainer",
-                learning_rate=(learning_rate, 0.1),
-                reference_batch_size=(reference_batch_size, 50),
-                particle_burn_in=(particle_burn_in, 0),
-                workers=(workers, None),
-                noise_config=(noise_config, None),
-                fast_path=(fast_path, True),
-                dtype=(dtype, "float64"),
-            )
-            if config is None:
-                # Spec fields map onto the BGF operating parameters:
-                # cd_k plays anneal_steps' role, sampler.chains is the
-                # persistent-particle count, and step_size=None derives the
-                # paper's alpha / batch_size guidance.
-                config = BGFConfig(
-                    step_size=(
-                        spec.step_size
-                        if spec.step_size is not None
-                        else spec.learning_rate / spec.reference_batch_size
-                    ),
-                    n_particles=spec.sampler.chains,
-                    anneal_steps=spec.cd_k,
-                )
-            else:
-                # An explicit config is authoritative; reconcile the spec's
-                # modelled fields to it so the recorded spec describes the
-                # run that actually happens (not the values config shadowed).
-                spec = spec.replace(
-                    step_size=config.step_size,
-                    cd_k=config.anneal_steps,
-                    sampler=spec.sampler.replace(chains=config.n_particles),
-                )
-        else:
-            check_positive(learning_rate, name="learning_rate")
-            if reference_batch_size < 1:
-                raise ValidationError(
-                    f"reference_batch_size must be >= 1, got {reference_batch_size}"
-                )
-            if particle_burn_in < 0:
-                raise ValidationError(
-                    f"particle_burn_in must be >= 0, got {particle_burn_in}"
-                )
-            if config is None:
-                config = BGFConfig(step_size=learning_rate / reference_batch_size)
-            # Kwarg-style shim: record the equivalent declarative spec.  The
-            # BGFConfig object itself stays authoritative, so expert knobs
-            # the spec does not model (weight_range, saturation,
-            # readout_bits) keep working unchanged.
-            spec = TrainerSpec(
-                kind="bgf",
-                learning_rate=learning_rate,
-                cd_k=config.anneal_steps,
-                reference_batch_size=reference_batch_size,
-                step_size=config.step_size,
-                sampler=SamplerSpec(
-                    chains=config.n_particles, burn_in=particle_burn_in
+        check_spec(spec, TrainerSpec, "BGFTrainer", kind="bgf")
+        if config is None:
+            config = BGFConfig(
+                step_size=(
+                    spec.step_size
+                    if spec.step_size is not None
+                    else spec.learning_rate / spec.reference_batch_size
                 ),
-                noise=NoiseSpec.from_noise_config(noise_config),
-                compute=ComputeSpec(dtype=dtype, workers=workers, fast_path=fast_path),
+                n_particles=spec.sampler.chains,
+                anneal_steps=spec.cd_k,
             )
-            warn_kwargs_deprecated(
-                "BGFTrainer",
-                "repro.config.TrainerSpec(kind='bgf') (+ repro.api.build_trainer)",
+        else:
+            spec = spec.replace(
+                step_size=config.step_size,
+                cd_k=config.anneal_steps,
+                sampler=spec.sampler.replace(chains=config.n_particles),
             )
         self.spec = spec
         self.config = config
         self.particle_burn_in = spec.sampler.burn_in
         self.workers = spec.compute.workers
-        self.noise_config = (
-            noise_config
-            if noise_config is not None
-            else (None if spec.noise.is_ideal else spec.noise.to_noise_config())
-        )
+        self.noise_config = None if spec.noise.is_ideal else spec.noise.to_noise_config()
         self._rng = as_rng(rng)
         self.callback = callback
         self.fast_path = spec.compute.fast_path

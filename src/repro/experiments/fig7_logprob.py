@@ -148,8 +148,6 @@ def run_figure7(
             dtype=dtype, workers=workers,
         )
 
-        # Trainers are built through the typed spec layer (the kwarg-style
-        # constructors are deprecated shims over the same code path).
         hardware_compute = ComputeSpec(dtype=dtype, workers=workers)
         factories = {
             "cd1": lambda: CDTrainer(

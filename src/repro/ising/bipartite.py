@@ -35,11 +35,10 @@ from repro.analog.converters import (
     quantize_symmetric,
     quantize_uniform,
 )
-from repro.analog.noise import NoiseConfig, NoiseModel
+from repro.analog.noise import NoiseModel
 from repro.analog.rng import StochasticNeuronSampler
 from repro.analog.sigmoid_unit import SigmoidUnit
-from repro.config.specs import QINT8, ComputeSpec, NoiseSpec, SubstrateSpec, compute_dtype
-from repro.utils.deprecation import warn_kwargs_deprecated
+from repro.config.specs import QINT8, SubstrateSpec, check_spec, compute_dtype
 from repro.utils.parallel import (
     ShardedExecutor,
     resolve_workers,
@@ -48,12 +47,7 @@ from repro.utils.parallel import (
 )
 from repro.utils.numerics import as_sparse_rows, is_sparse, safe_sparse_dot
 from repro.utils.rng import SeedLike, spawn_rngs
-from repro.utils.validation import (
-    ValidationError,
-    check_array,
-    check_binary,
-    reject_kwargs_with_spec,
-)
+from repro.utils.validation import ValidationError, check_array, check_binary
 
 
 class _ShardContext(NamedTuple):
@@ -185,54 +179,25 @@ class BipartiteIsingSubstrate:
 
     Parameters
     ----------
-    n_visible, n_hidden:
-        Array dimensions (visible nodes x hidden nodes).
-    noise_config:
-        Static-variation / dynamic-noise operating point; defaults to the
-        ideal (0, 0) corner.
-    sigmoid_gain:
-        Gain of the analog sigmoid units (1.0 reproduces the software
-        logistic exactly).
-    input_bits:
-        DTC resolution for clamping multi-bit visible values (8 in the
-        paper); ``None`` disables input quantization.
-    comparator_offset_rms:
-        Static offset spread of the per-node comparators.
+    spec:
+        Typed configuration (:class:`~repro.config.SubstrateSpec`): array
+        dimensions, sigmoid gain, DTC ``input_bits`` (``None`` disables
+        input quantization), comparator offset spread, the Sec. 4.5 noise
+        operating point, and the compute tier.  ``compute.dtype`` selects
+        the precision tier: ``"float64"`` keeps the bit-identical pinning
+        contract; ``"float32"`` stores the coupling cache, runs every settle
+        matmul and draws the comparator references in single precision (in
+        the ideal corner latching through the fused sigmoid→compare kernel);
+        ``"qint8"`` collapses the effective couplings to int8 codes with
+        per-column float32 scales at the cache boundary and reuses the
+        float32 kernels below it.  Both reduced tiers are pinned
+        statistically (``tests/property/test_precision_tiers.py``,
+        ``tests/property/test_qint8_tier.py``; see the precision policy in
+        ``docs/performance.md``).  ``compute.fast_path=False`` keeps the
+        original per-settle recomputation and per-step validation, with
+        identical results.
     rng:
         Master seed; per-subcircuit streams are spawned from it.
-    fast_path:
-        Use the cached-effective-weight / trusted-sampling kernels (the
-        default).  ``False`` keeps the original per-settle recomputation and
-        per-step validation; results are identical either way (see
-        ``docs/performance.md``), so the flag exists for benchmarking the
-        fast path against the legacy one and for equivalence tests.
-    dtype:
-        Precision tier of the substrate's arrays and settle kernels.
-        ``"float64"`` (default) keeps the bit-identical pinning contract of
-        the fast-path layer.  ``"float32"`` stores the coupling cache, runs
-        every settle matmul, and draws the comparator references in single
-        precision — and, in the ideal corner (identity sigmoid units,
-        offset-free uniform comparators), latches through the fused
-        sigmoid→compare kernel that never materializes the probability
-        array.  Float32 results are *statistically* equivalent to float64,
-        pinned by ``tests/property/test_precision_tiers.py`` (see the
-        precision policy in ``docs/performance.md``); it requires the fast
-        path, since the legacy reference path is float64 by definition.
-        ``"qint8"`` models the paper's 8-bit DTC programming resolution
-        even more literally: the effective couplings collapse to int8 codes
-        with per-column float32 scales at the cache boundary (biases to
-        per-tensor codes at programming), fields accumulate in float32 on
-        the dequantized matrix, and everything below that point — fused
-        latch, shard kernels, sharded settles — is the float32 tier's machinery
-        unchanged.  Statistically pinned like float32
-        (``tests/property/test_qint8_tier.py``); requires the fast path.
-    spec:
-        Typed configuration (:class:`~repro.config.SubstrateSpec`)
-        superseding the per-knob keyword arguments above (``rng`` stays a
-        runtime argument).  The kwarg-style signature keeps working — it
-        builds the identical spec internally, emitting one
-        ``DeprecationWarning`` per process — and both forms run the same
-        code path, so seeded results are bit-identical.  See ``docs/api.md``.
     """
 
     # Lock discipline (enforced by reprolint R003, see docs/dev.md): the
@@ -242,56 +207,8 @@ class BipartiteIsingSubstrate:
     # reprolint: guard(_cache_lock)=_eff_cache,_quantized_static
 
     # reprolint: lockfree -- construction happens-before sharing: no other thread holds a reference until __init__ returns, so the initial cache-field writes need no lock
-    def __init__(
-        self,
-        n_visible: Optional[int] = None,
-        n_hidden: Optional[int] = None,
-        *,
-        noise_config: Optional[NoiseConfig] = None,
-        sigmoid_gain: float = 1.0,
-        input_bits: Optional[int] = 8,
-        comparator_offset_rms: float = 0.0,
-        rng: SeedLike = None,
-        fast_path: bool = True,
-        dtype: "str | np.dtype" = "float64",
-        spec: Optional[SubstrateSpec] = None,
-    ):
-        if spec is not None:
-            if n_visible is not None or n_hidden is not None:
-                raise ValidationError(
-                    "pass either spec= or (n_visible, n_hidden) dimensions, not both"
-                )
-            reject_kwargs_with_spec(
-                "BipartiteIsingSubstrate",
-                noise_config=(noise_config, None),
-                sigmoid_gain=(sigmoid_gain, 1.0),
-                input_bits=(input_bits, 8),
-                comparator_offset_rms=(comparator_offset_rms, 0.0),
-                fast_path=(fast_path, True),
-                dtype=(dtype, "float64"),
-            )
-        else:
-            if n_visible is None or n_hidden is None:
-                raise ValidationError(
-                    "substrate dimensions (n_visible, n_hidden) are required "
-                    "when no spec is given"
-                )
-            # Kwarg-style shim: the legacy signature builds the same spec the
-            # typed API would, then both run one code path — bit-identical
-            # under fixed seeds by construction.
-            spec = SubstrateSpec(
-                n_visible=n_visible,
-                n_hidden=n_hidden,
-                sigmoid_gain=sigmoid_gain,
-                input_bits=input_bits,
-                comparator_offset_rms=comparator_offset_rms,
-                noise=NoiseSpec.from_noise_config(noise_config),
-                compute=ComputeSpec(dtype=dtype, fast_path=fast_path),
-            )
-            warn_kwargs_deprecated(
-                "BipartiteIsingSubstrate",
-                "repro.config.SubstrateSpec (+ repro.api.build_substrate)",
-            )
+    def __init__(self, spec: SubstrateSpec, *, rng: SeedLike = None):
+        check_spec(spec, SubstrateSpec, "BipartiteIsingSubstrate")
         self.spec = spec
         self.n_visible = spec.n_visible
         self.n_hidden = spec.n_hidden
@@ -307,9 +224,7 @@ class BipartiteIsingSubstrate:
         input_bits = spec.input_bits
         comparator_offset_rms = spec.comparator_offset_rms
         fast_path = spec.compute.fast_path
-        self.noise_config = (
-            noise_config if noise_config is not None else spec.noise.to_noise_config()
-        )
+        self.noise_config = spec.noise.to_noise_config()
 
         # Stream 6 is the shard-substream root for the multicore settle
         # kernel; spawning 7 children leaves streams 0-5 bit-identical to

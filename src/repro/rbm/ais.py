@@ -16,9 +16,8 @@ from typing import Optional
 import numpy as np
 
 from repro.analog.converters import dequantize_symmetric, quantize_symmetric
-from repro.config.specs import QINT8, ComputeSpec, EstimatorSpec, compute_dtype
+from repro.config.specs import QINT8, ComputeSpec, EstimatorSpec, check_spec, compute_dtype
 from repro.rbm.rbm import BernoulliRBM
-from repro.utils.deprecation import warn_kwargs_deprecated
 from repro.utils.numerics import (
     bernoulli_sample,
     fused_sigmoid_bernoulli,
@@ -34,11 +33,7 @@ from repro.utils.parallel import (
     shard_slices,
 )
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import (
-    ValidationError,
-    check_array,
-    reject_kwargs_with_spec,
-)
+from repro.utils.validation import ValidationError, check_array
 
 #: Sentinel spawn-key branch for the threaded chain pool's seed root.
 #: Ordinary ``SeedSequence.spawn`` children are keyed by small sequential
@@ -198,58 +193,39 @@ class AISEstimator:
 
     Parameters
     ----------
-    n_chains:
-        Number of independent AIS chains (particles).
-    n_betas:
-        Number of interpolation temperatures between 0 and 1 (inclusive).
-        The original paper uses ~10,000-15,000; a few hundred suffice for
-        the small models exercised in CI-scale experiments.
+    spec:
+        Typed configuration (:class:`~repro.config.EstimatorSpec`).
+        ``chains`` is the number of independent AIS chains (particles);
+        ``betas`` the number of interpolation temperatures between 0 and 1
+        inclusive (the original paper uses ~10,000-15,000; a few hundred
+        suffice for CI-scale models).  ``compute.fast_path`` (default)
+        selects the vectorized beta sweep: per temperature one matmul of
+        the hidden inputs of all chains serves the importance-weight update
+        at both adjacent temperatures and the Gibbs transition, and the
+        weight update goes through the fused
+        :func:`~repro.utils.numerics.log1pexp_diff` kernel.  Its float64
+        Bernoulli draws are bit-identical to the reference loop's
+        (``fast_path=False``), so the two agree to float64 reassociation
+        tolerance.  ``compute.dtype="float32"`` runs the sweep in single
+        precision while the log weights accumulate in float64;
+        ``"qint8"`` quantize-dequantizes the RBM's parameters once per
+        estimate (the substrate's coupling scheme) and runs the float32
+        sweep.  Both are pinned statistically
+        (``tests/property/test_precision_tiers.py``,
+        ``tests/property/test_qint8_tier.py``).  ``compute.workers=k > 1``
+        splits the chains into ``min(k, chains)`` shards, each running the
+        whole sweep on its own thread and SeedSequence substream (spawn key
+        ``(k, shard)`` under the estimator's seed root); ``workers=1``
+        (default via ``None``/``REPRO_WORKERS``) is bit-identical to the
+        serial estimator, ``k`` is reproducible for fixed seed, and
+        estimates across worker counts agree statistically
+        (``tests/property/test_parallel_statistics.py``).
+    rng:
+        The estimator's generator (see the stream order below).
     base_visible_bias:
         Visible biases of the base-rate model.  Defaults to zeros (the
         uniform base-rate model); passing the data log-odds tightens the
         estimate, matching common practice.
-    fast_path:
-        Use the vectorized beta sweep (default).  Per temperature it
-        evaluates the hidden inputs of *all* chains with a single matmul and
-        reuses that matrix for the importance-weight update at both adjacent
-        temperatures *and* the Gibbs transition — the legacy loop computed
-        it three times.  The weight update itself goes through the fused
-        :func:`~repro.utils.numerics.log1pexp_diff` kernel (one shared
-        ``|x|`` pass for both adjacent betas instead of two full softplus
-        evaluations).  On the float64 tier the Bernoulli draws are
-        bit-identical to the loop implementation's (same shapes, same
-        order), so the two paths agree to float64 accumulation/reassociation
-        tolerance; ``fast_path=False`` keeps the loop as the reference for
-        the regression tests.
-    dtype:
-        Precision tier of the sweep (fast path only).  ``"float64"``
-        (default) keeps the tolerance contract above.  ``"float32"`` runs
-        the per-temperature matmuls, the fused softplus-difference kernel,
-        and the transition draws (via the fused sigmoid→compare kernel, with
-        float32 uniforms) in single precision, while the log importance
-        weights still accumulate in float64 — the MNIST-scale (784x500)
-        estimator configuration.  Float32 estimates are pinned
-        statistically against the float64 reference
-        (``tests/property/test_precision_tiers.py``).  ``"qint8"``
-        quantize-dequantizes the RBM's parameters once per estimate
-        (symmetric int8 codes, per-column weight scales, per-tensor bias
-        scales — the substrate's coupling scheme) and then runs the float32
-        sweep on the dequantized parameters; pinned statistically in
-        ``tests/property/test_qint8_tier.py``.
-
-    workers:
-        Threaded chain pool: ``workers=k > 1`` splits the ``n_chains``
-        particles into ``min(k, n_chains)`` shards, each running the *whole*
-        beta sweep on its own thread with its own SeedSequence substream
-        (spawn key ``(k, shard)`` under the estimator's seed root), and the
-        per-chain log weights are concatenated in shard order.  The chains
-        are mutually independent by construction, so sharding the pool
-        changes only which stream each chain draws from — ``workers=1``
-        (default via ``None``/``REPRO_WORKERS``) is bit-identical to the
-        serial estimator, ``workers=k`` is reproducible for fixed seed and
-        ``k``, and estimates across worker counts agree statistically
-        (``tests/property/test_parallel_statistics.py``).  ``"auto"``
-        resolves to the machine's core count.
 
     RNG stream order
     ----------------
@@ -264,39 +240,12 @@ class AISEstimator:
 
     def __init__(
         self,
-        n_chains: int = 64,
-        n_betas: int = 200,
+        spec: EstimatorSpec,
         *,
-        base_visible_bias: Optional[np.ndarray] = None,
         rng: SeedLike = None,
-        fast_path: bool = True,
-        dtype: "str" = "float64",
-        workers: "int | str | None" = None,
-        spec: Optional[EstimatorSpec] = None,
+        base_visible_bias: Optional[np.ndarray] = None,
     ):
-        if spec is not None:
-            reject_kwargs_with_spec(
-                "AISEstimator",
-                n_chains=(n_chains, 64),
-                n_betas=(n_betas, 200),
-                fast_path=(fast_path, True),
-                dtype=(dtype, "float64"),
-                workers=(workers, None),
-            )
-        else:
-            # Kwarg-style shim (see docs/api.md): build the typed spec the
-            # facade would, then one shared code path below.  ComputeSpec
-            # validates workers without expanding it, so None stays
-            # deferred to the REPRO_WORKERS default per estimate call.
-            spec = EstimatorSpec(
-                chains=n_chains,
-                betas=n_betas,
-                compute=ComputeSpec(dtype=dtype, workers=workers, fast_path=fast_path),
-            )
-            warn_kwargs_deprecated(
-                "AISEstimator",
-                "repro.config.EstimatorSpec (+ repro.api.build_estimator)",
-            )
+        check_spec(spec, EstimatorSpec, "AISEstimator")
         self.spec = spec
         self.n_chains = spec.chains
         self.n_betas = spec.betas
@@ -304,8 +253,6 @@ class AISEstimator:
             None if base_visible_bias is None else np.asarray(base_visible_bias, dtype=float)
         )
         self._rng = as_rng(rng)
-        # The float32-requires-fast_path constraint is enforced by
-        # ComputeSpec itself, on both construction paths.
         self.fast_path = spec.compute.fast_path
         # qint8 sweeps run on an up-front quantize-dequantize of the RBM's
         # parameters (per-column weight scales, per-tensor bias scales) and

@@ -15,9 +15,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.config.specs import ComputeSpec, TrainerSpec
+from repro.config.specs import TrainerSpec, check_spec
 from repro.utils.batching import minibatches
-from repro.utils.deprecation import warn_kwargs_deprecated
 from repro.utils.numerics import (
     bernoulli_sample,
     is_sparse,
@@ -33,7 +32,6 @@ from repro.utils.validation import (
     check_array,
     check_data_matrix,
     check_positive,
-    reject_kwargs_with_spec,
 )
 
 
@@ -256,17 +254,14 @@ class CDTrainer:
 
     Parameters
     ----------
-    learning_rate:
-        Step size ``alpha``.  The paper trains its benchmarks with 0.1.
-    cd_k:
-        Number of Gibbs steps per gradient estimate (CD-k).
-    batch_size:
-        Minibatch size (the paper's evaluation uses 500 for timing and a
-        conventional size for quality studies).
-    weight_decay:
-        Optional L2 penalty on the weights.
-    momentum:
-        Optional classical momentum on all parameter updates.
+    spec:
+        Typed configuration (:class:`~repro.config.TrainerSpec` with
+        ``kind="cd"``; see :meth:`~repro.config.TrainerSpec.cd`): the step
+        size ``alpha`` (the paper trains its benchmarks with 0.1), the
+        number of Gibbs steps ``cd_k``, the minibatch size, and optional L2
+        weight decay and classical momentum.
+    rng:
+        Generator for the Bernoulli draws and the per-epoch shuffle.
     callback:
         Optional ``callback(epoch, rbm)`` hook invoked after every epoch;
         used by the experiment drivers to record AIS log-probability
@@ -275,48 +270,12 @@ class CDTrainer:
 
     def __init__(
         self,
-        learning_rate: float = 0.1,
-        cd_k: int = 1,
-        batch_size: int = 10,
+        spec: TrainerSpec,
         *,
-        weight_decay: float = 0.0,
-        momentum: float = 0.0,
         rng: SeedLike = None,
         callback: Optional[Callable[[int, BernoulliRBM], None]] = None,
-        fast_path: bool = True,
-        spec: Optional[TrainerSpec] = None,
     ):
-        if spec is not None:
-            if spec.kind != "cd":
-                raise ValidationError(
-                    f"CDTrainer needs a TrainerSpec with kind='cd', "
-                    f"got kind={spec.kind!r}"
-                )
-            reject_kwargs_with_spec(
-                "CDTrainer",
-                learning_rate=(learning_rate, 0.1),
-                cd_k=(cd_k, 1),
-                batch_size=(batch_size, 10),
-                weight_decay=(weight_decay, 0.0),
-                momentum=(momentum, 0.0),
-                fast_path=(fast_path, True),
-            )
-        else:
-            # Kwarg-style shim (see docs/api.md): the same spec the typed
-            # API would build, then one shared code path below.
-            spec = TrainerSpec(
-                kind="cd",
-                learning_rate=learning_rate,
-                cd_k=cd_k,
-                batch_size=batch_size,
-                weight_decay=weight_decay,
-                momentum=momentum,
-                compute=ComputeSpec(fast_path=fast_path),
-            )
-            warn_kwargs_deprecated(
-                "CDTrainer",
-                "repro.config.TrainerSpec(kind='cd') (+ repro.api.build_trainer)",
-            )
+        check_spec(spec, TrainerSpec, "CDTrainer", kind="cd")
         self.spec = spec
         self.learning_rate = spec.learning_rate
         self.cd_k = spec.cd_k

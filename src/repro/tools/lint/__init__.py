@@ -4,10 +4,8 @@ The repo's correctness rests on contracts that generic linters cannot see:
 every random draw must flow from an explicit ``numpy`` Generator (the RNG
 stream-order contract), kernel modules must not leak float64 into the
 precision tiers, declared cache attributes may only be touched under their
-lock, ``async def`` bodies in the serving layer must never block the event
-loop, and internal construction must go through the typed spec layer
-instead of the deprecated kwarg shims.  Each contract is one named rule
-(R001–R005) with a fixture-proven failure mode; ``docs/dev.md`` maps every
+lock, and ``async def`` bodies in the serving layer must never block the
+event loop.  Each contract is one named rule (R001–R004) with a fixture-proven failure mode; ``docs/dev.md`` maps every
 rule to the prose contract it enforces.
 
 Usage::

@@ -1,4 +1,4 @@
-"""The rule catalogue: R001–R005, one class per load-bearing invariant.
+"""The rule catalogue: R001–R004, one class per load-bearing invariant.
 
 Every rule's ``contract`` attribute names the prose contract it
 mechanizes; ``docs/dev.md`` is the companion chapter.  The fixture corpus
@@ -21,7 +21,6 @@ __all__ = [
     "DtypeTierHygiene",
     "LockDiscipline",
     "AsyncPurity",
-    "SpecLayerConstruction",
 ]
 
 
@@ -379,68 +378,3 @@ class AsyncPurity(Rule):
                     )
         for child in ast.iter_child_nodes(node):
             yield from self._walk(ctx, child, aliases, in_async=in_async)
-
-
-# --------------------------------------------------------------------- #
-# R005 — internal construction goes through the spec layer
-# --------------------------------------------------------------------- #
-@register
-class SpecLayerConstruction(Rule):
-    """Library code must not call the deprecated kwarg shim entry points.
-
-    The kwarg-style constructor signatures survive only as warn-once
-    deprecation shims for external callers (docs/api.md); the warn-once
-    guarantee is honest only if no library path triggers it.  Internal
-    construction therefore passes ``spec=`` (a ``repro.config`` spec)
-    plus runtime-only arguments; any positional dimension/knob argument,
-    unknown keyword, or ``**splat`` on these entry points is a violation.
-    """
-
-    code = "R005"
-    name = "spec-layer-construction"
-    description = "deprecated kwarg-shim constructor calls (must pass spec= plus runtime args only)"
-    contract = "docs/api.md: deprecation-shim policy"
-
-    #: Shimmed entry points → keywords that remain runtime (non-spec)
-    #: arguments of the spec-style signature.
-    SHIMS: Dict[str, FrozenSet[str]] = {
-        "BipartiteIsingSubstrate": frozenset({"spec", "rng"}),
-        "GibbsSamplerMachine": frozenset({"spec", "rng"}),
-        "GibbsSamplerTrainer": frozenset({"spec", "rng", "callback", "machine"}),
-        "CDTrainer": frozenset({"spec", "rng", "callback"}),
-        "BGFTrainer": frozenset({"spec", "rng", "callback", "config"}),
-        "AISEstimator": frozenset({"spec", "rng", "base_visible_bias"}),
-    }
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        aliases = build_alias_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qual = qualified_name(node.func, aliases)
-            if qual is None:
-                continue
-            name = qual.rsplit(".", 1)[-1]
-            allowed = self.SHIMS.get(name)
-            if allowed is None:
-                continue
-            offences: List[str] = []
-            if node.args:
-                offences.append(f"{len(node.args)} positional argument(s)")
-            keywords = [kw.arg for kw in node.keywords]
-            if None in keywords:
-                offences.append("a **kwargs splat (cannot be verified)")
-            unknown = sorted(k for k in keywords if k is not None and k not in allowed)
-            if unknown:
-                offences.append(f"shim keyword(s) {', '.join(unknown)}")
-            if "spec" not in keywords and None not in keywords:
-                offences.append("no spec= argument")
-            if offences:
-                yield ctx.finding(
-                    self.code,
-                    node,
-                    f"{name}(...) bypasses the spec layer"
-                    f" ({'; '.join(offences)}); construct through"
-                    " repro.config specs (spec=...) so the kwarg shim's"
-                    " warn-once guarantee stays honest",
-                )

@@ -209,7 +209,7 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.A
             prog="python -m repro lint",
             description="reprolint: AST-based checks of the repo's invariants"
             " (R001 global RNG, R002 dtype tiers, R003 lock discipline,"
-            " R004 async purity, R005 spec-layer construction).",
+            " R004 async purity).",
         )
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",

@@ -32,7 +32,6 @@ from repro.utils.batching import (
     shuffle_arrays,
     train_test_split,
 )
-from repro.utils.deprecation import reset_warnings, warn_kwargs_deprecated
 from repro.utils.parallel import (
     ShardedExecutor,
     default_workers,
@@ -74,8 +73,6 @@ __all__ = [
     "rebatch",
     "shuffle_arrays",
     "train_test_split",
-    "warn_kwargs_deprecated",
-    "reset_warnings",
     "ShardedExecutor",
     "default_workers",
     "resolve_workers",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -9,28 +11,6 @@ import numpy as np
 
 class ValidationError(ValueError):
     """Raised when an argument fails library-level validation."""
-
-
-def reject_kwargs_with_spec(entry_point: str, **kwargs) -> None:
-    """Reject configuration kwargs passed alongside ``spec=``.
-
-    Each keyword maps a parameter name to a ``(value, default)`` pair; any
-    value that differs from its default means the caller configured the
-    same knob twice — once in the spec and once as a keyword — and the
-    conflict raises instead of one side silently winning.  Runtime
-    arguments (rng, callback, machine, config) are never passed here.
-    """
-    for name, (value, default) in kwargs.items():
-        conflicting = (
-            value is not default
-            if default is None or isinstance(default, bool)
-            else value != default
-        )
-        if conflicting:
-            raise ValidationError(
-                f"{entry_point}: {name}= conflicts with spec=; configure "
-                f"{name} through the spec (got {name}={value!r})"
-            )
 
 
 def check_array(
@@ -109,9 +89,21 @@ def check_probability(x, *, name: str = "probability") -> np.ndarray:
     return arr
 
 
-def check_positive(value: float, *, name: str = "value", strict: bool = True) -> float:
-    """Validate that a scalar is positive (or non-negative when ``strict=False``)."""
+def check_finite(value: float, *, name: str = "value") -> float:
+    """Validate that ``value`` is a finite real number (not a bool or a
+    string) and return it as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_positive(value: float, *, name: str = "value", strict: bool = True) -> float:
+    """Validate that a finite scalar is positive (or non-negative when
+    ``strict=False``) and return it as a float."""
+    value = check_finite(value, name=name)
     if strict and value <= 0:
         raise ValidationError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:
@@ -128,7 +120,7 @@ def check_in_range(
     inclusive: Tuple[bool, bool] = (True, True),
 ) -> float:
     """Validate that ``low (<|<=) value (<|<=) high``."""
-    value = float(value)
+    value = check_finite(value, name=name)
     lo_ok = value >= low if inclusive[0] else value > low
     hi_ok = value <= high if inclusive[1] else value < high
     if not (lo_ok and hi_ok):

@@ -109,10 +109,8 @@ class TestMain:
         assert main(["run", "figure7", "--set", "workers=0"]) == 2
         assert "workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["processes", "threads"])
-    def test_removed_executor_knob_fails_before_training(self, monkeypatch, capsys, value):
-        """The retired knob is rejected at the --set boundary; it must not
-        fall through into params and be silently ignored by a runner."""
+    @pytest.fixture
+    def forbid_training(self, monkeypatch):
         from repro.core import BGFTrainer, GibbsSamplerTrainer
         from repro.rbm import CDTrainer
 
@@ -121,9 +119,23 @@ class TestMain:
 
         for trainer in (BGFTrainer, CDTrainer, GibbsSamplerTrainer):
             monkeypatch.setattr(trainer, "train", no_training)
+
+    @pytest.mark.parametrize("value", ["processes", "threads"])
+    def test_removed_executor_knob_fails_before_training(
+        self, forbid_training, capsys, value
+    ):
+        """The retired knob is rejected at the --set boundary; it must not
+        fall through into params and be silently ignored by a runner."""
         assert main(["run", "figure7", "--set", f"executor={value}"]) == 2
         captured = capsys.readouterr()
         assert "executor" in captured.err
+        assert "=== figure7" not in captured.out
+
+    def test_negative_seed_fails_before_training(self, forbid_training, capsys):
+        args = ["run", "figure7", "--set", "seed=-1", "--set", "epochs=2"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err
         assert "=== figure7" not in captured.out
 
     def test_validation_happens_for_all_names_before_any_run(self, capsys):

@@ -1,41 +1,42 @@
-"""Facade equivalence: spec-built objects are bit-identical to kwarg twins.
+"""Facade builders and the six spec-configured entry points: specs in,
+configured objects out, with the spec type, trainer kind and runtime
+escape hatches checked at the boundary."""
 
-The kwarg-style constructors are shims that build the same spec internally
-and share one code path; these tests pin that contract end to end for the
-substrate, all three trainers, and the AIS estimator.
-"""
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.api import build_estimator, build_substrate, build_trainer
-from repro.config import (
-    ComputeSpec,
-    EstimatorSpec,
-    NoiseSpec,
-    SubstrateSpec,
-    TrainerSpec,
-    ValidationError,
-)
-from repro.analog.noise import NoiseConfig
-from repro.core import BGFTrainer, GibbsSamplerTrainer
+from repro.config import ComputeSpec, TrainerSpec, ValidationError
+from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 
-# The kwarg-style constructions below ARE the legacy surface under test;
-# the deprecation contract itself (category, warn-once, message) is pinned
-# in tests/api/test_deprecation.py, so this module opts out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
+#: Each entry point's constructor: ``spec`` plus its runtime arguments.
+#: Every declarative knob lives in the spec, so there is one way to
+#: configure each object.
+ENTRY_POINT_SIGNATURES = {
+    BipartiteIsingSubstrate: ["spec", "rng"],
+    GibbsSamplerMachine: ["spec", "rng"],
+    GibbsSamplerTrainer: ["spec", "rng", "callback", "machine"],
+    CDTrainer: ["spec", "rng", "callback"],
+    BGFTrainer: ["spec", "rng", "callback", "config"],
+    AISEstimator: ["spec", "rng", "base_visible_bias"],
+}
+
+
+@pytest.mark.parametrize(
+    "entry_point", list(ENTRY_POINT_SIGNATURES), ids=lambda cls: cls.__name__
 )
-
-
-@pytest.fixture(autouse=True)
-def _serial_workers(monkeypatch):
-    """Bit-identity suite: clear the REPRO_WORKERS default (the sharded
-    regime is pinned statistically elsewhere)."""
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_constructor_takes_spec_plus_runtime_arguments(entry_point):
+    parameters = inspect.signature(entry_point).parameters
+    assert list(parameters) == ENTRY_POINT_SIGNATURES[entry_point]
+    assert parameters["spec"].default is inspect.Parameter.empty
+    for name in ENTRY_POINT_SIGNATURES[entry_point][1:]:
+        assert parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(ValidationError, match="Spec"):
+        entry_point(spec=ComputeSpec())
 
 
 @pytest.fixture(scope="module")
@@ -46,104 +47,16 @@ def data():
     return samples
 
 
-def _assert_same_model(a: BernoulliRBM, b: BernoulliRBM) -> None:
-    np.testing.assert_array_equal(a.weights, b.weights)
-    np.testing.assert_array_equal(a.visible_bias, b.visible_bias)
-    np.testing.assert_array_equal(a.hidden_bias, b.hidden_bias)
-
-
 class TestBuildSubstrate:
-    @pytest.mark.parametrize("noise", [None, NoiseConfig(0.1, 0.1)])
-    def test_settles_bit_identical_to_kwarg_twin(self, noise):
-        spec = SubstrateSpec(
-            n_visible=12, n_hidden=6, noise=NoiseSpec.from_noise_config(noise)
-        )
-        built = build_substrate(spec, rng=5)
-        legacy = BipartiteIsingSubstrate(12, 6, noise_config=noise, rng=5)
-        weights = np.random.default_rng(1).normal(0, 0.1, (12, 6))
-        built.program(weights, np.zeros(12), np.zeros(6))
-        legacy.program(weights, np.zeros(12), np.zeros(6))
-        hidden = (np.random.default_rng(2).random((3, 6)) < 0.5).astype(float)
-        v1, h1 = built.settle_batch(hidden, 4)
-        v2, h2 = legacy.settle_batch(hidden, 4)
-        np.testing.assert_array_equal(v1, v2)
-        np.testing.assert_array_equal(h1, h2)
-
     def test_type_checked(self):
         with pytest.raises(ValidationError, match="SubstrateSpec"):
             build_substrate(TrainerSpec.cd())
 
-    def test_spec_and_dimensions_conflict(self):
-        with pytest.raises(ValidationError, match="not both"):
-            BipartiteIsingSubstrate(12, 6, spec=SubstrateSpec(n_visible=12, n_hidden=6))
 
-    def test_spec_and_config_kwargs_conflict(self):
-        with pytest.raises(ValidationError, match="dtype.*conflicts with spec"):
-            BipartiteIsingSubstrate(
-                dtype="float32", spec=SubstrateSpec(n_visible=12, n_hidden=6)
-            )
-
-
-class TestSpecKwargConflicts:
-    """Configuration kwargs passed alongside spec= raise instead of one
-    side silently winning."""
-
-    def test_trainer_kwargs_conflict(self):
-        with pytest.raises(ValidationError, match="learning_rate.*conflicts"):
-            CDTrainer(0.5, spec=TrainerSpec.cd(0.1))
-        with pytest.raises(ValidationError, match="chains.*conflicts"):
-            GibbsSamplerTrainer(chains=4, spec=TrainerSpec.gs(0.1))
-        with pytest.raises(ValidationError, match="noise_config.*conflicts"):
-            GibbsSamplerTrainer(
-                noise_config=NoiseConfig(0.1, 0.1), spec=TrainerSpec.gs(0.1)
-            )
-        with pytest.raises(ValidationError, match="particle_burn_in.*conflicts"):
-            BGFTrainer(particle_burn_in=2, spec=TrainerSpec.bgf(0.1))
-
-    def test_estimator_kwargs_conflict(self):
-        with pytest.raises(ValidationError, match="n_chains.*conflicts"):
-            AISEstimator(n_chains=256, spec=EstimatorSpec())
-
+class TestBuildTrainer:
     def test_runtime_arguments_combine_with_spec_freely(self):
         trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1), rng=3, callback=print)
         assert trainer.callback is print
-
-
-class TestBuildTrainer:
-    def test_cd_bit_identical(self, data):
-        spec = TrainerSpec.cd(0.1, cd_k=2, batch_size=10)
-        a, b = BernoulliRBM(20, 8, rng=0), BernoulliRBM(20, 8, rng=0)
-        build_trainer(spec, rng=1).train(a, data, epochs=2)
-        CDTrainer(0.1, cd_k=2, batch_size=10, rng=1).train(b, data, epochs=2)
-        _assert_same_model(a, b)
-
-    def test_gs_bit_identical(self, data):
-        spec = TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=4, persistent=True)
-        a, b = BernoulliRBM(20, 8, rng=0), BernoulliRBM(20, 8, rng=0)
-        build_trainer(spec, rng=2).train(a, data, epochs=2)
-        GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=4, persistent=True, rng=2
-        ).train(b, data, epochs=2)
-        _assert_same_model(a, b)
-
-    def test_bgf_bit_identical(self, data):
-        spec = TrainerSpec.bgf(0.1, reference_batch_size=10)
-        a, b = BernoulliRBM(20, 8, rng=0), BernoulliRBM(20, 8, rng=0)
-        build_trainer(spec, rng=3).train(a, data, epochs=2)
-        BGFTrainer(0.1, reference_batch_size=10, rng=3).train(b, data, epochs=2)
-        _assert_same_model(a, b)
-
-    def test_bgf_noisy_corner_bit_identical(self, data):
-        noise = NoiseConfig(0.1, 0.1)
-        spec = TrainerSpec.bgf(
-            0.1, reference_batch_size=10, noise=NoiseSpec.from_noise_config(noise)
-        )
-        a, b = BernoulliRBM(20, 8, rng=0), BernoulliRBM(20, 8, rng=0)
-        build_trainer(spec, rng=4).train(a, data, epochs=1)
-        BGFTrainer(0.1, reference_batch_size=10, noise_config=noise, rng=4).train(
-            b, data, epochs=1
-        )
-        _assert_same_model(a, b)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="kind='gs'"):
@@ -182,14 +95,6 @@ class TestBuildTrainer:
 
 
 class TestBuildEstimator:
-    def test_bit_identical_log_partition(self):
-        rbm = BernoulliRBM(12, 5, rng=0)
-        spec = EstimatorSpec(chains=16, betas=40)
-        a = build_estimator(spec, rng=7).estimate_log_partition(rbm)
-        b = AISEstimator(n_chains=16, n_betas=40, rng=7).estimate_log_partition(rbm)
-        assert a.log_partition == b.log_partition
-        np.testing.assert_array_equal(a.log_weights, b.log_weights)
-
     def test_type_checked(self):
         with pytest.raises(ValidationError, match="EstimatorSpec"):
             build_estimator(ComputeSpec())

@@ -1,6 +1,7 @@
 """Spec-layer tests: construction validation, resolve(), dict round trips."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -111,11 +112,25 @@ class TestSamplerAndNoiseSpecs:
         with pytest.raises(ValidationError):
             NoiseSpec(variation_rms=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value", [("variation_rms", float("nan")), ("noise_rms", "0.1")]
+    )
+    def test_rms_fields_reject_nan_and_strings(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            NoiseSpec(**{field: value})
+
 
 class TestSubstrateSpec:
     def test_bad_dimensions_rejected(self):
         with pytest.raises(ValidationError, match="dimensions must be positive"):
             SubstrateSpec(n_visible=0, n_hidden=4)
+
+    @pytest.mark.parametrize("dims", [(6.5, 4), (6, None), (True, 4)])
+    def test_non_int_dimensions_rejected(self, dims):
+        """``SubstrateSpec.from_dict`` once raised a bare TypeError on a
+        ``None`` dimension and truncated ``6.5`` to 6."""
+        with pytest.raises(ValidationError, match="dimensions"):
+            SubstrateSpec.from_dict({"n_visible": dims[0], "n_hidden": dims[1]})
 
     def test_bad_input_bits_rejected(self):
         with pytest.raises(ValidationError, match="input_bits"):
@@ -123,6 +138,23 @@ class TestSubstrateSpec:
 
     def test_none_input_bits_allowed(self):
         assert SubstrateSpec(n_visible=4, n_hidden=2, input_bits=None).input_bits is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigmoid_gain", float("nan")),
+            ("sigmoid_gain", "1.0"),
+            ("comparator_offset_rms", float("inf")),
+        ],
+    )
+    def test_float_fields_reject_non_finite_and_strings(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SubstrateSpec(4, 2, **{field: value})
+
+    def test_float_fields_store_the_coerced_float(self):
+        spec = SubstrateSpec(4, 2, sigmoid_gain=np.float32(2), comparator_offset_rms=0)
+        assert type(spec.sigmoid_gain) is float and spec.sigmoid_gain == 2.0
+        assert type(spec.comparator_offset_rms) is float
 
 
 class TestTrainerSpec:
@@ -175,12 +207,59 @@ class TestTrainerSpec:
         assert spec.sampler == SamplerSpec(chains=16, persistent=True)
 
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("gs", "learning_rate", float("nan")),
+            ("cd", "learning_rate", "0.1"),
+            ("gs", "weight_decay", float("nan")),
+            ("bgf", "step_size", float("inf")),
+            ("cd", "momentum", float("nan")),
+        ],
+    )
+    def test_float_fields_reject_non_finite_and_strings(self, kind, field, value):
+        """A NaN learning rate once trained to all-NaN weights, and a string
+        one died mid-training with a numpy UFuncTypeError."""
+        with pytest.raises(ValidationError, match=field):
+            getattr(TrainerSpec, kind)(**{field: value})
+
+    def test_float_fields_store_the_coerced_float(self):
+        spec = TrainerSpec.cd(1, weight_decay=0, momentum=np.float32(0.5))
+        assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
+        assert type(spec.weight_decay) is float
+        assert type(spec.momentum) is float and spec.momentum == 0.5
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("cd", "batch_size", 2.5),
+            ("cd", "cd_k", 2.5),
+            ("bgf", "reference_batch_size", 2.5),
+            ("gs", "batch_size", True),
+        ],
+    )
+    def test_integer_fields_reject_fractions_and_bools(self, kind, field, value):
+        """``batch_size=2.5`` was once recorded as 2."""
+        with pytest.raises(ValidationError, match=field):
+            getattr(TrainerSpec, kind)(**{field: value})
+
+    def test_integer_fields_accept_numpy_ints(self):
+        spec = TrainerSpec.cd(batch_size=np.int64(8), cd_k=np.int32(2))
+        assert type(spec.batch_size) is int and spec.batch_size == 8
+        assert type(spec.cd_k) is int and spec.cd_k == 2
+
+
 class TestEstimatorSpec:
     def test_bounds(self):
         with pytest.raises(ValidationError, match="n_chains"):
             EstimatorSpec(chains=0)
         with pytest.raises(ValidationError, match="n_betas"):
             EstimatorSpec(betas=1)
+
+    @pytest.mark.parametrize("field, name", [("chains", "n_chains"), ("betas", "n_betas")])
+    def test_fractional_counts_rejected(self, field, name):
+        with pytest.raises(ValidationError, match=name):
+            EstimatorSpec(**{field: 10.5})
 
 
 class TestRunSpec:
@@ -212,6 +291,35 @@ class TestRunSpec:
     def test_bad_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             RunSpec(experiment="figure7", seed="paper")
+
+    def test_negative_seed_rejected(self):
+        """NumPy's seeding rejects negative seeds mid-run; the spec rejects
+        them up front."""
+        with pytest.raises(ValidationError, match="seed"):
+            RunSpec(experiment="figure7", seed=-1)
+
+    def test_negative_seed_rejected_through_from_dict(self):
+        with pytest.raises(ValidationError, match="seed"):
+            RunSpec.from_dict({"experiment": "figure7", "seed": -1})
+
+    def test_negative_seed_rejected_through_with_overrides(self):
+        with pytest.raises(ValidationError, match="seed"):
+            RunSpec(experiment="figure7").with_overrides(seed=-1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RunSpec(experiment="figure7", params={"lr": float("nan")}),
+            lambda: RunSpec(experiment="figure7", params={"lr": (0.1, float("inf"))}),
+            lambda: RunSpec.from_dict(
+                json.loads('{"experiment": "figure7", "params": {"lr": NaN}}')
+            ),
+        ],
+        ids=["constructor", "tuple-element", "json-from-dict"],
+    )
+    def test_non_finite_params_rejected_naming_the_key(self, build):
+        with pytest.raises(ValidationError, match="lr"):
+            build()
 
 
 @pytest.mark.parametrize(
@@ -250,8 +358,6 @@ class TestRoundTrip:
         assert type(spec).from_dict(spec.to_dict()) == spec
 
     def test_to_dict_is_json_compatible(self, spec):
-        import json
-
         json.dumps(spec.to_dict())  # must not raise
 
 

@@ -9,16 +9,10 @@ that both reach comparable model quality from the same starting point.
 import numpy as np
 import pytest
 
+from repro.config import TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.rbm import BernoulliRBM
 from repro.rbm.metrics import reconstruction_error
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +29,11 @@ class TestHostInteractionGap:
         the BGF programs once and reads out once."""
         epochs = 3
         rbm_gs = BernoulliRBM(16, 8, rng=0)
-        gs = GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, rng=1)
+        gs = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10), rng=1)
         gs.train(rbm_gs, training_data, epochs=epochs)
 
         rbm_bgf = BernoulliRBM(16, 8, rng=0)
-        bgf = BGFTrainer(0.2, reference_batch_size=10, rng=1)
+        bgf = BGFTrainer(spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1)
         bgf.train(rbm_bgf, training_data, epochs=epochs)
         bgf.machine.read_out()
 
@@ -48,10 +42,14 @@ class TestHostInteractionGap:
         assert bgf_interactions < gs_interactions / 10
 
     def test_gs_host_interactions_scale_with_batches(self, training_data):
-        small_batches = GibbsSamplerTrainer(0.2, cd_k=1, batch_size=5, rng=1)
+        small_batches = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=5), rng=1
+        )
         rbm = BernoulliRBM(16, 8, rng=0)
         small_batches.train(rbm, training_data, epochs=1)
-        large_batches = GibbsSamplerTrainer(0.2, cd_k=1, batch_size=50, rng=1)
+        large_batches = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=50), rng=1
+        )
         rbm2 = BernoulliRBM(16, 8, rng=0)
         large_batches.train(rbm2, training_data, epochs=1)
         assert (
@@ -60,10 +58,10 @@ class TestHostInteractionGap:
         )
 
     def test_bgf_host_interactions_independent_of_dataset_size(self, training_data):
-        small = BGFTrainer(0.2, reference_batch_size=10, rng=1)
+        small = BGFTrainer(spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1)
         rbm = BernoulliRBM(16, 8, rng=0)
         small.train(rbm, training_data[:20], epochs=1)
-        large = BGFTrainer(0.2, reference_batch_size=10, rng=1)
+        large = BGFTrainer(spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1)
         rbm2 = BernoulliRBM(16, 8, rng=0)
         large.train(rbm2, training_data, epochs=1)
         assert (
@@ -82,11 +80,13 @@ class TestQualityParity:
         base.init_visible_bias_from_data(training_data)
 
         rbm_gs = base.copy()
-        GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, rng=1).train(
+        GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10), rng=1
+        ).train(
             rbm_gs, training_data, epochs=15
         )
         rbm_bgf = base.copy()
-        BGFTrainer(0.2, reference_batch_size=10, rng=1).train(
+        BGFTrainer(spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1).train(
             rbm_bgf, training_data, epochs=15
         )
 
@@ -102,8 +102,12 @@ class TestQualityParity:
         models are similar in quality but not identical in parameters."""
         base = BernoulliRBM(16, 8, rng=0)
         rbm_gs, rbm_bgf = base.copy(), base.copy()
-        GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, rng=1).train(
+        GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10), rng=1
+        ).train(
             rbm_gs, training_data, epochs=5
         )
-        BGFTrainer(0.2, reference_batch_size=10, rng=1).train(rbm_bgf, training_data, epochs=5)
+        BGFTrainer(
+            spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1
+        ).train(rbm_bgf, training_data, epochs=5)
         assert not np.allclose(rbm_gs.weights, rbm_bgf.weights)

@@ -11,14 +11,8 @@ from helpers import FLOAT64_EXACT_ATOL
 import numpy as np
 import pytest
 
+from repro.config import TrainerSpec
 from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 @pytest.fixture
@@ -70,8 +64,8 @@ class TestMinibatchOfOne:
     def test_step_size_scaled_by_reference_batch(self):
         """The trainer derives alpha_effective = alpha / batch_size, the paper's
         guidance for matching the learning rate at minibatch size one."""
-        coarse = BGFTrainer(learning_rate=0.5, reference_batch_size=5)
-        fine = BGFTrainer(learning_rate=0.5, reference_batch_size=500)
+        coarse = BGFTrainer(spec=TrainerSpec.bgf(0.5, reference_batch_size=5))
+        fine = BGFTrainer(spec=TrainerSpec.bgf(0.5, reference_batch_size=500))
         assert coarse.config.step_size == pytest.approx(0.1)
         assert fine.config.step_size == pytest.approx(0.001)
         assert fine.config.step_size < coarse.config.step_size

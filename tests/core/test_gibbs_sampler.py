@@ -3,35 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.rbm import BernoulliRBM, CDTrainer
 from repro.rbm.metrics import reconstruction_error
 from repro.utils.validation import ValidationError
 
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
-
 
 class TestGibbsSamplerMachine:
     def test_program_requires_matching_shape(self):
-        machine = GibbsSamplerMachine(10, 5, rng=0)
+        machine = GibbsSamplerMachine(spec=SubstrateSpec(10, 5), rng=0)
         with pytest.raises(ValidationError):
             machine.program(BernoulliRBM(8, 5, rng=0))
 
     def test_positive_phase_produces_binary_hidden(self, tiny_binary_data):
-        machine = GibbsSamplerMachine(16, 8, rng=0)
+        machine = GibbsSamplerMachine(spec=SubstrateSpec(16, 8), rng=0)
         machine.program(BernoulliRBM(16, 8, rng=1))
         h = machine.positive_phase(tiny_binary_data[:10])
         assert h.shape == (10, 8)
         assert set(np.unique(h)).issubset({0.0, 1.0})
 
     def test_negative_phase_shapes(self, tiny_binary_data):
-        machine = GibbsSamplerMachine(16, 8, rng=0)
+        machine = GibbsSamplerMachine(spec=SubstrateSpec(16, 8), rng=0)
         machine.program(BernoulliRBM(16, 8, rng=1))
         h = machine.positive_phase(tiny_binary_data[:10])
         v_neg, h_neg = machine.negative_phase(h, cd_k=3)
@@ -39,7 +32,7 @@ class TestGibbsSamplerMachine:
         assert h_neg.shape == (10, 8)
 
     def test_host_counters_track_operations(self, tiny_binary_data):
-        machine = GibbsSamplerMachine(16, 8, rng=0)
+        machine = GibbsSamplerMachine(spec=SubstrateSpec(16, 8), rng=0)
         machine.program(BernoulliRBM(16, 8, rng=1))
         machine.positive_phase(tiny_binary_data[:10])
         machine.negative_phase(np.zeros((10, 8)), cd_k=2)
@@ -53,7 +46,7 @@ class TestGibbsSamplerMachine:
         rbm = BernoulliRBM(10, 4, rng=0)
         rng = np.random.default_rng(1)
         rbm.set_parameters(rng.normal(0, 1, (10, 4)), np.zeros(10), rng.normal(0, 0.5, 4))
-        machine = GibbsSamplerMachine(10, 4, rng=2, input_bits=None)
+        machine = GibbsSamplerMachine(spec=SubstrateSpec(10, 4, input_bits=None), rng=2)
         machine.program(rbm)
         v = np.tile((rng.random(10) < 0.5).astype(float), (4000, 1))
         samples = machine.positive_phase(v)
@@ -64,22 +57,24 @@ class TestGibbsSamplerMachine:
 class TestGibbsSamplerTrainer:
     def test_configuration_validation(self):
         with pytest.raises(ValidationError):
-            GibbsSamplerTrainer(learning_rate=0.0)
+            GibbsSamplerTrainer(spec=TrainerSpec.gs(0.0))
         with pytest.raises(ValidationError):
-            GibbsSamplerTrainer(cd_k=0)
+            GibbsSamplerTrainer(spec=TrainerSpec.gs(cd_k=0))
         with pytest.raises(ValidationError):
-            GibbsSamplerTrainer(batch_size=0)
+            GibbsSamplerTrainer(spec=TrainerSpec.gs(batch_size=0))
 
     def test_training_reduces_reconstruction_error(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
         before = reconstruction_error(rbm, tiny_binary_data)
-        GibbsSamplerTrainer(0.2, cd_k=2, batch_size=10, rng=1).train(
+        GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.2, cd_k=2, batch_size=10), rng=1
+        ).train(
             rbm, tiny_binary_data, epochs=15
         )
         assert reconstruction_error(rbm, tiny_binary_data) < before
 
     def test_machine_created_lazily_with_matching_shape(self, tiny_binary_data):
-        trainer = GibbsSamplerTrainer(0.1, rng=0)
+        trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1), rng=0)
         rbm = BernoulliRBM(16, 8, rng=1)
         trainer.train(rbm, tiny_binary_data, epochs=1)
         assert trainer.machine.n_visible == 16
@@ -88,7 +83,7 @@ class TestGibbsSamplerTrainer:
     def test_each_minibatch_reprograms_the_array(self, tiny_binary_data):
         """The GS operation sequence reprograms the coupling array per batch
         (the communication the BGF removes)."""
-        trainer = GibbsSamplerTrainer(0.1, batch_size=10, rng=0)
+        trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1, batch_size=10), rng=0)
         rbm = BernoulliRBM(16, 8, rng=1)
         trainer.train(rbm, tiny_binary_data, epochs=2)
         n_batches = int(np.ceil(tiny_binary_data.shape[0] / 10)) * 2
@@ -98,7 +93,9 @@ class TestGibbsSamplerTrainer:
     def test_history_and_callback(self, tiny_binary_data):
         epochs_seen = []
         trainer = GibbsSamplerTrainer(
-            0.1, rng=0, callback=lambda epoch, rbm: epochs_seen.append(epoch)
+            spec=TrainerSpec.gs(0.1),
+            rng=0,
+            callback=lambda epoch, rbm: epochs_seen.append(epoch),
         )
         rbm = BernoulliRBM(16, 8, rng=1)
         history = trainer.train(rbm, tiny_binary_data, epochs=3)
@@ -110,8 +107,12 @@ class TestGibbsSamplerTrainer:
         model should reach a similar reconstruction error as software CD."""
         software = BernoulliRBM(16, 8, rng=0)
         hardware = software.copy()
-        CDTrainer(0.2, cd_k=1, batch_size=10, rng=1).train(software, tiny_binary_data, epochs=15)
-        GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, rng=1).train(
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=1
+        ).train(software, tiny_binary_data, epochs=15)
+        GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10), rng=1
+        ).train(
             hardware, tiny_binary_data, epochs=15
         )
         software_error = reconstruction_error(software, tiny_binary_data)
@@ -119,17 +120,19 @@ class TestGibbsSamplerTrainer:
         assert hardware_error < 1.3 * software_error + 0.02
 
     def test_noise_config_propagates(self, tiny_binary_data):
-        trainer = GibbsSamplerTrainer(0.1, noise_config=NoiseConfig(0.2, 0.2), rng=0)
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, noise=NoiseSpec(0.2, 0.2)), rng=0
+        )
         rbm = BernoulliRBM(16, 8, rng=1)
         trainer.train(rbm, tiny_binary_data, epochs=1)
         assert trainer.machine.substrate.noise_config.variation_rms == 0.2
 
     def test_data_width_mismatch_rejected(self):
-        trainer = GibbsSamplerTrainer(0.1, rng=0)
+        trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1), rng=0)
         with pytest.raises(ValidationError):
             trainer.train(BernoulliRBM(16, 8, rng=0), np.zeros((5, 10)), epochs=1)
 
     def test_invalid_epochs(self, tiny_binary_data):
-        trainer = GibbsSamplerTrainer(0.1, rng=0)
+        trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1), rng=0)
         with pytest.raises(ValidationError):
             trainer.train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=0)

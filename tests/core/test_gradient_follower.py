@@ -4,18 +4,11 @@ from helpers import FLOAT64_ASSOC_ATOL
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import NoiseSpec, TrainerSpec
 from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower
 from repro.rbm import BernoulliRBM, CDTrainer
 from repro.rbm.metrics import reconstruction_error
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 class TestBGFConfig:
@@ -122,23 +115,25 @@ class TestBoltzmannGradientFollowerMachine:
 
 class TestBGFTrainer:
     def test_step_size_derived_from_learning_rate(self):
-        trainer = BGFTrainer(learning_rate=0.5, reference_batch_size=100)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.5, reference_batch_size=100))
         assert trainer.config.step_size == pytest.approx(0.005)
 
     def test_invalid_reference_batch(self):
         with pytest.raises(ValidationError):
-            BGFTrainer(reference_batch_size=0)
+            BGFTrainer(spec=TrainerSpec.bgf(reference_batch_size=0))
 
     def test_training_reduces_reconstruction_error(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
         before = reconstruction_error(rbm, tiny_binary_data)
-        BGFTrainer(0.3, reference_batch_size=10, rng=1).train(rbm, tiny_binary_data, epochs=15)
+        BGFTrainer(
+            spec=TrainerSpec.bgf(0.3, reference_batch_size=10), rng=1
+        ).train(rbm, tiny_binary_data, epochs=15)
         assert reconstruction_error(rbm, tiny_binary_data) < before
 
     def test_trained_parameters_written_back_to_rbm(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
         original = rbm.weights.copy()
-        trainer = BGFTrainer(0.3, reference_batch_size=10, rng=1)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.3, reference_batch_size=10), rng=1)
         trainer.train(rbm, tiny_binary_data, epochs=2)
         assert not np.allclose(rbm.weights, original)
         machine_weights, _, _ = trainer.machine.read_out()
@@ -146,7 +141,11 @@ class TestBGFTrainer:
 
     def test_history_and_callback(self, tiny_binary_data):
         seen = []
-        trainer = BGFTrainer(0.2, rng=0, callback=lambda epoch, rbm: seen.append(epoch))
+        trainer = BGFTrainer(
+            spec=TrainerSpec.bgf(0.2),
+            rng=0,
+            callback=lambda epoch, rbm: seen.append(epoch),
+        )
         rbm = BernoulliRBM(16, 8, rng=1)
         history = trainer.train(rbm, tiny_binary_data, epochs=4)
         assert len(history) == 4
@@ -159,14 +158,20 @@ class TestBGFTrainer:
         base.init_visible_bias_from_data(tiny_binary_data)
         software = base.copy()
         hardware = base.copy()
-        CDTrainer(0.2, cd_k=10, batch_size=10, rng=1).train(software, tiny_binary_data, epochs=20)
-        BGFTrainer(0.2, reference_batch_size=10, rng=1).train(hardware, tiny_binary_data, epochs=20)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=10, batch_size=10), rng=1
+        ).train(software, tiny_binary_data, epochs=20)
+        BGFTrainer(
+            spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1
+        ).train(hardware, tiny_binary_data, epochs=20)
         software_error = reconstruction_error(software, tiny_binary_data)
         hardware_error = reconstruction_error(hardware, tiny_binary_data)
         assert hardware_error < 1.4 * software_error + 0.02
 
     def test_noise_config_reaches_charge_pump_and_substrate(self, tiny_binary_data):
-        trainer = BGFTrainer(0.2, noise_config=NoiseConfig(0.2, 0.1), rng=0)
+        trainer = BGFTrainer(
+            spec=TrainerSpec.bgf(0.2, noise=NoiseSpec(0.2, 0.1)), rng=0
+        )
         rbm = BernoulliRBM(16, 8, rng=1)
         trainer.train(rbm, tiny_binary_data, epochs=1)
         machine = trainer.machine
@@ -175,8 +180,12 @@ class TestBGFTrainer:
 
     def test_data_width_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            BGFTrainer(0.1, rng=0).train(BernoulliRBM(16, 8, rng=0), np.zeros((5, 12)), epochs=1)
+            BGFTrainer(
+                spec=TrainerSpec.bgf(0.1), rng=0
+            ).train(BernoulliRBM(16, 8, rng=0), np.zeros((5, 12)), epochs=1)
 
     def test_invalid_epochs(self, tiny_binary_data):
         with pytest.raises(ValidationError):
-            BGFTrainer(0.1, rng=0).train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=0)
+            BGFTrainer(
+                spec=TrainerSpec.bgf(0.1), rng=0
+            ).train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=0)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analog.converters import AnalogToDigitalConverter
-from repro.analog.noise import NoiseConfig
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, CDTrainer
@@ -28,13 +28,6 @@ from repro.utils.numerics import (
     log1pexp_reference,
     sigmoid,
     sigmoid_reference,
-)
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
 )
 
 
@@ -71,36 +64,62 @@ def _assert_same_model(a: BernoulliRBM, b: BernoulliRBM) -> None:
 
 class TestTrainerEquivalenceIdealCorner:
     def test_cd_trainer_bit_identical(self, data):
-        fast = _train(lambda: CDTrainer(0.1, cd_k=2, batch_size=10, rng=1), data)
+        fast = _train(lambda: CDTrainer(
+            spec=TrainerSpec.cd(0.1, cd_k=2, batch_size=10), rng=1
+        ), data)
         legacy = _train(
-            lambda: CDTrainer(0.1, cd_k=2, batch_size=10, rng=1, fast_path=False), data
+            lambda: CDTrainer(
+                spec=TrainerSpec.cd(
+                    0.1, cd_k=2, batch_size=10, compute=ComputeSpec(fast_path=False)
+                ),
+                rng=1,
+            ), data
         )
         _assert_same_model(fast, legacy)
 
     def test_cd_trainer_matches_reference_sigmoid(self, data, monkeypatch):
-        fast = _train(lambda: CDTrainer(0.1, cd_k=1, batch_size=10, rng=1), data)
+        fast = _train(lambda: CDTrainer(
+            spec=TrainerSpec.cd(0.1, cd_k=1, batch_size=10), rng=1
+        ), data)
         monkeypatch.setattr("repro.rbm.rbm.sigmoid", sigmoid_reference)
         reference = _train(
-            lambda: CDTrainer(0.1, cd_k=1, batch_size=10, rng=1, fast_path=False), data
+            lambda: CDTrainer(
+                spec=TrainerSpec.cd(
+                    0.1, cd_k=1, batch_size=10, compute=ComputeSpec(fast_path=False)
+                ),
+                rng=1,
+            ), data
         )
         _assert_same_model(fast, reference)
 
     def test_gibbs_sampler_trainer_bit_identical(self, data):
         fast = _train(
-            lambda: GibbsSamplerTrainer(0.1, cd_k=2, batch_size=10, rng=1), data
+            lambda: GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.1, cd_k=2, batch_size=10), rng=1
+            ), data
         )
         legacy = _train(
             lambda: GibbsSamplerTrainer(
-                0.1, cd_k=2, batch_size=10, rng=1, fast_path=False
+                spec=TrainerSpec.gs(
+                    0.1, cd_k=2, batch_size=10, compute=ComputeSpec(fast_path=False)
+                ),
+                rng=1,
             ),
             data,
         )
         _assert_same_model(fast, legacy)
 
     def test_bgf_trainer_bit_identical(self, data):
-        fast = _train(lambda: BGFTrainer(0.1, reference_batch_size=10, rng=1), data)
+        fast = _train(lambda: BGFTrainer(
+            spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1
+        ), data)
         legacy = _train(
-            lambda: BGFTrainer(0.1, reference_batch_size=10, rng=1, fast_path=False),
+            lambda: BGFTrainer(
+                spec=TrainerSpec.bgf(
+                    0.1, reference_batch_size=10, compute=ComputeSpec(fast_path=False)
+                ),
+                rng=1,
+            ),
             data,
         )
         _assert_same_model(fast, legacy)
@@ -110,7 +129,9 @@ class TestTrainerEquivalenceIdealCorner:
         results = []
         for chunk_size in (1, 7, 64):
             rbm = BernoulliRBM(49, 32, rng=0)
-            trainer = BGFTrainer(0.1, reference_batch_size=10, rng=1)
+            trainer = BGFTrainer(
+                spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1
+            )
             machine = trainer._ensure_machine(rbm)
             machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
             machine.run(data, epochs=1, chunk_size=chunk_size)
@@ -126,23 +147,31 @@ class TestTrainerEquivalenceNoisyCorner:
     reproduce exactly — a stronger property than the distribution-level
     equivalence the noise study needs."""
 
-    NOISY = NoiseConfig(0.1, 0.1)
+    NOISY = NoiseSpec(0.1, 0.1)
 
     def test_gibbs_sampler_trainer_noisy_bit_identical(self, data):
         fast = _train(
             lambda: GibbsSamplerTrainer(
-                0.1, cd_k=1, batch_size=10, rng=1, noise_config=self.NOISY
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    noise=self.NOISY,
+                ),
+                rng=1,
             ),
             data,
         )
         legacy = _train(
             lambda: GibbsSamplerTrainer(
-                0.1,
-                cd_k=1,
-                batch_size=10,
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    noise=self.NOISY,
+                    compute=ComputeSpec(fast_path=False),
+                ),
                 rng=1,
-                noise_config=self.NOISY,
-                fast_path=False,
             ),
             data,
         )
@@ -151,17 +180,24 @@ class TestTrainerEquivalenceNoisyCorner:
     def test_bgf_trainer_noisy_bit_identical(self, data):
         fast = _train(
             lambda: BGFTrainer(
-                0.1, reference_batch_size=10, rng=1, noise_config=self.NOISY
+                spec=TrainerSpec.bgf(
+                    0.1,
+                    reference_batch_size=10,
+                    noise=self.NOISY,
+                ),
+                rng=1,
             ),
             data,
         )
         legacy = _train(
             lambda: BGFTrainer(
-                0.1,
-                reference_batch_size=10,
+                spec=TrainerSpec.bgf(
+                    0.1,
+                    reference_batch_size=10,
+                    noise=self.NOISY,
+                    compute=ComputeSpec(fast_path=False),
+                ),
                 rng=1,
-                noise_config=self.NOISY,
-                fast_path=False,
             ),
             data,
         )
@@ -172,7 +208,10 @@ class TestSubstrateEquivalence:
     def _pair(self, **kwargs):
         subs = []
         for fast in (True, False):
-            sub = BipartiteIsingSubstrate(49, 32, rng=7, fast_path=fast, **kwargs)
+            sub = BipartiteIsingSubstrate(
+                spec=SubstrateSpec(49, 32, compute=ComputeSpec(fast_path=fast), **kwargs),
+                rng=7,
+            )
             weights = np.random.default_rng(1).normal(0, 0.1, (49, 32))
             sub.program(weights, np.zeros(49), np.zeros(32))
             subs.append(sub)
@@ -194,7 +233,7 @@ class TestSubstrateEquivalence:
         np.testing.assert_array_equal(h_fast, h_legacy)
 
     def test_noisy_sampling_bit_identical(self, data):
-        fast, legacy = self._pair(noise_config=NoiseConfig(0.1, 0.1))
+        fast, legacy = self._pair(noise=NoiseSpec(0.1, 0.1))
         np.testing.assert_array_equal(
             fast.sample_hidden_given_visible(data),
             legacy.sample_hidden_given_visible(data),
@@ -207,7 +246,9 @@ class TestSubstrateEquivalence:
         sub.program_trusted(new_weights, np.zeros(49), np.zeros(32))
         # A fresh legacy substrate programmed straight to the new weights
         # must agree with the reprogrammed fast one from here on.
-        ref = BipartiteIsingSubstrate(49, 32, rng=7, fast_path=False)
+        ref = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(49, 32, compute=ComputeSpec(fast_path=False)), rng=7
+        )
         ref.program(new_weights, np.zeros(49), np.zeros(32))
         ref.sample_hidden_given_visible(data[:5])  # advance streams like `sub`
         np.testing.assert_array_equal(

@@ -14,18 +14,11 @@ kernel's API contract plus the new RNG-order guarantees.
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, PCDTrainer
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -64,11 +57,16 @@ class TestSingleChainCompatibilityPath:
 
     def test_explicit_knobs_match_default(self, data):
         default = _train(
-            lambda: GibbsSamplerTrainer(0.1, cd_k=2, batch_size=10, rng=1), data
+            lambda: GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.1, cd_k=2, batch_size=10), rng=1
+            ), data
         )
         explicit = _train(
             lambda: GibbsSamplerTrainer(
-                0.1, cd_k=2, batch_size=10, rng=1, chains=1, persistent=False
+                spec=TrainerSpec.gs(
+                    0.1, cd_k=2, batch_size=10, chains=1, persistent=False
+                ),
+                rng=1,
             ),
             data,
         )
@@ -77,40 +75,50 @@ class TestSingleChainCompatibilityPath:
     def test_matches_legacy_ideal_corner(self, data):
         fast = _train(
             lambda: GibbsSamplerTrainer(
-                0.1, cd_k=2, batch_size=10, rng=1, chains=1, persistent=False
+                spec=TrainerSpec.gs(
+                    0.1, cd_k=2, batch_size=10, chains=1, persistent=False
+                ),
+                rng=1,
             ),
             data,
         )
         legacy = _train(
             lambda: GibbsSamplerTrainer(
-                0.1, cd_k=2, batch_size=10, rng=1, fast_path=False
+                spec=TrainerSpec.gs(
+                    0.1, cd_k=2, batch_size=10, compute=ComputeSpec(fast_path=False)
+                ),
+                rng=1,
             ),
             data,
         )
         _assert_same_model(fast, legacy)
 
     def test_matches_legacy_noisy_corner(self, data):
-        noisy = NoiseConfig(0.1, 0.1)
+        noisy = NoiseSpec(0.1, 0.1)
         fast = _train(
             lambda: GibbsSamplerTrainer(
-                0.1,
-                cd_k=1,
-                batch_size=10,
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    chains=1,
+                    persistent=False,
+                    noise=noisy,
+                ),
                 rng=1,
-                chains=1,
-                persistent=False,
-                noise_config=noisy,
             ),
             data,
         )
         legacy = _train(
             lambda: GibbsSamplerTrainer(
-                0.1,
-                cd_k=1,
-                batch_size=10,
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    noise=noisy,
+                    compute=ComputeSpec(fast_path=False),
+                ),
                 rng=1,
-                noise_config=noisy,
-                fast_path=False,
             ),
             data,
         )
@@ -121,19 +129,24 @@ class TestSingleChainCompatibilityPath:
         draw order, so even the PCD engine reproduces across the knob."""
         batched = _train(
             lambda: GibbsSamplerTrainer(
-                0.1, cd_k=1, batch_size=10, rng=1, chains=1, persistent=True
+                spec=TrainerSpec.gs(
+                    0.1, cd_k=1, batch_size=10, chains=1, persistent=True
+                ),
+                rng=1,
             ),
             data,
         )
         sequential = _train(
             lambda: GibbsSamplerTrainer(
-                0.1,
-                cd_k=1,
-                batch_size=10,
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    chains=1,
+                    persistent=True,
+                    chain_batch=False,
+                ),
                 rng=1,
-                chains=1,
-                persistent=True,
-                chain_batch=False,
             ),
             data,
         )
@@ -141,12 +154,12 @@ class TestSingleChainCompatibilityPath:
 
     def test_invalid_chain_count(self):
         with pytest.raises(ValidationError):
-            GibbsSamplerTrainer(chains=0)
+            GibbsSamplerTrainer(spec=TrainerSpec.gs(chains=0))
 
 
 class TestSettleBatchContract:
     def _substrate(self):
-        substrate = BipartiteIsingSubstrate(49, 32, rng=7)
+        substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(49, 32), rng=7)
         weights = np.random.default_rng(1).normal(0, 0.1, (49, 32))
         substrate.program(weights, np.zeros(49), np.zeros(32))
         return substrate
@@ -176,7 +189,8 @@ class TestSettleBatchContract:
 class TestPersistentChainBookkeeping:
     def test_chains_persist_across_minibatches_and_calls(self, data):
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, rng=1, chains=8, persistent=True
+            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=8, persistent=True),
+            rng=1,
         )
         rbm = BernoulliRBM(49, 32, rng=0)
         assert trainer.chain_states is None
@@ -191,7 +205,8 @@ class TestPersistentChainBookkeeping:
 
     def test_shape_mismatch_triggers_reinit(self, data):
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, rng=1, chains=4, persistent=True
+            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=4, persistent=True),
+            rng=1,
         )
         trainer.train(BernoulliRBM(49, 32, rng=0), data, epochs=1)
         # A different hidden size must re-initialize rather than crash,
@@ -201,7 +216,8 @@ class TestPersistentChainBookkeeping:
 
     def test_nonpersistent_multichain_keeps_no_state(self, data):
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, rng=1, chains=8, persistent=False
+            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=8, persistent=False),
+            rng=1,
         )
         rbm = BernoulliRBM(49, 32, rng=0)
         trainer.train(rbm, data, epochs=1)
@@ -214,17 +230,24 @@ class TestBGFParticleRefresh:
         """particle_burn_in=0 (default) stays bit-identical to the legacy
         path — the PR-1 contract extends through the new knob."""
         fast = _train(
-            lambda: BGFTrainer(0.1, reference_batch_size=10, rng=1, particle_burn_in=0),
+            lambda: BGFTrainer(
+                spec=TrainerSpec.bgf(0.1, reference_batch_size=10, burn_in=0), rng=1
+            ),
             data,
         )
         legacy = _train(
-            lambda: BGFTrainer(0.1, reference_batch_size=10, rng=1, fast_path=False),
+            lambda: BGFTrainer(
+                spec=TrainerSpec.bgf(
+                    0.1, reference_batch_size=10, compute=ComputeSpec(fast_path=False)
+                ),
+                rng=1,
+            ),
             data,
         )
         _assert_same_model(fast, legacy)
 
     def test_refresh_advances_all_particles(self, data):
-        trainer = BGFTrainer(0.1, reference_batch_size=10, rng=1)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
         rbm = BernoulliRBM(49, 32, rng=0)
         machine = trainer._ensure_machine(rbm)
         machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
@@ -236,14 +259,16 @@ class TestBGFParticleRefresh:
         assert not np.array_equal(before, after)
 
     def test_refresh_requires_initialization(self):
-        trainer = BGFTrainer(0.1, reference_batch_size=10, rng=1)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
         machine = trainer._ensure_machine(BernoulliRBM(49, 32, rng=0))
         with pytest.raises(ValidationError):
             machine.refresh_particles(1)
 
     def test_burn_in_training_runs(self, data):
         rbm = _train(
-            lambda: BGFTrainer(0.1, reference_batch_size=10, rng=1, particle_burn_in=2),
+            lambda: BGFTrainer(
+                spec=TrainerSpec.bgf(0.1, reference_batch_size=10, burn_in=2), rng=1
+            ),
             data,
             epochs=1,
         )
@@ -251,7 +276,7 @@ class TestBGFParticleRefresh:
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValidationError):
-            BGFTrainer(0.1, particle_burn_in=-1)
+            BGFTrainer(spec=TrainerSpec.bgf(0.1, burn_in=-1))
 
 
 class TestPCDTrainerKnobs:

@@ -19,18 +19,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import (
+    ComputeSpec,
+    EstimatorSpec,
+    NoiseSpec,
+    SubstrateSpec,
+    TrainerSpec,
+)
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.core.gradient_follower import BoltzmannGradientFollower
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 # The CI matrix's workers column folds its value into the reproducibility
 # parametrization (REPRO_WORKERS=3 adds a workers=3 leg here).
@@ -42,16 +41,23 @@ N_VISIBLE, N_HIDDEN = 12, 7
 CORNERS = {
     "ideal": dict(),
     "noisy": dict(
-        noise_config=NoiseConfig(variation_rms=0.1, noise_rms=0.1),
+        noise=NoiseSpec(variation_rms=0.1, noise_rms=0.1),
         comparator_offset_rms=0.05,
     ),
     "float32": dict(dtype="float32"),
 }
 
 
-def _substrate(seed=5, **kwargs):
+def _substrate(seed=5, dtype="float64", fast_path=True, **fields):
     substrate = BipartiteIsingSubstrate(
-        N_VISIBLE, N_HIDDEN, input_bits=None, rng=seed, **kwargs
+        spec=SubstrateSpec(
+            N_VISIBLE,
+            N_HIDDEN,
+            input_bits=None,
+            compute=ComputeSpec(dtype=dtype, fast_path=fast_path),
+            **fields,
+        ),
+        rng=seed,
     )
     rng = np.random.default_rng(1)
     substrate.program(
@@ -108,11 +114,18 @@ class TestWorkersOneBitIdentical:
 
     def test_gs_trainer(self, tiny_binary_data):
         weights = {}
-        for key, kwargs in (("default", {}), ("workers1", {"workers": 1})):
+        for key, workers in (("default", None), ("workers1", 1)):
             rbm = BernoulliRBM(16, 6, rng=0)
             GibbsSamplerTrainer(
-                0.1, cd_k=1, batch_size=10, chains=4, persistent=True, rng=1,
-                **kwargs,
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    chains=4,
+                    persistent=True,
+                    compute=ComputeSpec(workers=workers),
+                ),
+                rng=1,
             ).train(rbm, tiny_binary_data, epochs=2)
             weights[key] = rbm.weights.copy()
         np.testing.assert_array_equal(weights["default"], weights["workers1"])
@@ -133,9 +146,12 @@ class TestWorkersOneBitIdentical:
 
     def test_ais(self):
         rbm = _tiny_ais_rbm()
-        ref = AISEstimator(n_chains=20, n_betas=40, rng=7).estimate_log_partition(rbm)
+        ref = AISEstimator(
+            spec=EstimatorSpec(chains=20, betas=40), rng=7
+        ).estimate_log_partition(rbm)
         one = AISEstimator(
-            n_chains=20, n_betas=40, rng=7, workers=1
+            spec=EstimatorSpec(chains=20, betas=40, compute=ComputeSpec(workers=1)),
+            rng=7,
         ).estimate_log_partition(rbm)
         np.testing.assert_array_equal(ref.log_weights, one.log_weights)
         assert ref.log_partition == one.log_partition
@@ -184,10 +200,16 @@ class TestShardedReproducible:
     def test_ais_reproducible(self, workers):
         rbm = _tiny_ais_rbm()
         a = AISEstimator(
-            n_chains=20, n_betas=40, rng=7, workers=workers
+            spec=EstimatorSpec(
+                chains=20, betas=40, compute=ComputeSpec(workers=workers)
+            ),
+            rng=7,
         ).estimate_log_partition(rbm)
         b = AISEstimator(
-            n_chains=20, n_betas=40, rng=7, workers=workers
+            spec=EstimatorSpec(
+                chains=20, betas=40, compute=ComputeSpec(workers=workers)
+            ),
+            rng=7,
         ).estimate_log_partition(rbm)
         np.testing.assert_array_equal(a.log_weights, b.log_weights)
         assert a.log_partition == b.log_partition
@@ -198,8 +220,15 @@ class TestShardedReproducible:
         for _ in range(2):
             rbm = BernoulliRBM(16, 6, rng=0)
             GibbsSamplerTrainer(
-                0.1, cd_k=1, batch_size=10, chains=6, persistent=True, rng=1,
-                workers=workers,
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    chains=6,
+                    persistent=True,
+                    compute=ComputeSpec(workers=workers),
+                ),
+                rng=1,
             ).train(rbm, tiny_binary_data, epochs=2)
             weights.append(rbm.weights.copy())
         np.testing.assert_array_equal(weights[0], weights[1])
@@ -243,7 +272,9 @@ class TestShardedPreconditions:
             _substrate(fast_path=False).settle_batch(_hidden(3), 2, workers=2)
 
     def test_noisy_dtc_cannot_shard(self):
-        substrate = BipartiteIsingSubstrate(N_VISIBLE, N_HIDDEN, rng=0, input_bits=8)
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(N_VISIBLE, N_HIDDEN, input_bits=8), rng=0
+        )
         substrate.input_dtc.nonlinearity_rms = 0.01
         with pytest.raises(Exception, match="DTC"):
             substrate.settle_batch(_hidden(3), 2, workers=2)
@@ -259,7 +290,7 @@ class TestShardedPreconditions:
     def test_env_default_degrades_to_serial_on_noisy_dtc(self, monkeypatch):
         def run():
             substrate = BipartiteIsingSubstrate(
-                N_VISIBLE, N_HIDDEN, rng=0, input_bits=8
+                spec=SubstrateSpec(N_VISIBLE, N_HIDDEN, input_bits=8), rng=0
             )
             substrate.input_dtc.nonlinearity_rms = 0.01  # DTC noise: ineligible
             return substrate.settle_batch(_hidden(3), 2)
@@ -280,7 +311,10 @@ class TestAISShardRootIndependence:
         from repro.rbm.ais import AIS_SHARD_ROOT_KEY  # noqa: F401
         from repro.utils.rng import spawn_rngs
 
-        estimator = AISEstimator(n_chains=8, n_betas=10, rng=0, workers=2)
+        estimator = AISEstimator(
+            spec=EstimatorSpec(chains=8, betas=10, compute=ComputeSpec(workers=2)),
+            rng=0,
+        )
         shard_rngs = estimator._shard_rngs(2)
         shard_draws = [rng.random(16) for rng in shard_rngs]
         # The natural spawn tree of seed 0: children 0..3, each spawning

@@ -19,22 +19,22 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 N_VISIBLE, N_HIDDEN = 10, 6
 
 
-def _substrate(**kwargs):
+def _substrate(dtype="float64", **fields):
     substrate = BipartiteIsingSubstrate(
-        N_VISIBLE, N_HIDDEN, input_bits=None, rng=0, **kwargs
+        spec=SubstrateSpec(
+            N_VISIBLE,
+            N_HIDDEN,
+            input_bits=None,
+            compute=ComputeSpec(dtype=dtype),
+            **fields,
+        ),
+        rng=0,
     )
     rng = np.random.default_rng(1)
     substrate.program(
@@ -47,16 +47,14 @@ def _substrate(**kwargs):
 
 class TestEffectiveWeightCacheUnderConcurrency:
     @pytest.mark.parametrize(
-        "noise_config",
-        [None, NoiseConfig(variation_rms=0.1, noise_rms=0.0)],
+        "noise",
+        [NoiseSpec(), NoiseSpec(variation_rms=0.1, noise_rms=0.0)],
         ids=["ideal", "with-variation"],
     )
-    def test_concurrent_settles_and_invalidations_never_corrupt(self, noise_config):
+    def test_concurrent_settles_and_invalidations_never_corrupt(self, noise):
         """Samplers hammering settles while another thread invalidates the
         cache: no crash, only binary latches, and a consistent final pair."""
-        substrate = _substrate(
-            noise_config=noise_config if noise_config else NoiseConfig()
-        )
+        substrate = _substrate(noise=noise)
         hidden = (np.random.default_rng(2).random((4, N_HIDDEN)) < 0.5).astype(float)
         errors = []
         stop = threading.Event()
@@ -94,9 +92,7 @@ class TestEffectiveWeightCacheUnderConcurrency:
         """Every rebuild publishes (static, static.T) atomically as one
         tuple — a reader can never see a matrix paired with a stale
         transpose."""
-        substrate = _substrate(
-            noise_config=NoiseConfig(variation_rms=0.2, noise_rms=0.0)
-        )
+        substrate = _substrate(noise=NoiseSpec(variation_rms=0.2, noise_rms=0.0))
         pairs = []
         errors = []
         stop = threading.Event()

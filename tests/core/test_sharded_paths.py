@@ -10,8 +10,8 @@ module pins what the callers built on it promise at ``workers=k > 1``:
   ``invalidate_effective_weights`` (the BGF charge-pump route) — in every
   precision tier, so no shard can settle against a stale cache or a stale
   bias snapshot;
-* the AIS helpers, the BGF particle refresh and the spec construction path
-  are reproducible for a fixed ``(seed, k)`` and agree with the kwarg path.
+* the AIS helpers and the BGF particle refresh are reproducible for a
+  fixed ``(seed, k)``.
 """
 
 import os
@@ -19,23 +19,10 @@ import os
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
-from repro.config import ComputeSpec, EstimatorSpec, SamplerSpec, TrainerSpec
-from repro.core import GibbsSamplerTrainer
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec
 from repro.core.gradient_follower import BoltzmannGradientFollower
 from repro.ising import BipartiteIsingSubstrate
-from repro.rbm import (
-    AISEstimator,
-    BernoulliRBM,
-    average_log_probability,
-    estimate_log_partition,
-)
-
-# The kwarg-vs-spec comparisons call the legacy kwarg constructors on
-# purpose; opt out of the repro-internal deprecation error gate.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
+from repro.rbm import BernoulliRBM, average_log_probability, estimate_log_partition
 
 _env = os.environ.get("REPRO_WORKERS", "")
 WORKER_COUNTS = sorted({2, 4} | ({int(_env)} if _env.isdigit() and int(_env) > 1 else set()))
@@ -45,7 +32,7 @@ N_VISIBLE, N_HIDDEN = 12, 7
 CORNERS = {
     "ideal": dict(),
     "noisy": dict(
-        noise_config=NoiseConfig(variation_rms=0.1, noise_rms=0.1),
+        noise=NoiseSpec(variation_rms=0.1, noise_rms=0.1),
         comparator_offset_rms=0.05,
     ),
     "float32": dict(dtype="float32"),
@@ -56,7 +43,7 @@ CORNERS = {
 # percent of the time, so it would make the saturated states random.
 SATURATION_CORNERS = {
     "ideal": dict(),
-    "noisy": dict(noise_config=NoiseConfig(variation_rms=0.1, noise_rms=0.1)),
+    "noisy": dict(noise=NoiseSpec(variation_rms=0.1, noise_rms=0.1)),
     "float32": dict(dtype="float32"),
     "qint8": dict(dtype="qint8"),
 }
@@ -70,9 +57,16 @@ SATURATING_COUPLING = 4.0
 SATURATING_BIAS = 20.0
 
 
-def _substrate(seed=5, **kwargs):
+def _substrate(seed=5, dtype="float64", fast_path=True, **fields):
     substrate = BipartiteIsingSubstrate(
-        N_VISIBLE, N_HIDDEN, input_bits=None, rng=seed, **kwargs
+        spec=SubstrateSpec(
+            N_VISIBLE,
+            N_HIDDEN,
+            input_bits=None,
+            compute=ComputeSpec(dtype=dtype, fast_path=fast_path),
+            **fields,
+        ),
+        rng=seed,
     )
     rng = np.random.default_rng(1)
     substrate.program(
@@ -220,42 +214,3 @@ class TestShardedHelpersReproducible:
         first, second = _bgf_particles(workers), _bgf_particles(workers)
         assert first.shape == (8, N_HIDDEN)  # the default particle pool
         np.testing.assert_array_equal(first, second)
-
-
-class TestSpecPathMatchesKwargs:
-    """``ComputeSpec(workers=k)`` reaches the same sharded kernels, on the
-    same substreams, as the ``workers=k`` keyword."""
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_ais_estimator(self, workers):
-        rbm = _tiny_ais_rbm()
-        via_kwargs = AISEstimator(
-            n_chains=20, n_betas=40, rng=7, workers=workers
-        ).estimate_log_partition(rbm)
-        via_spec = AISEstimator(
-            spec=EstimatorSpec(
-                chains=20, betas=40, compute=ComputeSpec(workers=workers)
-            ),
-            rng=7,
-        ).estimate_log_partition(rbm)
-        np.testing.assert_array_equal(via_kwargs.log_weights, via_spec.log_weights)
-        assert via_kwargs.log_partition == via_spec.log_partition
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_gs_trainer(self, tiny_binary_data, workers):
-        rbm_kwargs = BernoulliRBM(16, 6, rng=0)
-        GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=6, persistent=True, rng=1,
-            workers=workers,
-        ).train(rbm_kwargs, tiny_binary_data, epochs=2)
-        rbm_spec = BernoulliRBM(16, 6, rng=0)
-        spec = TrainerSpec(
-            kind="gs",
-            learning_rate=0.1,
-            cd_k=1,
-            batch_size=10,
-            sampler=SamplerSpec(chains=6, persistent=True),
-            compute=ComputeSpec(workers=workers),
-        )
-        GibbsSamplerTrainer(spec=spec, rng=1).train(rbm_spec, tiny_binary_data, epochs=2)
-        np.testing.assert_array_equal(rbm_kwargs.weights, rbm_spec.weights)

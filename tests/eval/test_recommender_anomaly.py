@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.config import TrainerSpec
 from repro.core import BGFTrainer
 from repro.eval import RBMAnomalyDetector, RBMRecommender
 from repro.rbm import CDTrainer
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 class TestRBMRecommender:
@@ -66,7 +60,7 @@ class TestRBMRecommender:
     def test_beats_global_mean_baseline(self, tiny_ratings_dataset):
         """The quality bar behind Table 4's MAE row: the learned model must be
         better than predicting the global mean rating everywhere."""
-        trainer = CDTrainer(learning_rate=0.2, cd_k=1, batch_size=5, rng=0)
+        trainer = CDTrainer(spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=5), rng=0)
         recommender = RBMRecommender(
             n_hidden=16, trainer=trainer, epochs=40, rng=0
         ).fit(tiny_ratings_dataset)
@@ -75,7 +69,7 @@ class TestRBMRecommender:
         )
 
     def test_bgf_trainer_plugs_in(self, tiny_ratings_dataset):
-        trainer = BGFTrainer(learning_rate=0.2, reference_batch_size=10, rng=0)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=0)
         recommender = RBMRecommender(
             n_hidden=16, trainer=trainer, epochs=15, rng=0
         ).fit(tiny_ratings_dataset)
@@ -128,7 +122,7 @@ class TestRBMAnomalyDetector:
         assert fpr[-1] == 1.0 and tpr[-1] == 1.0
 
     def test_bgf_trainer_plugs_in(self, tiny_fraud_dataset):
-        trainer = BGFTrainer(learning_rate=0.05, reference_batch_size=20, rng=0)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.05, reference_batch_size=20), rng=0)
         detector = RBMAnomalyDetector(
             n_hidden=10, trainer=trainer, epochs=15, rng=0
         ).fit(tiny_fraud_dataset)

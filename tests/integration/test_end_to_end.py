@@ -8,6 +8,7 @@ substrate -> evaluation metric.
 import numpy as np
 import pytest
 
+from repro.config import TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.datasets import load_benchmark_dataset, load_smallnorb_like
 from repro.eval import LogisticRegressionClassifier, RBMAnomalyDetector, RBMRecommender
@@ -18,13 +19,6 @@ from repro.rbm import (
     ConvolutionalRBM,
     DeepBeliefNetwork,
     average_log_probability,
-)
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
 )
 
 
@@ -48,11 +42,15 @@ class TestImageClassificationPipelines:
         base.init_visible_bias_from_data(image_data.train_x)
 
         cd_rbm = base.copy()
-        CDTrainer(0.2, cd_k=10, batch_size=10, rng=1).train(cd_rbm, image_data.train_x, epochs=15)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=10, batch_size=10), rng=1
+        ).train(cd_rbm, image_data.train_x, epochs=15)
         cd_accuracy = self._feature_accuracy(cd_rbm, image_data)
 
         bgf_rbm = base.copy()
-        BGFTrainer(0.2, reference_batch_size=10, rng=1).train(bgf_rbm, image_data.train_x, epochs=15)
+        BGFTrainer(
+            spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1
+        ).train(bgf_rbm, image_data.train_x, epochs=15)
         bgf_accuracy = self._feature_accuracy(bgf_rbm, image_data)
 
         assert cd_accuracy > 0.5
@@ -64,7 +62,9 @@ class TestImageClassificationPipelines:
         dbn = DeepBeliefNetwork((image_data.n_features, 24, 16, image_data.n_classes), rng=0)
 
         def layer_trainer(rbm, layer_data):
-            return GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, rng=2).train(
+            return GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10), rng=2
+            ).train(
                 rbm, layer_data, epochs=5
             )
 
@@ -81,7 +81,9 @@ class TestImageClassificationPipelines:
         features_test = conv.transform(data.test_x)
 
         rbm = BernoulliRBM(features_train.shape[1], 16, rng=2)
-        CDTrainer(0.2, cd_k=1, batch_size=10, rng=3).train(rbm, features_train, epochs=10)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=3
+        ).train(rbm, features_train, epochs=10)
         clf = LogisticRegressionClassifier(16, data.n_classes, rng=4)
         train_f = rbm.transform(features_train)
         test_f = rbm.transform(features_test)
@@ -94,13 +96,15 @@ class TestImageClassificationPipelines:
 class TestRecommenderAndAnomalyPipelines:
     def test_recommender_end_to_end_with_bgf(self):
         ratings = load_benchmark_dataset("recommender", scale="ci", seed=0)
-        trainer = BGFTrainer(0.2, reference_batch_size=10, rng=0)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=0)
         recommender = RBMRecommender(n_hidden=24, trainer=trainer, epochs=25, rng=1).fit(ratings)
         assert recommender.evaluate_mae(ratings) < recommender.baseline_mae(ratings) * 1.05
 
     def test_anomaly_end_to_end_with_gs(self):
         dataset = load_benchmark_dataset("anomaly", scale="ci", seed=0)
-        trainer = GibbsSamplerTrainer(0.05, cd_k=1, batch_size=20, rng=0)
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.05, cd_k=1, batch_size=20), rng=0
+        )
         detector = RBMAnomalyDetector(n_hidden=10, trainer=trainer, epochs=15, rng=1).fit(dataset)
         assert detector.evaluate_auc(dataset) > 0.85
 
@@ -114,7 +118,9 @@ class TestIsingSubstratePipeline:
         prototypes = (rng.random((3, 10)) < 0.5).astype(float)
         data = prototypes[rng.integers(0, 3, 80)]
         rbm = BernoulliRBM(10, 4, rng=1)
-        CDTrainer(0.3, cd_k=1, batch_size=10, rng=2).train(rbm, data, epochs=30)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.3, cd_k=1, batch_size=10), rng=2
+        ).train(rbm, data, epochs=30)
 
         model, offset = IsingModel.from_rbm(rbm)
         result = SimulatedAnnealingSolver(n_sweeps=300, rng=3).solve(model)
@@ -155,9 +161,13 @@ class TestQualityMetricsAcrossTrainers:
         initial = average_log_probability(base, data, n_chains=20, n_betas=60, rng=0)
 
         trainers = {
-            "cd": CDTrainer(0.2, cd_k=1, batch_size=10, rng=1),
-            "gs": GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, rng=1),
-            "bgf": BGFTrainer(0.2, reference_batch_size=10, rng=1),
+            "cd": CDTrainer(spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=1),
+            "gs": GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10), rng=1
+            ),
+            "bgf": BGFTrainer(
+                spec=TrainerSpec.bgf(0.2, reference_batch_size=10), rng=1
+            ),
         }
         for name, trainer in trainers.items():
             rbm = base.copy()

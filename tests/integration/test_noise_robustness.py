@@ -8,17 +8,10 @@ ideal substrate, at miniature scale.
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import NoiseSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.rbm import BernoulliRBM
 from repro.rbm.metrics import reconstruction_error
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +34,25 @@ def _train_and_score(trainer_factory, noise, data, epochs=12):
 class TestGibbsSamplerNoiseRobustness:
     def test_moderate_noise_preserves_training_quality(self, structured_data):
         def factory(noise):
-            return GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, noise_config=noise, rng=1)
+            return GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10, noise=noise),
+                rng=1,
+            )
 
-        ideal = _train_and_score(factory, NoiseConfig(0.0, 0.0), structured_data)
-        moderate = _train_and_score(factory, NoiseConfig(0.1, 0.1), structured_data)
+        ideal = _train_and_score(factory, NoiseSpec(0.0, 0.0), structured_data)
+        moderate = _train_and_score(factory, NoiseSpec(0.1, 0.1), structured_data)
         untrained = reconstruction_error(BernoulliRBM(20, 10, rng=0), structured_data)
         assert moderate < untrained  # it still learns
         assert moderate < ideal * 1.6 + 0.02  # and not much worse than ideal
 
     def test_extreme_noise_still_learns_something(self, structured_data):
         def factory(noise):
-            return GibbsSamplerTrainer(0.2, cd_k=1, batch_size=10, noise_config=noise, rng=1)
+            return GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.2, cd_k=1, batch_size=10, noise=noise),
+                rng=1,
+            )
 
-        noisy = _train_and_score(factory, NoiseConfig(0.3, 0.3), structured_data)
+        noisy = _train_and_score(factory, NoiseSpec(0.3, 0.3), structured_data)
         untrained = reconstruction_error(BernoulliRBM(20, 10, rng=0), structured_data)
         assert noisy < untrained
 
@@ -61,10 +60,17 @@ class TestGibbsSamplerNoiseRobustness:
 class TestBGFNoiseRobustness:
     def test_noise_sweep_band_is_narrow(self, structured_data):
         def factory(noise):
-            return BGFTrainer(0.2, reference_batch_size=10, noise_config=noise, rng=1)
+            return BGFTrainer(
+                spec=TrainerSpec.bgf(
+                    0.2,
+                    reference_batch_size=10,
+                    noise=noise,
+                ),
+                rng=1,
+            )
 
         errors = {
-            rms: _train_and_score(factory, NoiseConfig(rms, rms), structured_data)
+            rms: _train_and_score(factory, NoiseSpec(rms, rms), structured_data)
             for rms in (0.0, 0.05, 0.1, 0.3)
         }
         untrained = reconstruction_error(BernoulliRBM(20, 10, rng=0), structured_data)
@@ -77,10 +83,17 @@ class TestBGFNoiseRobustness:
     def test_static_variation_alone_and_dynamic_noise_alone(self, structured_data):
         """Both noise ingredients are tolerable individually as well."""
         def factory(noise):
-            return BGFTrainer(0.2, reference_batch_size=10, noise_config=noise, rng=1)
+            return BGFTrainer(
+                spec=TrainerSpec.bgf(
+                    0.2,
+                    reference_batch_size=10,
+                    noise=noise,
+                ),
+                rng=1,
+            )
 
-        ideal = _train_and_score(factory, NoiseConfig(0.0, 0.0), structured_data)
-        variation_only = _train_and_score(factory, NoiseConfig(0.2, 0.0), structured_data)
-        noise_only = _train_and_score(factory, NoiseConfig(0.0, 0.2), structured_data)
+        ideal = _train_and_score(factory, NoiseSpec(0.0, 0.0), structured_data)
+        variation_only = _train_and_score(factory, NoiseSpec(0.2, 0.0), structured_data)
+        noise_only = _train_and_score(factory, NoiseSpec(0.0, 0.2), structured_data)
         assert variation_only < ideal * 1.8 + 0.02
         assert noise_only < ideal * 1.8 + 0.02

@@ -12,22 +12,14 @@ Excluded from the default pytest selection by the ``paperscale`` marker
 import numpy as np
 import pytest
 
-from repro.config import ComputeSpec
+from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerTrainer
 from repro.experiments.fig7_logprob import run_figure7_paper, trajectories
 from repro.experiments.table4_accuracy import run_table4_paper
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 
-# Alongside the paperscale marker: these smokes exercise the legacy
-# kwarg-style constructors on purpose, so they opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = [
-    pytest.mark.paperscale,
-    pytest.mark.filterwarnings(
-        "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-    ),
-]
+pytestmark = pytest.mark.paperscale
 
 # The nightly CI matrix's workers column (see .github/workflows/ci.yml):
 # the presets are smoked serially and through the sharded settle / threaded
@@ -42,7 +34,9 @@ class TestPaperScaleKernels:
     """Direct 784x500 float32 substrate + AIS execution (no dataset loop)."""
 
     def test_settle_batch_784x500_float32(self):
-        substrate = BipartiteIsingSubstrate(784, 500, rng=0, dtype="float32")
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(784, 500, compute=ComputeSpec(dtype="float32")), rng=0
+        )
         rng = np.random.default_rng(1)
         substrate.program(
             rng.normal(0, 0.05, (784, 500)), np.zeros(784), np.zeros(500)
@@ -62,8 +56,12 @@ class TestPaperScaleKernels:
             rng.normal(0, 0.1, 500),
         )
         result = AISEstimator(
-            n_chains=32, n_betas=100, rng=2, dtype="float32",
-            workers=SMOKE_WORKERS,
+            spec=EstimatorSpec(
+                chains=32,
+                betas=100,
+                compute=ComputeSpec(dtype="float32", workers=SMOKE_WORKERS),
+            ),
+            rng=2,
         ).estimate_log_partition(rbm)
         assert np.isfinite(result.log_partition)
         assert result.effective_sample_size > 1.0
@@ -73,8 +71,15 @@ class TestPaperScaleKernels:
         data = (rng.random((128, 784)) < 0.3).astype(float)
         rbm = BernoulliRBM(784, 500, rng=0)
         trainer = GibbsSamplerTrainer(
-            0.05, cd_k=1, batch_size=16, chains=64, persistent=True, rng=1,
-            dtype="float32", workers=SMOKE_WORKERS,
+            spec=TrainerSpec.gs(
+                0.05,
+                cd_k=1,
+                batch_size=16,
+                chains=64,
+                persistent=True,
+                compute=ComputeSpec(dtype="float32", workers=SMOKE_WORKERS),
+            ),
+            rng=1,
         )
         history = trainer.train(rbm, data, epochs=1)
         assert np.isfinite(rbm.weights).all()

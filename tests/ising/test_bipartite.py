@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import NoiseSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 @pytest.fixture
@@ -22,7 +15,9 @@ def programmed_substrate():
     rbm = BernoulliRBM(12, 6, rng=0)
     rng = np.random.default_rng(1)
     rbm.set_parameters(rng.normal(0, 0.5, (12, 6)), rng.normal(0, 0.3, 12), rng.normal(0, 0.3, 6))
-    substrate = BipartiteIsingSubstrate(12, 6, rng=2, input_bits=None)
+    substrate = BipartiteIsingSubstrate(
+        spec=SubstrateSpec(12, 6, input_bits=None), rng=2
+    )
     substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
     return substrate, rbm
 
@@ -30,7 +25,7 @@ def programmed_substrate():
 class TestConstruction:
     def test_invalid_dimensions(self):
         with pytest.raises(ValidationError):
-            BipartiteIsingSubstrate(0, 5)
+            BipartiteIsingSubstrate(spec=SubstrateSpec(0, 5))
 
     def test_coupling_unit_savings(self):
         """Fig. 3's point: the bipartite layout needs ~6x fewer coupling units
@@ -40,7 +35,7 @@ class TestConstruction:
         assert all_to_all / bipartite == pytest.approx(6.17, abs=0.1)
 
     def test_n_coupling_units(self):
-        substrate = BipartiteIsingSubstrate(10, 4, rng=0)
+        substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(10, 4), rng=0)
         assert substrate.n_coupling_units == 40
 
 
@@ -53,7 +48,7 @@ class TestProgramming:
         np.testing.assert_array_equal(bh, rbm.hidden_bias)
 
     def test_program_shape_check(self):
-        substrate = BipartiteIsingSubstrate(5, 3, rng=0)
+        substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(5, 3), rng=0)
         with pytest.raises(ValidationError):
             substrate.program(np.zeros((3, 5)), np.zeros(5), np.zeros(3))
 
@@ -66,12 +61,16 @@ class TestProgramming:
 
 class TestClamping:
     def test_clamp_without_dtc_passthrough(self):
-        substrate = BipartiteIsingSubstrate(4, 2, rng=0, input_bits=None)
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(4, 2, input_bits=None), rng=0
+        )
         values = np.array([0.1, 0.5, 0.9, 0.3])
         np.testing.assert_array_equal(substrate.clamp_visible(values), values)
 
     def test_clamp_with_dtc_quantizes(self):
-        substrate = BipartiteIsingSubstrate(4, 2, rng=0, input_bits=2)
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(4, 2, input_bits=2), rng=0
+        )
         values = np.array([[0.1, 0.5, 0.9, 0.3]])
         clamped = substrate.clamp_visible(values)
         # 2-bit DTC: only 4 levels {0, 1/3, 2/3, 1}
@@ -79,7 +78,7 @@ class TestClamping:
         assert all(any(abs(v - level) < 1e-9 for level in levels) for v in clamped.ravel())
 
     def test_clamp_wrong_width(self):
-        substrate = BipartiteIsingSubstrate(4, 2, rng=0)
+        substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(4, 2), rng=0)
         with pytest.raises(ValidationError):
             substrate.clamp_visible(np.zeros(5))
 
@@ -144,9 +143,11 @@ class TestNoiseInjection:
         rbm = BernoulliRBM(10, 5, rng=0)
         rng = np.random.default_rng(1)
         rbm.set_parameters(rng.normal(0, 1, (10, 5)), np.zeros(10), np.zeros(5))
-        ideal = BipartiteIsingSubstrate(10, 5, rng=3, input_bits=None)
+        ideal = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(10, 5, input_bits=None), rng=3
+        )
         noisy = BipartiteIsingSubstrate(
-            10, 5, rng=3, input_bits=None, noise_config=NoiseConfig(0.3, 0.0)
+            spec=SubstrateSpec(10, 5, input_bits=None, noise=NoiseSpec(0.3, 0.0)), rng=3
         )
         for sub in (ideal, noisy):
             sub.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
@@ -156,7 +157,7 @@ class TestNoiseInjection:
     def test_dynamic_noise_varies_between_calls(self):
         rbm = BernoulliRBM(10, 5, rng=0)
         substrate = BipartiteIsingSubstrate(
-            10, 5, rng=3, input_bits=None, noise_config=NoiseConfig(0.0, 0.2)
+            spec=SubstrateSpec(10, 5, input_bits=None, noise=NoiseSpec(0.0, 0.2)), rng=3
         )
         substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         v = np.ones((2, 10))
@@ -178,7 +179,7 @@ class TestNoiseInjection:
         rng = np.random.default_rng(1)
         rbm.set_parameters(rng.normal(0, 1.0, (12, 6)), np.zeros(12), np.zeros(6))
         noisy = BipartiteIsingSubstrate(
-            12, 6, rng=5, input_bits=None, noise_config=NoiseConfig(0.1, 0.1)
+            spec=SubstrateSpec(12, 6, input_bits=None, noise=NoiseSpec(0.1, 0.1)), rng=5
         )
         noisy.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         v = (np.random.default_rng(6).random((200, 12)) < 0.5).astype(float)

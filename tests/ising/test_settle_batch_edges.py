@@ -10,22 +10,19 @@ beyond the statistical suites.
 import numpy as np
 import pytest
 
+from repro.config import ComputeSpec, SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM
 from repro.utils.validation import ValidationError
 
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
-
 
 def _substrate(seed=0, *, n_visible=12, n_hidden=7, dtype="float64"):
     substrate = BipartiteIsingSubstrate(
-        n_visible, n_hidden, input_bits=None, rng=seed, dtype=dtype
+        spec=SubstrateSpec(
+            n_visible, n_hidden, input_bits=None, compute=ComputeSpec(dtype=dtype)
+        ),
+        rng=seed,
     )
     rng = np.random.default_rng(1)
     substrate.program(
@@ -138,9 +135,13 @@ class TestWorkersValidation:
 
     def test_trainer_rejects_bad_workers_at_construction(self):
         with pytest.raises(ValidationError, match="workers"):
-            GibbsSamplerTrainer(0.1, workers=0)
+            GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.1, compute=ComputeSpec(workers=0))
+            )
         with pytest.raises(ValidationError, match="workers"):
-            GibbsSamplerTrainer(0.1, workers=2.5)
+            GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.1, compute=ComputeSpec(workers=2.5))
+            )
 
     @pytest.mark.parametrize("workers", [2, 3, 16])
     def test_workers_exceeding_chains_degrade_to_one_shard_per_chain(self, workers):
@@ -174,7 +175,10 @@ class TestChainCountVsBatchSize:
         """chains > batch or chains not dividing it: positive rows recycle."""
         rbm = BernoulliRBM(12, 7, rng=0)
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=chains, persistent=False, rng=1
+            spec=TrainerSpec.gs(
+                0.1, cd_k=1, batch_size=10, chains=chains, persistent=False
+            ),
+            rng=1,
         )
         history = trainer.train(rbm, data, epochs=2)
         assert len(history.reconstruction_error) == 2
@@ -184,8 +188,15 @@ class TestChainCountVsBatchSize:
     def test_persistent_chains_survive_ragged_batches(self, data, chain_batch):
         rbm = BernoulliRBM(12, 7, rng=0)
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=5, persistent=True,
-            chain_batch=chain_batch, rng=1,
+            spec=TrainerSpec.gs(
+                0.1,
+                cd_k=1,
+                batch_size=10,
+                chains=5,
+                persistent=True,
+                chain_batch=chain_batch,
+            ),
+            rng=1,
         )
         trainer.train(rbm, data, epochs=2)
         assert trainer.chain_states.shape == (5, 7)

@@ -30,17 +30,11 @@ import numpy as np
 import pytest
 
 from helpers import MOMENT_ATOL, assert_visible_kl_below
+from repro.config import SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM
 from repro.rbm.partition import exact_model_moments
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 N_VISIBLE, N_HIDDEN = 6, 4
 BURN_IN = 300
@@ -71,7 +65,7 @@ def exact_moments(enumerable_rbm):
 
 def _programmed_substrate(rbm: BernoulliRBM, seed: int) -> BipartiteIsingSubstrate:
     substrate = BipartiteIsingSubstrate(
-        rbm.n_visible, rbm.n_hidden, input_bits=None, rng=seed
+        spec=SubstrateSpec(rbm.n_visible, rbm.n_hidden, input_bits=None), rng=seed
     )
     substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
     return substrate
@@ -174,7 +168,9 @@ class TestNegativePhaseChainLayouts:
     from the same conditional distributions (moment-level agreement)."""
 
     def _advance_moments(self, rbm, *, batch_chains, seed):
-        machine = GibbsSamplerMachine(rbm.n_visible, rbm.n_hidden, rng=seed)
+        machine = GibbsSamplerMachine(
+            spec=SubstrateSpec(rbm.n_visible, rbm.n_hidden), rng=seed
+        )
         machine.substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         chains = (
             np.random.default_rng(seed).random((16, rbm.n_hidden)) < 0.5
@@ -216,7 +212,8 @@ class TestPersistentTrainerChains:
         )
         rbm = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=16, persistent=True, rng=1
+            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=16, persistent=True),
+            rng=1,
         )
         trainer.train(rbm, data, epochs=30)
         mean_v, _, _ = exact_model_moments(rbm)

@@ -35,16 +35,10 @@ from helpers import (
     assert_visible_kl_below,
     chain_moments,
 )
+from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 from repro.rbm.partition import exact_log_partition, exact_model_moments
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 # The CI matrix's workers column adds its leg to the parametrization.
 _env = os.environ.get("REPRO_WORKERS", "")
@@ -75,7 +69,13 @@ def _collect_samples(
     rbm, *, workers, dtype="float64", seed=23, chains=32, burn_in=250, sweeps=350
 ):
     substrate = BipartiteIsingSubstrate(
-        rbm.n_visible, rbm.n_hidden, input_bits=None, rng=seed, dtype=dtype
+        spec=SubstrateSpec(
+            rbm.n_visible,
+            rbm.n_hidden,
+            input_bits=None,
+            compute=ComputeSpec(dtype=dtype),
+        ),
+        rng=seed,
     )
     substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
     hidden = (
@@ -158,7 +158,10 @@ class TestThreadedAISPool:
     def test_matches_exact_on_enumerable_rbm(self, tiny_rbm, workers):
         exact = exact_log_partition(tiny_rbm)
         pooled = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, workers=workers
+            spec=EstimatorSpec(
+                chains=100, betas=300, compute=ComputeSpec(workers=workers)
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         assert pooled.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)
         assert np.all(np.isfinite(pooled.log_weights))
@@ -166,11 +169,16 @@ class TestThreadedAISPool:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_matches_serial_estimate(self, tiny_rbm, workers):
-        serial = AISEstimator(n_chains=100, n_betas=300, rng=0).estimate_log_partition(
+        serial = AISEstimator(
+            spec=EstimatorSpec(chains=100, betas=300), rng=0
+        ).estimate_log_partition(
             tiny_rbm
         )
         pooled = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, workers=workers
+            spec=EstimatorSpec(
+                chains=100, betas=300, compute=ComputeSpec(workers=workers)
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         # Two runs of the same estimator on different streams: both carry
         # the estimator's own Monte-Carlo spread.
@@ -183,7 +191,10 @@ class TestThreadedAISPool:
         loop threads just as well."""
         exact = exact_log_partition(tiny_rbm)
         pooled = AISEstimator(
-            n_chains=60, n_betas=300, rng=0, workers=2, fast_path=False
+            spec=EstimatorSpec(
+                chains=60, betas=300, compute=ComputeSpec(workers=2, fast_path=False)
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         assert pooled.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)
 
@@ -191,6 +202,11 @@ class TestThreadedAISPool:
     def test_float32_pool_matches_exact(self, tiny_rbm, workers):
         exact = exact_log_partition(tiny_rbm)
         pooled = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, dtype="float32", workers=workers
+            spec=EstimatorSpec(
+                chains=100,
+                betas=300,
+                compute=ComputeSpec(dtype="float32", workers=workers),
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         assert pooled.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)

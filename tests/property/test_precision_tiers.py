@@ -36,19 +36,13 @@ from helpers import (
     assert_visible_kl_below,
     chain_moments,
 )
+from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 from repro.rbm.partition import exact_log_partition, exact_model_moments
 from repro.utils.numerics import fused_sigmoid_bernoulli, sigmoid
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 N_VISIBLE, N_HIDDEN = 6, 4
 
@@ -73,7 +67,13 @@ def exact_moments(enumerable_rbm):
 
 def _collect_samples(rbm, *, dtype, seed, chains=32, burn_in=250, sweeps=350):
     substrate = BipartiteIsingSubstrate(
-        rbm.n_visible, rbm.n_hidden, input_bits=None, rng=seed, dtype=dtype
+        spec=SubstrateSpec(
+            rbm.n_visible,
+            rbm.n_hidden,
+            input_bits=None,
+            compute=ComputeSpec(dtype=dtype),
+        ),
+        rng=seed,
     )
     substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
     hidden = (
@@ -108,7 +108,13 @@ class TestFloat32SamplerMatchesExactDistribution:
         """The ideal corner actually exercises the fused kernel (guards the
         suite against silently testing the fallback path)."""
         substrate = BipartiteIsingSubstrate(
-            N_VISIBLE, N_HIDDEN, input_bits=None, rng=0, dtype="float32"
+            spec=SubstrateSpec(
+                N_VISIBLE,
+                N_HIDDEN,
+                input_bits=None,
+                compute=ComputeSpec(dtype="float32"),
+            ),
+            rng=0,
         )
         assert substrate._fused_sampling
 
@@ -144,17 +150,25 @@ class TestFloat32AIS:
     def test_matches_exact_on_enumerable_rbm(self, tiny_rbm):
         exact = exact_log_partition(tiny_rbm)
         f32 = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, dtype="float32"
+            spec=EstimatorSpec(
+                chains=100, betas=300, compute=ComputeSpec(dtype="float32")
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         assert f32.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)
         assert np.all(np.isfinite(f32.log_weights))
 
     def test_matches_float64_estimate(self, tiny_rbm):
-        f64 = AISEstimator(n_chains=100, n_betas=300, rng=0).estimate_log_partition(
+        f64 = AISEstimator(
+            spec=EstimatorSpec(chains=100, betas=300), rng=0
+        ).estimate_log_partition(
             tiny_rbm
         )
         f32 = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, dtype="float32"
+            spec=EstimatorSpec(
+                chains=100, betas=300, compute=ComputeSpec(dtype="float32")
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         # Two runs of the same estimator with different streams: both carry
         # the estimator's own Monte-Carlo spread.
@@ -164,7 +178,11 @@ class TestFloat32AIS:
 
     def test_float32_requires_fast_path(self):
         with pytest.raises(ValidationError):
-            AISEstimator(dtype="float32", fast_path=False)
+            AISEstimator(
+                spec=EstimatorSpec(
+                    compute=ComputeSpec(dtype="float32", fast_path=False)
+                ),
+            )
 
 
 class TestFusedLatchKernel:
@@ -206,8 +224,15 @@ class TestFloat32Trainers:
         for dtype in ("float64", "float32"):
             rbm = BernoulliRBM(16, 6, rng=0)
             trainer = GibbsSamplerTrainer(
-                0.1, cd_k=1, batch_size=10, chains=8, persistent=True, rng=1,
-                dtype=dtype,
+                spec=TrainerSpec.gs(
+                    0.1,
+                    cd_k=1,
+                    batch_size=10,
+                    chains=8,
+                    persistent=True,
+                    compute=ComputeSpec(dtype=dtype),
+                ),
+                rng=1,
             )
             histories[dtype] = trainer.train(rbm, tiny_binary_data, epochs=12)
             # Host-side model stays double precision (mixed-precision split).
@@ -223,16 +248,25 @@ class TestFloat32Trainers:
     def test_bgf_float32_learns(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 6, rng=0)
         history = BGFTrainer(
-            0.1, reference_batch_size=10, rng=1, dtype="float32"
+            spec=TrainerSpec.bgf(
+                0.1, reference_batch_size=10, compute=ComputeSpec(dtype="float32")
+            ),
+            rng=1,
         ).train(rbm, tiny_binary_data, epochs=6)
         assert np.isfinite(rbm.weights).all()
         assert history.reconstruction_error[-1] < history.reconstruction_error[0] + 0.05
 
     def test_float32_requires_fast_path(self):
         with pytest.raises(ValidationError):
-            BipartiteIsingSubstrate(8, 4, dtype="float32", fast_path=False)
+            BipartiteIsingSubstrate(
+                spec=SubstrateSpec(
+                    8, 4, compute=ComputeSpec(dtype="float32", fast_path=False)
+                ),
+            )
 
     def test_machine_dtype_property(self):
-        machine = GibbsSamplerMachine(8, 4, rng=0, dtype="float32")
+        machine = GibbsSamplerMachine(
+            spec=SubstrateSpec(8, 4, compute=ComputeSpec(dtype="float32")), rng=0
+        )
         assert machine.dtype == np.float32
         assert machine.substrate.weights.dtype == np.float32

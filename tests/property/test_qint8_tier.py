@@ -39,19 +39,13 @@ from helpers import (
     chain_moments,
 )
 from repro.analog.converters import dequantize_symmetric
+from repro.config import SubstrateSpec, TrainerSpec
 from repro.config.specs import ComputeSpec, EstimatorSpec
 from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 from repro.rbm.partition import exact_log_partition, exact_model_moments
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 N_VISIBLE, N_HIDDEN = 6, 4
 
@@ -90,7 +84,13 @@ def _collect_samples(
     workers=1,
 ):
     substrate = BipartiteIsingSubstrate(
-        rbm.n_visible, rbm.n_hidden, input_bits=None, rng=seed, dtype=dtype
+        spec=SubstrateSpec(
+            rbm.n_visible,
+            rbm.n_hidden,
+            input_bits=None,
+            compute=ComputeSpec(dtype=dtype),
+        ),
+        rng=seed,
     )
     substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
     hidden = (
@@ -125,7 +125,10 @@ class TestQint8SamplerMatchesExactDistribution:
         """The qint8 tier runs the float32 sampling kernels, fused latch
         included (guards the suite against silently testing a fallback)."""
         substrate = BipartiteIsingSubstrate(
-            N_VISIBLE, N_HIDDEN, input_bits=None, rng=0, dtype="qint8"
+            spec=SubstrateSpec(
+                N_VISIBLE, N_HIDDEN, input_bits=None, compute=ComputeSpec(dtype="qint8")
+            ),
+            rng=0,
         )
         assert substrate._fused_sampling
         assert substrate.quantized
@@ -136,7 +139,10 @@ class TestQint8SamplerMatchesExactDistribution:
         bounded by ±127, float32 per-column scales, and codes × scales
         reproduce the matrix the kernels consume bit-for-bit."""
         substrate = BipartiteIsingSubstrate(
-            N_VISIBLE, N_HIDDEN, input_bits=None, rng=0, dtype="qint8"
+            spec=SubstrateSpec(
+                N_VISIBLE, N_HIDDEN, input_bits=None, compute=ComputeSpec(dtype="qint8")
+            ),
+            rng=0,
         )
         substrate.program(
             enumerable_rbm.weights,
@@ -185,17 +191,25 @@ class TestQint8AIS:
     def test_matches_exact_on_enumerable_rbm(self, tiny_rbm):
         exact = exact_log_partition(tiny_rbm)
         quantized = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, dtype="qint8"
+            spec=EstimatorSpec(
+                chains=100, betas=300, compute=ComputeSpec(dtype="qint8")
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         assert quantized.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)
         assert np.all(np.isfinite(quantized.log_weights))
 
     def test_matches_float64_estimate(self, tiny_rbm):
-        f64 = AISEstimator(n_chains=100, n_betas=300, rng=0).estimate_log_partition(
+        f64 = AISEstimator(
+            spec=EstimatorSpec(chains=100, betas=300), rng=0
+        ).estimate_log_partition(
             tiny_rbm
         )
         quantized = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, dtype="qint8"
+            spec=EstimatorSpec(
+                chains=100, betas=300, compute=ComputeSpec(dtype="qint8")
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         # Two runs of the same estimator with different streams: both carry
         # the estimator's own Monte-Carlo spread.
@@ -218,7 +232,9 @@ class TestQint8AIS:
 
     def test_qint8_requires_fast_path(self):
         with pytest.raises(ValidationError):
-            AISEstimator(dtype="qint8", fast_path=False)
+            AISEstimator(
+                spec=EstimatorSpec(compute=ComputeSpec(dtype="qint8", fast_path=False))
+            )
 
 
 class TestQint8Trainers:
@@ -227,8 +243,15 @@ class TestQint8Trainers:
     def test_gs_pcd_qint8_learns(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 6, rng=0)
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=8, persistent=True, rng=1,
-            dtype="qint8",
+            spec=TrainerSpec.gs(
+                0.1,
+                cd_k=1,
+                batch_size=10,
+                chains=8,
+                persistent=True,
+                compute=ComputeSpec(dtype="qint8"),
+            ),
+            rng=1,
         )
         history = trainer.train(rbm, tiny_binary_data, epochs=12)
         # Host-side model stays double precision (mixed-precision split);
@@ -243,17 +266,26 @@ class TestQint8Trainers:
         invalidation path, so a learning run covers it end to end."""
         rbm = BernoulliRBM(16, 6, rng=0)
         history = BGFTrainer(
-            0.1, reference_batch_size=10, rng=1, dtype="qint8"
+            spec=TrainerSpec.bgf(
+                0.1, reference_batch_size=10, compute=ComputeSpec(dtype="qint8")
+            ),
+            rng=1,
         ).train(rbm, tiny_binary_data, epochs=6)
         assert np.isfinite(rbm.weights).all()
         assert history.reconstruction_error[-1] < history.reconstruction_error[0] + 0.05
 
     def test_qint8_requires_fast_path(self):
         with pytest.raises(ValidationError):
-            BipartiteIsingSubstrate(8, 4, dtype="qint8", fast_path=False)
+            BipartiteIsingSubstrate(
+                spec=SubstrateSpec(
+                    8, 4, compute=ComputeSpec(dtype="qint8", fast_path=False)
+                ),
+            )
 
     def test_machine_dtype_property(self):
-        machine = GibbsSamplerMachine(8, 4, rng=0, dtype="qint8")
+        machine = GibbsSamplerMachine(
+            spec=SubstrateSpec(8, 4, compute=ComputeSpec(dtype="qint8")), rng=0
+        )
         assert machine.dtype == np.float32
         assert machine.substrate.quantized
         assert machine.substrate.weights.dtype == np.float32

@@ -8,19 +8,12 @@ probability models.
 
 from helpers import FLOAT64_ASSOC_ATOL
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import TrainerSpec
 from repro.core import BGFConfig, BGFTrainer, GibbsSamplerTrainer
 from repro.rbm import BernoulliRBM, CDTrainer, PCDTrainer
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 def _data_from_seed(seed: int, n_samples: int, n_visible: int) -> np.ndarray:
@@ -40,7 +33,10 @@ class TestCDTrainerProperties:
     def test_parameters_stay_finite_and_shaped(self, seed, learning_rate, cd_k, batch_size):
         data = _data_from_seed(seed, 30, 10)
         rbm = BernoulliRBM(10, 5, rng=seed)
-        CDTrainer(learning_rate, cd_k=cd_k, batch_size=batch_size, rng=seed).train(
+        CDTrainer(
+            spec=TrainerSpec.cd(learning_rate, cd_k=cd_k, batch_size=batch_size),
+            rng=seed,
+        ).train(
             rbm, data, epochs=2
         )
         assert rbm.weights.shape == (10, 5)
@@ -53,7 +49,7 @@ class TestCDTrainerProperties:
     def test_probabilities_remain_valid_after_training(self, seed):
         data = _data_from_seed(seed, 30, 8)
         rbm = BernoulliRBM(8, 4, rng=seed)
-        CDTrainer(0.3, rng=seed).train(rbm, data, epochs=3)
+        CDTrainer(spec=TrainerSpec.cd(0.3), rng=seed).train(rbm, data, epochs=3)
         probabilities = rbm.hidden_activation_probability(data)
         assert probabilities.min() >= 0.0
         assert probabilities.max() <= 1.0
@@ -77,7 +73,9 @@ class TestHardwareTrainerProperties:
     def test_gs_trained_parameters_finite(self, seed, cd_k):
         data = _data_from_seed(seed, 25, 10)
         rbm = BernoulliRBM(10, 5, rng=seed)
-        GibbsSamplerTrainer(0.2, cd_k=cd_k, batch_size=5, rng=seed).train(rbm, data, epochs=2)
+        GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.2, cd_k=cd_k, batch_size=5), rng=seed
+        ).train(rbm, data, epochs=2)
         assert np.all(np.isfinite(rbm.weights))
 
     @settings(max_examples=8, deadline=None)
@@ -90,7 +88,7 @@ class TestHardwareTrainerProperties:
         data = _data_from_seed(seed, 25, 10)
         rbm = BernoulliRBM(10, 5, rng=seed)
         config = BGFConfig(step_size=step, weight_range=(-half_range, half_range))
-        trainer = BGFTrainer(0.1, config=config, rng=seed)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1), rng=seed, config=config)
         trainer.train(rbm, data, epochs=2)
         machine_weights, machine_bv, machine_bh = trainer.machine.substrate.read_parameters()
         assert machine_weights.min() >= -half_range - FLOAT64_ASSOC_ATOL
@@ -103,6 +101,8 @@ class TestHardwareTrainerProperties:
     def test_bgf_history_lengths(self, seed):
         data = _data_from_seed(seed, 20, 10)
         rbm = BernoulliRBM(10, 5, rng=seed)
-        history = BGFTrainer(0.2, rng=seed).train(rbm, data, epochs=3)
+        history = BGFTrainer(
+            spec=TrainerSpec.bgf(0.2), rng=seed
+        ).train(rbm, data, epochs=3)
         assert len(history) == 3
         assert all(np.isfinite(history.reconstruction_error))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import FLOAT64_ASSOC_ATOL
+from repro.config import ComputeSpec, EstimatorSpec, TrainerSpec
 from repro.rbm import (
     AISEstimator,
     BernoulliRBM,
@@ -16,13 +17,6 @@ from repro.rbm import (
 from repro.utils.numerics import log1pexp, log1pexp_diff
 from repro.utils.validation import ValidationError
 
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
-
 #: float64 tolerance for the vectorized-vs-loop regression: the two paths
 #: draw identical samples and differ only in accumulation association /
 #: the fused-kernel factoring (see tests/helpers/tolerances.py).
@@ -33,22 +27,26 @@ FLOAT64_ATOL = FLOAT64_ASSOC_ATOL
 def trained_tiny_rbm(tiny_binary_data):
     """A 16x6 RBM trained briefly so its distribution is non-trivial."""
     rbm = BernoulliRBM(16, 6, rng=0)
-    CDTrainer(0.2, cd_k=1, batch_size=10, rng=1).train(rbm, tiny_binary_data, epochs=10)
+    CDTrainer(
+        spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=1
+    ).train(rbm, tiny_binary_data, epochs=10)
     return rbm
 
 
 class TestAISEstimatorConfiguration:
     def test_invalid_chains(self):
         with pytest.raises(ValidationError):
-            AISEstimator(n_chains=0)
+            AISEstimator(spec=EstimatorSpec(chains=0))
 
     def test_invalid_betas(self):
         with pytest.raises(ValidationError):
-            AISEstimator(n_betas=1)
+            AISEstimator(spec=EstimatorSpec(betas=1))
 
     def test_base_bias_shape_check(self):
         rbm = BernoulliRBM(8, 4, rng=0)
-        estimator = AISEstimator(n_chains=4, n_betas=10, base_visible_bias=np.zeros(5))
+        estimator = AISEstimator(
+            spec=EstimatorSpec(chains=4, betas=10), base_visible_bias=np.zeros(5)
+        )
         with pytest.raises(ValidationError):
             estimator.estimate_log_partition(rbm)
 
@@ -58,7 +56,9 @@ class TestAISAccuracy:
         """With zero weights AIS must recover the analytic partition function."""
         rbm = BernoulliRBM(10, 5, rng=0)
         rbm.set_parameters(np.zeros((10, 5)), np.zeros(10), np.zeros(5))
-        result = AISEstimator(n_chains=20, n_betas=30, rng=0).estimate_log_partition(rbm)
+        result = AISEstimator(
+            spec=EstimatorSpec(chains=20, betas=30), rng=0
+        ).estimate_log_partition(rbm)
         assert result.log_partition == pytest.approx(15 * np.log(2.0), abs=1e-6)
 
     def test_matches_exact_partition_on_trained_model(self, trained_tiny_rbm):
@@ -83,7 +83,9 @@ class TestAISAccuracy:
         assert abs(fine - exact) <= abs(coarse - exact) + 0.2
 
     def test_result_metadata(self, trained_tiny_rbm):
-        result = AISEstimator(n_chains=16, n_betas=50, rng=1).estimate_log_partition(trained_tiny_rbm)
+        result = AISEstimator(
+            spec=EstimatorSpec(chains=16, betas=50), rng=1
+        ).estimate_log_partition(trained_tiny_rbm)
         assert result.n_chains == 16
         assert result.log_weights.shape == (16,)
         assert 1.0 <= result.effective_sample_size <= 16.0
@@ -103,14 +105,16 @@ class TestVectorizedSweepRegression:
 
     def _pair(self, rbm, *, n_chains=40, n_betas=120, seed=5, base=None):
         fast = AISEstimator(
-            n_chains=n_chains, n_betas=n_betas, rng=seed, base_visible_bias=base
-        ).estimate_log_partition(rbm)
-        loop = AISEstimator(
-            n_chains=n_chains,
-            n_betas=n_betas,
+            spec=EstimatorSpec(chains=n_chains, betas=n_betas),
             rng=seed,
             base_visible_bias=base,
-            fast_path=False,
+        ).estimate_log_partition(rbm)
+        loop = AISEstimator(
+            spec=EstimatorSpec(
+                chains=n_chains, betas=n_betas, compute=ComputeSpec(fast_path=False)
+            ),
+            rng=seed,
+            base_visible_bias=base,
         ).estimate_log_partition(rbm)
         return fast, loop
 
@@ -133,11 +137,16 @@ class TestVectorizedSweepRegression:
     def test_matches_exact_on_enumerable_rbm(self, tiny_rbm):
         """Both paths recover the exact log Z of a fully-enumerable 6x3 RBM."""
         exact = exact_log_partition(tiny_rbm)
-        fast = AISEstimator(n_chains=100, n_betas=300, rng=0).estimate_log_partition(
+        fast = AISEstimator(
+            spec=EstimatorSpec(chains=100, betas=300), rng=0
+        ).estimate_log_partition(
             tiny_rbm
         )
         loop = AISEstimator(
-            n_chains=100, n_betas=300, rng=0, fast_path=False
+            spec=EstimatorSpec(
+                chains=100, betas=300, compute=ComputeSpec(fast_path=False)
+            ),
+            rng=0,
         ).estimate_log_partition(tiny_rbm)
         assert fast.log_partition == pytest.approx(exact, abs=0.3)
         assert loop.log_partition == pytest.approx(exact, abs=0.3)
@@ -230,7 +239,9 @@ class TestAverageLogProbability:
         """The Figure-7 trend: average log probability rises with training."""
         rbm = BernoulliRBM(16, 6, rng=0)
         before = average_log_probability(rbm, tiny_binary_data, n_chains=50, n_betas=150, rng=0)
-        CDTrainer(0.2, cd_k=1, batch_size=10, rng=1).train(rbm, tiny_binary_data, epochs=20)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=1
+        ).train(rbm, tiny_binary_data, epochs=20)
         after = average_log_probability(rbm, tiny_binary_data, n_chains=50, n_betas=150, rng=0)
         assert after > before + 0.5
 

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.config import TrainerSpec
 from repro.rbm import BernoulliRBM, CDTrainer, ConvolutionalRBM, DeepBeliefNetwork
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 class TestDeepBeliefNetworkConstruction:
@@ -89,7 +83,9 @@ class TestDeepBeliefNetworkTraining:
 
         def layer_trainer(rbm, layer_data):
             calls.append(rbm.n_hidden)
-            return CDTrainer(0.1, rng=0).train(rbm, layer_data, epochs=1)
+            return CDTrainer(
+                spec=TrainerSpec.cd(0.1), rng=0
+            ).train(rbm, layer_data, epochs=1)
 
         dbn = DeepBeliefNetwork((train_x.shape[1], 10, 6, n_classes), rng=0)
         dbn.pretrain(train_x, layer_trainer=layer_trainer)
@@ -156,5 +152,7 @@ class TestConvolutionalRBM:
         crbm = ConvolutionalRBM(data.image_shape, n_filters=4, filter_size=3, rng=0)
         features = crbm.transform(data.train_x)
         rbm = BernoulliRBM(features.shape[1], 12, rng=0)
-        history = CDTrainer(0.1, rng=1).train(rbm, features, epochs=2)
+        history = CDTrainer(
+            spec=TrainerSpec.cd(0.1), rng=1
+        ).train(rbm, features, epochs=2)
         assert len(history) == 2

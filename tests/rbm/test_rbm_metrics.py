@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.config import TrainerSpec
 from repro.rbm import BernoulliRBM, CDTrainer
 from repro.rbm.metrics import free_energy_gap, pseudo_log_likelihood, reconstruction_error
 from repro.utils.validation import ValidationError
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 class TestReconstructionError:
@@ -22,7 +16,9 @@ class TestReconstructionError:
     def test_decreases_with_training(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
         before = reconstruction_error(rbm, tiny_binary_data)
-        CDTrainer(0.2, rng=1).train(rbm, tiny_binary_data, epochs=15)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2), rng=1
+        ).train(rbm, tiny_binary_data, epochs=15)
         assert reconstruction_error(rbm, tiny_binary_data) < before
 
     def test_perfect_model_near_zero(self):
@@ -43,7 +39,7 @@ class TestFreeEnergyGap:
         """After training on the first half, held-out data has higher free energy."""
         train, held = tiny_binary_data[:40], tiny_binary_data[40:]
         rbm = BernoulliRBM(16, 8, rng=0)
-        CDTrainer(0.3, rng=1).train(rbm, train, epochs=30)
+        CDTrainer(spec=TrainerSpec.cd(0.3), rng=1).train(rbm, train, epochs=30)
         # The gap should at least not be hugely negative (held-out fits better
         # than training data would indicate a bug).
         assert free_energy_gap(rbm, train, held) > -2.0
@@ -56,7 +52,9 @@ class TestPseudoLogLikelihood:
     def test_improves_with_training(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
         before = pseudo_log_likelihood(rbm, tiny_binary_data, rng=0)
-        CDTrainer(0.2, rng=1).train(rbm, tiny_binary_data, epochs=20)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2), rng=1
+        ).train(rbm, tiny_binary_data, epochs=20)
         after = pseudo_log_likelihood(rbm, tiny_binary_data, rng=0)
         assert after > before
 

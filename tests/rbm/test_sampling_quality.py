@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.config import TrainerSpec
 from repro.rbm import BernoulliRBM, CDTrainer, MaximumLikelihoodTrainer
 from repro.rbm.partition import enumerate_states, exact_visible_distribution
 from repro.utils.numerics import bernoulli_sample
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 class TestGibbsSamplingStatistics:
@@ -57,7 +51,9 @@ class TestGibbsSamplingStatistics:
         data = prototypes[rng.integers(0, 3, 150)]
         rbm = BernoulliRBM(12, 8, rng=5)
         rbm.init_visible_bias_from_data(data)
-        CDTrainer(0.3, cd_k=1, batch_size=10, rng=6).train(rbm, data, epochs=40)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.3, cd_k=1, batch_size=10), rng=6
+        ).train(rbm, data, epochs=40)
 
         corrupted = prototypes.copy()
         corrupted[:, :2] = 1.0 - corrupted[:, :2]  # flip two pixels of each
@@ -74,7 +70,9 @@ class TestCDGradientQuality:
         rng = np.random.default_rng(0)
         data = (rng.random((60, 8)) < np.array([0.8, 0.2, 0.7, 0.3, 0.5, 0.9, 0.1, 0.4])).astype(float)
         rbm = BernoulliRBM(8, 4, rng=1)
-        CDTrainer(0.1, cd_k=1, batch_size=10, rng=2).train(rbm, data, epochs=2)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.1, cd_k=1, batch_size=10), rng=2
+        ).train(rbm, data, epochs=2)
 
         # Exact gradient of the data log likelihood.
         trainer = MaximumLikelihoodTrainer(0.1)
@@ -83,7 +81,7 @@ class TestCDGradientQuality:
         exact_gradient = (data_vh - model_vh).ravel()
 
         # Averaged CD-5 estimate over many draws.
-        cd = CDTrainer(0.1, cd_k=5, batch_size=60, rng=3)
+        cd = CDTrainer(spec=TrainerSpec.cd(0.1, cd_k=5, batch_size=60), rng=3)
         estimates = []
         for _ in range(30):
             grad_w, _, _, _ = cd._gradient(rbm, data)
@@ -102,7 +100,9 @@ class TestCDGradientQuality:
         rng = np.random.default_rng(5)
         data = (rng.random((60, 8)) < 0.35).astype(float)
         rbm = BernoulliRBM(8, 4, rng=6)
-        CDTrainer(0.2, cd_k=1, batch_size=10, rng=7).train(rbm, data, epochs=3)
+        CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=7
+        ).train(rbm, data, epochs=3)
 
         trainer = MaximumLikelihoodTrainer(0.1)
         data_vh, _, _ = trainer.data_expectations(rbm, data)
@@ -110,7 +110,7 @@ class TestCDGradientQuality:
         exact_gradient = data_vh - model_vh
 
         def averaged_cd_error(k: int, repeats: int = 40) -> float:
-            cd = CDTrainer(0.1, cd_k=k, batch_size=60, rng=8)
+            cd = CDTrainer(spec=TrainerSpec.cd(0.1, cd_k=k, batch_size=60), rng=8)
             grads = [cd._gradient(rbm, data)[0] for _ in range(repeats)]
             return float(np.linalg.norm(np.mean(grads, axis=0) - exact_gradient))
 

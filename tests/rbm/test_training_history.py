@@ -1,16 +1,9 @@
 """Tests for the TrainingHistory record shared by all trainers."""
 
 import numpy as np
-import pytest
 
+from repro.config import TrainerSpec
 from repro.rbm import BernoulliRBM, CDTrainer, TrainingHistory
-
-# This module exercises the legacy kwarg-style constructors on purpose
-# (they are pinned bit-identical to the spec path); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 class TestTrainingHistory:
@@ -51,18 +44,22 @@ class TestTrainingHistory:
 class TestHistoryFromTrainers:
     def test_cd_history_error_is_decreasing_overall(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
-        history = CDTrainer(0.2, cd_k=1, batch_size=10, rng=1).train(
+        history = CDTrainer(
+            spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=1
+        ).train(
             rbm, tiny_binary_data, epochs=12
         )
         assert history.reconstruction_error[-1] < history.reconstruction_error[0]
 
     def test_history_epochs_are_sequential(self, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
-        history = CDTrainer(0.1, rng=1).train(rbm, tiny_binary_data, epochs=4)
+        history = CDTrainer(
+            spec=TrainerSpec.cd(0.1), rng=1
+        ).train(rbm, tiny_binary_data, epochs=4)
         assert history.epochs == list(range(4))
 
     def test_histories_are_independent_objects(self, tiny_binary_data):
-        trainer = CDTrainer(0.1, rng=1)
+        trainer = CDTrainer(spec=TrainerSpec.cd(0.1), rng=1)
         first = trainer.train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=2)
         second = trainer.train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=3)
         assert len(first) == 2

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analog import dequantize_symmetric, quantize_symmetric
+from repro.config import TrainerSpec
 from repro.config.specs import ComputeSpec, RunSpec
 from repro.core import GibbsSamplerTrainer
 from repro.eval import RBMAnomalyDetector, RBMRecommender
@@ -24,13 +25,6 @@ from repro.serve import (
     save_model,
 )
 from repro.utils.validation import ValidationError
-
-# The estimators here are built through the kwarg constructors (the
-# supported configuration surface for the eval pipelines); opt out of the
-# repro-internal deprecation error gate (pyproject filterwarnings).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.utils.deprecation.ReproDeprecationWarning"
-)
 
 
 def _random_rbm(n_visible=16, n_hidden=8, dtype=np.float64, seed=1):
@@ -274,7 +268,8 @@ class TestChainStateRoundTrip:
     def test_gs_chain_states_survive_and_restore(self, tmp_path, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
         trainer = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=4, persistent=True, rng=3
+            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=4, persistent=True),
+            rng=3,
         )
         trainer.train(rbm, tiny_binary_data, epochs=1)
         save_model(rbm, tmp_path / "gs", chain_state=trainer.chain_states)
@@ -282,7 +277,8 @@ class TestChainStateRoundTrip:
         artifact = load_model(tmp_path / "gs")
         np.testing.assert_array_equal(artifact.chain_state, trainer.chain_states)
         resumed = GibbsSamplerTrainer(
-            0.1, cd_k=1, batch_size=10, chains=4, persistent=True, rng=3
+            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=4, persistent=True),
+            rng=3,
         )
         resumed.restore_chain_states(artifact.chain_state)
         np.testing.assert_array_equal(
@@ -294,7 +290,9 @@ class TestChainStateRoundTrip:
             PCDTrainer(0.1, n_particles=6, rng=0).restore_particles(
                 np.zeros((3, 8))
             )
-        trainer = GibbsSamplerTrainer(0.1, chains=4, persistent=False, rng=0)
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, chains=4, persistent=False), rng=0
+        )
         with pytest.raises(ValidationError, match="persistent"):
             trainer.restore_chain_states(np.zeros((4, 8)))
 

@@ -40,7 +40,7 @@ class TestExitCodes:
     def test_list_rules(self):
         code, out = run(list_rules=True)
         assert code == 0
-        for rule_code in ("R001", "R002", "R003", "R004", "R005"):
+        for rule_code in ("R001", "R002", "R003", "R004"):
             assert rule_code in out
 
 
@@ -81,7 +81,7 @@ class TestDiscovery:
         report = json.loads(out)
         assert report["files_checked"] == len(list(FIXTURES.glob("*.py")))
         # Every bad fixture contributes its rule to the summary.
-        assert set(report["summary"]) == {"R001", "R002", "R003", "R004", "R005"}
+        assert set(report["summary"]) == {"R001", "R002", "R003", "R004"}
 
     def test_duplicate_paths_deduplicate(self):
         path = str(FIXTURES / "r001_bad.py")

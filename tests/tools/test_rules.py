@@ -1,6 +1,6 @@
 """The fixture corpus: every rule proven against known-good/known-bad code.
 
-Each R001–R005 rule has at least one committed fixture that *fails* it and
+Each R001–R004 rule has at least one committed fixture that *fails* it and
 one that passes; a rule edit that stops flagging its own failure mode
 breaks this suite, not just the live tree.
 """
@@ -71,15 +71,6 @@ class TestKnownBadFixtures:
         assert "socket.create_connection" in messages
         assert "subprocess.run" in messages
 
-    def test_r005_flags_shim_construction(self):
-        findings = lint_fixture("r005_bad.py")
-        assert codes(findings) == ["R005"]
-        messages = [f.message for f in findings]
-        assert len(findings) == 3
-        assert any("positional" in m for m in messages)
-        assert any("shim keyword(s)" in m for m in messages)
-        assert any("splat" in m for m in messages)
-
 
 class TestKnownGoodFixtures:
     @pytest.mark.parametrize(
@@ -89,7 +80,6 @@ class TestKnownGoodFixtures:
             "r002_good.py",
             "r003_good.py",
             "r004_good.py",
-            "r005_good.py",
         ],
     )
     def test_good_fixture_is_clean(self, name):
@@ -120,5 +110,4 @@ class TestSelect:
             "R002",
             "R003",
             "R004",
-            "R005",
         ]

@@ -84,6 +84,20 @@ class TestCheckPositive:
         with pytest.raises(ValidationError):
             check_positive(-1.0, strict=False)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), "0.1", None, True]
+    )
+    def test_rejects_non_finite_and_non_numeric_naming_the_field(self, value):
+        """``nan <= 0`` is False, so NaN once passed as positive; strings
+        and bools coerced through ``float()``."""
+        with pytest.raises(ValidationError, match="learning_rate"):
+            check_positive(value, name="learning_rate", strict=False)
+
+    def test_numpy_and_int_scalars_return_a_float(self):
+        for value in (np.float32(0.5), np.int64(3), 2):
+            out = check_positive(value)
+            assert type(out) is float and out == float(value)
+
 
 class TestCheckInRange:
     def test_inclusive_bounds(self):
@@ -103,3 +117,8 @@ class TestCheckInRange:
     def test_error_mentions_name(self):
         with pytest.raises(ValidationError, match="momentum"):
             check_in_range(2.0, 0.0, 1.0, name="momentum")
+
+    @pytest.mark.parametrize("value", [float("nan"), "0.5"])
+    def test_rejects_nan_and_strings(self, value):
+        with pytest.raises(ValidationError, match="momentum"):
+            check_in_range(value, 0.0, 1.0, name="momentum")
