@@ -18,13 +18,29 @@ the properties the paper calls out:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.numerics import as_float_array
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError, check_binary, check_positive
+
+
+class _Scratch(NamedTuple):
+    """Work buffers of one update target, and the law's constants as 0-d
+    arrays of its dtype: the values ufuncs would cast Python floats to,
+    without the per-call conversion."""
+
+    headroom: np.ndarray
+    steps: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    span: np.ndarray
+    margin: np.ndarray
+    step_size: np.ndarray
+    zero: np.ndarray
+    one: np.ndarray
 
 
 class ChargePumpUpdater:
@@ -96,55 +112,78 @@ class ChargePumpUpdater:
         # construction, so their product is precomputed once; every update
         # path reads this (and must never mutate it).
         self._base_steps = self.step_size * self._unit_gain
+        self._last_scratch: Optional[_Scratch] = None
 
     # ------------------------------------------------------------------ #
-    def _headroom(self, weights: np.ndarray, positive: bool) -> np.ndarray:
-        """Charge-redistribution factor f_ij in [0, 1].
+    def _scratch(self, values: np.ndarray) -> _Scratch:
+        """Work buffers for updates of arrays like ``values``, kept between
+        calls — a pump serves one array, so they are rebuilt only when its
+        shape or dtype changes (which also makes an updater single-threaded,
+        as its in-place update and noise stream already are)."""
+        scratch = self._last_scratch
+        if (
+            scratch is None
+            or scratch.headroom.shape != values.shape
+            or scratch.headroom.dtype != values.dtype
+        ):
+            steps = np.empty(values.shape, dtype=np.float64)
+            headroom = steps if values.dtype == np.float64 else np.empty_like(values)
+            lo, hi = self.weight_range
+            constants = (lo, hi, hi - lo, self.saturation_margin, self.step_size, 0.0, 1.0)
+            scratch = _Scratch(
+                headroom, steps, *(np.array(c, dtype=values.dtype) for c in constants)
+            )
+            self._last_scratch = scratch
+        return scratch
 
-        Full-strength transfer while more than ``saturation_margin`` of the
-        range remains toward the target rail; linear roll-off to zero at
-        the rail itself.
+    def _steps(self, values: np.ndarray, positive: bool, bias: bool, scratch: _Scratch):
+        """Noise-free steps ``base * f(values)``, written into ``scratch.steps``.
+
+        ``f`` in [0, 1] is the charge-redistribution factor: full-strength
+        transfer while more than ``saturation_margin`` of the range remains
+        toward the target rail, linear roll-off to zero at the rail itself
+        (1 without ``saturation``).  Weights scale the per-unit mismatched
+        float64 base steps; a bias (the clamp column) scales the nominal
+        ``step_size`` in its own dtype and rolls off over the whole range.
         """
-        lo, hi = self.weight_range
-        span = hi - lo
+        headroom = scratch.headroom
+        if self.saturation:
+            if positive:
+                np.subtract(scratch.hi, values, out=headroom)
+            else:
+                np.subtract(values, scratch.lo, out=headroom)
+            np.divide(headroom, scratch.span, out=headroom)
+            if not bias:
+                np.divide(headroom, scratch.margin, out=headroom)
+            np.maximum(headroom, scratch.zero, out=headroom)
+            np.minimum(headroom, scratch.one, out=headroom)
+        else:
+            headroom.fill(1.0)
+        base = scratch.step_size if bias else self._base_steps
+        return np.multiply(base, headroom, out=scratch.steps)
+
+    def _update(self, values: np.ndarray, *gates, positive: bool, bias: bool) -> np.ndarray:
+        """The update law, in place and unvalidated — the one implementation
+        behind every ``apply*`` entry point.
+
+        ``values`` moves by ``f(values) * base * (1 + noise)`` toward the
+        phase's rail wherever the product of the binary ``gates`` (each
+        broadcast against ``values``) is 1, then clips to the rails.
+        """
+        scratch = self._scratch(values)
+        steps = self._steps(values, positive, bias, scratch)
+        if self.noise_rms > 0:
+            noise = self._rng.normal(0.0, self.noise_rms, size=values.shape)
+            noise += 1.0
+            steps *= noise
+        for gate in gates:
+            steps *= gate
         if positive:
-            remaining = (hi - weights) / span
+            values += steps
         else:
-            remaining = (weights - lo) / span
-        return np.clip(remaining / self.saturation_margin, 0.0, 1.0)
-
-    def _weight_steps(self, weights: np.ndarray, positive: bool) -> np.ndarray:
-        """Per-unit steps incl. saturation and update noise (single source of
-        the weight update law, shared by :meth:`apply` and :meth:`apply_sample`).
-
-        May return ``_base_steps`` itself when no factor applies — callers
-        must treat the result as read-only.
-        """
-        steps = self._base_steps
-        if self.saturation:
-            steps = steps * self._headroom(weights, positive)
-        if self.noise_rms > 0:
-            steps = steps * (1.0 + self._rng.normal(0.0, self.noise_rms, size=self.shape))
-        return steps
-
-    def _bias_steps(self, biases: np.ndarray, positive: bool) -> np.ndarray:
-        """Per-unit bias steps (single source of the bias update law, shared
-        by :meth:`apply_bias` and :meth:`apply_bias_sample`).
-
-        The bias headroom deliberately omits the ``saturation_margin``
-        division used for weights: the clamp column rolls off linearly over
-        the whole range.
-        """
-        lo, hi = self.weight_range
-        if self.saturation:
-            headroom = (hi - biases) / (hi - lo) if positive else (biases - lo) / (hi - lo)
-            headroom = np.clip(headroom, 0.0, 1.0)
-            steps = self.step_size * headroom
-        else:
-            steps = np.full_like(biases, self.step_size)
-        if self.noise_rms > 0:
-            steps = steps * (1.0 + self._rng.normal(0.0, self.noise_rms, size=biases.shape))
-        return steps
+            values -= steps
+        np.maximum(values, scratch.lo, out=values)
+        return np.minimum(values, scratch.hi, out=values)
 
     def step_matrix(self, weights: np.ndarray, positive: bool) -> np.ndarray:
         """Effective per-unit step sizes for the current weights and phase."""
@@ -153,9 +192,7 @@ class ChargePumpUpdater:
             raise ValidationError(
                 f"weights shape {weights.shape} does not match updater shape {self.shape}"
             )
-        if self.saturation:
-            return self._base_steps * self._headroom(weights, positive)
-        return self._base_steps.copy()
+        return self._steps(weights, positive, False, self._scratch(weights)).copy()
 
     def apply(
         self,
@@ -187,58 +224,18 @@ class ChargePumpUpdater:
                 "weights and correlation must both have shape "
                 f"{self.shape}; got {weights.shape} and {correlation.shape}"
             )
-        steps = self._weight_steps(weights, positive)
-        delta = np.where(correlation > 0, steps, 0.0)
-        if positive:
-            weights += delta
-        else:
-            weights -= delta
-        np.clip(weights, self.weight_range[0], self.weight_range[1], out=weights)
-        return weights
+        return self._update(weights, correlation, positive=positive, bias=False)
 
-    # ------------------------------------------------------------------ #
-    # Trusted per-sample kernels (the BGF streaming fast path)
-    # ------------------------------------------------------------------ #
-    def apply_sample(
-        self,
-        weights: np.ndarray,
-        v_bits: np.ndarray,
-        h_bits: np.ndarray,
-        *,
-        positive: bool,
-    ) -> np.ndarray:
-        """Apply one sample's update from the raw bit vectors, in place.
+    def apply_sample(self, weights, v_bits, h_bits, *, positive: bool) -> np.ndarray:
+        """Trusted :meth:`apply` from raw latch bits: the ``v_i`` column and
+        ``h_j`` row gates land the correlation's values."""
+        return self._update(
+            weights, v_bits[:, None], h_bits[None, :], positive=positive, bias=False
+        )
 
-        Trusted fast path used by the BGF streaming kernel: ``v_bits`` and
-        ``h_bits`` come straight from the substrate's latches (binary by
-        construction), so the binary re-validation, the explicit
-        ``np.outer`` correlation matrix, and the ``np.where`` gating of
-        :meth:`apply` are all skipped.  Multiplying the steps by the outer
-        product of 0/1 bits lands the exact same values the masked path
-        produces.
-        """
-        steps = self._weight_steps(weights, positive)
-        delta = steps * (v_bits[:, None] * h_bits[None, :])
-        if positive:
-            weights += delta
-        else:
-            weights -= delta
-        np.clip(weights, self.weight_range[0], self.weight_range[1], out=weights)
-        return weights
-
-    def apply_bias_sample(
-        self,
-        biases: np.ndarray,
-        active: np.ndarray,
-        *,
-        positive: bool,
-    ) -> np.ndarray:
+    def apply_bias_sample(self, biases, active, *, positive: bool) -> np.ndarray:
         """Trusted counterpart of :meth:`apply_bias` for binary ``active`` bits."""
-        steps = self._bias_steps(biases, positive)
-        delta = steps * active
-        biases += delta if positive else -delta
-        np.clip(biases, self.weight_range[0], self.weight_range[1], out=biases)
-        return biases
+        return self._update(biases, active, positive=positive, bias=True)
 
     def apply_bias(
         self,
@@ -257,8 +254,4 @@ class ChargePumpUpdater:
         active = check_binary(active, name="active")
         if biases.shape != active.shape:
             raise ValidationError("biases and active must have the same shape")
-        steps = self._bias_steps(biases, positive)
-        delta = np.where(active > 0, steps, 0.0)
-        biases += delta if positive else -delta
-        np.clip(biases, self.weight_range[0], self.weight_range[1], out=biases)
-        return biases
+        return self._update(biases, active, positive=positive, bias=True)

@@ -112,6 +112,9 @@ class SigmoidUnit:
         that need a fixed output dtype cast the (exactly representable)
         binary latch downstream.
         """
+        if self.is_identity:
+            # The ideal unit, the fast-path settle's common case.
+            return sigmoid(x)
         x = as_float_array(x)
         if self._unit_gains is not None:
             if x.shape[-1] != self.n_units:
@@ -127,7 +130,8 @@ class SigmoidUnit:
                 out = out + self._rng.normal(0.0, self.output_noise_rms, size=out.shape)
             return np.clip(out, 0.0, 1.0)
         if self._unit_gains is None and self.gain == 1.0 and self.offset == 0.0:
-            # Identity transfer curve: gain/offset arithmetic is a no-op.
+            # Identity transfer curve under output noise: gain/offset
+            # arithmetic is a no-op.
             out = sigmoid(x)
         else:
             out = sigmoid(gains * (x - self.offset))

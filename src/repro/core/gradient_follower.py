@@ -27,7 +27,7 @@ weights back out through the ADCs into the RBM object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,15 +39,20 @@ from repro.config.specs import (
     NoiseSpec,
     SubstrateSpec,
     TrainerSpec,
+    _check_int,
     check_spec,
     compute_dtype,
 )
 from repro.core.host import HostStatistics
-from repro.ising.bipartite import BipartiteIsingSubstrate
+from repro.ising.bipartite import (
+    BipartiteIsingSubstrate,
+    _settle_eval_kernel,
+    _settle_loop_kernel,
+)
 from repro.rbm.rbm import BernoulliRBM, TrainingHistory
 from repro.utils.numerics import bernoulli_sample
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
-from repro.utils.validation import ValidationError, check_array, check_positive
+from repro.utils.validation import ValidationError, check_array, check_finite, check_positive
 
 
 @dataclass(frozen=True)
@@ -82,15 +87,34 @@ class BGFConfig:
     readout_bits: Optional[int] = 8
 
     def __post_init__(self) -> None:
-        check_positive(self.step_size, name="step_size")
-        if self.n_particles < 1:
-            raise ValidationError(f"n_particles must be >= 1, got {self.n_particles}")
-        if self.anneal_steps < 1:
-            raise ValidationError(f"anneal_steps must be >= 1, got {self.anneal_steps}")
-        if self.weight_range[1] <= self.weight_range[0]:
-            raise ValidationError("weight_range must be increasing")
-        if self.readout_bits is not None and self.readout_bits < 1:
-            raise ValidationError("readout_bits must be >= 1 or None")
+        bits = self.readout_bits
+        for name, value in (
+            ("step_size", check_positive(self.step_size, name="step_size")),
+            ("n_particles", _check_int(self.n_particles, "n_particles", 1)),
+            ("anneal_steps", _check_int(self.anneal_steps, "anneal_steps", 1)),
+            ("weight_range", _check_weight_range(self.weight_range)),
+            ("readout_bits", None if bits is None else _check_int(bits, "readout_bits", 1)),
+        ):
+            object.__setattr__(self, name, value)
+
+
+def _check_weight_range(value) -> Tuple[float, float]:
+    """``value`` as an increasing pair of finite floats ``(lo, hi)``."""
+    pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
+    if len(pair) != 2:
+        raise ValidationError(f"weight_range must be a pair (lo, hi), got {value!r}")
+    lo, hi = (check_finite(bound, name="weight_range") for bound in pair)
+    if hi <= lo:
+        raise ValidationError(f"weight_range must be increasing, got ({lo}, {hi})")
+    return (lo, hi)
+
+
+def _check_stream(data, n_visible: int) -> np.ndarray:
+    """A non-empty, finite ``(rows, n_visible)`` training stream."""
+    data = check_array(data, name="data", shape=(None, n_visible))
+    if data.shape[0] == 0:
+        raise ValidationError("data must have at least one row, got 0")
+    return data
 
 
 class BoltzmannGradientFollower:
@@ -215,7 +239,7 @@ class BoltzmannGradientFollower:
         self.host.record_programming()
         self._particles = (
             self._rng.random((self.config.n_particles, self.n_hidden)) < 0.5
-        ).astype(np.float64)
+        ).astype(self.substrate.dtype)
         self._particle_cursor = 0
 
     def refresh_particles(
@@ -254,18 +278,7 @@ class BoltzmannGradientFollower:
         visible = self.substrate.clamp_visible(np.atleast_2d(sample))
         hidden = self.substrate.sample_hidden_given_visible(visible)
         v_bits = bernoulli_sample(np.clip(visible, 0.0, 1.0), self._rng)[0]
-        h_bits = hidden[0]
-        correlation = np.outer(v_bits, h_bits)
-        self.weight_pump.apply(self.substrate.weights, correlation, positive=True)
-        self.visible_bias_pump.apply_bias(
-            self.substrate.visible_bias, v_bits, positive=True
-        )
-        self.hidden_bias_pump.apply_bias(
-            self.substrate.hidden_bias, h_bits, positive=True
-        )
-        # The pumps edit the coupling array in place behind the substrate's
-        # back; drop its cached effective weights.
-        self.substrate.invalidate_effective_weights()
+        self._apply_pumps(v_bits, hidden[0], positive=True)
 
     def _negative_step(self) -> None:
         """Operation steps 4-5: load a particle, anneal, decrement W by <v h>_s-."""
@@ -276,54 +289,55 @@ class BoltzmannGradientFollower:
         visible, hidden = self.substrate.gibbs_chain(hidden_init, self.config.anneal_steps)
         # Persist the particle (Tieleman 2008-style) for the next pass.
         self._particles[index] = hidden[0]
+        self._apply_pumps(visible[0], hidden[0], positive=False)
 
-        v_bits = visible[0]
-        h_bits = hidden[0]
-        correlation = np.outer(v_bits, h_bits)
-        self.weight_pump.apply(self.substrate.weights, correlation, positive=False)
-        self.visible_bias_pump.apply_bias(
-            self.substrate.visible_bias, v_bits, positive=False
-        )
-        self.hidden_bias_pump.apply_bias(
-            self.substrate.hidden_bias, h_bits, positive=False
-        )
-        self.substrate.invalidate_effective_weights()
+    def _apply_pumps(self, v_bits: np.ndarray, h_bits: np.ndarray, *, positive: bool) -> None:
+        """One phase's validated charge-pump updates, gated by ``v_i * h_j``."""
+        sub = self.substrate
+        self.weight_pump.apply(sub.weights, np.outer(v_bits, h_bits), positive=positive)
+        self.visible_bias_pump.apply_bias(sub.visible_bias, v_bits, positive=positive)
+        self.hidden_bias_pump.apply_bias(sub.hidden_bias, h_bits, positive=positive)
+        # The pumps edit the coupling array in place behind the substrate's
+        # back; drop its cached effective weights.
+        sub.invalidate_effective_weights()
 
     # ------------------------------------------------------------------ #
     # Streaming fast path (chunked kernel behind :meth:`run`)
     # ------------------------------------------------------------------ #
-    def _positive_step_fast(self, clamped_row: np.ndarray, v_bits: np.ndarray) -> None:
-        """Trusted positive phase: ``clamped_row`` is already DTC-converted and
-        ``v_bits`` pre-drawn, so only the settle and the pump updates remain."""
-        hidden = self.substrate._sample_hidden_trusted(clamped_row)
-        h_bits = hidden[0]
-        self.weight_pump.apply_sample(self.substrate.weights, v_bits, h_bits, positive=True)
-        self.visible_bias_pump.apply_bias_sample(
-            self.substrate.visible_bias, v_bits, positive=True
-        )
-        self.hidden_bias_pump.apply_bias_sample(
-            self.substrate.hidden_bias, h_bits, positive=True
-        )
-        self.substrate.invalidate_effective_weights()
+    def _bgf_sample_step(self, clamped_row, v_bits, kern, static) -> None:
+        """One sample's learning step (Eq. 12) with the semantics of
+        :meth:`_positive_step` + :meth:`_negative_step`, given the
+        DTC-converted ``(1, m)`` clamp and its pre-drawn gating bits.
 
-    def _negative_step_fast(self) -> None:
-        """Trusted negative phase: legacy semantics minus per-step validation."""
+        The settles run the substrate's own evaluation kernels on its
+        serial circuits with the chunk's ``kern`` snapshot; ``static`` is
+        the chunk's coupling pair when the pumps' in-place edits keep it
+        current, ``None`` when each update invalidates it.
+        """
+        sub = self.substrate
+        ctx = sub._serial_context
+        pair = sub._static_pair() if static is None else static
+        hidden = _settle_eval_kernel(clamped_row, pair, ctx, kern, hidden_side=True)
+        self._pump_sample(v_bits, hidden[0], positive=True, invalidate=static is None)
+
         index = self._particle_cursor % self.config.n_particles
         self._particle_cursor += 1
-        hidden_init = self._particles[index : index + 1]
-        visible, hidden = self.substrate.gibbs_chain(hidden_init, self.config.anneal_steps)
+        pair = sub._static_pair() if static is None else static
+        visible, hidden = _settle_loop_kernel(
+            self._particles[index : index + 1], self.config.anneal_steps, pair, ctx, kern
+        )
+        # Persist the particle (Tieleman 2008-style) for the next pass.
         self._particles[index] = hidden[0]
+        self._pump_sample(visible[0], hidden[0], positive=False, invalidate=static is None)
 
-        v_bits = visible[0]
-        h_bits = hidden[0]
-        self.weight_pump.apply_sample(self.substrate.weights, v_bits, h_bits, positive=False)
-        self.visible_bias_pump.apply_bias_sample(
-            self.substrate.visible_bias, v_bits, positive=False
-        )
-        self.hidden_bias_pump.apply_bias_sample(
-            self.substrate.hidden_bias, h_bits, positive=False
-        )
-        self.substrate.invalidate_effective_weights()
+    def _pump_sample(self, v_bits, h_bits, *, positive: bool, invalidate: bool) -> None:
+        """One phase's trusted charge-pump updates from raw latch bits."""
+        sub = self.substrate
+        self.weight_pump.apply_sample(sub.weights, v_bits, h_bits, positive=positive)
+        self.visible_bias_pump.apply_bias_sample(sub.visible_bias, v_bits, positive=positive)
+        self.hidden_bias_pump.apply_bias_sample(sub.hidden_bias, h_bits, positive=positive)
+        if invalidate:
+            sub.invalidate_effective_weights()
 
     def _stream_chunk(self, chunk: np.ndarray) -> None:
         """Stream one chunk of samples through the sequential learning loop.
@@ -337,14 +351,21 @@ class BoltzmannGradientFollower:
         mid-step-update semantics: sample ``i``'s positive phase lands before
         its negative phase, which lands before sample ``i+1`` is seen.
         """
-        clamped = self.substrate.clamp_visible(chunk)
+        sub = self.substrate
+        clamped = sub.clamp_visible(chunk)
         v_bits_all = (
             self._rng.random(clamped.shape) < np.clip(clamped, 0.0, 1.0)
         ).astype(np.float64)
         self.host.record_sample_streamed(chunk.shape[0])
+        kern = sub._kernel()
+        # The ideal-variation float tiers cache the coupling array itself, so
+        # the in-place pump edits keep it current; the variation and qint8
+        # corners cache a derived copy that each update must invalidate.
+        static = sub._static_pair()
+        if static[0] is not sub.weights:
+            static = None
         for i in range(chunk.shape[0]):
-            self._positive_step_fast(clamped[i : i + 1], v_bits_all[i])
-            self._negative_step_fast()
+            self._bgf_sample_step(clamped[i : i + 1], v_bits_all[i], kern, static)
 
     def learn_sample(self, sample: np.ndarray) -> None:
         """One complete learning step (Eq. 12): positive then negative phase.
@@ -355,7 +376,7 @@ class BoltzmannGradientFollower:
         """
         if self._particles is None:
             raise ValidationError("initialize must be called before learn_sample")
-        sample = np.asarray(sample, dtype=float).reshape(-1)
+        sample = check_array(sample, name="sample").reshape(-1)
         if sample.shape[0] != self.n_visible:
             raise ValidationError(
                 f"sample has {sample.shape[0]} features; machine has {self.n_visible} visible nodes"
@@ -380,15 +401,9 @@ class BoltzmannGradientFollower:
         :meth:`_stream_chunk`), reproducing the legacy per-sample loop
         bit-for-bit under a fixed seed.
         """
-        data = check_array(data, name="data", ndim=2)
-        if data.shape[1] != self.n_visible:
-            raise ValidationError(
-                f"data has {data.shape[1]} features; machine has {self.n_visible} visible nodes"
-            )
-        if epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {epochs}")
-        if chunk_size < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+        data = _check_stream(data, self.n_visible)
+        epochs = _check_int(epochs, "epochs", 1)
+        chunk_size = _check_int(chunk_size, "chunk_size", 1)
         dtc = self.substrate.input_dtc
         # A DTC with code-dependent noise draws from its own stream per
         # conversion, so batching would reorder those draws; fall back to the
@@ -515,14 +530,8 @@ class BGFTrainer:
         algorithm — it is instrumentation, matching how the paper evaluates
         log-probability trajectories offline.
         """
-        data = check_array(data, name="data", ndim=2)
-        if data.shape[1] != rbm.n_visible:
-            raise ValidationError(
-                f"data has {data.shape[1]} features but the RBM has "
-                f"{rbm.n_visible} visible units"
-            )
-        if epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {epochs}")
+        data = _check_stream(data, rbm.n_visible)
+        epochs = _check_int(epochs, "epochs", 1)
         machine = self._ensure_machine(rbm)
         machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         if self.particle_burn_in:

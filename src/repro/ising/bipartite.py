@@ -553,20 +553,6 @@ class BipartiteIsingSubstrate:
             fused_sampling=self._fused_sampling,
         )
 
-    def _sample_hidden_trusted(self, clamped: np.ndarray) -> np.ndarray:
-        """Trusted settle-and-latch: ``clamped`` is 2-D float, DTC-driven."""
-        return _settle_eval_kernel(
-            clamped, self._static_pair(), self._serial_context, self._kernel(),
-            hidden_side=True,
-        )
-
-    def _sample_visible_trusted(self, hidden: np.ndarray) -> np.ndarray:
-        """Trusted settle-and-latch: ``hidden`` is a 2-D binary latch state."""
-        return _settle_eval_kernel(
-            hidden, self._static_pair(), self._serial_context, self._kernel(),
-            hidden_side=False,
-        )
-
     def sample_hidden_given_visible(self, visible: np.ndarray) -> np.ndarray:
         """Clamp the visible nodes and latch one hidden sample.
 
@@ -583,14 +569,20 @@ class BipartiteIsingSubstrate:
                 np.atleast_2d(np.asarray(visible, dtype=float))
             )
         if self.fast_path:
-            return self._sample_hidden_trusted(clamped)
+            return _settle_eval_kernel(
+                clamped, self._static_pair(), self._serial_context, self._kernel(),
+                hidden_side=True,
+            )
         return self.hidden_sampler.sample(self.hidden_probability(clamped))
 
     def sample_visible_given_hidden(self, hidden: np.ndarray) -> np.ndarray:
         """Clamp the hidden nodes and latch one visible sample."""
         hidden = check_binary(np.atleast_2d(np.asarray(hidden, dtype=float)), name="hidden")
         if self.fast_path:
-            return self._sample_visible_trusted(hidden)
+            return _settle_eval_kernel(
+                hidden, self._static_pair(), self._serial_context, self._kernel(),
+                hidden_side=False,
+            )
         return self.visible_sampler.sample(self.visible_probability(hidden))
 
     # ------------------------------------------------------------------ #

@@ -292,6 +292,10 @@ def safe_sparse_dot(a, b) -> np.ndarray:
     Dense x dense falls through to the plain operator, bit-identical to
     ``a @ b``.
     """
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        # Dense first: the per-settle hot path, where the sparse-type checks
+        # cost more than a small matmul.
+        return a @ b
     if is_sparse(a) or is_sparse(b):
         out = a @ b
         if is_sparse(out):  # sparse @ sparse

@@ -156,3 +156,30 @@ class TestBiasUpdates:
         pump = _pump()
         with pytest.raises(ValidationError):
             pump.apply_bias(np.zeros(3), np.zeros(4), positive=True)
+
+
+class TestWorkBuffers:
+    def test_one_updater_serves_arrays_of_any_shape_and_dtype(self):
+        """The buffers kept between calls follow the array being updated: a
+        pump alternating between targets updates each exactly as a fresh
+        pump would."""
+        rng = np.random.default_rng(5)
+        targets = [
+            rng.uniform(-0.9, 0.9, (4, 3)),
+            rng.uniform(-0.9, 0.9, (4, 3)).astype(np.float32),
+            rng.uniform(-0.9, 0.9, 4),
+            rng.uniform(-0.9, 0.9, 4).astype(np.float32),
+        ]
+        shared = _pump(step_size=0.3)
+        for positive in (True, False):
+            for values in targets:
+                expected = values.copy()
+                active = np.ones(values.shape)
+                if values.ndim == 2:
+                    _pump(step_size=0.3).apply(expected, active, positive=positive)
+                    shared.apply(values, active, positive=positive)
+                else:
+                    _pump(step_size=0.3).apply_bias(expected, active, positive=positive)
+                    shared.apply_bias(values, active, positive=positive)
+                assert values.dtype == expected.dtype
+                np.testing.assert_array_equal(values, expected)

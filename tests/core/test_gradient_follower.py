@@ -29,6 +29,29 @@ class TestBGFConfig:
         with pytest.raises(ValidationError):
             BGFConfig(readout_bits=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weight_range", (-1.0, 0.0, 1.0)),
+            ("weight_range", (float("nan"), 1.0)),
+            ("weight_range", (-1.0, float("inf"))),
+            ("weight_range", 4.0),
+            ("weight_range", ("lo", 1.0)),
+            ("n_particles", 2.5),
+            ("n_particles", True),
+            ("anneal_steps", 2.0),
+            ("readout_bits", 8.5),
+        ],
+    )
+    def test_malformed_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            BGFConfig(**{field: value})
+
+    def test_coerces_to_canonical_types(self):
+        config = BGFConfig(weight_range=[-1, 1], n_particles=np.int64(3))
+        assert config.weight_range == (-1.0, 1.0)
+        assert type(config.n_particles) is int
+
 
 class TestBoltzmannGradientFollowerMachine:
     def _machine(self, n_visible=16, n_hidden=8, **kwargs):
@@ -67,6 +90,35 @@ class TestBoltzmannGradientFollowerMachine:
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         with pytest.raises(ValidationError):
             machine.learn_sample(np.zeros(10))
+
+    def test_learn_sample_rejects_non_finite(self):
+        machine = self._machine()
+        machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
+        with pytest.raises(ValidationError, match="sample"):
+            machine.learn_sample(np.full(16, np.nan))
+
+    @pytest.mark.parametrize(
+        "data, kwargs, name",
+        [
+            (np.zeros((0, 16)), {}, "data"),
+            (np.zeros((4, 16)), {"chunk_size": 2.5}, "chunk_size"),
+            (np.zeros((4, 16)), {"chunk_size": 0}, "chunk_size"),
+            (np.zeros((4, 16)), {"epochs": 1.5}, "epochs"),
+        ],
+    )
+    def test_run_rejects_malformed_stream(self, data, kwargs, name):
+        machine = self._machine()
+        machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
+        with pytest.raises(ValidationError, match=name):
+            machine.run(data, **kwargs)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "qint8"])
+    def test_particles_in_tier_dtype_from_initialize(self, dtype):
+        machine = self._machine(dtype=dtype)
+        machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
+        assert machine.particles.dtype == machine.substrate.dtype
+        machine.refresh_particles(1)
+        assert machine.particles.dtype == machine.substrate.dtype
 
     def test_particles_are_persistent_and_cycled(self, tiny_binary_data):
         machine = self._machine(config=BGFConfig(n_particles=3))
@@ -189,3 +241,9 @@ class TestBGFTrainer:
             BGFTrainer(
                 spec=TrainerSpec.bgf(0.1), rng=0
             ).train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=0)
+
+    def test_empty_data_rejected(self):
+        with pytest.raises(ValidationError, match="data"):
+            BGFTrainer(
+                spec=TrainerSpec.bgf(0.1), rng=0
+            ).train(BernoulliRBM(16, 8, rng=0), np.zeros((0, 16)), epochs=1)

@@ -7,6 +7,8 @@ single drawn bit.  These tests pin that contract:
 * ideal-noise corner — fast-path and legacy-path training runs produce
   bit-for-bit identical weights under the same seed, for all three trainers
   (CD, GibbsSampler, BGF);
+* the BGF's flat streaming kernel equals its validated per-sample loop in
+  every tier x noise x saturation x column-type corner;
 * noisy corner — the fast paths preserve the per-stream RNG draw order, so
   even the (0.1, 0.1) operating point reproduces exactly;
 * the fused numeric kernels (sigmoid / softplus) match their masked
@@ -19,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.analog.converters import AnalogToDigitalConverter
+from repro.analog.noise import NoiseConfig
 from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
-from repro.core import BGFTrainer, GibbsSamplerTrainer
+from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, CDTrainer
 from repro.utils.numerics import (
@@ -124,13 +127,19 @@ class TestTrainerEquivalenceIdealCorner:
         )
         _assert_same_model(fast, legacy)
 
-    def test_bgf_chunk_size_does_not_change_the_stream(self, data):
-        """Chunking is bookkeeping only: any chunk size yields the same run."""
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "qint8"])
+    def test_bgf_chunk_size_does_not_change_the_stream(self, data, dtype):
+        """Chunking is bookkeeping only: any chunk size yields the same run,
+        on every tier (the per-chunk block draw of the gating bits equals
+        the per-sample draws)."""
         results = []
         for chunk_size in (1, 7, 64):
             rbm = BernoulliRBM(49, 32, rng=0)
             trainer = BGFTrainer(
-                spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1
+                spec=TrainerSpec.bgf(
+                    0.1, reference_batch_size=10, compute=ComputeSpec(dtype=dtype)
+                ),
+                rng=1,
             )
             machine = trainer._ensure_machine(rbm)
             machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
@@ -140,6 +149,50 @@ class TestTrainerEquivalenceIdealCorner:
             np.testing.assert_array_equal(weights, results[0][0])
             np.testing.assert_array_equal(bv, results[0][1])
             np.testing.assert_array_equal(bh, results[0][2])
+
+
+class TestBGFStreamMatchesPerSampleLoop:
+    """The flat streaming kernel behind ``run`` against the validated
+    per-sample path (``learn_sample``: public substrate sampling plus the
+    validated ``apply``/``apply_bias`` pumps), bit for bit, in every corner
+    the fast path serves."""
+
+    @staticmethod
+    def _machine(dtype, noise, saturation):
+        machine = BoltzmannGradientFollower(
+            49,
+            32,
+            config=BGFConfig(
+                step_size=0.02, n_particles=4, weight_range=(-0.5, 0.5),
+                saturation=saturation,
+            ),
+            noise_config=noise,
+            dtype=dtype,
+            rng=3,
+        )
+        rbm = BernoulliRBM(49, 32, rng=0)
+        machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
+        return machine
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "qint8"])
+    @pytest.mark.parametrize("noise", [None, NoiseConfig(0.1, 0.1)], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("saturation", [True, False])
+    @pytest.mark.parametrize("columns", ["binary", "grayscale"])
+    def test_run_equals_learn_sample_loop(self, data, dtype, noise, saturation, columns):
+        if columns == "grayscale":
+            data = data.copy()
+            data[:, ::3] *= np.linspace(0.2, 0.9, data.shape[0])[:, None]
+        streamed = self._machine(dtype, noise, saturation)
+        streamed.run(data[:60], shuffle=False, chunk_size=16)
+        looped = self._machine(dtype, noise, saturation)
+        for sample in data[:60]:
+            looped.learn_sample(sample)
+        for a, b in zip(streamed.substrate.read_parameters(), looped.substrate.read_parameters()):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(streamed.particles, looped.particles)
+        assert streamed.particles.dtype == looped.particles.dtype
+        assert streamed.host == looped.host
 
 
 class TestTrainerEquivalenceNoisyCorner:
