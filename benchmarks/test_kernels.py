@@ -5,17 +5,15 @@ every experiment is made of (CD epochs, substrate sampling, BGF learning
 steps, AIS sweeps, BRIM integration), which is useful when optimizing the
 simulators.
 
-The ``*_legacy`` variants run the same kernels with ``fast_path=False`` (the
-seed implementation) so ``pytest benchmarks/test_kernels.py --benchmark-only``
-shows the fast-path layer's before/after directly; ``benchmarks/
-bench_kernels.py`` emits the same comparison as a ``BENCH_kernels.json``
-evidence file for the ``compare_bench.py`` regression gate.
+``benchmarks/bench_kernels.py`` times the same kernels into a
+``BENCH_kernels.json`` evidence file for the ``compare_bench.py``
+regression gate.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
+from repro.config import EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.ising import BRIMConfig, BRIMSimulator, BipartiteIsingSubstrate, IsingModel
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
@@ -50,44 +48,14 @@ def test_gibbs_sampler_training_epoch(benchmark, data):
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
-def test_gibbs_sampler_training_epoch_legacy(benchmark, data):
-    rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = GibbsSamplerTrainer(
-        spec=TrainerSpec.gs(
-            0.1, cd_k=1, batch_size=10, compute=ComputeSpec(fast_path=False)
-        ),
-        rng=1,
-    )
-    benchmark(trainer.train, rbm, data, epochs=1)
-
-
 def test_bgf_training_epoch(benchmark, data):
     rbm = BernoulliRBM(49, 32, rng=0)
     trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
     benchmark(trainer.train, rbm, data, epochs=1)
 
 
-def test_bgf_training_epoch_legacy(benchmark, data):
-    rbm = BernoulliRBM(49, 32, rng=0)
-    trainer = BGFTrainer(
-        spec=TrainerSpec.bgf(
-            0.1, reference_batch_size=10, compute=ComputeSpec(fast_path=False)
-        ),
-        rng=1,
-    )
-    benchmark(trainer.train, rbm, data, epochs=1)
-
-
 def test_substrate_conditional_sampling(benchmark, data):
     substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(49, 32), rng=0)
-    substrate.program(np.random.default_rng(1).normal(0, 0.1, (49, 32)), np.zeros(49), np.zeros(32))
-    benchmark(substrate.sample_hidden_given_visible, data)
-
-
-def test_substrate_conditional_sampling_legacy(benchmark, data):
-    substrate = BipartiteIsingSubstrate(
-        spec=SubstrateSpec(49, 32, compute=ComputeSpec(fast_path=False)), rng=0
-    )
     substrate.program(np.random.default_rng(1).normal(0, 0.1, (49, 32)), np.zeros(49), np.zeros(32))
     benchmark(substrate.sample_hidden_given_visible, data)
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.numerics import as_float_array, sigmoid, sigmoid_reference
+from repro.utils.numerics import as_float_array, sigmoid
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_positive
 
@@ -43,11 +43,6 @@ class SigmoidUnit:
     output_noise_rms:
         RMS additive noise on the output probability per evaluation
         (dynamic noise, drawn on every call).
-    reference_impl:
-        Evaluate through the legacy two-pass masked logistic and the
-        unconditional output clip (the seed implementation), used by the
-        substrate's legacy benchmarking path.  Results are identical either
-        way; only the operation count differs.
     """
 
     def __init__(
@@ -59,7 +54,6 @@ class SigmoidUnit:
         gain_variation_rms: float = 0.0,
         output_noise_rms: float = 0.0,
         rng: SeedLike = None,
-        reference_impl: bool = False,
     ):
         self.gain = check_positive(gain, name="gain")
         self.offset = float(offset)
@@ -70,7 +64,6 @@ class SigmoidUnit:
             output_noise_rms, name="output_noise_rms", strict=False
         )
         self._rng = as_rng(rng)
-        self.reference_impl = bool(reference_impl)
         self.n_units = None if n_units is None else int(n_units)
         if self.n_units is not None and self.gain_variation_rms > 0:
             self._unit_gains = self.gain * (
@@ -94,7 +87,6 @@ class SigmoidUnit:
             and self.gain == 1.0
             and self.offset == 0.0
             and self.output_noise_rms == 0.0
-            and not self.reference_impl
         )
 
     def ideal(self, x: np.ndarray) -> np.ndarray:
@@ -113,7 +105,7 @@ class SigmoidUnit:
         binary latch downstream.
         """
         if self.is_identity:
-            # The ideal unit, the fast-path settle's common case.
+            # The ideal unit, the settle kernel's common case.
             return sigmoid(x)
         x = as_float_array(x)
         if self._unit_gains is not None:
@@ -124,11 +116,6 @@ class SigmoidUnit:
             gains = self._unit_gains
         else:
             gains = self.gain
-        if self.reference_impl:
-            out = sigmoid_reference(gains * (x - self.offset))
-            if self.output_noise_rms > 0:
-                out = out + self._rng.normal(0.0, self.output_noise_rms, size=out.shape)
-            return np.clip(out, 0.0, 1.0)
         if self._unit_gains is None and self.gain == 1.0 and self.offset == 0.0:
             # Identity transfer curve under output noise: gain/offset
             # arithmetic is a no-op.

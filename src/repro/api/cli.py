@@ -13,7 +13,7 @@ Usage::
     python -m repro lint src --format json        # repo invariant checks
 
 ``--set key=value`` overrides route through the typed spec layer: compute
-knobs (``dtype``/``workers``/``fast_path``) land in the run's
+knobs (``dtype``/``workers``) land in the run's
 :class:`~repro.config.ComputeSpec`, ``seed`` in the seed field, everything
 else in the experiment params — all validated against the experiment's
 declared knob surface before anything trains.  Values parse as Python-ish
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--set", dest="overrides", metavar="KEY=VALUE",
         type=parse_set_argument, action="append", default=[],
         help="override a spec knob (repeatable); compute knobs "
-             "(dtype/workers/fast_path) route into the ComputeSpec; "
+             "(dtype/workers) route into the ComputeSpec; "
              "comma-separate lists (trailing comma for one element)",
     )
     run_parser.add_argument(

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Compute knobs routed through ``RunSpec.compute`` rather than params.
-COMPUTE_KNOBS: Tuple[str, ...] = ("dtype", "workers", "fast_path")
+COMPUTE_KNOBS: Tuple[str, ...] = ("dtype", "workers")
 
 
 def _accepted_parameters(runner: Callable[..., ExperimentResult]) -> frozenset:
@@ -194,7 +194,7 @@ def runspec_from_legacy_config(
 ) -> RunSpec:
     """Convert a ``PAPER_*_CONFIG``-style kwargs dict into a :class:`RunSpec`.
 
-    Compute knobs (``dtype``/``workers``/``fast_path``) move into the typed
+    Compute knobs (``dtype``/``workers``) move into the typed
     :class:`ComputeSpec`, ``seed`` into the seed field, and everything else
     becomes params — so the tuned dicts stay the single source of the knob
     values while the registry exposes them declaratively.

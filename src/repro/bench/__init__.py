@@ -1,8 +1,8 @@
 """Kernel-regression benchmark harness (``BENCH_kernels.json`` tooling).
 
-``repro.bench.kernels`` times the library's sampling/training hot kernels on
-both the fast path and the legacy path and emits a ``BENCH_kernels.json``
-evidence file; ``repro.bench.compare`` diffs two such files and fails on
+``repro.bench.kernels`` times the library's sampling/training hot kernels
+(and, for the paired rows, a baseline leg of the same run) and emits a
+``BENCH_kernels.json`` evidence file; ``repro.bench.compare`` diffs two such files and fails on
 kernel regressions.  Both are exposed as console scripts
 (``repro-bench-kernels`` / ``repro-compare-bench``) and as thin wrappers in
 ``benchmarks/``.

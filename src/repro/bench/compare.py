@@ -10,7 +10,9 @@ perf the same way it gates correctness.  Two metrics:
 * ``speedup`` — the fast-vs-legacy ratio measured *within* each run, which
   cancels the machine's absolute speed; right when the baseline JSON comes
   from different hardware (the CI gate, ``make bench-compare-ci``).  A
-  regression is a drop of the speedup by more than the threshold.
+  regression is a drop of the speedup by more than the threshold.  Only the
+  rows that carry a ``speedup`` in both files are gated; single-leg rows
+  (one implementation, no baseline leg) are listed as not gated.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ def compare_benchmarks(
     shared = [name for name in old_kernels if name in new_kernels]
     if not shared:
         raise ValueError("the two benchmark files share no kernels")
+    ungated: List[str] = []
+    if metric == "speedup":
+        ungated = [
+            name for name in shared
+            if metric not in old_kernels[name] or metric not in new_kernels[name]
+        ]
+        shared = [name for name in shared if name not in ungated]
+        if not shared:
+            raise ValueError("no kernel carries a 'speedup' entry in both files")
     width = max(len(name) for name in shared)
     for name in shared:
         if metric not in old_kernels[name] or metric not in new_kernels[name]:
@@ -66,6 +77,8 @@ def compare_benchmarks(
             flag = "  << REGRESSION"
             regressions.append(name)
         report.append(row + flag)
+    if ungated:
+        report.append(f"not gated (no speedup in both files): {', '.join(ungated)}")
     only_old = sorted(set(old_kernels) - set(new_kernels))
     only_new = sorted(set(new_kernels) - set(old_kernels))
     if only_old:

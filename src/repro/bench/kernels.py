@@ -1,12 +1,14 @@
-"""Time the hot kernels on the fast and legacy paths; emit BENCH_kernels.json.
+"""Time the hot kernels; emit BENCH_kernels.json.
 
 Each kernel is the inner loop every figure/table experiment funnels through
-(substrate conditional sampling, GS/BGF/CD training epochs).  For each one
-the harness reports the median wall-clock seconds of the legacy path (the
-seed implementation, ``fast_path=False``) and the fast path, plus their
-ratio, at the 49x32 benchmark scale and — for substrate sampling — the
-paper's 784x500 MNIST scale.  The JSON this writes is the evidence file the
-``repro-compare-bench`` regression gate consumes.
+(substrate conditional sampling, GS/BGF/CD training epochs, AIS).  Every
+row reports the kernel's median wall-clock seconds (``fast_median_s``) at
+the 49x32 benchmark scale and — for the BLAS-bound kernels — the paper's
+784x500 MNIST scale.  Rows that time a kernel against a baseline leg of
+the same run (float32 vs float64, chain-parallel vs one chain at a time,
+sharded vs serial, CSR vs dense, coalesced vs naive serving) also carry
+``legacy_median_s`` and their ratio, ``speedup``.  The JSON this writes is
+the evidence file the ``repro-compare-bench`` regression gate consumes.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from repro.serve import MicroBatchScoringService, measure_latency
 from repro.utils.numerics import safe_sparse_dot
 
 
-def _substrate(n_visible, n_hidden, *, fast=True, dtype="float64"):
+def _substrate(n_visible, n_hidden, *, dtype="float64"):
     """Spec-built substrate (the shim-free construction path)."""
     return BipartiteIsingSubstrate(
         spec=SubstrateSpec(
             n_visible=n_visible,
             n_hidden=n_hidden,
-            compute=ComputeSpec(dtype=dtype, fast_path=fast),
+            compute=ComputeSpec(dtype=dtype),
         ),
         rng=0,
     )
@@ -94,8 +96,8 @@ def _median_seconds(
     return statistics.median(times)
 
 
-def _substrate_kernel(n_visible: int, n_hidden: int, batch: np.ndarray, fast: bool):
-    substrate = _substrate(n_visible, n_hidden, fast=fast)
+def _substrate_kernel(n_visible: int, n_hidden: int, batch: np.ndarray):
+    substrate = _substrate(n_visible, n_hidden)
     weights = np.random.default_rng(1).normal(0, 0.1, (n_visible, n_hidden))
     substrate.program(weights, np.zeros(n_visible), np.zeros(n_hidden))
 
@@ -110,9 +112,9 @@ def _substrate_dtype_kernel(
 ):
     """Conditional sampling on the precision tiers: float32 vs float64.
 
-    Both legs run the fast path; ``fast`` selects the float32 tier (fused
-    Bernoulli latch) and the baseline is the float64 fast path, so the
-    ratio is the precision-tier win itself.
+    ``fast`` selects the float32 tier (fused Bernoulli latch) and the
+    baseline is the float64 tier, so the ratio is the precision-tier win
+    itself.
     """
     substrate = _substrate(n_visible, n_hidden, dtype="float32" if fast else "float64")
     weights = np.random.default_rng(1).normal(0, 0.1, (n_visible, n_hidden))
@@ -144,11 +146,10 @@ def _settle_batch_qint8_kernel(
 ):
     """Chain-parallel settles on the quantized tier: qint8 vs float32.
 
-    Both legs run the fast path; ``fast`` selects the qint8 tier (int8
-    effective-coupling codes + float32 scales, dequantized once at the
-    effective-weight cache) and the baseline is the float32 tier.  Below
-    the cache both legs run the identical float32 sampling kernels, so
-    the steady-state ratio is ~1.0 by construction — the entry guards the
+    ``fast`` selects the qint8 tier (int8 effective-coupling codes +
+    float32 scales, dequantized once at the effective-weight cache) and
+    the baseline is the float32 tier.  Below the cache both legs run the
+    identical float32 sampling kernels, so the steady-state ratio is ~1.0 by construction — the entry guards the
     quantized cache path against regressions, not a speed claim.
     """
     substrate = _substrate(n_visible, n_hidden, dtype="qint8" if fast else "float32")
@@ -172,7 +173,7 @@ def _settle_batch_workers_kernel(
 ):
     """Multicore sharded settles: ``workers`` shards vs the serial kernel.
 
-    Both legs run the float32 fast path; ``fast`` selects the sharded
+    Both legs run the float32 tier; ``fast`` selects the sharded
     execution layer (``workers`` thread shards, per-shard RNG substreams)
     and the baseline is the serial ``workers=1`` settle, so the ratio is
     the multicore win itself.  Scales with physical cores — see the
@@ -270,40 +271,31 @@ def _ais_qint8_kernel(n_visible: int, n_hidden: int, fast: bool):
     return kernel
 
 
-def _gs_epoch_kernel(data: np.ndarray, fast: bool):
+def _gs_epoch_kernel(data: np.ndarray):
     def kernel():
         rbm = BernoulliRBM(data.shape[1], 32, rng=0)
         GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(
-                0.1, cd_k=1, batch_size=10, compute=ComputeSpec(fast_path=fast)
-            ),
-            rng=1,
+            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10), rng=1
         ).train(rbm, data, epochs=1)
 
     return kernel
 
 
-def _bgf_epoch_kernel(data: np.ndarray, fast: bool):
+def _bgf_epoch_kernel(data: np.ndarray):
     def kernel():
         rbm = BernoulliRBM(data.shape[1], 32, rng=0)
         BGFTrainer(
-            spec=TrainerSpec.bgf(
-                0.1, reference_batch_size=10, compute=ComputeSpec(fast_path=fast)
-            ),
-            rng=1,
+            spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1
         ).train(rbm, data, epochs=1)
 
     return kernel
 
 
-def _cd_epoch_kernel(data: np.ndarray, fast: bool):
+def _cd_epoch_kernel(data: np.ndarray):
     def kernel():
         rbm = BernoulliRBM(data.shape[1], 32, rng=0)
         CDTrainer(
-            spec=TrainerSpec.cd(
-                0.1, cd_k=1, batch_size=10, compute=ComputeSpec(fast_path=fast)
-            ),
-            rng=1,
+            spec=TrainerSpec.cd(0.1, cd_k=1, batch_size=10), rng=1
         ).train(rbm, data, epochs=1)
 
     return kernel
@@ -366,11 +358,11 @@ def _positive_phase_sparse_kernel(
 ):
     """Data-side positive phase (clamp + hidden field), dense vs CSR visibles.
 
-    Both legs run the fast path on the same values; ``fast`` feeds them as
-    scipy CSR and the baseline feeds them dense, so the ratio is the
-    sparsity win on the deterministic data-side kernel — everything up to
-    the Bernoulli-draw boundary, where the sparse tier densifies and both
-    legs run identical code.
+    Both legs run the same values; ``fast`` feeds them as scipy CSR and
+    the baseline feeds them dense, so the ratio is the sparsity win on the
+    deterministic data-side kernel — everything up to the Bernoulli-draw
+    boundary, where the sparse tier densifies and both legs run identical
+    code.
     """
     substrate = _substrate(n_visible, n_hidden)
     weights = np.random.default_rng(1).normal(0, 0.1, (n_visible, n_hidden))
@@ -493,8 +485,8 @@ def _serve_wave_kernel(n_visible: int, n_hidden: int, concurrency: int, fast: bo
     return kernel
 
 
-def _ais_kernel(fast: bool, n_visible: int = 49, n_hidden: int = 32):
-    """One AIS log-Z sweep: vectorized beta loop vs the legacy loop."""
+def _ais_kernel(n_visible: int = 49, n_hidden: int = 32):
+    """One AIS log-Z estimate (the vectorized beta sweep)."""
     rbm = BernoulliRBM(n_visible, n_hidden, rng=0)
     rng = np.random.default_rng(1)
     rbm.set_parameters(
@@ -505,10 +497,7 @@ def _ais_kernel(fast: bool, n_visible: int = 49, n_hidden: int = 32):
 
     def kernel():
         AISEstimator(
-            spec=EstimatorSpec(
-                chains=32, betas=60, compute=ComputeSpec(fast_path=fast)
-            ),
-            rng=3,
+            spec=EstimatorSpec(chains=32, betas=60), rng=3
         ).estimate_log_partition(rbm)
 
     return kernel
@@ -555,41 +544,43 @@ def run_benchmarks(
     workers: int = 4,
     only: Optional[str] = None,
 ) -> Dict:
-    """Run every kernel on both paths and return the results dictionary.
+    """Run every kernel and return the results dictionary.
 
-    ``workers`` sets the shard/pool width of the multicore entries (their
-    baseline leg is always the serial ``workers=1`` kernel).  ``only``
-    restricts the run to entries whose name contains the substring
-    (ValueError when nothing matches).
+    Single-implementation kernels record ``fast_median_s`` only; paired
+    kernels also time their baseline leg (``legacy_median_s``) and record
+    the ``speedup``.  ``workers`` sets the shard/pool width of the
+    multicore entries (their baseline leg is always the serial
+    ``workers=1`` kernel).  ``only`` restricts the run to entries whose
+    name contains the substring (ValueError when nothing matches).
     """
     data = _benchmark_data()
     large_batch = np.random.default_rng(2).random((64, 784))
 
+    # One implementation each: no baseline leg, so no speedup — these rows
+    # are gated on their absolute median (``make bench-compare``) only.
+    single = {
+        "substrate_conditional_sampling_49x32": lambda: _substrate_kernel(49, 32, data),
+        "gibbs_sampler_training_epoch_49x32": lambda: _gs_epoch_kernel(data),
+        "bgf_training_epoch_49x32": lambda: _bgf_epoch_kernel(data),
+        "cd1_training_epoch_49x32": lambda: _cd_epoch_kernel(data),
+        "ais_logz_49x32": _ais_kernel,
+    }
     kernels = {
-        "substrate_conditional_sampling_49x32": lambda fast: _substrate_kernel(
-            49, 32, data, fast
-        ),
-        "gibbs_sampler_training_epoch_49x32": lambda fast: _gs_epoch_kernel(data, fast),
-        "bgf_training_epoch_49x32": lambda fast: _bgf_epoch_kernel(data, fast),
-        "cd1_training_epoch_49x32": lambda fast: _cd_epoch_kernel(data, fast),
-        # Multi-chain entries: "legacy" is the single-chain fast path applied
+        # Multi-chain entries: "legacy" is the single-chain settle applied
         # per chain (chain_batch=False), "fast" the chain-parallel kernel.
         "gs_pcd8_training_epoch_49x32": lambda fast: _gs_pcd_epoch_kernel(data, fast),
         "gs_multichain_negative_phase_p8_49x32": lambda fast: (
             _multichain_negative_phase_kernel(49, 32, 8, 2, fast)
         ),
-        # AIS entry: "legacy" is the per-beta Python loop (fast_path=False),
-        # "fast" the vectorized beta sweep.
-        "ais_logz_49x32": lambda fast: _ais_kernel(fast),
     }
     if include_large:
-        kernels["substrate_conditional_sampling_784x500"] = lambda fast: (
-            _substrate_kernel(784, 500, large_batch, fast)
+        single["substrate_conditional_sampling_784x500"] = lambda: (
+            _substrate_kernel(784, 500, large_batch)
         )
         kernels["gs_multichain_negative_phase_p8_784x500"] = lambda fast: (
             _multichain_negative_phase_kernel(784, 500, 8, 2, fast)
         )
-        # Precision-tier entries: legacy = the float64 fast path, fast = the
+        # Precision-tier entries: legacy = the float64 tier, fast = the
         # float32 tier (fused sigmoid->compare latch), so the ratio isolates
         # the precision win on the BLAS-bound MNIST-scale kernels.
         kernels["substrate_conditional_sampling_784x500_float32"] = lambda fast: (
@@ -649,8 +640,9 @@ def run_benchmarks(
             )
 
     if only is not None:
+        single = {name: make for name, make in single.items() if only in name}
         kernels = {name: make for name, make in kernels.items() if only in name}
-        if not kernels:
+        if not single and not kernels:
             raise ValueError(f"--only {only!r} matches no benchmark entries")
 
     results: Dict = {
@@ -669,13 +661,14 @@ def run_benchmarks(
             "workers": workers,
             "note": (
                 "median per-call wall-clock seconds (inner-loop calibrated "
-                "so each measurement spans >=5ms); legacy = fast_path=False "
-                "(the seed implementation), fast = fast_path=True; "
+                "so each measurement spans >=5ms); the substrate "
+                "conditional-sampling, GS/BGF/CD epoch and ais_logz_49x32 "
+                "entries have one implementation and record fast_median_s "
+                "only (no baseline leg, no speedup); "
                 "for gs_pcd/gs_multichain entries legacy = chain_batch=False "
                 "(chains advanced one at a time through the single-chain "
-                "fast path) and fast = the chain-parallel settle_batch "
-                "kernel; for ais entries legacy = the per-beta Python loop; "
-                "for *_float32 entries legacy = the float64 fast path and "
+                "settle) and fast = the chain-parallel settle_batch "
+                "kernel; for *_float32 entries legacy = the float64 tier and "
                 "fast = the float32 precision tier (fused Bernoulli latch); "
                 "for *_qint8 entries legacy = the float32 tier and fast = "
                 "the qint8 quantized-coupling tier (int8 codes + float32 "
@@ -707,6 +700,8 @@ def run_benchmarks(
     }
     if include_large:
         results["meta"]["sparse_density"] = SPARSE_BENCH_DENSITY
+    for name, make in single.items():
+        results["kernels"][name] = {"fast_median_s": _median_seconds(make(), repeats)}
     for name, make in kernels.items():
         fast_s = _median_seconds(make(True), repeats)
         legacy_s = _median_seconds(make(False), repeats)
@@ -789,11 +784,13 @@ def main(argv: Optional[list] = None) -> int:
     width = max(len(name) for name in results["kernels"])
     print(f"wrote {args.output}")
     for name, row in results["kernels"].items():
-        print(
-            f"  {name:<{width}}  legacy={row['legacy_median_s'] * 1e3:8.2f}ms"
-            f"  fast={row['fast_median_s'] * 1e3:8.2f}ms"
-            f"  speedup={row['speedup']:5.2f}x"
-        )
+        line = f"  {name:<{width}}  fast={row['fast_median_s'] * 1e3:8.2f}ms"
+        if "speedup" in row:
+            line += (
+                f"  legacy={row['legacy_median_s'] * 1e3:8.2f}ms"
+                f"  speedup={row['speedup']:5.2f}x"
+            )
+        print(line)
     for name in sorted(
         n for n, row in results["kernels"].items() if row.get("oversubscribed")
     ):

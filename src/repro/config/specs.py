@@ -93,6 +93,13 @@ def _check_int(value: Any, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _check_bool(value: Any, name: str) -> None:
+    """Reject anything but a real bool: ``bool("false")`` is True, so a
+    coerced string or int would silently flip the flag."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+
+
 class Spec:
     """Shared behavior of every frozen spec dataclass.
 
@@ -200,21 +207,24 @@ class ComputeSpec(Spec):
         Multicore knob: a positive int, ``"auto"`` (core count), or ``None``
         to defer to the ``REPRO_WORKERS`` environment default — the
         deferred form is preserved until :meth:`resolve`.
-    fast_path:
-        Cached-effective-weight / trusted-sampling kernels (the default);
-        ``False`` keeps the legacy per-settle reference path.
     """
 
     dtype: str = "float64"
     workers: Union[None, int, str] = None
-    fast_path: bool = True
 
-    #: Retired knobs that serialized specs may still carry, with the values
-    #: that were valid for them.  Sharding once had a second, process-based
-    #: tier selected here; it drew the same numbers as the thread tier, so
-    #: dropping the key on load keeps the recorded provenance exact.
-    _LEGACY_KEYS: ClassVar[Dict[str, Tuple[Any, ...]]] = {
-        "executor": (None, "threads", "processes"),
+    #: Retired knobs that serialized specs may still carry: the values that
+    #: were valid for each, and why it went.  A once-valid value drew the
+    #: same numbers as today's single implementation, so dropping the key on
+    #: load keeps the recorded provenance exact.
+    _LEGACY_KEYS: ClassVar[Dict[str, Tuple[Tuple[Any, ...], str]]] = {
+        "executor": (
+            (None, "threads", "processes"),
+            "sharding always runs on threads (set workers instead)",
+        ),
+        "fast_path": (
+            (True,),
+            "every kernel has one implementation, the former fast path",
+        ),
     }
 
     def __post_init__(self) -> None:
@@ -234,12 +244,6 @@ class ComputeSpec(Spec):
                     f"dtype must be float32, float64 or qint8, got {canonical}"
                 )
             object.__setattr__(self, "dtype", str(canonical))
-        object.__setattr__(self, "fast_path", bool(self.fast_path))
-        if self.dtype in ("float32", QINT8) and not self.fast_path:
-            raise ValidationError(
-                f"the {self.dtype} precision tier requires fast_path=True (the "
-                "legacy reference path is float64 by definition)"
-            )
         if self.workers is not None:
             # Validate-only: "auto"/ints are checked here, but the deferred
             # expansion (env read, core count) waits for resolve().
@@ -254,11 +258,15 @@ class ComputeSpec(Spec):
         any other value still raises a :class:`ValidationError`."""
         if isinstance(data, Mapping):
             data = dict(data)
-            for key, valid in cls._LEGACY_KEYS.items():
-                if key in data and data.pop(key) not in valid:
+            for key, (valid, reason) in cls._LEGACY_KEYS.items():
+                if key not in data:
+                    continue
+                value = data.pop(key)
+                # Type-strict: a stored 1 or "true" is not the flag's True.
+                if not any(type(value) is type(v) and value == v for v in valid):
                     raise ValidationError(
-                        f"legacy ComputeSpec key {key!r} must be one of {valid}; "
-                        "the knob was removed and sharding always runs on threads"
+                        f"legacy ComputeSpec key {key!r} must be one of "
+                        f"{valid}, got {value!r}; the knob was removed: {reason}"
                     )
         return super().from_dict(data)  # type: ignore[return-value]
 
@@ -303,8 +311,8 @@ class SamplerSpec(Spec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "chains", _check_int(self.chains, "chains", 1))
         object.__setattr__(self, "burn_in", _check_int(self.burn_in, "burn_in", 0))
-        object.__setattr__(self, "persistent", bool(self.persistent))
-        object.__setattr__(self, "chain_batch", bool(self.chain_batch))
+        _check_bool(self.persistent, "persistent")
+        _check_bool(self.chain_batch, "chain_batch")
 
 
 @dataclass(frozen=True)
@@ -501,12 +509,8 @@ class TrainerSpec(Spec):
                     f"step_size is a BGF charge-pump knob; the {self.kind!r} "
                     "trainer derives its updates from learning_rate"
                 )
-        if not isinstance(self.streaming, bool):
-            raise ValidationError(f"streaming must be a bool, got {self.streaming!r}")
-        if not isinstance(self.sparse_visible, bool):
-            raise ValidationError(
-                f"sparse_visible must be a bool, got {self.sparse_visible!r}"
-            )
+        _check_bool(self.streaming, "streaming")
+        _check_bool(self.sparse_visible, "sparse_visible")
         if self.streaming and self.kind != "gs":
             raise ValidationError(
                 f"streaming training is a GS knob (partial_fit pipeline); the "
@@ -641,7 +645,7 @@ class RunSpec(Spec):
     seed:
         Master seed, forwarded to experiments that accept one.
     compute:
-        Optional execution-tier overrides (dtype/workers/fast_path) for
+        Optional execution-tier overrides (dtype/workers) for
         experiments that thread them; ``None`` keeps the experiment's
         defaults.
     params:
@@ -649,7 +653,7 @@ class RunSpec(Spec):
         Values are normalized to plain-data canonical form (lists become
         tuples) so the dict round trip is exact; names are validated
         against the experiment's signature by the registry at run time.
-        The reserved knobs ``seed``/``dtype``/``workers``/``fast_path``
+        The reserved knobs ``seed``/``dtype``/``workers``
         must live in their typed fields, not here, and a retired compute
         knob (:attr:`ComputeSpec._LEGACY_KEYS`) is rejected outright.
     """
@@ -682,8 +686,8 @@ class RunSpec(Spec):
                 raise ValidationError(f"params keys must be strings, got {key!r}")
             if key in ComputeSpec._LEGACY_KEYS:
                 raise ValidationError(
-                    f"{key!r} is no longer a knob: it was removed and sharding "
-                    "always runs on threads (set workers instead)"
+                    f"{key!r} is no longer a knob: "
+                    f"{ComputeSpec._LEGACY_KEYS[key][1]}"
                 )
             if key == "seed" or key in _COMPUTE_FIELDS:
                 raise ValidationError(
@@ -696,7 +700,7 @@ class RunSpec(Spec):
     def with_overrides(self, **settings: Any) -> "RunSpec":
         """Apply ``--set``-style overrides, routing each key to its field.
 
-        Compute knobs (``dtype``, ``workers``, ``fast_path``) land in
+        Compute knobs (``dtype``, ``workers``) land in
         :attr:`compute` (created on demand), ``seed`` in :attr:`seed`, and
         everything else in :attr:`params`.  The preset label flips to
         ``"custom"`` so recorded metadata distinguishes overridden runs.

@@ -53,7 +53,6 @@ class GibbsSamplerMachine:
     def __init__(self, spec: SubstrateSpec, *, rng: SeedLike = None):
         self.substrate = BipartiteIsingSubstrate(spec=spec, rng=rng)
         self.spec = spec
-        self.fast_path = spec.compute.fast_path
         self.host = HostStatistics()
 
     @property
@@ -234,12 +233,11 @@ class GibbsSamplerTrainer:
         self.machine = machine
         self._rng = as_rng(rng)
         self.callback = callback
-        self.fast_path = spec.compute.fast_path
         self.dtype = compute_dtype(spec.compute.dtype)
         self._chains_h: Optional[np.ndarray] = None
-        # Set once the fast path's entry finiteness scan has run for this
-        # trainer; partial_fit validates the model arrays on the first call
-        # only (a per-batch O(mn) scan would erase the fast path's win).
+        # Set once the entry finiteness scan has run for this trainer;
+        # partial_fit validates the model arrays on the first call only (a
+        # per-batch O(mn) scan would erase the trusted programming's win).
         self._entry_validated = False
 
     @property
@@ -308,13 +306,13 @@ class GibbsSamplerTrainer:
             ).astype(np.float64)
 
     def _validate_entry_state(self, rbm: BernoulliRBM) -> None:
-        """The fast path's once-per-entry finiteness scan of the model arrays."""
+        """The once-per-entry finiteness scan of the model arrays."""
         check_array(rbm.weights, name="weights", shape=(rbm.n_visible, rbm.n_hidden))
         check_array(rbm.visible_bias, name="visible_bias", shape=(rbm.n_visible,))
         check_array(rbm.hidden_bias, name="hidden_bias", shape=(rbm.n_hidden,))
         self._entry_validated = True
 
-    def _update_from_batch(self, rbm: BernoulliRBM, machine, program, batch) -> None:
+    def _update_from_batch(self, rbm: BernoulliRBM, machine, batch) -> None:
         """One minibatch update: program, both phases, gradient, in-place step.
 
         The single update body behind ``train`` and ``partial_fit`` — one
@@ -322,10 +320,10 @@ class GibbsSamplerTrainer:
         ``batch`` may be dense or scipy-sparse CSR; the sparse case runs
         ``safe_sparse_dot`` data-term kernels and is float-tolerance (not
         bit-identical) against the dense expansion, while dense batches go
-        through the exact legacy expressions.
+        through the exact dense expressions.
         """
         # Step 2 of the operation sequence: program the current model.
-        program(rbm)
+        machine.program_trusted(rbm)
         # Steps 3-6: positive and negative phases on the substrate.
         chain_engine = self.persistent or self.chains > 1
         h_pos = machine.positive_phase(batch)
@@ -387,19 +385,17 @@ class GibbsSamplerTrainer:
         ``batch`` may be dense or scipy-sparse CSR.  Between calls the
         substrate stays programmed with the parameters adopted at this
         call's entry (its effective-weight cache is invalidated on exit, so
-        a float64 fast-path substrate — whose arrays alias the RBM's —
+        a float64 substrate — whose arrays alias the RBM's —
         resamples current values); the next ``partial_fit`` or ``train``
         reprograms before sampling.  Returns ``self``.
         """
         batch = check_data_matrix(batch, name="batch", n_features=rbm.n_visible)
         machine = self._ensure_machine(rbm)
         self._init_chains(rbm, reset_chains)
-        program = machine.program_trusted if self.fast_path else machine.program
-        if self.fast_path and not self._entry_validated:
+        if not self._entry_validated:
             self._validate_entry_state(rbm)
-        self._update_from_batch(rbm, machine, program, batch)
-        if self.fast_path:
-            machine.substrate.invalidate_effective_weights()
+        self._update_from_batch(rbm, machine, batch)
+        machine.substrate.invalidate_effective_weights()
         return self
 
     def _epoch_recon_error(self, rbm: BernoulliRBM, data) -> float:
@@ -473,12 +469,9 @@ class GibbsSamplerTrainer:
         # The trainer owns both the RBM and the machine, so reprogramming on
         # every minibatch can adopt the RBM's arrays by reference instead of
         # re-validating and copying the full m x n matrix each time.  The
-        # finiteness scan the legacy path ran per minibatch still runs once
-        # per train(): training arithmetic on finite inputs stays finite, so
-        # only the entry state needs checking.
-        program = machine.program_trusted if self.fast_path else machine.program
-        if self.fast_path:
-            self._validate_entry_state(rbm)
+        # finiteness scan runs once per train(): training arithmetic on
+        # finite inputs stays finite, so only the entry state needs checking.
+        self._validate_entry_state(rbm)
 
         def epoch_batches():
             if self.streaming:
@@ -493,20 +486,18 @@ class GibbsSamplerTrainer:
         history = TrainingHistory()
         for epoch in range(epochs):
             for batch in epoch_batches():
-                self._update_from_batch(rbm, machine, program, batch)
+                self._update_from_batch(rbm, machine, batch)
 
             history.record(epoch, self._epoch_recon_error(rbm, data))
             if self.callback is not None:
                 self.callback(epoch, rbm)
 
-        if self.fast_path:
-            # Restore the no-aliasing invariant before handing the machine
-            # back: the final in-place RBM update landed after the last
-            # reprogram, so detach the substrate from the RBM's live arrays
-            # (leaving it programmed with the final parameters).  Done at the
-            # substrate level so host programming counts match the legacy
-            # path's one-write-per-minibatch accounting.
-            machine.substrate.program_trusted(
-                rbm.weights.copy(), rbm.visible_bias.copy(), rbm.hidden_bias.copy()
-            )
+        # Restore the no-aliasing invariant before handing the machine back:
+        # the final in-place RBM update landed after the last reprogram, so
+        # detach the substrate from the RBM's live arrays (leaving it
+        # programmed with the final parameters).  Done at the substrate level
+        # so host programming counts stay one write per minibatch.
+        machine.substrate.program_trusted(
+            rbm.weights.copy(), rbm.visible_bias.copy(), rbm.hidden_bias.copy()
+        )
         return history

@@ -141,12 +141,10 @@ class BoltzmannGradientFollower:
         sigmoid_gain: float = 1.0,
         input_bits: Optional[int] = 8,
         rng: SeedLike = None,
-        fast_path: bool = True,
         dtype: "str" = "float64",
     ):
         self.config = config if config is not None else BGFConfig()
         self.noise_config = noise_config if noise_config is not None else NoiseConfig()
-        self.fast_path = bool(fast_path)
         streams = spawn_rngs(rng, 4)
         # ``dtype`` selects the substrate precision tier: settles and latch
         # draws run in float32 when requested, while the charge pumps edit
@@ -159,7 +157,7 @@ class BoltzmannGradientFollower:
                 sigmoid_gain=sigmoid_gain,
                 input_bits=input_bits,
                 noise=NoiseSpec.from_noise_config(self.noise_config),
-                compute=ComputeSpec(dtype=dtype, fast_path=fast_path),
+                compute=ComputeSpec(dtype=dtype),
             ),
             rng=streams[0],
         )
@@ -302,7 +300,7 @@ class BoltzmannGradientFollower:
         sub.invalidate_effective_weights()
 
     # ------------------------------------------------------------------ #
-    # Streaming fast path (chunked kernel behind :meth:`run`)
+    # Streaming kernel (chunked, behind :meth:`run`)
     # ------------------------------------------------------------------ #
     def _bgf_sample_step(self, clamped_row, v_bits, kern, static) -> None:
         """One sample's learning step (Eq. 12) with the semantics of
@@ -395,11 +393,11 @@ class BoltzmannGradientFollower:
     ) -> None:
         """Operation step 6: stream the training set for ``epochs`` passes.
 
-        On the fast path the stream is processed in chunks of ``chunk_size``
-        samples: clamp/DTC conversion and Bernoulli gating draws are batched
-        per chunk while the learning itself stays strictly sequential (see
-        :meth:`_stream_chunk`), reproducing the legacy per-sample loop
-        bit-for-bit under a fixed seed.
+        The stream is processed in chunks of ``chunk_size`` samples:
+        clamp/DTC conversion and Bernoulli gating draws are batched per
+        chunk while the learning itself stays strictly sequential (see
+        :meth:`_stream_chunk`), reproducing the per-sample
+        :meth:`learn_sample` loop bit-for-bit under a fixed seed.
         """
         data = _check_stream(data, self.n_visible)
         epochs = _check_int(epochs, "epochs", 1)
@@ -408,13 +406,13 @@ class BoltzmannGradientFollower:
         # A DTC with code-dependent noise draws from its own stream per
         # conversion, so batching would reorder those draws; fall back to the
         # per-sample loop there to keep seeded runs reproducible.
-        fast = self.fast_path and (dtc is None or dtc.nonlinearity_rms == 0.0)
-        if fast and self._particles is None:
+        chunked = dtc is None or dtc.nonlinearity_rms == 0.0
+        if chunked and self._particles is None:
             raise ValidationError("initialize must be called before run")
         n = data.shape[0]
         for _ in range(epochs):
             order = self._rng.permutation(n) if shuffle else np.arange(n)
-            if fast:
+            if chunked:
                 for start in range(0, n, chunk_size):
                     self._stream_chunk(data[order[start : start + chunk_size]])
             else:
@@ -491,7 +489,6 @@ class BGFTrainer:
         self.noise_config = None if spec.noise.is_ideal else spec.noise.to_noise_config()
         self._rng = as_rng(rng)
         self.callback = callback
-        self.fast_path = spec.compute.fast_path
         # The kernels' compute dtype; the machine below receives the tier
         # *label* (spec.compute.dtype), so the qint8 tier survives the trip.
         self.dtype = compute_dtype(spec.compute.dtype)
@@ -508,7 +505,6 @@ class BGFTrainer:
                 config=self.config,
                 noise_config=self.noise_config,
                 rng=self._rng,
-                fast_path=self.fast_path,
                 dtype=self.spec.compute.dtype,
             )
         return self.machine

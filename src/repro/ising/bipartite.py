@@ -106,7 +106,7 @@ def _field_kernel(
     bias: np.ndarray,
     noise_model: Optional[NoiseModel],
 ) -> np.ndarray:
-    """Fast-path field kernel: summed currents plus (conditional) node noise.
+    """Field kernel: summed currents plus (conditional) node noise.
 
     Single source shared by the substrate's public field methods, the
     trusted samplers, and the sharded settle, so they cannot drift apart.
@@ -165,7 +165,7 @@ def _settle_loop_kernel(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Advance one chain block for ``n_steps`` alternating settles under
     ``ctx``'s circuits — a worker shard's, or the substrate's own (the
-    serial fast path is the single-block case of this loop)."""
+    serial settle is the single-block case of this loop)."""
     visible = _settle_eval_kernel(hidden, static_pair, ctx, kern, hidden_side=False)
     for _ in range(n_steps - 1):
         hidden = _settle_eval_kernel(visible, static_pair, ctx, kern, hidden_side=True)
@@ -193,9 +193,7 @@ class BipartiteIsingSubstrate:
         float32 kernels below it.  Both reduced tiers are pinned
         statistically (``tests/property/test_precision_tiers.py``,
         ``tests/property/test_qint8_tier.py``; see the precision policy in
-        ``docs/performance.md``).  ``compute.fast_path=False`` keeps the
-        original per-settle recomputation and per-step validation, with
-        identical results.
+        ``docs/performance.md``).
     rng:
         Master seed; per-subcircuit streams are spawned from it.
     """
@@ -223,7 +221,6 @@ class BipartiteIsingSubstrate:
         sigmoid_gain = spec.sigmoid_gain
         input_bits = spec.input_bits
         comparator_offset_rms = spec.comparator_offset_rms
-        fast_path = spec.compute.fast_path
         self.noise_config = spec.noise.to_noise_config()
 
         # Stream 6 is the shard-substream root for the multicore settle
@@ -239,14 +236,12 @@ class BipartiteIsingSubstrate:
             n_units=self.n_hidden,
             gain_variation_rms=self.noise_config.variation_rms,
             rng=streams[1],
-            reference_impl=not fast_path,
         )
         self.visible_sigmoid = SigmoidUnit(
             gain=sigmoid_gain,
             n_units=self.n_visible,
             gain_variation_rms=self.noise_config.variation_rms,
             rng=streams[2],
-            reference_impl=not fast_path,
         )
         self.hidden_sampler = StochasticNeuronSampler(
             self.n_hidden, comparator_offset_rms=comparator_offset_rms, rng=streams[3]
@@ -262,7 +257,6 @@ class BipartiteIsingSubstrate:
         self.visible_bias = np.zeros(self.n_visible, dtype=self.dtype)
         self.hidden_bias = np.zeros(self.n_hidden, dtype=self.dtype)
 
-        self.fast_path = bool(fast_path)
         self._has_dynamic = self.noise_model.has_dynamic_noise
         # The fused sigmoid->compare latch is exact only when the sigmoid
         # units are the identity logistic and the comparators are ideal; any
@@ -355,8 +349,8 @@ class BipartiteIsingSubstrate:
         mutates them.  :meth:`program` remains the validated public API.
         On a float32 substrate the adoption becomes a one-time cast when the
         caller's arrays are float64 (the trainers keep the host-side model in
-        double precision); that O(mn) cast replaces the legacy path's O(mn)
-        validation scan + copy, so the fast path stays ahead.
+        double precision); that O(mn) cast replaces :meth:`program`'s O(mn)
+        validation scan + copy.
         """
         weights = np.asarray(weights, dtype=self.dtype)
         visible_bias = np.asarray(visible_bias, dtype=self.dtype)
@@ -454,8 +448,8 @@ class BipartiteIsingSubstrate:
         The static (variation-scaled) part is cached between programmings —
         in the ideal-variation corner it aliases ``self.weights`` outright,
         so the cache costs nothing.  Fresh dynamic coupling noise, when
-        configured, is still applied per call, in the same draw order as the
-        legacy per-settle path.
+        configured, is still applied per call, in the same draw order as a
+        per-settle recomputation of the whole product.
         """
         return _dynamic_pair_kernel(
             self._static_pair(), self._serial_context.noise_model, self.dtype
@@ -498,12 +492,6 @@ class BipartiteIsingSubstrate:
                     self._eff_cache = cache
         return cache
 
-    def _effective_weights(self) -> np.ndarray:
-        """Coupling weights as realized by the array for this evaluation."""
-        if self.fast_path:
-            return self._effective_pair()[0]
-        return self.noise_model.perturbed_coupling(self.weights)
-
     def hidden_field(self, visible: np.ndarray) -> np.ndarray:
         """Summed column currents seen by the hidden nodes (plus node noise)."""
         if is_sparse(visible):
@@ -512,26 +500,18 @@ class BipartiteIsingSubstrate:
             # Tier dtype, not float: a float32/qint8 substrate computes (and
             # returns) float32 fields — same fix family as clamp_visible.
             visible = np.atleast_2d(np.asarray(visible, dtype=self.dtype))
-        if self.fast_path:
-            effective, _ = self._effective_pair()
-            return _field_kernel(
-                visible, effective, self.hidden_bias, self._serial_context.noise_model
-            )
-        field = safe_sparse_dot(visible, self._effective_weights()) + self.hidden_bias
-        scale = max(float(np.std(field)), 1.0)
-        return field + self.noise_model.node_noise(field.shape, scale=scale)
+        effective, _ = self._effective_pair()
+        return _field_kernel(
+            visible, effective, self.hidden_bias, self._serial_context.noise_model
+        )
 
     def visible_field(self, hidden: np.ndarray) -> np.ndarray:
         """Summed row currents seen by the visible nodes (plus node noise)."""
         hidden = np.atleast_2d(np.asarray(hidden, dtype=self.dtype))
-        if self.fast_path:
-            _, effective_t = self._effective_pair()
-            return _field_kernel(
-                hidden, effective_t, self.visible_bias, self._serial_context.noise_model
-            )
-        field = hidden @ self._effective_weights().T + self.visible_bias
-        scale = max(float(np.std(field)), 1.0)
-        return field + self.noise_model.node_noise(field.shape, scale=scale)
+        _, effective_t = self._effective_pair()
+        return _field_kernel(
+            hidden, effective_t, self.visible_bias, self._serial_context.noise_model
+        )
 
     def hidden_probability(self, visible: np.ndarray) -> np.ndarray:
         """Sigmoid-unit output voltages at the hidden nodes."""
@@ -568,22 +548,18 @@ class BipartiteIsingSubstrate:
             clamped = self.clamp_visible(
                 np.atleast_2d(np.asarray(visible, dtype=float))
             )
-        if self.fast_path:
-            return _settle_eval_kernel(
-                clamped, self._static_pair(), self._serial_context, self._kernel(),
-                hidden_side=True,
-            )
-        return self.hidden_sampler.sample(self.hidden_probability(clamped))
+        return _settle_eval_kernel(
+            clamped, self._static_pair(), self._serial_context, self._kernel(),
+            hidden_side=True,
+        )
 
     def sample_visible_given_hidden(self, hidden: np.ndarray) -> np.ndarray:
         """Clamp the hidden nodes and latch one visible sample."""
         hidden = check_binary(np.atleast_2d(np.asarray(hidden, dtype=float)), name="hidden")
-        if self.fast_path:
-            return _settle_eval_kernel(
-                hidden, self._static_pair(), self._serial_context, self._kernel(),
-                hidden_side=False,
-            )
-        return self.visible_sampler.sample(self.visible_probability(hidden))
+        return _settle_eval_kernel(
+            hidden, self._static_pair(), self._serial_context, self._kernel(),
+            hidden_side=False,
+        )
 
     # ------------------------------------------------------------------ #
     # Sharded settles (the multicore execution layer)
@@ -630,11 +606,6 @@ class BipartiteIsingSubstrate:
         serial kernel instead (the environment opts eligible settles into
         sharding, it must not break configurations nobody asked to shard).
         """
-        if not self.fast_path:
-            return (
-                "sharded settles (workers > 1) require fast_path=True; the "
-                "legacy reference path is serial by definition"
-            )
         if not self._chain_skip_clamp:
             return (
                 "sharded settles (workers > 1) require a noise-free input "
@@ -719,9 +690,9 @@ class BipartiteIsingSubstrate:
         (and a single chain row) runs the serial kernel below,
         bit-identical to the pre-threading implementation; ``workers=None``
         defers to ``REPRO_WORKERS``/1 and ``"auto"`` to the core count (see
-        :mod:`repro.utils.parallel`).  Sharding requires the fast path and
-        noise-free DTC/sigmoid-output draws (dynamic coupling/node noise is
-        fine — each shard perturbs its replica from its own substream).
+        :mod:`repro.utils.parallel`).  Sharding requires noise-free
+        DTC/sigmoid-output draws (dynamic coupling/node noise is fine —
+        each shard perturbs its replica from its own substream).
 
         Returns the final ``(visible, hidden)`` samples, shaped
         ``(p, n_visible)`` and ``(p, n_hidden)``, in the substrate's
@@ -745,9 +716,9 @@ class BipartiteIsingSubstrate:
                 raise ValidationError(reason)
             # workers came from the REPRO_WORKERS default: the environment
             # opts *eligible* settles into sharding — a substrate that
-            # cannot shard (legacy path, noisy DTC/sigmoid) keeps its
-            # serial kernel instead of erroring on code that never asked.
-        if self.fast_path and self._chain_skip_clamp:
+            # cannot shard (noisy DTC/sigmoid) keeps its serial kernel
+            # instead of erroring on code that never asked.
+        if self._chain_skip_clamp:
             # Validation is hoisted: hidden_init was checked once above, and
             # every in-chain state comes from our own latches (binary by
             # construction), so the per-step binary checks are skipped.  The

@@ -43,40 +43,6 @@ from repro.utils.validation import ValidationError, check_array
 AIS_SHARD_ROOT_KEY = 0x41495350
 
 
-def _ais_log_unnormalized(
-    weights: np.ndarray,
-    visible_bias: np.ndarray,
-    hidden_bias: np.ndarray,
-    base_bias: np.ndarray,
-    v: np.ndarray,
-    beta: float,
-) -> np.ndarray:
-    """log p*_beta(v) of the interpolated distribution (legacy sweep)."""
-    hidden_input = beta * (v @ weights + hidden_bias)
-    return (
-        (1.0 - beta) * (v @ base_bias)
-        + beta * (v @ visible_bias)
-        + np.sum(log1pexp(hidden_input), axis=1)
-    )
-
-
-def _ais_transition(
-    weights: np.ndarray,
-    visible_bias: np.ndarray,
-    hidden_bias: np.ndarray,
-    base_bias: np.ndarray,
-    v: np.ndarray,
-    beta: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One Gibbs transition that leaves the beta-interpolated model invariant
-    (legacy sweep)."""
-    h_prob = sigmoid(beta * (v @ weights + hidden_bias))
-    h = bernoulli_sample(h_prob, rng)
-    v_field = beta * (h @ weights.T + visible_bias) + (1.0 - beta) * base_bias
-    return bernoulli_sample(sigmoid(v_field), rng)
-
-
 def _ais_sweep(
     weights: np.ndarray,
     visible_bias: np.ndarray,
@@ -86,7 +52,6 @@ def _ais_sweep(
     n_chains: int,
     rng: np.random.Generator,
     *,
-    fast_path: bool,
     dtype: np.dtype,
 ) -> np.ndarray:
     """Run the full beta sweep for ``n_chains`` particles on ``rng``.
@@ -101,59 +66,44 @@ def _ais_sweep(
     # Initial samples from the base-rate model.
     v = bernoulli_sample(np.tile(sigmoid(base_bias), (n_chains, 1)), rng)
     log_w = np.zeros(n_chains, dtype=np.float64)
-    if fast_path:
-        # Vectorized sweep: one (chains x n_hidden) input matmul per
-        # temperature, shared by the weight update at both adjacent betas
-        # (through the fused softplus-difference kernel) and by the Gibbs
-        # transition; the visible-bias gap against the base rate
-        # collapses to a single hoisted vector.  On the float32 tier the
-        # parameters are quantized once up front, the matmuls and draws
-        # run in single precision, and log_w stays float64.
-        tier32 = dtype == np.float32
-        weights = np.asarray(weights, dtype=dtype)
-        weights_t = weights.T
-        hidden_bias = np.asarray(hidden_bias, dtype=dtype)
-        visible_bias = np.asarray(visible_bias, dtype=dtype)
-        base = np.asarray(base_bias, dtype=dtype)
-        bias_gap = visible_bias - base
+    # Vectorized sweep: one (chains x n_hidden) input matmul per
+    # temperature, shared by the weight update at both adjacent betas
+    # (through the fused softplus-difference kernel) and by the Gibbs
+    # transition; the visible-bias gap against the base rate collapses to
+    # a single hoisted vector.  On the float32 tier the parameters are
+    # quantized once up front, the matmuls and draws run in single
+    # precision, and log_w stays float64.
+    tier32 = dtype == np.float32
+    weights = np.asarray(weights, dtype=dtype)
+    weights_t = weights.T
+    hidden_bias = np.asarray(hidden_bias, dtype=dtype)
+    visible_bias = np.asarray(visible_bias, dtype=dtype)
+    base = np.asarray(base_bias, dtype=dtype)
+    bias_gap = visible_bias - base
+    if tier32:
+        v = v.astype(dtype)
+    for prev_beta, beta in zip(betas[:-1], betas[1:]):
+        hidden_in = v @ weights + hidden_bias
+        log_w += (beta - prev_beta) * (v @ bias_gap)
+        log_w += np.sum(
+            log1pexp_diff(hidden_in, beta, prev_beta),
+            axis=1,
+            dtype=np.float64,
+        )
         if tier32:
-            v = v.astype(dtype)
-        for prev_beta, beta in zip(betas[:-1], betas[1:]):
-            hidden_in = v @ weights + hidden_bias
-            log_w += (beta - prev_beta) * (v @ bias_gap)
-            log_w += np.sum(
-                log1pexp_diff(hidden_in, beta, prev_beta),
-                axis=1,
-                dtype=np.float64,
+            h = fused_sigmoid_bernoulli(
+                beta * hidden_in,
+                rng.random(hidden_in.shape, dtype=np.float32),
             )
-            if tier32:
-                h = fused_sigmoid_bernoulli(
-                    beta * hidden_in,
-                    rng.random(hidden_in.shape, dtype=np.float32),
-                )
-                v_field = beta * (h @ weights_t + visible_bias)
-                v_field += (1.0 - beta) * base
-                v = fused_sigmoid_bernoulli(
-                    v_field, rng.random(v_field.shape, dtype=np.float32)
-                )
-            else:
-                h = bernoulli_sample(sigmoid(beta * hidden_in), rng)
-                v_field = (
-                    beta * (h @ weights_t + visible_bias)
-                    + (1.0 - beta) * base
-                )
-                v = bernoulli_sample(sigmoid(v_field), rng)
-    else:
-        for prev_beta, beta in zip(betas[:-1], betas[1:]):
-            log_w += _ais_log_unnormalized(
-                weights, visible_bias, hidden_bias, base_bias, v, beta
+            v_field = beta * (h @ weights_t + visible_bias)
+            v_field += (1.0 - beta) * base
+            v = fused_sigmoid_bernoulli(
+                v_field, rng.random(v_field.shape, dtype=np.float32)
             )
-            log_w -= _ais_log_unnormalized(
-                weights, visible_bias, hidden_bias, base_bias, v, prev_beta
-            )
-            v = _ais_transition(
-                weights, visible_bias, hidden_bias, base_bias, v, beta, rng
-            )
+        else:
+            h = bernoulli_sample(sigmoid(beta * hidden_in), rng)
+            v_field = beta * (h @ weights_t + visible_bias) + (1.0 - beta) * base
+            v = bernoulli_sample(sigmoid(v_field), rng)
     return log_w
 
 
@@ -198,15 +148,14 @@ class AISEstimator:
         ``chains`` is the number of independent AIS chains (particles);
         ``betas`` the number of interpolation temperatures between 0 and 1
         inclusive (the original paper uses ~10,000-15,000; a few hundred
-        suffice for CI-scale models).  ``compute.fast_path`` (default)
-        selects the vectorized beta sweep: per temperature one matmul of
-        the hidden inputs of all chains serves the importance-weight update
-        at both adjacent temperatures and the Gibbs transition, and the
-        weight update goes through the fused
+        suffice for CI-scale models).  The beta sweep is vectorized: per
+        temperature one matmul of the hidden inputs of all chains serves
+        the importance-weight update at both adjacent temperatures and the
+        Gibbs transition, and the weight update goes through the fused
         :func:`~repro.utils.numerics.log1pexp_diff` kernel.  Its float64
-        Bernoulli draws are bit-identical to the reference loop's
-        (``fast_path=False``), so the two agree to float64 reassociation
-        tolerance.  ``compute.dtype="float32"`` runs the sweep in single
+        Bernoulli draws are bit-identical to the per-beta reference loop's
+        (the test oracle in ``tests/helpers/reference.py``), so the two
+        agree to float64 reassociation tolerance.  ``compute.dtype="float32"`` runs the sweep in single
         precision while the log weights accumulate in float64;
         ``"qint8"`` quantize-dequantizes the RBM's parameters once per
         estimate (the substrate's coupling scheme) and runs the float32
@@ -253,7 +202,6 @@ class AISEstimator:
             None if base_visible_bias is None else np.asarray(base_visible_bias, dtype=float)
         )
         self._rng = as_rng(rng)
-        self.fast_path = spec.compute.fast_path
         # qint8 sweeps run on an up-front quantize-dequantize of the RBM's
         # parameters (per-column weight scales, per-tensor bias scales) and
         # then reuse the float32 sweep kernel unchanged below that point.
@@ -353,7 +301,7 @@ class AISEstimator:
         def sweep(n_chains: int, rng: np.random.Generator) -> np.ndarray:
             return _ais_sweep(
                 weights, visible_bias, hidden_bias, base_bias, betas, n_chains,
-                rng, fast_path=self.fast_path, dtype=self.dtype,
+                rng, dtype=self.dtype,
             )
 
         if workers == 1 or self.n_chains == 1:
@@ -379,7 +327,6 @@ def estimate_log_partition(
     n_betas: int = 200,
     data: Optional[np.ndarray] = None,
     rng: SeedLike = None,
-    fast_path: bool = True,
     dtype: "str" = "float64",
     workers: "int | str | None" = None,
 ) -> float:
@@ -394,7 +341,7 @@ def estimate_log_partition(
         spec=EstimatorSpec(
             chains=n_chains,
             betas=n_betas,
-            compute=ComputeSpec(dtype=dtype, workers=workers, fast_path=fast_path),
+            compute=ComputeSpec(dtype=dtype, workers=workers),
         ),
         base_visible_bias=base_bias,
         rng=rng,

@@ -284,7 +284,6 @@ class CDTrainer:
         self.momentum = spec.momentum  # range-validated by TrainerSpec
         self._rng = as_rng(rng)
         self.callback = callback
-        self.fast_path = spec.compute.fast_path
 
     def _gradient(self, rbm: BernoulliRBM, v_pos: np.ndarray):
         """Compute the CD-k gradient estimate for one minibatch.
@@ -348,10 +347,10 @@ class CDTrainer:
 
         history = TrainingHistory()
         # With zero momentum the velocity recurrence collapses to a plain
-        # gradient step (``0 * vel + lr * grad == lr * grad`` exactly), so the
-        # fast path skips the three velocity buffers and their six extra
-        # array operations per minibatch.
-        use_velocity = self.momentum > 0.0 or not self.fast_path
+        # gradient step (``0 * vel + lr * grad == lr * grad`` exactly), so it
+        # skips the three velocity buffers and their six extra array
+        # operations per minibatch.
+        use_velocity = self.momentum > 0.0
         if use_velocity:
             vel_w = np.zeros_like(rbm.weights)
             vel_bv = np.zeros_like(rbm.visible_bias)

@@ -46,8 +46,10 @@ class ServiceStats:
     first implementation kept grew one int per batch, forever).  Error
     traffic is counted too: ``requests``/``rows`` cover every request the
     service resolved, successfully or not, and ``errors``/``error_rows``
-    single out the failed slice (scorer exceptions, shape mismatches,
-    requests failed at shutdown).
+    single out the failed slice (scorer exceptions, requests failed at
+    shutdown, and requests rejected at validation — wrong width, empty,
+    ragged or non-finite — which count as errors with zero rows, since
+    none of their rows was accepted).
     """
 
     requests: int = 0
@@ -172,7 +174,13 @@ class MicroBatchScoringService:
 
     # ------------------------------------------------------------------ #
     def _validate_rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
+        try:
+            rows = np.asarray(rows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                "a scoring request is a non-empty 2-D block of equal-length"
+                f" numeric rows ({exc})"
+            ) from None
         if rows.ndim == 1:
             rows = rows[np.newaxis, :]
         if rows.ndim != 2 or rows.shape[0] == 0:
@@ -185,13 +193,25 @@ class MicroBatchScoringService:
                 f"request rows have {rows.shape[1]} features; the model"
                 f" expects {self.n_features}"
             )
+        # json.loads accepts NaN/Infinity: a non-finite row would score to
+        # NaN and go back as a response that is not valid JSON.
+        if not np.isfinite(rows).all():
+            raise ValidationError("request rows must be finite (got NaN or infinity)")
         return rows
 
     async def submit(self, rows) -> np.ndarray:
-        """Score a row block; resolves when its coalesced batch is scored."""
+        """Score a row block; resolves when its coalesced batch is scored.
+
+        A block rejected at validation raises :class:`ValidationError` and
+        counts as a failed request in :attr:`stats`.
+        """
         if self._queue is None:
             raise ValidationError("service is not started (use 'async with')")
-        rows = self._validate_rows(rows)
+        try:
+            rows = self._validate_rows(rows)
+        except ValidationError:
+            self.stats.record_request(0, failed=True)
+            raise
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         await self._queue.put((rows, future))
         return await future

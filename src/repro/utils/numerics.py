@@ -49,8 +49,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     Branch-free kernel: with ``z = exp(-|x|)`` (which never overflows) the
     positive branch is ``1 / (1 + z)`` and the negative branch ``z / (1 + z)``,
     so one exponential and one division cover both.  Bit-identical to the
-    two-pass masked formulation (:func:`sigmoid_reference`) because each
-    element goes through the exact same floating-point operations.
+    two-pass masked formulation (kept as the test oracle in
+    ``tests/helpers/reference.py``) because each element goes through the
+    exact same floating-point operations.
     Dtype-preserving for float32 inputs (see module docstring).
     """
     x = as_float_array(x)
@@ -65,21 +66,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(num, z, out=num)
 
 
-def sigmoid_reference(x: np.ndarray) -> np.ndarray:
-    """Two-pass masked logistic kept as the legacy reference implementation.
-
-    The fast-path equivalence tests pin :func:`sigmoid` against this
-    formulation; it is not used on any hot path.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def log_sigmoid(x: np.ndarray) -> np.ndarray:
     """``log(sigmoid(x))`` computed without overflow."""
     x = as_float_array(x)
@@ -90,8 +76,9 @@ def log1pexp(x: np.ndarray) -> np.ndarray:
     """``log(1 + exp(x))`` (softplus) computed without overflow.
 
     Branch-free kernel: ``log1p(exp(-|x|)) + max(x, 0)`` — the same
-    floating-point operations per element as the masked two-pass form
-    (:func:`log1pexp_reference`), so the results are bit-identical.
+    floating-point operations per element as the masked two-pass form (the
+    test oracle in ``tests/helpers/reference.py``), so the results are
+    bit-identical.
     Dtype-preserving for float32 inputs (see module docstring).
     """
     x = as_float_array(x)
@@ -103,16 +90,6 @@ def log1pexp(x: np.ndarray) -> np.ndarray:
     np.log1p(z, out=z)
     z += np.maximum(x, 0.0)
     return z
-
-
-def log1pexp_reference(x: np.ndarray) -> np.ndarray:
-    """Two-pass masked softplus kept as the legacy reference implementation."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x, dtype=float)
-    small = x <= 0
-    out[small] = np.log1p(np.exp(x[small]))
-    out[~small] = x[~small] + np.log1p(np.exp(-x[~small]))
-    return out
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

@@ -59,11 +59,11 @@ WorkersLike = Union[None, int, str]
 
 #: Environment variable consulted when ``workers=None`` — the CI matrix's
 #: knob for opting *eligible* call sites into the sharded paths (surfaces
-#: that cannot shard, e.g. the legacy reference path, keep their serial
+#: that cannot shard, e.g. a noisy-DTC substrate, keep their serial
 #: kernels rather than erroring; an explicit ``workers=k`` argument still
-#: fails loudly there).  Note that bit-identical fast-vs-legacy comparisons
-#: legitimately diverge under this variable — the suites that pin those
-#: contracts pass ``workers=1`` explicitly or clear the variable.
+#: fails loudly there).  Note that bit-identical comparisons against the
+#: serial reference legitimately diverge under this variable — the suites
+#: that pin those contracts pass ``workers=1`` explicitly or clear it.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 

@@ -131,6 +131,18 @@ class TestMain:
         assert "executor" in captured.err
         assert "=== figure7" not in captured.out
 
+    @pytest.mark.parametrize("value", ["no", "false", "true"])
+    def test_removed_fast_path_knob_fails_before_training(
+        self, forbid_training, capsys, value
+    ):
+        """``--set fast_path=no`` once parsed to a truthy string and ran the
+        one implementation silently; the retired knob now fails loudly."""
+        assert main(["run", "table4", "--set", f"fast_path={value}"]) == 2
+        captured = capsys.readouterr()
+        assert "fast_path" in captured.err
+        assert "no longer a knob" in captured.err
+        assert "=== table4" not in captured.out
+
     def test_negative_seed_fails_before_training(self, forbid_training, capsys):
         args = ["run", "figure7", "--set", "seed=-1", "--set", "epochs=2"]
         assert main(args) == 2

@@ -135,7 +135,7 @@ class TestMaterializeKwargs:
         assert kwargs["dtype"] == "float32"
         assert kwargs["workers"] == 4
         assert kwargs["seed"] == 2
-        assert "fast_path" not in kwargs  # figure7 does not thread it
+        assert "fast_path" not in kwargs  # a retired knob, never threaded
 
 
 class TestRunExperiment:

@@ -25,7 +25,6 @@ class TestComputeSpec:
         spec = ComputeSpec()
         assert spec.dtype == "float64"
         assert spec.workers is None
-        assert spec.fast_path is True
 
     def test_dtype_normalized_to_canonical_string(self):
         assert ComputeSpec(dtype=np.float32).dtype == "float32"
@@ -38,18 +37,10 @@ class TestComputeSpec:
         ):
             ComputeSpec(dtype=dtype)
 
-    def test_float32_requires_fast_path(self):
-        with pytest.raises(ValidationError, match="fast_path"):
-            ComputeSpec(dtype="float32", fast_path=False)
-
     def test_qint8_tier_accepted_and_canonicalized(self):
         assert ComputeSpec(dtype="qint8").dtype == "qint8"
         # The tier label tolerates case/whitespace like the float tiers.
         assert ComputeSpec(dtype=" QINT8 ").dtype == "qint8"
-
-    def test_qint8_requires_fast_path(self):
-        with pytest.raises(ValidationError, match="fast_path"):
-            ComputeSpec(dtype="qint8", fast_path=False)
 
     def test_compute_dtype_maps_tier_labels(self):
         assert compute_dtype("float64") == np.dtype(np.float64)
@@ -86,10 +77,8 @@ class TestComputeSpec:
         monkeypatch.setenv("REPRO_WORKERS", "7")
         assert ComputeSpec(workers=2).resolve().workers == 2
 
-    def test_three_settable_fields(self):
-        assert [f.name for f in dataclasses.fields(ComputeSpec)] == [
-            "dtype", "workers", "fast_path",
-        ]
+    def test_settable_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(ComputeSpec)) == ("dtype", "workers")
 
 
 class TestSamplerAndNoiseSpecs:
@@ -97,6 +86,23 @@ class TestSamplerAndNoiseSpecs:
     def test_bad_chains_rejected(self, chains):
         with pytest.raises(ValidationError):
             SamplerSpec(chains=chains)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: SamplerSpec(persistent="false"), "persistent"),
+            (lambda: SamplerSpec(chain_batch="no"), "chain_batch"),
+            (lambda: SamplerSpec(persistent=1), "persistent"),
+            (lambda: SamplerSpec.from_dict({"chain_batch": 0}), "chain_batch"),
+            (lambda: TrainerSpec.gs(persistent="true"), "persistent"),
+            (lambda: TrainerSpec.gs(streaming="yes"), "streaming"),
+            (lambda: TrainerSpec.gs(sparse_visible=1), "sparse_visible"),
+        ],
+    )
+    def test_flags_reject_non_bools(self, build, field):
+        """``bool("false")`` is True: a coerced flag would silently flip."""
+        with pytest.raises(ValidationError, match=f"{field} must be a bool"):
+            build()
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValidationError, match="burn_in"):
@@ -288,6 +294,13 @@ class TestRunSpec:
         with pytest.raises(ValidationError, match="executor"):
             RunSpec(experiment="figure7").with_overrides(executor=value)
 
+    @pytest.mark.parametrize("value", [True, False, "no"])
+    def test_with_overrides_rejects_removed_fast_path_knob(self, value):
+        """``--set fast_path=no`` once parsed to a truthy string and ran the
+        default path silently; the retired knob now fails at the boundary."""
+        with pytest.raises(ValidationError, match="fast_path"):
+            RunSpec(experiment="table4").with_overrides(fast_path=value)
+
     def test_bad_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             RunSpec(experiment="figure7", seed="paper")
@@ -378,6 +391,24 @@ class TestFromDictValidation:
     def test_legacy_executor_key_with_invalid_value_rejected(self, value):
         with pytest.raises(ValidationError, match="executor"):
             ComputeSpec.from_dict({"dtype": "float64", "executor": value})
+
+    def test_legacy_fast_path_true_dropped(self):
+        """Specs saved while the fast_path knob existed still load; the key
+        is gone from the reloaded spec."""
+        run = {
+            "experiment": "table4",
+            "seed": 3,
+            "compute": {"dtype": "float64", "workers": 1, "fast_path": True},
+        }
+        loaded = RunSpec.from_dict(json.loads(json.dumps(run)))
+        assert loaded.compute == ComputeSpec(workers=1)
+        assert "fast_path" not in loaded.to_dict()["compute"]
+
+    @pytest.mark.parametrize("value", [False, "no", "true", 1, None])
+    def test_legacy_fast_path_other_values_rejected(self, value):
+        """Only the value the single implementation reproduces loads."""
+        with pytest.raises(ValidationError, match="fast_path"):
+            ComputeSpec.from_dict({"fast_path": value})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValidationError, match="mapping"):

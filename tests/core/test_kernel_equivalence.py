@@ -1,15 +1,17 @@
-"""Equivalence tests: the fast-path kernels against the legacy paths.
+"""Equivalence tests: the kernels against the seed-semantics oracle.
 
-The fast-path kernel layer (see docs/performance.md) removes redundant
-allocation and validation from the sampling hot loops but must not change a
-single drawn bit.  These tests pin that contract:
+The kernels (see docs/performance.md) cache effective couplings and skip
+redundant allocation and validation in the sampling hot loops, but must not
+change a single drawn bit against the straightforward formulation kept in
+``tests/helpers/reference.py``.  These tests pin that contract:
 
-* ideal-noise corner — fast-path and legacy-path training runs produce
-  bit-for-bit identical weights under the same seed, for all three trainers
-  (CD, GibbsSampler, BGF);
+* ideal-noise corner — GS and BGF training runs produce bit-for-bit
+  identical weights to the same runs on the oracle substrate (the BGF leg
+  through its per-sample ``learn_sample`` loop) under the same seed, and
+  the CD trainer matches a run through the masked reference sigmoid;
 * the BGF's flat streaming kernel equals its validated per-sample loop in
   every tier x noise x saturation x column-type corner;
-* noisy corner — the fast paths preserve the per-stream RNG draw order, so
+* noisy corner — the kernels preserve the per-stream RNG draw order, so
   even the (0.1, 0.1) operating point reproduces exactly;
 * the fused numeric kernels (sigmoid / softplus) match their masked
   reference implementations bit-for-bit;
@@ -22,22 +24,23 @@ import pytest
 
 from repro.analog.converters import AnalogToDigitalConverter
 from repro.analog.noise import NoiseConfig
+from helpers.reference import (
+    ReferenceSubstrate,
+    log1pexp_reference,
+    sigmoid_reference,
+    use_reference,
+)
 from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, CDTrainer
-from repro.utils.numerics import (
-    log1pexp,
-    log1pexp_reference,
-    sigmoid,
-    sigmoid_reference,
-)
+from repro.utils.numerics import log1pexp, sigmoid
 
 
 @pytest.fixture(autouse=True)
 def _serial_workers(monkeypatch):
     """This suite pins the *bit-identical serial* contract: REPRO_WORKERS
-    would legitimately shard the fast side's draws onto per-shard
+    would legitimately shard the kernels' draws onto per-shard
     substreams (that regime's pinning lives in
     ``tests/property/test_parallel_statistics.py``), so the environment
     default is cleared here."""
@@ -53,9 +56,14 @@ def data():
     return np.where(flips, 1.0 - samples, samples)
 
 
-def _train(trainer_factory, data, epochs=2):
+def _train(trainer_factory, data, epochs=2, *, reference=False):
+    """Train a fresh 49x32 RBM; ``reference`` swaps the oracle into the
+    trainer's machine first (same seeds, same streams)."""
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer_factory().train(rbm, data, epochs=epochs)
+    trainer = trainer_factory()
+    if reference:
+        use_reference(trainer._ensure_machine(rbm))
+    trainer.train(rbm, data, epochs=epochs)
     return rbm
 
 
@@ -66,66 +74,27 @@ def _assert_same_model(a: BernoulliRBM, b: BernoulliRBM) -> None:
 
 
 class TestTrainerEquivalenceIdealCorner:
-    def test_cd_trainer_bit_identical(self, data):
-        fast = _train(lambda: CDTrainer(
-            spec=TrainerSpec.cd(0.1, cd_k=2, batch_size=10), rng=1
-        ), data)
-        legacy = _train(
-            lambda: CDTrainer(
-                spec=TrainerSpec.cd(
-                    0.1, cd_k=2, batch_size=10, compute=ComputeSpec(fast_path=False)
-                ),
-                rng=1,
-            ), data
-        )
-        _assert_same_model(fast, legacy)
-
     def test_cd_trainer_matches_reference_sigmoid(self, data, monkeypatch):
-        fast = _train(lambda: CDTrainer(
-            spec=TrainerSpec.cd(0.1, cd_k=1, batch_size=10), rng=1
-        ), data)
+        def factory():
+            return CDTrainer(spec=TrainerSpec.cd(0.1, cd_k=1, batch_size=10), rng=1)
+
+        fast = _train(factory, data)
         monkeypatch.setattr("repro.rbm.rbm.sigmoid", sigmoid_reference)
-        reference = _train(
-            lambda: CDTrainer(
-                spec=TrainerSpec.cd(
-                    0.1, cd_k=1, batch_size=10, compute=ComputeSpec(fast_path=False)
-                ),
-                rng=1,
-            ), data
-        )
-        _assert_same_model(fast, reference)
+        _assert_same_model(fast, _train(factory, data))
 
     def test_gibbs_sampler_trainer_bit_identical(self, data):
-        fast = _train(
-            lambda: GibbsSamplerTrainer(
+        def factory():
+            return GibbsSamplerTrainer(
                 spec=TrainerSpec.gs(0.1, cd_k=2, batch_size=10), rng=1
-            ), data
-        )
-        legacy = _train(
-            lambda: GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(
-                    0.1, cd_k=2, batch_size=10, compute=ComputeSpec(fast_path=False)
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(fast, legacy)
+            )
+
+        _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
     def test_bgf_trainer_bit_identical(self, data):
-        fast = _train(lambda: BGFTrainer(
-            spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1
-        ), data)
-        legacy = _train(
-            lambda: BGFTrainer(
-                spec=TrainerSpec.bgf(
-                    0.1, reference_batch_size=10, compute=ComputeSpec(fast_path=False)
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(fast, legacy)
+        def factory():
+            return BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
+
+        _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
     @pytest.mark.parametrize("dtype", ["float64", "float32", "qint8"])
     def test_bgf_chunk_size_does_not_change_the_stream(self, data, dtype):
@@ -203,68 +172,28 @@ class TestTrainerEquivalenceNoisyCorner:
     NOISY = NoiseSpec(0.1, 0.1)
 
     def test_gibbs_sampler_trainer_noisy_bit_identical(self, data):
-        fast = _train(
-            lambda: GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(
-                    0.1,
-                    cd_k=1,
-                    batch_size=10,
-                    noise=self.NOISY,
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        legacy = _train(
-            lambda: GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(
-                    0.1,
-                    cd_k=1,
-                    batch_size=10,
-                    noise=self.NOISY,
-                    compute=ComputeSpec(fast_path=False),
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(fast, legacy)
+        def factory():
+            return GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, noise=self.NOISY), rng=1
+            )
+
+        _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
     def test_bgf_trainer_noisy_bit_identical(self, data):
-        fast = _train(
-            lambda: BGFTrainer(
-                spec=TrainerSpec.bgf(
-                    0.1,
-                    reference_batch_size=10,
-                    noise=self.NOISY,
-                ),
+        def factory():
+            return BGFTrainer(
+                spec=TrainerSpec.bgf(0.1, reference_batch_size=10, noise=self.NOISY),
                 rng=1,
-            ),
-            data,
-        )
-        legacy = _train(
-            lambda: BGFTrainer(
-                spec=TrainerSpec.bgf(
-                    0.1,
-                    reference_batch_size=10,
-                    noise=self.NOISY,
-                    compute=ComputeSpec(fast_path=False),
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(fast, legacy)
+            )
+
+        _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
 
 class TestSubstrateEquivalence:
     def _pair(self, **kwargs):
         subs = []
-        for fast in (True, False):
-            sub = BipartiteIsingSubstrate(
-                spec=SubstrateSpec(49, 32, compute=ComputeSpec(fast_path=fast), **kwargs),
-                rng=7,
-            )
+        for cls in (BipartiteIsingSubstrate, ReferenceSubstrate):
+            sub = cls(spec=SubstrateSpec(49, 32, **kwargs), rng=7)
             weights = np.random.default_rng(1).normal(0, 0.1, (49, 32))
             sub.program(weights, np.zeros(49), np.zeros(32))
             subs.append(sub)
@@ -277,8 +206,9 @@ class TestSubstrateEquivalence:
             legacy.sample_hidden_given_visible(data),
         )
 
-    def test_gibbs_chain_bit_identical(self, data):
-        fast, legacy = self._pair()
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.1, 0.1)], ids=["ideal", "noisy"])
+    def test_gibbs_chain_bit_identical(self, data, noise):
+        fast, legacy = self._pair(noise=noise)
         h0 = (np.random.default_rng(2).random((10, 32)) < 0.5).astype(float)
         v_fast, h_fast = fast.gibbs_chain(h0, 5)
         v_legacy, h_legacy = legacy.gibbs_chain(h0, 5)
@@ -297,11 +227,9 @@ class TestSubstrateEquivalence:
         first = sub.sample_hidden_given_visible(data[:5])
         new_weights = np.random.default_rng(3).normal(0, 0.5, (49, 32))
         sub.program_trusted(new_weights, np.zeros(49), np.zeros(32))
-        # A fresh legacy substrate programmed straight to the new weights
-        # must agree with the reprogrammed fast one from here on.
-        ref = BipartiteIsingSubstrate(
-            spec=SubstrateSpec(49, 32, compute=ComputeSpec(fast_path=False)), rng=7
-        )
+        # A fresh oracle programmed straight to the new weights must agree
+        # with the reprogrammed substrate from here on.
+        ref = ReferenceSubstrate(spec=SubstrateSpec(49, 32), rng=7)
         ref.program(new_weights, np.zeros(49), np.zeros(32))
         ref.sample_hidden_given_visible(data[:5])  # advance streams like `sub`
         np.testing.assert_array_equal(

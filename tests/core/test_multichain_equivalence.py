@@ -5,8 +5,8 @@ The multi-chain / PCD negative phase deliberately changes sampling
 ``tests/property/test_chain_statistics.py``), but its compatibility mode
 must not change a single bit: ``chains=1, persistent=False`` — the default
 — takes the exact pre-multi-chain code path, and stays bit-identical to the
-legacy (``fast_path=False``) implementation under fixed seeds, in the ideal
-and noisy corners alike.  Mirrors ``tests/core/test_kernel_equivalence.py``
+seed-semantics oracle (``tests/helpers/reference.py``) under fixed seeds, in
+the ideal and noisy corners alike.  Mirrors ``tests/core/test_kernel_equivalence.py``
 for the new engine's knobs, and pins the chain-parallel ``settle_batch``
 kernel's API contract plus the new RNG-order guarantees.
 """
@@ -14,7 +14,8 @@ kernel's API contract plus the new RNG-order guarantees.
 import numpy as np
 import pytest
 
-from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
+from helpers.reference import use_reference
+from repro.config import NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, PCDTrainer
@@ -24,7 +25,7 @@ from repro.utils.validation import ValidationError
 @pytest.fixture(autouse=True)
 def _serial_workers(monkeypatch):
     """This suite pins the *bit-identical serial* contract: REPRO_WORKERS
-    would legitimately shard the fast side's draws onto per-shard
+    would legitimately shard the kernels' draws onto per-shard
     substreams (that regime's pinning lives in
     ``tests/property/test_parallel_statistics.py``), so the environment
     default is cleared here."""
@@ -40,9 +41,14 @@ def data():
     return np.where(flips, 1.0 - samples, samples)
 
 
-def _train(trainer_factory, data, epochs=2):
+def _train(trainer_factory, data, epochs=2, *, reference=False):
+    """Train a fresh 49x32 RBM; ``reference`` swaps the oracle into the
+    trainer's machine first (same seeds, same streams)."""
     rbm = BernoulliRBM(49, 32, rng=0)
-    trainer_factory().train(rbm, data, epochs=epochs)
+    trainer = trainer_factory()
+    if reference:
+        use_reference(trainer._ensure_machine(rbm))
+    trainer.train(rbm, data, epochs=epochs)
     return rbm
 
 
@@ -72,57 +78,32 @@ class TestSingleChainCompatibilityPath:
         )
         _assert_same_model(default, explicit)
 
-    def test_matches_legacy_ideal_corner(self, data):
-        fast = _train(
-            lambda: GibbsSamplerTrainer(
+    def test_matches_reference_ideal_corner(self, data):
+        def factory():
+            return GibbsSamplerTrainer(
                 spec=TrainerSpec.gs(
                     0.1, cd_k=2, batch_size=10, chains=1, persistent=False
                 ),
                 rng=1,
-            ),
-            data,
-        )
-        legacy = _train(
-            lambda: GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(
-                    0.1, cd_k=2, batch_size=10, compute=ComputeSpec(fast_path=False)
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(fast, legacy)
+            )
 
-    def test_matches_legacy_noisy_corner(self, data):
-        noisy = NoiseSpec(0.1, 0.1)
-        fast = _train(
-            lambda: GibbsSamplerTrainer(
+        _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
+
+    def test_matches_reference_noisy_corner(self, data):
+        def factory():
+            return GibbsSamplerTrainer(
                 spec=TrainerSpec.gs(
                     0.1,
                     cd_k=1,
                     batch_size=10,
                     chains=1,
                     persistent=False,
-                    noise=noisy,
+                    noise=NoiseSpec(0.1, 0.1),
                 ),
                 rng=1,
-            ),
-            data,
-        )
-        legacy = _train(
-            lambda: GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(
-                    0.1,
-                    cd_k=1,
-                    batch_size=10,
-                    noise=noisy,
-                    compute=ComputeSpec(fast_path=False),
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(fast, legacy)
+            )
+
+        _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
     def test_single_persistent_chain_layouts_coincide(self, data):
         """With p=1 the batched and sequential chain layouts are the same
@@ -226,25 +207,17 @@ class TestPersistentChainBookkeeping:
 
 
 class TestBGFParticleRefresh:
-    def test_zero_burn_in_matches_legacy(self, data):
-        """particle_burn_in=0 (default) stays bit-identical to the legacy
-        path — the PR-1 contract extends through the new knob."""
-        fast = _train(
-            lambda: BGFTrainer(
+    def test_zero_burn_in_matches_reference(self, data):
+        """particle_burn_in=0 (default) stays bit-identical to the oracle's
+        per-sample loop — the bit-identity contract extends through the
+        knob."""
+
+        def factory():
+            return BGFTrainer(
                 spec=TrainerSpec.bgf(0.1, reference_batch_size=10, burn_in=0), rng=1
-            ),
-            data,
-        )
-        legacy = _train(
-            lambda: BGFTrainer(
-                spec=TrainerSpec.bgf(
-                    0.1, reference_batch_size=10, compute=ComputeSpec(fast_path=False)
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(fast, legacy)
+            )
+
+        _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
     def test_refresh_advances_all_particles(self, data):
         trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)

@@ -5,7 +5,9 @@ Two halves, matching docs/performance.md ("The multicore layer"):
 * ``workers=1`` — the serial kernels must be **bit-identical** to the
   pre-threading implementation under a fixed seed, in the ideal corner and
   the noisy corners alike, at every level that grew a ``workers`` knob
-  (substrate settles, GS trainer, BGF particle refresh, AIS).
+  (substrate settles, GS trainer, BGF particle refresh, AIS) — and the
+  float64 settle to the seed-semantics oracle
+  (``tests/helpers/reference.py``).
 * ``workers=k > 1`` — draws move onto per-shard SeedSequence substreams, so
   bit-identity with the serial stream is *not* promised (the statistical
   pinning lives in ``tests/property/test_parallel_statistics.py``); what
@@ -19,6 +21,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers.reference import ReferenceSubstrate
 from repro.config import (
     ComputeSpec,
     EstimatorSpec,
@@ -48,13 +51,13 @@ CORNERS = {
 }
 
 
-def _substrate(seed=5, dtype="float64", fast_path=True, **fields):
-    substrate = BipartiteIsingSubstrate(
+def _substrate(seed=5, dtype="float64", cls=BipartiteIsingSubstrate, **fields):
+    substrate = cls(
         spec=SubstrateSpec(
             N_VISIBLE,
             N_HIDDEN,
             input_bits=None,
-            compute=ComputeSpec(dtype=dtype, fast_path=fast_path),
+            compute=ComputeSpec(dtype=dtype),
             **fields,
         ),
         rng=seed,
@@ -101,14 +104,11 @@ class TestWorkersOneBitIdentical:
         np.testing.assert_array_equal(h_ref, h_one)
 
     @pytest.mark.parametrize("corner", ["ideal", "noisy"])
-    def test_legacy_path_unchanged_by_workers_one(self, corner):
-        """The fast_path=False reference also accepts (and ignores into the
-        serial route) workers=1."""
+    def test_workers_one_matches_reference(self, corner):
+        """The serial kernel equals the oracle's per-settle recomputation."""
         h = _hidden(3)
-        v_ref, h_ref = _substrate(fast_path=False, **CORNERS[corner]).settle_batch(h, 2)
-        v_one, h_one = _substrate(fast_path=False, **CORNERS[corner]).settle_batch(
-            h, 2, workers=1
-        )
+        v_ref, h_ref = _substrate(cls=ReferenceSubstrate, **CORNERS[corner]).settle_batch(h, 2)
+        v_one, h_one = _substrate(**CORNERS[corner]).settle_batch(h, 2, workers=1)
         np.testing.assert_array_equal(v_ref, v_one)
         np.testing.assert_array_equal(h_ref, h_one)
 
@@ -267,10 +267,6 @@ class TestShardedPreconditions:
     env opts eligible settles in — it must not break configurations that
     never asked to shard)."""
 
-    def test_legacy_path_cannot_shard(self):
-        with pytest.raises(Exception, match="fast_path"):
-            _substrate(fast_path=False).settle_batch(_hidden(3), 2, workers=2)
-
     def test_noisy_dtc_cannot_shard(self):
         substrate = BipartiteIsingSubstrate(
             spec=SubstrateSpec(N_VISIBLE, N_HIDDEN, input_bits=8), rng=0
@@ -278,14 +274,6 @@ class TestShardedPreconditions:
         substrate.input_dtc.nonlinearity_rms = 0.01
         with pytest.raises(Exception, match="DTC"):
             substrate.settle_batch(_hidden(3), 2, workers=2)
-
-    def test_env_default_degrades_to_serial_on_legacy_path(self, monkeypatch):
-        h = _hidden(3)
-        v_ref, h_ref = _substrate(fast_path=False).settle_batch(h, 2)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        v_env, h_env = _substrate(fast_path=False).settle_batch(h, 2)
-        np.testing.assert_array_equal(v_ref, v_env)
-        np.testing.assert_array_equal(h_ref, h_env)
 
     def test_env_default_degrades_to_serial_on_noisy_dtc(self, monkeypatch):
         def run():

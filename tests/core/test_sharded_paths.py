@@ -57,13 +57,13 @@ SATURATING_COUPLING = 4.0
 SATURATING_BIAS = 20.0
 
 
-def _substrate(seed=5, dtype="float64", fast_path=True, **fields):
+def _substrate(seed=5, dtype="float64", **fields):
     substrate = BipartiteIsingSubstrate(
         spec=SubstrateSpec(
             N_VISIBLE,
             N_HIDDEN,
             input_bits=None,
-            compute=ComputeSpec(dtype=dtype, fast_path=fast_path),
+            compute=ComputeSpec(dtype=dtype),
             **fields,
         ),
         rng=seed,

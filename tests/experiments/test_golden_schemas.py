@@ -23,7 +23,7 @@ from repro.experiments.fig7_logprob import (
 from repro.experiments.table4_accuracy import PAPER_TABLE4_CONFIG, run_table4
 
 RUN_SPEC_KEYS = {"experiment", "preset", "seed", "compute", "params"}
-COMPUTE_KEYS = {"dtype", "workers", "fast_path"}
+COMPUTE_KEYS = {"dtype", "workers"}
 
 FIG7_ROW_KEYS = {"dataset", "method", "epoch", "avg_log_probability"}
 FIG7_METADATA_KEYS = {

@@ -7,6 +7,8 @@ Import surface for the suites (``tests/conftest.py`` puts ``tests/`` on
 
 See ``tolerances`` for the contract taxonomy (bit-identical vs float64
 tolerance vs statistical) and the calibration notes behind each constant.
+The seed-semantics oracle the bit-identical suites compare against is
+``helpers.reference`` (imported by module, not re-exported here).
 """
 
 from .statistics import (

@@ -1,0 +1,205 @@
+"""Test oracle: the seed semantics of the substrate and estimator kernels.
+
+``src/`` keeps one implementation per kernel: cached effective couplings,
+trusted latches, hoisted validation, a vectorized AIS sweep.  This module
+keeps the straightforward formulations those kernels replaced, so the
+bit-identity suites have something independent to compare against:
+
+* :func:`sigmoid_reference` / :func:`log1pexp_reference` — the two-pass
+  masked elementwise kernels;
+* :class:`ReferenceSubstrate` — the substrate with a fresh
+  ``NoiseModel.perturbed_coupling`` per settle, the masked sigmoid with an
+  unconditional output clip, validated latches, and a per-step
+  ``check_binary`` plus DTC re-clamp in every chain;
+* :func:`learn_sample_run` — the BGF's ``run`` as the per-sample
+  ``learn_sample`` loop;
+* :func:`ais_sweep` — the per-beta AIS log-weight loop.
+
+Suites swap the oracle in without touching ``src/``: :func:`use_reference`
+replaces a machine's ``substrate`` attribute (and a BGF machine's ``run``),
+and :func:`ais_sweep` has the signature of ``repro.rbm.ais._ais_sweep`` so
+``monkeypatch.setattr`` can substitute it.  The oracle is float64 and
+serial by definition.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from repro.core import BoltzmannGradientFollower
+from repro.ising import BipartiteIsingSubstrate
+from repro.utils.numerics import (
+    as_float_array,
+    as_sparse_rows,
+    bernoulli_sample,
+    is_sparse,
+    log1pexp,
+    safe_sparse_dot,
+    sigmoid,
+)
+from repro.utils.validation import ValidationError, check_binary
+
+
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    """Two-pass masked logistic ``1 / (1 + exp(-x))``."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def log1pexp_reference(x: np.ndarray) -> np.ndarray:
+    """Two-pass masked softplus ``log(1 + exp(x))``."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x, dtype=float)
+    small = x <= 0
+    out[small] = np.log1p(np.exp(x[small]))
+    out[~small] = x[~small] + np.log1p(np.exp(-x[~small]))
+    return out
+
+
+def _unit_output(unit, x: np.ndarray) -> np.ndarray:
+    """A ``SigmoidUnit``'s output: gain/offset transfer through the masked
+    logistic, output noise, then an unconditional clip to [0, 1]."""
+    x = as_float_array(x)
+    gains = unit.gain
+    if unit._unit_gains is not None:
+        if x.shape[-1] != unit.n_units:
+            raise ValueError(
+                f"input last dimension {x.shape[-1]} does not match n_units={unit.n_units}"
+            )
+        gains = unit._unit_gains
+    out = sigmoid_reference(gains * (x - unit.offset))
+    if unit.output_noise_rms > 0:
+        out = out + unit._rng.normal(0.0, unit.output_noise_rms, size=out.shape)
+    return np.clip(out, 0.0, 1.0)
+
+
+class ReferenceSubstrate(BipartiteIsingSubstrate):
+    """The substrate with every settle recomputed from scratch.
+
+    Construct it like the substrate (``spec=``, ``rng=``), or wrap an
+    existing one with :meth:`adopt`.  Programming, clamping and the
+    circuits' streams are the substrate's own; only the conditional
+    samplers, the field/probability methods and ``settle_batch`` are
+    replaced.
+    """
+
+    @classmethod
+    def adopt(cls, substrate: BipartiteIsingSubstrate) -> "ReferenceSubstrate":
+        """An oracle sharing ``substrate``'s programmed state and circuits
+        (so it draws from the same streams); use it in place of the
+        original, not alongside it."""
+        oracle = cls.__new__(cls)
+        oracle.__dict__.update(substrate.__dict__)
+        return oracle
+
+    def _coupling(self) -> np.ndarray:
+        """This settle's coupling realization: static variation times fresh
+        dynamic noise, drawn per call."""
+        return self.noise_model.perturbed_coupling(self.weights)
+
+    def hidden_field(self, visible: np.ndarray) -> np.ndarray:
+        if is_sparse(visible):
+            visible = as_sparse_rows(visible, dtype=float)
+        else:
+            visible = np.atleast_2d(np.asarray(visible, dtype=float))
+        field = safe_sparse_dot(visible, self._coupling()) + self.hidden_bias
+        scale = max(float(np.std(field)), 1.0)
+        return field + self.noise_model.node_noise(field.shape, scale=scale)
+
+    def visible_field(self, hidden: np.ndarray) -> np.ndarray:
+        hidden = np.atleast_2d(np.asarray(hidden, dtype=float))
+        field = hidden @ self._coupling().T + self.visible_bias
+        scale = max(float(np.std(field)), 1.0)
+        return field + self.noise_model.node_noise(field.shape, scale=scale)
+
+    def hidden_probability(self, visible: np.ndarray) -> np.ndarray:
+        return _unit_output(self.hidden_sigmoid, self.hidden_field(visible))
+
+    def visible_probability(self, hidden: np.ndarray) -> np.ndarray:
+        return _unit_output(self.visible_sigmoid, self.visible_field(hidden))
+
+    def sample_hidden_given_visible(self, visible: np.ndarray) -> np.ndarray:
+        if not is_sparse(visible):
+            visible = np.atleast_2d(np.asarray(visible, dtype=float))
+        return self.hidden_sampler.sample(self.hidden_probability(self.clamp_visible(visible)))
+
+    def sample_visible_given_hidden(self, hidden: np.ndarray) -> np.ndarray:
+        hidden = check_binary(np.atleast_2d(np.asarray(hidden, dtype=float)), name="hidden")
+        return self.visible_sampler.sample(self.visible_probability(hidden))
+
+    def settle_batch(self, hidden_init, n_steps, *, workers=None):
+        """``n_steps`` alternating settles through the validated samplers
+        (each hidden settle re-clamps its visibles through the DTC, each
+        visible settle re-checks its hidden states).  Serial: ``workers`` is
+        accepted for signature compatibility only."""
+        if n_steps < 1:
+            raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
+        hidden = check_binary(
+            np.atleast_2d(np.asarray(hidden_init, dtype=float)), name="hidden_init"
+        )
+        visible = self.sample_visible_given_hidden(hidden)
+        for _ in range(n_steps - 1):
+            hidden = self.sample_hidden_given_visible(visible)
+            visible = self.sample_visible_given_hidden(hidden)
+        hidden = self.sample_hidden_given_visible(visible)
+        return visible, hidden
+
+
+def learn_sample_run(machine, data, *, epochs: int = 1, shuffle: bool = True):
+    """``BoltzmannGradientFollower.run`` as the per-sample ``learn_sample``
+    loop, drawing the same per-epoch permutation."""
+    data = np.asarray(data, dtype=float)
+    n = data.shape[0]
+    for _ in range(epochs):
+        order = machine._rng.permutation(n) if shuffle else np.arange(n)
+        for idx in order:
+            machine.learn_sample(data[idx])
+
+
+def use_reference(machine):
+    """Swap the oracle into ``machine`` (a GS or BGF machine) in place.
+
+    The machine's substrate becomes a :class:`ReferenceSubstrate` on the
+    same streams; a BGF machine also runs :func:`learn_sample_run`
+    instead of its chunked kernel.  Returns ``machine``.
+    """
+    machine.substrate = ReferenceSubstrate.adopt(machine.substrate)
+    if isinstance(machine, BoltzmannGradientFollower):
+        machine.run = functools.partial(learn_sample_run, machine)
+    return machine
+
+
+def ais_sweep(
+    weights, visible_bias, hidden_bias, base_bias, betas, n_chains, rng, *, dtype=np.float64
+):
+    """The per-beta AIS loop: the log-weight increment is the difference of
+    two full unnormalized log-probabilities, and each transition recomputes
+    its own hidden input.  Float64 only; ``dtype`` is accepted for
+    signature compatibility with ``repro.rbm.ais._ais_sweep``."""
+    if np.dtype(dtype) != np.float64:
+        raise ValueError(f"the reference AIS loop is float64 only, got {dtype}")
+
+    def log_unnormalized(v, beta):
+        hidden_input = beta * (v @ weights + hidden_bias)
+        return (
+            (1.0 - beta) * (v @ base_bias)
+            + beta * (v @ visible_bias)
+            + np.sum(log1pexp(hidden_input), axis=1)
+        )
+
+    v = bernoulli_sample(np.tile(sigmoid(base_bias), (n_chains, 1)), rng)
+    log_w = np.zeros(n_chains, dtype=np.float64)
+    for prev_beta, beta in zip(betas[:-1], betas[1:]):
+        log_w += log_unnormalized(v, beta)
+        log_w -= log_unnormalized(v, prev_beta)
+        h = bernoulli_sample(sigmoid(beta * (v @ weights + hidden_bias)), rng)
+        v_field = beta * (h @ weights.T + visible_bias) + (1.0 - beta) * base_bias
+        v = bernoulli_sample(sigmoid(v_field), rng)
+    return log_w

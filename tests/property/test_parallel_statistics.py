@@ -13,8 +13,8 @@ the shared ``tests/helpers`` toolkit, for workers in {2, 4}:
 * at 48x24 — beyond enumeration — sharded settles agree Geweke-style with
   the serial float64 path,
 * the threaded AIS chain pool matches the exact log Z on an enumerable RBM
-  and the serial estimate, on both the vectorized and the legacy-loop
-  sweep.
+  and the serial estimate, on both the vectorized sweep and the oracle's
+  per-beta loop (``tests/helpers/reference.py``).
 
 A shard that reused another shard's stream, dropped rows at a shard
 boundary, or settled against a stale coupling block shifts every one of
@@ -35,6 +35,7 @@ from helpers import (
     assert_visible_kl_below,
     chain_moments,
 )
+from helpers.reference import ais_sweep
 from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
@@ -186,14 +187,13 @@ class TestThreadedAISPool:
             serial.log_partition, abs=AIS_LOGZ_STAT_ATOL
         )
 
-    def test_legacy_loop_pool_matches_exact(self, tiny_rbm):
-        """The pool wraps the whole sweep, so the fast_path=False reference
-        loop threads just as well."""
+    def test_reference_loop_pool_matches_exact(self, tiny_rbm, monkeypatch):
+        """The pool wraps the whole sweep, so the oracle's per-beta loop
+        threads just as well."""
+        monkeypatch.setattr("repro.rbm.ais._ais_sweep", ais_sweep)
         exact = exact_log_partition(tiny_rbm)
         pooled = AISEstimator(
-            spec=EstimatorSpec(
-                chains=60, betas=300, compute=ComputeSpec(workers=2, fast_path=False)
-            ),
+            spec=EstimatorSpec(chains=60, betas=300, compute=ComputeSpec(workers=2)),
             rng=0,
         ).estimate_log_partition(tiny_rbm)
         assert pooled.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)

@@ -42,7 +42,6 @@ from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 from repro.rbm.partition import exact_log_partition, exact_model_moments
 from repro.utils.numerics import fused_sigmoid_bernoulli, sigmoid
-from repro.utils.validation import ValidationError
 
 N_VISIBLE, N_HIDDEN = 6, 4
 
@@ -176,13 +175,6 @@ class TestFloat32AIS:
             f64.log_partition, abs=AIS_LOGZ_STAT_ATOL
         )
 
-    def test_float32_requires_fast_path(self):
-        with pytest.raises(ValidationError):
-            AISEstimator(
-                spec=EstimatorSpec(
-                    compute=ComputeSpec(dtype="float32", fast_path=False)
-                ),
-            )
 
 
 class TestFusedLatchKernel:
@@ -255,14 +247,6 @@ class TestFloat32Trainers:
         ).train(rbm, tiny_binary_data, epochs=6)
         assert np.isfinite(rbm.weights).all()
         assert history.reconstruction_error[-1] < history.reconstruction_error[0] + 0.05
-
-    def test_float32_requires_fast_path(self):
-        with pytest.raises(ValidationError):
-            BipartiteIsingSubstrate(
-                spec=SubstrateSpec(
-                    8, 4, compute=ComputeSpec(dtype="float32", fast_path=False)
-                ),
-            )
 
     def test_machine_dtype_property(self):
         machine = GibbsSamplerMachine(

@@ -45,7 +45,6 @@ from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 from repro.rbm.partition import exact_log_partition, exact_model_moments
-from repro.utils.validation import ValidationError
 
 N_VISIBLE, N_HIDDEN = 6, 4
 
@@ -230,11 +229,6 @@ class TestQint8AIS:
         pooled = AISEstimator(spec=spec, rng=0).estimate_log_partition(tiny_rbm)
         assert pooled.log_partition == pytest.approx(exact, abs=AIS_LOGZ_STAT_ATOL)
 
-    def test_qint8_requires_fast_path(self):
-        with pytest.raises(ValidationError):
-            AISEstimator(
-                spec=EstimatorSpec(compute=ComputeSpec(dtype="qint8", fast_path=False))
-            )
 
 
 class TestQint8Trainers:
@@ -273,14 +267,6 @@ class TestQint8Trainers:
         ).train(rbm, tiny_binary_data, epochs=6)
         assert np.isfinite(rbm.weights).all()
         assert history.reconstruction_error[-1] < history.reconstruction_error[0] + 0.05
-
-    def test_qint8_requires_fast_path(self):
-        with pytest.raises(ValidationError):
-            BipartiteIsingSubstrate(
-                spec=SubstrateSpec(
-                    8, 4, compute=ComputeSpec(dtype="qint8", fast_path=False)
-                ),
-            )
 
     def test_machine_dtype_property(self):
         machine = GibbsSamplerMachine(

@@ -17,10 +17,12 @@ from repro.api.cli import SetArgumentError, parse_set_argument, parse_set_value
 from repro.config import ComputeSpec, RunSpec, ValidationError
 
 #: Knobs RunSpec routes to its typed fields instead of params.
-ROUTED = ("seed", "dtype", "workers", "fast_path")
+ROUTED = ("seed", "dtype", "workers")
+#: Retired compute knobs RunSpec rejects outright.
+RETIRED = tuple(ComputeSpec._LEGACY_KEYS)
 
 names = st.text(alphabet=string.ascii_lowercase + "_", min_size=1, max_size=12)
-param_names = names.filter(lambda key: key not in ROUTED + ("executor",))
+param_names = names.filter(lambda key: key not in ROUTED + RETIRED)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-(10**9), 10**9), finite_floats, st.text(max_size=8)
@@ -93,7 +95,7 @@ class TestSetParsing:
         assert key and key == key.strip()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(ROUTED + ("executor", "epochs", "datasets")), raw_values)
+    @given(st.sampled_from(ROUTED + RETIRED + ("epochs", "datasets")), raw_values)
     @example(key="dtype", raw="0{")  # np.dtype raised a bare ValueError
     def test_overrides_fail_only_with_validation_errors(self, key, raw):
         try:

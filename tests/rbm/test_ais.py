@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import FLOAT64_ASSOC_ATOL
-from repro.config import ComputeSpec, EstimatorSpec, TrainerSpec
+from helpers.reference import ais_sweep
+from repro.config import EstimatorSpec, TrainerSpec
 from repro.rbm import (
     AISEstimator,
     BernoulliRBM,
@@ -93,33 +94,32 @@ class TestAISAccuracy:
 
 
 class TestVectorizedSweepRegression:
-    """The vectorized beta sweep against the legacy per-beta loop.
+    """The vectorized beta sweep against the oracle's per-beta loop.
 
-    The fast path reuses one hidden-input matmul per temperature for the
+    The sweep reuses one hidden-input matmul per temperature for the
     importance-weight update and the Gibbs transition; the Bernoulli draws
-    are bit-identical between paths (same shapes, same stream order), so
+    are bit-identical between the two (same shapes, same stream order), so
     the log-Z estimates must agree to float64 accumulation tolerance on a
     fixed seed — and both must agree with the exact log Z on an enumerable
     model.
     """
 
-    def _pair(self, rbm, *, n_chains=40, n_betas=120, seed=5, base=None):
-        fast = AISEstimator(
-            spec=EstimatorSpec(chains=n_chains, betas=n_betas),
-            rng=seed,
-            base_visible_bias=base,
-        ).estimate_log_partition(rbm)
-        loop = AISEstimator(
-            spec=EstimatorSpec(
-                chains=n_chains, betas=n_betas, compute=ComputeSpec(fast_path=False)
-            ),
-            rng=seed,
-            base_visible_bias=base,
-        ).estimate_log_partition(rbm)
+    def _pair(self, rbm, monkeypatch, *, n_chains=40, n_betas=120, seed=5, base=None):
+        def estimate():
+            return AISEstimator(
+                spec=EstimatorSpec(chains=n_chains, betas=n_betas),
+                rng=seed,
+                base_visible_bias=base,
+            ).estimate_log_partition(rbm)
+
+        fast = estimate()
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.rbm.ais._ais_sweep", ais_sweep)
+            loop = estimate()
         return fast, loop
 
-    def test_matches_loop_on_trained_model(self, trained_tiny_rbm):
-        fast, loop = self._pair(trained_tiny_rbm)
+    def test_matches_loop_on_trained_model(self, trained_tiny_rbm, monkeypatch):
+        fast, loop = self._pair(trained_tiny_rbm, monkeypatch)
         np.testing.assert_allclose(
             fast.log_weights, loop.log_weights, atol=FLOAT64_ATOL
         )
@@ -127,36 +127,21 @@ class TestVectorizedSweepRegression:
             loop.log_partition, abs=FLOAT64_ATOL
         )
 
-    def test_matches_loop_with_data_base_rate(self, trained_tiny_rbm, tiny_binary_data):
+    def test_matches_loop_with_data_base_rate(
+        self, trained_tiny_rbm, tiny_binary_data, monkeypatch
+    ):
         base = AISEstimator.base_bias_from_data(tiny_binary_data)
-        fast, loop = self._pair(trained_tiny_rbm, base=base, seed=9)
+        fast, loop = self._pair(trained_tiny_rbm, monkeypatch, base=base, seed=9)
         np.testing.assert_allclose(
             fast.log_weights, loop.log_weights, atol=FLOAT64_ATOL
         )
 
-    def test_matches_exact_on_enumerable_rbm(self, tiny_rbm):
-        """Both paths recover the exact log Z of a fully-enumerable 6x3 RBM."""
+    def test_matches_exact_on_enumerable_rbm(self, tiny_rbm, monkeypatch):
+        """Both sweeps recover the exact log Z of a fully-enumerable 6x3 RBM."""
         exact = exact_log_partition(tiny_rbm)
-        fast = AISEstimator(
-            spec=EstimatorSpec(chains=100, betas=300), rng=0
-        ).estimate_log_partition(
-            tiny_rbm
-        )
-        loop = AISEstimator(
-            spec=EstimatorSpec(
-                chains=100, betas=300, compute=ComputeSpec(fast_path=False)
-            ),
-            rng=0,
-        ).estimate_log_partition(tiny_rbm)
+        fast, loop = self._pair(tiny_rbm, monkeypatch, n_chains=100, n_betas=300, seed=0)
         assert fast.log_partition == pytest.approx(exact, abs=0.3)
         assert loop.log_partition == pytest.approx(exact, abs=0.3)
-
-    def test_wrapper_threads_fast_path(self, trained_tiny_rbm):
-        fast = estimate_log_partition(trained_tiny_rbm, n_chains=30, n_betas=60, rng=2)
-        loop = estimate_log_partition(
-            trained_tiny_rbm, n_chains=30, n_betas=60, rng=2, fast_path=False
-        )
-        assert fast == pytest.approx(loop, abs=FLOAT64_ATOL)
 
 
 class TestFusedLog1pexpDiffKernel:

@@ -122,14 +122,14 @@ class TestRoundTrip:
         assert load_model(tmp_path / "m2").run_spec == spec
 
 
-def _save_with_legacy_executor(path, value):
-    """Save a bundle whose run_spec JSON carries ``compute.executor``, as
-    artifacts written while the process tier existed do."""
+def _save_with_legacy_key(path, key, value):
+    """Save a bundle whose run_spec JSON carries a retired ``compute.<key>``,
+    as artifacts written while that knob existed do."""
     spec = RunSpec(experiment="figure7", compute=ComputeSpec(dtype="float32", workers=2))
     save_model(_random_rbm(), path, run_spec=spec)
     json_path = path.with_suffix(".json")
     meta = json.loads(json_path.read_text())
-    meta["run_spec"]["compute"]["executor"] = value
+    meta["run_spec"]["compute"][key] = value
     json_path.write_text(json.dumps(meta))
     return spec
 
@@ -137,13 +137,27 @@ def _save_with_legacy_executor(path, value):
 class TestLegacyExecutorKey:
     @pytest.mark.parametrize("value", [None, "threads", "processes"])
     def test_once_valid_value_is_dropped_on_load(self, tmp_path, value):
-        spec = _save_with_legacy_executor(tmp_path / "model", value)
+        spec = _save_with_legacy_key(tmp_path / "model", "executor", value)
         assert load_model(tmp_path / "model").run_spec == spec
 
     @pytest.mark.parametrize("value", ["forks", "PROCESSES", 2])
     def test_other_values_fail_naming_the_key(self, tmp_path, value):
-        _save_with_legacy_executor(tmp_path / "model", value)
+        _save_with_legacy_key(tmp_path / "model", "executor", value)
         with pytest.raises(ValidationError, match="executor"):
+            load_model(tmp_path / "model")
+
+
+class TestLegacyFastPathKey:
+    def test_true_is_dropped_on_load(self, tmp_path):
+        spec = _save_with_legacy_key(tmp_path / "model", "fast_path", True)
+        loaded = load_model(tmp_path / "model").run_spec
+        assert loaded == spec
+        assert "fast_path" not in loaded.to_dict()["compute"]
+
+    @pytest.mark.parametrize("value", [False, "no"])
+    def test_other_values_fail_naming_the_key(self, tmp_path, value):
+        _save_with_legacy_key(tmp_path / "model", "fast_path", value)
+        with pytest.raises(ValidationError, match="fast_path"):
             load_model(tmp_path / "model")
 
 

@@ -218,6 +218,70 @@ class TestErrorTraffic:
         assert stats.error_rows == 3
         assert stats.batches == 0  # no successful scorer call happened
 
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (np.zeros((2, 5)), "expects 12"),
+            (np.zeros((0, 12)), "non-empty"),
+            ([[0.0] * 12, [0.0] * 11], "equal-length"),
+            ([[float("nan")] + [0.0] * 11], "finite"),
+            ([[float("inf")] + [0.0] * 11], "finite"),
+            ([["a"] * 12], "numeric"),
+        ],
+        ids=["width", "empty", "ragged", "nan", "inf", "text"],
+    )
+    def test_rejected_requests_are_counted(self, scorer_rbm, rows, match):
+        """A request rejected at validation is failed traffic: one error,
+        zero accepted rows, no scorer call."""
+
+        async def drive():
+            async with MicroBatchScoringService(
+                scorer_rbm.score_samples, n_features=12, max_delay_s=0.0
+            ) as service:
+                with pytest.raises(ValidationError, match=match):
+                    await service.submit(rows)
+                await service.submit(np.zeros((1, 12)))  # still serving
+                return service.stats
+
+        stats = asyncio.run(drive())
+        assert (stats.requests, stats.errors, stats.error_rows) == (2, 1, 0)
+        assert stats.rows == 1 and stats.batches == 1
+
+    def test_non_finite_json_rows_get_a_strict_json_error(self, scorer_rbm):
+        """Python's json.loads parses NaN; the reply must be an error that
+        is itself valid RFC 8259 JSON, never ``{"scores": [NaN]}``."""
+        service = MicroBatchScoringService(
+            scorer_rbm.score_samples, n_features=12, max_delay_s=0.0
+        )
+
+        def strict(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        async def drive():
+            async with service:
+                server = await asyncio.start_server(
+                    lambda r, w: _handle_client({"m": service}, "m", r, w),
+                    "127.0.0.1",
+                    0,
+                )
+                async with server:
+                    port = server.sockets[0].getsockname()[1]
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    try:
+                        line = '{"id": 7, "rows": [[NaN, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]]}\n'
+                        writer.write(line.encode())
+                        await writer.drain()
+                        reply = await reader.readline()
+                    finally:
+                        writer.close()
+                        await writer.wait_closed()
+            return json.loads(reply, parse_constant=strict)
+
+        response = asyncio.run(drive())
+        assert response["id"] == 7
+        assert "finite" in response["error"] and "scores" not in response
+        assert service.stats.errors == 1
+
 
 class TestValidation:
     def test_row_width_checked_at_submit(self, scorer_rbm):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import annotate_oversubscription, run_benchmarks
+from repro.bench import annotate_oversubscription, compare_benchmarks, run_benchmarks
 from repro.bench.kernels import blas_threads
 
 
@@ -66,9 +66,57 @@ class TestOnlyFilter:
         results = run_benchmarks(repeats=1, include_large=False, only="cd1")
         assert list(results["kernels"]) == ["cd1_training_epoch_49x32"]
         row = results["kernels"]["cd1_training_epoch_49x32"]
-        assert row["legacy_median_s"] > 0 and row["fast_median_s"] > 0
+        # One implementation: a single timed leg and no speedup.
+        assert row == {"fast_median_s": row["fast_median_s"]}
+        assert row["fast_median_s"] > 0
         assert "blas_threads" in results["meta"]
+
+    def test_paired_rows_keep_both_legs(self):
+        results = run_benchmarks(repeats=1, include_large=False, only="negative_phase_p8")
+        row = results["kernels"]["gs_multichain_negative_phase_p8_49x32"]
+        assert row["legacy_median_s"] > 0 and row["fast_median_s"] > 0
+        assert row["speedup"] == row["legacy_median_s"] / row["fast_median_s"]
 
     def test_only_with_no_match_raises(self):
         with pytest.raises(ValueError, match="matches no benchmark entries"):
             run_benchmarks(repeats=1, include_large=False, only="no-such-kernel")
+
+
+class TestCompareGate:
+    OLD = {
+        "kernels": {
+            "single": {"fast_median_s": 0.010},
+            "paired": {"legacy_median_s": 0.04, "fast_median_s": 0.01, "speedup": 4.0},
+        }
+    }
+
+    def _new(self, single_s, speedup):
+        return {
+            "kernels": {
+                "single": {"fast_median_s": single_s},
+                "paired": {"fast_median_s": 0.01, "speedup": speedup},
+            }
+        }
+
+    def test_speedup_metric_gates_only_rows_carrying_it(self):
+        report, regressions = compare_benchmarks(
+            self.OLD, self._new(1.0, 3.9), threshold=0.5, metric="speedup"
+        )
+        assert regressions == []
+        assert any(line.startswith("paired") for line in report)
+        assert "not gated (no speedup in both files): single" in report
+
+    def test_speedup_metric_still_flags_a_dropped_ratio(self):
+        _, regressions = compare_benchmarks(
+            self.OLD, self._new(0.010, 1.0), threshold=0.5, metric="speedup"
+        )
+        assert regressions == ["paired"]
+
+    def test_median_metric_gates_every_row(self):
+        _, regressions = compare_benchmarks(self.OLD, self._new(0.020, 4.0))
+        assert regressions == ["single"]
+
+    def test_speedup_metric_with_no_gated_row_is_bad_input(self):
+        old = {"kernels": {"single": {"fast_median_s": 0.01}}}
+        with pytest.raises(ValueError, match="speedup"):
+            compare_benchmarks(old, old, metric="speedup")
