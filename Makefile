@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-workers test-sparse lint run-ci serve-smoke examples-smoke bench bench-compare bench-compare-ci artifacts
+.PHONY: test test-sparse lint run-ci serve-smoke examples-smoke bench bench-compare bench-compare-ci artifacts
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -66,13 +66,6 @@ serve-smoke:
 examples-smoke:
 	$(PYTHON) examples/image_classification.py
 	$(PYTHON) examples/recommender_system.py
-
-## Multicore leg of the CI matrix: the FULL tier-1 suite with the
-## REPRO_WORKERS default set, so every eligible settle/AIS call runs
-## through the sharded execution layer (bit-identity suites pin their own
-## serial contract and are env-robust; see docs/performance.md).
-test-workers:
-	REPRO_WORKERS=2 $(PYTHON) -m pytest -x -q
 
 ## Run the kernel benchmark harness and refresh the evidence file
 ## (includes the multicore *_workers4 entries; their speedup is bounded by

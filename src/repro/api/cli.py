@@ -3,7 +3,6 @@
 Usage::
 
     python -m repro run figure7 --preset paper --set workers=4 --set dtype=float32
-    python -m repro run figure7 --set dtype=qint8  # int8 couplings tier
     python -m repro run table2 figure5            # several artifacts, CI scale
     python -m repro run --list                    # what can I run?
     python -m repro list                          # same listing
@@ -19,7 +18,7 @@ else in the experiment params — all validated against the experiment's
 declared knob surface before anything trains.  Values parse as Python-ish
 literals: ints, floats, ``true``/``false``, ``none``, comma lists
 (``--set datasets=mnist,kmnist``; trailing comma for a one-element list,
-``--set datasets=mnist,``), else strings (``--set workers=auto``).
+``--set datasets=mnist,``), else strings (``--set dtype=float32``).
 """
 
 from __future__ import annotations

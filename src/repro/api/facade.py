@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config.specs import (
+    ComputeSpec,
     EstimatorSpec,
     RunSpec,
     SubstrateSpec,
@@ -90,22 +91,13 @@ def build_estimator(
 def run_experiment(spec: RunSpec) -> ExperimentResult:
     """Run the registered experiment a :class:`RunSpec` describes.
 
-    The spec is resolved first (environment defaults, ``"auto"`` worker
-    expansion — for any experiment that threads compute knobs, a garbage
-    ``REPRO_WORKERS`` fails here, loudly), its params are validated
-    against the experiment runner's signature, and the resolved spec is
-    recorded under ``metadata["run_spec"]`` of the returned
+    Its params are validated against the experiment runner's signature,
+    and the spec is recorded under ``metadata["run_spec"]`` of the returned
     :class:`~repro.experiments.base.ExperimentResult` — every result
     carries the exact configuration that produced it.  When the spec left
-    ``compute`` unset on a compute-threading experiment, the recorded
-    spec fills in the resolved environment defaults (the
-    ``REPRO_WORKERS`` value that actually drove the kernels), so a
-    recorded run reproduces on another host.
-
-    Note the runner itself receives the *unresolved* worker knob: deferred
-    (``None``/``"auto"``) worker counts keep their documented
-    degrade-gracefully semantics inside the kernels, while the metadata
-    records what they resolved to on this host.
+    ``compute`` unset on a compute-threading experiment, the recorded spec
+    carries the default :class:`~repro.config.ComputeSpec`, so every such
+    record has a concrete ``compute`` block.
     """
     from repro.api.registry import COMPUTE_KNOBS, get_experiment
 
@@ -114,14 +106,12 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
             f"run_experiment needs a RunSpec, got {type(spec).__name__}"
         )
     experiment = get_experiment(spec.experiment)
-    resolved = spec.resolve()
-    if resolved.compute is None and any(
+    recorded = spec
+    if spec.compute is None and any(
         knob in experiment.accepts for knob in COMPUTE_KNOBS
     ):
-        from repro.config.specs import ComputeSpec
-
-        resolved = resolved.replace(compute=ComputeSpec().resolve())
+        recorded = spec.replace(compute=ComputeSpec())
     kwargs = experiment.materialize_kwargs(spec)
     result = experiment.runner(**kwargs)
-    result.metadata["run_spec"] = resolved.to_dict()
+    result.metadata["run_spec"] = recorded.to_dict()
     return result

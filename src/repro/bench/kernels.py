@@ -141,28 +141,6 @@ def _settle_batch_dtype_kernel(
     return kernel
 
 
-def _settle_batch_qint8_kernel(
-    n_visible: int, n_hidden: int, chains: int, n_steps: int, fast: bool
-):
-    """Chain-parallel settles on the quantized tier: qint8 vs float32.
-
-    ``fast`` selects the qint8 tier (int8 effective-coupling codes +
-    float32 scales, dequantized once at the effective-weight cache) and
-    the baseline is the float32 tier.  Below the cache both legs run the
-    identical float32 sampling kernels, so the steady-state ratio is ~1.0 by construction — the entry guards the
-    quantized cache path against regressions, not a speed claim.
-    """
-    substrate = _substrate(n_visible, n_hidden, dtype="qint8" if fast else "float32")
-    weights = np.random.default_rng(1).normal(0, 0.1, (n_visible, n_hidden))
-    substrate.program(weights, np.zeros(n_visible), np.zeros(n_hidden))
-    hidden = (np.random.default_rng(2).random((chains, n_hidden)) < 0.5).astype(float)
-
-    def kernel():
-        substrate.settle_batch(hidden, n_steps)
-
-    return kernel
-
-
 def _settle_batch_workers_kernel(
     n_visible: int,
     n_hidden: int,
@@ -228,37 +206,6 @@ def _ais_dtype_kernel(n_visible: int, n_hidden: int, fast: bool):
         rng.normal(0, 0.2, n_hidden),
     )
     dtype = "float32" if fast else "float64"
-
-    def kernel():
-        AISEstimator(
-            spec=EstimatorSpec(
-                chains=16, betas=12, compute=ComputeSpec(dtype=dtype)
-            ),
-            rng=3,
-        ).estimate_log_partition(rbm)
-
-    return kernel
-
-
-def _ais_qint8_kernel(n_visible: int, n_hidden: int, fast: bool):
-    """AIS sweep on the quantized tier: qint8 vs float32.
-
-    ``fast`` selects the qint8 tier (per-estimate quantize-dequantize of
-    the RBM parameters, then the float32 sweep); the baseline is the
-    float32 tier, so the ratio is the quantization overhead on top of an
-    otherwise identical sweep.  At this CI-scale sweep (16 chains, 12
-    betas) quantizing the 784x500 parameters is a visible fraction of the
-    estimate, so the ratio sits below 1; it amortizes toward 1.0 at the
-    paper-scale chain/beta counts.  A regression guard, not a speed claim.
-    """
-    rbm = BernoulliRBM(n_visible, n_hidden, rng=0)
-    rng = np.random.default_rng(1)
-    rbm.set_parameters(
-        rng.normal(0, 0.1, (n_visible, n_hidden)),
-        rng.normal(0, 0.2, n_visible),
-        rng.normal(0, 0.2, n_hidden),
-    )
-    dtype = "qint8" if fast else "float32"
 
     def kernel():
         AISEstimator(
@@ -595,16 +542,6 @@ def run_benchmarks(
         kernels["ais_logz_784x500_float32"] = lambda fast: (
             _ais_dtype_kernel(784, 500, fast)
         )
-        # Quantized-tier entries: legacy = the float32 tier, fast = the
-        # qint8 tier (int8 coupling codes dequantized at the cache
-        # boundary).  Expected ~1.0 — they gate the quantized cache path
-        # against regressions rather than claim a speedup.
-        kernels["substrate_settle_batch_p64_784x500_qint8"] = lambda fast: (
-            _settle_batch_qint8_kernel(784, 500, 64, 2, fast)
-        )
-        kernels["ais_logz_784x500_qint8"] = lambda fast: (
-            _ais_qint8_kernel(784, 500, fast)
-        )
         # Multicore entries: legacy = the serial workers=1 kernel, fast =
         # the sharded settle / threaded AIS pool at the requested width.
         # p=256 is the ISSUE-4 target shape (chain blocks >> 64 are where
@@ -670,13 +607,6 @@ def run_benchmarks(
                 "settle) and fast = the chain-parallel settle_batch "
                 "kernel; for *_float32 entries legacy = the float64 tier and "
                 "fast = the float32 precision tier (fused Bernoulli latch); "
-                "for *_qint8 entries legacy = the float32 tier and fast = "
-                "the qint8 quantized-coupling tier (int8 codes + float32 "
-                "scales dequantized at the effective-weight cache, same "
-                "float32 sampling kernels below it) — regression guards, "
-                "not speed claims: the settle entry sits ~1.0 (warm cache) "
-                "and the ais entry below 1.0 (per-estimate parameter "
-                "quantization, amortized at paper-scale sweeps); "
                 "for *_workersK entries legacy = the serial workers=1 "
                 "kernel and fast = the K-way sharded settle / threaded AIS "
                 "pool (speedup bounded by meta.cpu_count; entries timed "

@@ -15,7 +15,6 @@ from repro.config.specs import (
     Spec,
     SubstrateSpec,
     TrainerSpec,
-    compute_dtype,
 )
 from repro.utils.validation import ValidationError
 
@@ -28,6 +27,5 @@ __all__ = [
     "TrainerSpec",
     "EstimatorSpec",
     "RunSpec",
-    "compute_dtype",
     "ValidationError",
 ]

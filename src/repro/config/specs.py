@@ -8,12 +8,10 @@ validated dataclasses with
 
 * ``ValidationError`` at construction — a typo'd dtype or a ``workers=0``
   fails at the API boundary, not as a numpy traceback deep in a settle;
-* ``resolve()`` — environment defaults (``REPRO_WORKERS``) and ``"auto"``
-  expansion happen in exactly one place, returning a new resolved spec;
 * ``to_dict()`` / ``from_dict()`` — a lossless, JSON-compatible round trip
   (tuples serialize as lists and normalize back), which is what lets every
-  :class:`~repro.experiments.base.ExperimentResult` record the resolved
-  spec it ran under.
+  :class:`~repro.experiments.base.ExperimentResult` record the spec it
+  ran under.
 
 The spec classes are pure configuration: runtime objects (RNGs, callbacks,
 pre-built machines) stay constructor arguments of the things the facade
@@ -24,12 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.analog.noise import NoiseConfig
-from repro.utils.parallel import default_workers, resolve_workers
 from repro.utils.validation import (
     ValidationError,
     check_finite,
@@ -104,8 +101,7 @@ class Spec:
     """Shared behavior of every frozen spec dataclass.
 
     Subclasses are ``@dataclass(frozen=True)``; this base contributes the
-    serialization round trip, ``replace`` sugar, and a default no-op
-    ``resolve``.
+    serialization round trip and ``replace`` sugar.
     """
 
     def to_dict(self) -> Dict[str, Any]:
@@ -145,21 +141,6 @@ class Spec:
         """A copy of this spec with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)  # type: ignore[type-var]
 
-    def resolve(self) -> "Spec":
-        """Return a spec with environment defaults and ``"auto"`` expanded.
-
-        The base implementation resolves nested spec fields; leaves override
-        it where they own deferred knobs (:class:`ComputeSpec`).
-        """
-        changes: Dict[str, Any] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Spec):
-                resolved = value.resolve()
-                if resolved != value:
-                    changes[f.name] = resolved
-        return self.replace(**changes) if changes else self
-
 
 def check_spec(spec: Any, cls: type, owner: str, *, kind: Optional[str] = None) -> None:
     """Raise a :class:`ValidationError` unless ``spec`` is a ``cls`` (of
@@ -174,43 +155,29 @@ def check_spec(spec: Any, cls: type, owner: str, *, kind: Optional[str] = None) 
         )
 
 
-QINT8 = "qint8"
-
-
-def compute_dtype(dtype: str) -> np.dtype:
-    """The NumPy dtype a precision tier's kernels compute in.
-
-    ``"float64"``/``"float32"`` map to themselves; the ``"qint8"`` tier
-    stores int8 coupling codes but accumulates fields (and latches states)
-    in float32 after dequantization at the effective-weight cache, so its
-    compute dtype is float32.  Every ``np.dtype(spec.compute.dtype)`` call
-    site must go through this helper — ``np.dtype("qint8")`` is an error.
-    """
-    return np.dtype(np.float32) if str(dtype) == QINT8 else np.dtype(dtype)
+def _same_value(value: Any, candidate: Any) -> bool:
+    """Type-strict equality: a stored ``1`` or ``"true"`` is not ``True``."""
+    return type(value) is type(candidate) and value == candidate
 
 
 @dataclass(frozen=True)
 class ComputeSpec(Spec):
     """Execution-tier knobs shared by the substrate, trainers and estimator.
 
+    Both fields are concrete: a spec means the same thing on every host.
+
     Attributes
     ----------
     dtype:
-        Precision tier: ``"float64"`` (bit-identical contract),
-        ``"float32"`` (statistically pinned single-precision kernels), or
-        ``"qint8"`` (symmetric int8 quantization of the effective couplings
-        and biases — the paper's 8-bit DTC programming resolution — with
-        float32 accumulation below the quantization point; statistically
-        pinned like float32).  ``"qint8"`` is a tier label, not a NumPy
-        dtype: :func:`compute_dtype` maps it to the float32 compute dtype.
+        Precision tier: ``"float64"`` (bit-identical contract) or
+        ``"float32"`` (statistically pinned single-precision kernels).
     workers:
-        Multicore knob: a positive int, ``"auto"`` (core count), or ``None``
-        to defer to the ``REPRO_WORKERS`` environment default — the
-        deferred form is preserved until :meth:`resolve`.
+        Thread shards for the chain-parallel kernels, an int ``>= 1``; 1
+        runs the serial kernels.
     """
 
     dtype: str = "float64"
-    workers: Union[None, int, str] = None
+    workers: int = 1
 
     #: Retired knobs that serialized specs may still carry: the values that
     #: were valid for each, and why it went.  A once-valid value drew the
@@ -227,59 +194,64 @@ class ComputeSpec(Spec):
         ),
     }
 
+    #: Retired values of the live fields: the once-valid values, what a
+    #: saved spec loads them as, and why they went.  Constructors and
+    #: overrides reject them with the reason; only :meth:`from_dict` maps
+    #: them, so older artifacts keep loading.
+    _RETIRED_VALUES: ClassVar[Dict[str, Tuple[Tuple[Any, ...], Any, str]]] = {
+        "dtype": (
+            ("qint8",),
+            "float32",
+            "the qint8 compute tier was removed; it computed in float32, and "
+            "the 8-bit DTC (input_bits) and ADC readout (readout_bits) model "
+            "finite precision",
+        ),
+        "workers": (
+            (None, "auto"),
+            1,
+            "worker counts are explicit ints; the REPRO_WORKERS default and "
+            "'auto' (core count) were removed",
+        ),
+    }
+
     def __post_init__(self) -> None:
-        if isinstance(self.dtype, str) and self.dtype.strip().lower() == QINT8:
-            # Not a NumPy dtype: the quantized tier is a label resolved to
-            # its float32 compute dtype by compute_dtype() at the kernels.
-            object.__setattr__(self, "dtype", QINT8)
-        else:
-            try:
-                canonical = np.dtype(self.dtype)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"dtype must be float32, float64 or qint8, got {self.dtype!r}"
-                ) from exc
-            if canonical not in (np.dtype(np.float32), np.dtype(np.float64)):
-                raise ValidationError(
-                    f"dtype must be float32, float64 or qint8, got {canonical}"
-                )
-            object.__setattr__(self, "dtype", str(canonical))
-        if self.workers is not None:
-            # Validate-only: "auto"/ints are checked here, but the deferred
-            # expansion (env read, core count) waits for resolve().
-            resolve_workers(self.workers)
-            if isinstance(self.workers, np.integer):
-                object.__setattr__(self, "workers", int(self.workers))
+        for name, (retired, _, reason) in self._RETIRED_VALUES.items():
+            value = getattr(self, name)
+            if any(_same_value(value, old) for old in retired):
+                raise ValidationError(f"{name}={value!r} is no longer valid: {reason}")
+        try:
+            canonical = np.dtype(self.dtype)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"dtype must be float32 or float64, got {self.dtype!r}"
+            ) from exc
+        if canonical not in (np.dtype(np.float32), np.dtype(np.float64)):
+            raise ValidationError(f"dtype must be float32 or float64, got {canonical}")
+        object.__setattr__(self, "dtype", str(canonical))
+        object.__setattr__(self, "workers", _check_int(self.workers, "workers", 1))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ComputeSpec":
-        """:meth:`Spec.from_dict`, dropping a :attr:`_LEGACY_KEYS` entry
-        that holds one of its once-valid values (older saved run specs);
-        any other value still raises a :class:`ValidationError`."""
+        """:meth:`Spec.from_dict`, loading older saved run specs: a
+        :attr:`_LEGACY_KEYS` entry holding one of its once-valid values is
+        dropped and a :attr:`_RETIRED_VALUES` value is mapped to its
+        replacement; any other value still raises a
+        :class:`ValidationError`."""
         if isinstance(data, Mapping):
             data = dict(data)
             for key, (valid, reason) in cls._LEGACY_KEYS.items():
                 if key not in data:
                     continue
                 value = data.pop(key)
-                # Type-strict: a stored 1 or "true" is not the flag's True.
-                if not any(type(value) is type(v) and value == v for v in valid):
+                if not any(_same_value(value, v) for v in valid):
                     raise ValidationError(
                         f"legacy ComputeSpec key {key!r} must be one of "
                         f"{valid}, got {value!r}; the knob was removed: {reason}"
                     )
+            for key, (retired, replacement, _) in cls._RETIRED_VALUES.items():
+                if key in data and any(_same_value(data[key], old) for old in retired):
+                    data[key] = replacement
         return super().from_dict(data)  # type: ignore[return-value]
-
-    def resolve(self) -> "ComputeSpec":
-        """Expand ``workers``: the env default and ``"auto"``.
-
-        This is the single place the environment variable is parsed on the
-        spec path; garbage values raise a :class:`ValidationError` naming
-        ``REPRO_WORKERS`` (see :mod:`repro.utils.parallel`) instead of
-        leaking a bare ``int()`` traceback.
-        """
-        workers = default_workers() if self.workers is None else resolve_workers(self.workers)
-        return self if workers == self.workers else self.replace(workers=workers)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

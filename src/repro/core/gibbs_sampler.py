@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config.specs import SubstrateSpec, TrainerSpec, check_spec, compute_dtype
+from repro.config.specs import SubstrateSpec, TrainerSpec, check_spec
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.rbm import BernoulliRBM, TrainingHistory
@@ -108,7 +108,7 @@ class GibbsSamplerMachine:
         h_init: np.ndarray,
         cd_k: int,
         *,
-        workers: "int | str | None" = None,
+        workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Let the substrate evolve for ``cd_k`` steps from the hidden state.
 
@@ -126,7 +126,7 @@ class GibbsSamplerMachine:
         cd_k: int,
         *,
         batch_chains: bool = True,
-        workers: "int | str | None" = None,
+        workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``p`` independent negative chains by ``cd_k`` steps each.
 
@@ -181,9 +181,9 @@ class GibbsSamplerTrainer:
         ``sampler.chain_batch=False`` advances the chains one at a time (the
         benchmarking baseline; bit-identical only for ``p = 1``).
         ``compute.workers`` shards the negative phase across threads with
-        per-shard RNG substreams (``None`` defers to ``REPRO_WORKERS``/1,
-        the serial bit-identical kernel; ``k > 1`` is reproducible for fixed
-        seed and ``k``, statistical across ``k``).  ``compute.dtype`` is the
+        per-shard RNG substreams (1, the default, is the serial
+        bit-identical kernel; ``k > 1`` is reproducible for fixed seed and
+        ``k``, statistical across ``k``).  ``compute.dtype`` is the
         lazily-created machine's precision tier: ``"float32"`` samples in
         single precision while gradients and the RBM's parameters stay
         float64 (``tests/property/test_precision_tiers.py``).  ``noise`` is
@@ -233,7 +233,7 @@ class GibbsSamplerTrainer:
         self.machine = machine
         self._rng = as_rng(rng)
         self.callback = callback
-        self.dtype = compute_dtype(spec.compute.dtype)
+        self.dtype = np.dtype(spec.compute.dtype)
         self._chains_h: Optional[np.ndarray] = None
         # Set once the entry finiteness scan has run for this trainer;
         # partial_fit validates the model arrays on the first call only (a

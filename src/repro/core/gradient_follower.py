@@ -41,7 +41,6 @@ from repro.config.specs import (
     TrainerSpec,
     _check_int,
     check_spec,
-    compute_dtype,
 )
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import (
@@ -244,7 +243,7 @@ class BoltzmannGradientFollower:
         self,
         n_steps: int = 1,
         *,
-        workers: "int | str | None" = None,
+        workers: int = 1,
     ) -> None:
         """Advance *all* ``p`` persistent particles through one chain-parallel
         settle batch (``settle_batch``), without touching the weights.
@@ -357,8 +356,8 @@ class BoltzmannGradientFollower:
         self.host.record_sample_streamed(chunk.shape[0])
         kern = sub._kernel()
         # The ideal-variation float tiers cache the coupling array itself, so
-        # the in-place pump edits keep it current; the variation and qint8
-        # corners cache a derived copy that each update must invalidate.
+        # the in-place pump edits keep it current; the variation corner
+        # caches a derived copy that each update must invalidate.
         static = sub._static_pair()
         if static[0] is not sub.weights:
             static = None
@@ -489,9 +488,7 @@ class BGFTrainer:
         self.noise_config = None if spec.noise.is_ideal else spec.noise.to_noise_config()
         self._rng = as_rng(rng)
         self.callback = callback
-        # The kernels' compute dtype; the machine below receives the tier
-        # *label* (spec.compute.dtype), so the qint8 tier survives the trip.
-        self.dtype = compute_dtype(spec.compute.dtype)
+        self.dtype = np.dtype(spec.compute.dtype)
         self.machine: Optional[BoltzmannGradientFollower] = None
 
     def _ensure_machine(self, rbm: BernoulliRBM) -> BoltzmannGradientFollower:

@@ -63,7 +63,7 @@ def _logprob_recorder(
     n_betas: int,
     seed: int,
     dtype: str = "float64",
-    workers=None,
+    workers: int = 1,
 ):
     """Build a per-epoch callback appending the AIS average log probability."""
 
@@ -91,7 +91,7 @@ def run_figure7(
     methods: Sequence[str] = FIGURE7_METHODS,
     dtype: str = "float64",
     train_samples: Optional[int] = None,
-    workers: "int | str | None" = None,
+    workers: int = 1,
     seed: int = 0,
 ) -> ExperimentResult:
     """Train with CD-1, CD-10 and BGF and record log-probability trajectories.
@@ -111,8 +111,8 @@ def run_figure7(
     ``train_samples`` caps the training rows (downsized smoke runs);
     ``workers`` is the multicore knob, threaded into the GS trainer's
     sharded negative phase, the BGF trainer's particle refresh, and the
-    AIS estimator's threaded chain pool (``"auto"`` = core count; the
-    default of ``None`` keeps the serial, bit-identical kernels).  The
+    AIS estimator's threaded chain pool (the default of 1 keeps the
+    serial, bit-identical kernels).  The
     defaults leave the CI-scale output contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """

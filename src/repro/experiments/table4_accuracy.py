@@ -43,7 +43,7 @@ TABLE4_IMAGE_BENCHMARKS: Sequence[str] = (
 
 def _make_trainer(
     method: str, *, learning_rate: float, batch_size: int, rng, gs_chains: int = 8,
-    dtype: str = "float64", workers=None,
+    dtype: str = "float64", workers: int = 1,
 ):
     """Build the per-layer trainer for ``method`` ('cd10', 'bgf' or 'gs').
 
@@ -95,7 +95,7 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> tuple:
 def _rbm_feature_accuracy(
     dataset, n_hidden: int, method: str, *, epochs: int, learning_rate: float,
     batch_size: int, seed: int, gs_chains: int = 8, dtype: str = "float64",
-    train_samples: Optional[int] = None, workers=None,
+    train_samples: Optional[int] = None, workers: int = 1,
 ) -> float:
     """Accuracy of a logistic head on single-RBM features trained by ``method``."""
     rngs = spawn_rngs(seed, 3)
@@ -156,7 +156,7 @@ def run_table4(
     gs_chains: Optional[int] = None,
     dtype: str = "float64",
     train_samples: Optional[int] = None,
-    workers: "int | str | None" = None,
+    workers: int = 1,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Table 4: quality metric per benchmark for cd-10 and BGF.
@@ -169,8 +169,8 @@ def run_table4(
     configuration; the logistic/DBN heads and software CD stay float64);
     ``train_samples`` caps the image-benchmark training rows for downsized
     smoke runs; ``workers`` is the multicore knob for the hardware trainers
-    (sharded settles / particle refresh; ``"auto"`` = core count, ``None``
-    keeps the serial kernels).  The defaults leave the CI-scale output
+    (sharded settles / particle refresh; the default of 1 keeps the serial
+    kernels).  The defaults leave the CI-scale output
     contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """

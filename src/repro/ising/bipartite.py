@@ -29,19 +29,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.analog.converters import (
-    DigitalToTimeConverter,
-    dequantize_symmetric,
-    quantize_symmetric,
-    quantize_uniform,
-)
+from repro.analog.converters import DigitalToTimeConverter, quantize_uniform
 from repro.analog.noise import NoiseModel
 from repro.analog.rng import StochasticNeuronSampler
 from repro.analog.sigmoid_unit import SigmoidUnit
-from repro.config.specs import QINT8, SubstrateSpec, check_spec, compute_dtype
+from repro.config.specs import SubstrateSpec, check_spec
 from repro.utils.parallel import (
     ShardedExecutor,
-    resolve_workers,
+    check_workers,
     shard_seed_sequence,
     shard_slices,
 )
@@ -187,22 +182,17 @@ class BipartiteIsingSubstrate:
         the precision tier: ``"float64"`` keeps the bit-identical pinning
         contract; ``"float32"`` stores the coupling cache, runs every settle
         matmul and draws the comparator references in single precision (in
-        the ideal corner latching through the fused sigmoid→compare kernel);
-        ``"qint8"`` collapses the effective couplings to int8 codes with
-        per-column float32 scales at the cache boundary and reuses the
-        float32 kernels below it.  Both reduced tiers are pinned
-        statistically (``tests/property/test_precision_tiers.py``,
-        ``tests/property/test_qint8_tier.py``; see the precision policy in
-        ``docs/performance.md``).
+        the ideal corner latching through the fused sigmoid→compare kernel),
+        pinned statistically (``tests/property/test_precision_tiers.py``;
+        see the precision policy in ``docs/performance.md``).
     rng:
         Master seed; per-subcircuit streams are spawned from it.
     """
 
-    # Lock discipline (enforced by reprolint R003, see docs/dev.md): the
-    # effective-weight cache and its qint8 code/scale snapshot are one
-    # consistent unit — every access outside the lock must carry an
+    # Lock discipline (enforced by reprolint R003, see docs/dev.md): every
+    # access to the effective-weight cache outside the lock must carry an
     # explicit justification.
-    # reprolint: guard(_cache_lock)=_eff_cache,_quantized_static
+    # reprolint: guard(_cache_lock)=_eff_cache
 
     # reprolint: lockfree -- construction happens-before sharing: no other thread holds a reference until __init__ returns, so the initial cache-field writes need no lock
     def __init__(self, spec: SubstrateSpec, *, rng: SeedLike = None):
@@ -210,14 +200,7 @@ class BipartiteIsingSubstrate:
         self.spec = spec
         self.n_visible = spec.n_visible
         self.n_hidden = spec.n_hidden
-        # ``tier`` is the configured precision-tier label ("float64" /
-        # "float32" / "qint8"); ``dtype`` is the NumPy dtype the kernels
-        # compute in.  They differ only on the quantized tier, whose int8
-        # coupling codes dequantize into float32 at the cache boundary so
-        # every kernel below that point is the float32 tier's, unchanged.
-        self.tier = spec.compute.dtype
-        self.quantized = self.tier == QINT8
-        self.dtype = compute_dtype(self.tier)
+        self.dtype = np.dtype(spec.compute.dtype)
         sigmoid_gain = spec.sigmoid_gain
         input_bits = spec.input_bits
         comparator_offset_rms = spec.comparator_offset_rms
@@ -279,11 +262,6 @@ class BipartiteIsingSubstrate:
         # single-owner (see docs/performance.md, "Thread safety").
         self._eff_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._cache_lock = threading.Lock()
-        # Quantized tier only: the int8 codes + per-column float32 scales of
-        # the current effective matrix (rebuilt with the cache; None while
-        # the cache is invalid).  Introspection/serving state — the settle
-        # kernels consume the dequantized float32 matrix in ``_eff_cache``.
-        self._quantized_static: Optional[Tuple[np.ndarray, np.ndarray]] = None
         # Per-worker-count shard circuits, built lazily from the shard
         # seed root (stream 6) and cached so shard streams stay stateful
         # across settle calls — fixed (seed, workers) is reproducible run
@@ -314,11 +292,6 @@ class BipartiteIsingSubstrate:
         The arrays are stored in the substrate's precision tier: a float32
         substrate quantizes the programmed float64 parameters once, here —
         the analog analogue of the array's finite programming resolution.
-        On the qint8 tier the biases additionally collapse to their 8-bit
-        codes here (one per-tensor scale each), while the weights keep a
-        full-precision host copy: their quantization point is the effective
-        -weight cache, where the static variation gain has already been
-        applied (see ``_static_pair``).
         """
         self.weights = check_array(
             weights, name="weights", shape=(self.n_visible, self.n_hidden)
@@ -329,9 +302,6 @@ class BipartiteIsingSubstrate:
         self.hidden_bias = check_array(
             hidden_bias, name="hidden_bias", shape=(self.n_hidden,)
         ).astype(self.dtype)
-        if self.quantized:
-            self.visible_bias = dequantize_symmetric(*quantize_symmetric(self.visible_bias))
-            self.hidden_bias = dequantize_symmetric(*quantize_symmetric(self.hidden_bias))
         self._drop_effective_cache()
 
     def program_trusted(
@@ -355,11 +325,6 @@ class BipartiteIsingSubstrate:
         weights = np.asarray(weights, dtype=self.dtype)
         visible_bias = np.asarray(visible_bias, dtype=self.dtype)
         hidden_bias = np.asarray(hidden_bias, dtype=self.dtype)
-        if self.quantized:
-            # Same 8-bit bias collapse as program(); the weights quantize at
-            # the effective-weight cache (_static_pair), post-variation.
-            visible_bias = dequantize_symmetric(*quantize_symmetric(visible_bias))
-            hidden_bias = dequantize_symmetric(*quantize_symmetric(hidden_bias))
         if weights.shape != (self.n_visible, self.n_hidden):
             raise ValidationError(
                 f"weights shape {weights.shape} does not match the "
@@ -375,12 +340,11 @@ class BipartiteIsingSubstrate:
         self._drop_effective_cache()
 
     def _drop_effective_cache(self) -> None:
-        """Invalidate the effective-coupling cache and its qint8 snapshot —
-        the single invalidation point shared by ``program``,
-        ``program_trusted`` and the BGF's in-place charge-pump updates."""
+        """Invalidate the effective-coupling cache — the single
+        invalidation point shared by ``program``, ``program_trusted`` and
+        the BGF's in-place charge-pump updates."""
         with self._cache_lock:
             self._eff_cache = None
-            self._quantized_static = None
 
     @property
     def _chain_skip_clamp(self) -> bool:
@@ -424,7 +388,7 @@ class BipartiteIsingSubstrate:
             if dtc.nonlinearity_rms == 0.0 and zero_is_exact:
                 converted = values.copy()
                 # The DTC's quantizer runs in float64; the converted clamp
-                # levels re-enter the substrate tier here, so a float32/qint8
+                # levels re-enter the substrate tier here, so a float32
                 # substrate never leaks float64 clamp states downstream.
                 converted.data = np.asarray(dtc.convert(values.data), dtype=self.dtype)
                 return converted
@@ -477,17 +441,6 @@ class BipartiteIsingSubstrate:
                         self.noise_model.static_effective(self.weights),
                         dtype=self.dtype,
                     )
-                    if self.quantized:
-                        # The qint8 tier's quantization point: the effective
-                        # (variation-scaled) matrix collapses to int8 codes
-                        # with one float32 scale per column — per hidden
-                        # unit, i.e. per row of the transposed pair — and
-                        # the kernels run on the float32 dequantization.
-                        # The BGF's in-place charge-pump edits requantize
-                        # here too, via invalidate_effective_weights.
-                        codes, scales = quantize_symmetric(static, axis=0)
-                        self._quantized_static = (codes, scales)
-                        static = dequantize_symmetric(codes, scales)
                     cache = (static, static.T)
                     self._eff_cache = cache
         return cache
@@ -497,7 +450,7 @@ class BipartiteIsingSubstrate:
         if is_sparse(visible):
             visible = as_sparse_rows(visible, dtype=self.dtype)
         else:
-            # Tier dtype, not float: a float32/qint8 substrate computes (and
+            # Tier dtype, not float: a float32 substrate computes (and
             # returns) float32 fields — same fix family as clamp_visible.
             visible = np.atleast_2d(np.asarray(visible, dtype=self.dtype))
         effective, _ = self._effective_pair()
@@ -514,12 +467,20 @@ class BipartiteIsingSubstrate:
         )
 
     def hidden_probability(self, visible: np.ndarray) -> np.ndarray:
-        """Sigmoid-unit output voltages at the hidden nodes."""
-        return self.hidden_sigmoid(self.hidden_field(visible))
+        """Sigmoid-unit output voltages at the hidden nodes, in the tier.
+
+        The sigmoid unit's variation/noise corners compute in float64; the
+        cast keeps a float32 substrate's outputs float32 (a no-op otherwise).
+        """
+        return self.hidden_sigmoid(self.hidden_field(visible)).astype(
+            self.dtype, copy=False
+        )
 
     def visible_probability(self, hidden: np.ndarray) -> np.ndarray:
-        """Sigmoid-unit output voltages at the visible nodes."""
-        return self.visible_sigmoid(self.visible_field(hidden))
+        """Sigmoid-unit output voltages at the visible nodes, in the tier."""
+        return self.visible_sigmoid(self.visible_field(hidden)).astype(
+            self.dtype, copy=False
+        )
 
     def _kernel(self) -> _ShardKernel:
         """Snapshot the settle kernel's static inputs (built per call —
@@ -600,11 +561,8 @@ class BipartiteIsingSubstrate:
     def _shard_incompatibility(self) -> Optional[str]:
         """Why this substrate cannot shard its settles, or ``None`` if it can.
 
-        An explicit ``workers=k > 1`` on an incompatible substrate raises
-        this reason as a :class:`ValidationError`; a worker count that came
-        from the ``REPRO_WORKERS`` environment default degrades to the
-        serial kernel instead (the environment opts eligible settles into
-        sharding, it must not break configurations nobody asked to shard).
+        ``workers=k > 1`` on an incompatible substrate raises this reason as
+        a :class:`ValidationError`.
         """
         if not self._chain_skip_clamp:
             return (
@@ -660,7 +618,7 @@ class BipartiteIsingSubstrate:
         hidden_init: np.ndarray,
         n_steps: int,
         *,
-        workers: "int | str | None" = None,
+        workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Evolve ``p`` independent chains in parallel for ``n_steps`` settles.
 
@@ -688,11 +646,10 @@ class BipartiteIsingSubstrate:
         fixed seed and ``k``, statistically equivalent across ``k`` (pinned
         by ``tests/property/test_parallel_statistics.py``).  ``workers=1``
         (and a single chain row) runs the serial kernel below,
-        bit-identical to the pre-threading implementation; ``workers=None``
-        defers to ``REPRO_WORKERS``/1 and ``"auto"`` to the core count (see
-        :mod:`repro.utils.parallel`).  Sharding requires noise-free
-        DTC/sigmoid-output draws (dynamic coupling/node noise is fine —
-        each shard perturbs its replica from its own substream).
+        bit-identical to the pre-threading implementation.  Sharding
+        requires noise-free DTC/sigmoid-output draws (dynamic coupling/node
+        noise is fine — each shard perturbs its replica from its own
+        substream).
 
         Returns the final ``(visible, hidden)`` samples, shaped
         ``(p, n_visible)`` and ``(p, n_hidden)``, in the substrate's
@@ -701,8 +658,7 @@ class BipartiteIsingSubstrate:
         the dtype never depends on the caller's input dtype (binary values
         round-trip exactly through the validation cast).
         """
-        explicit = workers is not None
-        workers = resolve_workers(workers)
+        workers = check_workers(workers)
         if n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
         hidden = check_binary(
@@ -710,14 +666,9 @@ class BipartiteIsingSubstrate:
         ).astype(self.dtype, copy=False)
         if workers > 1 and hidden.shape[0] > 1:
             reason = self._shard_incompatibility()
-            if reason is None:
-                return self._settle_batch_sharded(hidden, n_steps, workers)
-            if explicit:
+            if reason is not None:
                 raise ValidationError(reason)
-            # workers came from the REPRO_WORKERS default: the environment
-            # opts *eligible* settles into sharding — a substrate that
-            # cannot shard (noisy DTC/sigmoid) keeps its serial kernel
-            # instead of erroring on code that never asked.
+            return self._settle_batch_sharded(hidden, n_steps, workers)
         if self._chain_skip_clamp:
             # Validation is hoisted: hidden_init was checked once above, and
             # every in-chain state comes from our own latches (binary by
@@ -741,7 +692,7 @@ class BipartiteIsingSubstrate:
         hidden_init: np.ndarray,
         n_steps: int,
         *,
-        workers: "int | str | None" = None,
+        workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run ``n_steps`` alternating settles starting from a hidden state.
 

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analog.converters import dequantize_symmetric, quantize_symmetric
-from repro.config.specs import QINT8, ComputeSpec, EstimatorSpec, check_spec, compute_dtype
+from repro.config.specs import ComputeSpec, EstimatorSpec, check_spec
 from repro.rbm.rbm import BernoulliRBM
 from repro.utils.numerics import (
     bernoulli_sample,
@@ -28,7 +27,6 @@ from repro.utils.numerics import (
 )
 from repro.utils.parallel import (
     ShardedExecutor,
-    resolve_workers,
     shard_seed_sequence,
     shard_slices,
 )
@@ -155,18 +153,16 @@ class AISEstimator:
         :func:`~repro.utils.numerics.log1pexp_diff` kernel.  Its float64
         Bernoulli draws are bit-identical to the per-beta reference loop's
         (the test oracle in ``tests/helpers/reference.py``), so the two
-        agree to float64 reassociation tolerance.  ``compute.dtype="float32"`` runs the sweep in single
-        precision while the log weights accumulate in float64;
-        ``"qint8"`` quantize-dequantizes the RBM's parameters once per
-        estimate (the substrate's coupling scheme) and runs the float32
-        sweep.  Both are pinned statistically
-        (``tests/property/test_precision_tiers.py``,
-        ``tests/property/test_qint8_tier.py``).  ``compute.workers=k > 1``
-        splits the chains into ``min(k, chains)`` shards, each running the
-        whole sweep on its own thread and SeedSequence substream (spawn key
-        ``(k, shard)`` under the estimator's seed root); ``workers=1``
-        (default via ``None``/``REPRO_WORKERS``) is bit-identical to the
-        serial estimator, ``k`` is reproducible for fixed seed, and
+        agree to float64 reassociation tolerance.
+        ``compute.dtype="float32"`` runs the sweep in single precision while
+        the log weights accumulate in float64, pinned statistically
+        (``tests/property/test_precision_tiers.py``).
+        ``compute.workers=k > 1`` splits the chains into ``min(k, chains)``
+        shards, each running the whole sweep on its own thread and
+        SeedSequence substream (spawn key ``(k, shard)`` under the
+        estimator's seed root); ``workers=1`` (the default) is
+        bit-identical to the serial estimator, ``k`` is reproducible for
+        fixed seed, and
         estimates across worker counts agree statistically
         (``tests/property/test_parallel_statistics.py``).
     rng:
@@ -202,11 +198,7 @@ class AISEstimator:
             None if base_visible_bias is None else np.asarray(base_visible_bias, dtype=float)
         )
         self._rng = as_rng(rng)
-        # qint8 sweeps run on an up-front quantize-dequantize of the RBM's
-        # parameters (per-column weight scales, per-tensor bias scales) and
-        # then reuse the float32 sweep kernel unchanged below that point.
-        self.quantized = spec.compute.dtype == QINT8
-        self.dtype = compute_dtype(spec.compute.dtype)
+        self.dtype = np.dtype(spec.compute.dtype)
         self.workers = spec.compute.workers
         # Seed root for the threaded chain pool's per-shard substreams;
         # shard generators are cached per worker count so their streams
@@ -244,24 +236,6 @@ class AISEstimator:
         p = np.clip(np.mean(data, axis=0), smoothing, 1.0 - smoothing)
         return np.log(p / (1.0 - p))
 
-    def _sweep_params(self, rbm: BernoulliRBM) -> tuple:
-        """The ``(weights, visible_bias, hidden_bias)`` triple the sweep runs on.
-
-        The float tiers hand the RBM's arrays through untouched.  The qint8
-        tier quantizes them once per estimate — int8 codes with per-column
-        (weights) / per-tensor (bias) float32 scales, same scheme as the
-        substrate's effective-weight cache — and sweeps on the float32
-        dequantization, so every kernel below this point is the float32
-        tier's, unchanged.
-        """
-        if not self.quantized:
-            return rbm.weights, rbm.visible_bias, rbm.hidden_bias
-        return (
-            dequantize_symmetric(*quantize_symmetric(rbm.weights, axis=0)),
-            dequantize_symmetric(*quantize_symmetric(rbm.visible_bias)),
-            dequantize_symmetric(*quantize_symmetric(rbm.hidden_bias)),
-        )
-
     def _shard_rngs(self, workers: int) -> list:
         """Cached per-shard generators for a ``workers``-way chain pool.
 
@@ -282,12 +256,8 @@ class AISEstimator:
 
     def estimate_log_partition(self, rbm: BernoulliRBM) -> AISResult:
         """Run AIS and return the estimated log partition function."""
-        workers = resolve_workers(self.workers)
+        workers = self.workers
         base_bias = self._base_bias(rbm)
-        # On the qint8 tier the RBM parameters are quantize-dequantized once
-        # per estimate; every shard (serial or threaded) sweeps the same
-        # realized couplings, so worker count cannot change the statistics.
-        weights, visible_bias, hidden_bias = self._sweep_params(rbm)
         # Python-float betas: a NumPy float64 scalar is not a "weak" scalar
         # under NEP 50, so `beta * float32_array` would silently promote the
         # whole float32 sweep back to float64; Python floats multiply
@@ -300,8 +270,8 @@ class AISEstimator:
 
         def sweep(n_chains: int, rng: np.random.Generator) -> np.ndarray:
             return _ais_sweep(
-                weights, visible_bias, hidden_bias, base_bias, betas, n_chains,
-                rng, dtype=self.dtype,
+                rbm.weights, rbm.visible_bias, rbm.hidden_bias, base_bias, betas,
+                n_chains, rng, dtype=self.dtype,
             )
 
         if workers == 1 or self.n_chains == 1:
@@ -327,8 +297,8 @@ def estimate_log_partition(
     n_betas: int = 200,
     data: Optional[np.ndarray] = None,
     rng: SeedLike = None,
-    dtype: "str" = "float64",
-    workers: "int | str | None" = None,
+    dtype: str = "float64",
+    workers: int = 1,
 ) -> float:
     """Convenience wrapper returning just the estimated log Z.
 
@@ -357,8 +327,8 @@ def average_log_probability(
     n_betas: int = 200,
     rng: SeedLike = None,
     log_partition: Optional[float] = None,
-    dtype: "str" = "float64",
-    workers: "int | str | None" = None,
+    dtype: str = "float64",
+    workers: int = 1,
 ) -> float:
     """Average log probability of ``data`` rows, the paper's quality metric.
 

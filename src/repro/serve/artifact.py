@@ -8,10 +8,9 @@ An artifact is a sidecar bundle ``<stem>.npz`` + ``<stem>.json``:
   float64 models round-trip losslessly.  With ``save_model(...,
   quantize=True)`` the parameters are instead stored as symmetric int8
   codes plus float32 scales (``<name>_q`` / ``<name>_scale``, per-column
-  scales for the weight matrix, per-tensor for the biases — the qint8
-  tier's coupling scheme), roughly 4x smaller; codes and scales round-trip
-  losslessly and :func:`load_model` dequantizes them back into float32
-  parameters;
+  scales for the weight matrix, per-tensor for the biases), roughly 4x
+  smaller; codes and scales round-trip losslessly and :func:`load_model`
+  dequantizes them back into float32 parameters;
 * the JSON holds everything needed to rebuild the estimator without the
   training data: the format version, the estimator ``kind`` and its scalar
   state, an array manifest (shape/dtype per array), a SHA-256 checksum of
@@ -131,8 +130,8 @@ def save_model(
     quantize:
         Store the parameter arrays as symmetric int8 codes + float32
         scales (``weights_q``/``weights_scale`` etc.) instead of the raw
-        floats — the qint8 tier's quantization scheme, per-column scales
-        for the weight matrix and per-tensor for the biases.  The bundle
+        floats — per-column scales for the weight matrix and per-tensor
+        for the biases.  The bundle
         is ~4x smaller; :func:`load_model` dequantizes back to float32
         parameters.  ``chain_state`` is never quantized (it holds binary
         unit states, not couplings).
@@ -304,6 +303,10 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
     if not isinstance(manifest, dict):
         raise _corrupted(json_path, "metadata has no array manifest")
     for name, info in manifest.items():
+        if not isinstance(info, dict):
+            raise _corrupted(
+                json_path, f"manifest entry for array {name!r} is not a mapping"
+            )
         if name not in arrays:
             raise _corrupted(npz_path, f"array {name!r} listed in the manifest is missing")
         arr = arrays[name]
@@ -337,6 +340,8 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
             raise _corrupted(npz_path, f"required array {name!r} is missing")
 
     state = meta.get("state") or {}
+    if not isinstance(state, dict):
+        raise _corrupted(json_path, "estimator state is not a mapping")
     run_spec = None
     if meta.get("run_spec") is not None:
         run_spec = RunSpec.from_dict(meta["run_spec"])
@@ -347,43 +352,52 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
         raise _corrupted(npz_path, f"weights must be 2-D, got ndim={weights.ndim}")
     rbm = _rebuild_rbm(arrays, n_visible, n_hidden)
 
-    try:
-        if kind == "rbm":
-            model: Any = rbm
-        elif kind == "recommender":
-            model = RBMRecommender(
-                n_hidden=int(state["n_hidden"]),
-                epochs=int(state["epochs"]),
-                encoding=state["encoding"],
-                sparse=bool(state["sparse"]),
-                rng=0,
-            )
-            model.rbm = rbm
-            model._rating_levels = int(state["rating_levels"])
-            model._global_mean = float(state["global_mean"])
-            model._n_users = int(state["n_users"])
-        elif kind == "anomaly":
-            model = RBMAnomalyDetector(
-                n_hidden=int(state["n_hidden"]),
-                epochs=int(state["epochs"]),
-                score_method=state["score_method"],
-                encoding=state["encoding"],
-                n_bins=int(state["n_bins"]),
-                sparse=bool(state["sparse"]),
-                rng=0,
-            )
-            model.rbm = rbm
-            model._train_mean_score = float(state["train_mean_score"])
-            model._n_features_raw = int(state["n_features_raw"])
-        else:
-            raise ValidationError(
-                f"artifact {json_path} has unknown kind {kind!r}"
-                " (expected 'rbm', 'recommender' or 'anomaly')"
-            )
-    except KeyError as exc:
-        raise _corrupted(
-            json_path, f"estimator state is missing field {exc.args[0]!r}"
-        ) from exc
+    def state_field(
+        name: str, convert: Callable[[Any], Any] = lambda value: value
+    ) -> Any:
+        if name not in state:
+            raise _corrupted(json_path, f"estimator state is missing field {name!r}")
+        try:
+            return convert(state[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _corrupted(
+                json_path,
+                f"estimator state field {name!r} is not a valid"
+                f" {convert.__name__}: {state[name]!r}",
+            ) from exc
+
+    if kind == "rbm":
+        model: Any = rbm
+    elif kind == "recommender":
+        model = RBMRecommender(
+            n_hidden=state_field("n_hidden", int),
+            epochs=state_field("epochs", int),
+            encoding=state_field("encoding"),
+            sparse=state_field("sparse", bool),
+            rng=0,
+        )
+        model.rbm = rbm
+        model._rating_levels = state_field("rating_levels", int)
+        model._global_mean = state_field("global_mean", float)
+        model._n_users = state_field("n_users", int)
+    elif kind == "anomaly":
+        model = RBMAnomalyDetector(
+            n_hidden=state_field("n_hidden", int),
+            epochs=state_field("epochs", int),
+            score_method=state_field("score_method"),
+            encoding=state_field("encoding"),
+            n_bins=state_field("n_bins", int),
+            sparse=state_field("sparse", bool),
+            rng=0,
+        )
+        model.rbm = rbm
+        model._train_mean_score = state_field("train_mean_score", float)
+        model._n_features_raw = state_field("n_features_raw", int)
+    else:
+        raise ValidationError(
+            f"artifact {json_path} has unknown kind {kind!r}"
+            " (expected 'rbm', 'recommender' or 'anomaly')"
+        )
 
     return ModelArtifact(
         kind=kind,

@@ -106,7 +106,7 @@ class NoGlobalRng(Rule):
 class DtypeTierHygiene(Rule):
     """Kernel modules must not leak float64 into the precision tiers.
 
-    The float32/qint8 tiers hold only because every array a kernel touches
+    The float32 tier holds only because every array a kernel touches
     stays in the tier dtype (the PR-9 ``clamp_visible``/``hidden_field``
     leak class).  Three known upcast patterns are flagged in the kernel
     modules: ``np.float64(...)`` scalars (NEP 50 upcasts the whole
@@ -195,10 +195,9 @@ class LockDiscipline(Rule):
 
     A class declares its invariant once, in its own body::
 
-        # reprolint: guard(_cache_lock)=_eff_cache,_quantized_static
+        # reprolint: guard(_cache_lock)=_eff_cache
 
-    and every ``self._eff_cache`` / ``self._quantized_static`` access in that
-    class must then sit inside ``with self._cache_lock`` — or in a method
+    and every ``self._eff_cache`` access in that class must then sit inside ``with self._cache_lock`` — or in a method
     carrying ``# reprolint: lockfree -- <reason>`` (e.g. ``__init__``
     publishing state before the object is shared).  This is the contract
     the effective-weight cache's double-checked build depends on

@@ -34,8 +34,7 @@ from repro.utils.batching import (
 )
 from repro.utils.parallel import (
     ShardedExecutor,
-    default_workers,
-    resolve_workers,
+    check_workers,
     shard_slices,
 )
 from repro.utils.validation import (
@@ -74,8 +73,7 @@ __all__ = [
     "shuffle_arrays",
     "train_test_split",
     "ShardedExecutor",
-    "default_workers",
-    "resolve_workers",
+    "check_workers",
     "shard_slices",
     "check_array",
     "check_data_matrix",

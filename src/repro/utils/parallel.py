@@ -27,18 +27,13 @@ Determinism contract (see docs/performance.md, "The multicore layer"):
   ``k`` — chain draws move between streams — which is why the sharded
   paths are pinned statistically (``tests/property/
   test_parallel_statistics.py``), not by seed.
-
-``workers=None`` defers to :func:`default_workers` — the ``REPRO_WORKERS``
-environment variable (the CI matrix's knob) or 1 — and ``workers="auto"``
-resolves to the machine's core count.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence, TypeVar, Union
+from typing import Callable, List, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,8 +41,7 @@ from repro.utils.validation import ValidationError
 
 __all__ = [
     "ShardedExecutor",
-    "default_workers",
-    "resolve_workers",
+    "check_workers",
     "shard_seed_sequence",
     "shard_slices",
 ]
@@ -55,64 +49,20 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-WorkersLike = Union[None, int, str]
 
-#: Environment variable consulted when ``workers=None`` — the CI matrix's
-#: knob for opting *eligible* call sites into the sharded paths (surfaces
-#: that cannot shard, e.g. a noisy-DTC substrate, keep their serial
-#: kernels rather than erroring; an explicit ``workers=k`` argument still
-#: fails loudly there).  Note that bit-identical comparisons against the
-#: serial reference legitimately diverge under this variable — the suites
-#: that pin those contracts pass ``workers=1`` explicitly or clear it.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
+def check_workers(workers: int, *, name: str = "workers") -> int:
+    """``workers`` as a validated positive int.
 
-
-def default_workers() -> int:
-    """Worker count used when a caller passes ``workers=None``.
-
-    Reads ``REPRO_WORKERS`` (an integer or ``"auto"``); unset means 1 —
-    the serial kernels, bit-identical to the pre-threading implementation.
+    Anything that is not a positive integer — floats, bools, strings,
+    ``None``, ``workers=0`` — raises a :class:`ValidationError` naming the
+    offending value, so a typo'd shard count fails at the API boundary
+    instead of surfacing as a numpy reshape traceback deep inside a settle.
     """
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None or raw.strip() == "":
-        return 1
-    raw = raw.strip()
-    if raw == "auto":
-        return resolve_workers("auto")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{WORKERS_ENV_VAR} must be a positive integer or 'auto', got {raw!r}"
-        ) from None
-    return resolve_workers(value, name=WORKERS_ENV_VAR)
-
-
-def resolve_workers(workers: WorkersLike, *, name: str = "workers") -> int:
-    """Normalize a ``workers`` knob into a validated positive int.
-
-    ``None`` defers to :func:`default_workers` (``REPRO_WORKERS`` or 1);
-    ``"auto"`` resolves to the machine's available core count.  Anything
-    that is not a positive integer — floats, bools, strings, ``workers=0``
-    — raises a :class:`ValidationError` naming the offending value, so a
-    typo'd shard count fails at the API boundary instead of surfacing as a
-    numpy reshape traceback deep inside a settle.
-    """
-    if workers is None:
-        return default_workers()
-    if isinstance(workers, str):
-        if workers == "auto":
-            affinity = getattr(os, "sched_getaffinity", None)
-            cores = len(affinity(0)) if affinity is not None else os.cpu_count()
-            return max(1, int(cores or 1))
-        raise ValidationError(
-            f"{name} must be a positive int, 'auto', or None, got {workers!r}"
-        )
     # bool is an int subclass; workers=True is a typo, not one worker.
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
         raise ValidationError(
-            f"{name} must be a positive int, 'auto', or None, "
-            f"got {workers!r} of type {type(workers).__name__}"
+            f"{name} must be a positive int, got {workers!r} of type "
+            f"{type(workers).__name__}"
         )
     if workers < 1:
         raise ValidationError(f"{name} must be >= 1, got {int(workers)}")
@@ -188,8 +138,8 @@ class ShardedExecutor:
     shard outputs deterministically regardless of completion order.
     """
 
-    def __init__(self, workers: WorkersLike = None):
-        self.workers = resolve_workers(workers)
+    def __init__(self, workers: int = 1):
+        self.workers = check_workers(workers)
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Apply ``fn`` to every item, in parallel when it pays off."""

@@ -43,7 +43,7 @@ class TestQuantizeUniform:
 
 
 class TestQuantizeSymmetric:
-    """The signed int8 codes + scales scheme behind the qint8 tier."""
+    """The signed int8 codes + scales scheme behind quantized artifacts."""
 
     def test_codes_in_symmetric_range(self):
         values = np.random.default_rng(0).normal(0, 1, (32, 8))

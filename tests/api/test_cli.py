@@ -143,6 +143,24 @@ class TestMain:
         assert "no longer a knob" in captured.err
         assert "=== table4" not in captured.out
 
+    @pytest.mark.parametrize(
+        "setting, reason",
+        [
+            ("dtype=qint8", "qint8 compute tier was removed"),
+            ("workers=auto", "worker counts are explicit"),
+            ("workers=none", "worker counts are explicit"),
+        ],
+    )
+    def test_retired_compute_values_fail_before_training(
+        self, forbid_training, capsys, setting, reason
+    ):
+        """A retired compute value fails at the --set boundary with the
+        reason it went, before any experiment starts."""
+        assert main(["run", "figure7", "--set", "epochs=2", "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert "=== figure7" not in captured.out
+
     def test_negative_seed_fails_before_training(self, forbid_training, capsys):
         args = ["run", "figure7", "--set", "seed=-1", "--set", "epochs=2"]
         assert main(args) == 2
@@ -185,13 +203,6 @@ class TestMain:
         assert "weights_q" in meta["arrays"]
         artifact = load_model(stem)
         assert artifact.rbm.weights.dtype == np.float32
-
-    def test_dtype_qint8_routes_into_compute_spec(self, capsys):
-        """`--set dtype=qint8` reaches the run's ComputeSpec and the run
-        completes on the quantized tier (figure7 threads the dtype knob)."""
-        assert main(["run", "figure7", "--set", "epochs=2",
-                     "--set", "dtype=qint8"]) == 0
-        assert "=== figure7" in capsys.readouterr().out
 
     def test_seed_override_flips_preset_label_to_custom(self, capsys):
         assert main(["run", "table3", "--seed", "9"]) == 2  # table3 is seedless

@@ -139,8 +139,7 @@ class TestMaterializeKwargs:
 
 
 class TestRunExperiment:
-    def test_records_resolved_run_spec_in_metadata(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_records_run_spec_in_metadata(self):
         result = run_experiment(RunSpec(experiment="table2"))
         recorded = result.metadata["run_spec"]
         assert recorded["experiment"] == "table2"
@@ -148,29 +147,20 @@ class TestRunExperiment:
         rebuilt = RunSpec.from_dict(recorded)
         assert rebuilt.experiment == "table2"
 
-    def test_resolved_compute_is_concrete(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+    def test_recorded_compute_is_concrete(self):
         result = run_experiment(
             RunSpec(experiment="figure5", compute=ComputeSpec())
         )
-        assert result.metadata["run_spec"]["compute"]["workers"] == 2
+        assert result.metadata["run_spec"]["compute"] == {
+            "dtype": "float64",
+            "workers": 1,
+        }
 
-    def test_env_driven_compute_recorded_even_without_a_compute_spec(
-        self, monkeypatch
-    ):
-        """A compute-threading experiment run with compute=None still records
-        the environment default that actually drove the kernels, so the
-        recorded spec reproduces on another host; a non-threading experiment
-        stays compute: None (recording it would break replay validation)."""
-        monkeypatch.setenv("REPRO_WORKERS", "garbage")
-        with pytest.raises(ValidationError, match="REPRO_WORKERS"):
-            run_experiment(
-                RunSpec(experiment="figure7").with_overrides(
-                    datasets=("mnist",), epochs=2, ais_chains=4, ais_betas=10,
-                    train_samples=16, methods=("cd1",),
-                )
-            )
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+    def test_compute_recorded_even_without_a_compute_spec(self):
+        """A compute-threading experiment run with compute=None records the
+        default compute block that drove the kernels; a non-threading
+        experiment stays compute: None (recording it would break replay
+        validation)."""
         result = run_experiment(
             RunSpec(experiment="figure7").with_overrides(
                 datasets=("mnist",), epochs=2, ais_chains=4, ais_betas=10,
@@ -178,19 +168,11 @@ class TestRunExperiment:
             )
         )
         recorded = result.metadata["run_spec"]
-        assert recorded["compute"]["workers"] == 2
+        assert recorded["compute"] == {"dtype": "float64", "workers": 1}
+        assert RunSpec.from_dict(recorded).compute == ComputeSpec()
         assert run_experiment(
             RunSpec(experiment="table2")
         ).metadata["run_spec"]["compute"] is None
-
-    def test_garbage_env_fails_before_running(self, monkeypatch):
-        """A spec that defers workers to the environment fails loudly (naming
-        REPRO_WORKERS) at resolve time, before the experiment starts."""
-        monkeypatch.setenv("REPRO_WORKERS", "garbage")
-        with pytest.raises(ValidationError, match="REPRO_WORKERS"):
-            run_experiment(
-                RunSpec(experiment="table2", compute=ComputeSpec())
-            )
 
     def test_rejects_non_runspec(self):
         with pytest.raises(ValidationError, match="RunSpec"):
@@ -200,9 +182,9 @@ class TestRunExperiment:
 class TestLegacyConfigConversion:
     def test_compute_knobs_split_out(self):
         spec = runspec_from_legacy_config(
-            "figure7", {"scale": "paper", "dtype": "float32", "workers": "auto"}
+            "figure7", {"scale": "paper", "dtype": "float32", "workers": 2}
         )
-        assert spec.compute == ComputeSpec(dtype="float32", workers="auto")
+        assert spec.compute == ComputeSpec(dtype="float32", workers=2)
         assert spec.params == {"scale": "paper"}
         assert spec.preset == "paper"
 

@@ -1,4 +1,4 @@
-"""Spec-layer tests: construction validation, resolve(), dict round trips."""
+"""Spec-layer tests: construction validation, dict round trips."""
 
 import dataclasses
 import json
@@ -15,7 +15,6 @@ from repro.config import (
     SubstrateSpec,
     TrainerSpec,
     ValidationError,
-    compute_dtype,
 )
 from repro.analog.noise import NoiseConfig
 
@@ -24,7 +23,7 @@ class TestComputeSpec:
     def test_defaults(self):
         spec = ComputeSpec()
         assert spec.dtype == "float64"
-        assert spec.workers is None
+        assert spec.workers == 1
 
     def test_dtype_normalized_to_canonical_string(self):
         assert ComputeSpec(dtype=np.float32).dtype == "float32"
@@ -32,50 +31,31 @@ class TestComputeSpec:
 
     @pytest.mark.parametrize("dtype", ["int8", "float16", "complex128", object])
     def test_bad_dtype_rejected(self, dtype):
-        with pytest.raises(
-            ValidationError, match="dtype must be float32, float64 or qint8"
-        ):
+        with pytest.raises(ValidationError, match="dtype must be float32 or float64"):
             ComputeSpec(dtype=dtype)
 
-    def test_qint8_tier_accepted_and_canonicalized(self):
-        assert ComputeSpec(dtype="qint8").dtype == "qint8"
-        # The tier label tolerates case/whitespace like the float tiers.
-        assert ComputeSpec(dtype=" QINT8 ").dtype == "qint8"
-
-    def test_compute_dtype_maps_tier_labels(self):
-        assert compute_dtype("float64") == np.dtype(np.float64)
-        assert compute_dtype("float32") == np.dtype(np.float32)
-        assert compute_dtype("qint8") == np.dtype(np.float32)
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("dtype", "qint8", "qint8 compute tier was removed"),
+            ("workers", None, "worker counts are explicit"),
+            ("workers", "auto", "worker counts are explicit"),
+        ],
+    )
+    def test_retired_values_rejected_naming_the_reason(self, field, value, reason):
+        with pytest.raises(ValidationError, match=reason):
+            ComputeSpec(**{field: value})
+        with pytest.raises(ValidationError, match=reason):
+            RunSpec(experiment="figure7").with_overrides(**{field: value})
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5, "two", True, [2]])
     def test_bad_workers_rejected_at_construction(self, workers):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="workers"):
             ComputeSpec(workers=workers)
 
-    def test_auto_workers_kept_deferred_until_resolve(self):
-        spec = ComputeSpec(workers="auto")
-        assert spec.workers == "auto"
-        assert spec.resolve().workers >= 1
-
-    def test_resolve_reads_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert ComputeSpec().resolve().workers == 3
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert ComputeSpec().resolve().workers == 1
-
-    @pytest.mark.parametrize("raw", ["garbage", "2.5", "-1", "zero"])
-    def test_resolve_rejects_garbage_env_naming_the_variable(
-        self, monkeypatch, raw
-    ):
-        """Satellite: REPRO_WORKERS junk raises a clear ValidationError from
-        ComputeSpec.resolve(), never a bare int() traceback."""
-        monkeypatch.setenv("REPRO_WORKERS", raw)
-        with pytest.raises(ValidationError, match="REPRO_WORKERS"):
-            ComputeSpec().resolve()
-
-    def test_explicit_workers_resolve_is_identity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert ComputeSpec(workers=2).resolve().workers == 2
+    def test_numpy_int_workers_normalized(self):
+        spec = ComputeSpec(workers=np.int64(3))
+        assert spec.workers == 3 and type(spec.workers) is int
 
     def test_settable_fields(self):
         assert tuple(f.name for f in dataclasses.fields(ComputeSpec)) == ("dtype", "workers")
@@ -176,9 +156,6 @@ class TestTrainerSpec:
     def test_cd_is_float64_only(self):
         with pytest.raises(ValidationError, match="float64"):
             TrainerSpec(kind="cd", compute=ComputeSpec(dtype="float32"))
-        # The quantized tier is a hardware-trainer tier like float32.
-        with pytest.raises(ValidationError, match="float64"):
-            TrainerSpec(kind="cd", compute=ComputeSpec(dtype="qint8"))
 
     def test_cd_rejects_hardware_sampler_and_noise_knobs(self):
         with pytest.raises(ValidationError, match="kind='gs'"):
@@ -338,7 +315,7 @@ class TestRunSpec:
 @pytest.mark.parametrize(
     "spec",
     [
-        ComputeSpec(dtype="float32", workers="auto"),
+        ComputeSpec(dtype="float32", workers=2),
         SamplerSpec(chains=8, persistent=True, burn_in=2),
         NoiseSpec(0.1, 0.2),
         SubstrateSpec(
@@ -351,16 +328,11 @@ class TestRunSpec:
         TrainerSpec.gs(0.2, chains=4, persistent=True, compute=ComputeSpec(workers=2)),
         TrainerSpec.bgf(0.1, step_size=0.005, burn_in=1, noise=NoiseSpec(0.1, 0.1)),
         EstimatorSpec(chains=32, betas=100, compute=ComputeSpec(dtype="float32")),
-        SubstrateSpec(
-            n_visible=12,
-            n_hidden=6,
-            compute=ComputeSpec(dtype="qint8", workers=2),
-        ),
         RunSpec(
             experiment="figure7",
             preset="paper",
             seed=3,
-            compute=ComputeSpec(dtype="float32", workers="auto"),
+            compute=ComputeSpec(dtype="float32", workers=2),
             params={"datasets": ("mnist", "kmnist"), "epochs": 5},
         ),
     ],
@@ -409,6 +381,29 @@ class TestFromDictValidation:
         """Only the value the single implementation reproduces loads."""
         with pytest.raises(ValidationError, match="fast_path"):
             ComputeSpec.from_dict({"fast_path": value})
+
+    @pytest.mark.parametrize(
+        "stored, loaded",
+        [
+            ({"dtype": "qint8", "workers": 2}, ComputeSpec(dtype="float32", workers=2)),
+            ({"dtype": "float32", "workers": None}, ComputeSpec(dtype="float32")),
+            ({"dtype": "float64", "workers": "auto"}, ComputeSpec()),
+            ({"dtype": "qint8", "workers": "auto"}, ComputeSpec(dtype="float32")),
+        ],
+    )
+    def test_retired_values_load_mapped(self, stored, loaded):
+        """Specs saved with a retired tier or a deferred worker count load
+        as the concrete spec they computed under."""
+        assert ComputeSpec.from_dict(stored) == loaded
+        run = RunSpec.from_dict({"experiment": "figure7", "compute": stored})
+        assert run.compute == loaded
+
+    @pytest.mark.parametrize(
+        "stored", [{"dtype": "QINT8"}, {"workers": "AUTO"}, {"workers": 0}]
+    )
+    def test_near_miss_retired_values_rejected(self, stored):
+        with pytest.raises(ValidationError):
+            ComputeSpec.from_dict(stored)
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValidationError, match="mapping"):

@@ -112,7 +112,7 @@ class TestBoltzmannGradientFollowerMachine:
         with pytest.raises(ValidationError, match=name):
             machine.run(data, **kwargs)
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32", "qint8"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_particles_in_tier_dtype_from_initialize(self, dtype):
         machine = self._machine(dtype=dtype)
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))

@@ -22,16 +22,6 @@ from repro.rbm import BernoulliRBM, PCDTrainer
 from repro.utils.validation import ValidationError
 
 
-@pytest.fixture(autouse=True)
-def _serial_workers(monkeypatch):
-    """This suite pins the *bit-identical serial* contract: REPRO_WORKERS
-    would legitimately shard the kernels' draws onto per-shard
-    substreams (that regime's pinning lives in
-    ``tests/property/test_parallel_statistics.py``), so the environment
-    default is cleared here."""
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-
-
 @pytest.fixture(scope="module")
 def data():
     rng = np.random.default_rng(0)

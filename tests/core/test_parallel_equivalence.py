@@ -16,8 +16,6 @@ Two halves, matching docs/performance.md ("The multicore layer"):
   counts give deterministic, non-aliased streams.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -28,16 +26,14 @@ from repro.config import (
     NoiseSpec,
     SubstrateSpec,
     TrainerSpec,
+    ValidationError,
 )
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.core.gradient_follower import BoltzmannGradientFollower
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 
-# The CI matrix's workers column folds its value into the reproducibility
-# parametrization (REPRO_WORKERS=3 adds a workers=3 leg here).
-_env = os.environ.get("REPRO_WORKERS", "")
-WORKER_COUNTS = sorted({2, 4} | ({int(_env)} if _env.isdigit() and int(_env) > 1 else set()))
+WORKER_COUNTS = [2, 4]
 
 N_VISIBLE, N_HIDDEN = 12, 7
 
@@ -84,16 +80,8 @@ def _tiny_ais_rbm():
     return rbm
 
 
-@pytest.fixture(autouse=True)
-def _serial_env(monkeypatch):
-    """Pin the environment default to serial so the bit-identity assertions
-    test ``workers=1`` itself, not whatever REPRO_WORKERS the CI leg set;
-    the reproducibility half always passes ``workers`` explicitly."""
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-
-
 class TestWorkersOneBitIdentical:
-    """workers=1 (and the None default) is the pre-threading serial kernel."""
+    """workers=1 (the default) is the pre-threading serial kernel."""
 
     @pytest.mark.parametrize("corner", sorted(CORNERS))
     def test_settle_batch(self, corner):
@@ -114,7 +102,7 @@ class TestWorkersOneBitIdentical:
 
     def test_gs_trainer(self, tiny_binary_data):
         weights = {}
-        for key, workers in (("default", None), ("workers1", 1)):
+        for key, compute in (("default", None), ("workers1", ComputeSpec(workers=1))):
             rbm = BernoulliRBM(16, 6, rng=0)
             GibbsSamplerTrainer(
                 spec=TrainerSpec.gs(
@@ -123,7 +111,7 @@ class TestWorkersOneBitIdentical:
                     batch_size=10,
                     chains=4,
                     persistent=True,
-                    compute=ComputeSpec(workers=workers),
+                    compute=compute,
                 ),
                 rng=1,
             ).train(rbm, tiny_binary_data, epochs=2)
@@ -132,7 +120,7 @@ class TestWorkersOneBitIdentical:
 
     def test_bgf_refresh_particles(self):
         machines = []
-        for workers in (None, 1):
+        for kwargs in ({}, {"workers": 1}):
             machine = BoltzmannGradientFollower(N_VISIBLE, N_HIDDEN, rng=3)
             rng = np.random.default_rng(1)
             machine.initialize(
@@ -140,7 +128,7 @@ class TestWorkersOneBitIdentical:
                 np.zeros(N_VISIBLE),
                 np.zeros(N_HIDDEN),
             )
-            machine.refresh_particles(3, workers=workers)
+            machine.refresh_particles(3, **kwargs)
             machines.append(machine.particles)
         np.testing.assert_array_equal(machines[0], machines[1])
 
@@ -251,21 +239,8 @@ class TestShardedReproducible:
         assert len(substrate._shard_contexts[2]) == 2
 
 
-class TestEnvironmentDefault:
-    def test_env_workers_is_the_none_default(self, monkeypatch):
-        h = _hidden(3)
-        explicit = _substrate().settle_batch(h, 3, workers=2)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        via_env = _substrate().settle_batch(h, 3)
-        np.testing.assert_array_equal(explicit[0], via_env[0])
-        np.testing.assert_array_equal(explicit[1], via_env[1])
-
-
 class TestShardedPreconditions:
-    """Explicit workers=k on an incompatible substrate fails loudly; the
-    REPRO_WORKERS environment default degrades to the serial kernel (the
-    env opts eligible settles in — it must not break configurations that
-    never asked to shard)."""
+    """workers=k > 1 on a substrate that cannot shard fails loudly."""
 
     def test_noisy_dtc_cannot_shard(self):
         substrate = BipartiteIsingSubstrate(
@@ -275,19 +250,28 @@ class TestShardedPreconditions:
         with pytest.raises(Exception, match="DTC"):
             substrate.settle_batch(_hidden(3), 2, workers=2)
 
-    def test_env_default_degrades_to_serial_on_noisy_dtc(self, monkeypatch):
-        def run():
-            substrate = BipartiteIsingSubstrate(
-                spec=SubstrateSpec(N_VISIBLE, N_HIDDEN, input_bits=8), rng=0
-            )
-            substrate.input_dtc.nonlinearity_rms = 0.01  # DTC noise: ineligible
-            return substrate.settle_batch(_hidden(3), 2)
-
-        v_ref, h_ref = run()
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        v_env, h_env = run()
-        np.testing.assert_array_equal(v_ref, v_env)
-        np.testing.assert_array_equal(h_ref, h_env)
+    @pytest.mark.parametrize("entry", ["settle_batch", "gibbs_chain"])
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize(
+        "unit, attribute, reason",
+        [
+            ("input_dtc", "nonlinearity_rms", "noise-free input DTC"),
+            ("hidden_sigmoid", "output_noise_rms", "noise-free sigmoid outputs"),
+            ("visible_sigmoid", "output_noise_rms", "noise-free sigmoid outputs"),
+        ],
+        ids=["dtc-noise", "hidden-output-noise", "visible-output-noise"],
+    )
+    def test_every_stream_splitting_noise_source_raises(
+        self, unit, attribute, reason, workers, entry
+    ):
+        """There is no serial fallback: each per-draw noise source that
+        cannot be split across shards raises, naming the requirement."""
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(N_VISIBLE, N_HIDDEN, input_bits=8), rng=0
+        )
+        setattr(getattr(substrate, unit), attribute, 0.01)
+        with pytest.raises(ValidationError, match=reason):
+            getattr(substrate, entry)(_hidden(3), 2, workers=workers)
 
 
 class TestAISShardRootIndependence:

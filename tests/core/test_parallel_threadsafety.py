@@ -144,61 +144,3 @@ class TestEffectiveWeightCacheUnderConcurrency:
         np.testing.assert_array_equal(v_ref, v_after)
         np.testing.assert_array_equal(h_ref, h_after)
 
-
-class TestQuantizedCacheCoherence:
-    """PR-10 audit rider: on the qint8 tier the cache is a three-field unit.
-
-    ``_eff_cache`` (the dequantized pair), ``_quantized_static`` (the int8
-    codes + float32 scales it was built from) and the shared-memory
-    publication are invalidated and rebuilt together under ``_cache_lock``
-    (the ``guard(_cache_lock)`` declaration reprolint R003 enforces).  The
-    float-tier stress tests above never exercise the quantized snapshot;
-    this one hammers rebuilds on the qint8 tier and then checks the unit is
-    coherent — codes that dequantize to exactly the cached matrix."""
-
-    def test_concurrent_qint8_settles_and_invalidations_stay_coherent(self):
-        from repro.analog.converters import dequantize_symmetric
-
-        substrate = _substrate(dtype="qint8")
-        hidden = (np.random.default_rng(4).random((4, N_HIDDEN)) < 0.5).astype(
-            np.float32
-        )
-        errors = []
-        stop = threading.Event()
-
-        def settle_loop():
-            try:
-                for _ in range(100):
-                    visible, latched = substrate.settle_batch(hidden, 1)
-                    assert set(np.unique(visible)) <= {0.0, 1.0}
-                    assert set(np.unique(latched)) <= {0.0, 1.0}
-            except Exception as exc:  # noqa: BLE001 - the assertion target
-                errors.append(exc)
-            finally:
-                stop.set()
-
-        def invalidate_loop():
-            while not stop.is_set():
-                substrate.invalidate_effective_weights()
-
-        settlers = [threading.Thread(target=settle_loop) for _ in range(3)]
-        invalidator = threading.Thread(target=invalidate_loop)
-        for thread in settlers:
-            thread.start()
-        invalidator.start()
-        for thread in settlers:
-            thread.join(timeout=60)
-        stop.set()
-        invalidator.join(timeout=60)
-        assert not errors, f"concurrent qint8 settles crashed: {errors[0]!r}"
-
-        # Quiescent coherence: one final build, then the three-field unit
-        # must agree — int8 codes, float32 scales, and a cached pair that
-        # is exactly their dequantization (and its own transpose).
-        static, static_t = substrate._static_pair()
-        codes, scales = substrate._quantized_static
-        assert codes.dtype == np.int8
-        assert scales.dtype == np.float32
-        assert static.dtype == np.float32
-        np.testing.assert_array_equal(static, dequantize_symmetric(codes, scales))
-        np.testing.assert_array_equal(static.T, static_t)

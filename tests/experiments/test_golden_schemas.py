@@ -145,14 +145,11 @@ class TestTable4Schema:
 
 
 class TestRunSpecMetadataSchema:
-    """Satellite: results produced through repro.api carry the resolved
-    RunSpec under metadata["run_spec"], with a frozen key contract."""
+    """Satellite: results produced through repro.api carry their RunSpec
+    under metadata["run_spec"], with a frozen key contract."""
 
     @pytest.fixture(scope="class")
-    def spec_result(self, request):
-        monkeypatch = pytest.MonkeyPatch()
-        request.addfinalizer(monkeypatch.undo)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def spec_result(self):
         spec = RunSpec(experiment="figure7").with_overrides(
             datasets=("mnist",), epochs=2, ais_chains=6, ais_betas=12,
             train_samples=48, methods=("cd1",), seed=1,
@@ -171,13 +168,10 @@ class TestRunSpecMetadataSchema:
         spec, result = spec_result
         rebuilt = RunSpec.from_dict(result.metadata["run_spec"])
         # figure7 threads compute knobs, so the recorded spec fills in the
-        # resolved environment defaults (REPRO_WORKERS cleared -> workers=1)
-        # even though the input spec left compute unset; resolving is
-        # idempotent, so a second resolve must be the identity.
+        # default compute block even though the input spec left it unset.
         from repro.config import ComputeSpec
 
-        assert rebuilt == spec.resolve().replace(compute=ComputeSpec().resolve())
-        assert rebuilt.resolve() == rebuilt
+        assert rebuilt == spec.replace(compute=ComputeSpec())
 
     def test_driver_metadata_still_present_alongside_run_spec(self, spec_result):
         _, result = spec_result

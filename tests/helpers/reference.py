@@ -134,7 +134,7 @@ class ReferenceSubstrate(BipartiteIsingSubstrate):
         hidden = check_binary(np.atleast_2d(np.asarray(hidden, dtype=float)), name="hidden")
         return self.visible_sampler.sample(self.visible_probability(hidden))
 
-    def settle_batch(self, hidden_init, n_steps, *, workers=None):
+    def settle_batch(self, hidden_init, n_steps, *, workers=1):
         """``n_steps`` alternating settles through the validated samplers
         (each hidden settle re-clamps its visibles through the DTC, each
         visible settle re-checks its hidden states).  Serial: ``workers`` is

@@ -21,15 +21,6 @@ from repro.rbm import AISEstimator, BernoulliRBM
 
 pytestmark = pytest.mark.paperscale
 
-# The nightly CI matrix's workers column (see .github/workflows/ci.yml):
-# the presets are smoked serially and through the sharded settle / threaded
-# AIS layer.  Resolved once — through the spec layer's hardened env parse,
-# so a typo'd REPRO_WORKERS raises a ValidationError naming the variable
-# instead of an int() traceback — and every smoke in the file runs the
-# same leg.
-SMOKE_WORKERS = ComputeSpec().resolve().workers
-
-
 class TestPaperScaleKernels:
     """Direct 784x500 float32 substrate + AIS execution (no dataset loop)."""
 
@@ -42,7 +33,7 @@ class TestPaperScaleKernels:
             rng.normal(0, 0.05, (784, 500)), np.zeros(784), np.zeros(500)
         )
         hidden = (rng.random((64, 500)) < 0.5).astype(float)
-        v, h = substrate.settle_batch(hidden, 5, workers=SMOKE_WORKERS)
+        v, h = substrate.settle_batch(hidden, 5)
         assert v.shape == (64, 784) and v.dtype == np.float32
         assert h.shape == (64, 500) and h.dtype == np.float32
         assert 0.1 < float(v.mean()) < 0.9  # mixing, not frozen
@@ -59,7 +50,7 @@ class TestPaperScaleKernels:
             spec=EstimatorSpec(
                 chains=32,
                 betas=100,
-                compute=ComputeSpec(dtype="float32", workers=SMOKE_WORKERS),
+                compute=ComputeSpec(dtype="float32"),
             ),
             rng=2,
         ).estimate_log_partition(rbm)
@@ -77,7 +68,7 @@ class TestPaperScaleKernels:
                 batch_size=16,
                 chains=64,
                 persistent=True,
-                compute=ComputeSpec(dtype="float32", workers=SMOKE_WORKERS),
+                compute=ComputeSpec(dtype="float32"),
             ),
             rng=1,
         )
@@ -99,12 +90,11 @@ class TestPaperPresetSmoke:
             ais_chains=8,
             ais_betas=40,
             train_samples=192,
-            workers=SMOKE_WORKERS,
             seed=0,
         )
         assert result.metadata["scale"] == "paper"
         assert result.metadata["dtype"] == "float32"
-        assert result.metadata["workers"] == SMOKE_WORKERS
+        assert result.metadata["workers"] == 1
         series = trajectories(result)["kmnist"]
         assert set(series) == {"gs-pcd16"}
         assert len(series["gs-pcd16"]) == 3
@@ -115,11 +105,10 @@ class TestPaperPresetSmoke:
             image_benchmarks=("mnist",),  # Table-1 784x200
             epochs=2,
             train_samples=192,
-            workers=SMOKE_WORKERS,
             seed=0,
         )
         assert result.metadata["scale"] == "paper"
-        assert result.metadata["workers"] == SMOKE_WORKERS
+        assert result.metadata["workers"] == 1
         row = result.row_by("benchmark", "mnist")
         for key in ("rbm_cd10", "rbm_bgf", "rbm_gs"):
             assert 0.0 <= row[key] <= 1.0

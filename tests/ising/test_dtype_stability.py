@@ -1,4 +1,4 @@
-"""Dtype stability of every public substrate path, on all three tiers.
+"""Dtype stability of every public substrate path, on both tiers.
 
 The precision tiers are a contract about *every* array a substrate hands
 back, not just the hot settle kernels: a float64 leak out of one entry
@@ -7,30 +7,33 @@ point (the original bug was ``clamp_visible``'s dense DTC path coercing to
 promotion, erasing the tier's memory/bandwidth win without failing a
 single statistical test.  This suite walks the full public surface —
 clamp, fields, probabilities, conditional samples, chain settles,
-reconstruction — on float64, float32 and qint8 substrates, feeds each
-entry point deliberately float64 inputs, and asserts the output dtype is
-the tier's compute dtype (float32 for qint8: the codes live behind the
-effective-weight cache).
+reconstruction — on float64 and float32 substrates, feeds each entry
+point deliberately float64 inputs, and asserts the output dtype is the
+tier's dtype.  The walk runs twice: on an ideal substrate and on one with
+device variation and dynamic noise, whose effective couplings are a
+float64 variation product cast into the tier and whose per-call noise
+draws are added to the fields.
 """
 
 import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.config.specs import ComputeSpec, SubstrateSpec, compute_dtype
+from repro.config.specs import ComputeSpec, NoiseSpec, SubstrateSpec
 from repro.ising.bipartite import BipartiteIsingSubstrate
 
-TIERS = ["float64", "float32", "qint8"]
+TIERS = ["float64", "float32"]
 
 N_VISIBLE, N_HIDDEN = 12, 5
 
 
-def _substrate(tier: str, *, input_bits) -> BipartiteIsingSubstrate:
+def _substrate(tier: str, *, input_bits, noise=NoiseSpec()) -> BipartiteIsingSubstrate:
     substrate = BipartiteIsingSubstrate(
         spec=SubstrateSpec(
             n_visible=N_VISIBLE,
             n_hidden=N_HIDDEN,
             input_bits=input_bits,
+            noise=noise,
             compute=ComputeSpec(dtype=tier),
         ),
         rng=3,
@@ -50,13 +53,18 @@ def tier(request):
 
 
 @pytest.fixture
-def substrate(tier):
-    return _substrate(tier, input_bits=8)
+def noise():
+    return NoiseSpec()
+
+
+@pytest.fixture
+def substrate(tier, noise):
+    return _substrate(tier, input_bits=8, noise=noise)
 
 
 @pytest.fixture
 def expected(tier):
-    return compute_dtype(tier)
+    return np.dtype(tier)
 
 
 # Deliberately float64 inputs: the tier must coerce at the boundary.
@@ -80,8 +88,8 @@ class TestPublicPathsStayInTier:
         assert substrate.input_dtc is not None
         assert substrate.clamp_visible(_visible_batch()).dtype == expected
 
-    def test_clamp_visible_dense_without_dtc(self, tier, expected):
-        substrate = _substrate(tier, input_bits=None)
+    def test_clamp_visible_dense_without_dtc(self, tier, noise, expected):
+        substrate = _substrate(tier, input_bits=None, noise=noise)
         assert substrate.clamp_visible(_visible_batch()).dtype == expected
 
     @pytest.mark.sparse
@@ -101,7 +109,7 @@ class TestPublicPathsStayInTier:
         assert substrate.sample_hidden_given_visible(_visible_batch()).dtype == expected
         assert substrate.sample_visible_given_hidden(_hidden_batch()).dtype == expected
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_settle_batch(self, substrate, expected, workers):
         visible, hidden = substrate.settle_batch(_hidden_batch(), 2, workers=workers)
         assert visible.dtype == expected
@@ -120,3 +128,24 @@ class TestPublicPathsStayInTier:
         through the field kernels must not re-promote to float64."""
         clamped = substrate.clamp_visible(_visible_batch())
         assert substrate.hidden_field(clamped).dtype == expected
+
+
+class TestNoisyPathsStayInTier(TestPublicPathsStayInTier):
+    """The same walk on a substrate with device variation and dynamic
+    coupling/node noise: the noise model's float64 draws must be cast into
+    the tier, never promote its outputs."""
+
+    @pytest.fixture
+    def noise(self):
+        return NoiseSpec(variation_rms=0.1, noise_rms=0.1)
+
+    def test_noise_is_active(self, substrate):
+        """Guards the class against silently re-running the ideal corner:
+        the cached couplings carry the variation gain, and two field reads
+        of one batch draw different dynamic noise."""
+        static, _ = substrate._static_pair()
+        assert not np.array_equal(static, substrate.weights)
+        batch = _visible_batch()
+        assert not np.array_equal(
+            substrate.hidden_field(batch), substrate.hidden_field(batch)
+        )

@@ -21,7 +21,6 @@ boundary, or settled against a stale coupling block shifts every one of
 these quantities by far more than the documented thresholds.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -41,9 +40,7 @@ from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 from repro.rbm.partition import exact_log_partition, exact_model_moments
 
-# The CI matrix's workers column adds its leg to the parametrization.
-_env = os.environ.get("REPRO_WORKERS", "")
-WORKER_COUNTS = sorted({2, 4} | ({int(_env)} if _env.isdigit() and int(_env) > 1 else set()))
+WORKER_COUNTS = [2, 4]
 
 N_VISIBLE, N_HIDDEN = 6, 4
 

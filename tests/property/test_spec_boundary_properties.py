@@ -4,12 +4,15 @@ Two trust boundaries feed every run: serialized ``RunSpec`` dicts (saved
 artifacts, ``metadata["run_spec"]``) and ``--set key=value`` overrides.
 Round trips through them must be exact, and bad input must end in a
 :class:`ValidationError` (``SetArgumentError`` is one), never another
-exception.
+exception.  Saved ``compute`` blocks written by older versions (retired
+values and knobs) must keep loading, as concrete specs.
 """
 
 import json
 import string
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +34,8 @@ param_values = st.one_of(scalars, st.lists(scalars, max_size=4))
 seeds = st.integers(0, 2**32 - 1)
 computes = st.builds(
     ComputeSpec,
-    dtype=st.sampled_from(["float64", "float32", "qint8"]),
-    workers=st.one_of(st.none(), st.integers(1, 8), st.just("auto")),
+    dtype=st.sampled_from(["float64", "float32"]),
+    workers=st.integers(1, 8),
 )
 run_specs = st.builds(
     RunSpec,
@@ -118,3 +121,57 @@ class TestSetParsing:
     def test_numeric_literals_parse_back_exactly(self, number):
         value = parse_set_value(repr(number))
         assert value == number and type(value) is type(number)
+
+
+#: The values an older ``ComputeSpec.to_dict()`` could write, per key.
+ONCE_VALID = {
+    "dtype": st.sampled_from(["float64", "float32", "qint8"]),
+    "workers": st.one_of(st.integers(1, 64), st.none(), st.just("auto")),
+    "executor": st.sampled_from([None, "threads", "processes"]),
+    "fast_path": st.just(True),
+}
+
+
+def _float_dtype_alias(value) -> bool:
+    """Whether ``value`` is a NumPy spelling of float32/float64 (``"f4"``,
+    ``"double"``, ...), which the constructor still accepts."""
+    try:
+        return np.dtype(value) in (np.dtype(np.float32), np.dtype(np.float64))
+    except (TypeError, ValueError):
+        return False
+
+
+junk = st.one_of(
+    st.text(max_size=10), st.integers(-3, 3), st.booleans(), finite_floats,
+    st.lists(st.integers(1, 4), max_size=2),
+)
+#: Values no version accepted, per key.
+NEVER_VALID = {
+    "dtype": junk.filter(lambda v: v != "qint8" and not _float_dtype_alias(v)),
+    "workers": junk.filter(
+        lambda v: v != "auto"
+        and (isinstance(v, bool) or not isinstance(v, int) or v < 1)
+    ),
+}
+
+
+class TestComputeSpecDicts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=ONCE_VALID))
+    def test_once_valid_dicts_load_as_concrete_specs(self, stored):
+        loaded = ComputeSpec.from_dict(json.loads(json.dumps(stored)))
+        assert loaded.dtype in ("float64", "float32")
+        assert type(loaded.workers) is int and loaded.workers >= 1
+        dtype = stored.get("dtype", "float64")
+        assert loaded.dtype == ("float32" if dtype == "qint8" else dtype)
+        workers = stored.get("workers", 1)
+        assert loaded.workers == (workers if isinstance(workers, int) else 1)
+        assert ComputeSpec.from_dict(loaded.to_dict()) == loaded
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("key", sorted(NEVER_VALID))
+    def test_other_values_raise_validation_errors(self, key, data):
+        value = data.draw(NEVER_VALID[key])
+        with pytest.raises(ValidationError, match=key):
+            ComputeSpec.from_dict({key: value})

@@ -161,6 +161,30 @@ class TestLegacyFastPathKey:
             load_model(tmp_path / "model")
 
 
+class TestRetiredComputeValues:
+    """Artifacts whose run_spec records a since-retired compute value load
+    with bit-equal parameters and the concrete spec that value computed
+    under."""
+
+    @pytest.mark.parametrize(
+        "key, value, compute",
+        [
+            ("dtype", "qint8", ComputeSpec(dtype="float32", workers=2)),
+            ("workers", None, ComputeSpec(dtype="float32")),
+            ("workers", "auto", ComputeSpec(dtype="float32")),
+            ("executor", "threads", ComputeSpec(dtype="float32", workers=2)),
+            ("fast_path", True, ComputeSpec(dtype="float32", workers=2)),
+        ],
+    )
+    def test_loads_bit_equal_with_mapped_run_spec(self, tmp_path, key, value, compute):
+        spec = _save_with_legacy_key(tmp_path / "model", key, value)
+        artifact = load_model(tmp_path / "model")
+        saved = _random_rbm()
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            np.testing.assert_array_equal(getattr(artifact.rbm, name), getattr(saved, name))
+        assert artifact.run_spec == spec.replace(compute=compute)
+
+
 class TestQuantizedArtifact:
     """``save_model(..., quantize=True)``: int8 codes + float32 scales."""
 
@@ -415,3 +439,50 @@ class TestLoadErrors:
         (tmp_path / "det.json").write_text(json.dumps(meta))
         with pytest.raises(ValidationError, match="missing field"):
             load_model(tmp_path / "det")
+
+
+def _fitted_estimator(kind, request):
+    if kind == "rbm":
+        return _random_rbm()
+    if kind == "recommender":
+        return RBMRecommender(n_hidden=8, epochs=2, rng=0).fit(
+            request.getfixturevalue("tiny_ratings_dataset")
+        )
+    return RBMAnomalyDetector(n_hidden=8, epochs=2, rng=0).fit(
+        request.getfixturevalue("tiny_fraud_dataset")
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, field",
+    [
+        ("rbm", ("arrays", "weights"), 5, "weights"),
+        ("recommender", ("state", "n_hidden"), "x", "n_hidden"),
+        ("anomaly", ("state", "n_bins"), [3], "n_bins"),
+        ("recommender", ("state",), [1, 2], "state"),
+        ("anomaly", ("state",), "oops", "state"),
+    ],
+    ids=[
+        "non-mapping-manifest-entry",
+        "non-numeric-recommender-state",
+        "non-numeric-anomaly-state",
+        "non-mapping-recommender-state",
+        "non-mapping-anomaly-state",
+    ],
+)
+def test_malformed_metadata_fails_naming_the_field(
+    tmp_path, request, kind, path, value, field
+):
+    """Malformed JSON metadata is corruption: a ValidationError naming the
+    field, never an AttributeError/TypeError/ValueError from deep inside
+    the loader."""
+    save_model(_fitted_estimator(kind, request), tmp_path / "model")
+    json_path = tmp_path / "model.json"
+    meta = json.loads(json_path.read_text())
+    target = meta
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=field):
+        load_model(tmp_path / "model")

@@ -86,12 +86,12 @@ class TestModuleOverride:
 class TestParseTable:
     def test_guard_declaration_parses(self):
         table = PragmaTable.parse(
-            "# reprolint: guard(_cache_lock)=_eff_cache,_quantized_static\n"
+            "# reprolint: guard(_cache_lock)=_eff_cache,_shard_cache\n"
         )
         assert table.errors == []
         (guard,) = table.guards
         assert guard.lock == "_cache_lock"
-        assert guard.attrs == ("_eff_cache", "_quantized_static")
+        assert guard.attrs == ("_eff_cache", "_shard_cache")
 
     def test_lockfree_records_reason(self):
         table = PragmaTable.parse(

@@ -14,49 +14,30 @@ import pytest
 
 from repro.utils.parallel import (
     ShardedExecutor,
-    default_workers,
-    resolve_workers,
+    check_workers,
     shard_seed_sequence,
     shard_slices,
 )
 from repro.utils.validation import ValidationError
 
 
-class TestResolveWorkers:
+class TestCheckWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 7, np.int64(3), np.int32(2)])
     def test_valid_counts_pass_through(self, workers):
-        assert resolve_workers(workers) == int(workers)
-        assert isinstance(resolve_workers(workers), int)
+        assert check_workers(workers) == int(workers)
+        assert isinstance(check_workers(workers), int)
 
     @pytest.mark.parametrize("workers", [0, -1, -100, np.int64(0)])
     def test_subpositive_counts_rejected(self, workers):
         with pytest.raises(ValidationError, match=">= 1"):
-            resolve_workers(workers)
+            check_workers(workers)
 
-    @pytest.mark.parametrize("workers", [2.0, 2.5, "2", "two", True, False, [2]])
+    @pytest.mark.parametrize(
+        "workers", [2.0, 2.5, "2", "two", "auto", None, True, False, [2]]
+    )
     def test_non_int_counts_rejected_with_clear_error(self, workers):
         with pytest.raises(ValidationError, match="workers"):
-            resolve_workers(workers)
-
-    def test_auto_resolves_to_positive_core_count(self):
-        assert resolve_workers("auto") >= 1
-
-    def test_none_defaults_to_one_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        assert default_workers() == 1
-
-    def test_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
-        assert resolve_workers(None) >= 1
-
-    @pytest.mark.parametrize("raw", ["zero", "-2", "2.5"])
-    def test_bad_env_values_fail_loudly(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_WORKERS", raw)
-        with pytest.raises(ValidationError, match="REPRO_WORKERS"):
-            default_workers()
+            check_workers(workers)
 
 
 class TestShardSlices:
