@@ -24,7 +24,13 @@ import numpy as np
 
 from repro.utils.numerics import as_float_array
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_binary, check_positive
+from repro.utils.validation import (
+    ValidationError,
+    check_binary,
+    check_int,
+    check_positive,
+    check_range,
+)
 
 
 class _Scratch(NamedTuple):
@@ -86,14 +92,11 @@ class ChargePumpUpdater:
         noise_rms: float = 0.0,
         rng: SeedLike = None,
     ):
-        if len(shape) != 2 or shape[0] <= 0 or shape[1] <= 0:
-            raise ValidationError(f"shape must be a positive 2-tuple, got {shape}")
-        self.shape = (int(shape[0]), int(shape[1]))
+        if not isinstance(shape, (tuple, list)) or len(shape) != 2:
+            raise ValidationError(f"shape must be a pair (rows, cols), got {shape!r}")
+        self.shape = (check_int(shape[0], "shape", 1), check_int(shape[1], "shape", 1))
         self.step_size = check_positive(step_size, name="step_size")
-        lo, hi = float(weight_range[0]), float(weight_range[1])
-        if hi <= lo:
-            raise ValidationError(f"weight_range must be increasing, got ({lo}, {hi})")
-        self.weight_range = (lo, hi)
+        self.weight_range = check_range(weight_range, name="weight_range")
         self.saturation = bool(saturation)
         if not 0.0 < saturation_margin <= 1.0:
             raise ValidationError(

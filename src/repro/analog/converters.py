@@ -3,8 +3,7 @@
 The paper feeds training data into the visible nodes through 8-bit
 digital-to-time converters (DTCs) and reads the trained coupling voltages
 out through 8-bit ADCs (used once, at the very end of training).  Both are
-modelled as uniform quantizers over a configurable full-scale range, with
-optional integral-nonlinearity-style Gaussian code error.
+modelled as ideal uniform quantizers over a configurable full-scale range.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_positive
+from repro.utils.validation import ValidationError, check_int, check_range
 
 
 def quantize_uniform(
@@ -122,28 +120,11 @@ class DigitalToTimeConverter:
         Converter resolution.
     value_range:
         Analog full-scale range; training images are in [0, 1].
-    nonlinearity_rms:
-        RMS of a static per-code Gaussian error, as a fraction of one LSB.
     """
 
-    def __init__(
-        self,
-        n_bits: int = 8,
-        *,
-        value_range: Tuple[float, float] = (0.0, 1.0),
-        nonlinearity_rms: float = 0.0,
-        rng: SeedLike = None,
-    ):
-        if n_bits < 1:
-            raise ValidationError(f"n_bits must be >= 1, got {n_bits}")
-        self.n_bits = int(n_bits)
-        self.value_range = (float(value_range[0]), float(value_range[1]))
-        if self.value_range[1] <= self.value_range[0]:
-            raise ValidationError("value_range must be increasing")
-        self.nonlinearity_rms = check_positive(
-            nonlinearity_rms, name="nonlinearity_rms", strict=False
-        )
-        self._rng = as_rng(rng)
+    def __init__(self, n_bits: int = 8, *, value_range: Tuple[float, float] = (0.0, 1.0)):
+        self.n_bits = check_int(n_bits, "n_bits", 1)
+        self.value_range = check_range(value_range, name="value_range")
 
     @property
     def lsb(self) -> float:
@@ -152,11 +133,7 @@ class DigitalToTimeConverter:
 
     def convert(self, values: np.ndarray) -> np.ndarray:
         """Quantize digital input values to the analog levels the clamp drives."""
-        out = quantize_uniform(values, self.n_bits, self.value_range)
-        if self.nonlinearity_rms > 0:
-            out = out + self._rng.normal(0.0, self.nonlinearity_rms * self.lsb, size=out.shape)
-            out = np.clip(out, *self.value_range)
-        return out
+        return quantize_uniform(values, self.n_bits, self.value_range)
 
 
 class AnalogToDigitalConverter:
@@ -164,27 +141,14 @@ class AnalogToDigitalConverter:
 
     Used once per training run, one column of the coupling array at a time
     (Sec. 3.3 operation step 6), so its speed is irrelevant; only its
-    quantization affects the read-out weights.
+    quantization affects the read-out weights.  Quantization is
+    elementwise, so digitizing the whole matrix at once equals the
+    column-by-column readout.
     """
 
-    def __init__(
-        self,
-        n_bits: int = 8,
-        *,
-        value_range: Tuple[float, float] = (-1.0, 1.0),
-        nonlinearity_rms: float = 0.0,
-        rng: SeedLike = None,
-    ):
-        if n_bits < 1:
-            raise ValidationError(f"n_bits must be >= 1, got {n_bits}")
-        self.n_bits = int(n_bits)
-        self.value_range = (float(value_range[0]), float(value_range[1]))
-        if self.value_range[1] <= self.value_range[0]:
-            raise ValidationError("value_range must be increasing")
-        self.nonlinearity_rms = check_positive(
-            nonlinearity_rms, name="nonlinearity_rms", strict=False
-        )
-        self._rng = as_rng(rng)
+    def __init__(self, n_bits: int = 8, *, value_range: Tuple[float, float] = (-1.0, 1.0)):
+        self.n_bits = check_int(n_bits, "n_bits", 1)
+        self.value_range = check_range(value_range, name="value_range")
 
     @property
     def lsb(self) -> float:
@@ -192,31 +156,5 @@ class AnalogToDigitalConverter:
         return (hi - lo) / ((1 << self.n_bits) - 1)
 
     def read(self, values: np.ndarray) -> np.ndarray:
-        """Digitize analog values (adding nonlinearity noise before quantizing)."""
-        values = np.asarray(values, dtype=float)
-        if self.nonlinearity_rms > 0:
-            values = values + self._rng.normal(
-                0.0, self.nonlinearity_rms * self.lsb, size=values.shape
-            )
+        """Digitize analog values."""
         return quantize_uniform(values, self.n_bits, self.value_range)
-
-    def read_columnwise(self, matrix: np.ndarray) -> np.ndarray:
-        """Digitize a coupling matrix one column at a time (as the hardware does).
-
-        Vectorized over the whole matrix: quantization is elementwise, and the
-        nonlinearity noise is drawn in column order — one draw of shape
-        ``(n_cols, n_rows)`` transposed — so row ``j`` of the draw covers
-        column ``j`` exactly as the per-column loop did, keeping seeded
-        results unchanged.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValidationError("read_columnwise expects a 2-D coupling matrix")
-        if self.nonlinearity_rms > 0:
-            noise = self._rng.normal(
-                0.0,
-                self.nonlinearity_rms * self.lsb,
-                size=(matrix.shape[1], matrix.shape[0]),
-            )
-            matrix = matrix + noise.T
-        return quantize_uniform(matrix, self.n_bits, self.value_range)

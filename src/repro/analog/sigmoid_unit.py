@@ -4,13 +4,11 @@ The paper implements the logistic activation with a deliberately low-gain
 differential-to-single-ended amplifier: its transfer curve closely follows
 ``S(x) = 1 / (1 + exp(-c1 (x - c2)))`` where the gain ``c1`` and offset
 ``c2`` are set by a bias-current control.  The behavioral model reproduces
-that transfer function and optionally adds
-
-* a gain mismatch per instantiated unit (process variation), and
-* output-referred noise per evaluation (thermal/flicker noise),
-
-both expressed as Gaussian RMS fractions, matching the paper's Section 4.5
-noise-injection methodology.
+that transfer function and optionally adds a gain mismatch per instantiated
+unit (process variation), expressed as a Gaussian RMS fraction, matching
+the paper's Section 4.5 noise-injection methodology.  Dynamic noise enters
+the settle at the node fields and couplings
+(:class:`~repro.analog.noise.NoiseModel`), not at the sigmoid output.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import numpy as np
 
 from repro.utils.numerics import as_float_array, sigmoid
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_int, check_positive
 
 
 class SigmoidUnit:
@@ -40,9 +38,6 @@ class SigmoidUnit:
     gain_variation_rms:
         RMS fractional variation of the gain across units (static process
         variation, drawn once at construction).
-    output_noise_rms:
-        RMS additive noise on the output probability per evaluation
-        (dynamic noise, drawn on every call).
     """
 
     def __init__(
@@ -52,19 +47,15 @@ class SigmoidUnit:
         *,
         n_units: Optional[int] = None,
         gain_variation_rms: float = 0.0,
-        output_noise_rms: float = 0.0,
         rng: SeedLike = None,
     ):
         self.gain = check_positive(gain, name="gain")
-        self.offset = float(offset)
+        self.offset = check_finite(offset, name="offset")
         self.gain_variation_rms = check_positive(
             gain_variation_rms, name="gain_variation_rms", strict=False
         )
-        self.output_noise_rms = check_positive(
-            output_noise_rms, name="output_noise_rms", strict=False
-        )
         self._rng = as_rng(rng)
-        self.n_units = None if n_units is None else int(n_units)
+        self.n_units = None if n_units is None else check_int(n_units, "n_units", 1)
         if self.n_units is not None and self.gain_variation_rms > 0:
             self._unit_gains = self.gain * (
                 1.0 + self._rng.normal(0.0, self.gain_variation_rms, size=self.n_units)
@@ -79,15 +70,10 @@ class SigmoidUnit:
         """True when this unit is exactly the software logistic ``sigmoid(x)``.
 
         Holds in the ideal corner only: nominal unit gain, zero offset, no
-        per-unit gain mismatch, no output noise.  The substrate's fused
+        per-unit gain mismatch.  The substrate's fused
         sigmoid→compare latch is valid precisely under this condition.
         """
-        return (
-            self._unit_gains is None
-            and self.gain == 1.0
-            and self.offset == 0.0
-            and self.output_noise_rms == 0.0
-        )
+        return self._unit_gains is None and self.gain == 1.0 and self.offset == 0.0
 
     def ideal(self, x: np.ndarray) -> np.ndarray:
         """Noise-free transfer function S(x) = sigmoid(gain * (x - offset))."""
@@ -95,12 +81,12 @@ class SigmoidUnit:
         return sigmoid(self.gain * (x - self.offset))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the unit, applying per-unit variation and dynamic noise.
+        """Evaluate the unit, applying the per-unit gain variation.
 
         ``x`` may be 1-D (one value per unit) or 2-D (batch, units); the
         per-unit gain mismatch is applied along the last axis.  Float32
         inputs stay float32 through the ideal transfer curve (the precision
-        tier); the variation/noise corners may compute in float64 — callers
+        tier); the variation corner may compute in float64 — callers
         that need a fixed output dtype cast the (exactly representable)
         binary latch downstream.
         """
@@ -116,15 +102,4 @@ class SigmoidUnit:
             gains = self._unit_gains
         else:
             gains = self.gain
-        if self._unit_gains is None and self.gain == 1.0 and self.offset == 0.0:
-            # Identity transfer curve under output noise: gain/offset
-            # arithmetic is a no-op.
-            out = sigmoid(x)
-        else:
-            out = sigmoid(gains * (x - self.offset))
-        if self.output_noise_rms > 0:
-            out = out + self._rng.normal(0.0, self.output_noise_rms, size=out.shape)
-            return np.clip(out, 0.0, 1.0)
-        # Noise-free outputs are already in [0, 1] (the logistic never leaves
-        # it), so the clip would be a value-preserving allocation — skip it.
-        return out
+        return sigmoid(gains * (x - self.offset))

@@ -5,8 +5,8 @@ Each kernel is the inner loop every figure/table experiment funnels through
 row reports the kernel's median wall-clock seconds (``fast_median_s``) at
 the 49x32 benchmark scale and — for the BLAS-bound kernels — the paper's
 784x500 MNIST scale.  Rows that time a kernel against a baseline leg of
-the same run (float32 vs float64, chain-parallel vs one chain at a time,
-sharded vs serial, CSR vs dense, coalesced vs naive serving) also carry
+the same run (float32 vs float64, sharded vs serial, CSR vs dense,
+coalesced vs naive serving) also carry
 ``legacy_median_s`` and their ratio, ``speedup``.  The JSON this writes is
 the evidence file the ``repro-compare-bench`` regression gate consumes.
 """
@@ -248,21 +248,14 @@ def _cd_epoch_kernel(data: np.ndarray):
     return kernel
 
 
-def _gs_pcd_epoch_kernel(data: np.ndarray, fast: bool, chains: int = 8):
-    """PCD training epoch with ``chains`` persistent negative chains.
-
-    ``fast`` selects the chain-parallel ``settle_batch`` kernel; the baseline
-    advances the same chains one at a time through the single-chain fast
-    path (``chain_batch=False``), so the ratio is the multi-chain batching
-    win itself, not the PR-1 validation savings again.
-    """
+def _gs_pcd_epoch_kernel(data: np.ndarray, chains: int = 8):
+    """PCD training epoch with ``chains`` persistent negative chains."""
 
     def kernel():
         rbm = BernoulliRBM(data.shape[1], 32, rng=0)
         GibbsSamplerTrainer(
             spec=TrainerSpec.gs(
-                0.1, cd_k=2, batch_size=10,
-                chains=chains, persistent=True, chain_batch=fast,
+                0.1, cd_k=2, batch_size=10, chains=chains, persistent=True
             ),
             rng=1,
         ).train(rbm, data, epochs=1)
@@ -271,7 +264,7 @@ def _gs_pcd_epoch_kernel(data: np.ndarray, fast: bool, chains: int = 8):
 
 
 def _multichain_negative_phase_kernel(
-    n_visible: int, n_hidden: int, chains: int, cd_k: int, fast: bool
+    n_visible: int, n_hidden: int, chains: int, cd_k: int
 ):
     """Bare negative-phase advance of ``chains`` persistent chains."""
     machine = GibbsSamplerMachine(
@@ -286,7 +279,7 @@ def _multichain_negative_phase_kernel(
     chains_h = (np.random.default_rng(2).random((chains, n_hidden)) < 0.5).astype(float)
 
     def kernel():
-        machine.negative_phase_chains(chains_h, cd_k, batch_chains=fast)
+        machine.negative_phase_chains(chains_h, cd_k)
 
     return kernel
 
@@ -511,21 +504,18 @@ def run_benchmarks(
         "bgf_training_epoch_49x32": lambda: _bgf_epoch_kernel(data),
         "cd1_training_epoch_49x32": lambda: _cd_epoch_kernel(data),
         "ais_logz_49x32": _ais_kernel,
-    }
-    kernels = {
-        # Multi-chain entries: "legacy" is the single-chain settle applied
-        # per chain (chain_batch=False), "fast" the chain-parallel kernel.
-        "gs_pcd8_training_epoch_49x32": lambda fast: _gs_pcd_epoch_kernel(data, fast),
-        "gs_multichain_negative_phase_p8_49x32": lambda fast: (
-            _multichain_negative_phase_kernel(49, 32, 8, 2, fast)
+        "gs_pcd8_training_epoch_49x32": lambda: _gs_pcd_epoch_kernel(data),
+        "gs_multichain_negative_phase_p8_49x32": lambda: (
+            _multichain_negative_phase_kernel(49, 32, 8, 2)
         ),
     }
+    kernels = {}
     if include_large:
         single["substrate_conditional_sampling_784x500"] = lambda: (
             _substrate_kernel(784, 500, large_batch)
         )
-        kernels["gs_multichain_negative_phase_p8_784x500"] = lambda fast: (
-            _multichain_negative_phase_kernel(784, 500, 8, 2, fast)
+        single["gs_multichain_negative_phase_p8_784x500"] = lambda: (
+            _multichain_negative_phase_kernel(784, 500, 8, 2)
         )
         # Precision-tier entries: legacy = the float64 tier, fast = the
         # float32 tier (fused sigmoid->compare latch), so the ratio isolates
@@ -599,13 +589,10 @@ def run_benchmarks(
             "note": (
                 "median per-call wall-clock seconds (inner-loop calibrated "
                 "so each measurement spans >=5ms); the substrate "
-                "conditional-sampling, GS/BGF/CD epoch and ais_logz_49x32 "
-                "entries have one implementation and record fast_median_s "
-                "only (no baseline leg, no speedup); "
-                "for gs_pcd/gs_multichain entries legacy = chain_batch=False "
-                "(chains advanced one at a time through the single-chain "
-                "settle) and fast = the chain-parallel settle_batch "
-                "kernel; for *_float32 entries legacy = the float64 tier and "
+                "conditional-sampling, GS/BGF/CD epoch, gs_pcd/gs_multichain "
+                "and ais_logz_49x32 entries have one implementation and "
+                "record fast_median_s only (no baseline leg, no speedup); "
+                "for *_float32 entries legacy = the float64 tier and "
                 "fast = the float32 precision tier (fused Bernoulli latch); "
                 "for *_workersK entries legacy = the serial workers=1 "
                 "kernel and fast = the K-way sharded settle / threaded AIS "

@@ -31,6 +31,7 @@ from repro.utils.validation import (
     ValidationError,
     check_finite,
     check_in_range,
+    check_int,
     check_positive,
 )
 
@@ -78,16 +79,6 @@ def _normalize_params(value: Any, key: str) -> Any:
     if isinstance(value, (float, np.floating)):
         return check_finite(value, name=key)
     return value
-
-
-def _check_int(value: Any, name: str, minimum: int) -> int:
-    """``value`` as an int ``>= minimum``; floats and bools are rejected,
-    not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _check_bool(value: Any, name: str) -> None:
@@ -228,7 +219,7 @@ class ComputeSpec(Spec):
         if canonical not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValidationError(f"dtype must be float32 or float64, got {canonical}")
         object.__setattr__(self, "dtype", str(canonical))
-        object.__setattr__(self, "workers", _check_int(self.workers, "workers", 1))
+        object.__setattr__(self, "workers", check_int(self.workers, "workers", 1))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ComputeSpec":
@@ -266,9 +257,6 @@ class SamplerSpec(Spec):
     persistent:
         PCD-style persistence (GS trainer; the BGF's particles are
         persistent by algorithm).
-    chain_batch:
-        ``True`` advances all chains as single batched matmuls; ``False``
-        keeps the sequential benchmarking baseline.
     burn_in:
         Chain-parallel settle steps applied to the persistent pool right
         after initialization (BGF's ``particle_burn_in``; must be 0 for
@@ -277,14 +265,12 @@ class SamplerSpec(Spec):
 
     chains: int = 1
     persistent: bool = False
-    chain_batch: bool = True
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chains", _check_int(self.chains, "chains", 1))
-        object.__setattr__(self, "burn_in", _check_int(self.burn_in, "burn_in", 0))
+        object.__setattr__(self, "chains", check_int(self.chains, "chains", 1))
+        object.__setattr__(self, "burn_in", check_int(self.burn_in, "burn_in", 0))
         _check_bool(self.persistent, "persistent")
-        _check_bool(self.chain_batch, "chain_batch")
 
 
 @dataclass(frozen=True)
@@ -348,7 +334,7 @@ class SubstrateSpec(Spec):
         )
         if self.input_bits is not None:
             object.__setattr__(
-                self, "input_bits", _check_int(self.input_bits, "input_bits", 1)
+                self, "input_bits", check_int(self.input_bits, "input_bits", 1)
             )
         object.__setattr__(
             self,
@@ -415,22 +401,22 @@ class TrainerSpec(Spec):
             )
         checked = {
             "learning_rate": check_positive(self.learning_rate, name="learning_rate"),
-            "cd_k": _check_int(self.cd_k, "cd_k", 1),
-            "batch_size": _check_int(self.batch_size, "batch_size", 1),
+            "cd_k": check_int(self.cd_k, "cd_k", 1),
+            "batch_size": check_int(self.batch_size, "batch_size", 1),
             "weight_decay": check_positive(
                 self.weight_decay, name="weight_decay", strict=False
             ),
             "momentum": check_in_range(
                 self.momentum, 0.0, 1.0, name="momentum", inclusive=(True, False)
             ),
-            "reference_batch_size": _check_int(
+            "reference_batch_size": check_int(
                 self.reference_batch_size, "reference_batch_size", 1
             ),
         }
         if self.step_size is not None:
             checked["step_size"] = check_positive(self.step_size, name="step_size")
         if self.stream_chunk_size is not None:
-            checked["stream_chunk_size"] = _check_int(
+            checked["stream_chunk_size"] = check_int(
                 self.stream_chunk_size, "stream_chunk_size", 1
             )
         for name, value in checked.items():
@@ -455,7 +441,7 @@ class TrainerSpec(Spec):
                 )
             if self.sampler != SamplerSpec():
                 raise ValidationError(
-                    "sampler configuration (chains/persistent/chain_batch) "
+                    "sampler configuration (chains/persistent/burn_in) "
                     "applies to the hardware trainers ('gs', 'bgf'); the "
                     "software CD reference seeds its negative chains from the "
                     "minibatch — did you mean kind='gs'?"
@@ -533,7 +519,6 @@ class TrainerSpec(Spec):
         batch_size: int = 10,
         chains: int = 1,
         persistent: bool = False,
-        chain_batch: bool = True,
         weight_decay: float = 0.0,
         streaming: bool = False,
         stream_chunk_size: Optional[int] = None,
@@ -551,9 +536,7 @@ class TrainerSpec(Spec):
             streaming=streaming,
             stream_chunk_size=stream_chunk_size,
             sparse_visible=sparse_visible,
-            sampler=SamplerSpec(
-                chains=chains, persistent=persistent, chain_batch=chain_batch
-            ),
+            sampler=SamplerSpec(chains=chains, persistent=persistent),
             noise=noise if noise is not None else NoiseSpec(),
             compute=compute if compute is not None else ComputeSpec(),
         )
@@ -597,8 +580,8 @@ class EstimatorSpec(Spec):
     compute: ComputeSpec = field(default_factory=ComputeSpec)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chains", _check_int(self.chains, "n_chains", 1))
-        object.__setattr__(self, "betas", _check_int(self.betas, "n_betas", 2))
+        object.__setattr__(self, "chains", check_int(self.chains, "n_chains", 1))
+        object.__setattr__(self, "betas", check_int(self.betas, "n_betas", 2))
         if not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec")
 
@@ -645,7 +628,7 @@ class RunSpec(Spec):
             raise ValidationError(
                 f"preset must be a non-empty string, got {self.preset!r}"
             )
-        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0))
         if self.compute is not None and not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec or None")
         if not isinstance(self.params, Mapping):

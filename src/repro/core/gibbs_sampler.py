@@ -10,6 +10,10 @@ offloads its inner sampling steps to the augmented Ising substrate:
 4. the host reads the samples back, accumulates ``<v+h+> - <v-h->`` over a
    minibatch, computes the update, and reprograms the array.
 
+Every negative phase — classic CD, fresh multi-chain or persistent (PCD) —
+runs the substrate's one chain-parallel settle loop
+(:meth:`~repro.ising.bipartite.BipartiteIsingSubstrate.settle_batch`).
+
 ``GibbsSamplerMachine`` wraps the substrate operations; ``GibbsSamplerTrainer``
 exposes the same ``train(rbm, data, epochs=...)`` interface as the software
 ``CDTrainer`` so it can be dropped into every downstream pipeline.
@@ -125,36 +129,17 @@ class GibbsSamplerMachine:
         chains_h: np.ndarray,
         cd_k: int,
         *,
-        batch_chains: bool = True,
         workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``p`` independent negative chains by ``cd_k`` steps each.
 
-        ``batch_chains=True`` (the default) evolves all chains together
-        through the substrate's chain-parallel :meth:`~repro.ising.bipartite.
-        BipartiteIsingSubstrate.settle_batch` kernel — every settle is one
-        batched matmul across the whole chain block.  ``batch_chains=False``
-        advances the chains one at a time through the single-chain fast path
-        instead; it draws the same per-chain noise from a different stream
-        order, so the two modes agree in distribution (pinned by
-        ``tests/property/test_chain_statistics.py``) but not bit-for-bit
-        when ``p > 1``.  The sequential mode exists for benchmarking the
-        chain-parallel kernel against repeated single-chain settles.
-
-        ``workers`` forwards to the substrate's sharded settle layer
-        (:mod:`repro.utils.parallel`); the sequential benchmarking mode
-        ignores it — it is the serial baseline by definition.
+        All chains evolve together through the substrate's chain-parallel
+        :meth:`~repro.ising.bipartite.BipartiteIsingSubstrate.settle_batch`
+        kernel — every settle is one batched matmul across the whole chain
+        block.  ``workers`` forwards to the substrate's sharded settle layer
+        (:mod:`repro.utils.parallel`).
         """
-        chains_h = np.atleast_2d(np.asarray(chains_h, dtype=float))
-        if batch_chains or chains_h.shape[0] == 1:
-            v_neg, h_neg = self.substrate.settle_batch(chains_h, cd_k, workers=workers)
-        else:
-            pairs = [
-                self.substrate.gibbs_chain(chains_h[i : i + 1], cd_k)
-                for i in range(chains_h.shape[0])
-            ]
-            v_neg = np.vstack([pair[0] for pair in pairs])
-            h_neg = np.vstack([pair[1] for pair in pairs])
+        v_neg, h_neg = self.substrate.settle_batch(chains_h, cd_k, workers=workers)
         self.host.record_sample_read(2)
         return v_neg, h_neg
 
@@ -178,8 +163,6 @@ class GibbsSamplerTrainer:
         ``reset_chains=False`` at ``train`` time, across ``train`` calls; it
         changes the sampling statistics, so it is pinned distributionally
         (``tests/property/test_chain_statistics.py``).
-        ``sampler.chain_batch=False`` advances the chains one at a time (the
-        benchmarking baseline; bit-identical only for ``p = 1``).
         ``compute.workers`` shards the negative phase across threads with
         per-shard RNG substreams (1, the default, is the serial
         bit-identical kernel; ``k > 1`` is reproducible for fixed seed and
@@ -224,7 +207,6 @@ class GibbsSamplerTrainer:
         self.batch_size = spec.batch_size
         self.chains = spec.sampler.chains
         self.persistent = spec.sampler.persistent
-        self.chain_batch = spec.sampler.chain_batch
         self.workers = spec.compute.workers
         self.weight_decay = spec.weight_decay
         self.streaming = spec.streaming
@@ -331,8 +313,7 @@ class GibbsSamplerTrainer:
             v_neg, h_neg = machine.negative_phase(h_pos, self.cd_k, workers=self.workers)
         elif self.persistent:
             v_neg, h_neg = machine.negative_phase_chains(
-                self._chains_h, self.cd_k,
-                batch_chains=self.chain_batch, workers=self.workers,
+                self._chains_h, self.cd_k, workers=self.workers
             )
             self._chains_h = h_neg
         else:
@@ -341,8 +322,7 @@ class GibbsSamplerTrainer:
             # statistics with a decoupled chain count.
             seed_rows = np.resize(np.arange(batch.shape[0]), self.chains)
             v_neg, h_neg = machine.negative_phase_chains(
-                h_pos[seed_rows], self.cd_k,
-                batch_chains=self.chain_batch, workers=self.workers,
+                h_pos[seed_rows], self.cd_k, workers=self.workers
             )
 
         # Step 8: host computes the gradient from the read-out samples.  The

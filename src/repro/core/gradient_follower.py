@@ -27,21 +27,14 @@ weights back out through the ADCs into the RBM object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.analog.charge_pump import ChargePumpUpdater
 from repro.analog.converters import AnalogToDigitalConverter
 from repro.analog.noise import NoiseConfig
-from repro.config.specs import (
-    ComputeSpec,
-    NoiseSpec,
-    SubstrateSpec,
-    TrainerSpec,
-    _check_int,
-    check_spec,
-)
+from repro.config.specs import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec, check_spec
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import (
     BipartiteIsingSubstrate,
@@ -49,9 +42,14 @@ from repro.ising.bipartite import (
     _settle_loop_kernel,
 )
 from repro.rbm.rbm import BernoulliRBM, TrainingHistory
-from repro.utils.numerics import bernoulli_sample
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
-from repro.utils.validation import ValidationError, check_array, check_finite, check_positive
+from repro.utils.validation import (
+    ValidationError,
+    check_array,
+    check_int,
+    check_positive,
+    check_range,
+)
 
 
 @dataclass(frozen=True)
@@ -89,23 +87,12 @@ class BGFConfig:
         bits = self.readout_bits
         for name, value in (
             ("step_size", check_positive(self.step_size, name="step_size")),
-            ("n_particles", _check_int(self.n_particles, "n_particles", 1)),
-            ("anneal_steps", _check_int(self.anneal_steps, "anneal_steps", 1)),
-            ("weight_range", _check_weight_range(self.weight_range)),
-            ("readout_bits", None if bits is None else _check_int(bits, "readout_bits", 1)),
+            ("n_particles", check_int(self.n_particles, "n_particles", 1)),
+            ("anneal_steps", check_int(self.anneal_steps, "anneal_steps", 1)),
+            ("weight_range", check_range(self.weight_range, name="weight_range")),
+            ("readout_bits", None if bits is None else check_int(bits, "readout_bits", 1)),
         ):
             object.__setattr__(self, name, value)
-
-
-def _check_weight_range(value) -> Tuple[float, float]:
-    """``value`` as an increasing pair of finite floats ``(lo, hi)``."""
-    pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
-    if len(pair) != 2:
-        raise ValidationError(f"weight_range must be a pair (lo, hi), got {value!r}")
-    lo, hi = (check_finite(bound, name="weight_range") for bound in pair)
-    if hi <= lo:
-        raise ValidationError(f"weight_range must be increasing, got ({lo}, {hi})")
-    return (lo, hi)
 
 
 def _check_stream(data, n_visible: int) -> np.ndarray:
@@ -137,8 +124,6 @@ class BoltzmannGradientFollower:
         *,
         config: Optional[BGFConfig] = None,
         noise_config: Optional[NoiseConfig] = None,
-        sigmoid_gain: float = 1.0,
-        input_bits: Optional[int] = 8,
         rng: SeedLike = None,
         dtype: "str" = "float64",
     ):
@@ -153,8 +138,6 @@ class BoltzmannGradientFollower:
             spec=SubstrateSpec(
                 n_visible=n_visible,
                 n_hidden=n_hidden,
-                sigmoid_gain=sigmoid_gain,
-                input_bits=input_bits,
                 noise=NoiseSpec.from_noise_config(self.noise_config),
                 compute=ComputeSpec(dtype=dtype),
             ),
@@ -262,49 +245,18 @@ class BoltzmannGradientFollower:
         self._particles = hidden
 
     # ------------------------------------------------------------------ #
-    def _positive_step(self, sample: np.ndarray) -> None:
-        """Operation step 3: clamp data, settle hidden, increment W by <v h>_s+.
-
-        Multi-bit visible values (grayscale pixels, scaled ratings, stacked-
-        layer activations) gate the charge pump stochastically: the latched
-        visible bit is 1 with probability equal to the clamped analog value,
-        so the expected weight change matches the analog correlation
-        ``v_i * h_j`` without requiring an analog multiplier in every
-        coupling unit.
-        """
-        visible = self.substrate.clamp_visible(np.atleast_2d(sample))
-        hidden = self.substrate.sample_hidden_given_visible(visible)
-        v_bits = bernoulli_sample(np.clip(visible, 0.0, 1.0), self._rng)[0]
-        self._apply_pumps(v_bits, hidden[0], positive=True)
-
-    def _negative_step(self) -> None:
-        """Operation steps 4-5: load a particle, anneal, decrement W by <v h>_s-."""
-        assert self._particles is not None
-        index = self._particle_cursor % self.config.n_particles
-        self._particle_cursor += 1
-        hidden_init = self._particles[index : index + 1]
-        visible, hidden = self.substrate.gibbs_chain(hidden_init, self.config.anneal_steps)
-        # Persist the particle (Tieleman 2008-style) for the next pass.
-        self._particles[index] = hidden[0]
-        self._apply_pumps(visible[0], hidden[0], positive=False)
-
-    def _apply_pumps(self, v_bits: np.ndarray, h_bits: np.ndarray, *, positive: bool) -> None:
-        """One phase's validated charge-pump updates, gated by ``v_i * h_j``."""
-        sub = self.substrate
-        self.weight_pump.apply(sub.weights, np.outer(v_bits, h_bits), positive=positive)
-        self.visible_bias_pump.apply_bias(sub.visible_bias, v_bits, positive=positive)
-        self.hidden_bias_pump.apply_bias(sub.hidden_bias, h_bits, positive=positive)
-        # The pumps edit the coupling array in place behind the substrate's
-        # back; drop its cached effective weights.
-        sub.invalidate_effective_weights()
-
-    # ------------------------------------------------------------------ #
     # Streaming kernel (chunked, behind :meth:`run`)
     # ------------------------------------------------------------------ #
     def _bgf_sample_step(self, clamped_row, v_bits, kern, static) -> None:
-        """One sample's learning step (Eq. 12) with the semantics of
-        :meth:`_positive_step` + :meth:`_negative_step`, given the
-        DTC-converted ``(1, m)`` clamp and its pre-drawn gating bits.
+        """One sample's learning step (Eq. 12), given the DTC-converted
+        ``(1, m)`` clamp and its pre-drawn gating bits.
+
+        Positive phase (operation step 3): settle the hidden nodes on the
+        clamp and increment W by ``<v h>``; the positive update lands
+        before the negative phase runs, so the negative sample is taken
+        under W^(t+1/2) — the "mid-step update" divergence from textbook
+        CD the paper calls out.  Negative phase (steps 4-5): load the next
+        particle round-robin, anneal it, persist it and decrement W.
 
         The settles run the substrate's own evaluation kernels on its
         serial circuits with the chunk's ``kern`` snapshot; ``static`` is
@@ -339,7 +291,12 @@ class BoltzmannGradientFollower:
     def _stream_chunk(self, chunk: np.ndarray) -> None:
         """Stream one chunk of samples through the sequential learning loop.
 
-        The clamp/DTC conversion and the positive-phase Bernoulli gating
+        Multi-bit visible values (grayscale pixels, scaled ratings, stacked-
+        layer activations) gate the charge pump stochastically: the latched
+        visible bit is 1 with probability equal to the clamped analog value,
+        so the expected weight change matches the analog correlation
+        ``v_i * h_j`` without requiring an analog multiplier in every
+        coupling unit.  The clamp/DTC conversion and these gating
         draws are batched over the whole chunk (both are elementwise and
         weight-independent, and the gating draws are the only consumers of
         the machine's stream inside the loop, so a single ``(chunk, m)`` draw
@@ -364,24 +321,6 @@ class BoltzmannGradientFollower:
         for i in range(chunk.shape[0]):
             self._bgf_sample_step(clamped[i : i + 1], v_bits_all[i], kern, static)
 
-    def learn_sample(self, sample: np.ndarray) -> None:
-        """One complete learning step (Eq. 12): positive then negative phase.
-
-        The positive-phase update lands before the negative phase runs, so
-        the negative sample is taken under W^(t+1/2) — the "mid-step update"
-        divergence from textbook CD the paper calls out.
-        """
-        if self._particles is None:
-            raise ValidationError("initialize must be called before learn_sample")
-        sample = check_array(sample, name="sample").reshape(-1)
-        if sample.shape[0] != self.n_visible:
-            raise ValidationError(
-                f"sample has {sample.shape[0]} features; machine has {self.n_visible} visible nodes"
-            )
-        self.host.record_sample_streamed()
-        self._positive_step(sample)
-        self._negative_step()
-
     def run(
         self,
         data: np.ndarray,
@@ -392,37 +331,32 @@ class BoltzmannGradientFollower:
     ) -> None:
         """Operation step 6: stream the training set for ``epochs`` passes.
 
-        The stream is processed in chunks of ``chunk_size`` samples:
-        clamp/DTC conversion and Bernoulli gating draws are batched per
-        chunk while the learning itself stays strictly sequential (see
-        :meth:`_stream_chunk`), reproducing the per-sample
-        :meth:`learn_sample` loop bit-for-bit under a fixed seed.
+        Requires :meth:`initialize`.  The stream is processed in chunks of
+        ``chunk_size`` samples: clamp/DTC conversion and Bernoulli gating
+        draws are batched per chunk while the learning itself stays strictly
+        sequential, one :meth:`_bgf_sample_step` per sample (see
+        :meth:`_stream_chunk`), so any chunk size gives the same run under a
+        fixed seed.  ``run(x[None], shuffle=False)`` is one learning step on
+        the sample ``x``, bit-identical to running its positive phase
+        (clamp, settle, pump) and then its negative phase (anneal a
+        particle, pump) as separate per-sample calls.
         """
         data = _check_stream(data, self.n_visible)
-        epochs = _check_int(epochs, "epochs", 1)
-        chunk_size = _check_int(chunk_size, "chunk_size", 1)
-        dtc = self.substrate.input_dtc
-        # A DTC with code-dependent noise draws from its own stream per
-        # conversion, so batching would reorder those draws; fall back to the
-        # per-sample loop there to keep seeded runs reproducible.
-        chunked = dtc is None or dtc.nonlinearity_rms == 0.0
-        if chunked and self._particles is None:
+        epochs = check_int(epochs, "epochs", 1)
+        chunk_size = check_int(chunk_size, "chunk_size", 1)
+        if self._particles is None:
             raise ValidationError("initialize must be called before run")
         n = data.shape[0]
         for _ in range(epochs):
             order = self._rng.permutation(n) if shuffle else np.arange(n)
-            if chunked:
-                for start in range(0, n, chunk_size):
-                    self._stream_chunk(data[order[start : start + chunk_size]])
-            else:
-                for idx in order:
-                    self.learn_sample(data[idx])
+            for start in range(0, n, chunk_size):
+                self._stream_chunk(data[order[start : start + chunk_size]])
 
     def read_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Final step: ADC readout of the trained weights and biases."""
         weights, visible_bias, hidden_bias = self.substrate.read_parameters()
         if self.readout_adc is not None:
-            weights = self.readout_adc.read_columnwise(weights)
+            weights = self.readout_adc.read(weights)
             visible_bias = self.readout_adc.read(visible_bias)
             hidden_bias = self.readout_adc.read(hidden_bias)
         self.host.record_final_readout()
@@ -524,7 +458,7 @@ class BGFTrainer:
         log-probability trajectories offline.
         """
         data = _check_stream(data, rbm.n_visible)
-        epochs = _check_int(epochs, "epochs", 1)
+        epochs = check_int(epochs, "epochs", 1)
         machine = self._ensure_machine(rbm)
         machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         if self.particle_burn_in:

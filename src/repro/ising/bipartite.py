@@ -15,11 +15,15 @@ Gibbs-sampler and Boltzmann-gradient-follower architectures invoke:
 * ``program(...)``    — write the coupling weights and biases,
 * ``sample_hidden_given_visible`` / ``sample_visible_given_hidden`` — one
   clamped settle-and-latch, i.e. one conditional sampling step,
-* ``gibbs_chain(...)`` — k alternating settles (the hardware realization of
-  the CD-k random walk / the annealing trajectory of a negative phase).
+* ``settle_batch(...)`` / ``gibbs_chain(...)`` — k alternating settles (the
+  hardware realization of the CD-k random walk / the annealing trajectory
+  of a negative phase), all through one settle loop,
+  :func:`_settle_loop_kernel`.
 
-Dynamic noise and static variation enter through a :class:`NoiseModel`,
-exactly as in the paper's Sec. 4.5 robustness study.
+The DTC is a fixed quantizer on the clamp: it is the identity on the
+binary visibles a chain latches, so chains never re-clamp.  Dynamic noise
+and static variation enter through a :class:`NoiseModel`, exactly as in
+the paper's Sec. 4.5 robustness study.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.analog.converters import DigitalToTimeConverter, quantize_uniform
+from repro.analog.converters import DigitalToTimeConverter
 from repro.analog.noise import NoiseModel
 from repro.analog.rng import StochasticNeuronSampler
 from repro.analog.sigmoid_unit import SigmoidUnit
@@ -207,9 +211,9 @@ class BipartiteIsingSubstrate:
         self.noise_config = spec.noise.to_noise_config()
 
         # Stream 6 is the shard-substream root for the multicore settle
-        # kernel; spawning 7 children leaves streams 0-5 bit-identical to
-        # the historical 6-stream spawn (SeedSequence children are keyed by
-        # index), so serial runs are unchanged by the layer's existence.
+        # kernel.  Stream 5 is unused but still spawned: SeedSequence
+        # children are keyed by index, so streams 0-4 and 6 keep their
+        # draws.
         streams = spawn_rngs(rng, 7)
         self.noise_model = NoiseModel(
             self.noise_config, (self.n_visible, self.n_hidden), rng=streams[0]
@@ -232,9 +236,7 @@ class BipartiteIsingSubstrate:
         self.visible_sampler = StochasticNeuronSampler(
             self.n_visible, comparator_offset_rms=comparator_offset_rms, rng=streams[4]
         )
-        self.input_dtc = (
-            DigitalToTimeConverter(input_bits, rng=streams[5]) if input_bits else None
-        )
+        self.input_dtc = DigitalToTimeConverter(input_bits) if input_bits else None
 
         self.weights = np.zeros((self.n_visible, self.n_hidden), dtype=self.dtype)
         self.visible_bias = np.zeros(self.n_visible, dtype=self.dtype)
@@ -346,17 +348,6 @@ class BipartiteIsingSubstrate:
         with self._cache_lock:
             self._eff_cache = None
 
-    @property
-    def _chain_skip_clamp(self) -> bool:
-        """Whether in-chain binary visibles may skip the DTC re-clamp.
-
-        In-chain visible samples are exactly {0, 1}, on which a noise-free
-        DTC is the identity.  Evaluated per call (not frozen at
-        construction) so swapping in a noisy converter after the fact routes
-        chains back through it.
-        """
-        return self.input_dtc is None or self.input_dtc.nonlinearity_rms == 0.0
-
     def read_parameters(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read back the programmed parameters (host-visible copies)."""
         return self.weights.copy(), self.visible_bias.copy(), self.hidden_bias.copy()
@@ -364,44 +355,36 @@ class BipartiteIsingSubstrate:
     def clamp_visible(self, values: np.ndarray) -> np.ndarray:
         """Drive the visible clamp units with ``values`` (through the DTC).
 
-        Accepts scipy-sparse CSR rows: a noise-free DTC quantizes the stored
-        entries only (a zero drives the clamp at code 0 exactly, since the
-        converter's full-scale range starts at 0), so the sparse structure
-        survives the conversion and the result equals converting the dense
-        expansion.  A noisy DTC draws per-element code errors over the full
-        clamp array, so sparse input densifies here — the draw shape (and
-        hence the seeded noise realization) is identical to the dense call.
+        NaN or infinite values raise :class:`ValidationError`: the clamp
+        would pass them through (or the DTC saturate them) into fields the
+        comparators latch as silent zeros.  Accepts scipy-sparse CSR rows:
+        the DTC quantizes the stored entries only (a zero drives the clamp
+        at code 0 exactly, since the converter's full-scale range starts at
+        0), so the sparse structure survives the conversion and the result
+        equals converting the dense expansion.
         """
-        if is_sparse(values):
+        sparse = is_sparse(values)
+        if sparse:
             values = as_sparse_rows(values, dtype=self.dtype)
-            if values.shape[-1] != self.n_visible:
-                raise ValidationError(
-                    f"clamp values last dimension {values.shape[-1]} does not "
-                    f"match {self.n_visible} visible nodes"
-                )
-            if self.input_dtc is None:
-                return values
-            dtc = self.input_dtc
-            zero_is_exact = (
-                float(quantize_uniform(0.0, dtc.n_bits, dtc.value_range)) == 0.0
-            )
-            if dtc.nonlinearity_rms == 0.0 and zero_is_exact:
-                converted = values.copy()
-                # The DTC's quantizer runs in float64; the converted clamp
-                # levels re-enter the substrate tier here, so a float32
-                # substrate never leaks float64 clamp states downstream.
-                converted.data = np.asarray(dtc.convert(values.data), dtype=self.dtype)
-                return converted
-            return np.asarray(dtc.convert(values.toarray()), dtype=self.dtype)
-        values = np.asarray(values, dtype=self.dtype)
+        else:
+            values = np.asarray(values, dtype=self.dtype)
         if values.shape[-1] != self.n_visible:
             raise ValidationError(
                 f"clamp values last dimension {values.shape[-1]} does not match "
                 f"{self.n_visible} visible nodes"
             )
-        if self.input_dtc is not None:
-            values = np.asarray(self.input_dtc.convert(values), dtype=self.dtype)
-        return values
+        if not np.isfinite(values.data if sparse else values).all():
+            raise ValidationError("clamp values contain non-finite entries")
+        if self.input_dtc is None:
+            return values
+        # The DTC's quantizer runs in float64; the converted clamp levels
+        # re-enter the substrate tier here, so a float32 substrate never
+        # leaks float64 clamp states downstream.
+        if sparse:
+            converted = values.copy()
+            converted.data = np.asarray(self.input_dtc.convert(values.data), dtype=self.dtype)
+            return converted
+        return np.asarray(self.input_dtc.convert(values), dtype=self.dtype)
 
     # ------------------------------------------------------------------ #
     # Conditional sampling (one settle-and-latch)
@@ -558,29 +541,6 @@ class BipartiteIsingSubstrate:
             self._shard_contexts[workers] = contexts
         return contexts
 
-    def _shard_incompatibility(self) -> Optional[str]:
-        """Why this substrate cannot shard its settles, or ``None`` if it can.
-
-        ``workers=k > 1`` on an incompatible substrate raises this reason as
-        a :class:`ValidationError`.
-        """
-        if not self._chain_skip_clamp:
-            return (
-                "sharded settles (workers > 1) require a noise-free input "
-                "DTC: per-conversion DTC noise draws from one stream that "
-                "cannot be split across shards"
-            )
-        if (
-            self.hidden_sigmoid.output_noise_rms > 0
-            or self.visible_sigmoid.output_noise_rms > 0
-        ):
-            return (
-                "sharded settles (workers > 1) require noise-free sigmoid "
-                "outputs; per-evaluation sigmoid noise draws from one stream "
-                "that cannot be split across shards"
-            )
-        return None
-
     def _settle_batch_sharded(
         self, hidden: np.ndarray, n_steps: int, workers: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -628,7 +588,8 @@ class BipartiteIsingSubstrate:
         the hardware's per-node parallelism (each chain occupies its own
         replica of the node array, and all replicas settle simultaneously).
         Validation of ``hidden_init`` happens once, up front; in-chain states
-        come from the substrate's own latches and are trusted.
+        come from the substrate's own latches and are trusted, and their
+        binary visibles skip the DTC (the identity on {0, 1}).
 
         Stream-order note: per step the samplers draw one ``(p, n)`` noise
         block covering all chains (chain-major within the step).  That is a
@@ -646,10 +607,9 @@ class BipartiteIsingSubstrate:
         fixed seed and ``k``, statistically equivalent across ``k`` (pinned
         by ``tests/property/test_parallel_statistics.py``).  ``workers=1``
         (and a single chain row) runs the serial kernel below,
-        bit-identical to the pre-threading implementation.  Sharding
-        requires noise-free DTC/sigmoid-output draws (dynamic coupling/node
-        noise is fine — each shard perturbs its replica from its own
-        substream).
+        bit-identical to the pre-threading implementation.  Dynamic
+        coupling/node noise shards too: each shard perturbs its replica
+        from its own substream.
 
         Returns the final ``(visible, hidden)`` samples, shaped
         ``(p, n_visible)`` and ``(p, n_hidden)``, in the substrate's
@@ -665,27 +625,12 @@ class BipartiteIsingSubstrate:
             np.atleast_2d(np.asarray(hidden_init, dtype=float)), name="hidden_init"
         ).astype(self.dtype, copy=False)
         if workers > 1 and hidden.shape[0] > 1:
-            reason = self._shard_incompatibility()
-            if reason is not None:
-                raise ValidationError(reason)
             return self._settle_batch_sharded(hidden, n_steps, workers)
-        if self._chain_skip_clamp:
-            # Validation is hoisted: hidden_init was checked once above, and
-            # every in-chain state comes from our own latches (binary by
-            # construction), so the per-step binary checks are skipped.  The
-            # noise-free DTC is the identity on {0, 1} visibles, so the
-            # re-clamp is skipped too — both are value-preserving.  The loop
-            # is the shared settle kernel running on the substrate's own
-            # circuits (one body with the sharded path).
-            return _settle_loop_kernel(
-                hidden, n_steps, self._static_pair(), self._serial_context, self._kernel()
-            )
-        visible = self.sample_visible_given_hidden(hidden)
-        for _ in range(n_steps - 1):
-            hidden = self.sample_hidden_given_visible(visible)
-            visible = self.sample_visible_given_hidden(hidden)
-        hidden = self.sample_hidden_given_visible(visible)
-        return visible, hidden
+        # The serial settle is the shared loop on the substrate's own
+        # circuits (one body with the sharded path).
+        return _settle_loop_kernel(
+            hidden, n_steps, self._static_pair(), self._serial_context, self._kernel()
+        )
 
     def gibbs_chain(
         self,

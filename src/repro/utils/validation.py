@@ -100,6 +100,27 @@ def check_finite(value: float, *, name: str = "value") -> float:
     return value
 
 
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int ``>= minimum``; floats and bools are rejected,
+    not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_range(value, *, name: str = "range") -> Tuple[float, float]:
+    """``value`` as an increasing pair of finite floats ``(lo, hi)``."""
+    pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
+    if len(pair) != 2:
+        raise ValidationError(f"{name} must be a pair (lo, hi), got {value!r}")
+    lo, hi = (check_finite(bound, name=name) for bound in pair)
+    if hi <= lo:
+        raise ValidationError(f"{name} must be increasing, got ({lo}, {hi})")
+    return (lo, hi)
+
+
 def check_positive(value: float, *, name: str = "value", strict: bool = True) -> float:
     """Validate that a finite scalar is positive (or non-negative when
     ``strict=False``) and return it as a float."""

@@ -27,13 +27,6 @@ class TestSigmoidUnitStatistics:
         assert np.mean(gains) == pytest.approx(2.0, rel=0.02)
         assert np.std(gains) / 2.0 == pytest.approx(0.1, rel=0.1)
 
-    def test_output_noise_rms_is_as_configured(self):
-        unit = SigmoidUnit(gain=1.0, output_noise_rms=0.05, rng=1)
-        # At x=0 the ideal output is 0.5, far from the clip rails, so the
-        # observed spread equals the configured RMS.
-        outputs = unit(np.zeros(20000))
-        assert np.std(outputs) == pytest.approx(0.05, rel=0.1)
-
     def test_large_gain_approaches_step_function(self):
         unit = SigmoidUnit(gain=50.0)
         assert unit.ideal(np.array([0.2]))[0] > 0.99

@@ -139,13 +139,6 @@ class TestDigitalToTimeConverter:
         out = dtc.convert(np.array([0.2, 0.8]))
         np.testing.assert_array_equal(out, [0.0, 1.0])
 
-    def test_nonlinearity_adds_error_but_stays_in_range(self):
-        dtc = DigitalToTimeConverter(8, nonlinearity_rms=1.0, rng=0)
-        values = np.random.default_rng(2).random(500)
-        out = dtc.convert(values)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-        assert not np.allclose(out, DigitalToTimeConverter(8).convert(values))
-
     def test_invalid_configuration(self):
         with pytest.raises(ValidationError):
             DigitalToTimeConverter(0)
@@ -163,16 +156,6 @@ class TestAnalogToDigitalConverter:
         adc = AnalogToDigitalConverter(2, value_range=(-1.0, 1.0))
         values = np.random.default_rng(4).uniform(-1, 1, 300)
         assert np.unique(adc.read(values)).size <= 4
-
-    def test_columnwise_read_matches_full_read(self):
-        adc = AnalogToDigitalConverter(8, value_range=(-2.0, 2.0))
-        matrix = np.random.default_rng(5).uniform(-2, 2, (6, 4))
-        np.testing.assert_array_equal(adc.read_columnwise(matrix), adc.read(matrix))
-
-    def test_columnwise_requires_matrix(self):
-        adc = AnalogToDigitalConverter(8)
-        with pytest.raises(ValidationError):
-            adc.read_columnwise(np.zeros(5))
 
     def test_paper_default_is_8_bits(self):
         assert AnalogToDigitalConverter().n_bits == 8

@@ -24,15 +24,6 @@ class TestSigmoidUnit:
         unit = SigmoidUnit(gain=1.0, offset=2.0)
         assert unit.ideal(np.array([2.0]))[0] == pytest.approx(0.5)
 
-    def test_output_bounded_with_noise(self):
-        unit = SigmoidUnit(gain=1.0, output_noise_rms=0.5, rng=0)
-        out = unit(np.zeros(1000))
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_output_noise_varies_calls(self):
-        unit = SigmoidUnit(gain=1.0, output_noise_rms=0.1, rng=0)
-        assert not np.allclose(unit(np.zeros(10)), unit(np.zeros(10)))
-
     def test_per_unit_gain_variation_is_static(self):
         unit = SigmoidUnit(gain=1.0, n_units=20, gain_variation_rms=0.3, rng=1)
         x = np.ones((1, 20))

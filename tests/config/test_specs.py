@@ -62,6 +62,11 @@ class TestComputeSpec:
 
 
 class TestSamplerAndNoiseSpecs:
+    def test_sampler_settable_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(SamplerSpec)) == (
+            "chains", "persistent", "burn_in"
+        )
+
     @pytest.mark.parametrize("chains", [0, -3, 1.5, True])
     def test_bad_chains_rejected(self, chains):
         with pytest.raises(ValidationError):
@@ -71,9 +76,7 @@ class TestSamplerAndNoiseSpecs:
         "build, field",
         [
             (lambda: SamplerSpec(persistent="false"), "persistent"),
-            (lambda: SamplerSpec(chain_batch="no"), "chain_batch"),
             (lambda: SamplerSpec(persistent=1), "persistent"),
-            (lambda: SamplerSpec.from_dict({"chain_batch": 0}), "chain_batch"),
             (lambda: TrainerSpec.gs(persistent="true"), "persistent"),
             (lambda: TrainerSpec.gs(streaming="yes"), "streaming"),
             (lambda: TrainerSpec.gs(sparse_visible=1), "sparse_visible"),

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import TrainerSpec
 from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower
+from repro.ising.bipartite import _settle_loop_kernel
 
 
 @pytest.fixture
@@ -26,20 +27,20 @@ def machine():
 
 class TestMidStepUpdates:
     def test_positive_phase_update_lands_before_negative_phase(self, machine, monkeypatch):
-        """Capture the weights seen by the negative phase: they must already
-        include the positive-phase increment (W^(t+1/2) of Eq. 12)."""
+        """Capture the weights seen by the negative-phase anneal of ``run``:
+        they must already include the positive-phase increment (W^(t+1/2)
+        of Eq. 12)."""
         weights_before = machine.substrate.weights.copy()
         seen_by_negative = {}
 
-        original_negative = machine._negative_step
-
-        def spying_negative_step():
+        def spying_anneal(*args, **kwargs):
             seen_by_negative["weights"] = machine.substrate.weights.copy()
-            return original_negative()
+            return _settle_loop_kernel(*args, **kwargs)
 
-        monkeypatch.setattr(machine, "_negative_step", spying_negative_step)
-        sample = np.ones(12)
-        machine.learn_sample(sample)
+        monkeypatch.setattr(
+            "repro.core.gradient_follower._settle_loop_kernel", spying_anneal
+        )
+        machine.run(np.ones((1, 12)), shuffle=False)
 
         assert "weights" in seen_by_negative
         positive_delta = seen_by_negative["weights"] - weights_before
@@ -55,7 +56,7 @@ class TestMinibatchOfOne:
         changes = 0
         for _ in range(10):
             sample = (rng.random(12) < 0.6).astype(float)
-            machine.learn_sample(sample)
+            machine.run(sample[None], shuffle=False)
             if not np.allclose(machine.substrate.weights, previous):
                 changes += 1
             previous = machine.substrate.weights.copy()
@@ -99,11 +100,11 @@ class TestParticlePersistence:
         each one's final hidden state (Tieleman-style persistence)."""
         assert machine._particle_cursor == 0
         for i in range(1, 5):
-            machine.learn_sample(np.ones(12))
+            machine.run(np.ones((1, 12)), shuffle=False)
             assert machine._particle_cursor == i
 
     def test_particle_states_are_binary(self, machine):
         for _ in range(4):
-            machine.learn_sample(np.ones(12))
+            machine.run(np.ones((1, 12)), shuffle=False)
         particles = machine.particles
         assert set(np.unique(particles)).issubset({0.0, 1.0})

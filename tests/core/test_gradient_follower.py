@@ -71,31 +71,30 @@ class TestBoltzmannGradientFollowerMachine:
         weights, _, _ = machine.substrate.read_parameters()
         assert weights.max() <= 1.0
 
-    def test_learn_sample_requires_initialization(self, tiny_binary_data):
+    def test_run_requires_initialization(self, tiny_binary_data):
         machine = self._machine()
-        with pytest.raises(ValidationError):
-            machine.learn_sample(tiny_binary_data[0])
+        with pytest.raises(ValidationError, match="initialize"):
+            machine.run(tiny_binary_data[:1], shuffle=False)
 
-    def test_learn_sample_updates_weights_in_substrate(self, tiny_binary_data):
+    def test_run_updates_weights_in_substrate(self, tiny_binary_data):
         machine = self._machine()
         rbm = BernoulliRBM(16, 8, rng=1)
         machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         before = machine.substrate.weights.copy()
-        for sample in tiny_binary_data[:20]:
-            machine.learn_sample(sample)
+        machine.run(tiny_binary_data[:20], shuffle=False)
         assert not np.allclose(machine.substrate.weights, before)
 
-    def test_learn_sample_width_check(self):
+    def test_run_width_check(self):
         machine = self._machine()
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         with pytest.raises(ValidationError):
-            machine.learn_sample(np.zeros(10))
+            machine.run(np.zeros((1, 10)))
 
-    def test_learn_sample_rejects_non_finite(self):
+    def test_run_rejects_non_finite(self):
         machine = self._machine()
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
-        with pytest.raises(ValidationError, match="sample"):
-            machine.learn_sample(np.full(16, np.nan))
+        with pytest.raises(ValidationError, match="data"):
+            machine.run(np.full((1, 16), np.nan))
 
     @pytest.mark.parametrize(
         "data, kwargs, name",
@@ -124,8 +123,7 @@ class TestBoltzmannGradientFollowerMachine:
         machine = self._machine(config=BGFConfig(n_particles=3))
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         initial = machine.particles
-        for sample in tiny_binary_data[:9]:
-            machine.learn_sample(sample)
+        machine.run(tiny_binary_data[:9], shuffle=False)
         # after 9 samples every one of the 3 particles has been advanced
         assert machine._particle_cursor == 9
         assert not np.array_equal(machine.particles, initial)

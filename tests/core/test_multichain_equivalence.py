@@ -95,34 +95,6 @@ class TestSingleChainCompatibilityPath:
 
         _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
-    def test_single_persistent_chain_layouts_coincide(self, data):
-        """With p=1 the batched and sequential chain layouts are the same
-        draw order, so even the PCD engine reproduces across the knob."""
-        batched = _train(
-            lambda: GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(
-                    0.1, cd_k=1, batch_size=10, chains=1, persistent=True
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        sequential = _train(
-            lambda: GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(
-                    0.1,
-                    cd_k=1,
-                    batch_size=10,
-                    chains=1,
-                    persistent=True,
-                    chain_batch=False,
-                ),
-                rng=1,
-            ),
-            data,
-        )
-        _assert_same_model(batched, sequential)
-
     def test_invalid_chain_count(self):
         with pytest.raises(ValidationError):
             GibbsSamplerTrainer(spec=TrainerSpec.gs(chains=0))

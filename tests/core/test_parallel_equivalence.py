@@ -26,7 +26,6 @@ from repro.config import (
     NoiseSpec,
     SubstrateSpec,
     TrainerSpec,
-    ValidationError,
 )
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.core.gradient_follower import BoltzmannGradientFollower
@@ -237,41 +236,6 @@ class TestShardedReproducible:
         substrate.settle_batch(_hidden(3), 2, workers=2)
         assert 2 in substrate._shard_contexts
         assert len(substrate._shard_contexts[2]) == 2
-
-
-class TestShardedPreconditions:
-    """workers=k > 1 on a substrate that cannot shard fails loudly."""
-
-    def test_noisy_dtc_cannot_shard(self):
-        substrate = BipartiteIsingSubstrate(
-            spec=SubstrateSpec(N_VISIBLE, N_HIDDEN, input_bits=8), rng=0
-        )
-        substrate.input_dtc.nonlinearity_rms = 0.01
-        with pytest.raises(Exception, match="DTC"):
-            substrate.settle_batch(_hidden(3), 2, workers=2)
-
-    @pytest.mark.parametrize("entry", ["settle_batch", "gibbs_chain"])
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize(
-        "unit, attribute, reason",
-        [
-            ("input_dtc", "nonlinearity_rms", "noise-free input DTC"),
-            ("hidden_sigmoid", "output_noise_rms", "noise-free sigmoid outputs"),
-            ("visible_sigmoid", "output_noise_rms", "noise-free sigmoid outputs"),
-        ],
-        ids=["dtc-noise", "hidden-output-noise", "visible-output-noise"],
-    )
-    def test_every_stream_splitting_noise_source_raises(
-        self, unit, attribute, reason, workers, entry
-    ):
-        """There is no serial fallback: each per-draw noise source that
-        cannot be split across shards raises, naming the requirement."""
-        substrate = BipartiteIsingSubstrate(
-            spec=SubstrateSpec(N_VISIBLE, N_HIDDEN, input_bits=8), rng=0
-        )
-        setattr(getattr(substrate, unit), attribute, 0.01)
-        with pytest.raises(ValidationError, match=reason):
-            getattr(substrate, entry)(_hidden(3), 2, workers=workers)
 
 
 class TestAISShardRootIndependence:

@@ -11,8 +11,10 @@ bit-identity suites have something independent to compare against:
   ``NoiseModel.perturbed_coupling`` per settle, the masked sigmoid with an
   unconditional output clip, validated latches, and a per-step
   ``check_binary`` plus DTC re-clamp in every chain;
-* :func:`learn_sample_run` — the BGF's ``run`` as the per-sample
-  ``learn_sample`` loop;
+* :func:`learn_sample` / :func:`learn_sample_run` — the BGF's learning
+  step as separate positive and negative phases on public substrate calls
+  and the validated ``apply``/``apply_bias`` pumps, and ``run`` as a loop
+  of those steps;
 * :func:`ais_sweep` — the per-beta AIS log-weight loop.
 
 Suites swap the oracle in without touching ``src/``: :func:`use_reference`
@@ -39,7 +41,7 @@ from repro.utils.numerics import (
     safe_sparse_dot,
     sigmoid,
 )
-from repro.utils.validation import ValidationError, check_binary
+from repro.utils.validation import ValidationError, check_array, check_binary
 
 
 def sigmoid_reference(x: np.ndarray) -> np.ndarray:
@@ -65,7 +67,7 @@ def log1pexp_reference(x: np.ndarray) -> np.ndarray:
 
 def _unit_output(unit, x: np.ndarray) -> np.ndarray:
     """A ``SigmoidUnit``'s output: gain/offset transfer through the masked
-    logistic, output noise, then an unconditional clip to [0, 1]."""
+    logistic, then an unconditional clip to [0, 1]."""
     x = as_float_array(x)
     gains = unit.gain
     if unit._unit_gains is not None:
@@ -74,10 +76,7 @@ def _unit_output(unit, x: np.ndarray) -> np.ndarray:
                 f"input last dimension {x.shape[-1]} does not match n_units={unit.n_units}"
             )
         gains = unit._unit_gains
-    out = sigmoid_reference(gains * (x - unit.offset))
-    if unit.output_noise_rms > 0:
-        out = out + unit._rng.normal(0.0, unit.output_noise_rms, size=out.shape)
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(sigmoid_reference(gains * (x - unit.offset)), 0.0, 1.0)
 
 
 class ReferenceSubstrate(BipartiteIsingSubstrate):
@@ -152,15 +151,56 @@ class ReferenceSubstrate(BipartiteIsingSubstrate):
         return visible, hidden
 
 
+def _apply_pumps(machine, v_bits, h_bits, *, positive: bool) -> None:
+    """One phase's validated charge-pump updates, gated by ``v_i * h_j``,
+    then an invalidation of the substrate's cached couplings."""
+    sub = machine.substrate
+    machine.weight_pump.apply(sub.weights, np.outer(v_bits, h_bits), positive=positive)
+    machine.visible_bias_pump.apply_bias(sub.visible_bias, v_bits, positive=positive)
+    machine.hidden_bias_pump.apply_bias(sub.hidden_bias, h_bits, positive=positive)
+    sub.invalidate_effective_weights()
+
+
+def learn_sample(machine, sample) -> None:
+    """One BGF learning step (Eq. 12) on one sample of ``machine``.
+
+    Positive phase: clamp, latch the hidden nodes, draw the visible gating
+    bits from the machine's stream, increment.  Negative phase: anneal the
+    next particle round-robin through ``gibbs_chain``, persist it,
+    decrement.  The positive update lands before the negative settle."""
+    if machine._particles is None:
+        raise ValidationError("initialize must be called before learn_sample")
+    sample = check_array(sample, name="sample").reshape(-1)
+    if sample.shape[0] != machine.n_visible:
+        raise ValidationError(
+            f"sample has {sample.shape[0]} features; machine has "
+            f"{machine.n_visible} visible nodes"
+        )
+    machine.host.record_sample_streamed()
+    sub = machine.substrate
+    visible = sub.clamp_visible(np.atleast_2d(sample))
+    hidden = sub.sample_hidden_given_visible(visible)
+    v_bits = bernoulli_sample(np.clip(visible, 0.0, 1.0), machine._rng)[0]
+    _apply_pumps(machine, v_bits, hidden[0], positive=True)
+
+    index = machine._particle_cursor % machine.config.n_particles
+    machine._particle_cursor += 1
+    visible, hidden = sub.gibbs_chain(
+        machine._particles[index : index + 1], machine.config.anneal_steps
+    )
+    machine._particles[index] = hidden[0]
+    _apply_pumps(machine, visible[0], hidden[0], positive=False)
+
+
 def learn_sample_run(machine, data, *, epochs: int = 1, shuffle: bool = True):
-    """``BoltzmannGradientFollower.run`` as the per-sample ``learn_sample``
-    loop, drawing the same per-epoch permutation."""
+    """``BoltzmannGradientFollower.run`` as a loop of :func:`learn_sample`,
+    drawing the same per-epoch permutation."""
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
     for _ in range(epochs):
         order = machine._rng.permutation(n) if shuffle else np.arange(n)
         for idx in order:
-            machine.learn_sample(data[idx])
+            learn_sample(machine, data[idx])
 
 
 def use_reference(machine):

@@ -82,6 +82,30 @@ class TestClamping:
         with pytest.raises(ValidationError):
             substrate.clamp_visible(np.zeros(5))
 
+    @pytest.mark.parametrize("input_bits", [8, None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_non_finite_clamp_rejected(self, layout, bad, input_bits):
+        """NaN/inf used to latch as silent all-zero hidden samples (and
+        reconstruct to NaN); every clamping entry point now refuses them."""
+        from scipy import sparse
+
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(6, 4, input_bits=input_bits), rng=0
+        )
+        substrate.program(np.full((6, 4), 0.1), np.zeros(6), np.zeros(4))
+        values = np.zeros((2, 6))
+        values[1, 3] = bad
+        if layout == "csr":
+            values = sparse.csr_matrix(values)
+        for entry in (
+            substrate.clamp_visible,
+            substrate.sample_hidden_given_visible,
+            substrate.reconstruct,
+        ):
+            with pytest.raises(ValidationError, match="non-finite"):
+                entry(values)
+
 
 class TestConditionalSampling:
     def test_ideal_substrate_matches_rbm_probabilities(self, programmed_substrate):

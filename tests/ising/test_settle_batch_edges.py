@@ -184,8 +184,7 @@ class TestChainCountVsBatchSize:
         assert len(history.reconstruction_error) == 2
         assert np.isfinite(rbm.weights).all()
 
-    @pytest.mark.parametrize("chain_batch", [True, False])
-    def test_persistent_chains_survive_ragged_batches(self, data, chain_batch):
+    def test_persistent_chains_survive_ragged_batches(self, data):
         rbm = BernoulliRBM(12, 7, rng=0)
         trainer = GibbsSamplerTrainer(
             spec=TrainerSpec.gs(
@@ -194,7 +193,6 @@ class TestChainCountVsBatchSize:
                 batch_size=10,
                 chains=5,
                 persistent=True,
-                chain_batch=chain_batch,
             ),
             rng=1,
         )

@@ -72,10 +72,18 @@ class TestOnlyFilter:
         assert "blas_threads" in results["meta"]
 
     def test_paired_rows_keep_both_legs(self):
-        results = run_benchmarks(repeats=1, include_large=False, only="negative_phase_p8")
-        row = results["kernels"]["gs_multichain_negative_phase_p8_49x32"]
+        results = run_benchmarks(
+            repeats=1, only="substrate_conditional_sampling_784x500_float32"
+        )
+        row = results["kernels"]["substrate_conditional_sampling_784x500_float32"]
         assert row["legacy_median_s"] > 0 and row["fast_median_s"] > 0
         assert row["speedup"] == row["legacy_median_s"] / row["fast_median_s"]
+
+    def test_multichain_rows_are_single_leg(self):
+        results = run_benchmarks(repeats=1, include_large=False, only="gs_")
+        for name in ("gs_pcd8_training_epoch_49x32", "gs_multichain_negative_phase_p8_49x32"):
+            row = results["kernels"][name]
+            assert row == {"fast_median_s": row["fast_median_s"]}
 
     def test_only_with_no_match_raises(self):
         with pytest.raises(ValueError, match="matches no benchmark entries"):
