@@ -21,9 +21,9 @@ lint:
 		echo "lint: ruff not installed; skipping the pyflakes baseline (CI runs it)"; \
 	fi
 
-## Sparse/streaming leg of the tier-1 workflow: the CSR kernel
-## equivalence, streaming partial_fit bit-identity, one-hot encoder, and
-## streamed-preset suites (everything marked `sparse`).  These tests are
+## Sparse leg of the tier-1 workflow: the CSR kernel equivalence,
+## partial_fit bit-identity, one-hot encoder, and sparse-preset suites
+## (everything marked `sparse`).  These tests are
 ## part of the default run too; the focused leg keeps the PR's contract
 ## visible and seconds-fast.  `-m sparse` overrides the pyproject addopts.
 test-sparse:

@@ -279,19 +279,12 @@ def _register_paper_experiments() -> None:
             "paper": runspec_from_legacy_config(
                 "figure9", {"scale": "paper"}
             ),
-            # Sparse one-hot MovieLens fed through the GS trainer's chunked
-            # partial_fit pipeline — the streamed real-data variant.
-            "streamed": runspec_from_legacy_config(
+            # Sparse one-hot MovieLens through the GS trainer's CSR
+            # data-term kernels — the sparse real-data variant.
+            "sparse": runspec_from_legacy_config(
                 "figure9",
-                {
-                    "engine": "gs",
-                    "encoding": "onehot",
-                    "sparse": True,
-                    "streaming": True,
-                    "chunk_size": 64,
-                    "epochs": 10,
-                },
-                preset="streamed",
+                {"engine": "gs", "encoding": "onehot", "sparse": True, "epochs": 10},
+                preset="sparse",
             ),
         },
     )
@@ -302,20 +295,18 @@ def _register_paper_experiments() -> None:
             "paper": runspec_from_legacy_config(
                 "figure10", {"scale": "paper"}
             ),
-            # Sparse one-hot fraud features through the GS trainer's chunked
-            # partial_fit pipeline — the streamed real-data variant.
-            "streamed": runspec_from_legacy_config(
+            # Sparse one-hot fraud features through the GS trainer's CSR
+            # data-term kernels — the sparse real-data variant.
+            "sparse": runspec_from_legacy_config(
                 "figure10",
                 {
                     "engine": "gs",
                     "encoding": "onehot",
                     "n_bins": 16,
                     "sparse": True,
-                    "streaming": True,
-                    "chunk_size": 128,
                     "epochs": 10,
                 },
-                preset="streamed",
+                preset="sparse",
             ),
         },
     )

@@ -29,6 +29,7 @@ import numpy as np
 from repro.analog.noise import NoiseConfig
 from repro.utils.validation import (
     ValidationError,
+    check_bool,
     check_finite,
     check_in_range,
     check_int,
@@ -79,13 +80,6 @@ def _normalize_params(value: Any, key: str) -> Any:
     if isinstance(value, (float, np.floating)):
         return check_finite(value, name=key)
     return value
-
-
-def _check_bool(value: Any, name: str) -> None:
-    """Reject anything but a real bool: ``bool("false")`` is True, so a
-    coerced string or int would silently flip the flag."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{name} must be a bool, got {value!r}")
 
 
 class Spec:
@@ -210,9 +204,10 @@ class ComputeSpec(Spec):
             value = getattr(self, name)
             if any(_same_value(value, old) for old in retired):
                 raise ValidationError(f"{name}={value!r} is no longer valid: {reason}")
+        # np.dtype parses comma strings such as "," with ast: SyntaxError.
         try:
             canonical = np.dtype(self.dtype)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, SyntaxError) as exc:
             raise ValidationError(
                 f"dtype must be float32 or float64, got {self.dtype!r}"
             ) from exc
@@ -270,7 +265,7 @@ class SamplerSpec(Spec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "chains", check_int(self.chains, "chains", 1))
         object.__setattr__(self, "burn_in", check_int(self.burn_in, "burn_in", 0))
-        _check_bool(self.persistent, "persistent")
+        check_bool(self.persistent, "persistent")
 
 
 @dataclass(frozen=True)
@@ -366,17 +361,6 @@ class TrainerSpec(Spec):
     * ``momentum`` — software CD only.
     * ``compute.dtype`` — hardware engines only; the software CD reference
       is float64 by definition.
-    * ``streaming`` / ``stream_chunk_size`` — GS only: drive each epoch
-      through the chunked ``partial_fit`` pipeline (rows visited in storage
-      order; the BGF is whole-loop by algorithm, and the software CD
-      reference stays one-shot).  ``stream_chunk_size`` is the I/O chunk row
-      count (``None`` defaults to ``batch_size``) and requires
-      ``streaming=True``.
-    * ``sparse_visible`` — declare that the data-side kernels will receive
-      scipy-sparse CSR visibles (GS/CD; the BGF's reference statistics are
-      dense by construction).  Informational for dispatch-by-type callers —
-      the kernels accept CSR either way — but validated here so a sparse
-      BGF run fails at construction, not mid-loop.
     """
 
     kind: str = "gs"
@@ -387,9 +371,6 @@ class TrainerSpec(Spec):
     momentum: float = 0.0
     reference_batch_size: int = 50
     step_size: Optional[float] = None
-    streaming: bool = False
-    stream_chunk_size: Optional[int] = None
-    sparse_visible: bool = False
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     compute: ComputeSpec = field(default_factory=ComputeSpec)
@@ -415,10 +396,6 @@ class TrainerSpec(Spec):
         }
         if self.step_size is not None:
             checked["step_size"] = check_positive(self.step_size, name="step_size")
-        if self.stream_chunk_size is not None:
-            checked["stream_chunk_size"] = check_int(
-                self.stream_chunk_size, "stream_chunk_size", 1
-            )
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         if not isinstance(self.sampler, SamplerSpec):
@@ -467,21 +444,6 @@ class TrainerSpec(Spec):
                     f"step_size is a BGF charge-pump knob; the {self.kind!r} "
                     "trainer derives its updates from learning_rate"
                 )
-        _check_bool(self.streaming, "streaming")
-        _check_bool(self.sparse_visible, "sparse_visible")
-        if self.streaming and self.kind != "gs":
-            raise ValidationError(
-                f"streaming training is a GS knob (partial_fit pipeline); the "
-                f"{self.kind!r} trainer runs whole-loop"
-            )
-        if self.stream_chunk_size is not None and not self.streaming:
-            raise ValidationError("stream_chunk_size requires streaming=True")
-        if self.sparse_visible and self.kind == "bgf":
-            raise ValidationError(
-                "sparse_visible applies to the data-side kernels of the 'cd' "
-                "and 'gs' trainers; the BGF's reference statistics are dense "
-                "by construction"
-            )
 
     # ------------------------------------------------------------------ #
     # Kind-specific constructors: flat knob names with the engines' own
@@ -520,9 +482,6 @@ class TrainerSpec(Spec):
         chains: int = 1,
         persistent: bool = False,
         weight_decay: float = 0.0,
-        streaming: bool = False,
-        stream_chunk_size: Optional[int] = None,
-        sparse_visible: bool = False,
         noise: Optional[NoiseSpec] = None,
         compute: Optional[ComputeSpec] = None,
     ) -> "TrainerSpec":
@@ -533,9 +492,6 @@ class TrainerSpec(Spec):
             cd_k=cd_k,
             batch_size=batch_size,
             weight_decay=weight_decay,
-            streaming=streaming,
-            stream_chunk_size=stream_chunk_size,
-            sparse_visible=sparse_visible,
             sampler=SamplerSpec(chains=chains, persistent=persistent),
             noise=noise if noise is not None else NoiseSpec(),
             compute=compute if compute is not None else ComputeSpec(),

@@ -29,7 +29,7 @@ from repro.config.specs import SubstrateSpec, TrainerSpec, check_spec
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.rbm import BernoulliRBM, TrainingHistory
-from repro.utils.batching import iter_chunks, minibatches, rebatch
+from repro.utils.batching import minibatches
 from repro.utils.numerics import (
     is_sparse,
     safe_sparse_dot,
@@ -209,9 +209,6 @@ class GibbsSamplerTrainer:
         self.persistent = spec.sampler.persistent
         self.workers = spec.compute.workers
         self.weight_decay = spec.weight_decay
-        self.streaming = spec.streaming
-        self.stream_chunk_size = spec.stream_chunk_size
-        self.sparse_visible = spec.sparse_visible
         self.machine = machine
         self._rng = as_rng(rng)
         self.callback = callback
@@ -379,16 +376,7 @@ class GibbsSamplerTrainer:
         return self
 
     def _epoch_recon_error(self, rbm: BernoulliRBM, data) -> float:
-        """Epoch-end mean reconstruction error for dense, sparse, or loader data."""
-        if hasattr(data, "iter_chunks") and not isinstance(data, np.ndarray):
-            total, rows = 0.0, 0
-            for chunk in data.iter_chunks():
-                err = float(
-                    sparse_mean_squared_error(chunk, rbm.reconstruct(chunk))
-                )
-                total += err * chunk.shape[0]
-                rows += chunk.shape[0]
-            return total / rows if rows else float("nan")
+        """Epoch-end mean reconstruction error for dense or sparse data."""
         recon = rbm.reconstruct(data)
         if is_sparse(data):
             return float(sparse_mean_squared_error(data, recon))
@@ -409,34 +397,16 @@ class GibbsSamplerTrainer:
         ``train`` call alive (when shapes still match), so stacked training
         schedules can continue the same fantasy particles.
 
-        ``data`` may be a dense array, a scipy-sparse CSR matrix, or — on a
-        streaming trainer (``TrainerSpec.gs(streaming=True, ...)``) — a
-        chunked loader (:class:`repro.datasets.base.ChunkedLoader`).  A
-        streaming trainer drives each epoch through ``iter_chunks`` ->
-        ``rebatch`` -> :meth:`partial_fit`'s update body, visiting rows in
-        storage order; the ``shuffle`` flag is ignored (a stream has no
-        global permutation), and the result is bit-identical to the
-        non-streaming trainer with ``shuffle=False`` on in-memory data.
+        ``data`` may be a dense array or a scipy-sparse CSR matrix.  Data
+        that does not fit in memory streams through :meth:`partial_fit`,
+        one minibatch per call.
         """
-        is_loader = hasattr(data, "iter_chunks") and not isinstance(data, np.ndarray)
-        if is_loader:
-            if not self.streaming:
-                raise ValidationError(
-                    "chunked-loader input requires a streaming trainer "
-                    "(TrainerSpec.gs(streaming=True, ...))"
-                )
-            if data.n_features != rbm.n_visible:
-                raise ValidationError(
-                    f"data has {data.n_features} features but the RBM has "
-                    f"{rbm.n_visible} visible units"
-                )
-        else:
-            data = check_data_matrix(data, name="data")
-            if data.shape[1] != rbm.n_visible:
-                raise ValidationError(
-                    f"data has {data.shape[1]} features but the RBM has "
-                    f"{rbm.n_visible} visible units"
-                )
+        data = check_data_matrix(data, name="data")
+        if data.shape[1] != rbm.n_visible:
+            raise ValidationError(
+                f"data has {data.shape[1]} features but the RBM has "
+                f"{rbm.n_visible} visible units"
+            )
         if epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {epochs}")
         machine = self._ensure_machine(rbm)
@@ -453,19 +423,11 @@ class GibbsSamplerTrainer:
         # finite inputs stays finite, so only the entry state needs checking.
         self._validate_entry_state(rbm)
 
-        def epoch_batches():
-            if self.streaming:
-                chunks = (
-                    data.iter_chunks()
-                    if is_loader
-                    else iter_chunks(data, self.stream_chunk_size or self.batch_size)
-                )
-                return rebatch(chunks, self.batch_size)
-            return minibatches(data, self.batch_size, shuffle=shuffle, rng=self._rng)
-
         history = TrainingHistory()
         for epoch in range(epochs):
-            for batch in epoch_batches():
+            for batch in minibatches(
+                data, self.batch_size, shuffle=shuffle, rng=self._rng
+            ):
                 self._update_from_batch(rbm, machine, batch)
 
             history.record(epoch, self._epoch_recon_error(rbm, data))

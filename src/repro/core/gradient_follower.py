@@ -42,6 +42,7 @@ from repro.ising.bipartite import (
     _settle_loop_kernel,
 )
 from repro.rbm.rbm import BernoulliRBM, TrainingHistory
+from repro.utils.numerics import is_sparse
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 from repro.utils.validation import (
     ValidationError,
@@ -96,7 +97,12 @@ class BGFConfig:
 
 
 def _check_stream(data, n_visible: int) -> np.ndarray:
-    """A non-empty, finite ``(rows, n_visible)`` training stream."""
+    """A non-empty, finite, dense ``(rows, n_visible)`` training stream."""
+    if is_sparse(data):
+        raise ValidationError(
+            f"the BGF streams dense samples; got a scipy-sparse "
+            f"{type(data).__name__} — densify it with .toarray() first"
+        )
     data = check_array(data, name="data", shape=(None, n_visible))
     if data.shape[0] == 0:
         raise ValidationError("data must have at least one row, got 0")

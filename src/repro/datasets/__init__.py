@@ -8,13 +8,7 @@ deterministic, class-structured synthetic generators with the same shapes
 evaluation code paths.  See ``DESIGN.md`` for the substitution rationale.
 """
 
-from repro.datasets.base import (
-    AnomalyDataset,
-    ArrayChunkLoader,
-    ChunkedLoader,
-    Dataset,
-    RatingsDataset,
-)
+from repro.datasets.base import AnomalyDataset, Dataset, RatingsDataset
 from repro.datasets.synthetic_images import (
     ImageDatasetSpec,
     make_image_dataset,
@@ -39,8 +33,6 @@ __all__ = [
     "Dataset",
     "RatingsDataset",
     "AnomalyDataset",
-    "ChunkedLoader",
-    "ArrayChunkLoader",
     "ImageDatasetSpec",
     "make_image_dataset",
     "load_mnist_like",

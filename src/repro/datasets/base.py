@@ -1,64 +1,13 @@
-"""Dataset containers shared by the synthetic generators.
-
-Also home of the chunked-loader protocol: the streaming trainers
-(``GibbsSamplerTrainer``/``PCDTrainer`` ``partial_fit``) consume any object
-exposing ``iter_chunks()`` / ``n_rows`` / ``n_features``, so datasets too
-large for memory can feed training one chunk at a time.
-"""
+"""Dataset containers shared by the synthetic generators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.utils.batching import iter_chunks
-from repro.utils.numerics import is_sparse
 from repro.utils.validation import ValidationError, check_binary, check_probability
-
-
-@runtime_checkable
-class ChunkedLoader(Protocol):
-    """Protocol for streaming row-chunk producers.
-
-    ``iter_chunks()`` must be re-iterable — each call starts a fresh pass
-    over the data in a fixed storage order (streamed training visits rows
-    in this order every epoch; there is no global shuffle).  Chunks are
-    2-D row blocks, dense or scipy-sparse CSR, all with ``n_features``
-    columns.
-    """
-
-    n_rows: int
-    n_features: int
-
-    def iter_chunks(self) -> Iterator:  # pragma: no cover - protocol stub
-        ...
-
-
-class ArrayChunkLoader:
-    """Adapt an in-memory matrix (dense or CSR) to the loader protocol.
-
-    The reference :class:`ChunkedLoader` implementation — used by the
-    streamed experiment variants and the streaming tests; a real
-    out-of-core loader (memory-mapped file, database cursor) only needs to
-    match its three-member surface.
-    """
-
-    def __init__(self, data, chunk_size: int):
-        if chunk_size <= 0:
-            raise ValidationError(f"chunk_size must be positive, got {chunk_size}")
-        if not is_sparse(data):
-            data = np.asarray(data)
-        if data.ndim != 2:
-            raise ValidationError("ArrayChunkLoader requires a 2-D matrix")
-        self._data = data
-        self.chunk_size = int(chunk_size)
-        self.n_rows = int(data.shape[0])
-        self.n_features = int(data.shape[1])
-
-    def iter_chunks(self) -> Iterator:
-        return iter_chunks(self._data, self.chunk_size)
 
 
 @dataclass

@@ -34,8 +34,6 @@ def run_figure10(
     encoding: str = "direct",
     n_bins: int = 16,
     sparse: bool = False,
-    streaming: bool = False,
-    chunk_size: Optional[int] = None,
     keep_model: bool = False,
     seed: int = 0,
 ) -> ExperimentResult:
@@ -48,9 +46,8 @@ def run_figure10(
     ``engine="bgf"`` (default) reproduces the paper's whole-loop Boltzmann
     gradient follower; ``engine="gs"`` swaps in the Gibbs-sampler trainer,
     which additionally supports the sparse one-hot feature encoding
-    (``encoding="onehot"``, ``n_bins``, ``sparse=True``) and chunked
-    streaming (``streaming=True`` with an optional ``chunk_size``) — the
-    streamed fraud variant exposed by the run registry.
+    (``encoding="onehot"``, ``n_bins``, ``sparse=True``) — the sparse fraud
+    variant exposed by the run registry.
 
     ``keep_model=True`` stores the detector trained under the first
     (ideal) noise configuration in ``result.artifacts["model"]`` so the
@@ -58,10 +55,10 @@ def run_figure10(
     """
     if engine not in ("bgf", "gs"):
         raise ValidationError(f"engine must be 'bgf' or 'gs', got {engine!r}")
-    if engine == "bgf" and (sparse or streaming):
+    if engine == "bgf" and sparse:
         raise ValidationError(
-            "sparse/streaming anomaly runs require engine='gs' "
-            "(the BGF is whole-loop by algorithm)"
+            "sparse anomaly runs require engine='gs' "
+            "(the BGF streams dense samples)"
         )
     cfg = get_benchmark("anomaly")
     dataset = load_benchmark_dataset("anomaly", scale=scale, seed=seed)
@@ -76,9 +73,6 @@ def run_figure10(
                 spec=TrainerSpec.gs(
                     learning_rate,
                     batch_size=20,
-                    streaming=streaming,
-                    stream_chunk_size=chunk_size,
-                    sparse_visible=sparse,
                     noise=NoiseSpec.from_noise_config(noise),
                 ),
                 rng=rngs[0],
@@ -130,7 +124,6 @@ def run_figure10(
             "engine": engine,
             "encoding": encoding,
             "sparse": sparse,
-            "streaming": streaming,
         },
         artifacts={} if kept_model is None else {"model": kept_model},
     )

@@ -32,8 +32,6 @@ def run_figure9(
     engine: str = "bgf",
     encoding: str = "mean",
     sparse: bool = False,
-    streaming: bool = False,
-    chunk_size: Optional[int] = None,
     keep_model: bool = False,
     seed: int = 0,
 ) -> ExperimentResult:
@@ -42,9 +40,8 @@ def run_figure9(
     ``engine="bgf"`` (default) reproduces the paper's whole-loop Boltzmann
     gradient follower; ``engine="gs"`` swaps in the Gibbs-sampler trainer,
     which additionally supports the sparse one-hot encoding
-    (``encoding="onehot"``, ``sparse=True``) and chunked streaming
-    (``streaming=True`` with an optional ``chunk_size``) — the streamed
-    MovieLens variant exposed by the run registry.
+    (``encoding="onehot"``, ``sparse=True``) — the sparse MovieLens variant
+    exposed by the run registry.
 
     ``keep_model=True`` stores the recommender trained under the first
     (ideal) noise configuration in ``result.artifacts["model"]`` so the
@@ -52,10 +49,10 @@ def run_figure9(
     """
     if engine not in ("bgf", "gs"):
         raise ValidationError(f"engine must be 'bgf' or 'gs', got {engine!r}")
-    if engine == "bgf" and (sparse or streaming):
+    if engine == "bgf" and sparse:
         raise ValidationError(
-            "sparse/streaming recommender runs require engine='gs' "
-            "(the BGF is whole-loop by algorithm)"
+            "sparse recommender runs require engine='gs' "
+            "(the BGF streams dense samples)"
         )
     cfg = get_benchmark("recommender")
     ratings = load_benchmark_dataset("recommender", scale=scale, seed=seed)
@@ -71,9 +68,6 @@ def run_figure9(
                 spec=TrainerSpec.gs(
                     learning_rate,
                     batch_size=10,
-                    streaming=streaming,
-                    stream_chunk_size=chunk_size,
-                    sparse_visible=sparse,
                     noise=NoiseSpec.from_noise_config(noise),
                 ),
                 rng=rngs[0],
@@ -123,7 +117,6 @@ def run_figure9(
             "engine": engine,
             "encoding": encoding,
             "sparse": sparse,
-            "streaming": streaming,
         },
         artifacts={} if kept_model is None else {"model": kept_model},
     )

@@ -39,7 +39,7 @@ from repro.config.specs import RunSpec
 from repro.eval.anomaly import RBMAnomalyDetector
 from repro.eval.recommender import RBMRecommender
 from repro.rbm.rbm import BernoulliRBM
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_bool
 
 ARTIFACT_FORMAT = "repro-rbm-artifact"
 ARTIFACT_VERSION = 1
@@ -363,7 +363,7 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
             raise _corrupted(
                 json_path,
                 f"estimator state field {name!r} is not a valid"
-                f" {convert.__name__}: {state[name]!r}",
+                f" {convert.__name__.removeprefix('check_')}: {state[name]!r}",
             ) from exc
 
     if kind == "rbm":
@@ -373,7 +373,7 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
             n_hidden=state_field("n_hidden", int),
             epochs=state_field("epochs", int),
             encoding=state_field("encoding"),
-            sparse=state_field("sparse", bool),
+            sparse=state_field("sparse", check_bool),
             rng=0,
         )
         model.rbm = rbm
@@ -387,7 +387,7 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
             score_method=state_field("score_method"),
             encoding=state_field("encoding"),
             n_bins=state_field("n_bins", int),
-            sparse=state_field("sparse", bool),
+            sparse=state_field("sparse", check_bool),
             rng=0,
         )
         model.rbm = rbm

@@ -460,6 +460,37 @@ def run_self_test(
 #: lines (bounds per-connection memory without limiting coalescing).
 MAX_PIPELINED_REQUESTS = 32
 
+#: Longest accepted request line.  8 MiB holds a ``max_batch_size=64``
+#: block of 784-wide rows of full-precision floats.  It is deliberately not
+#: the ``StreamReader`` limit: that limit is also the reader's flow-control
+#: mark (it buffers up to twice the limit before pausing the socket), and
+#: an 8 MiB limit lets an overloaded server buffer ~16 MiB per connection.
+MAX_REQUEST_BYTES = 8 * 1024 * 1024
+
+
+async def _read_request_line(reader) -> bytes:
+    """The next request line (``b""`` at end of stream).
+
+    Lines longer than the reader's limit (asyncio's 64 KiB default) are
+    assembled from limit-sized reads; a line over :data:`MAX_REQUEST_BYTES`
+    raises ``ValueError``.
+    """
+    parts: List[bytes] = []
+    size = 0
+    while True:
+        try:
+            part = await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as exc:
+            part = await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError as exc:
+            part = exc.partial  # end of stream: an unterminated last line
+        size += len(part)
+        if size > MAX_REQUEST_BYTES:
+            raise ValueError(f"request line exceeds {MAX_REQUEST_BYTES} bytes")
+        parts.append(part)
+        if not part or part.endswith(b"\n"):
+            return b"".join(parts)
+
 
 def _route(
     services: Mapping[str, MicroBatchScoringService],
@@ -526,7 +557,15 @@ async def _handle_client(
     writer_task = loop.create_task(_write_responses())
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await _read_request_line(reader)
+            except ValueError as exc:
+                # Over MAX_REQUEST_BYTES: the stream cannot resync to the
+                # next line, so answer in order and close the connection.
+                oversized = loop.create_future()
+                oversized.set_result({"id": None, "error": str(exc)})
+                await pending.put(oversized)
+                break
             if not line:
                 break
             await pending.put(loop.create_task(_process(line)))

@@ -26,9 +26,7 @@ from repro.utils.numerics import (
     sparse_density,
 )
 from repro.utils.batching import (
-    iter_chunks,
     minibatches,
-    rebatch,
     shuffle_arrays,
     train_test_split,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "sparse_mean_squared_error",
     "sparse_density",
     "minibatches",
-    "iter_chunks",
-    "rebatch",
     "shuffle_arrays",
     "train_test_split",
     "ShardedExecutor",

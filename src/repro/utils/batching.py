@@ -1,13 +1,13 @@
-"""Minibatching, chunked-streaming, and dataset-splitting helpers.
+"""Minibatching and dataset-splitting helpers.
 
-All helpers are sparse-aware: scipy CSR inputs are row-sliced without
-densification, so the streaming pipeline (``iter_chunks`` -> ``rebatch`` ->
-``Trainer.partial_fit``) keeps sparse visibles sparse end to end.
+:func:`minibatches` is sparse-aware: scipy CSR inputs are row-sliced
+without densification, so feeding its batches to ``Trainer.partial_fit``
+keeps sparse visibles sparse end to end.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -71,61 +71,6 @@ def minibatches(
             yield data[idx]
         else:
             yield data[idx], labels[idx]
-
-
-def iter_chunks(data, chunk_size: int) -> Iterator:
-    """Yield contiguous row chunks of ``data`` in storage order.
-
-    The producer side of the streaming pipeline: a chunk is an I/O unit
-    (what a loader would read at once), not a gradient batch — feed the
-    chunks through :func:`rebatch` to regroup them into training batches.
-    Sparse inputs yield CSR chunks.
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    data = _as_rows(data)
-    for start in range(0, data.shape[0], chunk_size):
-        yield data[start : start + chunk_size]
-
-
-def rebatch(chunks: Iterable, batch_size: int, *, drop_last: bool = False) -> Iterator:
-    """Regroup a stream of row chunks into fixed-size batches.
-
-    Chunk boundaries and batch boundaries are independent: leftover rows
-    from one chunk are carried into the next, so
-    ``rebatch(iter_chunks(data, c), b)`` yields exactly the batches of
-    ``minibatches(data, b, shuffle=False)`` for any chunk size ``c``.
-    Dense and sparse chunks are stacked with the matching concatenation;
-    mixing the two in one stream is an error.
-    """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    pending = []  # buffered row blocks, in order
-    buffered = 0
-
-    def _stack(blocks):
-        if len(blocks) == 1:
-            return blocks[0]
-        if any(is_sparse(b) for b in blocks):
-            if not all(is_sparse(b) for b in blocks):
-                raise ValueError("rebatch stream mixes sparse and dense chunks")
-            from scipy import sparse as sp
-
-            return sp.vstack(blocks, format="csr")
-        return np.concatenate(blocks, axis=0)
-
-    for chunk in chunks:
-        chunk = _as_rows(chunk)
-        pending.append(chunk)
-        buffered += chunk.shape[0]
-        while buffered >= batch_size:
-            block = _stack(pending)
-            yield block[:batch_size]
-            rest = block[batch_size:]
-            pending = [rest] if rest.shape[0] else []
-            buffered -= batch_size
-    if buffered and not drop_last:
-        yield _stack(pending)
 
 
 def shuffle_arrays(*arrays: np.ndarray, rng: SeedLike = None) -> Tuple[np.ndarray, ...]:

@@ -26,7 +26,12 @@ def check_array(
     ``shape`` entries of ``None`` act as wildcards, e.g. ``shape=(None, 10)``
     requires a 2-D array whose second dimension is exactly 10.
     """
-    arr = np.asarray(x, dtype=dtype)
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{name} must be a numeric array, got {type(x).__name__} ({exc})"
+        ) from None
     if ndim is not None and arr.ndim != ndim:
         raise ValidationError(f"{name} must have ndim={ndim}, got ndim={arr.ndim}")
     if shape is not None:
@@ -97,6 +102,14 @@ def check_finite(value: float, *, name: str = "value") -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_bool(value, name: str = "value") -> bool:
+    """``value`` if it is a real bool: ``bool("false")`` is True, so a
+    coerced string or int would silently flip the flag."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
     return value
 
 

@@ -1,9 +1,12 @@
 """Registry tests: coverage of all ten artifacts, preset round trips,
 param validation, and run_spec metadata recording."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import get_experiment, list_experiments, run_experiment
+from repro.api import registry
 from repro.api.registry import runspec_from_legacy_config
 from repro.config import ComputeSpec, RunSpec, ValidationError
 from repro.experiments.fig7_logprob import PAPER_FIGURE7_CONFIG
@@ -32,19 +35,45 @@ class TestRegistryCoverage:
             get_experiment("table2").preset("paper")
 
 
-class TestStreamedPresets:
-    """The streamed MovieLens/fraud variants exposed by the run registry."""
+class TestSparsePresets:
+    """The sparse MovieLens/fraud variants exposed by the run registry."""
 
     @pytest.mark.parametrize("name", ["figure9", "figure10"])
-    def test_streamed_preset_registered(self, name):
-        preset = get_experiment(name).preset("streamed")
-        assert preset.preset == "streamed"
-        kwargs = get_experiment(name).materialize_kwargs(preset)
+    def test_sparse_preset_replaces_streamed(self, name):
+        experiment = get_experiment(name)
+        assert "streamed" not in experiment.presets
+        preset = experiment.preset("sparse")
+        assert preset.preset == "sparse"
+        kwargs = experiment.materialize_kwargs(preset)
         assert kwargs["engine"] == "gs"
         assert kwargs["encoding"] == "onehot"
         assert kwargs["sparse"] is True
-        assert kwargs["streaming"] is True
-        assert kwargs["chunk_size"] >= 1
+        assert kwargs["epochs"] == 10
+        assert "streaming" not in kwargs and "chunk_size" not in kwargs
+
+    @pytest.mark.parametrize("name", ["figure9", "figure10"])
+    def test_old_streamed_run_spec_fails_before_training(self, name, monkeypatch):
+        """A RunSpec saved from a retired ``streamed`` preset names the two
+        retired knobs and never reaches the runner."""
+        old = RunSpec(
+            experiment=name,
+            preset="streamed",
+            params={
+                **get_experiment(name).preset("sparse").params,
+                "streaming": True,
+                "chunk_size": 64,
+            },
+        )
+        experiment = get_experiment(name)
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            name,
+            dataclasses.replace(
+                experiment, runner=lambda **_: pytest.fail("runner was called")
+            ),
+        )
+        with pytest.raises(ValidationError, match=r"chunk_size.*streaming"):
+            run_experiment(old)
 
 
 class TestPresetRoundTrips:

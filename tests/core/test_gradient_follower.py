@@ -3,6 +3,7 @@
 from helpers import FLOAT64_ASSOC_ATOL
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.config import NoiseSpec, TrainerSpec
 from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower
@@ -245,3 +246,20 @@ class TestBGFTrainer:
             BGFTrainer(
                 spec=TrainerSpec.bgf(0.1), rng=0
             ).train(BernoulliRBM(16, 8, rng=0), np.zeros((0, 16)), epochs=1)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "coo"])
+@pytest.mark.parametrize("entry", ["BGFTrainer.train", "BoltzmannGradientFollower.run"])
+def test_sparse_stream_rejected_by_name(entry, fmt):
+    """The BGF streams dense samples: sparse input fails validation naming
+    the sparse matrix, not with a numpy error from deep in the kernel."""
+    data = sp.random(6, 6, density=0.5, format=fmt, random_state=0)
+    with pytest.raises(ValidationError, match=f"scipy-sparse {fmt}_"):
+        if entry == "BGFTrainer.train":
+            BGFTrainer(spec=TrainerSpec.bgf(0.1), rng=0).train(
+                BernoulliRBM(6, 4, rng=0), data, epochs=1
+            )
+        else:
+            machine = BoltzmannGradientFollower(6, 4, rng=0)
+            machine.initialize(np.zeros((6, 4)), np.zeros(6), np.zeros(4))
+            machine.run(data)

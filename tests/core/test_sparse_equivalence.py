@@ -256,7 +256,6 @@ class TestTrainerSparseEquivalence:
                     batch_size=5,
                     chains=chains,
                     persistent=persistent,
-                    sparse_visible=is_sparse(data),
                 ),
                 rng=1,
             ).train(rbm, data, epochs=2, shuffle=False)

@@ -1,11 +1,11 @@
 """Streaming `partial_fit` pinning: streamed training == one-shot training.
 
-The streaming entry points (`GibbsSamplerTrainer.partial_fit`,
-`PCDTrainer.partial_fit`, the `TrainerSpec.gs(streaming=True)` epoch loop,
-and the chunked-loader protocol) all promise bit-identity with the one-shot
-`train(..., shuffle=False)` call under the same seed and batch order —
-both consume the trainer RNG stream in the same documented order.  These
-tests pin that contract exactly (``assert_array_equal``, not allclose).
+`partial_fit` is the one streaming entry point: feeding
+`GibbsSamplerTrainer.partial_fit` or `PCDTrainer.partial_fit` the batches
+of `minibatches(data, batch_size, shuffle=False)` is bit-identical to the
+one-shot `train(..., shuffle=False)` call under the same seed — both
+consume the trainer RNG stream in the same documented order.  These tests
+pin that contract exactly (``assert_array_equal``, not allclose).
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from scipy import sparse as sp
 
 from repro.config.specs import TrainerSpec
 from repro.core.gibbs_sampler import GibbsSamplerTrainer
-from repro.datasets.base import ArrayChunkLoader, ChunkedLoader
 from repro.rbm.pcd import PCDTrainer
 from repro.rbm.rbm import BernoulliRBM
 from repro.utils.batching import minibatches
@@ -62,11 +61,11 @@ class TestGSPartialFitBitIdentity:
         rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
         rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
 
-        streamer = _gs_trainer(sparse_visible=sparse, **knobs)
+        streamer = _gs_trainer(**knobs)
         for batch in minibatches(data, BATCH):
             streamer.partial_fit(rbm_stream, batch)
 
-        _gs_trainer(sparse_visible=sparse, **knobs).train(
+        _gs_trainer(**knobs).train(
             rbm_train, data, epochs=1, shuffle=False
         )
         _assert_params_equal(rbm_stream, rbm_train)
@@ -93,76 +92,6 @@ class TestGSPartialFitBitIdentity:
         rbm = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
         with pytest.raises(ValidationError):
             trainer.partial_fit(rbm, np.zeros((4, N_VISIBLE + 1)))
-
-
-class TestStreamingTrainer:
-    @pytest.mark.parametrize("chunk_size", [3, BATCH, 8, None])
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_streaming_train_matches_one_shot(self, chunk_size, sparse):
-        data = _data(sparse=sparse)
-        rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-        rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-
-        _gs_trainer(
-            streaming=True, stream_chunk_size=chunk_size, sparse_visible=sparse
-        ).train(rbm_stream, data, epochs=2)
-        _gs_trainer(sparse_visible=sparse).train(
-            rbm_train, data, epochs=2, shuffle=False
-        )
-        _assert_params_equal(rbm_stream, rbm_train)
-
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_chunked_loader_matches_in_memory(self, sparse):
-        data = _data(sparse=sparse)
-        loader = ArrayChunkLoader(data, chunk_size=7)
-        rbm_loader = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-        rbm_memory = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-
-        _gs_trainer(streaming=True, sparse_visible=sparse).train(
-            rbm_loader, loader, epochs=2
-        )
-        _gs_trainer(sparse_visible=sparse).train(
-            rbm_memory, data, epochs=2, shuffle=False
-        )
-        _assert_params_equal(rbm_loader, rbm_memory)
-
-    def test_loader_requires_streaming_trainer(self):
-        loader = ArrayChunkLoader(_data(), chunk_size=7)
-        with pytest.raises(ValidationError):
-            _gs_trainer().train(BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0), loader)
-
-    def test_loader_feature_width_validated(self):
-        loader = ArrayChunkLoader(np.zeros((10, N_VISIBLE + 3)), chunk_size=5)
-        with pytest.raises(ValidationError):
-            _gs_trainer(streaming=True).train(
-                BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0), loader
-            )
-
-
-class TestArrayChunkLoader:
-    def test_protocol_conformance(self):
-        loader = ArrayChunkLoader(_data(), chunk_size=7)
-        assert isinstance(loader, ChunkedLoader)
-        assert loader.n_rows == N_ROWS
-        assert loader.n_features == N_VISIBLE
-
-    def test_reiterable(self):
-        loader = ArrayChunkLoader(_data(), chunk_size=7)
-        first = [c.copy() for c in loader.iter_chunks()]
-        second = list(loader.iter_chunks())
-        assert len(first) == len(second)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
-
-    def test_sparse_chunks_stay_sparse(self):
-        loader = ArrayChunkLoader(_data(sparse=True), chunk_size=7)
-        assert all(sp.issparse(c) for c in loader.iter_chunks())
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ArrayChunkLoader(_data(), chunk_size=0)
-        with pytest.raises(ValidationError):
-            ArrayChunkLoader(np.zeros(10), chunk_size=2)
 
 
 class TestPCDPartialFitBitIdentity:
@@ -194,31 +123,16 @@ class TestPCDPartialFitBitIdentity:
         assert trainer.particles.shape == first.shape
 
 
-class TestStreamingSpecKnobs:
-    @pytest.mark.parametrize("kind", ["cd", "bgf"])
-    def test_streaming_is_gs_only(self, kind):
-        with pytest.raises(ValidationError):
-            TrainerSpec(kind=kind, learning_rate=0.1, streaming=True)
+class TestTrainInput:
+    def test_train_rejects_a_chunked_loader(self):
+        """``train`` takes a matrix; an object of the retired chunked-loader
+        shape fails validation instead of leaking an AttributeError."""
 
-    def test_stream_chunk_size_requires_streaming(self):
-        with pytest.raises(ValidationError):
-            TrainerSpec.gs(0.1, stream_chunk_size=32)
+        class OldLoader:
+            n_rows, n_features = N_ROWS, N_VISIBLE
 
-    def test_stream_chunk_size_validated(self):
-        with pytest.raises(ValidationError):
-            TrainerSpec.gs(0.1, streaming=True, stream_chunk_size=0)
-        with pytest.raises(ValidationError):
-            TrainerSpec.gs(0.1, streaming=True, stream_chunk_size="many")
+            def iter_chunks(self):
+                yield _data()
 
-    def test_sparse_visible_rejected_on_bgf(self):
-        with pytest.raises(ValidationError):
-            TrainerSpec(kind="bgf", learning_rate=0.1, sparse_visible=True)
-        # ... but allowed on the software CD trainer's data-side kernels.
-        assert TrainerSpec(kind="cd", learning_rate=0.1, sparse_visible=True).sparse_visible
-
-    def test_knobs_round_trip(self):
-        spec = TrainerSpec.gs(0.1, streaming=True, stream_chunk_size=64, sparse_visible=True)
-        assert spec.streaming and spec.stream_chunk_size == 64 and spec.sparse_visible
-        trainer = GibbsSamplerTrainer(spec=spec, rng=0)
-        assert trainer.streaming and trainer.stream_chunk_size == 64
-        assert trainer.sparse_visible
+        with pytest.raises(ValidationError, match="OldLoader"):
+            _gs_trainer().train(BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0), OldLoader())

@@ -1,14 +1,11 @@
-"""Tests for the sparse one-hot encoders feeding the streamed workloads."""
+"""Tests for the sparse one-hot encoders feeding the sparse workloads."""
 
 import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.datasets import (
-    ArrayChunkLoader,
-    encode_features_onehot,
-    encode_ratings_onehot,
-)
+from repro.datasets import encode_features_onehot, encode_ratings_onehot
+from repro.utils.batching import minibatches
 from repro.utils.validation import ValidationError
 
 pytestmark = pytest.mark.sparse
@@ -62,12 +59,12 @@ class TestEncodeRatingsOnehot:
         with pytest.raises(ValidationError):
             encode_ratings_onehot(ratings - 1, 5)  # negatives
 
-    def test_feeds_chunked_loader(self, ratings):
+    def test_feeds_sparse_minibatches(self, ratings):
         encoded = encode_ratings_onehot(ratings, 5)
-        loader = ArrayChunkLoader(encoded, chunk_size=2)
-        assert loader.n_rows == 3 and loader.n_features == 20
+        batches = list(minibatches(encoded, 2))
+        assert all(sp.issparse(batch) for batch in batches)
         np.testing.assert_array_equal(
-            sp.vstack(list(loader.iter_chunks())).toarray(), encoded.toarray()
+            sp.vstack(batches).toarray(), encoded.toarray()
         )
 
 

@@ -168,16 +168,14 @@ class TestFigure9:
         with pytest.raises(ValidationError):
             run_figure9(engine="tpu")
 
-    def test_sparse_streaming_require_gs_engine(self):
+    def test_sparse_requires_gs_engine(self):
         with pytest.raises(ValidationError):
             run_figure9(engine="bgf", sparse=True)
-        with pytest.raises(ValidationError):
-            run_figure9(engine="bgf", streaming=True)
 
 
 @pytest.mark.sparse
-class TestFigure9Streamed:
-    """The registry's streamed MovieLens variant at CI scale."""
+class TestFigure9Sparse:
+    """The registry's sparse MovieLens variant at CI scale."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -187,16 +185,14 @@ class TestFigure9Streamed:
             engine="gs",
             encoding="onehot",
             sparse=True,
-            streaming=True,
-            chunk_size=16,
             seed=0,
         )
 
-    def test_metadata_records_the_streamed_configuration(self, result):
+    def test_metadata_records_the_sparse_configuration(self, result):
         assert result.metadata["engine"] == "gs"
         assert result.metadata["encoding"] == "onehot"
         assert result.metadata["sparse"] is True
-        assert result.metadata["streaming"] is True
+        assert "streaming" not in result.metadata
 
     def test_mae_beats_baseline(self, result):
         for row in result.rows:
@@ -228,7 +224,7 @@ class TestFigure10:
     def test_formatting(self, result):
         assert "auc" in format_figure10(result)
 
-    def test_sparse_streaming_require_gs_engine(self):
+    def test_sparse_requires_gs_engine(self):
         with pytest.raises(ValidationError):
             run_figure10(engine="bgf", sparse=True)
         with pytest.raises(ValidationError):
@@ -236,8 +232,8 @@ class TestFigure10:
 
 
 @pytest.mark.sparse
-class TestFigure10Streamed:
-    """The registry's streamed fraud variant at CI scale."""
+class TestFigure10Sparse:
+    """The registry's sparse fraud variant at CI scale."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -248,8 +244,6 @@ class TestFigure10Streamed:
             encoding="onehot",
             n_bins=8,
             sparse=True,
-            streaming=True,
-            chunk_size=64,
             seed=0,
         )
 
@@ -257,10 +251,10 @@ class TestFigure10Streamed:
         for config, auc in auc_by_config(result).items():
             assert auc > 0.85, config
 
-    def test_metadata_records_the_streamed_configuration(self, result):
+    def test_metadata_records_the_sparse_configuration(self, result):
         assert result.metadata["engine"] == "gs"
         assert result.metadata["sparse"] is True
-        assert result.metadata["streaming"] is True
+        assert "streaming" not in result.metadata
 
 
 class TestFigure11:

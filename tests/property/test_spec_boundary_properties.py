@@ -137,7 +137,7 @@ def _float_dtype_alias(value) -> bool:
     ``"double"``, ...), which the constructor still accepts."""
     try:
         return np.dtype(value) in (np.dtype(np.float32), np.dtype(np.float64))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, SyntaxError):
         return False
 
 

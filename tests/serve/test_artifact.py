@@ -486,3 +486,38 @@ def test_malformed_metadata_fails_naming_the_field(
     json_path.write_text(json.dumps(meta))
     with pytest.raises(ValidationError, match=field):
         load_model(tmp_path / "model")
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1])
+@pytest.mark.parametrize("kind", ["recommender", "anomaly"])
+def test_non_bool_sparse_flag_is_corruption(tmp_path, request, kind, value):
+    """``bool("false")`` is True: the ``sparse`` flag must be a real JSON
+    bool, or the loader would silently flip the estimator's encoding."""
+    save_model(_fitted_estimator(kind, request), tmp_path / "model")
+    json_path = tmp_path / "model.json"
+    meta = json.loads(json_path.read_text())
+    meta["state"]["sparse"] = value
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match="'sparse' is not a valid bool"):
+        load_model(tmp_path / "model")
+
+
+@pytest.mark.parametrize("experiment", ["figure9", "figure10"])
+def test_run_spec_of_a_retired_streamed_preset_still_loads(tmp_path, experiment):
+    """Artifacts saved from the retired ``streamed`` presets carry
+    ``streaming``/``chunk_size`` params; RunSpec params are free-form, so
+    the bundle loads (running that spec is what fails, by name)."""
+    spec = RunSpec(
+        experiment=experiment,
+        preset="streamed",
+        params={
+            "engine": "gs",
+            "encoding": "onehot",
+            "sparse": True,
+            "streaming": True,
+            "chunk_size": 64,
+            "epochs": 10,
+        },
+    )
+    save_model(_random_rbm(), tmp_path / "model", run_spec=spec)
+    assert load_model(tmp_path / "model").run_spec == spec

@@ -21,6 +21,7 @@ from repro.serve import (
     score_batches,
     serve_forever,
 )
+from repro.serve import service as service_module
 from repro.serve.service import _handle_client
 from repro.utils.validation import ValidationError
 
@@ -443,6 +444,83 @@ class TestTCPFrontEnd:
         assert stats.requests == 6
         assert stats.batches == 1  # the whole pipeline landed in one batch
         assert stats.max_batch_rows == 6
+
+
+class TestRequestSizeLimit:
+    @staticmethod
+    def _exchange(artifact, payload):
+        """Send ``payload`` to a fresh server; every reply line until EOF."""
+
+        async def drive():
+            bound = {}
+            server_task = asyncio.get_running_loop().create_task(
+                serve_forever(
+                    artifact,
+                    port=0,
+                    ready_callback=lambda host, port: bound.update(
+                        host=host, port=port
+                    ),
+                )
+            )
+            while not bound:
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_connection(
+                bound["host"], bound["port"]
+            )
+            try:
+                writer.write(payload)
+                writer.write_eof()
+                await writer.drain()
+                replies = []
+                while line := await reader.readline():
+                    replies.append(json.loads(line))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server_task.cancel()
+                try:
+                    await server_task
+                except asyncio.CancelledError:
+                    pass
+            return replies
+
+        return asyncio.run(drive())
+
+    @staticmethod
+    def _line(request_id, rows):
+        return (json.dumps({"id": request_id, "rows": rows.tolist()}) + "\n").encode()
+
+    def test_mnist_width_request_over_64_kib_is_scored(self, tmp_path):
+        rbm = BernoulliRBM(784, 8, rng=0)
+        save_model(rbm, tmp_path / "model")
+        rows = np.random.default_rng(4).random((30, 784))
+        line = self._line(1, rows)
+        assert len(line) > 64 * 1024  # over asyncio's default line limit
+
+        (reply,) = self._exchange(load_model(tmp_path / "model"), line)
+        assert reply["id"] == 1
+        np.testing.assert_allclose(
+            np.asarray(reply["scores"]), rbm.score_samples(rows), rtol=1e-10
+        )
+
+    def test_over_limit_line_gets_an_error_reply_then_close(
+        self, tmp_path, scorer_rbm, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "MAX_REQUEST_BYTES", 1024)
+        save_model(scorer_rbm, tmp_path / "model")
+        small = np.ones((1, 12))
+        big = np.random.default_rng(5).random((30, 12))
+        assert len(self._line(2, big)) > 1024
+
+        replies = self._exchange(
+            load_model(tmp_path / "model"),
+            self._line(1, small) + self._line(2, big) + self._line(3, small),
+        )
+        # The request before the oversized line is answered in order; the
+        # connection closes after the error, so request 3 gets no reply.
+        assert [reply["id"] for reply in replies] == [1, None]
+        assert "scores" in replies[0]
+        assert replies[1]["error"] == "request line exceeds 1024 bytes"
 
 
 class TestMultiModel:

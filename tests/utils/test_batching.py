@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.utils.batching import (
-    iter_chunks,
-    minibatches,
-    rebatch,
-    shuffle_arrays,
-    train_test_split,
-)
+from repro.utils.batching import minibatches, shuffle_arrays, train_test_split
 
 
 class TestMinibatches:
@@ -86,61 +80,6 @@ class TestMinibatches:
         for batch_x, batch_y in minibatches(csr, 3, labels=labels):
             assert sp.issparse(batch_x)
             assert batch_x.shape[0] == batch_y.shape[0]
-
-
-class TestIterChunks:
-    def test_chunk_sizes_and_order(self):
-        data = np.arange(20).reshape(10, 2)
-        chunks = list(iter_chunks(data, 4))
-        assert [c.shape[0] for c in chunks] == [4, 4, 2]
-        np.testing.assert_array_equal(np.concatenate(chunks), data)
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(iter_chunks(np.zeros((4, 2)), 0))
-
-    def test_sparse_chunks_stay_sparse(self):
-        csr = sp.csr_matrix(np.eye(9))
-        chunks = list(iter_chunks(csr, 4))
-        assert all(sp.issparse(c) for c in chunks)
-        np.testing.assert_array_equal(sp.vstack(chunks).toarray(), np.eye(9))
-
-
-class TestRebatch:
-    @pytest.mark.parametrize("chunk_size", [1, 3, 5, 8, 100])
-    @pytest.mark.parametrize("batch_size", [1, 4, 7])
-    def test_round_trip_matches_minibatches_dense(self, chunk_size, batch_size):
-        data = np.arange(34).reshape(17, 2).astype(float)
-        rebatched = list(rebatch(iter_chunks(data, chunk_size), batch_size))
-        direct = list(minibatches(data, batch_size))
-        assert len(rebatched) == len(direct)
-        for rb, db in zip(rebatched, direct):
-            np.testing.assert_array_equal(rb, db)
-
-    @pytest.mark.parametrize("chunk_size", [2, 5, 9])
-    def test_round_trip_matches_minibatches_sparse(self, chunk_size):
-        dense = np.where(np.random.default_rng(1).random((13, 3)) < 0.4, 1.0, 0.0)
-        csr = sp.csr_matrix(dense)
-        rebatched = list(rebatch(iter_chunks(csr, chunk_size), 4))
-        direct = list(minibatches(dense, 4))
-        assert len(rebatched) == len(direct)
-        for rb, db in zip(rebatched, direct):
-            assert sp.issparse(rb)
-            np.testing.assert_array_equal(rb.toarray(), db)
-
-    def test_drop_last(self):
-        data = np.arange(20).reshape(10, 2)
-        sizes = [b.shape[0] for b in rebatch(iter_chunks(data, 3), 4, drop_last=True)]
-        assert sizes == [4, 4]
-
-    def test_mixed_sparse_dense_stream_rejected(self):
-        stream = [np.zeros((3, 2)), sp.csr_matrix(np.zeros((3, 2)))]
-        with pytest.raises(ValueError):
-            list(rebatch(stream, 4))
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            list(rebatch(iter_chunks(np.zeros((4, 2)), 2), 0))
 
 
 class TestShuffleArrays:
