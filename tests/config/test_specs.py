@@ -152,6 +152,18 @@ class TestTrainerSpec:
             "noise", "compute",
         )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("streaming", True), ("stream_chunk_size", 64), ("sparse_visible", True)],
+    )
+    def test_retired_streaming_knobs_are_not_accepted(self, name, value):
+        """The in-``train`` streaming knobs are gone; streaming goes through
+        ``partial_fit``, so neither constructor takes them any more."""
+        with pytest.raises(TypeError, match=name):
+            TrainerSpec.gs(0.1, **{name: value})
+        with pytest.raises(TypeError, match=name):
+            TrainerSpec(kind="gs", learning_rate=0.1, **{name: value})
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError, match="unknown trainer kind"):
             TrainerSpec(kind="sgd")

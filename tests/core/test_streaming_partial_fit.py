@@ -70,6 +70,30 @@ class TestGSPartialFitBitIdentity:
         )
         _assert_params_equal(rbm_stream, rbm_train)
 
+    @pytest.mark.parametrize("batch_size", [1, 3, BATCH, 8, N_ROWS])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_multi_epoch_stream_matches_one_shot_train(self, batch_size, sparse):
+        """Each pass over ``minibatches(data, batch_size)`` is one epoch:
+        two passes through ``partial_fit`` equal ``train(epochs=2)``, for
+        batch sizes that divide the row count and ones that leave a short
+        last batch."""
+        data = _data(sparse=sparse)
+        rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+        rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+
+        def trainer():
+            return GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.1, batch_size=batch_size), rng=1
+            )
+
+        streamer = trainer()
+        for _ in range(2):
+            for batch in minibatches(data, batch_size):
+                streamer.partial_fit(rbm_stream, batch)
+
+        trainer().train(rbm_train, data, epochs=2, shuffle=False)
+        _assert_params_equal(rbm_stream, rbm_train)
+
     def test_persistent_chains_carry_across_calls(self):
         data = _data()
         trainer = _gs_trainer(chains=4, persistent=True)
@@ -94,6 +118,46 @@ class TestGSPartialFitBitIdentity:
             trainer.partial_fit(rbm, np.zeros((4, N_VISIBLE + 1)))
 
 
+class TestOutOfCoreStreaming:
+    """Data that does not fit in memory streams through ``partial_fit``:
+    batches read from disk one at a time train exactly like the in-memory
+    ``train(shuffle=False)`` run."""
+
+    def test_memory_mapped_array_matches_in_memory(self, tmp_path):
+        data = _data()
+        path = tmp_path / "train.npy"
+        np.save(path, data)
+        on_disk = np.load(path, mmap_mode="r")
+        rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+        rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+
+        streamer = _gs_trainer()
+        for batch in minibatches(on_disk, BATCH):
+            streamer.partial_fit(rbm_stream, batch)
+
+        _gs_trainer().train(rbm_train, data, epochs=1, shuffle=False)
+        _assert_params_equal(rbm_stream, rbm_train)
+
+    def test_csr_shards_match_in_memory(self, tmp_path):
+        data = _data(sparse=True)
+        shard_rows = 2 * BATCH
+        paths = []
+        for i, start in enumerate(range(0, N_ROWS, shard_rows)):
+            paths.append(tmp_path / f"shard{i}.npz")
+            sp.save_npz(paths[-1], data[start : start + shard_rows])
+        rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+        rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+
+        streamer = _gs_trainer()
+        for path in paths:
+            for batch in minibatches(sp.load_npz(path), BATCH):
+                assert sp.issparse(batch)
+                streamer.partial_fit(rbm_stream, batch)
+
+        _gs_trainer().train(rbm_train, data, epochs=1, shuffle=False)
+        _assert_params_equal(rbm_stream, rbm_train)
+
+
 class TestPCDPartialFitBitIdentity:
     @pytest.mark.parametrize("persistent", [True, False])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
@@ -111,6 +175,25 @@ class TestPCDPartialFitBitIdentity:
         PCDTrainer(
             n_particles=6, batch_size=BATCH, persistent=persistent, rng=1
         ).train(rbm_train, data, epochs=1, shuffle=False)
+        _assert_params_equal(rbm_stream, rbm_train)
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_multi_epoch_stream_matches_one_shot_train(self, persistent, sparse):
+        data = _data(sparse=sparse)
+        rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+        rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+
+        streamer = PCDTrainer(
+            n_particles=6, batch_size=BATCH, persistent=persistent, rng=1
+        )
+        for _ in range(2):
+            for batch in minibatches(data, BATCH):
+                streamer.partial_fit(rbm_stream, batch)
+
+        PCDTrainer(
+            n_particles=6, batch_size=BATCH, persistent=persistent, rng=1
+        ).train(rbm_train, data, epochs=2, shuffle=False)
         _assert_params_equal(rbm_stream, rbm_train)
 
     def test_particles_carry_across_calls(self):

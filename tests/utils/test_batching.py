@@ -82,6 +82,46 @@ class TestMinibatches:
             assert batch_x.shape[0] == batch_y.shape[0]
 
 
+def _binary(n_rows=17, n_cols=3, seed=1):
+    return np.where(np.random.default_rng(seed).random((n_rows, n_cols)) < 0.4, 1.0, 0.0)
+
+
+class TestMinibatchPartition:
+    """The batches of ``minibatches`` partition the rows in order: every
+    batch but the last holds ``batch_size`` rows, and CSR input yields CSR
+    batches equal to the dense ones."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 7, 17, 100])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_batches_reassemble_the_data(self, batch_size, sparse):
+        dense = _binary()
+        data = sp.csr_matrix(dense) if sparse else dense
+        batches = list(minibatches(data, batch_size))
+        assert len(batches) == -(-dense.shape[0] // batch_size)
+        assert all(b.shape[0] == batch_size for b in batches[:-1])
+        assert all(sp.issparse(b) == sparse for b in batches)
+        stack = sp.vstack(batches).toarray() if sparse else np.concatenate(batches)
+        np.testing.assert_array_equal(stack, dense)
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 7])
+    def test_drop_last_keeps_only_full_batches(self, batch_size):
+        dense = _binary()
+        batches = list(minibatches(sp.csr_matrix(dense), batch_size, drop_last=True))
+        assert len(batches) == dense.shape[0] // batch_size
+        assert all(b.shape[0] == batch_size for b in batches)
+        kept = len(batches) * batch_size
+        np.testing.assert_array_equal(sp.vstack(batches).toarray(), dense[:kept])
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 17])
+    def test_shuffled_csr_matches_shuffled_dense(self, batch_size):
+        dense = _binary()
+        sparse_batches = list(minibatches(sp.csr_matrix(dense), batch_size, shuffle=True, rng=2))
+        dense_batches = list(minibatches(dense, batch_size, shuffle=True, rng=2))
+        assert len(sparse_batches) == len(dense_batches)
+        for sb, db in zip(sparse_batches, dense_batches):
+            np.testing.assert_array_equal(sb.toarray(), db)
+
+
 class TestShuffleArrays:
     def test_same_permutation_applied(self):
         x = np.arange(20).reshape(20, 1)
