@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
+from repro.datasets import load_kmnist_like
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 from repro.serve import MicroBatchScoringService, measure_latency
@@ -425,6 +426,11 @@ def _serve_wave_kernel(n_visible: int, n_hidden: int, concurrency: int, fast: bo
     return kernel
 
 
+def _image_dataset_kernel():
+    """The paper-scale KMNIST build: 2,400 jittered, noisy 28x28 images."""
+    return lambda: load_kmnist_like(scale=1.0)
+
+
 def _ais_kernel(n_visible: int = 49, n_hidden: int = 32):
     """One AIS log-Z estimate (the vectorized beta sweep)."""
     rbm = BernoulliRBM(n_visible, n_hidden, rng=0)
@@ -517,6 +523,9 @@ def run_benchmarks(
         single["gs_multichain_negative_phase_p8_784x500"] = lambda: (
             _multichain_negative_phase_kernel(784, 500, 8, 2)
         )
+        # The whole paper-scale synthetic image build, test split included,
+        # as a run that scores held-out images makes it.
+        single["image_dataset_kmnist_paper"] = _image_dataset_kernel
         # Precision-tier entries: legacy = the float64 tier, fast = the
         # float32 tier (fused sigmoid->compare latch), so the ratio isolates
         # the precision win on the BLAS-bound MNIST-scale kernels.
@@ -589,8 +598,9 @@ def run_benchmarks(
             "note": (
                 "median per-call wall-clock seconds (inner-loop calibrated "
                 "so each measurement spans >=5ms); the substrate "
-                "conditional-sampling, GS/BGF/CD epoch, gs_pcd/gs_multichain "
-                "and ais_logz_49x32 entries have one implementation and "
+                "conditional-sampling, GS/BGF/CD epoch, gs_pcd/gs_multichain, "
+                "ais_logz_49x32 and image_dataset entries have one "
+                "implementation and "
                 "record fast_median_s only (no baseline leg, no speedup); "
                 "for *_float32 entries legacy = the float64 tier and "
                 "fast = the float32 precision tier (fused Bernoulli latch); "

@@ -325,17 +325,23 @@ class GibbsSamplerTrainer:
         # Step 8: host computes the gradient from the read-out samples.  The
         # data term is the only place the (possibly sparse) batch enters:
         # v_pos^T . h_pos as sparse-dense and the batch mean over stored
-        # entries; everything negative-phase stays dense.
+        # entries; everything negative-phase stays dense.  ``grad_w`` is a
+        # fresh product, so it is divided, subtracted and scaled in place,
+        # with no full-size temporaries.  Its dtype already covers the
+        # negative term's (the batch joins the data term only), so no
+        # in-place step narrows a result.
         n = batch.shape[0]
+        grad_w = safe_sparse_dot(batch.T, h_pos)
         if chain_engine:
-            grad_w = (
-                safe_sparse_dot(batch.T, h_pos) / n
-                - v_neg.T @ h_neg / v_neg.shape[0]
-            )
+            grad_w /= n
+            model_term = v_neg.T @ h_neg
+            model_term /= v_neg.shape[0]
+            grad_w -= model_term
             grad_bv = sparse_mean(batch, axis=0) - np.mean(v_neg, axis=0)
             grad_bh = np.mean(h_pos, axis=0) - np.mean(h_neg, axis=0)
         else:
-            grad_w = (safe_sparse_dot(batch.T, h_pos) - v_neg.T @ h_neg) / n
+            grad_w -= v_neg.T @ h_neg
+            grad_w /= n
             if is_sparse(batch):
                 grad_bv = sparse_mean(batch, axis=0) - np.mean(v_neg, axis=0)
             else:
@@ -343,7 +349,8 @@ class GibbsSamplerTrainer:
             grad_bh = np.mean(h_pos - h_neg, axis=0)
         if self.weight_decay:
             grad_w = grad_w - self.weight_decay * rbm.weights
-        rbm.weights += self.learning_rate * grad_w
+        grad_w *= self.learning_rate
+        rbm.weights += grad_w
         rbm.visible_bias += self.learning_rate * grad_bv
         rbm.hidden_bias += self.learning_rate * grad_bh
         machine.host.record_host_update()

@@ -103,7 +103,8 @@ class Dataset:
             n = x.shape[0]
             imgs = x.reshape(n, height, width, channels)
             pooled = imgs.reshape(n, new_h, block, new_w, block, channels).mean(axis=(2, 4))
-            return pooled.reshape(n, -1)
+            # An explicit width: ``-1`` cannot be inferred for a 0-row split.
+            return pooled.reshape(n, new_h * new_w * channels)
 
         new_shape = (new_h, new_w) if channels == 1 else (new_h, new_w, channels)
         return Dataset(

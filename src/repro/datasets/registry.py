@@ -143,19 +143,28 @@ def get_benchmark(name: str) -> BenchmarkConfig:
     return TABLE1_CONFIGS[key]
 
 
-def load_benchmark_dataset(name: str, *, scale: str = "ci", seed: int = 0):
+def load_benchmark_dataset(
+    name: str, *, scale: str = "ci", seed: int = 0, train_rows: Optional[int] = None
+):
     """Load the synthetic dataset backing benchmark ``name``.
 
     ``scale="ci"`` shrinks sample counts (and, for the recommender, the
     user count) so training-based experiments finish quickly; ``"paper"``
-    uses Table-1-scale dimensions.
+    uses Table-1-scale dimensions.  ``train_rows=k`` (image benchmarks
+    only) builds just the first ``k`` training rows, bit-identical to
+    ``[:k]`` of the full load, and an empty test split.
     """
     cfg = get_benchmark(name)
     if cfg.loader is None:  # pragma: no cover - all registry entries set one
         raise ValidationError(f"benchmark {name!r} has no dataset loader")
+    if train_rows is not None and cfg.kind != "image":
+        raise ValidationError(
+            f"train_rows applies to image benchmarks only; {name!r} is a "
+            f"{cfg.kind} benchmark"
+        )
     if cfg.kind == "image":
         factor = 1.0 if scale == "paper" else 0.2
-        dataset = cfg.loader(seed=seed, scale=factor)
+        dataset = cfg.loader(seed=seed, scale=factor, train_rows=train_rows)
         if scale != "paper" and dataset.image_shape and dataset.image_shape[0] >= 28:
             # CI scale also shrinks the 28x28 images to 7x7 so that the
             # training-based experiments stay fast (see ci_rbm_shape).

@@ -24,13 +24,13 @@ through a convolutional-RBM feature extractor, which we reproduce in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.datasets.base import Dataset
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_int, check_positive
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,31 @@ class ImageDatasetSpec:
     jitter: int = 1
     grayscale_levels: int = 256
     background_level: float = 0.25
+
+    def __post_init__(self) -> None:
+        shape = tuple(self.image_shape) if isinstance(self.image_shape, (tuple, list)) else ()
+        if len(shape) not in (2, 3):
+            raise ValidationError(
+                f"image_shape must be (h, w) or (h, w, channels), got {self.image_shape!r}"
+            )
+        # The prototype blur needs rows and columns at least 3 pixels long.
+        for size, minimum in zip(shape, (3, 3, 1)):
+            check_int(size, "image_shape", minimum)
+        check_int(self.n_classes, "n_classes", 2)
+        check_int(self.n_train, "n_train", 1)
+        check_int(self.n_test, "n_test", 1)
+        check_positive(self.prototype_smoothness, name="prototype_smoothness", strict=False)
+        check_int(self.stroke_count, "stroke_count", 0)
+        check_positive(self.pixel_noise, name="pixel_noise", strict=False)
+        # The jitter is one slice of a wrap-padded prototype, so a shift
+        # must stay under the image size.
+        if check_int(self.jitter, "jitter", 0) >= min(shape[:2]):
+            raise ValidationError(
+                f"jitter must be < min(h, w) = {min(shape[:2])}, got {self.jitter}"
+            )
+        if check_int(self.grayscale_levels, "grayscale_levels", 0) == 1:
+            raise ValidationError("grayscale_levels must be 0 (no quantization) or >= 2, got 1")
+        check_positive(self.background_level, name="background_level", strict=False)
 
     @property
     def n_features(self) -> int:
@@ -103,13 +128,8 @@ def _add_strokes(canvas: np.ndarray, count: int, rng: np.random.Generator) -> np
 
 def _make_prototypes(spec: ImageDatasetSpec, rng: np.random.Generator) -> np.ndarray:
     """Build one prototype image per class."""
-    if len(spec.image_shape) == 2:
-        h, w = spec.image_shape
-        channels = 1
-    elif len(spec.image_shape) == 3:
-        h, w, channels = spec.image_shape
-    else:
-        raise ValidationError(f"unsupported image shape {spec.image_shape}")
+    h, w = spec.image_shape[:2]
+    channels = spec.image_shape[2] if len(spec.image_shape) == 3 else 1
     protos = np.zeros((spec.n_classes,) + tuple(spec.image_shape))
     for cls in range(spec.n_classes):
         planes = []
@@ -119,49 +139,59 @@ def _make_prototypes(spec: ImageDatasetSpec, rng: np.random.Generator) -> np.nda
             )
             base = _add_strokes(base, spec.stroke_count, rng)
             planes.append(base)
-        img = planes[0] if channels == 1 else np.stack(planes, axis=-1)
-        protos[cls] = img
+        protos[cls] = np.stack(planes, axis=-1).reshape(spec.image_shape)
     return protos
 
 
-def _jitter_image(img: np.ndarray, jitter: int, rng: np.random.Generator) -> np.ndarray:
-    """Randomly translate an image by up to ``jitter`` pixels in each axis."""
-    if jitter <= 0:
-        return img
-    dr = int(rng.integers(-jitter, jitter + 1))
-    dc = int(rng.integers(-jitter, jitter + 1))
-    return np.roll(np.roll(img, dr, axis=0), dc, axis=1)
-
-
-def make_image_dataset(spec: ImageDatasetSpec, seed: SeedLike = 0) -> Dataset:
+def make_image_dataset(
+    spec: ImageDatasetSpec, seed: SeedLike = 0, *, train_rows: Optional[int] = None
+) -> Dataset:
     """Generate a synthetic image dataset from ``spec``.
 
-    The generator is deterministic for a given ``(spec, seed)`` pair.
+    The generator is deterministic for a given ``(spec, seed)`` pair.  Each
+    image draws its class, then (with ``jitter``) a row and a column shift,
+    then one normal per pixel; the training split is drawn before the test
+    split.  ``train_rows=k`` therefore draws only the first ``k`` training
+    images (all of them when ``k >= n_train``), bit-identical to ``[:k]``
+    of the full draw, and returns an empty (0-row) test split.
     """
-    if spec.n_classes <= 1:
-        raise ValidationError("image datasets need at least 2 classes")
-    if spec.n_train <= 0 or spec.n_test <= 0:
-        raise ValidationError("n_train and n_test must be positive")
+    if train_rows is not None:
+        train_rows = check_int(train_rows, "train_rows", 1)
     rng = as_rng(seed)
     protos = _make_prototypes(spec, rng)
+    jitter = spec.jitter
+    # Wrap-padding by ``jitter`` turns the translation ``np.roll(np.roll(img,
+    # dr, 0), dc, 1)`` into one slice starting at ``(jitter - dr, jitter - dc)``.
+    pad = ((0, 0), (jitter, jitter), (jitter, jitter)) + ((0, 0),) * (len(spec.image_shape) - 2)
+    padded = np.pad(protos, pad, mode="wrap")
+    h, w = spec.image_shape[:2]
 
     def _sample_split(n: int) -> Tuple[np.ndarray, np.ndarray]:
-        xs = np.zeros((n, spec.n_features))
-        ys = np.zeros(n, dtype=int)
+        xs = np.empty((n,) + tuple(spec.image_shape))
+        ys = np.empty(n, dtype=int)
         for i in range(n):
             cls = int(rng.integers(0, spec.n_classes))
             img = protos[cls]
-            img = _jitter_image(img, spec.jitter, rng)
-            noisy = img + rng.normal(0.0, spec.pixel_noise, size=img.shape)
-            noisy = np.clip(noisy, 0.0, 1.0)
-            if spec.grayscale_levels:
-                noisy = np.round(noisy * (spec.grayscale_levels - 1)) / (spec.grayscale_levels - 1)
-            xs[i] = noisy.reshape(-1)
+            if jitter:
+                dr = int(rng.integers(-jitter, jitter + 1))
+                dc = int(rng.integers(-jitter, jitter + 1))
+                img = padded[cls, jitter - dr:jitter - dr + h, jitter - dc:jitter - dc + w]
+            np.add(img, rng.normal(0.0, spec.pixel_noise, size=img.shape), out=xs[i])
             ys[i] = cls
-        return xs, ys
+        # Elementwise, so running them on the whole block gives the same
+        # bytes as running them image by image.
+        np.clip(xs, 0.0, 1.0, out=xs)
+        if spec.grayscale_levels:
+            top = spec.grayscale_levels - 1
+            xs *= top
+            np.round(xs, out=xs)
+            xs /= top
+        return xs.reshape(n, spec.n_features), ys
 
-    train_x, train_y = _sample_split(spec.n_train)
-    test_x, test_y = _sample_split(spec.n_test)
+    train_x, train_y = _sample_split(
+        spec.n_train if train_rows is None else min(train_rows, spec.n_train)
+    )
+    test_x, test_y = _sample_split(spec.n_test if train_rows is None else 0)
     return Dataset(
         name=spec.name,
         train_x=train_x,
@@ -177,27 +207,33 @@ def _scaled(n_train: int, n_test: int, scale: float) -> Tuple[int, int]:
     return max(10, int(n_train * scale)), max(10, int(n_test * scale))
 
 
-def load_mnist_like(seed: SeedLike = 0, scale: float = 1.0) -> Dataset:
+def load_mnist_like(
+    seed: SeedLike = 0, scale: float = 1.0, *, train_rows: Optional[int] = None
+) -> Dataset:
     """28×28 handwritten-digit-like dataset (10 classes)."""
     n_train, n_test = _scaled(2000, 400, scale)
     spec = ImageDatasetSpec(
         name="mnist-like", image_shape=(28, 28), n_classes=10,
         n_train=n_train, n_test=n_test, stroke_count=5, prototype_smoothness=3.0,
     )
-    return make_image_dataset(spec, seed)
+    return make_image_dataset(spec, seed, train_rows=train_rows)
 
 
-def load_kmnist_like(seed: SeedLike = 1, scale: float = 1.0) -> Dataset:
+def load_kmnist_like(
+    seed: SeedLike = 1, scale: float = 1.0, *, train_rows: Optional[int] = None
+) -> Dataset:
     """28×28 Japanese-character-like dataset (10 classes, denser strokes)."""
     n_train, n_test = _scaled(2000, 400, scale)
     spec = ImageDatasetSpec(
         name="kmnist-like", image_shape=(28, 28), n_classes=10,
         n_train=n_train, n_test=n_test, stroke_count=8, prototype_smoothness=2.0,
     )
-    return make_image_dataset(spec, seed)
+    return make_image_dataset(spec, seed, train_rows=train_rows)
 
 
-def load_fmnist_like(seed: SeedLike = 2, scale: float = 1.0) -> Dataset:
+def load_fmnist_like(
+    seed: SeedLike = 2, scale: float = 1.0, *, train_rows: Optional[int] = None
+) -> Dataset:
     """28×28 fashion-item-like dataset (10 classes, blobbier shapes)."""
     n_train, n_test = _scaled(2000, 400, scale)
     spec = ImageDatasetSpec(
@@ -205,20 +241,24 @@ def load_fmnist_like(seed: SeedLike = 2, scale: float = 1.0) -> Dataset:
         n_train=n_train, n_test=n_test, stroke_count=2, prototype_smoothness=4.0,
         pixel_noise=0.10, background_level=0.5,
     )
-    return make_image_dataset(spec, seed)
+    return make_image_dataset(spec, seed, train_rows=train_rows)
 
 
-def load_emnist_like(seed: SeedLike = 3, scale: float = 1.0) -> Dataset:
+def load_emnist_like(
+    seed: SeedLike = 3, scale: float = 1.0, *, train_rows: Optional[int] = None
+) -> Dataset:
     """28×28 handwritten-letter-like dataset (26 classes)."""
     n_train, n_test = _scaled(2600, 520, scale)
     spec = ImageDatasetSpec(
         name="emnist-like", image_shape=(28, 28), n_classes=26,
         n_train=n_train, n_test=n_test, stroke_count=6, prototype_smoothness=2.5,
     )
-    return make_image_dataset(spec, seed)
+    return make_image_dataset(spec, seed, train_rows=train_rows)
 
 
-def load_cifar10_like(seed: SeedLike = 4, scale: float = 1.0) -> Dataset:
+def load_cifar10_like(
+    seed: SeedLike = 4, scale: float = 1.0, *, train_rows: Optional[int] = None
+) -> Dataset:
     """Small-color-image-like dataset (10 classes).
 
     The paper feeds CIFAR10 through a convolutional RBM whose pooled feature
@@ -233,10 +273,12 @@ def load_cifar10_like(seed: SeedLike = 4, scale: float = 1.0) -> Dataset:
         n_train=n_train, n_test=n_test, stroke_count=2, prototype_smoothness=2.0,
         pixel_noise=0.15, jitter=0, background_level=1.0,
     )
-    return make_image_dataset(spec, seed)
+    return make_image_dataset(spec, seed, train_rows=train_rows)
 
 
-def load_smallnorb_like(seed: SeedLike = 5, scale: float = 1.0) -> Dataset:
+def load_smallnorb_like(
+    seed: SeedLike = 5, scale: float = 1.0, *, train_rows: Optional[int] = None
+) -> Dataset:
     """Toy-object-like dataset (5 classes, 36-dimensional encoding per Table 1)."""
     n_train, n_test = _scaled(1000, 200, scale)
     spec = ImageDatasetSpec(
@@ -244,4 +286,4 @@ def load_smallnorb_like(seed: SeedLike = 5, scale: float = 1.0) -> Dataset:
         n_train=n_train, n_test=n_test, stroke_count=2, prototype_smoothness=2.0,
         pixel_noise=0.12, jitter=0, background_level=1.0,
     )
-    return make_image_dataset(spec, seed)
+    return make_image_dataset(spec, seed, train_rows=train_rows)

@@ -22,7 +22,7 @@ from repro.experiments.base import ExperimentResult, format_table
 from repro.rbm.ais import average_log_probability
 from repro.rbm.rbm import BernoulliRBM, CDTrainer
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_int
 
 #: Datasets shown in Figure 7 (the others are "thumbnails" of the same trend).
 FIGURE7_DATASETS: Sequence[str] = ("mnist", "kmnist", "fmnist", "emnist")
@@ -108,7 +108,8 @@ def run_figure7(
     ``gs_chains`` set records only the GS trajectory); ``dtype`` picks the
     substrate/AIS precision tier for the hardware methods (``"float32"`` is
     the paper-scale configuration; software CD always trains in float64);
-    ``train_samples`` caps the training rows (downsized smoke runs);
+    ``train_samples`` caps the training rows (downsized smoke runs), and
+    only those rows are generated;
     ``workers`` is the multicore knob, threaded into the GS trainer's
     sharded negative phase, the BGF trainer's particle refresh, and the
     AIS estimator's threaded chain pool (the default of 1 keeps the
@@ -123,13 +124,16 @@ def run_figure7(
         raise ValidationError(
             f"unknown Figure-7 methods {sorted(unknown)}; choose from {FIGURE7_METHODS}"
         )
+    if train_samples is not None:
+        check_int(train_samples, "train_samples", 1)
     rows: List[Dict[str, object]] = []
     for dataset_index, name in enumerate(datasets):
         cfg = get_benchmark(name)
-        dataset = load_benchmark_dataset(name, scale=scale, seed=seed + dataset_index)
-        data = dataset.binarized().train_x
-        if train_samples is not None:
-            data = data[:train_samples]
+        # Figure 7 reads training rows only, so build just the ones it uses.
+        dataset = load_benchmark_dataset(
+            name, scale=scale, seed=seed + dataset_index, train_rows=train_samples
+        )
+        data = dataset.binarized().train_x[:train_samples]
         n_visible, n_hidden = (
             cfg.rbm_shape if scale == "paper" else cfg.ci_rbm_shape
         )

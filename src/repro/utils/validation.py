@@ -85,12 +85,15 @@ def check_binary(x, *, name: str = "array") -> np.ndarray:
 
 
 def check_probability(x, *, name: str = "probability") -> np.ndarray:
-    """Validate that ``x`` lies in [0, 1]."""
+    """Validate that ``x`` is finite and lies in [0, 1]."""
     arr = np.asarray(x, dtype=float)
-    if arr.size and (np.min(arr) < 0.0 or np.max(arr) > 1.0):
-        raise ValidationError(
-            f"{name} must lie in [0, 1]; range is [{np.min(arr)}, {np.max(arr)}]"
-        )
+    if arr.size:
+        # NaN propagates through min/max, and fails every comparison.
+        lo, hi = np.min(arr), np.max(arr)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValidationError(f"{name} contains non-finite values")
+        if lo < 0.0 or hi > 1.0:
+            raise ValidationError(f"{name} must lie in [0, 1]; range is [{lo}, {hi}]")
     return arr
 
 

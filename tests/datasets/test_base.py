@@ -71,6 +71,30 @@ class TestDataset:
                 test_y=np.zeros(2, dtype=int),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["train_x", "test_x"])
+    def test_non_finite_features_rejected_by_name(self, field, bad):
+        arrays = {"train_x": [[0.5, 0.25]], "test_x": [[0.0, 1.0]]}
+        arrays[field] = [[0.5, bad]]
+        with pytest.raises(ValidationError, match=f"{field} contains non-finite"):
+            Dataset(name="bad", train_y=[0], test_y=[0], **arrays)
+
+    def test_pooled_empty_split(self):
+        ds = _simple_dataset()
+        empty_test = Dataset(
+            name="train-only",
+            train_x=ds.train_x,
+            train_y=ds.train_y,
+            test_x=np.empty((0, 16)),
+            test_y=np.empty(0, dtype=int),
+            image_shape=(4, 4),
+            n_classes=4,
+        )
+        pooled = empty_test.pooled(2)
+        assert pooled.test_x.shape == (0, 4)
+        assert pooled.n_test == 0
+        np.testing.assert_array_equal(pooled.train_x, ds.pooled(2).train_x)
+
     def test_binarized(self):
         ds = _simple_dataset().binarized()
         assert set(np.unique(ds.train_x)).issubset({0.0, 1.0})
@@ -164,6 +188,14 @@ class TestAnomalyDataset:
         )
         assert ds.n_features == 4
         assert ds.fraud_fraction == pytest.approx(2 / 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["train_x", "test_x"])
+    def test_non_finite_features_rejected_by_name(self, field, bad):
+        arrays = {"train_x": np.zeros((3, 2)), "test_x": np.zeros((3, 2))}
+        arrays[field][1, 0] = bad
+        with pytest.raises(ValidationError, match=f"{field} contains non-finite"):
+            AnomalyDataset(name="a", test_y=np.array([0, 1, 0]), **arrays)
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ValidationError):

@@ -105,3 +105,14 @@ class TestLoadBenchmarkDataset:
         a = load_benchmark_dataset("mnist", scale="ci", seed=0)
         b = load_benchmark_dataset("mnist", scale="ci", seed=1)
         assert not (a.train_x == b.train_x).all()
+
+    @pytest.mark.parametrize("name", ["recommender", "anomaly"])
+    def test_train_rows_rejected_for_non_image_benchmarks(self, name):
+        with pytest.raises(ValidationError, match=f"train_rows.*{name!r}"):
+            load_benchmark_dataset(name, scale="ci", seed=0, train_rows=10)
+
+    def test_train_rows_ci_scale_pools_a_train_only_split(self):
+        ds = load_benchmark_dataset("mnist", scale="ci", seed=0, train_rows=12)
+        assert ds.train_x.shape == (12, 49)
+        assert ds.test_x.shape == (0, 49)
+        assert ds.image_shape == (7, 7)

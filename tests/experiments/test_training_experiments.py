@@ -88,6 +88,35 @@ class TestFigure7:
         with pytest.raises(Exception):
             run_figure7(epochs=1)
 
+    @pytest.mark.parametrize("train_samples", [7, 10_000])
+    def test_train_samples_builds_only_the_rows_it_reads(self, monkeypatch, train_samples):
+        """Building just the training prefix gives the rows of a run that
+        builds the whole dataset and slices it."""
+        import repro.experiments.fig7_logprob as fig7
+
+        def run():
+            return fig7.run_figure7(
+                datasets=("mnist",), epochs=2, ais_chains=8, ais_betas=20,
+                gs_chains=4, train_samples=train_samples, seed=3,
+            ).rows
+
+        calls = []
+        real_loader = fig7.load_benchmark_dataset
+
+        def full_loader(name, *, train_rows=None, **kwargs):
+            calls.append(train_rows)
+            return real_loader(name, **kwargs)
+
+        prefix_rows = run()
+        monkeypatch.setattr(fig7, "load_benchmark_dataset", full_loader)
+        assert run() == prefix_rows
+        assert calls == [train_samples]
+
+    @pytest.mark.parametrize("train_samples", [0, -5, 2.5])
+    def test_rejects_bad_train_samples(self, train_samples):
+        with pytest.raises(ValidationError, match="train_samples"):
+            run_figure7(datasets=("mnist",), epochs=2, train_samples=train_samples)
+
 
 class TestFigure8:
     def test_all_configs_present(self, figure8_result):

@@ -85,6 +85,11 @@ class TestOnlyFilter:
             row = results["kernels"][name]
             assert row == {"fast_median_s": row["fast_median_s"]}
 
+    def test_image_dataset_row_is_single_leg(self):
+        results = run_benchmarks(repeats=1, only="image_dataset")
+        row = results["kernels"]["image_dataset_kmnist_paper"]
+        assert row == {"fast_median_s": row["fast_median_s"]}
+
     def test_only_with_no_match_raises(self):
         with pytest.raises(ValueError, match="matches no benchmark entries"):
             run_benchmarks(repeats=1, include_large=False, only="no-such-kernel")
