@@ -2,7 +2,7 @@
 
 These are not paper artifacts; they track the cost of the building blocks
 every experiment is made of (CD epochs, substrate sampling, BGF learning
-steps, AIS sweeps, BRIM integration), which is useful when optimizing the
+steps, AIS sweeps, RBM free energies), which is useful when optimizing the
 simulators.
 
 ``benchmarks/bench_kernels.py`` times the same kernels into a
@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
-from repro.ising import BRIMConfig, BRIMSimulator, BipartiteIsingSubstrate, IsingModel
+from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 
 
@@ -77,13 +77,6 @@ def test_ais_partition_estimate(benchmark, data):
     ).train(rbm, data, epochs=3)
     estimator = AISEstimator(spec=EstimatorSpec(chains=32, betas=100), rng=2)
     benchmark(estimator.estimate_log_partition, rbm)
-
-
-def test_brim_integration_1000_steps(benchmark):
-    rng = np.random.default_rng(3)
-    model = IsingModel(np.triu(rng.normal(0, 1, (64, 64)), 1), rng.normal(0, 0.5, 64))
-    simulator = BRIMSimulator(BRIMConfig(n_steps=1000), rng=4)
-    benchmark(simulator.run, model, record_trace=False)
 
 
 def test_rbm_free_energy_batch(benchmark, data):

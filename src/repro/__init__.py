@@ -4,10 +4,9 @@ This library reproduces "Supporting Energy-Based Learning with an Ising
 Machine Substrate: A Case Study on RBM" (Vengalam et al., MICRO 2023).  It
 contains:
 
-* ``repro.rbm``         -- RBMs, CD-k/PCD/exact-ML training, AIS, DBNs,
-                           convolutional RBMs (the software baselines).
-* ``repro.ising``       -- the Ising model, a BRIM-style nodal-dynamics
-                           simulator, and the bipartite RBM-shaped substrate.
+* ``repro.rbm``         -- RBMs, CD-k/exact-ML training, AIS, DBNs (the
+                           software baselines).
+* ``repro.ising``       -- the bipartite RBM-shaped Ising substrate.
 * ``repro.analog``      -- behavioral models of the added circuits (sigmoid
                            units, comparators, RNGs, DTC/ADC, charge pumps,
                            noise/variation injection).
@@ -21,8 +20,8 @@ contains:
                            and anomaly-detection wrappers.
 * ``repro.experiments`` -- one driver per table/figure of the evaluation.
 * ``repro.config``      -- typed, frozen run-spec dataclasses (ComputeSpec,
-                           TrainerSpec, RunSpec, ...) with validation,
-                           env resolution and a dict round trip.
+                           TrainerSpec, RunSpec, ...) with validation
+                           and a dict round trip.
 * ``repro.api``         -- the builder facade + experiment registry over
                            those specs (``python -m repro run ...``).
 * ``repro.bench``       -- kernel-regression benchmark harness

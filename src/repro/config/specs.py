@@ -21,6 +21,7 @@ pre-built machines) stay constructor arguments of the things the facade
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
@@ -204,15 +205,17 @@ class ComputeSpec(Spec):
             value = getattr(self, name)
             if any(_same_value(value, old) for old in retired):
                 raise ValidationError(f"{name}={value!r} is no longer valid: {reason}")
-        # np.dtype parses comma strings such as "," with ast: SyntaxError.
+        # np.dtype parses comma strings such as "," with ast (SyntaxError)
+        # and warns on deprecated aliases such as "a"; both are rejected.
+        message = f"dtype must be float32 or float64, got {self.dtype!r}"
         try:
-            canonical = np.dtype(self.dtype)
-        except (TypeError, ValueError, SyntaxError) as exc:
-            raise ValidationError(
-                f"dtype must be float32 or float64, got {self.dtype!r}"
-            ) from exc
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                canonical = np.dtype(self.dtype)
+        except (TypeError, ValueError, SyntaxError, DeprecationWarning) as exc:
+            raise ValidationError(message) from exc
         if canonical not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValidationError(f"dtype must be float32 or float64, got {canonical}")
+            raise ValidationError(message)
         object.__setattr__(self, "dtype", str(canonical))
         object.__setattr__(self, "workers", check_int(self.workers, "workers", 1))
 

@@ -37,7 +37,12 @@ from repro.utils.numerics import (
     sparse_mean_squared_error,
 )
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_array, check_data_matrix
+from repro.utils.validation import (
+    ValidationError,
+    check_array,
+    check_binary,
+    check_data_matrix,
+)
 
 
 class GibbsSamplerMachine:
@@ -214,6 +219,9 @@ class GibbsSamplerTrainer:
         self.callback = callback
         self.dtype = np.dtype(spec.compute.dtype)
         self._chains_h: Optional[np.ndarray] = None
+        # True while restored chain states await their first use; their
+        # width is checked against the RBM then, not silently re-drawn.
+        self._chains_restored = False
         # Set once the entry finiteness scan has run for this trainer;
         # partial_fit validates the model arrays on the first call only (a
         # per-batch O(mn) scan would erase the trusted programming's win).
@@ -227,27 +235,30 @@ class GibbsSamplerTrainer:
     def restore_chain_states(self, chains_h: np.ndarray) -> None:
         """Adopt saved persistent-chain states (an artifact's ``chain_state``).
 
-        Subsequent ``train``/``partial_fit`` calls continue from these
-        hidden chain states instead of re-initializing (persistent mode
-        only — fresh-chain CD has no state to restore).
+        Subsequent ``partial_fit`` and ``train(reset_chains=False)`` calls
+        continue from these hidden chain states instead of re-initializing
+        (persistent mode only — fresh-chain CD has no state to restore).
+        The states must be binary; their width must equal the ``n_hidden``
+        of the RBM they next train, or that call raises.
         """
         if not self.persistent:
             raise ValidationError(
                 "restore_chain_states requires persistent=True (fresh-chain"
                 " CD re-seeds its chains every minibatch)"
             )
-        chains_h = np.asarray(chains_h, dtype=float)
+        chains_h = check_binary(chains_h, name="chain_states")
         if chains_h.ndim != 2:
             raise ValidationError(
-                f"chain states must be 2-D (chains, n_hidden), got"
+                f"chain_states must be 2-D (chains, n_hidden), got"
                 f" ndim={chains_h.ndim}"
             )
         if chains_h.shape[0] != self.chains:
             raise ValidationError(
-                f"got {chains_h.shape[0]} chains; this trainer runs"
-                f" chains={self.chains}"
+                f"chain_states has {chains_h.shape[0]} chains; this trainer"
+                f" runs chains={self.chains}"
             )
         self._chains_h = chains_h.copy()
+        self._chains_restored = True
 
     def _ensure_machine(self, rbm: BernoulliRBM) -> GibbsSamplerMachine:
         if self.machine is None or (
@@ -275,6 +286,16 @@ class GibbsSamplerTrainer:
         """
         if not self.persistent:
             return
+        if (
+            self._chains_restored
+            and not reset_chains
+            and self._chains_h.shape[1] != rbm.n_hidden
+        ):
+            raise ValidationError(
+                f"restored chain_states have width {self._chains_h.shape[1]}"
+                f" but the RBM has n_hidden={rbm.n_hidden}"
+            )
+        self._chains_restored = False
         if (
             reset_chains
             or self._chains_h is None

@@ -46,9 +46,6 @@ class BenchmarkConfig:
         ``None`` when the paper does not evaluate a DBN for this benchmark.
     ci_rbm_shape:
         Scaled-down RBM shape used for functional (training) experiments.
-    uses_conv_rbm:
-        True for CIFAR10/SmallNORB, which the paper feeds through a
-        convolutional RBM front-end before the dense RBM.
     """
 
     name: str
@@ -56,7 +53,6 @@ class BenchmarkConfig:
     rbm_shape: Tuple[int, int]
     dbn_layers: Optional[Tuple[int, ...]] = None
     ci_rbm_shape: Tuple[int, int] = (64, 32)
-    uses_conv_rbm: bool = False
     loader: Optional[Callable] = None
     in_figure5: bool = True
 
@@ -96,12 +92,12 @@ TABLE1_CONFIGS: Dict[str, BenchmarkConfig] = {
     ),
     "cifar10": BenchmarkConfig(
         name="cifar10", kind="image", rbm_shape=(108, 1024),
-        dbn_layers=None, ci_rbm_shape=(108, 64), uses_conv_rbm=True,
+        dbn_layers=None, ci_rbm_shape=(108, 64),
         loader=synthetic_images.load_cifar10_like,
     ),
     "smallnorb": BenchmarkConfig(
         name="smallnorb", kind="image", rbm_shape=(36, 1024),
-        dbn_layers=None, ci_rbm_shape=(36, 48), uses_conv_rbm=True,
+        dbn_layers=None, ci_rbm_shape=(36, 48),
         loader=synthetic_images.load_smallnorb_like,
     ),
     "recommender": BenchmarkConfig(

@@ -17,8 +17,8 @@ The per-dataset wrappers mirror the paper's benchmark roster (Table 1) and
 choose visible-unit counts to match: the NIST-style sets are 28×28 = 784
 pixels, CIFAR10-like uses a 108-dimensional patch encoding and
 SmallNORB-like a 36-dimensional encoding (the paper feeds those two
-through a convolutional-RBM feature extractor, which we reproduce in
-``repro.rbm.conv_rbm``).
+through a convolutional-RBM feature extractor; the encodings stand in for
+its pooled features, so the dense RBM has the paper's shape).
 """
 
 from __future__ import annotations
@@ -264,8 +264,7 @@ def load_cifar10_like(
     The paper feeds CIFAR10 through a convolutional RBM whose pooled feature
     vector is 108-dimensional (Table 1 lists a 108-visible RBM).  We generate
     6×6×3 patch-encoded images, i.e. 108 features, so the downstream RBM has
-    the paper's shape while the convolutional front-end is exercised by
-    ``repro.rbm.conv_rbm`` on the raw 32×32×3 form.
+    the paper's shape.
     """
     n_train, n_test = _scaled(1500, 300, scale)
     spec = ImageDatasetSpec(

@@ -21,13 +21,6 @@ from repro.experiments.fig8_noise import run_figure8, format_figure8
 from repro.experiments.fig9_mae_noise import run_figure9, format_figure9
 from repro.experiments.fig10_roc_noise import run_figure10, format_figure10
 from repro.experiments.fig11_bias_kl import run_figure11, format_figure11
-from repro.experiments.ablations import (
-    run_saturation_ablation,
-    run_negative_phase_ablation,
-    run_precision_ablation,
-    run_gs_communication_breakdown,
-    format_ablation,
-)
 
 __all__ = [
     "ExperimentResult",
@@ -52,9 +45,4 @@ __all__ = [
     "format_figure10",
     "run_figure11",
     "format_figure11",
-    "run_saturation_ablation",
-    "run_negative_phase_ablation",
-    "run_precision_ablation",
-    "run_gs_communication_breakdown",
-    "format_ablation",
 ]

@@ -34,14 +34,6 @@ from repro.hardware.perf_model import (
     benchmark_workloads,
 )
 from repro.hardware.comparison import AcceleratorSummary, table3_rows
-from repro.hardware.scaling import (
-    ChipSpec,
-    PartitionPlan,
-    MultiChipCost,
-    partition_rbm,
-    multi_chip_sample_cost,
-    scaling_table,
-)
 
 __all__ = [
     "ComponentLibrary",
@@ -60,10 +52,4 @@ __all__ = [
     "benchmark_workloads",
     "AcceleratorSummary",
     "table3_rows",
-    "ChipSpec",
-    "PartitionPlan",
-    "MultiChipCost",
-    "partition_rbm",
-    "multi_chip_sample_cost",
-    "scaling_table",
 ]

@@ -1,43 +1,17 @@
-"""Ising machine substrate: the model, a BRIM-style simulator, and solvers.
+"""Ising machine substrate: the bipartite, RBM-shaped machine.
 
 The paper builds on the BRIM (Bistable Resistively-coupled Ising Machine)
 substrate: nodes are capacitor voltages made bistable by a feedback unit,
 couplings are programmable resistors, and the dynamical system settles into
-local minima of the Ising Hamiltonian (Eq. 1), with annealing control
-injecting random spin flips to escape them.  This package provides
-
-* :class:`~repro.ising.model.IsingModel` — the Hamiltonian container with
-  QUBO/RBM conversions,
-* :class:`~repro.ising.brim.BRIMSimulator` — the nodal-dynamics simulator
-  of the dense all-to-all substrate,
-* :class:`~repro.ising.bipartite.BipartiteIsingSubstrate` — the RBM-shaped
-  (visible/hidden) machine with clamping support that the Gibbs-sampler and
-  Boltzmann-gradient-follower architectures build on,
-* :class:`~repro.ising.annealing.SimulatedAnnealingSolver` — the software
-  baseline the substrate's physics mimics, and annealing schedules.
+local minima of the Ising Hamiltonian (Eq. 1).  Figure 3 specializes that
+layout to the RBM's bipartite graph;
+:class:`~repro.ising.bipartite.BipartiteIsingSubstrate` is that machine —
+visible/hidden nodes with clamping support and analog sampling — which the
+Gibbs-sampler and Boltzmann-gradient-follower architectures build on.
 """
 
-from repro.ising.model import IsingModel
-from repro.ising.schedule import (
-    AnnealingSchedule,
-    LinearSchedule,
-    GeometricSchedule,
-    ConstantSchedule,
-)
-from repro.ising.annealing import SimulatedAnnealingSolver, AnnealResult
-from repro.ising.brim import BRIMSimulator, BRIMConfig, BRIMResult
 from repro.ising.bipartite import BipartiteIsingSubstrate
 
 __all__ = [
-    "IsingModel",
-    "AnnealingSchedule",
-    "LinearSchedule",
-    "GeometricSchedule",
-    "ConstantSchedule",
-    "SimulatedAnnealingSolver",
-    "AnnealResult",
-    "BRIMSimulator",
-    "BRIMConfig",
-    "BRIMResult",
     "BipartiteIsingSubstrate",
 ]

@@ -6,9 +6,9 @@ that the paper's accelerators are compared against:
 * :class:`~repro.rbm.rbm.BernoulliRBM` — the model itself (energy, free
   energy, conditionals, sampling).
 * :class:`~repro.rbm.rbm.CDTrainer` — Algorithm 1 of the paper (CD-k with
-  minibatch stochastic gradient ascent).
-* :class:`~repro.rbm.pcd.PCDTrainer` — persistent contrastive divergence
-  with ``p`` particles (the software analogue of the BGF's particle store).
+  minibatch stochastic gradient ascent).  The paper's PCD runs on the
+  substrate: :class:`~repro.core.gibbs_sampler.GibbsSamplerTrainer` with
+  ``persistent=True``.
 * :class:`~repro.rbm.ml.MaximumLikelihoodTrainer` — exact gradient via
   enumeration, tractable only for tiny models; used in the Appendix-A bias
   study (Figure 11).
@@ -18,12 +18,9 @@ that the paper's accelerators are compared against:
   paper uses for average log probability (Figures 7 and 8).
 * :class:`~repro.rbm.dbn.DeepBeliefNetwork` — greedy layer-wise stacking
   plus a classifier head (the DBN-DNN rows of Tables 1 and 4).
-* :class:`~repro.rbm.conv_rbm.ConvolutionalRBM` — the convolutional RBM
-  front-end used for CIFAR10/SmallNORB.
 """
 
 from repro.rbm.rbm import BernoulliRBM, CDTrainer, TrainingHistory
-from repro.rbm.pcd import PCDTrainer
 from repro.rbm.ml import MaximumLikelihoodTrainer
 from repro.rbm.partition import (
     exact_log_partition,
@@ -34,7 +31,6 @@ from repro.rbm.partition import (
 )
 from repro.rbm.ais import AISEstimator, estimate_log_partition, average_log_probability
 from repro.rbm.dbn import DeepBeliefNetwork
-from repro.rbm.conv_rbm import ConvolutionalRBM
 from repro.rbm.metrics import (
     reconstruction_error,
     free_energy_gap,
@@ -45,7 +41,6 @@ __all__ = [
     "BernoulliRBM",
     "CDTrainer",
     "TrainingHistory",
-    "PCDTrainer",
     "MaximumLikelihoodTrainer",
     "exact_log_partition",
     "exact_visible_distribution",
@@ -56,7 +51,6 @@ __all__ = [
     "estimate_log_partition",
     "average_log_probability",
     "DeepBeliefNetwork",
-    "ConvolutionalRBM",
     "reconstruction_error",
     "free_energy_gap",
     "pseudo_log_likelihood",

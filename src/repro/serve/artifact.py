@@ -125,8 +125,9 @@ def save_model(
         the lossless ``RunSpec.from_dict`` round trip before storing.
     chain_state:
         Optional persistent-chain array to carry alongside the weights —
-        ``GibbsSamplerTrainer.chain_states`` or ``PCDTrainer.particles``
-        — so a PCD run can be resumed from the artifact.
+        ``GibbsSamplerTrainer.chain_states`` of a ``persistent=True`` run —
+        so a PCD run can be resumed from the artifact through
+        ``GibbsSamplerTrainer.restore_chain_states``.
     quantize:
         Store the parameter arrays as symmetric int8 codes + float32
         scales (``weights_q``/``weights_scale`` etc.) instead of the raw

@@ -15,9 +15,6 @@ from repro.utils.numerics import (
     log1pexp,
     softplus,
     bernoulli_sample,
-    sign_to_binary,
-    binary_to_sign,
-    clip_norm,
     is_sparse,
     safe_sparse_dot,
     to_dense,
@@ -56,9 +53,6 @@ __all__ = [
     "log1pexp",
     "softplus",
     "bernoulli_sample",
-    "sign_to_binary",
-    "binary_to_sign",
-    "clip_norm",
     "is_sparse",
     "safe_sparse_dot",
     "to_dense",

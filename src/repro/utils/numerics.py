@@ -198,29 +198,6 @@ def bernoulli_sample(p: np.ndarray, rng: SeedLike = None) -> np.ndarray:
     return (gen.random(p.shape) < p).astype(float)
 
 
-def sign_to_binary(sigma: np.ndarray) -> np.ndarray:
-    """Map Ising spins in {-1,+1} to QUBO bits in {0,1} (``b = (sigma+1)/2``)."""
-    sigma = np.asarray(sigma, dtype=float)
-    return (sigma + 1.0) / 2.0
-
-
-def binary_to_sign(bits: np.ndarray) -> np.ndarray:
-    """Map QUBO bits in {0,1} to Ising spins in {-1,+1} (``sigma = 2b - 1``)."""
-    bits = np.asarray(bits, dtype=float)
-    return 2.0 * bits - 1.0
-
-
-def clip_norm(x: np.ndarray, max_norm: float) -> np.ndarray:
-    """Rescale ``x`` so its L2 norm does not exceed ``max_norm``."""
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm <= max_norm or norm == 0.0:
-        return x
-    return x * (max_norm / norm)
-
-
 # ---------------------------------------------------------------------------
 # Sparse-visible dispatch.
 #

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,9 +30,13 @@ class TestComputeSpec:
         assert ComputeSpec(dtype=np.float32).dtype == "float32"
         assert ComputeSpec(dtype=np.dtype("float64")).dtype == "float64"
 
-    @pytest.mark.parametrize("dtype", ["int8", "float16", "complex128", object, ","])
+    # Warnings are errors here: NumPy's DeprecationWarning for the "a"
+    # alias must surface as the ValidationError, quoting the value given.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", ["int8", "float16", "complex128", object, ",", "a"])
     def test_bad_dtype_rejected(self, dtype):
-        with pytest.raises(ValidationError, match="dtype must be float32 or float64"):
+        message = f"dtype must be float32 or float64, got {dtype!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             ComputeSpec(dtype=dtype)
 
     @pytest.mark.parametrize(

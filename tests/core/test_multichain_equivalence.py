@@ -18,7 +18,7 @@ from helpers.reference import use_reference
 from repro.config import NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
-from repro.rbm import BernoulliRBM, PCDTrainer
+from repro.rbm import BernoulliRBM
 from repro.utils.validation import ValidationError
 
 
@@ -212,18 +212,3 @@ class TestBGFParticleRefresh:
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValidationError):
             BGFTrainer(spec=TrainerSpec.bgf(0.1, burn_in=-1))
-
-
-class TestPCDTrainerKnobs:
-    def test_nonpersistent_mode_trains(self, tiny_binary_data):
-        rbm = BernoulliRBM(16, 8, rng=0)
-        trainer = PCDTrainer(0.1, n_particles=6, batch_size=10, persistent=False, rng=1)
-        history = trainer.train(rbm, tiny_binary_data, epochs=5)
-        assert len(history.epochs) == 5
-        assert np.all(np.isfinite(rbm.weights))
-
-    def test_persistent_default_keeps_particles(self, tiny_binary_data):
-        trainer = PCDTrainer(0.1, n_particles=6, batch_size=10, rng=1)
-        trainer.train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=2)
-        assert trainer.particles is not None
-        assert trainer.particles.shape == (6, 16)

@@ -22,7 +22,6 @@ from repro.config.specs import (
 from repro.core.gibbs_sampler import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.ml import MaximumLikelihoodTrainer
-from repro.rbm.pcd import PCDTrainer
 from repro.rbm.rbm import BernoulliRBM, CDTrainer
 from repro.utils.numerics import (
     as_sparse_rows,
@@ -257,22 +256,6 @@ class TestTrainerSparseEquivalence:
                     chains=chains,
                     persistent=persistent,
                 ),
-                rng=1,
-            ).train(rbm, data, epochs=2, shuffle=False)
-            results.append(rbm.weights.copy())
-        np.testing.assert_allclose(results[0], results[1], atol=FLOAT64_ASSOC_ATOL)
-
-    @pytest.mark.parametrize("persistent", [True, False])
-    def test_pcd_trainer(self, persistent):
-        dense, csr = _binary_batch(n_rows=20)
-        results = []
-        for data in (dense, csr):
-            rbm = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-            PCDTrainer(
-                learning_rate=0.05,
-                n_particles=6,
-                batch_size=5,
-                persistent=persistent,
                 rng=1,
             ).train(rbm, data, epochs=2, shuffle=False)
             results.append(rbm.weights.copy())

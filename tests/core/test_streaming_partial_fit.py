@@ -1,8 +1,8 @@
 """Streaming `partial_fit` pinning: streamed training == one-shot training.
 
 `partial_fit` is the one streaming entry point: feeding
-`GibbsSamplerTrainer.partial_fit` or `PCDTrainer.partial_fit` the batches
-of `minibatches(data, batch_size, shuffle=False)` is bit-identical to the
+`GibbsSamplerTrainer.partial_fit` the batches of
+`minibatches(data, batch_size, shuffle=False)` is bit-identical to the
 one-shot `train(..., shuffle=False)` call under the same seed — both
 consume the trainer RNG stream in the same documented order.  These tests
 pin that contract exactly (``assert_array_equal``, not allclose).
@@ -14,7 +14,6 @@ from scipy import sparse as sp
 
 from repro.config.specs import TrainerSpec
 from repro.core.gibbs_sampler import GibbsSamplerTrainer
-from repro.rbm.pcd import PCDTrainer
 from repro.rbm.rbm import BernoulliRBM
 from repro.utils.batching import minibatches
 from repro.utils.validation import ValidationError
@@ -156,54 +155,6 @@ class TestOutOfCoreStreaming:
 
         _gs_trainer().train(rbm_train, data, epochs=1, shuffle=False)
         _assert_params_equal(rbm_stream, rbm_train)
-
-
-class TestPCDPartialFitBitIdentity:
-    @pytest.mark.parametrize("persistent", [True, False])
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_partial_fit_stream_matches_one_shot_train(self, persistent, sparse):
-        data = _data(sparse=sparse)
-        rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-        rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-
-        streamer = PCDTrainer(
-            n_particles=6, batch_size=BATCH, persistent=persistent, rng=1
-        )
-        for batch in minibatches(data, BATCH):
-            streamer.partial_fit(rbm_stream, batch)
-
-        PCDTrainer(
-            n_particles=6, batch_size=BATCH, persistent=persistent, rng=1
-        ).train(rbm_train, data, epochs=1, shuffle=False)
-        _assert_params_equal(rbm_stream, rbm_train)
-
-    @pytest.mark.parametrize("persistent", [True, False])
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_multi_epoch_stream_matches_one_shot_train(self, persistent, sparse):
-        data = _data(sparse=sparse)
-        rbm_stream = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-        rbm_train = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-
-        streamer = PCDTrainer(
-            n_particles=6, batch_size=BATCH, persistent=persistent, rng=1
-        )
-        for _ in range(2):
-            for batch in minibatches(data, BATCH):
-                streamer.partial_fit(rbm_stream, batch)
-
-        PCDTrainer(
-            n_particles=6, batch_size=BATCH, persistent=persistent, rng=1
-        ).train(rbm_train, data, epochs=2, shuffle=False)
-        _assert_params_equal(rbm_stream, rbm_train)
-
-    def test_particles_carry_across_calls(self):
-        data = _data()
-        trainer = PCDTrainer(n_particles=6, batch_size=BATCH, rng=1)
-        rbm = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-        trainer.partial_fit(rbm, data[:BATCH])
-        first = trainer.particles
-        trainer.partial_fit(rbm, data[BATCH : 2 * BATCH])
-        assert trainer.particles.shape == first.shape
 
 
 class TestTrainInput:

@@ -40,11 +40,6 @@ class TestTable1Configs:
     def test_all_eight_benchmarks_registered(self):
         assert len(TABLE1_CONFIGS) == 8
 
-    def test_conv_rbm_flags(self):
-        assert get_benchmark("cifar10").uses_conv_rbm
-        assert get_benchmark("smallnorb").uses_conv_rbm
-        assert not get_benchmark("mnist").uses_conv_rbm
-
     def test_case_insensitive_lookup(self):
         assert get_benchmark("MNIST").name == "mnist"
 

@@ -5,18 +5,15 @@ paper's evaluation) would: data generation -> training on a chosen
 substrate -> evaluation metric.
 """
 
-import numpy as np
 import pytest
 
 from repro.config import TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
-from repro.datasets import load_benchmark_dataset, load_smallnorb_like
+from repro.datasets import load_benchmark_dataset
 from repro.eval import LogisticRegressionClassifier, RBMAnomalyDetector, RBMRecommender
-from repro.ising import BRIMConfig, BRIMSimulator, IsingModel, SimulatedAnnealingSolver
 from repro.rbm import (
     BernoulliRBM,
     CDTrainer,
-    ConvolutionalRBM,
     DeepBeliefNetwork,
     average_log_probability,
 )
@@ -72,26 +69,6 @@ class TestImageClassificationPipelines:
         dbn.fine_tune(image_data.train_x, image_data.train_y, epochs=80, learning_rate=0.2)
         assert dbn.score(image_data.test_x, image_data.test_y) > 2.0 / image_data.n_classes
 
-    def test_conv_rbm_frontend_pipeline(self):
-        """The CIFAR10/SmallNORB path: conv-RBM features -> dense RBM -> classifier."""
-        data = load_smallnorb_like(scale=0.1, seed=0)
-        conv = ConvolutionalRBM(data.image_shape, n_filters=6, filter_size=3, rng=0)
-        conv.train(data.train_x, epochs=2, patches_per_image=10, rng=1)
-        features_train = conv.transform(data.train_x)
-        features_test = conv.transform(data.test_x)
-
-        rbm = BernoulliRBM(features_train.shape[1], 16, rng=2)
-        CDTrainer(
-            spec=TrainerSpec.cd(0.2, cd_k=1, batch_size=10), rng=3
-        ).train(rbm, features_train, epochs=10)
-        clf = LogisticRegressionClassifier(16, data.n_classes, rng=4)
-        train_f = rbm.transform(features_train)
-        test_f = rbm.transform(features_test)
-        mean, std = train_f.mean(axis=0), train_f.std(axis=0) + 1e-6
-        clf.fit((train_f - mean) / std, data.train_y, epochs=80, learning_rate=0.2)
-        accuracy = clf.score((test_f - mean) / std, data.test_y)
-        assert accuracy > 1.5 / data.n_classes
-
 
 class TestRecommenderAndAnomalyPipelines:
     def test_recommender_end_to_end_with_bgf(self):
@@ -107,48 +84,6 @@ class TestRecommenderAndAnomalyPipelines:
         )
         detector = RBMAnomalyDetector(n_hidden=10, trainer=trainer, epochs=15, rng=1).fit(dataset)
         assert detector.evaluate_auc(dataset) > 0.85
-
-
-class TestIsingSubstratePipeline:
-    def test_rbm_inference_on_ising_machine(self):
-        """Sec. 2.3: inference (finding a low-energy completion) maps directly
-        onto the Ising machine.  Train an RBM in software, map it to an Ising
-        model, and check that annealing finds states with low RBM energy."""
-        rng = np.random.default_rng(0)
-        prototypes = (rng.random((3, 10)) < 0.5).astype(float)
-        data = prototypes[rng.integers(0, 3, 80)]
-        rbm = BernoulliRBM(10, 4, rng=1)
-        CDTrainer(
-            spec=TrainerSpec.cd(0.3, cd_k=1, batch_size=10), rng=2
-        ).train(rbm, data, epochs=30)
-
-        model, offset = IsingModel.from_rbm(rbm)
-        result = SimulatedAnnealingSolver(n_sweeps=300, rng=3).solve(model)
-        spins = result.spins
-        v = (spins[:10] + 1) / 2
-        h = (spins[10:] + 1) / 2
-        found_energy = float(rbm.energy(v, h)[0])
-
-        random_energies = [
-            float(rbm.energy((rng.random(10) < 0.5).astype(float), (rng.random(4) < 0.5).astype(float))[0])
-            for _ in range(50)
-        ]
-        assert found_energy < np.mean(random_energies)
-
-    def test_brim_and_annealer_agree_on_rbm_energy_landscape(self):
-        """Best-of-a-few BRIM anneals (the standard way such machines are run)
-        reaches an energy comparable to simulated annealing on the same
-        RBM-mapped landscape."""
-        rbm = BernoulliRBM(8, 4, rng=0)
-        rng = np.random.default_rng(1)
-        rbm.set_parameters(rng.normal(0, 1.0, (8, 4)), rng.normal(0, 0.5, 8), rng.normal(0, 0.5, 4))
-        model, _ = IsingModel.from_rbm(rbm)
-        sa = SimulatedAnnealingSolver(n_sweeps=300, rng=2).solve(model)
-        config = BRIMConfig(n_steps=5000, feedback_gain=0.3, flip_probability_scale=0.005)
-        brim_energy = min(
-            BRIMSimulator(config, rng=seed).run(model).energy for seed in range(3)
-        )
-        assert brim_energy <= sa.energy + 0.25 * abs(sa.energy)
 
 
 class TestQualityMetricsAcrossTrainers:

@@ -18,7 +18,6 @@ ALL_EXAMPLES = [
     "image_classification.py",
     "recommender_system.py",
     "anomaly_detection.py",
-    "ising_optimization.py",
     "hardware_projection.py",
 ]
 
@@ -51,10 +50,3 @@ class TestFastExamplesRun:
         output = capsys.readouterr().out
         assert "GeoMean" in output
         assert "TIMELY" in output
-
-    def test_ising_optimization_runs(self, capsys):
-        module = _load_example("ising_optimization.py")
-        module.main()
-        output = capsys.readouterr().out
-        assert "exact optimum" in output
-        assert "BRIM dynamics" in output

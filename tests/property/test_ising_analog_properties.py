@@ -1,6 +1,6 @@
-"""Property-based tests for Ising-model and analog-circuit invariants."""
+"""Property-based tests for analog-circuit and metric invariants."""
 
-from helpers import FLOAT64_ASSOC_ATOL, FLOAT64_EXACT_ATOL, FLOAT64_FUNC_ATOL
+from helpers import FLOAT64_ASSOC_ATOL, FLOAT64_EXACT_ATOL
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,67 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.analog import ChargePumpUpdater, quantize_uniform
 from repro.eval import kl_divergence, roc_auc
-from repro.ising import IsingModel
 from repro.utils.numerics import bernoulli_sample
-
-
-def _ising_from_seed(seed: int, n_spins: int, scale: float) -> IsingModel:
-    rng = np.random.default_rng(seed)
-    couplings = np.triu(rng.normal(0, scale, (n_spins, n_spins)), 1)
-    fields = rng.normal(0, scale, n_spins)
-    return IsingModel(couplings, fields)
-
-
-ising_strategy = st.builds(
-    _ising_from_seed,
-    seed=st.integers(0, 10_000),
-    n_spins=st.integers(2, 10),
-    scale=st.floats(0.1, 2.0),
-)
-
-
-class TestIsingProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(ising_strategy, st.integers(0, 2**10 - 1), st.integers(0, 9))
-    def test_flip_delta_consistency(self, model, state_index, flip_index):
-        """energy_delta_flip must always match the explicit energy difference."""
-        spins = np.array(
-            [1.0 if (state_index >> k) & 1 else -1.0 for k in range(model.n_spins)]
-        )
-        index = flip_index % model.n_spins
-        flipped = spins.copy()
-        flipped[index] = -flipped[index]
-        direct = model.energy(flipped)[0] - model.energy(spins)[0]
-        assert model.energy_delta_flip(spins, index) == pytest.approx(direct, abs=FLOAT64_FUNC_ATOL)
-
-    @settings(max_examples=30, deadline=None)
-    @given(ising_strategy)
-    def test_global_spin_flip_symmetry_without_fields(self, model):
-        """With zero fields, H(sigma) == H(-sigma) for every configuration."""
-        no_field = IsingModel(model.couplings, np.zeros(model.n_spins))
-        rng = np.random.default_rng(0)
-        spins = rng.choice([-1.0, 1.0], size=model.n_spins)
-        assert no_field.energy(spins)[0] == pytest.approx(no_field.energy(-spins)[0], abs=FLOAT64_ASSOC_ATOL)
-
-    @settings(max_examples=30, deadline=None)
-    @given(ising_strategy)
-    def test_couplings_symmetric_zero_diagonal(self, model):
-        np.testing.assert_allclose(model.couplings, model.couplings.T)
-        np.testing.assert_allclose(np.diag(model.couplings), 0.0)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 1000), st.integers(2, 5))
-    def test_qubo_round_trip(self, seed, n_bits):
-        rng = np.random.default_rng(seed)
-        q = rng.normal(0, 1, (n_bits, n_bits))
-        model, offset = IsingModel.from_qubo(q)
-        q_sym = (q + q.T) / 2.0
-        for index in range(2**n_bits):
-            bits = np.array([(index >> k) & 1 for k in range(n_bits)], dtype=float)
-            sigma = 2 * bits - 1
-            assert float(bits @ q_sym @ bits) == pytest.approx(
-                float(model.energy(sigma)[0]) + offset, abs=FLOAT64_FUNC_ATOL
-            )
 
 
 class TestChargePumpProperties:

@@ -8,12 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import FLOAT64_ASSOC_ATOL, FLOAT64_EXACT_ATOL
 from repro.utils.numerics import (
-    binary_to_sign,
     log1pexp,
     log_sigmoid,
     logsumexp,
     sigmoid,
-    sign_to_binary,
     softmax,
 )
 
@@ -83,15 +81,3 @@ class TestSoftmaxProperties:
         probabilities = softmax(matrix, axis=1)
         assert np.all(probabilities >= 0)
         np.testing.assert_allclose(probabilities.sum(axis=1), 1.0, atol=FLOAT64_ASSOC_ATOL)
-
-
-class TestSpinConversionProperties:
-    @given(hnp.arrays(dtype=int, shape=st.integers(1, 50), elements=st.integers(0, 1)))
-    def test_round_trip(self, bits):
-        bits = bits.astype(float)
-        np.testing.assert_array_equal(sign_to_binary(binary_to_sign(bits)), bits)
-
-    @given(hnp.arrays(dtype=int, shape=st.integers(1, 50), elements=st.integers(0, 1)))
-    def test_sign_values(self, bits):
-        spins = binary_to_sign(bits.astype(float))
-        assert set(np.unique(spins)).issubset({-1.0, 1.0})

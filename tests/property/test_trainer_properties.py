@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.config import TrainerSpec
 from repro.core import BGFConfig, BGFTrainer, GibbsSamplerTrainer
-from repro.rbm import BernoulliRBM, CDTrainer, PCDTrainer
+from repro.rbm import BernoulliRBM, CDTrainer
 
 
 def _data_from_seed(seed: int, n_samples: int, n_visible: int) -> np.ndarray:
@@ -53,18 +53,6 @@ class TestCDTrainerProperties:
         probabilities = rbm.hidden_activation_probability(data)
         assert probabilities.min() >= 0.0
         assert probabilities.max() <= 1.0
-
-
-class TestPCDTrainerProperties:
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 1000), particles=st.integers(1, 10))
-    def test_particles_shape_and_binarity(self, seed, particles):
-        data = _data_from_seed(seed, 30, 8)
-        rbm = BernoulliRBM(8, 4, rng=seed)
-        trainer = PCDTrainer(0.1, n_particles=particles, rng=seed)
-        trainer.train(rbm, data, epochs=2)
-        assert trainer.particles.shape == (particles, 8)
-        assert set(np.unique(trainer.particles)).issubset({0.0, 1.0})
 
 
 class TestHardwareTrainerProperties:

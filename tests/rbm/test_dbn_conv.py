@@ -1,10 +1,10 @@
-"""Tests for the DBN and the convolutional RBM."""
+"""Tests for the deep belief network."""
 
 import numpy as np
 import pytest
 
 from repro.config import TrainerSpec
-from repro.rbm import BernoulliRBM, CDTrainer, ConvolutionalRBM, DeepBeliefNetwork
+from repro.rbm import CDTrainer, DeepBeliefNetwork
 from repro.utils.validation import ValidationError
 
 
@@ -95,64 +95,3 @@ class TestDeepBeliefNetworkTraining:
         dbn = DeepBeliefNetwork((20, 10, 4), rng=0)
         with pytest.raises(ValidationError):
             dbn.pretrain(np.zeros((5, 12)))
-
-
-class TestConvolutionalRBM:
-    def test_output_feature_count(self):
-        crbm = ConvolutionalRBM((8, 8), n_filters=6, filter_size=3, pool_size=2, rng=0)
-        # feature maps are 6x6, pooled to 3x3, times 6 filters
-        assert crbm.feature_map_shape == (6, 6)
-        assert crbm.pooled_shape == (3, 3)
-        assert crbm.n_output_features == 54
-
-    def test_transform_shape_and_range(self):
-        crbm = ConvolutionalRBM((8, 8), n_filters=4, filter_size=3, rng=0)
-        images = np.random.default_rng(0).random((5, 64))
-        features = crbm.transform(images)
-        assert features.shape == (5, crbm.n_output_features)
-        assert features.min() >= 0.0 and features.max() <= 1.0
-
-    def test_color_images_supported(self):
-        crbm = ConvolutionalRBM((6, 6, 3), n_filters=4, filter_size=3, rng=0)
-        images = np.random.default_rng(1).random((4, 108))
-        assert crbm.transform(images).shape[0] == 4
-
-    def test_training_reduces_patch_reconstruction_error(self):
-        rng = np.random.default_rng(2)
-        # Images with strong vertical-stripe structure the filters can learn.
-        images = np.tile((rng.random((10, 1, 8)) < 0.5).astype(float), (1, 8, 1)).reshape(10, 64)
-        crbm = ConvolutionalRBM((8, 8), n_filters=6, filter_size=3, rng=0)
-        errors = crbm.train(images, epochs=12, learning_rate=0.3, patches_per_image=15, rng=3)
-        assert errors[-1] < errors[0]
-
-    def test_filter_too_large_rejected(self):
-        with pytest.raises(ValidationError):
-            ConvolutionalRBM((4, 4), filter_size=6)
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValidationError):
-            ConvolutionalRBM((4,))
-
-    def test_transform_shape_mismatch_rejected(self):
-        crbm = ConvolutionalRBM((8, 8), n_filters=4, filter_size=3, rng=0)
-        with pytest.raises(ValidationError):
-            crbm.transform(np.zeros((3, 50)))
-
-    def test_invalid_training_parameters(self):
-        crbm = ConvolutionalRBM((8, 8), n_filters=4, filter_size=3, rng=0)
-        images = np.zeros((2, 64))
-        with pytest.raises(ValidationError):
-            crbm.train(images, epochs=0)
-        with pytest.raises(ValidationError):
-            crbm.train(images, learning_rate=-1.0)
-
-    def test_pipeline_into_dense_rbm(self, tiny_image_dataset):
-        """The CIFAR10/SmallNORB pipeline: conv features feed a dense RBM."""
-        data = tiny_image_dataset
-        crbm = ConvolutionalRBM(data.image_shape, n_filters=4, filter_size=3, rng=0)
-        features = crbm.transform(data.train_x)
-        rbm = BernoulliRBM(features.shape[1], 12, rng=0)
-        history = CDTrainer(
-            spec=TrainerSpec.cd(0.1), rng=1
-        ).train(rbm, features, epochs=2)
-        assert len(history) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import TrainerSpec
-from repro.rbm import BernoulliRBM, CDTrainer, PCDTrainer
+from repro.rbm import BernoulliRBM, CDTrainer
 from repro.rbm.metrics import reconstruction_error
 from repro.utils.validation import ValidationError
 
@@ -119,55 +119,3 @@ class TestCDTraining:
         assert reconstruction_error(cd10, tiny_binary_data) < 1.5 * reconstruction_error(
             cd1, tiny_binary_data
         )
-
-
-class TestPCDTrainer:
-    def test_configuration_validation(self):
-        with pytest.raises(ValidationError):
-            PCDTrainer(n_particles=0)
-        with pytest.raises(ValidationError):
-            PCDTrainer(gibbs_steps=0)
-        with pytest.raises(ValidationError):
-            PCDTrainer(learning_rate=-0.1)
-
-    def test_training_reduces_reconstruction_error(self, tiny_binary_data):
-        rbm = BernoulliRBM(16, 8, rng=0)
-        before = reconstruction_error(rbm, tiny_binary_data)
-        PCDTrainer(0.1, n_particles=5, rng=1).train(rbm, tiny_binary_data, epochs=15)
-        assert reconstruction_error(rbm, tiny_binary_data) < before
-
-    def test_particles_persist_across_epochs(self, tiny_binary_data):
-        trainer = PCDTrainer(0.1, n_particles=4, rng=1)
-        rbm = BernoulliRBM(16, 8, rng=0)
-        trainer.train(rbm, tiny_binary_data, epochs=1)
-        first = trainer.particles
-        trainer.train(rbm, tiny_binary_data, epochs=1, reset_particles=False)
-        second = trainer.particles
-        assert first.shape == second.shape == (4, 16)
-        # Particles evolve rather than being re-drawn from scratch.
-        assert not np.array_equal(first, second)
-
-    def test_reset_particles(self, tiny_binary_data):
-        trainer = PCDTrainer(0.1, n_particles=4, rng=1)
-        rbm = BernoulliRBM(16, 8, rng=0)
-        assert trainer.particles is None
-        trainer.train(rbm, tiny_binary_data, epochs=1)
-        assert trainer.particles is not None
-
-    def test_particle_shape_mismatch_rejected(self, tiny_binary_data):
-        trainer = PCDTrainer(0.1, n_particles=4, rng=1)
-        rbm = BernoulliRBM(16, 8, rng=0)
-        trainer.train(rbm, tiny_binary_data, epochs=1)
-        other = BernoulliRBM(12, 8, rng=0)
-        with pytest.raises(ValidationError):
-            trainer.train(other, np.zeros((10, 12)), epochs=1, reset_particles=False)
-
-    def test_data_mismatch_rejected(self):
-        rbm = BernoulliRBM(10, 4, rng=0)
-        with pytest.raises(ValidationError):
-            PCDTrainer().train(rbm, np.zeros((5, 8)), epochs=1)
-
-    def test_history_recorded(self, tiny_binary_data):
-        rbm = BernoulliRBM(16, 8, rng=0)
-        history = PCDTrainer(0.1, rng=1).train(rbm, tiny_binary_data, epochs=3)
-        assert len(history) == 3

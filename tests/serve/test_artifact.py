@@ -17,7 +17,7 @@ from repro.config import TrainerSpec
 from repro.config.specs import ComputeSpec, RunSpec
 from repro.core import GibbsSamplerTrainer
 from repro.eval import RBMAnomalyDetector, RBMRecommender
-from repro.rbm import BernoulliRBM, PCDTrainer
+from repro.rbm import BernoulliRBM
 from repro.serve import (
     ARTIFACT_FORMAT,
     ARTIFACT_VERSION,
@@ -291,18 +291,6 @@ class TestQuantizedArtifact:
 
 
 class TestChainStateRoundTrip:
-    def test_pcd_particles_survive_and_restore(self, tmp_path, tiny_binary_data):
-        rbm = BernoulliRBM(16, 8, rng=0)
-        trainer = PCDTrainer(0.1, n_particles=6, batch_size=10, rng=3)
-        trainer.train(rbm, tiny_binary_data, epochs=2)
-        save_model(rbm, tmp_path / "pcd", chain_state=trainer.particles)
-
-        artifact = load_model(tmp_path / "pcd")
-        np.testing.assert_array_equal(artifact.chain_state, trainer.particles)
-        resumed = PCDTrainer(0.1, n_particles=6, batch_size=10, rng=3)
-        resumed.restore_particles(artifact.chain_state)
-        np.testing.assert_array_equal(resumed.particles, trainer.particles)
-
     def test_gs_chain_states_survive_and_restore(self, tmp_path, tiny_binary_data):
         rbm = BernoulliRBM(16, 8, rng=0)
         trainer = GibbsSamplerTrainer(
@@ -324,15 +312,39 @@ class TestChainStateRoundTrip:
         )
 
     def test_restore_hooks_validate_shapes(self):
-        with pytest.raises(ValidationError):
-            PCDTrainer(0.1, n_particles=6, rng=0).restore_particles(
-                np.zeros((3, 8))
-            )
+        with pytest.raises(ValidationError, match="chains"):
+            GibbsSamplerTrainer(
+                spec=TrainerSpec.gs(0.1, chains=6, persistent=True), rng=0
+            ).restore_chain_states(np.zeros((3, 8)))
         trainer = GibbsSamplerTrainer(
             spec=TrainerSpec.gs(0.1, chains=4, persistent=False), rng=0
         )
         with pytest.raises(ValidationError, match="persistent"):
             trainer.restore_chain_states(np.zeros((4, 8)))
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
+    def test_restore_rejects_non_binary_states(self, bad):
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, chains=4, persistent=True), rng=0
+        )
+        states = np.zeros((4, 8))
+        states[1, 2] = bad
+        with pytest.raises(ValidationError, match="chain_states"):
+            trainer.restore_chain_states(states)
+
+    @pytest.mark.parametrize("entry", ["partial_fit", "train"])
+    def test_restored_width_must_match_the_rbm(self, entry, tiny_binary_data):
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, batch_size=10, chains=4, persistent=True),
+            rng=0,
+        )
+        trainer.restore_chain_states(np.zeros((4, 9)))
+        rbm = BernoulliRBM(16, 8, rng=0)
+        with pytest.raises(ValidationError, match="width 9.*n_hidden=8"):
+            if entry == "partial_fit":
+                trainer.partial_fit(rbm, tiny_binary_data[:10])
+            else:
+                trainer.train(rbm, tiny_binary_data, epochs=1, reset_chains=False)
 
     def test_dense_artifact_has_no_chain_state(self, tmp_path):
         save_model(_random_rbm(), tmp_path / "model")

@@ -6,13 +6,10 @@ from scipy.special import expit, logsumexp as scipy_logsumexp
 
 from repro.utils.numerics import (
     bernoulli_sample,
-    binary_to_sign,
-    clip_norm,
     log1pexp,
     log_sigmoid,
     logsumexp,
     sigmoid,
-    sign_to_binary,
     softmax,
     softplus,
 )
@@ -110,40 +107,3 @@ class TestBernoulliSample:
     def test_seeded_reproducibility(self):
         p = np.full(100, 0.5)
         np.testing.assert_array_equal(bernoulli_sample(p, rng=9), bernoulli_sample(p, rng=9))
-
-
-class TestSpinBitConversions:
-    def test_round_trip_from_bits(self):
-        bits = np.array([0.0, 1.0, 1.0, 0.0])
-        np.testing.assert_array_equal(sign_to_binary(binary_to_sign(bits)), bits)
-
-    def test_round_trip_from_spins(self):
-        spins = np.array([-1.0, 1.0, -1.0])
-        np.testing.assert_array_equal(binary_to_sign(sign_to_binary(spins)), spins)
-
-    def test_values(self):
-        np.testing.assert_array_equal(binary_to_sign(np.array([0.0, 1.0])), np.array([-1.0, 1.0]))
-        np.testing.assert_array_equal(sign_to_binary(np.array([-1.0, 1.0])), np.array([0.0, 1.0]))
-
-
-class TestClipNorm:
-    def test_no_clipping_when_small(self):
-        x = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(clip_norm(x, 10.0), x)
-
-    def test_clips_to_max_norm(self):
-        x = np.array([3.0, 4.0])
-        clipped = clip_norm(x, 1.0)
-        assert np.linalg.norm(clipped) == pytest.approx(1.0)
-
-    def test_direction_preserved(self):
-        x = np.array([3.0, 4.0])
-        clipped = clip_norm(x, 1.0)
-        np.testing.assert_allclose(clipped / np.linalg.norm(clipped), x / np.linalg.norm(x))
-
-    def test_zero_vector_unchanged(self):
-        np.testing.assert_array_equal(clip_norm(np.zeros(3), 1.0), np.zeros(3))
-
-    def test_invalid_max_norm(self):
-        with pytest.raises(ValueError):
-            clip_norm(np.ones(2), 0.0)
