@@ -84,3 +84,62 @@ class TestNoiseModel:
         a = NoiseModel(NoiseConfig(0.2, 0.0), (6, 6), rng=9).coupling_gain
         b = NoiseModel(NoiseConfig(0.2, 0.0), (6, 6), rng=9).coupling_gain
         np.testing.assert_array_equal(a, b)
+
+
+class TestNoiseModelKernels:
+    """The trusted kernels the substrate's settle loop calls directly."""
+
+    @pytest.mark.parametrize(
+        "variation, noise",
+        [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)],
+    )
+    def test_flags_follow_the_operating_point(self, variation, noise):
+        model = NoiseModel(NoiseConfig(variation, noise), (3, 2), rng=0)
+        assert model.has_variation is (variation > 0)
+        assert model.has_dynamic_noise is (noise > 0)
+
+    def test_static_effective_aliases_input_without_variation(self):
+        """The ideal-variation corner hands the weights back uncopied, so
+        the substrate's effective-weight cache costs nothing."""
+        model = NoiseModel(NoiseConfig(0.0, 0.2), (5, 4), rng=0)
+        weights = np.ones((5, 4))
+        assert model.static_effective(weights) is weights
+
+    def test_static_effective_matches_validated_path(self):
+        model = NoiseModel(NoiseConfig(0.2, 0.0), (5, 4), rng=0)
+        weights = np.random.default_rng(1).normal(size=(5, 4))
+        np.testing.assert_array_equal(
+            model.static_effective(weights), model.effective_weights(weights)
+        )
+
+    def test_apply_dynamic_draws_like_perturbed_coupling(self):
+        """Same seed, same draw order: the trusted kernel and the validated
+        one-call path produce the same perturbed couplings."""
+        weights = np.random.default_rng(2).normal(size=(5, 4))
+        trusted = NoiseModel(NoiseConfig(0.1, 0.2), (5, 4), rng=3)
+        validated = NoiseModel(NoiseConfig(0.1, 0.2), (5, 4), rng=3)
+        np.testing.assert_array_equal(
+            trusted.apply_dynamic(trusted.static_effective(weights)),
+            validated.perturbed_coupling(weights),
+        )
+
+    def test_apply_dynamic_is_identity_without_noise(self):
+        model = NoiseModel(NoiseConfig(0.1, 0.0), (5, 4), rng=0)
+        effective = np.random.default_rng(4).normal(size=(5, 4))
+        np.testing.assert_array_equal(model.apply_dynamic(effective), effective)
+
+    def test_substream_shares_the_static_draw(self):
+        model = NoiseModel(NoiseConfig(0.2, 0.1), (5, 4), rng=0)
+        shard = model.spawn_substream(7)
+        assert shard.coupling_gain is model.coupling_gain
+        assert shard.config == model.config
+        assert shard.coupling_shape == model.coupling_shape
+
+    def test_substream_draws_dynamic_noise_from_its_own_rng(self):
+        model = NoiseModel(NoiseConfig(0.2, 0.1), (5, 4), rng=0)
+        before = NoiseModel(NoiseConfig(0.2, 0.1), (5, 4), rng=0)
+        a = model.spawn_substream(7).coupling_noise()
+        b = model.spawn_substream(7).coupling_noise()
+        np.testing.assert_array_equal(a, b)
+        # The parent's own dynamic stream is untouched by its shards.
+        np.testing.assert_array_equal(model.coupling_noise(), before.coupling_noise())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analog import DynamicComparator, SigmoidUnit, StochasticNeuronSampler, ThermalNoiseRNG
+from repro.analog.rng import check_in_range_array
 from repro.utils.numerics import sigmoid
 from repro.utils.validation import ValidationError
 
@@ -119,3 +120,72 @@ class TestStochasticNeuronSampler:
         sampler = StochasticNeuronSampler(2, rng=0)
         with pytest.raises(ValidationError):
             sampler.sample(np.array([[0.5, 1.2]]))
+
+
+class TestSigmoidIdentity:
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({}, True),
+            ({"n_units": 4}, True),
+            ({"gain": 2.0}, False),
+            ({"offset": 0.5}, False),
+            ({"n_units": 4, "gain_variation_rms": 0.1}, False),
+        ],
+    )
+    def test_is_identity_only_in_the_ideal_corner(self, kwargs, expected):
+        unit = SigmoidUnit(rng=0, **kwargs)
+        assert unit.is_identity is expected
+        if expected:
+            x = np.linspace(-4.0, 4.0, 4)
+            np.testing.assert_array_equal(unit(x), sigmoid(x))
+
+
+class TestFusedLatch:
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            ({}, True),
+            ({"distribution": "gaussian"}, False),
+            ({"comparator_offset_rms": 0.05}, False),
+        ],
+    )
+    def test_supports_fused_needs_uniform_offset_free_latch(self, kwargs, expected):
+        assert StochasticNeuronSampler(3, rng=0, **kwargs).supports_fused is expected
+
+    def test_sample_from_field_follows_sigmoid_of_field(self):
+        sampler = StochasticNeuronSampler(4, rng=5)
+        field = np.tile(np.array([-2.0, -0.5, 0.5, 3.0]), (20000, 1))
+        samples = sampler.sample_from_field(field)
+        np.testing.assert_allclose(samples.mean(axis=0), sigmoid(field[0]), atol=0.02)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_from_field_keeps_field_dtype(self, dtype):
+        sampler = StochasticNeuronSampler(3, rng=0)
+        out = sampler.sample_from_field(np.zeros((4, 3), dtype=dtype))
+        assert out.dtype == dtype
+        assert set(np.unique(out)).issubset({0.0, 1.0})
+
+    def test_substream_shares_the_comparator(self):
+        sampler = StochasticNeuronSampler(3, comparator_offset_rms=0.05, rng=0)
+        shard = sampler.spawn_substream(9)
+        assert shard.comparator is sampler.comparator
+        assert shard.noise_source.distribution == sampler.noise_source.distribution
+
+    def test_substreams_with_one_seed_draw_alike(self):
+        sampler = StochasticNeuronSampler(3, rng=0)
+        p = np.full((50, 3), 0.5)
+        a = sampler.spawn_substream(9).sample(p, validate=False)
+        b = sampler.spawn_substream(9).sample(p, validate=False)
+        np.testing.assert_array_equal(a, b)
+
+
+class TestProbabilityRangeCheck:
+    @pytest.mark.parametrize("p", [[0.0, 0.5, 1.0], []])
+    def test_accepts_unit_interval(self, p):
+        np.testing.assert_array_equal(check_in_range_array(p), np.asarray(p, dtype=float))
+
+    @pytest.mark.parametrize("p", [[-0.1, 0.5], [0.5, 1.1]])
+    def test_rejects_outside_unit_interval(self, p):
+        with pytest.raises(ValidationError, match="probabilities"):
+            check_in_range_array(p)

@@ -1,9 +1,12 @@
 """Tests for the Figure-5/6 performance and energy model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.hardware import PerformanceModel, WorkloadSpec, benchmark_workloads
+from repro.hardware.components import BGF_LIBRARY, GIBBS_SAMPLER_LIBRARY
 from repro.utils.validation import ValidationError
 
 
@@ -149,3 +152,103 @@ class TestFigure6Claims:
         for row in model.figure6_rows():
             assert row["BGF"] == 1.0
             assert row["TPU"] > row["GS"]
+
+
+WORKLOAD_NAMES = [w.name for w in benchmark_workloads()]
+DBN_NAMES = [name for name in WORKLOAD_NAMES if name.endswith("_DBN")]
+ACCELERATORS = ("TPU", "GPU", "GS", "BGF")
+
+
+def _workload(name):
+    return next(w for w in benchmark_workloads() if w.name == name)
+
+
+class TestOperationCounts:
+    @pytest.mark.parametrize(
+        "m, n, cd_k, expected",
+        [(1, 1, 1, 10.0), (3, 4, 2, 168.0), (784, 500, 10, 18_032_000.0)],
+    )
+    def test_mac_ops_per_sample(self, m, n, cd_k, expected):
+        # 2 ops per MAC over 1 positive product, 2 per Gibbs step, 2 outer products.
+        assert PerformanceModel.mac_ops_per_sample(m, n, cd_k) == expected
+
+    @pytest.mark.parametrize(
+        "m, n, cd_k, expected",
+        [(1, 1, 1, 3.0), (3, 4, 2, 18.0), (784, 500, 10, 13_340.0)],
+    )
+    def test_sampling_ops_per_sample(self, m, n, cd_k, expected):
+        # The hidden layer once, then both layers on every Gibbs step.
+        assert PerformanceModel.sampling_ops_per_sample(m, n, cd_k) == expected
+
+
+class TestPerWorkloadAccounting:
+    """Bookkeeping identities that hold on every Figure-5/6 workload."""
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_gs_breakdown_sums_to_gs_time(self, model, name):
+        workload = _workload(name)
+        breakdown = model.gs_time_breakdown(workload)
+        assert all(value > 0 for value in breakdown.values())
+        assert sum(breakdown.values()) == pytest.approx(model.gs_time(workload), rel=1e-12)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_epochs_scale_time_and_energy_linearly(self, model, name):
+        one = _workload(name)
+        three = dataclasses.replace(one, epochs=3)
+        base, tripled = model.evaluate(one), model.evaluate(three)
+        for key in ACCELERATORS:
+            assert tripled[key].seconds == pytest.approx(3 * base[key].seconds, rel=1e-12)
+            assert tripled[key].joules == pytest.approx(3 * base[key].joules, rel=1e-12)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_energy_is_power_times_busy_time(self, model, name):
+        workload = _workload(name)
+        nodes = model.accelerator_nodes
+        assert model.tpu_energy(workload) == pytest.approx(
+            model.host_average_power_w * model.tpu_time(workload), rel=1e-12
+        )
+        assert model.gpu_energy(workload) == pytest.approx(
+            model.gpu.board_power_w * model.gpu_time(workload), rel=1e-12
+        )
+        assert model.bgf_energy(workload) == pytest.approx(
+            BGF_LIBRARY.total_power_w(nodes) * model.bgf_time(workload), rel=1e-12
+        )
+        breakdown = model.gs_time_breakdown(workload)
+        host_time = breakdown["host_compute"] + breakdown["communication"]
+        assert model.gs_energy(workload) == pytest.approx(
+            GIBBS_SAMPLER_LIBRARY.total_power_w(nodes) * breakdown["substrate"]
+            + model.host_average_power_w * host_time,
+            rel=1e-12,
+        )
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_more_gibbs_steps_cost_more_on_every_substrate(self, model, name):
+        shallow = dataclasses.replace(_workload(name), cd_k=1)
+        deep = dataclasses.replace(shallow, cd_k=10)
+        shallow_t, deep_t = model.evaluate(shallow), model.evaluate(deep)
+        for key in ACCELERATORS:
+            assert deep_t[key].seconds > shallow_t[key].seconds
+            assert deep_t[key].joules > shallow_t[key].joules
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_bgf_uses_least_energy(self, model, name):
+        timings = model.evaluate(_workload(name))
+        bgf = timings["BGF"].joules
+        assert all(timings[key].joules > bgf for key in ("TPU", "GPU", "GS"))
+
+
+class TestLayerAdditivity:
+    """A DBN workload costs the sum of its greedily-trained layers."""
+
+    @pytest.mark.parametrize("accelerator", ACCELERATORS)
+    @pytest.mark.parametrize("name", DBN_NAMES)
+    def test_dbn_cost_is_sum_of_layer_costs(self, model, name, accelerator):
+        dbn = _workload(name)
+        assert len(dbn.layers) > 1
+        layers = [
+            model.evaluate(dataclasses.replace(dbn, layers=(layer,)))[accelerator]
+            for layer in dbn.layers
+        ]
+        whole = model.evaluate(dbn)[accelerator]
+        assert whole.seconds == pytest.approx(sum(t.seconds for t in layers), rel=1e-12)
+        assert whole.joules == pytest.approx(sum(t.joules for t in layers), rel=1e-12)

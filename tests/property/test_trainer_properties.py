@@ -67,6 +67,18 @@ class TestHardwareTrainerProperties:
         assert np.all(np.isfinite(rbm.weights))
 
     @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 1000), chains=st.integers(1, 10))
+    def test_persistent_gs_chain_states_shape_and_binarity(self, seed, chains):
+        data = _data_from_seed(seed, 30, 8)
+        rbm = BernoulliRBM(8, 4, rng=seed)
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, chains=chains, persistent=True), rng=seed
+        )
+        trainer.train(rbm, data, epochs=2)
+        assert trainer.chain_states.shape == (chains, 4)
+        assert set(np.unique(trainer.chain_states)).issubset({0.0, 1.0})
+
+    @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 1000),
         step=st.floats(0.005, 0.1),
