@@ -32,7 +32,6 @@ from repro.utils.validation import (
     ValidationError,
     check_bool,
     check_finite,
-    check_in_range,
     check_int,
     check_positive,
 )
@@ -361,7 +360,6 @@ class TrainerSpec(Spec):
     * ``sampler.burn_in`` — BGF particle-pool burn-in (must be 0 elsewhere).
     * ``reference_batch_size``, ``step_size`` — BGF step-size derivation
       (``step_size=None`` derives ``learning_rate / reference_batch_size``).
-    * ``momentum`` — software CD only.
     * ``compute.dtype`` — hardware engines only; the software CD reference
       is float64 by definition.
     """
@@ -370,8 +368,6 @@ class TrainerSpec(Spec):
     learning_rate: float = 0.1
     cd_k: int = 1
     batch_size: int = 10
-    weight_decay: float = 0.0
-    momentum: float = 0.0
     reference_batch_size: int = 50
     step_size: Optional[float] = None
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
@@ -387,12 +383,6 @@ class TrainerSpec(Spec):
             "learning_rate": check_positive(self.learning_rate, name="learning_rate"),
             "cd_k": check_int(self.cd_k, "cd_k", 1),
             "batch_size": check_int(self.batch_size, "batch_size", 1),
-            "weight_decay": check_positive(
-                self.weight_decay, name="weight_decay", strict=False
-            ),
-            "momentum": check_in_range(
-                self.momentum, 0.0, 1.0, name="momentum", inclusive=(True, False)
-            ),
             "reference_batch_size": check_int(
                 self.reference_batch_size, "reference_batch_size", 1
             ),
@@ -408,11 +398,6 @@ class TrainerSpec(Spec):
         if not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec")
         # Kind-specific constraints surface here, not deep in a train loop.
-        if self.kind != "cd" and self.momentum != 0.0:
-            raise ValidationError(
-                f"momentum is a software-CD knob; the {self.kind!r} trainer "
-                "does not support it"
-            )
         if self.kind == "cd":
             if self.compute.dtype != "float64":
                 raise ValidationError(
@@ -460,8 +445,6 @@ class TrainerSpec(Spec):
         *,
         cd_k: int = 1,
         batch_size: int = 10,
-        weight_decay: float = 0.0,
-        momentum: float = 0.0,
         compute: Optional[ComputeSpec] = None,
     ) -> "TrainerSpec":
         """Software CD-k reference trainer spec."""
@@ -470,8 +453,6 @@ class TrainerSpec(Spec):
             learning_rate=learning_rate,
             cd_k=cd_k,
             batch_size=batch_size,
-            weight_decay=weight_decay,
-            momentum=momentum,
             compute=compute if compute is not None else ComputeSpec(),
         )
 
@@ -484,7 +465,6 @@ class TrainerSpec(Spec):
         batch_size: int = 10,
         chains: int = 1,
         persistent: bool = False,
-        weight_decay: float = 0.0,
         noise: Optional[NoiseSpec] = None,
         compute: Optional[ComputeSpec] = None,
     ) -> "TrainerSpec":
@@ -494,7 +474,6 @@ class TrainerSpec(Spec):
             learning_rate=learning_rate,
             cd_k=cd_k,
             batch_size=batch_size,
-            weight_decay=weight_decay,
             sampler=SamplerSpec(chains=chains, persistent=persistent),
             noise=noise if noise is not None else NoiseSpec(),
             compute=compute if compute is not None else ComputeSpec(),

@@ -28,21 +28,16 @@ import numpy as np
 from repro.config.specs import SubstrateSpec, TrainerSpec, check_spec
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import BipartiteIsingSubstrate
-from repro.rbm.rbm import BernoulliRBM, TrainingHistory
+from repro.rbm.rbm import (
+    BernoulliRBM,
+    TrainingHistory,
+    check_training_rows,
+    run_epochs,
+)
 from repro.utils.batching import minibatches
-from repro.utils.numerics import (
-    is_sparse,
-    safe_sparse_dot,
-    sparse_mean,
-    sparse_mean_squared_error,
-)
+from repro.utils.numerics import is_sparse, safe_sparse_dot, sparse_mean
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import (
-    ValidationError,
-    check_array,
-    check_binary,
-    check_data_matrix,
-)
+from repro.utils.validation import ValidationError, check_array, check_binary
 
 
 class GibbsSamplerMachine:
@@ -157,8 +152,8 @@ class GibbsSamplerTrainer:
     spec:
         Typed configuration (:class:`~repro.config.TrainerSpec` with
         ``kind="gs"``; see :meth:`~repro.config.TrainerSpec.gs`).
-        ``learning_rate``, ``cd_k``, ``batch_size`` and ``weight_decay`` act
-        as in the software :class:`~repro.rbm.rbm.CDTrainer`.
+        ``learning_rate``, ``cd_k`` and ``batch_size`` act as in the
+        software :class:`~repro.rbm.rbm.CDTrainer`.
         ``sampler.chains`` is the number ``p`` of negative-phase chains: the
         default of 1 (not persistent) keeps conventional CD, where the
         minibatch's own positive samples seed the negative chain; ``p > 1``
@@ -213,7 +208,6 @@ class GibbsSamplerTrainer:
         self.chains = spec.sampler.chains
         self.persistent = spec.sampler.persistent
         self.workers = spec.compute.workers
-        self.weight_decay = spec.weight_decay
         self.machine = machine
         self._rng = as_rng(rng)
         self.callback = callback
@@ -239,7 +233,9 @@ class GibbsSamplerTrainer:
         continue from these hidden chain states instead of re-initializing
         (persistent mode only — fresh-chain CD has no state to restore).
         The states must be binary; their width must equal the ``n_hidden``
-        of the RBM they next train, or that call raises.
+        of the RBM they next train, or that call raises.  So does a call
+        with ``reset_chains=True`` (``train``'s default), which would
+        discard them.
         """
         if not self.persistent:
             raise ValidationError(
@@ -276,34 +272,41 @@ class GibbsSamplerTrainer:
             )
         return self.machine
 
-    def _init_chains(self, rbm: BernoulliRBM, reset_chains: bool) -> None:
-        """(Re)initialize the persistent chains when needed.
+    def _start(self, rbm: BernoulliRBM, reset_chains: bool) -> GibbsSamplerMachine:
+        """Entry work of ``train`` and ``partial_fit``: the machine and the
+        persistent chains, (re)initialized when needed.
 
-        Documented RNG order: this (chains x n_hidden) block is the first
-        draw from the trainer stream in a ``train()`` call — and likewise in
-        the first ``partial_fit`` of a streamed run, which is why the two
-        entry points consume the stream identically.
+        Restored chain states are resumed, never silently re-drawn: a call
+        that would discard them, or whose RBM they do not fit, raises before
+        anything is drawn.  Documented RNG order: the (chains x n_hidden)
+        init block is the first draw from the trainer stream in a
+        ``train()`` call — and likewise in the first ``partial_fit`` of a
+        streamed run, which is why the two entry points consume the stream
+        identically.
         """
-        if not self.persistent:
-            return
-        if (
-            self._chains_restored
-            and not reset_chains
-            and self._chains_h.shape[1] != rbm.n_hidden
-        ):
-            raise ValidationError(
-                f"restored chain_states have width {self._chains_h.shape[1]}"
-                f" but the RBM has n_hidden={rbm.n_hidden}"
-            )
-        self._chains_restored = False
-        if (
-            reset_chains
-            or self._chains_h is None
-            or self._chains_h.shape != (self.chains, rbm.n_hidden)
-        ):
-            self._chains_h = (
-                self._rng.random((self.chains, rbm.n_hidden)) < 0.5
-            ).astype(np.float64)
+        if self._chains_restored:
+            if reset_chains:
+                raise ValidationError(
+                    "reset_chains=True would discard the restored chain_states;"
+                    " pass reset_chains=False to resume them"
+                )
+            if self._chains_h.shape[1] != rbm.n_hidden:
+                raise ValidationError(
+                    f"restored chain_states have width {self._chains_h.shape[1]}"
+                    f" but the RBM has n_hidden={rbm.n_hidden}"
+                )
+        machine = self._ensure_machine(rbm)
+        if self.persistent:
+            self._chains_restored = False
+            if (
+                reset_chains
+                or self._chains_h is None
+                or self._chains_h.shape != (self.chains, rbm.n_hidden)
+            ):
+                self._chains_h = (
+                    self._rng.random((self.chains, rbm.n_hidden)) < 0.5
+                ).astype(np.float64)
+        return machine
 
     def _validate_entry_state(self, rbm: BernoulliRBM) -> None:
         """The once-per-entry finiteness scan of the model arrays."""
@@ -368,8 +371,6 @@ class GibbsSamplerTrainer:
             else:
                 grad_bv = np.mean(batch - v_neg, axis=0)
             grad_bh = np.mean(h_pos - h_neg, axis=0)
-        if self.weight_decay:
-            grad_w = grad_w - self.weight_decay * rbm.weights
         grad_w *= self.learning_rate
         rbm.weights += grad_w
         rbm.visible_bias += self.learning_rate * grad_bv
@@ -387,28 +388,21 @@ class GibbsSamplerTrainer:
         the same seed, because both consume the trainer RNG stream in the
         same documented order (chain init on the first call, nothing else).
 
-        ``batch`` may be dense or scipy-sparse CSR.  Between calls the
+        ``batch`` may be dense or scipy-sparse CSR, with at least one row
+        (an empty batch raises, leaving the RBM untouched).  Between calls the
         substrate stays programmed with the parameters adopted at this
         call's entry (its effective-weight cache is invalidated on exit, so
         a float64 substrate — whose arrays alias the RBM's —
         resamples current values); the next ``partial_fit`` or ``train``
         reprograms before sampling.  Returns ``self``.
         """
-        batch = check_data_matrix(batch, name="batch", n_features=rbm.n_visible)
-        machine = self._ensure_machine(rbm)
-        self._init_chains(rbm, reset_chains)
+        batch = check_training_rows(batch, rbm.n_visible, name="batch")
+        machine = self._start(rbm, reset_chains)
         if not self._entry_validated:
             self._validate_entry_state(rbm)
         self._update_from_batch(rbm, machine, batch)
         machine.substrate.invalidate_effective_weights()
         return self
-
-    def _epoch_recon_error(self, rbm: BernoulliRBM, data) -> float:
-        """Epoch-end mean reconstruction error for dense or sparse data."""
-        recon = rbm.reconstruct(data)
-        if is_sparse(data):
-            return float(sparse_mean_squared_error(data, recon))
-        return float(np.mean((data - recon) ** 2))
 
     def train(
         self,
@@ -423,51 +417,38 @@ class GibbsSamplerTrainer:
 
         ``reset_chains=False`` keeps persistent chains from a previous
         ``train`` call alive (when shapes still match), so stacked training
-        schedules can continue the same fantasy particles.
+        schedules can continue the same fantasy particles; it is also how
+        chains adopted through :meth:`restore_chain_states` resume.
 
         ``data`` may be a dense array or a scipy-sparse CSR matrix.  Data
         that does not fit in memory streams through :meth:`partial_fit`,
         one minibatch per call.
         """
-        data = check_data_matrix(data, name="data")
-        if data.shape[1] != rbm.n_visible:
-            raise ValidationError(
-                f"data has {data.shape[1]} features but the RBM has "
-                f"{rbm.n_visible} visible units"
-            )
-        if epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {epochs}")
-        machine = self._ensure_machine(rbm)
 
-        # Multi-chain / PCD negative-phase engine.  The (chains=1,
-        # persistent=False) default takes the classic code path below, which
-        # is bit-identical to the single-chain implementation.
-        self._init_chains(rbm, reset_chains)
+        def setup() -> None:
+            # The trainer owns both the RBM and the machine, so reprogramming
+            # on every minibatch adopts the RBM's arrays by reference instead
+            # of re-validating and copying the m x n matrix each time.  The
+            # finiteness scan runs once per train(): training arithmetic on
+            # finite inputs stays finite, so only the entry state needs it.
+            self._start(rbm, reset_chains)
+            self._validate_entry_state(rbm)
 
-        # The trainer owns both the RBM and the machine, so reprogramming on
-        # every minibatch can adopt the RBM's arrays by reference instead of
-        # re-validating and copying the full m x n matrix each time.  The
-        # finiteness scan runs once per train(): training arithmetic on
-        # finite inputs stays finite, so only the entry state needs checking.
-        self._validate_entry_state(rbm)
-
-        history = TrainingHistory()
-        for epoch in range(epochs):
+        def one_pass(data) -> None:
             for batch in minibatches(
                 data, self.batch_size, shuffle=shuffle, rng=self._rng
             ):
-                self._update_from_batch(rbm, machine, batch)
+                self._update_from_batch(rbm, self.machine, batch)
 
-            history.record(epoch, self._epoch_recon_error(rbm, data))
-            if self.callback is not None:
-                self.callback(epoch, rbm)
-
+        history = run_epochs(
+            rbm, data, epochs, one_pass, setup=setup, callback=self.callback
+        )
         # Restore the no-aliasing invariant before handing the machine back:
         # the final in-place RBM update landed after the last reprogram, so
         # detach the substrate from the RBM's live arrays (leaving it
         # programmed with the final parameters).  Done at the substrate level
         # so host programming counts stay one write per minibatch.
-        machine.substrate.program_trusted(
+        self.machine.substrate.program_trusted(
             rbm.weights.copy(), rbm.visible_bias.copy(), rbm.hidden_bias.copy()
         )
         return history

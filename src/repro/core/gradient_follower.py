@@ -41,7 +41,12 @@ from repro.ising.bipartite import (
     _settle_eval_kernel,
     _settle_loop_kernel,
 )
-from repro.rbm.rbm import BernoulliRBM, TrainingHistory
+from repro.rbm.rbm import (
+    BernoulliRBM,
+    TrainingHistory,
+    check_training_rows,
+    run_epochs,
+)
 from repro.utils.numerics import is_sparse
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
 from repro.utils.validation import (
@@ -96,17 +101,14 @@ class BGFConfig:
             object.__setattr__(self, name, value)
 
 
-def _check_stream(data, n_visible: int) -> np.ndarray:
-    """A non-empty, finite, dense ``(rows, n_visible)`` training stream."""
+def _reject_sparse(data) -> None:
+    """The BGF streams dense samples: name a sparse input before anything
+    canonicalizes it."""
     if is_sparse(data):
         raise ValidationError(
             f"the BGF streams dense samples; got a scipy-sparse "
             f"{type(data).__name__} — densify it with .toarray() first"
         )
-    data = check_array(data, name="data", shape=(None, n_visible))
-    if data.shape[0] == 0:
-        raise ValidationError("data must have at least one row, got 0")
-    return data
 
 
 class BoltzmannGradientFollower:
@@ -331,13 +333,13 @@ class BoltzmannGradientFollower:
         self,
         data: np.ndarray,
         *,
-        epochs: int = 1,
         shuffle: bool = True,
         chunk_size: int = 64,
     ) -> None:
-        """Operation step 6: stream the training set for ``epochs`` passes.
+        """Operation step 6: stream the training set once (one epoch).
 
-        Requires :meth:`initialize`.  The stream is processed in chunks of
+        Requires :meth:`initialize`; ``data`` is a non-empty, finite, dense
+        ``(rows, n_visible)`` matrix.  The stream is processed in chunks of
         ``chunk_size`` samples: clamp/DTC conversion and Bernoulli gating
         draws are batched per chunk while the learning itself stays strictly
         sequential, one :meth:`_bgf_sample_step` per sample (see
@@ -347,16 +349,15 @@ class BoltzmannGradientFollower:
         (clamp, settle, pump) and then its negative phase (anneal a
         particle, pump) as separate per-sample calls.
         """
-        data = _check_stream(data, self.n_visible)
-        epochs = check_int(epochs, "epochs", 1)
+        _reject_sparse(data)
+        data = check_training_rows(data, self.n_visible)
         chunk_size = check_int(chunk_size, "chunk_size", 1)
         if self._particles is None:
             raise ValidationError("initialize must be called before run")
         n = data.shape[0]
-        for _ in range(epochs):
-            order = self._rng.permutation(n) if shuffle else np.arange(n)
-            for start in range(0, n, chunk_size):
-                self._stream_chunk(data[order[start : start + chunk_size]])
+        order = self._rng.permutation(n) if shuffle else np.arange(n)
+        for start in range(0, n, chunk_size):
+            self._stream_chunk(data[order[start : start + chunk_size]])
 
     def read_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Final step: ADC readout of the trained weights and biases."""
@@ -463,26 +464,24 @@ class BGFTrainer:
         algorithm — it is instrumentation, matching how the paper evaluates
         log-probability trajectories offline.
         """
-        data = _check_stream(data, rbm.n_visible)
-        epochs = check_int(epochs, "epochs", 1)
-        machine = self._ensure_machine(rbm)
-        machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-        if self.particle_burn_in:
-            # Decorrelate the freshly-drawn particle pool before learning;
-            # the default of 0 keeps runs bit-identical to the no-burn-in
-            # implementation (the refresh draws from the substrate streams).
-            machine.refresh_particles(self.particle_burn_in, workers=self.workers)
+        _reject_sparse(data)
 
-        history = TrainingHistory()
-        for epoch in range(epochs):
-            machine.run(data, epochs=1, shuffle=shuffle)
-            weights, visible_bias, hidden_bias = machine.substrate.read_parameters()
-            rbm.set_parameters(weights, visible_bias, hidden_bias)
-            recon = rbm.reconstruct(data)
-            history.record(epoch, float(np.mean((data - recon) ** 2)))
-            if self.callback is not None:
-                self.callback(epoch, rbm)
+        def setup() -> None:
+            machine = self._ensure_machine(rbm)
+            machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
+            if self.particle_burn_in:
+                # Decorrelate the freshly-drawn particle pool before learning;
+                # the default of 0 keeps runs bit-identical to the
+                # no-burn-in implementation (the refresh draws from the
+                # substrate streams).
+                machine.refresh_particles(self.particle_burn_in, workers=self.workers)
 
-        weights, visible_bias, hidden_bias = machine.read_out()
-        rbm.set_parameters(weights, visible_bias, hidden_bias)
+        def one_pass(data) -> None:
+            self.machine.run(data, shuffle=shuffle)
+            rbm.set_parameters(*self.machine.substrate.read_parameters())
+
+        history = run_epochs(
+            rbm, data, epochs, one_pass, setup=setup, callback=self.callback
+        )
+        rbm.set_parameters(*self.machine.read_out())
         return history

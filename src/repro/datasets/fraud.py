@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.datasets.base import AnomalyDataset
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.numerics import sigmoid, sparse_available
+from repro.utils.numerics import sigmoid
 from repro.utils.validation import ValidationError
 
 
@@ -56,8 +56,6 @@ def encode_features_onehot(x, n_bins: int = 16, *, sparse: bool = True):
     shape = (n, f * n_bins)
 
     if sparse:
-        if not sparse_available():  # pragma: no cover - scipy is present in CI
-            raise ValidationError("encode_features_onehot(sparse=True) requires scipy")
         from scipy import sparse as sp
 
         return sp.csr_matrix(

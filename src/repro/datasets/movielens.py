@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.base import RatingsDataset
-from repro.utils.numerics import sparse_available
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError
 
@@ -64,8 +63,6 @@ def encode_ratings_onehot(ratings, rating_levels: int, *, sparse: bool = True):
     shape = (n_items, n_users * rating_levels)
 
     if sparse:
-        if not sparse_available():  # pragma: no cover - scipy is present in CI
-            raise ValidationError("encode_ratings_onehot(sparse=True) requires scipy")
         from scipy import sparse as sp
 
         return sp.csr_matrix(

@@ -73,29 +73,30 @@ def run_figure11(
         data = _random_training_distribution(n_visible, n_samples, master)
         target = empirical_visible_distribution(data, n_visible)
         for run_index in range(runs_per_distribution):
+            # Stream 1 was the exact-ML trainer's, which draws nothing; the
+            # others keep their indices so seeded rows stay unchanged.
             rngs = spawn_rngs(seed * 1000 + dist_index * 100 + run_index, 5)
             base = BernoulliRBM(n_visible, n_hidden, rng=rngs[0])
 
             trainers = {
-                "ML": ("ml", MaximumLikelihoodTrainer(learning_rate, rng=rngs[1])),
+                "ML": (MaximumLikelihoodTrainer(learning_rate), ml_iterations),
                 "cd1": (
-                    "cd",
                     CDTrainer(
                         spec=TrainerSpec.cd(learning_rate, cd_k=1, batch_size=10),
                         rng=rngs[2],
                     ),
+                    cd_epochs,
                 ),
                 f"cd{cd_long_k}": (
-                    "cd",
                     CDTrainer(
                         spec=TrainerSpec.cd(
                             learning_rate, cd_k=cd_long_k, batch_size=10
                         ),
                         rng=rngs[3],
                     ),
+                    cd_epochs,
                 ),
                 "BGF": (
-                    "bgf",
                     # step_size/anneal_steps mirror the paper's Appendix-A
                     # setup (BGFConfig(step_size=lr/10, anneal_steps=5)).
                     BGFTrainer(
@@ -107,14 +108,12 @@ def run_figure11(
                         ),
                         rng=rngs[4],
                     ),
+                    cd_epochs,
                 ),
             }
-            for method, (kind, trainer) in trainers.items():
+            for method, (trainer, epochs) in trainers.items():
                 rbm = base.copy()
-                if kind == "ml":
-                    trainer.train(rbm, data, iterations=ml_iterations)
-                else:
-                    trainer.train(rbm, data, epochs=cd_epochs)
+                trainer.train(rbm, data, epochs=epochs)
                 model_dist = exact_visible_distribution(rbm)
                 divergence = kl_divergence(target, model_dist)
                 rows.append(

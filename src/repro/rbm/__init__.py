@@ -8,7 +8,8 @@ that the paper's accelerators are compared against:
 * :class:`~repro.rbm.rbm.CDTrainer` — Algorithm 1 of the paper (CD-k with
   minibatch stochastic gradient ascent).  The paper's PCD runs on the
   substrate: :class:`~repro.core.gibbs_sampler.GibbsSamplerTrainer` with
-  ``persistent=True``.
+  ``persistent=True``.  Every trainer's ``train`` runs the one epoch
+  driver :func:`~repro.rbm.rbm.run_epochs`.
 * :class:`~repro.rbm.ml.MaximumLikelihoodTrainer` — exact gradient via
   enumeration, tractable only for tiny models; used in the Appendix-A bias
   study (Figure 11).
@@ -20,7 +21,7 @@ that the paper's accelerators are compared against:
   plus a classifier head (the DBN-DNN rows of Tables 1 and 4).
 """
 
-from repro.rbm.rbm import BernoulliRBM, CDTrainer, TrainingHistory
+from repro.rbm.rbm import BernoulliRBM, CDTrainer, TrainingHistory, reconstruction_error
 from repro.rbm.ml import MaximumLikelihoodTrainer
 from repro.rbm.partition import (
     exact_log_partition,
@@ -31,11 +32,7 @@ from repro.rbm.partition import (
 )
 from repro.rbm.ais import AISEstimator, estimate_log_partition, average_log_probability
 from repro.rbm.dbn import DeepBeliefNetwork
-from repro.rbm.metrics import (
-    reconstruction_error,
-    free_energy_gap,
-    pseudo_log_likelihood,
-)
+from repro.rbm.metrics import free_energy_gap, pseudo_log_likelihood
 
 __all__ = [
     "BernoulliRBM",

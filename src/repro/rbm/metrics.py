@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rbm.rbm import BernoulliRBM
+from repro.rbm.rbm import BernoulliRBM, reconstruction_error
 from repro.utils.numerics import log_sigmoid
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError, check_array
 
-
-def reconstruction_error(rbm: BernoulliRBM, data: np.ndarray) -> float:
-    """Mean squared error of the mean-field reconstruction of ``data``."""
-    data = check_array(data, name="data", ndim=2)
-    recon = rbm.reconstruct(data)
-    return float(np.mean((data - recon) ** 2))
+__all__ = ["reconstruction_error", "free_energy_gap", "pseudo_log_likelihood"]
 
 
 def free_energy_gap(rbm: BernoulliRBM, train: np.ndarray, held_out: np.ndarray) -> float:

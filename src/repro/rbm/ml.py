@@ -11,20 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.rbm.partition import MAX_ENUMERATION_BITS, enumerate_states
-from repro.rbm.rbm import BernoulliRBM, TrainingHistory
-from repro.utils.numerics import (
-    is_sparse,
-    logsumexp,
-    safe_sparse_dot,
-    sparse_mean,
-    sparse_mean_squared_error,
-)
-from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import (
-    ValidationError,
-    check_data_matrix,
-    check_positive,
-)
+from repro.rbm.rbm import BernoulliRBM, TrainingHistory, run_epochs
+from repro.utils.numerics import is_sparse, logsumexp, safe_sparse_dot, sparse_mean
+from repro.utils.validation import ValidationError, check_positive
 
 
 class MaximumLikelihoodTrainer:
@@ -36,9 +25,8 @@ class MaximumLikelihoodTrainer:
         Gradient step size.
     """
 
-    def __init__(self, learning_rate: float = 0.1, *, rng: SeedLike = None):
+    def __init__(self, learning_rate: float = 0.1):
         self.learning_rate = check_positive(learning_rate, name="learning_rate")
-        self._rng = as_rng(rng)
 
     @staticmethod
     def model_expectations(rbm: BernoulliRBM) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -78,48 +66,18 @@ class MaximumLikelihoodTrainer:
         return vh, sparse_mean(data, axis=0), np.mean(h_probs, axis=0)
 
     def train(
-        self,
-        rbm: BernoulliRBM,
-        data: np.ndarray,
-        *,
-        iterations: int = 1000,
-        record_every: int = 0,
+        self, rbm: BernoulliRBM, data: np.ndarray, *, epochs: int = 1000
     ) -> TrainingHistory:
-        """Run exact gradient ascent on the data log likelihood.
+        """Exact gradient ascent on the data log likelihood: one full-batch
+        step per epoch (the paper runs 1000)."""
 
-        Parameters
-        ----------
-        iterations:
-            Number of full-batch gradient steps (the paper uses 1000).
-        record_every:
-            If positive, record reconstruction error every that many steps.
-        """
-        data = check_data_matrix(data, name="data")
-        if data.shape[1] != rbm.n_visible:
-            raise ValidationError(
-                f"data has {data.shape[1]} features; RBM has {rbm.n_visible} visible units"
-            )
-        if iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {iterations}")
-
-        def _recon_error() -> float:
-            recon = rbm.reconstruct(data)
-            if is_sparse(data):
-                return float(sparse_mean_squared_error(data, recon))
-            return float(np.mean((data - recon) ** 2))
-
-        history = TrainingHistory()
-        data_vh, data_v, data_h = self.data_expectations(rbm, data)
-        for step in range(iterations):
+        def one_step(data) -> None:
+            # The data-side hidden expectations depend on the weights, so
+            # they are recomputed before every step.
+            data_vh, data_v, data_h = self.data_expectations(rbm, data)
             model_vh, model_v, model_h = self.model_expectations(rbm)
             rbm.weights += self.learning_rate * (data_vh - model_vh)
             rbm.visible_bias += self.learning_rate * (data_v - model_v)
             rbm.hidden_bias += self.learning_rate * (data_h - model_h)
-            # The data-side hidden expectations depend on the weights, so they
-            # must be refreshed after each update.
-            data_vh, data_v, data_h = self.data_expectations(rbm, data)
-            if record_every and (step + 1) % record_every == 0:
-                history.record(step, _recon_error())
-        if not len(history):
-            history.record(iterations - 1, _recon_error())
-        return history
+
+        return run_epochs(rbm, data, epochs, one_step)

@@ -31,6 +31,7 @@ from repro.utils.validation import (
     ValidationError,
     check_array,
     check_data_matrix,
+    check_int,
     check_positive,
 )
 
@@ -224,29 +225,70 @@ class BernoulliRBM:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch training diagnostics recorded by the trainers."""
+    """Per-epoch training diagnostics recorded by :func:`run_epochs`."""
 
     epochs: List[int] = field(default_factory=list)
     reconstruction_error: List[float] = field(default_factory=list)
-    pseudo_log_likelihood: List[float] = field(default_factory=list)
-    average_log_probability: List[float] = field(default_factory=list)
 
-    def record(
-        self,
-        epoch: int,
-        recon_error: float,
-        pll: Optional[float] = None,
-        avg_logprob: Optional[float] = None,
-    ) -> None:
+    def record(self, epoch: int, recon_error: float) -> None:
         self.epochs.append(int(epoch))
         self.reconstruction_error.append(float(recon_error))
-        if pll is not None:
-            self.pseudo_log_likelihood.append(float(pll))
-        if avg_logprob is not None:
-            self.average_log_probability.append(float(avg_logprob))
 
     def __len__(self) -> int:
         return len(self.epochs)
+
+
+def reconstruction_error(rbm: BernoulliRBM, data) -> float:
+    """Mean squared error of the mean-field reconstruction of ``data``.
+
+    ``data`` is a 2-D dense or scipy-sparse matrix with ``rbm.n_visible``
+    columns; the sparse operand is never densified (see
+    :func:`~repro.utils.numerics.sparse_mean_squared_error`, whose dense
+    branch is ``np.mean((data - recon) ** 2)``).
+    """
+    data = check_data_matrix(data, name="data", n_features=rbm.n_visible)
+    return float(sparse_mean_squared_error(data, rbm.reconstruct(data)))
+
+
+def check_training_rows(data, n_visible: int, *, name: str = "data"):
+    """``data`` as a checked 2-D dense or CSR matrix of finite values with
+    ``n_visible`` columns and at least one row (an empty pass would divide
+    by zero and record ``nan``)."""
+    data = check_data_matrix(data, name=name, n_features=n_visible)
+    if data.shape[0] == 0:
+        raise ValidationError(f"{name} must have at least one row, got 0")
+    return data
+
+
+def run_epochs(
+    rbm: BernoulliRBM,
+    data,
+    epochs: int,
+    one_pass: Callable,
+    *,
+    setup: Optional[Callable[[], None]] = None,
+    callback: Optional[Callable[[int, BernoulliRBM], None]] = None,
+) -> TrainingHistory:
+    """The epoch loop behind every trainer's ``train``.
+
+    The call is checked first (:func:`check_training_rows`, and ``epochs``
+    an int >= 1), so a bad call raises a :class:`ValidationError` before
+    anything is drawn or changed.  Then ``setup()`` runs the trainer's own
+    entry work once, and each epoch calls ``one_pass(data)`` with the
+    checked matrix, records the epoch's :func:`reconstruction_error` and
+    calls ``callback(epoch, rbm)``.
+    """
+    data = check_training_rows(data, rbm.n_visible)
+    epochs = check_int(epochs, "epochs", 1)
+    if setup is not None:
+        setup()
+    history = TrainingHistory()
+    for epoch in range(epochs):
+        one_pass(data)
+        history.record(epoch, reconstruction_error(rbm, data))
+        if callback is not None:
+            callback(epoch, rbm)
+    return history
 
 
 class CDTrainer:
@@ -258,8 +300,7 @@ class CDTrainer:
         Typed configuration (:class:`~repro.config.TrainerSpec` with
         ``kind="cd"``; see :meth:`~repro.config.TrainerSpec.cd`): the step
         size ``alpha`` (the paper trains its benchmarks with 0.1), the
-        number of Gibbs steps ``cd_k``, the minibatch size, and optional L2
-        weight decay and classical momentum.
+        number of Gibbs steps ``cd_k`` and the minibatch size.
     rng:
         Generator for the Bernoulli draws and the per-epoch shuffle.
     callback:
@@ -280,8 +321,6 @@ class CDTrainer:
         self.learning_rate = spec.learning_rate
         self.cd_k = spec.cd_k
         self.batch_size = spec.batch_size
-        self.weight_decay = spec.weight_decay
-        self.momentum = spec.momentum  # range-validated by TrainerSpec
         self._rng = as_rng(rng)
         self.callback = callback
 
@@ -336,51 +375,14 @@ class CDTrainer:
         float tolerance under the same seed (the Bernoulli draws consume the
         identical uniform stream either way).
         """
-        data = check_data_matrix(data, name="data")
-        if data.shape[1] != rbm.n_visible:
-            raise ValidationError(
-                f"data has {data.shape[1]} features but the RBM has "
-                f"{rbm.n_visible} visible units"
-            )
-        if epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {epochs}")
 
-        history = TrainingHistory()
-        # With zero momentum the velocity recurrence collapses to a plain
-        # gradient step (``0 * vel + lr * grad == lr * grad`` exactly), so it
-        # skips the three velocity buffers and their six extra array
-        # operations per minibatch.
-        use_velocity = self.momentum > 0.0
-        if use_velocity:
-            vel_w = np.zeros_like(rbm.weights)
-            vel_bv = np.zeros_like(rbm.visible_bias)
-            vel_bh = np.zeros_like(rbm.hidden_bias)
-
-        for epoch in range(epochs):
+        def one_pass(data) -> None:
             for batch in minibatches(
                 data, self.batch_size, shuffle=shuffle, rng=self._rng
             ):
                 grad_w, grad_bv, grad_bh, _ = self._gradient(rbm, batch)
-                if self.weight_decay:
-                    grad_w = grad_w - self.weight_decay * rbm.weights
-                if use_velocity:
-                    vel_w = self.momentum * vel_w + self.learning_rate * grad_w
-                    vel_bv = self.momentum * vel_bv + self.learning_rate * grad_bv
-                    vel_bh = self.momentum * vel_bh + self.learning_rate * grad_bh
-                    rbm.weights += vel_w
-                    rbm.visible_bias += vel_bv
-                    rbm.hidden_bias += vel_bh
-                else:
-                    rbm.weights += self.learning_rate * grad_w
-                    rbm.visible_bias += self.learning_rate * grad_bv
-                    rbm.hidden_bias += self.learning_rate * grad_bh
+                rbm.weights += self.learning_rate * grad_w
+                rbm.visible_bias += self.learning_rate * grad_bv
+                rbm.hidden_bias += self.learning_rate * grad_bh
 
-            recon = rbm.reconstruct(data)
-            if is_sparse(data):
-                recon_error = float(sparse_mean_squared_error(data, recon))
-            else:
-                recon_error = float(np.mean((data - recon) ** 2))
-            history.record(epoch, recon_error)
-            if self.callback is not None:
-                self.callback(epoch, rbm)
-        return history
+        return run_epochs(rbm, data, epochs, one_pass, callback=self.callback)

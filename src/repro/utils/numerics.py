@@ -16,14 +16,10 @@ before, so the float64 bit-identical pinning contract is untouched.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 import numpy as np
-
-try:  # scipy is a declared dependency, but keep the import soft so the
-    from scipy import sparse as _scipy_sparse  # dense-only paths survive without it
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _scipy_sparse = None
 
 from repro.utils.rng import SeedLike, as_rng
 
@@ -210,25 +206,24 @@ def bernoulli_sample(p: np.ndarray, rng: SeedLike = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sparse_available() -> bool:
-    """True when scipy.sparse imported successfully."""
-    return _scipy_sparse is not None
-
-
 def is_sparse(x) -> bool:
-    """True for any scipy sparse matrix/array (CSR, CSC, COO, ...)."""
-    return _scipy_sparse is not None and _scipy_sparse.issparse(x)
+    """True for any scipy sparse matrix/array (CSR, CSC, COO, ...).
+
+    Nothing can be a scipy sparse matrix unless ``scipy.sparse`` is loaded,
+    so this reads it from ``sys.modules`` rather than importing it: dense
+    runs never pay scipy's import time.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
 
 
 def as_sparse_rows(x, dtype=float):
     """Canonicalize a sparse input for row-major data-side kernels.
 
     Returns CSR with float data; CSR inputs of the right dtype pass through
-    uncopied.  Raises if scipy is unavailable or ``x`` is not 2-D.
+    uncopied.  Raises if ``x`` is not a 2-D scipy sparse matrix.
     """
-    if _scipy_sparse is None:  # pragma: no cover - scipy is present in CI
-        raise ValueError("scipy.sparse is unavailable; pass a dense array instead")
-    if not _scipy_sparse.issparse(x):
+    if not is_sparse(x):
         raise ValueError(f"expected a scipy sparse matrix, got {type(x).__name__}")
     if x.ndim != 2:
         raise ValueError(f"sparse visibles must be 2-D, got ndim={x.ndim}")

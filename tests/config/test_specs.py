@@ -152,9 +152,8 @@ class TestSubstrateSpec:
 class TestTrainerSpec:
     def test_settable_fields(self):
         assert tuple(f.name for f in dataclasses.fields(TrainerSpec)) == (
-            "kind", "learning_rate", "cd_k", "batch_size", "weight_decay",
-            "momentum", "reference_batch_size", "step_size", "sampler",
-            "noise", "compute",
+            "kind", "learning_rate", "cd_k", "batch_size",
+            "reference_batch_size", "step_size", "sampler", "noise", "compute",
         )
 
     @pytest.mark.parametrize(
@@ -173,11 +172,6 @@ class TestTrainerSpec:
         with pytest.raises(ValidationError, match="unknown trainer kind"):
             TrainerSpec(kind="sgd")
 
-    def test_momentum_only_for_cd(self):
-        TrainerSpec.cd(momentum=0.5)  # fine
-        with pytest.raises(ValidationError, match="momentum"):
-            TrainerSpec(kind="gs", momentum=0.5)
-
     def test_cd_is_float64_only(self):
         with pytest.raises(ValidationError, match="float64"):
             TrainerSpec(kind="cd", compute=ComputeSpec(dtype="float32"))
@@ -191,10 +185,6 @@ class TestTrainerSpec:
     def test_reference_batch_size_is_bgf_only(self):
         with pytest.raises(ValidationError, match="reference_batch_size"):
             TrainerSpec(kind="gs", reference_batch_size=10)
-
-    def test_momentum_bounded_below_one(self):
-        with pytest.raises(ValidationError, match="momentum"):
-            TrainerSpec.cd(momentum=1.5)
 
     def test_burn_in_only_for_bgf(self):
         TrainerSpec.bgf(burn_in=3)  # fine
@@ -220,9 +210,7 @@ class TestTrainerSpec:
         [
             ("gs", "learning_rate", float("nan")),
             ("cd", "learning_rate", "0.1"),
-            ("gs", "weight_decay", float("nan")),
             ("bgf", "step_size", float("inf")),
-            ("cd", "momentum", float("nan")),
         ],
     )
     def test_float_fields_reject_non_finite_and_strings(self, kind, field, value):
@@ -232,10 +220,10 @@ class TestTrainerSpec:
             getattr(TrainerSpec, kind)(**{field: value})
 
     def test_float_fields_store_the_coerced_float(self):
-        spec = TrainerSpec.cd(1, weight_decay=0, momentum=np.float32(0.5))
+        spec = TrainerSpec.cd(1)
         assert type(spec.learning_rate) is float and spec.learning_rate == 1.0
-        assert type(spec.weight_decay) is float
-        assert type(spec.momentum) is float and spec.momentum == 0.5
+        spec = TrainerSpec.bgf(step_size=np.float32(0.5))
+        assert type(spec.step_size) is float and spec.step_size == 0.5
 
     @pytest.mark.parametrize(
         "kind, field, value",

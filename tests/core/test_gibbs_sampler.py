@@ -136,3 +136,18 @@ class TestGibbsSamplerTrainer:
         trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1), rng=0)
         with pytest.raises(ValidationError):
             trainer.train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=0)
+
+    @pytest.mark.parametrize(
+        "chains, persistent", [(1, False), (4, True)], ids=["cd", "pcd"]
+    )
+    def test_partial_fit_rejects_an_empty_batch(self, chains, persistent):
+        """A 0-row batch once divided by zero and wrote NaN into the RBM."""
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, chains=chains, persistent=persistent), rng=0
+        )
+        rbm = BernoulliRBM(16, 8, rng=0)
+        before = rbm.parameters()
+        with pytest.raises(ValidationError, match="batch must have at least one row"):
+            trainer.partial_fit(rbm, np.zeros((0, 16)))
+        for name, value in rbm.parameters().items():
+            np.testing.assert_array_equal(value, before[name])

@@ -103,7 +103,6 @@ class TestBoltzmannGradientFollowerMachine:
             (np.zeros((0, 16)), {}, "data"),
             (np.zeros((4, 16)), {"chunk_size": 2.5}, "chunk_size"),
             (np.zeros((4, 16)), {"chunk_size": 0}, "chunk_size"),
-            (np.zeros((4, 16)), {"epochs": 1.5}, "epochs"),
         ],
     )
     def test_run_rejects_malformed_stream(self, data, kwargs, name):
@@ -132,7 +131,8 @@ class TestBoltzmannGradientFollowerMachine:
     def test_weights_stay_within_range(self, tiny_binary_data):
         machine = self._machine(config=BGFConfig(step_size=0.2, weight_range=(-1.0, 1.0)))
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
-        machine.run(tiny_binary_data, epochs=3)
+        for _ in range(3):
+            machine.run(tiny_binary_data)
         lo, hi = machine.config.weight_range
         assert machine.substrate.weights.min() >= lo - FLOAT64_ASSOC_ATOL
         assert machine.substrate.weights.max() <= hi + FLOAT64_ASSOC_ATOL
@@ -158,7 +158,8 @@ class TestBoltzmannGradientFollowerMachine:
         work — only initialization, streaming, and one final readout."""
         machine = self._machine()
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
-        machine.run(tiny_binary_data, epochs=2)
+        for _ in range(2):
+            machine.run(tiny_binary_data)
         machine.read_out()
         assert machine.host.training_samples_streamed == 2 * tiny_binary_data.shape[0]
         assert machine.host.total_host_interactions == 2  # 1 program + 1 readout

@@ -101,7 +101,7 @@ class TestTrainerEquivalenceIdealCorner:
             )
             machine = trainer._ensure_machine(rbm)
             machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-            machine.run(data, epochs=1, chunk_size=chunk_size)
+            machine.run(data, chunk_size=chunk_size)
             results.append(machine.substrate.read_parameters())
         for weights, bv, bh in results[1:]:
             np.testing.assert_array_equal(weights, results[0][0])

@@ -120,7 +120,7 @@ class TestMaximumLikelihoodTrainer:
         data = (rng.random((40, 8)) < np.array([0.9, 0.1, 0.9, 0.1, 0.5, 0.9, 0.1, 0.5])).astype(float)
         rbm = BernoulliRBM(8, 3, rng=1)
         before = exact_log_likelihood(rbm, data)
-        MaximumLikelihoodTrainer(0.2, rng=2).train(rbm, data, iterations=80)
+        MaximumLikelihoodTrainer(0.2).train(rbm, data, epochs=80)
         after = exact_log_likelihood(rbm, data)
         assert after > before
 
@@ -129,7 +129,7 @@ class TestMaximumLikelihoodTrainer:
         rng = np.random.default_rng(3)
         data = (rng.random((30, 6)) < 0.3).astype(float)
         rbm = BernoulliRBM(6, 2, rng=4)
-        trainer = MaximumLikelihoodTrainer(0.3, rng=5)
+        trainer = MaximumLikelihoodTrainer(0.3)
 
         def gradient_norm():
             data_vh, data_v, data_h = trainer.data_expectations(rbm, data)
@@ -137,15 +137,8 @@ class TestMaximumLikelihoodTrainer:
             return float(np.linalg.norm(data_vh - model_vh))
 
         initial = gradient_norm()
-        trainer.train(rbm, data, iterations=300)
+        trainer.train(rbm, data, epochs=300)
         assert gradient_norm() < initial
-
-    def test_record_every(self):
-        rng = np.random.default_rng(6)
-        data = (rng.random((20, 6)) < 0.5).astype(float)
-        rbm = BernoulliRBM(6, 2, rng=7)
-        history = MaximumLikelihoodTrainer(0.1).train(rbm, data, iterations=20, record_every=5)
-        assert len(history) == 4
 
     def test_intractable_size_rejected(self):
         rbm = BernoulliRBM(30, 4, rng=0)
@@ -155,4 +148,4 @@ class TestMaximumLikelihoodTrainer:
     def test_data_width_check(self):
         rbm = BernoulliRBM(6, 2, rng=0)
         with pytest.raises(ValidationError):
-            MaximumLikelihoodTrainer().train(rbm, np.zeros((5, 4)), iterations=1)
+            MaximumLikelihoodTrainer().train(rbm, np.zeros((5, 4)), epochs=1)

@@ -66,3 +66,24 @@ class TestPseudoLogLikelihood:
         a = pseudo_log_likelihood(small_rbm, tiny_binary_data, rng=7)
         b = pseudo_log_likelihood(small_rbm, tiny_binary_data, rng=7)
         assert a == b
+
+
+def test_one_reconstruction_metric():
+    """The trainers' per-epoch record and the public metric are one function."""
+    import repro.rbm
+    import repro.rbm.metrics
+    import repro.rbm.rbm
+
+    assert repro.rbm.reconstruction_error is repro.rbm.rbm.reconstruction_error
+    assert repro.rbm.metrics.reconstruction_error is repro.rbm.rbm.reconstruction_error
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [(np.zeros(16), "ndim=2"), (np.zeros((3, 9)), "axis 1 must have size 16"),
+     (np.full((3, 16), np.nan), "non-finite")],
+    ids=["1-D", "width", "nan"],
+)
+def test_reconstruction_error_rejects_malformed_data(small_rbm, data, match):
+    with pytest.raises(ValidationError, match=match):
+        reconstruction_error(small_rbm, data)

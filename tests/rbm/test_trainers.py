@@ -22,13 +22,6 @@ class TestCDTrainerConfiguration:
         with pytest.raises(ValidationError):
             CDTrainer(spec=TrainerSpec.cd(batch_size=0))
 
-    def test_invalid_momentum(self):
-        with pytest.raises(ValidationError):
-            CDTrainer(spec=TrainerSpec.cd(momentum=1.0))
-
-    def test_invalid_weight_decay(self):
-        with pytest.raises(ValidationError):
-            CDTrainer(spec=TrainerSpec.cd(weight_decay=-0.1))
 
 
 class TestCDTraining:
@@ -76,24 +69,6 @@ class TestCDTraining:
         rbm = BernoulliRBM(16, 8, rng=0)
         with pytest.raises(ValidationError):
             CDTrainer(spec=TrainerSpec.cd()).train(rbm, tiny_binary_data, epochs=0)
-
-    def test_weight_decay_limits_weight_growth(self, tiny_binary_data):
-        free = BernoulliRBM(16, 8, rng=0)
-        decayed = free.copy()
-        CDTrainer(
-            spec=TrainerSpec.cd(0.3), rng=1
-        ).train(free, tiny_binary_data, epochs=10)
-        CDTrainer(
-            spec=TrainerSpec.cd(0.3, weight_decay=0.1), rng=1
-        ).train(decayed, tiny_binary_data, epochs=10)
-        assert np.abs(decayed.weights).mean() < np.abs(free.weights).mean()
-
-    def test_momentum_runs(self, tiny_binary_data):
-        rbm = BernoulliRBM(16, 8, rng=0)
-        history = CDTrainer(
-            spec=TrainerSpec.cd(0.1, momentum=0.5), rng=1
-        ).train(rbm, tiny_binary_data, epochs=3)
-        assert len(history) == 3
 
     def test_callback_invoked_every_epoch(self, tiny_binary_data):
         calls = []

@@ -19,14 +19,6 @@ class TestTrainingHistory:
         history.record(1, 0.4)
         assert history.epochs == [0, 1]
         assert history.reconstruction_error == [0.5, 0.4]
-        assert history.pseudo_log_likelihood == []
-        assert history.average_log_probability == []
-
-    def test_record_optional_metrics(self):
-        history = TrainingHistory()
-        history.record(0, 0.5, pll=-10.0, avg_logprob=-12.0)
-        assert history.pseudo_log_likelihood == [-10.0]
-        assert history.average_log_probability == [-12.0]
 
     def test_values_coerced_to_builtin_types(self):
         history = TrainingHistory()

@@ -346,6 +346,34 @@ class TestChainStateRoundTrip:
             else:
                 trainer.train(rbm, tiny_binary_data, epochs=1, reset_chains=False)
 
+    @pytest.mark.parametrize("entry", ["partial_fit", "train"])
+    def test_reset_chains_refuses_to_discard_restored_states(
+        self, entry, tiny_binary_data
+    ):
+        """``train``'s default ``reset_chains=True`` once silently re-drew
+        restored chains; it now raises, and ``reset_chains=False`` resumes."""
+        trainer = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, batch_size=10, chains=4, persistent=True),
+            rng=0,
+        )
+        states = np.eye(4, 8)
+        trainer.restore_chain_states(states)
+        rbm = BernoulliRBM(16, 8, rng=0)
+        with pytest.raises(ValidationError, match="reset_chains=False to resume"):
+            if entry == "partial_fit":
+                trainer.partial_fit(rbm, tiny_binary_data[:10], reset_chains=True)
+            else:
+                trainer.train(rbm, tiny_binary_data, epochs=1)
+        np.testing.assert_array_equal(trainer.chain_states, states)
+        resumed = GibbsSamplerTrainer(
+            spec=TrainerSpec.gs(0.1, batch_size=10, chains=4, persistent=True),
+            rng=0,
+        )
+        resumed.restore_chain_states(states)
+        resumed.train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=1, reset_chains=False)
+        trainer.train(rbm, tiny_binary_data, epochs=1, reset_chains=False)
+        np.testing.assert_array_equal(trainer.chain_states, resumed.chain_states)
+
     def test_dense_artifact_has_no_chain_state(self, tmp_path):
         save_model(_random_rbm(), tmp_path / "model")
         assert load_model(tmp_path / "model").chain_state is None

@@ -8,6 +8,8 @@ index has a corresponding benchmark file).
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,22 @@ class TestRepositoryStructure:
             "Table 4", "Figure 8", "Figure 9", "Figure 10", "Figure 11",
         ):
             assert heading in text, heading
+
+
+def test_dense_entry_points_do_not_import_scipy():
+    """scipy is loaded only by code that builds sparse matrices: the API
+    facade and the serving layer import without it."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.api, repro.serve; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
