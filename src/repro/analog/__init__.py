@@ -8,7 +8,8 @@ gradient follower — a charge-redistribution charge pump that nudges each
 coupling weight up or down.  The classes here model those circuits at the
 behavioral level (transfer functions, quantization, saturation, noise and
 process variation), which is the same abstraction level the paper's own
-Matlab models operate at.
+Matlab models operate at.  The Sec. 4.5 noise operating point these models
+take is :class:`~repro.config.specs.NoiseSpec`.
 """
 
 from repro.analog.sigmoid_unit import SigmoidUnit
@@ -21,7 +22,7 @@ from repro.analog.converters import (
     quantize_uniform,
 )
 from repro.analog.charge_pump import ChargePumpUpdater
-from repro.analog.noise import NoiseModel, NoiseConfig
+from repro.analog.noise import NoiseModel
 
 __all__ = [
     "SigmoidUnit",
@@ -35,5 +36,4 @@ __all__ = [
     "dequantize_symmetric",
     "ChargePumpUpdater",
     "NoiseModel",
-    "NoiseConfig",
 ]

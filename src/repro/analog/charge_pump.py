@@ -27,6 +27,8 @@ from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import (
     ValidationError,
     check_binary,
+    check_bool,
+    check_in_range,
     check_int,
     check_positive,
     check_range,
@@ -97,12 +99,10 @@ class ChargePumpUpdater:
         self.shape = (check_int(shape[0], "shape", 1), check_int(shape[1], "shape", 1))
         self.step_size = check_positive(step_size, name="step_size")
         self.weight_range = check_range(weight_range, name="weight_range")
-        self.saturation = bool(saturation)
-        if not 0.0 < saturation_margin <= 1.0:
-            raise ValidationError(
-                f"saturation_margin must be in (0, 1], got {saturation_margin}"
-            )
-        self.saturation_margin = float(saturation_margin)
+        self.saturation = check_bool(saturation, "saturation")
+        self.saturation_margin = check_in_range(
+            saturation_margin, 0.0, 1.0, name="saturation_margin", inclusive=(False, True)
+        )
         self.variation_rms = check_positive(variation_rms, name="variation_rms", strict=False)
         self.noise_rms = check_positive(noise_rms, name="noise_rms", strict=False)
         self._rng = as_rng(rng)

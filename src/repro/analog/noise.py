@@ -8,60 +8,40 @@ The paper's robustness study injects
 * *dynamic noise* at both the nodes and the coupling units — fresh Gaussian
   perturbations on every evaluation, with RMS again between 3% and 30%,
 
-then sweeps the 25 combinations of the two RMS values.  ``NoiseConfig``
-names one such combination (e.g. ``(0.1, 0.1)``); ``NoiseModel`` owns the
-drawn static variation and produces the per-call dynamic noise, and is
-shared by the Gibbs-sampler and Boltzmann-gradient-follower machines.
+then sweeps the 25 combinations of the two RMS values.  A
+:class:`~repro.config.specs.NoiseSpec` names one such combination (e.g.
+``(0.1, 0.1)``); ``NoiseModel`` owns the drawn static variation and
+produces the per-call dynamic noise, and is shared by the Gibbs-sampler and
+Boltzmann-gradient-follower machines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.config.specs import NoiseSpec
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_positive
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """One (variation RMS, noise RMS) operating point from the paper's sweep."""
-
-    variation_rms: float = 0.0
-    noise_rms: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_positive(self.variation_rms, name="variation_rms", strict=False)
-        check_positive(self.noise_rms, name="noise_rms", strict=False)
-
-    @property
-    def label(self) -> str:
-        """The paper's "variation_noise" label, e.g. ``"0.1_0.1"``."""
-        return f"{self.variation_rms:g}_{self.noise_rms:g}"
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.variation_rms == 0.0 and self.noise_rms == 0.0
+from repro.utils.validation import ValidationError
 
 
 #: The six configurations highlighted in Figures 8-10.
-FIGURE8_NOISE_CONFIGS: Tuple[NoiseConfig, ...] = (
-    NoiseConfig(0.0, 0.0),
-    NoiseConfig(0.03, 0.03),
-    NoiseConfig(0.05, 0.05),
-    NoiseConfig(0.1, 0.1),
-    NoiseConfig(0.2, 0.2),
-    NoiseConfig(0.3, 0.3),
+FIGURE8_NOISE_CONFIGS: Tuple[NoiseSpec, ...] = (
+    NoiseSpec(0.0, 0.0),
+    NoiseSpec(0.03, 0.03),
+    NoiseSpec(0.05, 0.05),
+    NoiseSpec(0.1, 0.1),
+    NoiseSpec(0.2, 0.2),
+    NoiseSpec(0.3, 0.3),
 )
 
 
 def full_noise_sweep(
     rms_values: Sequence[float] = (0.03, 0.05, 0.1, 0.2, 0.3),
-) -> list[NoiseConfig]:
+) -> list[NoiseSpec]:
     """The paper's full 25-combination sweep (5 variation x 5 noise RMS values)."""
-    return [NoiseConfig(v, n) for v in rms_values for n in rms_values]
+    return [NoiseSpec(v, n) for v in rms_values for n in rms_values]
 
 
 class NoiseModel:
@@ -69,7 +49,7 @@ class NoiseModel:
 
     Parameters
     ----------
-    config:
+    spec:
         The (variation, noise) RMS operating point.
     coupling_shape:
         Shape of the coupling array the static variation applies to.
@@ -79,7 +59,7 @@ class NoiseModel:
 
     def __init__(
         self,
-        config: NoiseConfig,
+        spec: NoiseSpec,
         coupling_shape: Tuple[int, int],
         *,
         rng: SeedLike = None,
@@ -88,12 +68,12 @@ class NoiseModel:
             raise ValidationError(
                 f"coupling_shape must be a positive 2-tuple, got {coupling_shape}"
             )
-        self.config = config
+        self.spec = spec
         self.coupling_shape = (int(coupling_shape[0]), int(coupling_shape[1]))
         self._rng = as_rng(rng)
-        if config.variation_rms > 0:
+        if spec.variation_rms > 0:
             self._coupling_gain = 1.0 + self._rng.normal(
-                0.0, config.variation_rms, size=self.coupling_shape
+                0.0, spec.variation_rms, size=self.coupling_shape
             )
         else:
             self._coupling_gain = np.ones(self.coupling_shape, dtype=np.float64)
@@ -109,7 +89,7 @@ class NoiseModel:
         couplings.
         """
         clone = object.__new__(NoiseModel)
-        clone.config = self.config
+        clone.spec = self.spec
         clone.coupling_shape = self.coupling_shape
         clone._rng = as_rng(rng)
         clone._coupling_gain = self._coupling_gain
@@ -123,12 +103,12 @@ class NoiseModel:
     @property
     def has_variation(self) -> bool:
         """True when a non-trivial static variation draw is in effect."""
-        return self.config.variation_rms > 0.0
+        return self.spec.variation_rms > 0.0
 
     @property
     def has_dynamic_noise(self) -> bool:
         """True when fresh dynamic noise is injected on every evaluation."""
-        return self.config.noise_rms > 0.0
+        return self.spec.noise_rms > 0.0
 
     def static_effective(self, weights: np.ndarray) -> np.ndarray:
         """Trusted kernel: variation-scaled weights without validation.
@@ -161,19 +141,19 @@ class NoiseModel:
         ``scale`` sets the magnitude the RMS fraction applies to (typically
         the standard deviation or typical magnitude of the clean signal).
         """
-        if self.config.noise_rms == 0.0:
+        if self.spec.noise_rms == 0.0:
             return np.zeros(shape, dtype=np.float64)
-        return self._rng.normal(0.0, self.config.noise_rms * scale, size=shape)
+        return self._rng.normal(0.0, self.spec.noise_rms * scale, size=shape)
 
     def coupling_noise(self, scale: float = 1.0) -> np.ndarray:
         """Fresh dynamic noise applied multiplicatively at the coupling units."""
-        if self.config.noise_rms == 0.0:
+        if self.spec.noise_rms == 0.0:
             return np.zeros(self.coupling_shape, dtype=np.float64)
-        return self._rng.normal(0.0, self.config.noise_rms * scale, size=self.coupling_shape)
+        return self._rng.normal(0.0, self.spec.noise_rms * scale, size=self.coupling_shape)
 
     def perturbed_coupling(self, weights: np.ndarray) -> np.ndarray:
         """Static variation plus fresh dynamic coupling noise, in one call."""
         effective = self.effective_weights(weights)
-        if self.config.noise_rms == 0.0:
+        if self.spec.noise_rms == 0.0:
             return effective
         return effective * (1.0 + self.coupling_noise())

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config.specs import (
+    COMPUTE_KNOBS,
     ComputeSpec,
     EstimatorSpec,
     RunSpec,
@@ -20,7 +21,7 @@ from repro.config.specs import (
     check_spec,
 )
 from repro.core.gibbs_sampler import GibbsSamplerMachine, GibbsSamplerTrainer
-from repro.core.gradient_follower import BGFConfig, BGFTrainer
+from repro.core.gradient_follower import BGFTrainer
 from repro.experiments.base import ExperimentResult
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.ais import AISEstimator
@@ -49,29 +50,22 @@ def build_trainer(
     rng: SeedLike = None,
     callback=None,
     machine: Optional[GibbsSamplerMachine] = None,
-    config: Optional[BGFConfig] = None,
 ):
     """Construct the trainer ``spec.kind`` describes (cd / gs / bgf).
 
-    ``machine`` (a pre-built :class:`GibbsSamplerMachine`, GS only) and
-    ``config`` (an expert :class:`BGFConfig` overriding the spec-derived
-    operating parameters, BGF only) are runtime escape hatches; passing one
-    to the wrong kind raises.
+    ``machine`` (a pre-built :class:`GibbsSamplerMachine`, GS only) is a
+    runtime escape hatch; passing it to another kind raises.
     """
     check_spec(spec, TrainerSpec, "build_trainer")
     if machine is not None and spec.kind != "gs":
         raise ValidationError(
             f"machine= applies to the 'gs' trainer, not kind={spec.kind!r}"
         )
-    if config is not None and spec.kind != "bgf":
-        raise ValidationError(
-            f"config= applies to the 'bgf' trainer, not kind={spec.kind!r}"
-        )
     if spec.kind == "cd":
         return CDTrainer(spec=spec, rng=rng, callback=callback)
     if spec.kind == "gs":
         return GibbsSamplerTrainer(spec=spec, rng=rng, callback=callback, machine=machine)
-    return BGFTrainer(spec=spec, rng=rng, callback=callback, config=config)
+    return BGFTrainer(spec=spec, rng=rng, callback=callback)
 
 
 def build_estimator(
@@ -99,7 +93,7 @@ def run_experiment(spec: RunSpec) -> ExperimentResult:
     carries the default :class:`~repro.config.ComputeSpec`, so every such
     record has a concrete ``compute`` block.
     """
-    from repro.api.registry import COMPUTE_KNOBS, get_experiment
+    from repro.api.registry import get_experiment
 
     if not isinstance(spec, RunSpec):
         raise ValidationError(

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.config.specs import ComputeSpec, RunSpec
+from repro.config.specs import COMPUTE_KNOBS, ComputeSpec, RunSpec
 from repro.experiments.base import ExperimentResult
 from repro.utils.validation import ValidationError
 
@@ -31,9 +31,6 @@ __all__ = [
     "experiment_names",
     "runspec_from_legacy_config",
 ]
-
-#: Compute knobs routed through ``RunSpec.compute`` rather than params.
-COMPUTE_KNOBS: Tuple[str, ...] = ("dtype", "workers")
 
 
 def _accepted_parameters(runner: Callable[..., ExperimentResult]) -> frozenset:

@@ -27,7 +27,6 @@ from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analog.noise import NoiseConfig
 from repro.utils.validation import (
     ValidationError,
     check_bool,
@@ -45,6 +44,7 @@ __all__ = [
     "TrainerSpec",
     "EstimatorSpec",
     "RunSpec",
+    "COMPUTE_KNOBS",
 ]
 
 #: Trainer kinds the spec layer knows how to build (see ``repro.api``).
@@ -72,7 +72,13 @@ def _normalize_params(value: Any, key: str) -> Any:
     Serialization emits lists (JSON has no tuples); construction normalizes
     them back to tuples so ``RunSpec.from_dict(spec.to_dict()) == spec``
     holds exactly.  Floats must be finite (``json.loads`` parses ``NaN``).
+    A spec (e.g. a ``noise_configs`` entry) is stored as its
+    :meth:`~Spec.to_dict` mapping, whose values normalize the same way.
     """
+    if isinstance(value, Spec):
+        value = value.to_dict()
+    if isinstance(value, Mapping):
+        return {str(k): _normalize_params(v, key) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return tuple(_normalize_params(item, key) for item in value)
     if isinstance(value, np.integer):
@@ -188,7 +194,7 @@ class ComputeSpec(Spec):
             ("qint8",),
             "float32",
             "the qint8 compute tier was removed; it computed in float32, and "
-            "the 8-bit DTC (input_bits) and ADC readout (readout_bits) model "
+            "the 8-bit DTC (input_bits) and the BGF's 8-bit ADC readout model "
             "finite precision",
         ),
         "workers": (
@@ -242,6 +248,11 @@ class ComputeSpec(Spec):
         return super().from_dict(data)  # type: ignore[return-value]
 
 
+#: The settable :class:`ComputeSpec` knobs: ``RunSpec`` routes them to its
+#: ``compute`` field, the registry threads them to the runners.
+COMPUTE_KNOBS: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ComputeSpec))
+
+
 @dataclass(frozen=True)
 class SamplerSpec(Spec):
     """Negative-phase sampling knobs (chains, persistence, burn-in).
@@ -290,19 +301,13 @@ class NoiseSpec(Spec):
         )
 
     @property
+    def label(self) -> str:
+        """The paper's "variation_noise" label, e.g. ``"0.1_0.1"``."""
+        return f"{self.variation_rms:g}_{self.noise_rms:g}"
+
+    @property
     def is_ideal(self) -> bool:
         return self.variation_rms == 0.0 and self.noise_rms == 0.0
-
-    def to_noise_config(self) -> NoiseConfig:
-        """The :class:`~repro.analog.noise.NoiseConfig` this spec names."""
-        return NoiseConfig(self.variation_rms, self.noise_rms)
-
-    @classmethod
-    def from_noise_config(cls, config: Optional[NoiseConfig]) -> "NoiseSpec":
-        """Lift a (possibly ``None``) ``NoiseConfig`` into a spec."""
-        if config is None:
-            return cls()
-        return cls(variation_rms=config.variation_rms, noise_rms=config.noise_rms)
 
 
 @dataclass(frozen=True)
@@ -495,7 +500,7 @@ class TrainerSpec(Spec):
         """Boltzmann-gradient-follower trainer spec (Sec. 3.3).
 
         ``anneal_steps`` maps to the spec's ``cd_k`` field and ``particles``
-        to ``sampler.chains``; the defaults reproduce ``BGFConfig()``.
+        to ``sampler.chains``.
         """
         return cls(
             kind="bgf",
@@ -582,7 +587,7 @@ class RunSpec(Spec):
                     f"{key!r} is no longer a knob: "
                     f"{ComputeSpec._LEGACY_KEYS[key][1]}"
                 )
-            if key == "seed" or key in _COMPUTE_FIELDS:
+            if key == "seed" or key in COMPUTE_KNOBS:
                 raise ValidationError(
                     f"params may not carry {key!r}; set it through the typed "
                     "RunSpec fields (seed / compute) so it is recorded once"
@@ -604,7 +609,7 @@ class RunSpec(Spec):
         seed = self.seed
         params = dict(self.params)
         for key, value in settings.items():
-            if key in _COMPUTE_FIELDS:
+            if key in COMPUTE_KNOBS:
                 compute = (compute or ComputeSpec()).replace(**{key: value})
             elif key == "seed":
                 seed = value
@@ -618,9 +623,6 @@ class RunSpec(Spec):
             params=params,
         )
 
-
-#: The settable :class:`ComputeSpec` knobs, routed by ``RunSpec``.
-_COMPUTE_FIELDS: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(ComputeSpec))
 
 #: Nested-spec field registry used by ``Spec.from_dict`` to rebuild
 #: sub-specs from their serialized dict form.

@@ -13,6 +13,10 @@
   persistent particles for the negative phase; the host only feeds data and
   reads the final weights through ADCs.
 
+Both machines are built from a spec plus runtime arguments: the GS machine
+from a :class:`~repro.config.SubstrateSpec`, the BGF machine from its
+``TrainerSpec(kind="bgf")``, the array dimensions and a seed.
+
 Both trainers expose the same ``train(rbm, data, epochs=...)`` interface as
 the software :class:`~repro.rbm.rbm.CDTrainer`, so they can be swapped into
 the DBN, recommender and anomaly pipelines without modification — which is
@@ -20,18 +24,13 @@ exactly how the paper's Table 4 compares cd-10 against BGF.
 """
 
 from repro.core.gibbs_sampler import GibbsSamplerMachine, GibbsSamplerTrainer
-from repro.core.gradient_follower import (
-    BoltzmannGradientFollower,
-    BGFConfig,
-    BGFTrainer,
-)
+from repro.core.gradient_follower import BGFTrainer, BoltzmannGradientFollower
 from repro.core.host import HostStatistics
 
 __all__ = [
     "GibbsSamplerMachine",
     "GibbsSamplerTrainer",
     "BoltzmannGradientFollower",
-    "BGFConfig",
     "BGFTrainer",
     "HostStatistics",
 ]

@@ -26,15 +26,13 @@ weights back out through the ADCs into the RBM object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.analog.charge_pump import ChargePumpUpdater
 from repro.analog.converters import AnalogToDigitalConverter
-from repro.analog.noise import NoiseConfig
-from repro.config.specs import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec, check_spec
+from repro.config.specs import ComputeSpec, SubstrateSpec, TrainerSpec, check_spec
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import (
     BipartiteIsingSubstrate,
@@ -53,52 +51,14 @@ from repro.utils.validation import (
     ValidationError,
     check_array,
     check_int,
-    check_positive,
-    check_range,
 )
 
+#: Representable coupling range of the gate voltage: the charge pumps'
+#: rails and the readout ADCs' full scale.
+WEIGHT_RANGE = (-4.0, 4.0)
 
-@dataclass(frozen=True)
-class BGFConfig:
-    """Operating parameters of the Boltzmann gradient follower.
-
-    Attributes
-    ----------
-    step_size:
-        Charge-pump step per qualifying sample (the minibatch-1 learning
-        rate; the paper notes it should be roughly ``alpha / batch_size`` of
-        the software configuration).
-    n_particles:
-        Number of persistent negative-phase particles ``p``.
-    anneal_steps:
-        Substrate evolution steps per negative phase (the "annealing"
-        trajectory length, playing the role of CD-k's k).
-    weight_range:
-        Representable coupling range of the gate voltage.
-    saturation:
-        Whether the charge pump's f_ij saturation non-linearity is applied.
-    readout_bits:
-        ADC resolution for the final weight readout (8 in the paper);
-        ``None`` disables readout quantization.
-    """
-
-    step_size: float = 2e-3
-    n_particles: int = 8
-    anneal_steps: int = 2
-    weight_range: tuple = (-4.0, 4.0)
-    saturation: bool = True
-    readout_bits: Optional[int] = 8
-
-    def __post_init__(self) -> None:
-        bits = self.readout_bits
-        for name, value in (
-            ("step_size", check_positive(self.step_size, name="step_size")),
-            ("n_particles", check_int(self.n_particles, "n_particles", 1)),
-            ("anneal_steps", check_int(self.anneal_steps, "anneal_steps", 1)),
-            ("weight_range", check_range(self.weight_range, name="weight_range")),
-            ("readout_bits", None if bits is None else check_int(bits, "readout_bits", 1)),
-        ):
-            object.__setattr__(self, name, value)
+#: ADC resolution of the final weight readout (8 bits in the paper).
+READOUT_BITS = 8
 
 
 def _reject_sparse(data) -> None:
@@ -116,76 +76,72 @@ class BoltzmannGradientFollower:
 
     Parameters
     ----------
+    spec:
+        Typed configuration (:class:`~repro.config.TrainerSpec` with
+        ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`).  The
+        charge-pump step per qualifying sample is ``step_size``, or
+        ``learning_rate / reference_batch_size`` when that is ``None`` —
+        the paper's guidance that a minibatch of 1 needs a roughly
+        ``batch_size``-times smaller step.  ``sampler.chains`` is the
+        number of persistent particles ``p``, ``cd_k`` the anneal steps
+        per negative phase (the trajectory length playing CD-k's k),
+        ``noise`` the analog operating point of both the sampling path
+        (through the substrate) and the charge-pump updates, and
+        ``compute.dtype`` the substrate's precision tier.  The pumps
+        saturate toward the :data:`WEIGHT_RANGE` rails and the weights are
+        read out through :data:`READOUT_BITS`-bit ADCs.
     n_visible, n_hidden:
         Coupling-array dimensions.
-    config:
-        BGF operating parameters.
-    noise_config:
-        Analog noise/variation operating point; it affects both the
-        sampling path (through the substrate) and the charge-pump updates.
+    rng:
+        Master seed; the substrate and the three pumps draw from streams
+        spawned from it.
     """
 
     def __init__(
         self,
+        spec: TrainerSpec,
         n_visible: int,
         n_hidden: int,
         *,
-        config: Optional[BGFConfig] = None,
-        noise_config: Optional[NoiseConfig] = None,
         rng: SeedLike = None,
-        dtype: "str" = "float64",
     ):
-        self.config = config if config is not None else BGFConfig()
-        self.noise_config = noise_config if noise_config is not None else NoiseConfig()
+        check_spec(spec, TrainerSpec, "BoltzmannGradientFollower", kind="bgf")
+        self.spec = spec
+        self.step_size = (
+            spec.step_size
+            if spec.step_size is not None
+            else spec.learning_rate / spec.reference_batch_size
+        )
+        noise = spec.noise
         streams = spawn_rngs(rng, 4)
-        # ``dtype`` selects the substrate precision tier: settles and latch
-        # draws run in float32 when requested, while the charge pumps edit
-        # the (tier-dtype) coupling array in place with float64 step math —
-        # the update law itself is not precision-tiered.
+        # ``compute.dtype`` selects the substrate precision tier: settles and
+        # latch draws run in float32 when requested, while the charge pumps
+        # edit the (tier-dtype) coupling array in place with float64 step
+        # math — the update law itself is not precision-tiered.
         self.substrate = BipartiteIsingSubstrate(
             spec=SubstrateSpec(
                 n_visible=n_visible,
                 n_hidden=n_hidden,
-                noise=NoiseSpec.from_noise_config(self.noise_config),
-                compute=ComputeSpec(dtype=dtype),
+                noise=noise,
+                compute=ComputeSpec(dtype=spec.compute.dtype),
             ),
             rng=streams[0],
         )
-        self.weight_pump = ChargePumpUpdater(
-            (n_visible, n_hidden),
-            step_size=self.config.step_size,
-            weight_range=self.config.weight_range,
-            saturation=self.config.saturation,
-            variation_rms=self.noise_config.variation_rms,
-            noise_rms=self.noise_config.noise_rms,
-            rng=streams[1],
-        )
-        self.visible_bias_pump = ChargePumpUpdater(
-            (n_visible, 1),
-            step_size=self.config.step_size,
-            weight_range=self.config.weight_range,
-            saturation=self.config.saturation,
-            variation_rms=self.noise_config.variation_rms,
-            noise_rms=self.noise_config.noise_rms,
-            rng=streams[2],
-        )
-        self.hidden_bias_pump = ChargePumpUpdater(
-            (n_hidden, 1),
-            step_size=self.config.step_size,
-            weight_range=self.config.weight_range,
-            saturation=self.config.saturation,
-            variation_rms=self.noise_config.variation_rms,
-            noise_rms=self.noise_config.noise_rms,
-            rng=streams[3],
+        self.weight_pump, self.visible_bias_pump, self.hidden_bias_pump = (
+            ChargePumpUpdater(
+                shape,
+                step_size=self.step_size,
+                weight_range=WEIGHT_RANGE,
+                variation_rms=noise.variation_rms,
+                noise_rms=noise.noise_rms,
+                rng=stream,
+            )
+            for shape, stream in zip(
+                ((n_visible, n_hidden), (n_visible, 1), (n_hidden, 1)), streams[1:]
+            )
         )
         self._rng = as_rng(streams[0])
-        self.readout_adc = (
-            AnalogToDigitalConverter(
-                self.config.readout_bits, value_range=self.config.weight_range
-            )
-            if self.config.readout_bits
-            else None
-        )
+        self.readout_adc = AnalogToDigitalConverter(READOUT_BITS, value_range=WEIGHT_RANGE)
         self.host = HostStatistics()
         self._particles: Optional[np.ndarray] = None
         self._particle_cursor = 0
@@ -211,7 +167,7 @@ class BoltzmannGradientFollower:
         hidden_bias: np.ndarray,
     ) -> None:
         """Operation step 1: host initializes the weights and biases."""
-        lo, hi = self.config.weight_range
+        lo, hi = WEIGHT_RANGE
         weights = np.clip(
             check_array(weights, name="weights", shape=(self.n_visible, self.n_hidden)),
             lo,
@@ -226,7 +182,7 @@ class BoltzmannGradientFollower:
         self.substrate.program(weights, visible_bias, hidden_bias)
         self.host.record_programming()
         self._particles = (
-            self._rng.random((self.config.n_particles, self.n_hidden)) < 0.5
+            self._rng.random((self.spec.sampler.chains, self.n_hidden)) < 0.5
         ).astype(self.substrate.dtype)
         self._particle_cursor = 0
 
@@ -277,11 +233,11 @@ class BoltzmannGradientFollower:
         hidden = _settle_eval_kernel(clamped_row, pair, ctx, kern, hidden_side=True)
         self._pump_sample(v_bits, hidden[0], positive=True, invalidate=static is None)
 
-        index = self._particle_cursor % self.config.n_particles
+        index = self._particle_cursor % self.spec.sampler.chains
         self._particle_cursor += 1
         pair = sub._static_pair() if static is None else static
         visible, hidden = _settle_loop_kernel(
-            self._particles[index : index + 1], self.config.anneal_steps, pair, ctx, kern
+            self._particles[index : index + 1], self.spec.cd_k, pair, ctx, kern
         )
         # Persist the particle (Tieleman 2008-style) for the next pass.
         self._particles[index] = hidden[0]
@@ -361,11 +317,9 @@ class BoltzmannGradientFollower:
 
     def read_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Final step: ADC readout of the trained weights and biases."""
-        weights, visible_bias, hidden_bias = self.substrate.read_parameters()
-        if self.readout_adc is not None:
-            weights = self.readout_adc.read(weights)
-            visible_bias = self.readout_adc.read(visible_bias)
-            hidden_bias = self.readout_adc.read(hidden_bias)
+        weights, visible_bias, hidden_bias = (
+            self.readout_adc.read(values) for values in self.substrate.read_parameters()
+        )
         self.host.record_final_readout()
         return weights, visible_bias, hidden_bias
 
@@ -377,24 +331,15 @@ class BGFTrainer:
     ----------
     spec:
         Typed configuration (:class:`~repro.config.TrainerSpec` with
-        ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`).  It
-        derives the :class:`BGFConfig`: ``cd_k`` is ``anneal_steps``,
-        ``sampler.chains`` is ``n_particles``, and ``step_size=None``
-        derives ``learning_rate / reference_batch_size`` — the paper's
-        guidance that a minibatch of 1 needs a roughly ``batch_size``-times
-        smaller step.  ``sampler.burn_in`` settles the whole persistent
-        pool that many chain-parallel steps right after initialization (0
-        skips the refresh).  ``compute.workers`` shards only that refresh:
-        the learning loop is sequential by algorithm (the paper's mid-step
-        updates serialize it).  ``compute.dtype`` is the lazily-created
-        machine's precision tier, ``noise`` its operating point.
+        ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`), from
+        which the lazily-created :class:`BoltzmannGradientFollower` is
+        built.  ``sampler.burn_in`` settles the whole persistent pool that
+        many chain-parallel steps right after initialization (0 skips the
+        refresh).  ``compute.workers`` shards only that refresh: the
+        learning loop is sequential by algorithm (the paper's mid-step
+        updates serialize it).
     rng, callback:
         Trainer generator and optional ``callback(epoch, rbm)`` hook.
-    config:
-        Expert :class:`BGFConfig` for the knobs the spec does not model
-        (``weight_range``, ``saturation``, ``readout_bits``).  It is
-        authoritative: the recorded spec's ``step_size``, ``cd_k`` and
-        ``sampler.chains`` are reconciled to it.
     """
 
     def __init__(
@@ -403,33 +348,11 @@ class BGFTrainer:
         *,
         rng: SeedLike = None,
         callback=None,
-        config: Optional[BGFConfig] = None,
     ):
         check_spec(spec, TrainerSpec, "BGFTrainer", kind="bgf")
-        if config is None:
-            config = BGFConfig(
-                step_size=(
-                    spec.step_size
-                    if spec.step_size is not None
-                    else spec.learning_rate / spec.reference_batch_size
-                ),
-                n_particles=spec.sampler.chains,
-                anneal_steps=spec.cd_k,
-            )
-        else:
-            spec = spec.replace(
-                step_size=config.step_size,
-                cd_k=config.anneal_steps,
-                sampler=spec.sampler.replace(chains=config.n_particles),
-            )
         self.spec = spec
-        self.config = config
-        self.particle_burn_in = spec.sampler.burn_in
-        self.workers = spec.compute.workers
-        self.noise_config = None if spec.noise.is_ideal else spec.noise.to_noise_config()
         self._rng = as_rng(rng)
         self.callback = callback
-        self.dtype = np.dtype(spec.compute.dtype)
         self.machine: Optional[BoltzmannGradientFollower] = None
 
     def _ensure_machine(self, rbm: BernoulliRBM) -> BoltzmannGradientFollower:
@@ -438,12 +361,7 @@ class BGFTrainer:
             self.machine.n_hidden,
         ) != (rbm.n_visible, rbm.n_hidden):
             self.machine = BoltzmannGradientFollower(
-                rbm.n_visible,
-                rbm.n_hidden,
-                config=self.config,
-                noise_config=self.noise_config,
-                rng=self._rng,
-                dtype=self.spec.compute.dtype,
+                self.spec, rbm.n_visible, rbm.n_hidden, rng=self._rng
             )
         return self.machine
 
@@ -469,12 +387,13 @@ class BGFTrainer:
         def setup() -> None:
             machine = self._ensure_machine(rbm)
             machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-            if self.particle_burn_in:
+            burn_in = self.spec.sampler.burn_in
+            if burn_in:
                 # Decorrelate the freshly-drawn particle pool before learning;
                 # the default of 0 keeps runs bit-identical to the
                 # no-burn-in implementation (the refresh draws from the
                 # substrate streams).
-                machine.refresh_particles(self.particle_burn_in, workers=self.workers)
+                machine.refresh_particles(burn_in, workers=self.spec.compute.workers)
 
         def one_pass(data) -> None:
             self.machine.run(data, shuffle=shuffle)

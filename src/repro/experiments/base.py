@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.config.specs import NoiseSpec
 from repro.utils.validation import ValidationError
 
 
@@ -54,6 +55,40 @@ class ExperimentResult:
             if row.get(key) == value:
                 return row
         raise ValidationError(f"no row with {key}={value!r} in experiment {self.name!r}")
+
+
+def check_noise_configs(noise_configs: Any) -> Tuple[NoiseSpec, ...]:
+    """The ``noise_configs`` knob of figures 8-10 as a tuple of
+    :class:`~repro.config.NoiseSpec`.
+
+    Each entry is a ``NoiseSpec`` or its ``to_dict()`` mapping (the form a
+    recorded ``RunSpec`` keeps); anything else raises a
+    :class:`ValidationError` naming ``noise_configs``, which the runners
+    check before building any data.
+    """
+    if (
+        isinstance(noise_configs, str)
+        or not isinstance(noise_configs, Sequence)
+        or not noise_configs
+    ):
+        raise ValidationError(
+            "noise_configs must be a non-empty sequence of NoiseSpecs or their "
+            f"to_dict() mappings, got {noise_configs!r}"
+        )
+    points = []
+    for entry in noise_configs:
+        if isinstance(entry, Mapping):
+            try:
+                entry = NoiseSpec.from_dict(entry)
+            except ValidationError as exc:
+                raise ValidationError(f"noise_configs entry: {exc}") from None
+        if not isinstance(entry, NoiseSpec):
+            raise ValidationError(
+                "noise_configs entries must be NoiseSpecs or their to_dict() "
+                f"mappings, got {entry!r}"
+            )
+        points.append(entry)
+    return tuple(points)
 
 
 def _format_cell(value: Any, precision: int) -> str:

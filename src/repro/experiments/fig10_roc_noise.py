@@ -12,20 +12,20 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analog.noise import FIGURE8_NOISE_CONFIGS, NoiseConfig
+from repro.analog.noise import FIGURE8_NOISE_CONFIGS
 from repro.config.specs import NoiseSpec, TrainerSpec
 from repro.core.gibbs_sampler import GibbsSamplerTrainer
 from repro.core.gradient_follower import BGFTrainer
 from repro.datasets.registry import get_benchmark, load_benchmark_dataset
 from repro.eval.anomaly import RBMAnomalyDetector
-from repro.experiments.base import ExperimentResult, format_table
+from repro.experiments.base import ExperimentResult, check_noise_configs, format_table
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import ValidationError
 
 
 def run_figure10(
     *,
-    noise_configs: Sequence[NoiseConfig] = FIGURE8_NOISE_CONFIGS,
+    noise_configs: Sequence[NoiseSpec] = FIGURE8_NOISE_CONFIGS,
     scale: str = "ci",
     epochs: int = 20,
     learning_rate: float = 0.05,
@@ -49,10 +49,14 @@ def run_figure10(
     (``encoding="onehot"``, ``n_bins``, ``sparse=True``) — the sparse fraud
     variant exposed by the run registry.
 
+    ``noise_configs`` entries are :class:`~repro.config.NoiseSpec` values
+    or their ``to_dict()`` mappings.
+
     ``keep_model=True`` stores the detector trained under the first
     (ideal) noise configuration in ``result.artifacts["model"]`` so the
     CLI's ``--save-model`` can persist it for serving.
     """
+    noise_configs = check_noise_configs(noise_configs)
     if engine not in ("bgf", "gs"):
         raise ValidationError(f"engine must be 'bgf' or 'gs', got {engine!r}")
     if engine == "bgf" and sparse:
@@ -73,7 +77,7 @@ def run_figure10(
                 spec=TrainerSpec.gs(
                     learning_rate,
                     batch_size=20,
-                    noise=NoiseSpec.from_noise_config(noise),
+                    noise=noise,
                 ),
                 rng=rngs[0],
             )
@@ -82,7 +86,7 @@ def run_figure10(
                 spec=TrainerSpec.bgf(
                     learning_rate,
                     reference_batch_size=20,
-                    noise=NoiseSpec.from_noise_config(noise),
+                    noise=noise,
                 ),
                 rng=rngs[0],
             )

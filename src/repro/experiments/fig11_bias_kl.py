@@ -98,7 +98,7 @@ def run_figure11(
                 ),
                 "BGF": (
                     # step_size/anneal_steps mirror the paper's Appendix-A
-                    # setup (BGFConfig(step_size=lr/10, anneal_steps=5)).
+                    # setup (a step of lr/10 and 5 anneal steps).
                     BGFTrainer(
                         spec=TrainerSpec.bgf(
                             learning_rate,

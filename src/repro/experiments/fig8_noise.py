@@ -14,11 +14,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 
-from repro.analog.noise import FIGURE8_NOISE_CONFIGS, NoiseConfig
+from repro.analog.noise import FIGURE8_NOISE_CONFIGS
 from repro.config.specs import NoiseSpec, TrainerSpec
 from repro.core.gradient_follower import BGFTrainer
 from repro.datasets.registry import get_benchmark, load_benchmark_dataset
-from repro.experiments.base import ExperimentResult, format_table
+from repro.experiments.base import ExperimentResult, check_noise_configs, format_table
 from repro.rbm.ais import average_log_probability
 from repro.rbm.rbm import BernoulliRBM
 from repro.utils.rng import spawn_rngs
@@ -27,7 +27,7 @@ from repro.utils.rng import spawn_rngs
 def run_figure8(
     *,
     dataset_name: str = "mnist",
-    noise_configs: Sequence[NoiseConfig] = FIGURE8_NOISE_CONFIGS,
+    noise_configs: Sequence[NoiseSpec] = FIGURE8_NOISE_CONFIGS,
     scale: str = "ci",
     epochs: int = 8,
     learning_rate: float = 0.1,
@@ -36,7 +36,12 @@ def run_figure8(
     ais_betas: int = 120,
     seed: int = 0,
 ) -> ExperimentResult:
-    """Train the BGF under each noise configuration; record log-prob trajectories."""
+    """Train the BGF under each noise configuration; record log-prob trajectories.
+
+    ``noise_configs`` entries are :class:`~repro.config.NoiseSpec` values
+    or their ``to_dict()`` mappings.
+    """
+    noise_configs = check_noise_configs(noise_configs)
     cfg = get_benchmark(dataset_name)
     dataset = load_benchmark_dataset(dataset_name, scale=scale, seed=seed)
     data = dataset.binarized().train_x
@@ -66,7 +71,7 @@ def run_figure8(
             spec=TrainerSpec.bgf(
                 learning_rate,
                 reference_batch_size=batch_size,
-                noise=NoiseSpec.from_noise_config(noise),
+                noise=noise,
             ),
             rng=rngs[1],
             callback=callback,

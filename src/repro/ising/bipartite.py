@@ -208,7 +208,7 @@ class BipartiteIsingSubstrate:
         sigmoid_gain = spec.sigmoid_gain
         input_bits = spec.input_bits
         comparator_offset_rms = spec.comparator_offset_rms
-        self.noise_config = spec.noise.to_noise_config()
+        noise = spec.noise
 
         # Stream 6 is the shard-substream root for the multicore settle
         # kernel.  Stream 5 is unused but still spawned: SeedSequence
@@ -216,18 +216,18 @@ class BipartiteIsingSubstrate:
         # draws.
         streams = spawn_rngs(rng, 7)
         self.noise_model = NoiseModel(
-            self.noise_config, (self.n_visible, self.n_hidden), rng=streams[0]
+            noise, (self.n_visible, self.n_hidden), rng=streams[0]
         )
         self.hidden_sigmoid = SigmoidUnit(
             gain=sigmoid_gain,
             n_units=self.n_hidden,
-            gain_variation_rms=self.noise_config.variation_rms,
+            gain_variation_rms=noise.variation_rms,
             rng=streams[1],
         )
         self.visible_sigmoid = SigmoidUnit(
             gain=sigmoid_gain,
             n_units=self.n_visible,
-            gain_variation_rms=self.noise_config.variation_rms,
+            gain_variation_rms=noise.variation_rms,
             rng=streams[2],
         )
         self.hidden_sampler = StochasticNeuronSampler(

@@ -17,7 +17,8 @@ from repro.analog import (
     StochasticNeuronSampler,
     ThermalNoiseRNG,
 )
-from repro.analog.noise import NoiseConfig, NoiseModel
+from repro.analog.noise import NoiseModel
+from repro.config import NoiseSpec
 
 
 class TestSigmoidUnitStatistics:
@@ -95,14 +96,14 @@ class TestChargePumpStatistics:
 
 class TestNoiseModelStatistics:
     def test_variation_and_noise_are_uncorrelated_across_units(self):
-        model = NoiseModel(NoiseConfig(0.2, 0.2), (80, 80), rng=0)
+        model = NoiseModel(NoiseSpec(0.2, 0.2), (80, 80), rng=0)
         static = (model.coupling_gain - 1.0).ravel()
         dynamic = model.coupling_noise().ravel()
         correlation = np.corrcoef(static, dynamic)[0, 1]
         assert abs(correlation) < 0.05
 
     def test_dynamic_noise_zero_mean(self):
-        model = NoiseModel(NoiseConfig(0.0, 0.1), (50, 50), rng=1)
+        model = NoiseModel(NoiseSpec(0.0, 0.1), (50, 50), rng=1)
         draws = np.stack([model.coupling_noise() for _ in range(50)])
         assert abs(draws.mean()) < 0.005
 
@@ -111,7 +112,7 @@ class TestNoiseModelStatistics:
         qualitative reason moderate noise does not derail training."""
         rng = np.random.default_rng(2)
         weights = rng.normal(0, 1.0, (60, 60))
-        model = NoiseModel(NoiseConfig(0.1, 0.1), (60, 60), rng=3)
+        model = NoiseModel(NoiseSpec(0.1, 0.1), (60, 60), rng=3)
         perturbed = model.perturbed_coupling(weights)
         sign_preserved = np.mean(np.sign(perturbed) == np.sign(weights))
         assert sign_preserved > 0.95

@@ -183,3 +183,36 @@ class TestWorkBuffers:
                     shared.apply_bias(values, active, positive=positive)
                 assert values.dtype == expected.dtype
                 np.testing.assert_array_equal(values, expected)
+
+
+class TestTrustedEntryPoints:
+    """The raw-latch-bit updates the BGF kernel calls land the same values,
+    bit for bit, as the validated ``apply``/``apply_bias`` on the outer
+    product, with and without the roll-off (the BGF builds only saturating
+    pumps; the idealized law is the pump's own ablation)."""
+
+    @pytest.mark.parametrize("saturation", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sample_updates_equal_validated_updates(self, saturation, dtype):
+        rng = np.random.default_rng(3)
+        start = rng.uniform(-1.0, 1.0, (4, 3)).astype(dtype)
+        bias_start = rng.uniform(-1.0, 1.0, 4).astype(dtype)
+        samples = [(rng.random(4) < 0.5, rng.random(3) < 0.5) for _ in range(20)]
+        results = []
+        for trusted in (True, False):
+            pump = _pump(saturation=saturation, variation_rms=0.1, noise_rms=0.1)
+            bias_pump = _pump(shape=(4, 1), saturation=saturation, noise_rms=0.1)
+            weights, biases = start.copy(), bias_start.copy()
+            for step, (v, h) in enumerate(samples):
+                v_bits, h_bits = v.astype(np.float64), h.astype(np.float64)
+                positive = step % 2 == 0
+                if trusted:
+                    pump.apply_sample(weights, v_bits, h_bits, positive=positive)
+                    bias_pump.apply_bias_sample(biases, v_bits, positive=positive)
+                else:
+                    pump.apply(weights, np.outer(v_bits, h_bits), positive=positive)
+                    bias_pump.apply_bias(biases, v_bits, positive=positive)
+            results.append((weights, biases))
+        for trusted, validated in zip(*results):
+            assert trusted.dtype == validated.dtype == dtype
+            np.testing.assert_array_equal(trusted, validated)

@@ -3,25 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.analog import NoiseConfig, NoiseModel
+from repro.analog import NoiseModel
+from repro.config import NoiseSpec
 from repro.analog.noise import FIGURE8_NOISE_CONFIGS, full_noise_sweep
 from repro.utils.validation import ValidationError
 
 
-class TestNoiseConfig:
-    def test_label_format(self):
-        assert NoiseConfig(0.1, 0.3).label == "0.1_0.3"
-        assert NoiseConfig(0.0, 0.0).label == "0_0"
-
-    def test_is_ideal(self):
-        assert NoiseConfig().is_ideal
-        assert not NoiseConfig(0.1, 0.0).is_ideal
-
-    def test_negative_rms_rejected(self):
-        with pytest.raises(ValidationError):
-            NoiseConfig(-0.1, 0.0)
-
+class TestNoiseSweep:
     def test_figure8_configs_match_paper(self):
+        assert all(isinstance(c, NoiseSpec) for c in FIGURE8_NOISE_CONFIGS)
         labels = [c.label for c in FIGURE8_NOISE_CONFIGS]
         assert labels == ["0_0", "0.03_0.03", "0.05_0.05", "0.1_0.1", "0.2_0.2", "0.3_0.3"]
 
@@ -33,14 +23,14 @@ class TestNoiseConfig:
 
 class TestNoiseModel:
     def test_ideal_model_is_identity(self):
-        model = NoiseModel(NoiseConfig(), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(), (5, 4), rng=0)
         weights = np.random.default_rng(1).normal(size=(5, 4))
         np.testing.assert_array_equal(model.effective_weights(weights), weights)
         np.testing.assert_array_equal(model.perturbed_coupling(weights), weights)
         np.testing.assert_array_equal(model.node_noise((3, 4)), np.zeros((3, 4)))
 
     def test_static_variation_drawn_once(self):
-        model = NoiseModel(NoiseConfig(0.2, 0.0), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(0.2, 0.0), (5, 4), rng=0)
         weights = np.ones((5, 4))
         a = model.effective_weights(weights)
         b = model.effective_weights(weights)
@@ -48,23 +38,23 @@ class TestNoiseModel:
         assert not np.allclose(a, weights)
 
     def test_variation_rms_magnitude(self):
-        model = NoiseModel(NoiseConfig(0.1, 0.0), (100, 100), rng=1)
+        model = NoiseModel(NoiseSpec(0.1, 0.0), (100, 100), rng=1)
         deviation = model.coupling_gain - 1.0
         assert np.std(deviation) == pytest.approx(0.1, rel=0.1)
 
     def test_dynamic_noise_fresh_each_call(self):
-        model = NoiseModel(NoiseConfig(0.0, 0.2), (5, 4), rng=2)
+        model = NoiseModel(NoiseSpec(0.0, 0.2), (5, 4), rng=2)
         a = model.coupling_noise()
         b = model.coupling_noise()
         assert not np.allclose(a, b)
 
     def test_node_noise_scale(self):
-        model = NoiseModel(NoiseConfig(0.0, 0.1), (5, 4), rng=3)
+        model = NoiseModel(NoiseSpec(0.0, 0.1), (5, 4), rng=3)
         noise = model.node_noise(10000, scale=2.0)
         assert np.std(noise) == pytest.approx(0.2, rel=0.1)
 
     def test_perturbed_coupling_combines_both(self):
-        model = NoiseModel(NoiseConfig(0.1, 0.1), (5, 4), rng=4)
+        model = NoiseModel(NoiseSpec(0.1, 0.1), (5, 4), rng=4)
         weights = np.ones((5, 4))
         a = model.perturbed_coupling(weights)
         b = model.perturbed_coupling(weights)
@@ -72,17 +62,17 @@ class TestNoiseModel:
         assert not np.allclose(a, b)
 
     def test_weight_shape_check(self):
-        model = NoiseModel(NoiseConfig(0.1, 0.0), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(0.1, 0.0), (5, 4), rng=0)
         with pytest.raises(ValidationError):
             model.effective_weights(np.ones((4, 5)))
 
     def test_invalid_shape(self):
         with pytest.raises(ValidationError):
-            NoiseModel(NoiseConfig(), (0, 4))
+            NoiseModel(NoiseSpec(), (0, 4))
 
     def test_deterministic_for_seed(self):
-        a = NoiseModel(NoiseConfig(0.2, 0.0), (6, 6), rng=9).coupling_gain
-        b = NoiseModel(NoiseConfig(0.2, 0.0), (6, 6), rng=9).coupling_gain
+        a = NoiseModel(NoiseSpec(0.2, 0.0), (6, 6), rng=9).coupling_gain
+        b = NoiseModel(NoiseSpec(0.2, 0.0), (6, 6), rng=9).coupling_gain
         np.testing.assert_array_equal(a, b)
 
 
@@ -94,19 +84,19 @@ class TestNoiseModelKernels:
         [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (0.1, 0.1)],
     )
     def test_flags_follow_the_operating_point(self, variation, noise):
-        model = NoiseModel(NoiseConfig(variation, noise), (3, 2), rng=0)
+        model = NoiseModel(NoiseSpec(variation, noise), (3, 2), rng=0)
         assert model.has_variation is (variation > 0)
         assert model.has_dynamic_noise is (noise > 0)
 
     def test_static_effective_aliases_input_without_variation(self):
         """The ideal-variation corner hands the weights back uncopied, so
         the substrate's effective-weight cache costs nothing."""
-        model = NoiseModel(NoiseConfig(0.0, 0.2), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(0.0, 0.2), (5, 4), rng=0)
         weights = np.ones((5, 4))
         assert model.static_effective(weights) is weights
 
     def test_static_effective_matches_validated_path(self):
-        model = NoiseModel(NoiseConfig(0.2, 0.0), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(0.2, 0.0), (5, 4), rng=0)
         weights = np.random.default_rng(1).normal(size=(5, 4))
         np.testing.assert_array_equal(
             model.static_effective(weights), model.effective_weights(weights)
@@ -116,28 +106,28 @@ class TestNoiseModelKernels:
         """Same seed, same draw order: the trusted kernel and the validated
         one-call path produce the same perturbed couplings."""
         weights = np.random.default_rng(2).normal(size=(5, 4))
-        trusted = NoiseModel(NoiseConfig(0.1, 0.2), (5, 4), rng=3)
-        validated = NoiseModel(NoiseConfig(0.1, 0.2), (5, 4), rng=3)
+        trusted = NoiseModel(NoiseSpec(0.1, 0.2), (5, 4), rng=3)
+        validated = NoiseModel(NoiseSpec(0.1, 0.2), (5, 4), rng=3)
         np.testing.assert_array_equal(
             trusted.apply_dynamic(trusted.static_effective(weights)),
             validated.perturbed_coupling(weights),
         )
 
     def test_apply_dynamic_is_identity_without_noise(self):
-        model = NoiseModel(NoiseConfig(0.1, 0.0), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(0.1, 0.0), (5, 4), rng=0)
         effective = np.random.default_rng(4).normal(size=(5, 4))
         np.testing.assert_array_equal(model.apply_dynamic(effective), effective)
 
     def test_substream_shares_the_static_draw(self):
-        model = NoiseModel(NoiseConfig(0.2, 0.1), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(0.2, 0.1), (5, 4), rng=0)
         shard = model.spawn_substream(7)
         assert shard.coupling_gain is model.coupling_gain
-        assert shard.config == model.config
+        assert shard.spec == model.spec
         assert shard.coupling_shape == model.coupling_shape
 
     def test_substream_draws_dynamic_noise_from_its_own_rng(self):
-        model = NoiseModel(NoiseConfig(0.2, 0.1), (5, 4), rng=0)
-        before = NoiseModel(NoiseConfig(0.2, 0.1), (5, 4), rng=0)
+        model = NoiseModel(NoiseSpec(0.2, 0.1), (5, 4), rng=0)
+        before = NoiseModel(NoiseSpec(0.2, 0.1), (5, 4), rng=0)
         a = model.spawn_substream(7).coupling_noise()
         b = model.spawn_substream(7).coupling_noise()
         np.testing.assert_array_equal(a, b)

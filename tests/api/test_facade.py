@@ -9,7 +9,12 @@ import pytest
 
 from repro.api import build_estimator, build_substrate, build_trainer
 from repro.config import ComputeSpec, TrainerSpec, ValidationError
-from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
+from repro.core import (
+    BGFTrainer,
+    BoltzmannGradientFollower,
+    GibbsSamplerMachine,
+    GibbsSamplerTrainer,
+)
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 
@@ -21,7 +26,7 @@ ENTRY_POINT_SIGNATURES = {
     GibbsSamplerMachine: ["spec", "rng"],
     GibbsSamplerTrainer: ["spec", "rng", "callback", "machine"],
     CDTrainer: ["spec", "rng", "callback"],
-    BGFTrainer: ["spec", "rng", "callback", "config"],
+    BGFTrainer: ["spec", "rng", "callback"],
     AISEstimator: ["spec", "rng", "base_visible_bias"],
 }
 
@@ -37,6 +42,18 @@ def test_constructor_takes_spec_plus_runtime_arguments(entry_point):
         assert parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
     with pytest.raises(ValidationError, match="Spec"):
         entry_point(spec=ComputeSpec())
+
+
+def test_bgf_machine_takes_spec_plus_dimensions_and_rng():
+    """The BGF machine's spec (a ``TrainerSpec``) has no array shape, so
+    the dimensions join the runtime arguments."""
+    parameters = inspect.signature(BoltzmannGradientFollower).parameters
+    assert list(parameters) == ["spec", "n_visible", "n_hidden", "rng"]
+    assert parameters["rng"].kind is inspect.Parameter.KEYWORD_ONLY
+    with pytest.raises(ValidationError, match="TrainerSpec"):
+        BoltzmannGradientFollower(ComputeSpec(), 4, 2)
+    with pytest.raises(ValidationError, match="kind='bgf'"):
+        BoltzmannGradientFollower(TrainerSpec.gs(), 4, 2)
 
 
 @pytest.fixture(scope="module")
@@ -69,22 +86,6 @@ class TestBuildTrainer:
     def test_runtime_escape_hatches_are_kind_checked(self):
         with pytest.raises(ValidationError, match="machine"):
             build_trainer(TrainerSpec.cd(), machine=object())
-        with pytest.raises(ValidationError, match="config"):
-            build_trainer(TrainerSpec.gs(), config=object())
-
-    def test_explicit_bgf_config_reconciles_the_recorded_spec(self):
-        """config= is authoritative; the trainer's spec must describe the
-        run that actually happens, not the values config shadowed."""
-        from repro.core.gradient_follower import BGFConfig
-
-        config = BGFConfig(step_size=0.02, n_particles=4, anneal_steps=5)
-        trainer = build_trainer(
-            TrainerSpec.bgf(0.2, particles=64, anneal_steps=2), config=config
-        )
-        assert trainer.config is config
-        assert trainer.spec.step_size == 0.02
-        assert trainer.spec.cd_k == 5
-        assert trainer.spec.sampler.chains == 4
 
     def test_float32_spec_threads_to_machine(self, data):
         trainer = build_trainer(

@@ -17,7 +17,6 @@ from repro.config import (
     TrainerSpec,
     ValidationError,
 )
-from repro.analog.noise import NoiseConfig
 
 
 class TestComputeSpec:
@@ -94,11 +93,12 @@ class TestSamplerAndNoiseSpecs:
         with pytest.raises(ValidationError, match="burn_in"):
             SamplerSpec(burn_in=-1)
 
-    def test_noise_spec_round_trips_noise_config(self):
-        config = NoiseConfig(0.1, 0.2)
-        spec = NoiseSpec.from_noise_config(config)
-        assert spec.to_noise_config() == config
-        assert NoiseSpec.from_noise_config(None).is_ideal
+    def test_noise_spec_label_and_ideal_corner(self):
+        assert NoiseSpec(0.1, 0.3).label == "0.1_0.3"
+        assert NoiseSpec().label == "0_0"
+        assert NoiseSpec().is_ideal
+        assert not NoiseSpec(0.1, 0.0).is_ideal
+        assert "label" not in NoiseSpec(0.1, 0.3).to_dict()
 
     def test_negative_rms_rejected(self):
         with pytest.raises(ValidationError):

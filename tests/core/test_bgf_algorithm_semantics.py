@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from repro.config import TrainerSpec
-from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower
+from repro.core import BoltzmannGradientFollower
 from repro.ising.bipartite import _settle_loop_kernel
 
 
 @pytest.fixture
 def machine():
     m = BoltzmannGradientFollower(
-        12, 6, config=BGFConfig(step_size=0.05, n_particles=2, anneal_steps=1), rng=0
+        TrainerSpec.bgf(step_size=0.05, particles=2, anneal_steps=1), 12, 6, rng=0
     )
     m.initialize(np.zeros((12, 6)), np.zeros(12), np.zeros(6))
     return m
@@ -63,35 +63,31 @@ class TestMinibatchOfOne:
         assert changes >= 8  # essentially every sample triggers an update
 
     def test_step_size_scaled_by_reference_batch(self):
-        """The trainer derives alpha_effective = alpha / batch_size, the paper's
+        """The machine derives alpha_effective = alpha / batch_size, the paper's
         guidance for matching the learning rate at minibatch size one."""
-        coarse = BGFTrainer(spec=TrainerSpec.bgf(0.5, reference_batch_size=5))
-        fine = BGFTrainer(spec=TrainerSpec.bgf(0.5, reference_batch_size=500))
-        assert coarse.config.step_size == pytest.approx(0.1)
-        assert fine.config.step_size == pytest.approx(0.001)
-        assert fine.config.step_size < coarse.config.step_size
+        coarse, fine = (
+            BoltzmannGradientFollower(
+                TrainerSpec.bgf(0.5, reference_batch_size=batch), 4, 2, rng=0
+            )
+            for batch in (5, 500)
+        )
+        assert coarse.step_size == pytest.approx(0.1)
+        assert fine.step_size == pytest.approx(0.001)
+        assert fine.step_size < coarse.step_size
 
 
 class TestHardwareNonlinearity:
     def test_update_magnitude_shrinks_near_the_rails(self):
         """f_ij: a weight near the positive rail receives a smaller increment
         than a weight in the middle of the range."""
-        config = BGFConfig(step_size=0.05, weight_range=(-1.0, 1.0), saturation=True)
-        machine = BoltzmannGradientFollower(4, 2, config=config, rng=0)
-        near_rail = np.full((4, 2), 0.95)
+        machine = BoltzmannGradientFollower(TrainerSpec.bgf(step_size=0.05), 4, 2, rng=0)
+        near_rail = np.full((4, 2), 3.8)
         machine.initialize(near_rail, np.zeros(4), np.zeros(2))
         steps_near_rail = machine.weight_pump.step_matrix(machine.substrate.weights, positive=True)
 
         machine.initialize(np.zeros((4, 2)), np.zeros(4), np.zeros(2))
         steps_mid_range = machine.weight_pump.step_matrix(machine.substrate.weights, positive=True)
         assert np.all(steps_near_rail < steps_mid_range)
-
-    def test_idealized_pump_available_for_ablation(self):
-        config = BGFConfig(step_size=0.05, saturation=False)
-        machine = BoltzmannGradientFollower(4, 2, config=config, rng=0)
-        machine.initialize(np.full((4, 2), 3.9), np.zeros(4), np.zeros(2))
-        steps = machine.weight_pump.step_matrix(machine.substrate.weights, positive=True)
-        np.testing.assert_allclose(steps, 0.05)
 
 
 class TestParticlePersistence:

@@ -125,7 +125,7 @@ class TestGibbsSamplerTrainer:
         )
         rbm = BernoulliRBM(16, 8, rng=1)
         trainer.train(rbm, tiny_binary_data, epochs=1)
-        assert trainer.machine.substrate.noise_config.variation_rms == 0.2
+        assert trainer.machine.substrate.spec.noise.variation_rms == 0.2
 
     def test_data_width_mismatch_rejected(self):
         trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1), rng=0)

@@ -5,58 +5,43 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.config import NoiseSpec, TrainerSpec
-from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower
+from repro.config import ComputeSpec, NoiseSpec, TrainerSpec
+from repro.core import BGFTrainer, BoltzmannGradientFollower
+from repro.core.gradient_follower import READOUT_BITS, WEIGHT_RANGE
 from repro.rbm import BernoulliRBM, CDTrainer
 from repro.rbm.metrics import reconstruction_error
 from repro.utils.validation import ValidationError
 
 
-class TestBGFConfig:
-    def test_defaults_valid(self):
-        config = BGFConfig()
-        assert config.n_particles >= 1
-        assert config.weight_range[1] > config.weight_range[0]
+class TestBGFMachineFromSpec:
+    def test_spec_fields_drive_the_machine(self):
+        spec = TrainerSpec.bgf(0.5, reference_batch_size=100, particles=3, anneal_steps=5)
+        machine = BoltzmannGradientFollower(spec, 16, 8, rng=0)
+        assert machine.step_size == pytest.approx(0.005)
+        machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
+        assert machine.particles.shape == (3, 8)
+        for pump in (machine.weight_pump, machine.visible_bias_pump, machine.hidden_bias_pump):
+            assert pump.step_size == machine.step_size
+            assert pump.weight_range == WEIGHT_RANGE
+            assert pump.saturation is True
+        assert machine.readout_adc.n_bits == READOUT_BITS == 8
+        assert machine.readout_adc.value_range == WEIGHT_RANGE == (-4.0, 4.0)
 
-    def test_invalid_values(self):
-        with pytest.raises(ValidationError):
-            BGFConfig(step_size=0.0)
-        with pytest.raises(ValidationError):
-            BGFConfig(n_particles=0)
-        with pytest.raises(ValidationError):
-            BGFConfig(anneal_steps=0)
-        with pytest.raises(ValidationError):
-            BGFConfig(weight_range=(1.0, -1.0))
-        with pytest.raises(ValidationError):
-            BGFConfig(readout_bits=0)
+    def test_explicit_step_size_wins(self):
+        spec = TrainerSpec.bgf(0.5, reference_batch_size=100, step_size=0.03)
+        assert BoltzmannGradientFollower(spec, 4, 2, rng=0).step_size == 0.03
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("weight_range", (-1.0, 0.0, 1.0)),
-            ("weight_range", (float("nan"), 1.0)),
-            ("weight_range", (-1.0, float("inf"))),
-            ("weight_range", 4.0),
-            ("weight_range", ("lo", 1.0)),
-            ("n_particles", 2.5),
-            ("n_particles", True),
-            ("anneal_steps", 2.0),
-            ("readout_bits", 8.5),
-        ],
-    )
-    def test_malformed_field_rejected_by_name(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            BGFConfig(**{field: value})
-
-    def test_coerces_to_canonical_types(self):
-        config = BGFConfig(weight_range=[-1, 1], n_particles=np.int64(3))
-        assert config.weight_range == (-1.0, 1.0)
-        assert type(config.n_particles) is int
+    @pytest.mark.parametrize("dims", [(0, 2), (4, 2.5), (True, 2)])
+    def test_rejects_bad_dimensions(self, dims):
+        with pytest.raises(ValidationError, match="dimensions"):
+            BoltzmannGradientFollower(TrainerSpec.bgf(), *dims, rng=0)
 
 
 class TestBoltzmannGradientFollowerMachine:
     def _machine(self, n_visible=16, n_hidden=8, **kwargs):
-        return BoltzmannGradientFollower(n_visible, n_hidden, rng=0, **kwargs)
+        return BoltzmannGradientFollower(
+            TrainerSpec.bgf(**kwargs), n_visible, n_hidden, rng=0
+        )
 
     def test_initialize_loads_parameters(self):
         machine = self._machine()
@@ -64,13 +49,13 @@ class TestBoltzmannGradientFollowerMachine:
         machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         weights, bv, bh = machine.substrate.read_parameters()
         np.testing.assert_allclose(weights, rbm.weights)
-        assert machine.particles.shape == (machine.config.n_particles, 8)
+        assert machine.particles.shape == (machine.spec.sampler.chains, 8)
 
     def test_initialize_clips_to_weight_range(self):
-        machine = self._machine(config=BGFConfig(weight_range=(-1.0, 1.0)))
+        machine = self._machine()
         machine.initialize(np.full((16, 8), 5.0), np.zeros(16), np.zeros(8))
         weights, _, _ = machine.substrate.read_parameters()
-        assert weights.max() <= 1.0
+        assert weights.max() <= 4.0
 
     def test_run_requires_initialization(self, tiny_binary_data):
         machine = self._machine()
@@ -113,14 +98,14 @@ class TestBoltzmannGradientFollowerMachine:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_particles_in_tier_dtype_from_initialize(self, dtype):
-        machine = self._machine(dtype=dtype)
+        machine = self._machine(compute=ComputeSpec(dtype=dtype))
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         assert machine.particles.dtype == machine.substrate.dtype
         machine.refresh_particles(1)
         assert machine.particles.dtype == machine.substrate.dtype
 
     def test_particles_are_persistent_and_cycled(self, tiny_binary_data):
-        machine = self._machine(config=BGFConfig(n_particles=3))
+        machine = self._machine(particles=3)
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         initial = machine.particles
         machine.run(tiny_binary_data[:9], shuffle=False)
@@ -129,29 +114,27 @@ class TestBoltzmannGradientFollowerMachine:
         assert not np.array_equal(machine.particles, initial)
 
     def test_weights_stay_within_range(self, tiny_binary_data):
-        machine = self._machine(config=BGFConfig(step_size=0.2, weight_range=(-1.0, 1.0)))
+        machine = self._machine(step_size=2.0)
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         for _ in range(3):
             machine.run(tiny_binary_data)
-        lo, hi = machine.config.weight_range
-        assert machine.substrate.weights.min() >= lo - FLOAT64_ASSOC_ATOL
-        assert machine.substrate.weights.max() <= hi + FLOAT64_ASSOC_ATOL
+        lo, hi = WEIGHT_RANGE
+        weights = machine.substrate.weights
+        assert np.isclose(weights, lo).any() or np.isclose(weights, hi).any()
+        assert weights.min() >= lo - FLOAT64_ASSOC_ATOL
+        assert weights.max() <= hi + FLOAT64_ASSOC_ATOL
 
     def test_read_out_quantizes_through_adc(self):
-        machine = self._machine(config=BGFConfig(readout_bits=4, weight_range=(-1.0, 1.0)))
-        raw = np.random.default_rng(0).uniform(-1, 1, (16, 8))
+        machine = self._machine()
+        raw = np.random.default_rng(0).uniform(-4, 4, (16, 8))
         machine.initialize(raw, np.zeros(16), np.zeros(8))
         weights, _, _ = machine.read_out()
-        # 4-bit readout: at most 16 distinct levels
-        assert np.unique(np.round(weights, 9)).size <= 16
+        # 8-bit readout over the +-4 rails: every weight sits on one of the
+        # 256 levels, within half a level of its analog value.
+        codes = (weights + 4.0) / 8.0 * 255
+        np.testing.assert_allclose(codes, np.round(codes), atol=1e-9)
+        assert np.abs(weights - raw).max() <= 4.0 / 255 + 1e-12
         assert machine.host.final_weight_readouts == 1
-
-    def test_read_out_without_adc(self):
-        machine = self._machine(config=BGFConfig(readout_bits=None))
-        raw = np.random.default_rng(0).uniform(-1, 1, (16, 8))
-        machine.initialize(raw, np.zeros(16), np.zeros(8))
-        weights, _, _ = machine.read_out()
-        np.testing.assert_allclose(weights, np.clip(raw, -4, 4))
 
     def test_host_interaction_is_minimal(self, tiny_binary_data):
         """The BGF's whole point: per-sample learning with no per-sample host
@@ -166,9 +149,10 @@ class TestBoltzmannGradientFollowerMachine:
 
 
 class TestBGFTrainer:
-    def test_step_size_derived_from_learning_rate(self):
+    def test_step_size_derived_from_learning_rate(self, tiny_binary_data):
         trainer = BGFTrainer(spec=TrainerSpec.bgf(0.5, reference_batch_size=100))
-        assert trainer.config.step_size == pytest.approx(0.005)
+        trainer.train(BernoulliRBM(16, 8, rng=1), tiny_binary_data, epochs=1)
+        assert trainer.machine.step_size == pytest.approx(0.005)
 
     def test_invalid_reference_batch(self):
         with pytest.raises(ValidationError):
@@ -228,7 +212,7 @@ class TestBGFTrainer:
         trainer.train(rbm, tiny_binary_data, epochs=1)
         machine = trainer.machine
         assert machine.weight_pump.variation_rms == 0.2
-        assert machine.substrate.noise_config.noise_rms == 0.1
+        assert machine.substrate.spec.noise.noise_rms == 0.1
 
     def test_data_width_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -261,6 +245,6 @@ def test_sparse_stream_rejected_by_name(entry, fmt):
                 BernoulliRBM(6, 4, rng=0), data, epochs=1
             )
         else:
-            machine = BoltzmannGradientFollower(6, 4, rng=0)
+            machine = BoltzmannGradientFollower(TrainerSpec.bgf(), 6, 4, rng=0)
             machine.initialize(np.zeros((6, 4)), np.zeros(6), np.zeros(4))
             machine.run(data)

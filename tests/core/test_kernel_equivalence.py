@@ -11,7 +11,8 @@ change a single drawn bit against the straightforward formulation kept in
   seed, and
   the CD trainer matches a run through the masked reference sigmoid;
 * the BGF's flat streaming kernel equals the oracle's validated per-sample
-  loop in every tier x noise x saturation x column-type corner;
+  loop in every tier x noise x column-type corner, with weights spread
+  across the pump's roll-off region;
 * noisy corner — the kernels preserve the per-stream RNG draw order, so
   even the (0.1, 0.1) operating point reproduces exactly;
 * the fused numeric kernels (sigmoid / softplus) match their masked
@@ -21,7 +22,6 @@ change a single drawn bit against the straightforward formulation kept in
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
 from helpers.reference import (
     ReferenceSubstrate,
     learn_sample,
@@ -30,7 +30,7 @@ from helpers.reference import (
     use_reference,
 )
 from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
-from repro.core import BGFConfig, BGFTrainer, BoltzmannGradientFollower, GibbsSamplerTrainer
+from repro.core import BGFTrainer, BoltzmannGradientFollower, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, CDTrainer
 from repro.utils.numerics import log1pexp, sigmoid
@@ -116,33 +116,40 @@ class TestBGFStreamMatchesPerSampleLoop:
     every corner ``run`` serves."""
 
     @staticmethod
-    def _machine(dtype, noise, saturation):
+    def _machine(dtype, noise):
         machine = BoltzmannGradientFollower(
+            TrainerSpec.bgf(
+                step_size=0.02, particles=4, noise=noise, compute=ComputeSpec(dtype=dtype)
+            ),
             49,
             32,
-            config=BGFConfig(
-                step_size=0.02, n_particles=4, weight_range=(-0.5, 0.5),
-                saturation=saturation,
-            ),
-            noise_config=noise,
-            dtype=dtype,
             rng=3,
         )
-        rbm = BernoulliRBM(49, 32, rng=0)
-        machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
+        # Weights spread across the whole +-4 range, so some units start in
+        # the pump's roll-off region next to either rail.
+        weights = np.random.default_rng(0).uniform(-4.0, 4.0, (49, 32))
+        machine.initialize(weights, np.zeros(49), np.zeros(32))
         return machine
 
+    def test_weights_start_within_the_roll_off_margin(self):
+        machine = self._machine("float64", NoiseSpec())
+        pump = machine.weight_pump
+        lo, hi = pump.weight_range
+        margin = pump.saturation_margin * (hi - lo)
+        weights = machine.substrate.weights
+        assert pump.saturation
+        assert (weights > hi - margin).any() and (weights < lo + margin).any()
+
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("noise", [None, NoiseConfig(0.1, 0.1)], ids=["ideal", "noisy"])
-    @pytest.mark.parametrize("saturation", [True, False])
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.1, 0.1)], ids=["ideal", "noisy"])
     @pytest.mark.parametrize("columns", ["binary", "grayscale"])
-    def test_run_equals_learn_sample_loop(self, data, dtype, noise, saturation, columns):
+    def test_run_equals_learn_sample_loop(self, data, dtype, noise, columns):
         if columns == "grayscale":
             data = data.copy()
             data[:, ::3] *= np.linspace(0.2, 0.9, data.shape[0])[:, None]
-        streamed = self._machine(dtype, noise, saturation)
+        streamed = self._machine(dtype, noise)
         streamed.run(data[:60], shuffle=False, chunk_size=16)
-        looped = self._machine(dtype, noise, saturation)
+        looped = self._machine(dtype, noise)
         for sample in data[:60]:
             learn_sample(looped, sample)
         for a, b in zip(streamed.substrate.read_parameters(), looped.substrate.read_parameters()):

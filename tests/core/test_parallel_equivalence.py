@@ -120,7 +120,7 @@ class TestWorkersOneBitIdentical:
     def test_bgf_refresh_particles(self):
         machines = []
         for kwargs in ({}, {"workers": 1}):
-            machine = BoltzmannGradientFollower(N_VISIBLE, N_HIDDEN, rng=3)
+            machine = BoltzmannGradientFollower(TrainerSpec.bgf(), N_VISIBLE, N_HIDDEN, rng=3)
             rng = np.random.default_rng(1)
             machine.initialize(
                 rng.normal(0, 0.2, (N_VISIBLE, N_HIDDEN)),

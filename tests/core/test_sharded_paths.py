@@ -17,7 +17,7 @@ module pins what the callers built on it promise at ``workers=k > 1``:
 import numpy as np
 import pytest
 
-from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core.gradient_follower import BoltzmannGradientFollower
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, average_log_probability, estimate_log_partition
@@ -95,7 +95,7 @@ def _tiny_ais_rbm():
 
 
 def _bgf_particles(workers):
-    machine = BoltzmannGradientFollower(N_VISIBLE, N_HIDDEN, rng=3)
+    machine = BoltzmannGradientFollower(TrainerSpec.bgf(), N_VISIBLE, N_HIDDEN, rng=3)
     rng = np.random.default_rng(1)
     machine.initialize(
         rng.normal(0, 0.2, (N_VISIBLE, N_HIDDEN)),

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.analog.noise import NoiseConfig
 from repro.config.specs import (
     ComputeSpec,
     NoiseSpec,
@@ -48,12 +47,12 @@ def _binary_batch(n_rows=12, n_cols=N_VISIBLE, density=0.2, seed=0):
     return dense, sp.csr_matrix(dense)
 
 
-def _substrate(seed=0, noise=None):
+def _substrate(seed=0, noise=NoiseSpec()):
     return BipartiteIsingSubstrate(
         spec=SubstrateSpec(
             n_visible=N_VISIBLE,
             n_hidden=N_HIDDEN,
-            noise=NoiseSpec.from_noise_config(noise),
+            noise=noise,
         ),
         rng=seed,
     )
@@ -149,7 +148,7 @@ class TestSubstrateSparsePaths:
 
     def test_clamp_visible_noisy_dtc_matches_dense_bitwise(self):
         dense, csr = _binary_batch()
-        noise = NoiseConfig(0.0, 0.1)
+        noise = NoiseSpec(0.0, 0.1)
         a = _programmed(_substrate(seed=7, noise=noise))
         b = _programmed(_substrate(seed=7, noise=noise))
         np.testing.assert_array_equal(

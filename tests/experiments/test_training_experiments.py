@@ -8,7 +8,7 @@ the *claims* each driver is meant to reproduce.
 import numpy as np
 import pytest
 
-from repro.analog.noise import NoiseConfig
+from repro.config import NoiseSpec
 from repro.experiments.fig7_logprob import format_figure7, run_figure7, trajectories
 from repro.experiments.fig8_noise import final_logprob_by_config, format_figure8, run_figure8
 from repro.experiments.fig9_mae_noise import format_figure9, mae_by_config, run_figure9
@@ -33,7 +33,7 @@ def figure7_result():
 @pytest.fixture(scope="module")
 def figure8_result():
     return run_figure8(
-        noise_configs=(NoiseConfig(0.0, 0.0), NoiseConfig(0.1, 0.1), NoiseConfig(0.3, 0.3)),
+        noise_configs=(NoiseSpec(0.0, 0.0), NoiseSpec(0.1, 0.1), NoiseSpec(0.3, 0.3)),
         epochs=6, ais_chains=20, ais_betas=60, seed=0,
     )
 
@@ -173,7 +173,7 @@ class TestFigure9:
     @pytest.fixture(scope="class")
     def result(self):
         return run_figure9(
-            noise_configs=(NoiseConfig(0.0, 0.0), NoiseConfig(0.3, 0.3)),
+            noise_configs=(NoiseSpec(0.0, 0.0), NoiseSpec(0.3, 0.3)),
             epochs=20, seed=0,
         )
 
@@ -209,7 +209,7 @@ class TestFigure9Sparse:
     @pytest.fixture(scope="class")
     def result(self):
         return run_figure9(
-            noise_configs=(NoiseConfig(0.0, 0.0),),
+            noise_configs=(NoiseSpec(0.0, 0.0),),
             epochs=12,
             engine="gs",
             encoding="onehot",
@@ -232,7 +232,7 @@ class TestFigure10:
     @pytest.fixture(scope="class")
     def result(self):
         return run_figure10(
-            noise_configs=(NoiseConfig(0.0, 0.0), NoiseConfig(0.3, 0.3)),
+            noise_configs=(NoiseSpec(0.0, 0.0), NoiseSpec(0.3, 0.3)),
             epochs=12, seed=0,
         )
 
@@ -267,7 +267,7 @@ class TestFigure10Sparse:
     @pytest.fixture(scope="class")
     def result(self):
         return run_figure10(
-            noise_configs=(NoiseConfig(0.0, 0.0),),
+            noise_configs=(NoiseSpec(0.0, 0.0),),
             epochs=8,
             engine="gs",
             encoding="onehot",

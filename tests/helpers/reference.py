@@ -183,10 +183,10 @@ def learn_sample(machine, sample) -> None:
     v_bits = bernoulli_sample(np.clip(visible, 0.0, 1.0), machine._rng)[0]
     _apply_pumps(machine, v_bits, hidden[0], positive=True)
 
-    index = machine._particle_cursor % machine.config.n_particles
+    index = machine._particle_cursor % machine.spec.sampler.chains
     machine._particle_cursor += 1
     visible, hidden = sub.gibbs_chain(
-        machine._particles[index : index + 1], machine.config.anneal_steps
+        machine._particles[index : index + 1], machine.spec.cd_k
     )
     machine._particles[index] = hidden[0]
     _apply_pumps(machine, visible[0], hidden[0], positive=False)

@@ -130,3 +130,22 @@ def test_dense_entry_points_do_not_import_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_spec_layer_imports_no_analog_module():
+    """The spec layer is a leaf: ``import repro.config`` loads none of the
+    circuit models that consume its specs."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.config; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analog')))",
+        ],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
