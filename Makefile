@@ -64,12 +64,15 @@ serve-smoke:
 	$(PYTHON) -m repro run figure9 --set epochs=3 --set seed=1 --save-model /tmp/repro-serve-smoke-b
 	$(PYTHON) examples/serve_multimodel_roundtrip.py /tmp/repro-serve-smoke /tmp/repro-serve-smoke-b
 
-## Examples leg of the tier-1 workflow: run the two training examples whose
-## trainers are built from specs end to end (tests/integration/
+## Examples leg of the tier-1 workflow: run the three training examples
+## whose trainers are built from specs end to end (tests/integration/
 ## test_examples.py only imports them, so a stale constructor argument
-## would otherwise surface only when a user runs them).  anomaly_detection.py
-## (~77 s on a 2-core host) stays import-only.
+## would otherwise surface only when a user runs them).  quickstart.py
+## (~2 s) is the only one that builds a BGF through
+## build_trainer(TrainerSpec.bgf(...)).  anomaly_detection.py (~77 s on a
+## 2-core host) stays import-only.
 examples-smoke:
+	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/image_classification.py
 	$(PYTHON) examples/recommender_system.py
 

@@ -1,189 +1,82 @@
-"""Thermal-noise random number generation and the dynamic comparator (App. B.3).
+"""The node's stochastic latch: thermal-noise reference plus comparator (App. B.3).
 
 The paper makes each node probabilistic by comparing the sigmoid unit's
 output voltage against an amplified thermal-noise source in a standard
 dynamic comparator; the latched comparator output is the binary node
-sample.  For the comparison to implement ``P(out=1) = p`` exactly, the
-amplified noise must be *uniform* over the comparator's input range; a real
-diode noise source is Gaussian, so the amplifier/bias are arranged to
-approximate uniformity over the range of interest.  The behavioral model
-exposes both options so tests can quantify the approximation error the
-hardware introduces.
+sample.  The amplifier and bias are arranged so the reference is uniform
+over the comparator's input range, which makes ``P(out=1) = p`` exact; the
+behavioral model draws that uniform reference and latches ``p > u``.
 """
 
 from __future__ import annotations
-
-from typing import Literal
 
 import numpy as np
 
 from repro.utils.numerics import fused_sigmoid_bernoulli
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_positive
+from repro.utils.validation import ValidationError, check_int
 
 
-class ThermalNoiseRNG:
-    """Amplified-diode-noise random voltage generator.
-
-    Parameters
-    ----------
-    distribution:
-        ``"uniform"`` — idealized flat distribution over [0, 1], the design
-        target; ``"gaussian"`` — a clipped Gaussian centered at V_CM = 0.5,
-        modelling an under-amplified physical noise source.
-    gaussian_sigma:
-        Standard deviation of the Gaussian option (in normalized volts).
-    """
-
-    def __init__(
-        self,
-        distribution: Literal["uniform", "gaussian"] = "uniform",
-        *,
-        gaussian_sigma: float = 0.3,
-        rng: SeedLike = None,
-    ):
-        if distribution not in ("uniform", "gaussian"):
-            raise ValidationError(
-                f"distribution must be 'uniform' or 'gaussian', got {distribution!r}"
-            )
-        self.distribution = distribution
-        self.gaussian_sigma = check_positive(gaussian_sigma, name="gaussian_sigma")
-        self._rng = as_rng(rng)
-
-    def sample(self, shape, dtype=np.float64) -> np.ndarray:
-        """Draw random reference voltages in [0, 1] with the configured law.
-
-        ``dtype`` selects the draw precision for the uniform law (float32
-        draws consume half the generator output — the precision-tiered
-        kernels use this); the Gaussian law always draws in float64, as the
-        clipped-normal model is not on any precision-tiered path.
-        """
-        if self.distribution == "uniform":
-            return self._rng.random(shape, dtype=dtype)
-        draws = self._rng.normal(0.5, self.gaussian_sigma, size=shape)
-        return np.clip(draws, 0.0, 1.0)
-
-
-class DynamicComparator:
-    """Latched comparator with optional input-referred offset variation.
-
-    Parameters
-    ----------
-    n_units:
-        Number of comparator instances (one per node); used to draw a fixed
-        per-unit offset.
-    offset_rms:
-        RMS of the static input-referred offset (normalized volts).
-    """
-
-    def __init__(self, n_units: int, *, offset_rms: float = 0.0, rng: SeedLike = None):
-        if n_units <= 0:
-            raise ValidationError(f"n_units must be positive, got {n_units}")
-        self.n_units = int(n_units)
-        self.offset_rms = check_positive(offset_rms, name="offset_rms", strict=False)
-        gen = as_rng(rng)
-        self._has_offsets = offset_rms > 0
-        self.offsets = (
-            gen.normal(0.0, offset_rms, size=n_units) if offset_rms > 0 else np.zeros(n_units, dtype=np.float64)
-        )
-
-    def compare(self, signal: np.ndarray, reference: np.ndarray) -> np.ndarray:
-        """Return 1.0 where ``signal + offset > reference`` else 0.0."""
-        signal = np.asarray(signal, dtype=float)
-        reference = np.asarray(reference, dtype=float)
-        if signal.shape[-1] != self.n_units:
-            raise ValidationError(
-                f"signal last dimension {signal.shape[-1]} does not match n_units={self.n_units}"
-            )
-        return (signal + self.offsets > reference).astype(np.float64)
+def _draw_dtype(values) -> np.dtype:
+    """Tier rule: float32 inputs draw float32 references; every other
+    numeric dtype keeps the float64 draw (``Generator.random`` supports
+    only the two tiered dtypes)."""
+    if getattr(values, "dtype", None) == np.float32:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
 
 
 class StochasticNeuronSampler:
     """Sigmoid-output vs. random-reference sampling: the per-node Bernoulli draw.
 
-    Combines a :class:`ThermalNoiseRNG` and a :class:`DynamicComparator` into
-    the operation the hardware performs at every node: latch 1 with
-    probability equal to the sigmoid unit's output voltage.
+    The operation the hardware performs at every node: latch 1 with
+    probability equal to the sigmoid unit's output voltage, by comparing it
+    against a uniform reference drawn from this sampler's own generator.
+
+    Parameters
+    ----------
+    n_units:
+        Number of nodes the sampler latches (the width the validated
+        :meth:`sample` checks).
+    rng:
+        Generator of the thermal-noise references.
     """
 
-    def __init__(
-        self,
-        n_units: int,
-        *,
-        distribution: Literal["uniform", "gaussian"] = "uniform",
-        comparator_offset_rms: float = 0.0,
-        rng: SeedLike = None,
-    ):
-        gen = as_rng(rng)
-        self.noise_source = ThermalNoiseRNG(distribution, rng=gen)
-        self.comparator = DynamicComparator(
-            n_units, offset_rms=comparator_offset_rms, rng=gen
-        )
-        self.n_units = int(n_units)
+    def __init__(self, n_units: int, *, rng: SeedLike = None):
+        self.n_units = check_int(n_units, "n_units", 1)
+        self._rng = as_rng(rng)
 
     def spawn_substream(self, rng: SeedLike) -> "StochasticNeuronSampler":
-        """A sampler view drawing its thermal noise from ``rng``.
+        """A sampler of the same width drawing its references from ``rng``.
 
         The sharded settle kernel gives every worker shard its own clone so
         concurrent shards never contend on (or nondeterministically
-        interleave) one generator.  The clone shares the *static* hardware
-        state by reference — the comparator (and therefore its fixed
-        per-unit offsets) is the same physical circuit — while the thermal
-        noise source, the only stateful draw in the trusted sampling path,
-        gets the dedicated substream.
+        interleave) one generator.
         """
-        clone = object.__new__(StochasticNeuronSampler)
-        clone.noise_source = ThermalNoiseRNG(
-            self.noise_source.distribution,
-            gaussian_sigma=self.noise_source.gaussian_sigma,
-            rng=rng,
-        )
-        clone.comparator = self.comparator
-        clone.n_units = self.n_units
-        return clone
-
-    @property
-    def supports_fused(self) -> bool:
-        """Whether the fused sigmoid→compare latch is available for this node.
-
-        The fused kernel folds the comparator into a logit-space compare, so
-        it requires the idealized uniform reference law and offset-free
-        comparators; any other configuration falls back to the explicit
-        sigmoid-then-compare path (still precision-tiered, just not fused).
-        """
-        return (
-            self.noise_source.distribution == "uniform"
-            and not self.comparator._has_offsets
-        )
+        return StochasticNeuronSampler(self.n_units, rng=rng)
 
     def sample(self, probabilities: np.ndarray, *, validate: bool = True) -> np.ndarray:
         """Draw binary samples whose success probabilities are ``probabilities``.
 
-        ``validate=False`` is the trusted fast path used by the substrate's
-        inner sampling loops, whose probabilities come straight from the
-        sigmoid units and are in [0, 1] by construction.  The trusted path
-        is dtype-preserving: float32 probabilities draw float32 uniform
-        references and latch float32 samples.
+        The validated path checks that the probabilities lie in [0, 1] and
+        that their last dimension is ``n_units``, then latches float64
+        samples.  ``validate=False`` is the trusted fast path used by the
+        substrate's inner sampling loops, whose probabilities come straight
+        from the sigmoid units and are in [0, 1] by construction.  The
+        trusted path is dtype-preserving: float32 probabilities draw float32
+        uniform references and latch float32 samples.
         """
         if validate:
             probabilities = check_in_range_array(probabilities)
-            reference = self.noise_source.sample(probabilities.shape)
-            return self.comparator.compare(probabilities, reference)
-        # Trusted kernel: probabilities are a float array of the right width,
-        # so the range scan, re-coercions, and shape re-check are skipped;
-        # with zero comparator offsets, adding them is skipped too (a
-        # value-preserving no-op either way).
-        # Tier rule: float32 probabilities draw float32 references; every
-        # other numeric dtype keeps the legacy float64 draw (Generator.random
-        # supports only the two tiered dtypes).
-        dtype = (
-            np.dtype(np.float32)
-            if getattr(probabilities, "dtype", None) == np.float32
-            else np.dtype(np.float64)
-        )
-        reference = self.noise_source.sample(np.shape(probabilities), dtype=dtype)
-        if self.comparator._has_offsets:
-            probabilities = probabilities + self.comparator.offsets
+            if probabilities.shape[-1:] != (self.n_units,):
+                raise ValidationError(
+                    f"probabilities of shape {probabilities.shape} do not end "
+                    f"in n_units={self.n_units}"
+                )
+            reference = self._rng.random(probabilities.shape)
+            return (probabilities > reference).astype(np.float64)
+        dtype = _draw_dtype(probabilities)
+        reference = self._rng.random(np.shape(probabilities), dtype=dtype)
         return (probabilities > reference).astype(dtype)
 
     def sample_from_field(self, field: np.ndarray) -> np.ndarray:
@@ -192,16 +85,10 @@ class StochasticNeuronSampler:
         The float32 precision tier's inner draw — one logit-space compare of
         the pre-activation field against the thermal-noise reference (see
         :func:`repro.utils.numerics.fused_sigmoid_bernoulli`), drawn in the
-        field's dtype.  Only valid when :attr:`supports_fused` holds (uniform
-        references, offset-free comparators) and the sigmoid units are the
-        identity transfer curve; callers check both.
+        field's dtype.  Only valid when the sigmoid units are the identity
+        transfer curve; callers check it.
         """
-        dtype = (
-            np.dtype(np.float32)
-            if getattr(field, "dtype", None) == np.float32
-            else np.dtype(np.float64)
-        )
-        uniforms = self.noise_source.sample(np.shape(field), dtype=dtype)
+        uniforms = self._rng.random(np.shape(field), dtype=_draw_dtype(field))
         return fused_sigmoid_bernoulli(field, uniforms)
 
 

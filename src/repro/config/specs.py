@@ -255,7 +255,7 @@ COMPUTE_KNOBS: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(Comput
 
 @dataclass(frozen=True)
 class SamplerSpec(Spec):
-    """Negative-phase sampling knobs (chains, persistence, burn-in).
+    """Negative-phase sampling knobs (chains, persistence).
 
     Attributes
     ----------
@@ -265,19 +265,13 @@ class SamplerSpec(Spec):
     persistent:
         PCD-style persistence (GS trainer; the BGF's particles are
         persistent by algorithm).
-    burn_in:
-        Chain-parallel settle steps applied to the persistent pool right
-        after initialization (BGF's ``particle_burn_in``; must be 0 for
-        trainers without a burn-in phase).
     """
 
     chains: int = 1
     persistent: bool = False
-    burn_in: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chains", check_int(self.chains, "chains", 1))
-        object.__setattr__(self, "burn_in", check_int(self.burn_in, "burn_in", 0))
         check_bool(self.persistent, "persistent")
 
 
@@ -316,9 +310,7 @@ class SubstrateSpec(Spec):
 
     n_visible: int
     n_hidden: int
-    sigmoid_gain: float = 1.0
     input_bits: Optional[int] = 8
-    comparator_offset_rms: float = 0.0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     compute: ComputeSpec = field(default_factory=ComputeSpec)
 
@@ -331,20 +323,10 @@ class SubstrateSpec(Spec):
             raise ValidationError(f"substrate dimensions must be positive ints, got {dims}")
         object.__setattr__(self, "n_visible", int(self.n_visible))
         object.__setattr__(self, "n_hidden", int(self.n_hidden))
-        object.__setattr__(
-            self, "sigmoid_gain", check_positive(self.sigmoid_gain, name="sigmoid_gain")
-        )
         if self.input_bits is not None:
             object.__setattr__(
                 self, "input_bits", check_int(self.input_bits, "input_bits", 1)
             )
-        object.__setattr__(
-            self,
-            "comparator_offset_rms",
-            check_positive(
-                self.comparator_offset_rms, name="comparator_offset_rms", strict=False
-            ),
-        )
         if not isinstance(self.noise, NoiseSpec):
             raise ValidationError("noise must be a NoiseSpec")
         if not isinstance(self.compute, ComputeSpec):
@@ -362,9 +344,8 @@ class TrainerSpec(Spec):
     * ``cd_k`` — CD/GS Gibbs steps; for the BGF it is the per-negative-phase
       ``anneal_steps`` (the knob playing CD-k's role, per Sec. 3.3).
     * ``sampler.chains`` — GS negative chains / BGF persistent particles.
-    * ``sampler.burn_in`` — BGF particle-pool burn-in (must be 0 elsewhere).
-    * ``reference_batch_size``, ``step_size`` — BGF step-size derivation
-      (``step_size=None`` derives ``learning_rate / reference_batch_size``).
+    * ``reference_batch_size`` — the BGF's charge-pump step is
+      ``learning_rate / reference_batch_size``.
     * ``compute.dtype`` — hardware engines only; the software CD reference
       is float64 by definition.
     """
@@ -374,7 +355,6 @@ class TrainerSpec(Spec):
     cd_k: int = 1
     batch_size: int = 10
     reference_batch_size: int = 50
-    step_size: Optional[float] = None
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     compute: ComputeSpec = field(default_factory=ComputeSpec)
@@ -392,8 +372,6 @@ class TrainerSpec(Spec):
                 self.reference_batch_size, "reference_batch_size", 1
             ),
         }
-        if self.step_size is not None:
-            checked["step_size"] = check_positive(self.step_size, name="step_size")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         if not isinstance(self.sampler, SamplerSpec):
@@ -411,7 +389,7 @@ class TrainerSpec(Spec):
                 )
             if self.sampler != SamplerSpec():
                 raise ValidationError(
-                    "sampler configuration (chains/persistent/burn_in) "
+                    "sampler configuration (chains/persistent) "
                     "applies to the hardware trainers ('gs', 'bgf'); the "
                     "software CD reference seeds its negative chains from the "
                     "minibatch — did you mean kind='gs'?"
@@ -426,16 +404,6 @@ class TrainerSpec(Spec):
                 raise ValidationError(
                     f"reference_batch_size is a BGF step-size knob; the "
                     f"{self.kind!r} trainer uses batch_size"
-                )
-            if self.sampler.burn_in != 0:
-                raise ValidationError(
-                    f"sampler.burn_in is a BGF particle-pool knob; the "
-                    f"{self.kind!r} trainer has no burn-in phase"
-                )
-            if self.step_size is not None:
-                raise ValidationError(
-                    f"step_size is a BGF charge-pump knob; the {self.kind!r} "
-                    "trainer derives its updates from learning_rate"
                 )
 
     # ------------------------------------------------------------------ #
@@ -492,8 +460,6 @@ class TrainerSpec(Spec):
         reference_batch_size: int = 50,
         anneal_steps: int = 2,
         particles: int = 8,
-        burn_in: int = 0,
-        step_size: Optional[float] = None,
         noise: Optional[NoiseSpec] = None,
         compute: Optional[ComputeSpec] = None,
     ) -> "TrainerSpec":
@@ -507,8 +473,7 @@ class TrainerSpec(Spec):
             learning_rate=learning_rate,
             cd_k=anneal_steps,
             reference_batch_size=reference_batch_size,
-            step_size=step_size,
-            sampler=SamplerSpec(chains=particles, burn_in=burn_in),
+            sampler=SamplerSpec(chains=particles),
             noise=noise if noise is not None else NoiseSpec(),
             compute=compute if compute is not None else ComputeSpec(),
         )

@@ -79,10 +79,10 @@ class BoltzmannGradientFollower:
     spec:
         Typed configuration (:class:`~repro.config.TrainerSpec` with
         ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`).  The
-        charge-pump step per qualifying sample is ``step_size``, or
-        ``learning_rate / reference_batch_size`` when that is ``None`` —
-        the paper's guidance that a minibatch of 1 needs a roughly
-        ``batch_size``-times smaller step.  ``sampler.chains`` is the
+        charge-pump step per qualifying sample is
+        ``learning_rate / reference_batch_size`` — the paper's guidance
+        that a minibatch of 1 needs a roughly ``batch_size``-times smaller
+        step.  ``sampler.chains`` is the
         number of persistent particles ``p``, ``cd_k`` the anneal steps
         per negative phase (the trajectory length playing CD-k's k),
         ``noise`` the analog operating point of both the sampling path
@@ -107,11 +107,7 @@ class BoltzmannGradientFollower:
     ):
         check_spec(spec, TrainerSpec, "BoltzmannGradientFollower", kind="bgf")
         self.spec = spec
-        self.step_size = (
-            spec.step_size
-            if spec.step_size is not None
-            else spec.learning_rate / spec.reference_batch_size
-        )
+        self.step_size = spec.learning_rate / spec.reference_batch_size
         noise = spec.noise
         streams = spawn_rngs(rng, 4)
         # ``compute.dtype`` selects the substrate precision tier: settles and
@@ -185,28 +181,6 @@ class BoltzmannGradientFollower:
             self._rng.random((self.spec.sampler.chains, self.n_hidden)) < 0.5
         ).astype(self.substrate.dtype)
         self._particle_cursor = 0
-
-    def refresh_particles(
-        self,
-        n_steps: int = 1,
-        *,
-        workers: int = 1,
-    ) -> None:
-        """Advance *all* ``p`` persistent particles through one chain-parallel
-        settle batch (``settle_batch``), without touching the weights.
-
-        The learning loop itself is strictly sequential (one particle per
-        sample, mid-step updates), but decorrelating the particle pool —
-        after initialization, or between epochs — has no such constraint, so
-        it can use the substrate's batched kernel: ``n_steps`` settles of the
-        whole ``(p, n)`` block as single matmuls — or, with ``workers=k``,
-        as ``k`` thread-parallel shards (the multicore layer; see
-        :meth:`~repro.ising.bipartite.BipartiteIsingSubstrate.settle_batch`).
-        """
-        if self._particles is None:
-            raise ValidationError("initialize must be called before refresh_particles")
-        _, hidden = self.substrate.settle_batch(self._particles, n_steps, workers=workers)
-        self._particles = hidden
 
     # ------------------------------------------------------------------ #
     # Streaming kernel (chunked, behind :meth:`run`)
@@ -333,11 +307,9 @@ class BGFTrainer:
         Typed configuration (:class:`~repro.config.TrainerSpec` with
         ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`), from
         which the lazily-created :class:`BoltzmannGradientFollower` is
-        built.  ``sampler.burn_in`` settles the whole persistent pool that
-        many chain-parallel steps right after initialization (0 skips the
-        refresh).  ``compute.workers`` shards only that refresh: the
-        learning loop is sequential by algorithm (the paper's mid-step
-        updates serialize it).
+        built.  The learning loop is sequential by algorithm (the paper's
+        mid-step updates serialize it), so ``compute.workers`` shards
+        nothing here.
     rng, callback:
         Trainer generator and optional ``callback(epoch, rbm)`` hook.
     """
@@ -387,13 +359,6 @@ class BGFTrainer:
         def setup() -> None:
             machine = self._ensure_machine(rbm)
             machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-            burn_in = self.spec.sampler.burn_in
-            if burn_in:
-                # Decorrelate the freshly-drawn particle pool before learning;
-                # the default of 0 keeps runs bit-identical to the
-                # no-burn-in implementation (the refresh draws from the
-                # substrate streams).
-                machine.refresh_particles(burn_in, workers=self.spec.compute.workers)
 
         def one_pass(data) -> None:
             self.machine.run(data, shuffle=shuffle)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.specs import NoiseSpec
+from repro.datasets.registry import get_benchmark
 from repro.utils.validation import ValidationError
 
 
@@ -89,6 +90,32 @@ def check_noise_configs(noise_configs: Any) -> Tuple[NoiseSpec, ...]:
             )
         points.append(entry)
     return tuple(points)
+
+
+def check_benchmark_name(name: Any, knob: str) -> str:
+    """One entry of a dataset-name knob: a registered benchmark name.
+
+    A non-string or unknown entry raises a :class:`ValidationError` naming
+    ``knob``; the runners check their name knobs before building any data,
+    so a bad entry late in a list fails before the earlier ones train.
+    """
+    if not isinstance(name, str):
+        raise ValidationError(f"{knob}: expected a benchmark name, got {name!r}")
+    try:
+        get_benchmark(name)
+    except ValidationError as exc:
+        raise ValidationError(f"{knob}: {exc}") from None
+    return name
+
+
+def check_benchmark_names(names: Any, knob: str) -> Tuple[str, ...]:
+    """A sequence-of-names knob (``datasets``, ``image_benchmarks``) as a
+    tuple of registered benchmark names (see :func:`check_benchmark_name`)."""
+    if isinstance(names, str) or not isinstance(names, Sequence):
+        raise ValidationError(
+            f"{knob} must be a sequence of benchmark names, got {names!r}"
+        )
+    return tuple(check_benchmark_name(name, knob) for name in names)
 
 
 def _format_cell(value: Any, precision: int) -> str:

@@ -97,14 +97,12 @@ def run_figure11(
                     cd_epochs,
                 ),
                 "BGF": (
-                    # step_size/anneal_steps mirror the paper's Appendix-A
-                    # setup (a step of lr/10 and 5 anneal steps).
+                    # The step (learning_rate / reference_batch_size) and
+                    # anneal_steps mirror the paper's Appendix-A setup (a
+                    # step of lr/10 and 5 anneal steps).
                     BGFTrainer(
                         spec=TrainerSpec.bgf(
-                            learning_rate,
-                            reference_batch_size=10,
-                            step_size=learning_rate / 10,
-                            anneal_steps=5,
+                            learning_rate, reference_batch_size=10, anneal_steps=5
                         ),
                         rng=rngs[4],
                     ),

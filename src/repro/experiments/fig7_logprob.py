@@ -18,7 +18,7 @@ from repro.config.specs import ComputeSpec, TrainerSpec
 from repro.core.gibbs_sampler import GibbsSamplerTrainer
 from repro.core.gradient_follower import BGFTrainer
 from repro.datasets.registry import load_benchmark_dataset, get_benchmark
-from repro.experiments.base import ExperimentResult, format_table
+from repro.experiments.base import ExperimentResult, check_benchmark_names, format_table
 from repro.rbm.ais import average_log_probability
 from repro.rbm.rbm import BernoulliRBM, CDTrainer
 from repro.utils.rng import spawn_rngs
@@ -111,9 +111,8 @@ def run_figure7(
     ``train_samples`` caps the training rows (downsized smoke runs), and
     only those rows are generated;
     ``workers`` is the multicore knob, threaded into the GS trainer's
-    sharded negative phase, the BGF trainer's particle refresh, and the
-    AIS estimator's threaded chain pool (the default of 1 keeps the
-    serial, bit-identical kernels).  The
+    sharded negative phase and the AIS estimator's threaded chain pool
+    (the default of 1 keeps the serial, bit-identical kernels).  The
     defaults leave the CI-scale output contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """
@@ -126,6 +125,7 @@ def run_figure7(
         )
     if train_samples is not None:
         check_int(train_samples, "train_samples", 1)
+    datasets = check_benchmark_names(datasets, "datasets")
     rows: List[Dict[str, object]] = []
     for dataset_index, name in enumerate(datasets):
         cfg = get_benchmark(name)

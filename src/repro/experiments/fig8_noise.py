@@ -18,7 +18,12 @@ from repro.analog.noise import FIGURE8_NOISE_CONFIGS
 from repro.config.specs import NoiseSpec, TrainerSpec
 from repro.core.gradient_follower import BGFTrainer
 from repro.datasets.registry import get_benchmark, load_benchmark_dataset
-from repro.experiments.base import ExperimentResult, check_noise_configs, format_table
+from repro.experiments.base import (
+    ExperimentResult,
+    check_benchmark_name,
+    check_noise_configs,
+    format_table,
+)
 from repro.rbm.ais import average_log_probability
 from repro.rbm.rbm import BernoulliRBM
 from repro.utils.rng import spawn_rngs
@@ -42,6 +47,7 @@ def run_figure8(
     or their ``to_dict()`` mappings.
     """
     noise_configs = check_noise_configs(noise_configs)
+    check_benchmark_name(dataset_name, "dataset_name")
     cfg = get_benchmark(dataset_name)
     dataset = load_benchmark_dataset(dataset_name, scale=scale, seed=seed)
     data = dataset.binarized().train_x

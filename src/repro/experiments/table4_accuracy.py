@@ -25,7 +25,7 @@ from repro.datasets.registry import get_benchmark, load_benchmark_dataset
 from repro.eval.anomaly import RBMAnomalyDetector
 from repro.eval.logistic import LogisticRegressionClassifier
 from repro.eval.recommender import RBMRecommender
-from repro.experiments.base import ExperimentResult, format_table
+from repro.experiments.base import ExperimentResult, check_benchmark_names, format_table
 from repro.rbm.dbn import DeepBeliefNetwork
 from repro.rbm.rbm import BernoulliRBM, CDTrainer
 from repro.utils.rng import spawn_rngs
@@ -169,11 +169,11 @@ def run_table4(
     configuration; the logistic/DBN heads and software CD stay float64);
     ``train_samples`` caps the image-benchmark training rows for downsized
     smoke runs; ``workers`` is the multicore knob for the hardware trainers
-    (sharded settles / particle refresh; the default of 1 keeps the serial
-    kernels).  The defaults leave the CI-scale output
+    (sharded settles; the default of 1 keeps the serial kernels).  The defaults leave the CI-scale output
     contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """
+    image_benchmarks = check_benchmark_names(image_benchmarks, "image_benchmarks")
     rbm_methods = ("cd10", "bgf") + (("gs",) if gs_chains else ())
     rows: List[Dict[str, object]] = []
     for index, name in enumerate(image_benchmarks):

@@ -54,9 +54,9 @@ class _ShardContext(NamedTuple):
 
     Each shard owns clones of the samplers (and, in noisy corners, of the
     noise model) whose *streams* are dedicated SeedSequence substreams while
-    their *static* hardware state — comparator offsets, the chip's
-    variation draw — is shared by reference with the substrate's own
-    circuits (see ``spawn_substream`` on each class).
+    their *static* hardware state — the chip's variation draw — is shared
+    by reference with the substrate's own circuits (see
+    ``spawn_substream`` on each class).
     """
 
     hidden_sampler: StochasticNeuronSampler
@@ -180,9 +180,9 @@ class BipartiteIsingSubstrate:
     ----------
     spec:
         Typed configuration (:class:`~repro.config.SubstrateSpec`): array
-        dimensions, sigmoid gain, DTC ``input_bits`` (``None`` disables
-        input quantization), comparator offset spread, the Sec. 4.5 noise
-        operating point, and the compute tier.  ``compute.dtype`` selects
+        dimensions, DTC ``input_bits`` (``None`` disables input
+        quantization), the Sec. 4.5 noise operating point, and the compute
+        tier.  ``compute.dtype`` selects
         the precision tier: ``"float64"`` keeps the bit-identical pinning
         contract; ``"float32"`` stores the coupling cache, runs every settle
         matmul and draws the comparator references in single precision (in
@@ -205,9 +205,7 @@ class BipartiteIsingSubstrate:
         self.n_visible = spec.n_visible
         self.n_hidden = spec.n_hidden
         self.dtype = np.dtype(spec.compute.dtype)
-        sigmoid_gain = spec.sigmoid_gain
         input_bits = spec.input_bits
-        comparator_offset_rms = spec.comparator_offset_rms
         noise = spec.noise
 
         # Stream 6 is the shard-substream root for the multicore settle
@@ -219,23 +217,17 @@ class BipartiteIsingSubstrate:
             noise, (self.n_visible, self.n_hidden), rng=streams[0]
         )
         self.hidden_sigmoid = SigmoidUnit(
-            gain=sigmoid_gain,
             n_units=self.n_hidden,
             gain_variation_rms=noise.variation_rms,
             rng=streams[1],
         )
         self.visible_sigmoid = SigmoidUnit(
-            gain=sigmoid_gain,
             n_units=self.n_visible,
             gain_variation_rms=noise.variation_rms,
             rng=streams[2],
         )
-        self.hidden_sampler = StochasticNeuronSampler(
-            self.n_hidden, comparator_offset_rms=comparator_offset_rms, rng=streams[3]
-        )
-        self.visible_sampler = StochasticNeuronSampler(
-            self.n_visible, comparator_offset_rms=comparator_offset_rms, rng=streams[4]
-        )
+        self.hidden_sampler = StochasticNeuronSampler(self.n_hidden, rng=streams[3])
+        self.visible_sampler = StochasticNeuronSampler(self.n_visible, rng=streams[4])
         self.input_dtc = DigitalToTimeConverter(input_bits) if input_bits else None
 
         self.weights = np.zeros((self.n_visible, self.n_hidden), dtype=self.dtype)
@@ -244,15 +236,13 @@ class BipartiteIsingSubstrate:
 
         self._has_dynamic = self.noise_model.has_dynamic_noise
         # The fused sigmoid->compare latch is exact only when the sigmoid
-        # units are the identity logistic and the comparators are ideal; any
-        # noisy/offset corner falls back to explicit sigmoid-then-compare
-        # (still run in the configured dtype).
+        # units are the identity logistic; the variation corner falls back
+        # to explicit sigmoid-then-compare (still run in the configured
+        # dtype).
         self._fused_sampling = (
             self.dtype == np.float32
             and self.hidden_sigmoid.is_identity
             and self.visible_sigmoid.is_identity
-            and self.hidden_sampler.supports_fused
-            and self.visible_sampler.supports_fused
         )
         # Cached (effective, effective.T) pair of the variation-scaled
         # coupling matrix; rebuilt lazily after (re)programming or an

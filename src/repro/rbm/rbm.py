@@ -59,17 +59,15 @@ class BernoulliRBM:
         weight_scale: float = 0.01,
         rng: SeedLike = None,
     ):
-        if n_visible <= 0 or n_hidden <= 0:
-            raise ValidationError(
-                f"layer sizes must be positive, got ({n_visible}, {n_hidden})"
-            )
+        self.n_visible = check_int(n_visible, "n_visible", 1)
+        self.n_hidden = check_int(n_hidden, "n_hidden", 1)
         check_positive(weight_scale, name="weight_scale")
-        self.n_visible = int(n_visible)
-        self.n_hidden = int(n_hidden)
         self._rng = as_rng(rng)
-        self.weights = self._rng.normal(0.0, weight_scale, size=(n_visible, n_hidden))
-        self.visible_bias = np.zeros(n_visible, dtype=np.float64)
-        self.hidden_bias = np.zeros(n_hidden, dtype=np.float64)
+        self.weights = self._rng.normal(
+            0.0, weight_scale, size=(self.n_visible, self.n_hidden)
+        )
+        self.visible_bias = np.zeros(self.n_visible, dtype=np.float64)
+        self.hidden_bias = np.zeros(self.n_hidden, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Parameters

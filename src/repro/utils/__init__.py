@@ -6,7 +6,7 @@ simulator and the analog circuit models — can rely on a single, consistent
 notion of seeding and a single set of numerically-stable primitives.
 """
 
-from repro.utils.rng import RandomState, spawn_rngs, as_rng
+from repro.utils.rng import spawn_rngs, as_rng
 from repro.utils.numerics import (
     sigmoid,
     log_sigmoid,
@@ -43,7 +43,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "RandomState",
     "spawn_rngs",
     "as_rng",
     "sigmoid",

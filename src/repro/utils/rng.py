@@ -54,44 +54,3 @@ def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
         seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
-
-class RandomState:
-    """A seedable source of named sub-streams.
-
-    The accelerator models contain many independent stochastic elements
-    (per-node comparator noise, coupling-unit variation, annealing flips,
-    data shuffling).  ``RandomState`` hands out a dedicated generator per
-    *name* so that, for a fixed master seed, changing how often one
-    component draws numbers does not perturb any other component — which is
-    what makes experiment trajectories reproducible while still letting the
-    components evolve independently.
-    """
-
-    def __init__(self, seed: SeedLike = None):
-        if isinstance(seed, np.random.Generator):
-            self._seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-            if self._seq is None:  # pragma: no cover
-                self._seq = np.random.SeedSequence()
-        elif isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        else:
-            self._seq = np.random.SeedSequence(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating on first use) the generator for ``name``."""
-        if name not in self._streams:
-            child = np.random.SeedSequence(
-                entropy=self._seq.entropy,
-                spawn_key=tuple(self._seq.spawn_key) + (abs(hash(name)) % (2**31),),
-            )
-            self._streams[name] = np.random.default_rng(child)
-        return self._streams[name]
-
-    def spawn(self, name: str, count: int) -> list[np.random.Generator]:
-        """Spawn ``count`` independent generators under the ``name`` stream."""
-        base = self.stream(name)
-        return spawn_rngs(base, count)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomState(entropy={self._seq.entropy}, streams={sorted(self._streams)})"

@@ -43,8 +43,7 @@ NAN, INF = float("nan"), float("inf")
         (lambda: AnalogToDigitalConverter(8.0), "n_bits"),
         (lambda: AnalogToDigitalConverter(8, value_range=(-INF, 1.0)), "value_range"),
         (lambda: AnalogToDigitalConverter(8, value_range=(1.0, 1.0)), "value_range"),
-        (lambda: SigmoidUnit(offset=NAN), "offset"),
-        (lambda: SigmoidUnit(offset=INF), "offset"),
+        (lambda: SigmoidUnit(gain_variation_rms=NAN), "gain_variation_rms"),
         (lambda: SigmoidUnit(n_units=2.5), "n_units"),
     ],
 )
@@ -61,4 +60,3 @@ def test_valid_values_are_canonicalized():
     dtc = DigitalToTimeConverter(np.int64(4), value_range=np.array([0, 1]))
     assert type(dtc.n_bits) is int and dtc.value_range == (0.0, 1.0)
     assert AnalogToDigitalConverter(6).value_range == (-1.0, 1.0)
-    assert SigmoidUnit(offset=np.float32(0.5)).offset == 0.5

@@ -1,96 +1,50 @@
-"""Tests for the sigmoid unit, thermal-noise RNG, comparator and neuron sampler."""
+"""Tests for the sigmoid unit and the neuron sampler (reference plus latch)."""
 
 import numpy as np
 import pytest
 
-from repro.analog import DynamicComparator, SigmoidUnit, StochasticNeuronSampler, ThermalNoiseRNG
+from repro.analog import SigmoidUnit, StochasticNeuronSampler
 from repro.analog.rng import check_in_range_array
 from repro.utils.numerics import sigmoid
 from repro.utils.validation import ValidationError
 
 
 class TestSigmoidUnit:
-    def test_ideal_matches_logistic(self):
-        unit = SigmoidUnit(gain=1.0)
+    def test_matches_logistic(self):
+        unit = SigmoidUnit()
         x = np.linspace(-5, 5, 21)
-        np.testing.assert_allclose(unit.ideal(x), sigmoid(x))
         np.testing.assert_allclose(unit(x), sigmoid(x))
 
-    def test_gain_sharpens_transfer(self):
-        soft = SigmoidUnit(gain=0.5)
-        sharp = SigmoidUnit(gain=4.0)
-        assert sharp.ideal(np.array([1.0]))[0] > soft.ideal(np.array([1.0]))[0]
-
-    def test_offset_shifts_center(self):
-        unit = SigmoidUnit(gain=1.0, offset=2.0)
-        assert unit.ideal(np.array([2.0]))[0] == pytest.approx(0.5)
-
     def test_per_unit_gain_variation_is_static(self):
-        unit = SigmoidUnit(gain=1.0, n_units=20, gain_variation_rms=0.3, rng=1)
+        unit = SigmoidUnit(n_units=20, gain_variation_rms=0.3, rng=1)
         x = np.ones((1, 20))
         np.testing.assert_array_equal(unit(x), unit(x))
 
     def test_gain_variation_makes_units_differ(self):
-        unit = SigmoidUnit(gain=1.0, n_units=50, gain_variation_rms=0.3, rng=2)
+        unit = SigmoidUnit(n_units=50, gain_variation_rms=0.3, rng=2)
         out = unit(np.full((1, 50), 2.0))
         assert np.std(out) > 0.0
 
+    def test_variation_scales_the_logistic_input(self):
+        """Unit gain 1 with a per-unit mismatch: ``sigmoid(gain_i * x)``."""
+        unit = SigmoidUnit(n_units=6, gain_variation_rms=0.2, rng=3)
+        x = np.linspace(-3.0, 3.0, 12).reshape(2, 6)
+        expected_gains = 1.0 + np.random.default_rng(3).normal(0.0, 0.2, size=6)
+        np.testing.assert_array_equal(unit._unit_gains, expected_gains)
+        np.testing.assert_array_equal(unit(x), sigmoid(expected_gains * x))
+
+    def test_gain_clipped_at_five_percent_of_nominal(self):
+        unit = SigmoidUnit(n_units=2000, gain_variation_rms=2.0, rng=0)
+        assert unit._unit_gains.min() == 0.05
+
     def test_unit_count_mismatch_rejected(self):
-        unit = SigmoidUnit(gain=1.0, n_units=10, gain_variation_rms=0.1, rng=0)
-        with pytest.raises(ValueError):
+        unit = SigmoidUnit(n_units=10, gain_variation_rms=0.1, rng=0)
+        with pytest.raises(ValidationError, match="n_units=10"):
             unit(np.zeros((1, 5)))
 
-    def test_invalid_gain(self):
-        with pytest.raises(ValidationError):
-            SigmoidUnit(gain=0.0)
-
-
-class TestThermalNoiseRNG:
-    def test_uniform_range(self):
-        rng_unit = ThermalNoiseRNG("uniform", rng=0)
-        samples = rng_unit.sample(5000)
-        assert samples.min() >= 0.0 and samples.max() <= 1.0
-        assert samples.mean() == pytest.approx(0.5, abs=0.03)
-
-    def test_gaussian_centered_at_vcm(self):
-        rng_unit = ThermalNoiseRNG("gaussian", gaussian_sigma=0.1, rng=1)
-        samples = rng_unit.sample(5000)
-        assert samples.mean() == pytest.approx(0.5, abs=0.02)
-        assert samples.min() >= 0.0 and samples.max() <= 1.0
-
-    def test_invalid_distribution(self):
-        with pytest.raises(ValidationError):
-            ThermalNoiseRNG("laplace")
-
-    def test_shape(self):
-        assert ThermalNoiseRNG(rng=0).sample((3, 4)).shape == (3, 4)
-
-
-class TestDynamicComparator:
-    def test_basic_comparison(self):
-        comparator = DynamicComparator(3, rng=0)
-        out = comparator.compare(np.array([0.2, 0.8, 0.5]), np.array([0.5, 0.5, 0.4]))
-        np.testing.assert_array_equal(out, [0.0, 1.0, 1.0])
-
-    def test_offsets_shift_decision(self):
-        biased = DynamicComparator(1000, offset_rms=0.2, rng=1)
-        # With signal exactly at the reference, offsets decide the outcome;
-        # roughly half the units should fire.
-        out = biased.compare(np.full(1000, 0.5), np.full(1000, 0.5))
-        assert 0.3 < out.mean() < 0.7
-
-    def test_zero_offset_by_default(self):
-        comparator = DynamicComparator(5)
-        np.testing.assert_array_equal(comparator.offsets, np.zeros(5))
-
-    def test_unit_count_check(self):
-        comparator = DynamicComparator(4, rng=0)
-        with pytest.raises(ValidationError):
-            comparator.compare(np.zeros(5), np.zeros(5))
-
-    def test_invalid_units(self):
-        with pytest.raises(ValidationError):
-            DynamicComparator(0)
+    def test_negative_variation_rejected(self):
+        with pytest.raises(ValidationError, match="gain_variation_rms"):
+            SigmoidUnit(gain_variation_rms=-0.1)
 
 
 class TestStochasticNeuronSampler:
@@ -106,20 +60,37 @@ class TestStochasticNeuronSampler:
         samples = sampler.sample(probabilities)
         np.testing.assert_allclose(samples.mean(axis=0), [0.1, 0.3, 0.7, 0.95], atol=0.02)
 
-    def test_gaussian_noise_source_is_biased_near_extremes(self):
-        """An under-amplified Gaussian noise source distorts the sampling law —
-        the design reason the hardware aims for a flat noise distribution."""
-        sampler = StochasticNeuronSampler(1, distribution="gaussian", rng=2)
-        probabilities = np.full((20000, 1), 0.95)
-        samples = sampler.sample(probabilities)
-        # The clipped Gaussian reference rarely exceeds 0.95, so the empirical
-        # rate deviates from the target probability.
-        assert abs(samples.mean() - 0.95) > 0.01
-
     def test_out_of_range_probabilities_rejected(self):
         sampler = StochasticNeuronSampler(2, rng=0)
         with pytest.raises(ValidationError):
             sampler.sample(np.array([[0.5, 1.2]]))
+
+    def test_validated_path_latches_probability_above_its_uniform_reference(self):
+        p = np.random.default_rng(4).random((6, 3)).astype(np.float32)
+        out = StochasticNeuronSampler(3, rng=9).sample(p)
+        reference = np.random.default_rng(9).random(p.shape)
+        np.testing.assert_array_equal(out, (p > reference).astype(np.float64))
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trusted_path_draws_in_the_probability_dtype(self, dtype):
+        p = np.random.default_rng(4).random((6, 3)).astype(dtype)
+        out = StochasticNeuronSampler(3, rng=9).sample(p, validate=False)
+        reference = np.random.default_rng(9).random(p.shape, dtype=dtype)
+        np.testing.assert_array_equal(out, (p > reference).astype(dtype))
+        assert out.dtype == dtype
+
+    @pytest.mark.parametrize("p", [np.zeros((2, 5)), 0.5], ids=["width", "scalar"])
+    def test_shape_mismatch_rejected(self, p):
+        """A scalar once raised a bare IndexError from the width check."""
+        sampler = StochasticNeuronSampler(4, rng=0)
+        with pytest.raises(ValidationError, match="n_units=4"):
+            sampler.sample(p)
+
+    @pytest.mark.parametrize("n_units", [0, 2.5, True])
+    def test_invalid_units(self, n_units):
+        with pytest.raises(ValidationError, match="n_units"):
+            StochasticNeuronSampler(n_units)
 
 
 class TestSigmoidIdentity:
@@ -128,8 +99,6 @@ class TestSigmoidIdentity:
         [
             ({}, True),
             ({"n_units": 4}, True),
-            ({"gain": 2.0}, False),
-            ({"offset": 0.5}, False),
             ({"n_units": 4, "gain_variation_rms": 0.1}, False),
         ],
     )
@@ -142,17 +111,6 @@ class TestSigmoidIdentity:
 
 
 class TestFusedLatch:
-    @pytest.mark.parametrize(
-        "kwargs, expected",
-        [
-            ({}, True),
-            ({"distribution": "gaussian"}, False),
-            ({"comparator_offset_rms": 0.05}, False),
-        ],
-    )
-    def test_supports_fused_needs_uniform_offset_free_latch(self, kwargs, expected):
-        assert StochasticNeuronSampler(3, rng=0, **kwargs).supports_fused is expected
-
     def test_sample_from_field_follows_sigmoid_of_field(self):
         sampler = StochasticNeuronSampler(4, rng=5)
         field = np.tile(np.array([-2.0, -0.5, 0.5, 3.0]), (20000, 1))
@@ -166,11 +124,9 @@ class TestFusedLatch:
         assert out.dtype == dtype
         assert set(np.unique(out)).issubset({0.0, 1.0})
 
-    def test_substream_shares_the_comparator(self):
-        sampler = StochasticNeuronSampler(3, comparator_offset_rms=0.05, rng=0)
-        shard = sampler.spawn_substream(9)
-        assert shard.comparator is sampler.comparator
-        assert shard.noise_source.distribution == sampler.noise_source.distribution
+    def test_substream_keeps_the_width(self):
+        shard = StochasticNeuronSampler(3, rng=0).spawn_substream(9)
+        assert shard.n_units == 3
 
     def test_substreams_with_one_seed_draw_alike(self):
         sampler = StochasticNeuronSampler(3, rng=0)

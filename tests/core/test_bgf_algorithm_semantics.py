@@ -19,8 +19,12 @@ from repro.ising.bipartite import _settle_loop_kernel
 @pytest.fixture
 def machine():
     m = BoltzmannGradientFollower(
-        TrainerSpec.bgf(step_size=0.05, particles=2, anneal_steps=1), 12, 6, rng=0
+        TrainerSpec.bgf(0.05, reference_batch_size=1, particles=2, anneal_steps=1),
+        12,
+        6,
+        rng=0,
     )
+    assert m.step_size == 0.05
     m.initialize(np.zeros((12, 6)), np.zeros(12), np.zeros(6))
     return m
 
@@ -80,7 +84,10 @@ class TestHardwareNonlinearity:
     def test_update_magnitude_shrinks_near_the_rails(self):
         """f_ij: a weight near the positive rail receives a smaller increment
         than a weight in the middle of the range."""
-        machine = BoltzmannGradientFollower(TrainerSpec.bgf(step_size=0.05), 4, 2, rng=0)
+        machine = BoltzmannGradientFollower(
+            TrainerSpec.bgf(0.05, reference_batch_size=1), 4, 2, rng=0
+        )
+        assert machine.step_size == 0.05
         near_rail = np.full((4, 2), 3.8)
         machine.initialize(near_rail, np.zeros(4), np.zeros(2))
         steps_near_rail = machine.weight_pump.step_matrix(machine.substrate.weights, positive=True)

@@ -27,10 +27,6 @@ class TestBGFMachineFromSpec:
         assert machine.readout_adc.n_bits == READOUT_BITS == 8
         assert machine.readout_adc.value_range == WEIGHT_RANGE == (-4.0, 4.0)
 
-    def test_explicit_step_size_wins(self):
-        spec = TrainerSpec.bgf(0.5, reference_batch_size=100, step_size=0.03)
-        assert BoltzmannGradientFollower(spec, 4, 2, rng=0).step_size == 0.03
-
     @pytest.mark.parametrize("dims", [(0, 2), (4, 2.5), (True, 2)])
     def test_rejects_bad_dimensions(self, dims):
         with pytest.raises(ValidationError, match="dimensions"):
@@ -101,7 +97,7 @@ class TestBoltzmannGradientFollowerMachine:
         machine = self._machine(compute=ComputeSpec(dtype=dtype))
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         assert machine.particles.dtype == machine.substrate.dtype
-        machine.refresh_particles(1)
+        machine.run(np.ones((3, 16)), shuffle=False)
         assert machine.particles.dtype == machine.substrate.dtype
 
     def test_particles_are_persistent_and_cycled(self, tiny_binary_data):
@@ -114,7 +110,8 @@ class TestBoltzmannGradientFollowerMachine:
         assert not np.array_equal(machine.particles, initial)
 
     def test_weights_stay_within_range(self, tiny_binary_data):
-        machine = self._machine(step_size=2.0)
+        machine = self._machine(learning_rate=2.0, reference_batch_size=1)
+        assert machine.step_size == 2.0
         machine.initialize(np.zeros((16, 8)), np.zeros(16), np.zeros(8))
         for _ in range(3):
             machine.run(tiny_binary_data)

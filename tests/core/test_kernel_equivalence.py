@@ -119,12 +119,17 @@ class TestBGFStreamMatchesPerSampleLoop:
     def _machine(dtype, noise):
         machine = BoltzmannGradientFollower(
             TrainerSpec.bgf(
-                step_size=0.02, particles=4, noise=noise, compute=ComputeSpec(dtype=dtype)
+                0.02,
+                reference_batch_size=1,
+                particles=4,
+                noise=noise,
+                compute=ComputeSpec(dtype=dtype),
             ),
             49,
             32,
             rng=3,
         )
+        assert machine.step_size == 0.02
         # Weights spread across the whole +-4 range, so some units start in
         # the pump's roll-off region next to either rail.
         weights = np.random.default_rng(0).uniform(-4.0, 4.0, (49, 32))

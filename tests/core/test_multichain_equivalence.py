@@ -168,47 +168,12 @@ class TestPersistentChainBookkeeping:
         assert np.all(np.isfinite(rbm.weights))
 
 
-class TestBGFParticleRefresh:
-    def test_zero_burn_in_matches_reference(self, data):
-        """particle_burn_in=0 (default) stays bit-identical to the oracle's
-        per-sample loop — the bit-identity contract extends through the
-        knob."""
+class TestBGFMatchesReference:
+    def test_training_matches_reference(self, data):
+        """BGF training stays bit-identical to the oracle's per-sample
+        loop."""
 
         def factory():
-            return BGFTrainer(
-                spec=TrainerSpec.bgf(0.1, reference_batch_size=10, burn_in=0), rng=1
-            )
+            return BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
 
         _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
-
-    def test_refresh_advances_all_particles(self, data):
-        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
-        rbm = BernoulliRBM(49, 32, rng=0)
-        machine = trainer._ensure_machine(rbm)
-        machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-        before = machine.particles
-        machine.refresh_particles(3)
-        after = machine.particles
-        assert after.shape == before.shape
-        assert set(np.unique(after)) <= {0.0, 1.0}
-        assert not np.array_equal(before, after)
-
-    def test_refresh_requires_initialization(self):
-        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, reference_batch_size=10), rng=1)
-        machine = trainer._ensure_machine(BernoulliRBM(49, 32, rng=0))
-        with pytest.raises(ValidationError):
-            machine.refresh_particles(1)
-
-    def test_burn_in_training_runs(self, data):
-        rbm = _train(
-            lambda: BGFTrainer(
-                spec=TrainerSpec.bgf(0.1, reference_batch_size=10, burn_in=2), rng=1
-            ),
-            data,
-            epochs=1,
-        )
-        assert np.all(np.isfinite(rbm.weights))
-
-    def test_negative_burn_in_rejected(self):
-        with pytest.raises(ValidationError):
-            BGFTrainer(spec=TrainerSpec.bgf(0.1, burn_in=-1))

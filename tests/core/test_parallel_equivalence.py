@@ -5,7 +5,7 @@ Two halves, matching docs/performance.md ("The multicore layer"):
 * ``workers=1`` — the serial kernels must be **bit-identical** to the
   pre-threading implementation under a fixed seed, in the ideal corner and
   the noisy corners alike, at every level that grew a ``workers`` knob
-  (substrate settles, GS trainer, BGF particle refresh, AIS) — and the
+  (substrate settles, GS trainer, AIS) — and the
   float64 settle to the seed-semantics oracle
   (``tests/helpers/reference.py``).
 * ``workers=k > 1`` — draws move onto per-shard SeedSequence substreams, so
@@ -27,8 +27,7 @@ from repro.config import (
     SubstrateSpec,
     TrainerSpec,
 )
-from repro.core import BGFTrainer, GibbsSamplerTrainer
-from repro.core.gradient_follower import BoltzmannGradientFollower
+from repro.core import GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 
@@ -38,10 +37,7 @@ N_VISIBLE, N_HIDDEN = 12, 7
 
 CORNERS = {
     "ideal": dict(),
-    "noisy": dict(
-        noise=NoiseSpec(variation_rms=0.1, noise_rms=0.1),
-        comparator_offset_rms=0.05,
-    ),
+    "noisy": dict(noise=NoiseSpec(variation_rms=0.1, noise_rms=0.1)),
     "float32": dict(dtype="float32"),
 }
 
@@ -116,20 +112,6 @@ class TestWorkersOneBitIdentical:
             ).train(rbm, tiny_binary_data, epochs=2)
             weights[key] = rbm.weights.copy()
         np.testing.assert_array_equal(weights["default"], weights["workers1"])
-
-    def test_bgf_refresh_particles(self):
-        machines = []
-        for kwargs in ({}, {"workers": 1}):
-            machine = BoltzmannGradientFollower(TrainerSpec.bgf(), N_VISIBLE, N_HIDDEN, rng=3)
-            rng = np.random.default_rng(1)
-            machine.initialize(
-                rng.normal(0, 0.2, (N_VISIBLE, N_HIDDEN)),
-                np.zeros(N_VISIBLE),
-                np.zeros(N_HIDDEN),
-            )
-            machine.refresh_particles(3, **kwargs)
-            machines.append(machine.particles)
-        np.testing.assert_array_equal(machines[0], machines[1])
 
     def test_ais(self):
         rbm = _tiny_ais_rbm()

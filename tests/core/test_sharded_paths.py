@@ -10,15 +10,13 @@ module pins what the callers built on it promise at ``workers=k > 1``:
   ``invalidate_effective_weights`` (the BGF charge-pump route) — in every
   precision tier, so no shard can settle against a stale cache or a stale
   bias snapshot;
-* the AIS helpers and the BGF particle refresh are reproducible for a
-  fixed ``(seed, k)``.
+* the AIS helpers are reproducible for a fixed ``(seed, k)``.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
-from repro.core.gradient_follower import BoltzmannGradientFollower
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, average_log_probability, estimate_log_partition
 
@@ -27,18 +25,6 @@ WORKER_COUNTS = [2, 4]
 N_VISIBLE, N_HIDDEN = 12, 7
 
 CORNERS = {
-    "ideal": dict(),
-    "noisy": dict(
-        noise=NoiseSpec(variation_rms=0.1, noise_rms=0.1),
-        comparator_offset_rms=0.05,
-    ),
-    "float32": dict(dtype="float32"),
-}
-
-# Corners whose latches are certain under saturated fields.  Comparator
-# offsets are left out: an offset of -0.05 latches a p = 1 unit to 0 five
-# percent of the time, so it would make the saturated states random.
-SATURATION_CORNERS = {
     "ideal": dict(),
     "noisy": dict(noise=NoiseSpec(variation_rms=0.1, noise_rms=0.1)),
     "float32": dict(dtype="float32"),
@@ -94,18 +80,6 @@ def _tiny_ais_rbm():
     return rbm
 
 
-def _bgf_particles(workers):
-    machine = BoltzmannGradientFollower(TrainerSpec.bgf(), N_VISIBLE, N_HIDDEN, rng=3)
-    rng = np.random.default_rng(1)
-    machine.initialize(
-        rng.normal(0, 0.2, (N_VISIBLE, N_HIDDEN)),
-        np.zeros(N_VISIBLE),
-        np.zeros(N_HIDDEN),
-    )
-    machine.refresh_particles(3, workers=workers)
-    return machine.particles
-
-
 class TestGibbsChainIsSettleBatch:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("corner", sorted(CORNERS))
@@ -126,11 +100,11 @@ class TestShardsSeeTheLatestProgram:
     that settled against the previous program would flip every unit."""
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("corner", sorted(SATURATION_CORNERS))
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
     def test_reprogrammed_couplings_reach_every_shard(self, corner, workers):
         """With zero biases only the couplings decide the visible latch,
         so this pins the static coupling cache the shards share."""
-        substrate = _substrate(**SATURATION_CORNERS[corner])
+        substrate = _substrate(**CORNERS[corner])
         h = np.ones((9, N_HIDDEN))
         _program_uniform(substrate, +SATURATING_COUPLING, 0.0)
         v_on, h_on = substrate.settle_batch(h, 1, workers=workers)
@@ -162,7 +136,7 @@ class TestShardsSeeTheLatestProgram:
         cache dropped explicitly.  In the noisy corner the cached coupling
         pair is a copy (variation gain), so a missed invalidation would
         keep settling against the old couplings."""
-        substrate = _substrate(**SATURATION_CORNERS[corner])
+        substrate = _substrate(**CORNERS[corner])
         h = np.ones((9, N_HIDDEN))
         _program_uniform(substrate, +SATURATING_COUPLING, 0.0)
         v_on, _ = substrate.settle_batch(h, 1, workers=workers)
@@ -197,9 +171,3 @@ class TestShardedHelpersReproducible:
         ]
         assert np.isfinite(runs[0])
         assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_bgf_particle_refresh(self, workers):
-        first, second = _bgf_particles(workers), _bgf_particles(workers)
-        assert first.shape == (8, N_HIDDEN)  # the default particle pool
-        np.testing.assert_array_equal(first, second)

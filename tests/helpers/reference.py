@@ -66,17 +66,18 @@ def log1pexp_reference(x: np.ndarray) -> np.ndarray:
 
 
 def _unit_output(unit, x: np.ndarray) -> np.ndarray:
-    """A ``SigmoidUnit``'s output: gain/offset transfer through the masked
-    logistic, then an unconditional clip to [0, 1]."""
+    """A ``SigmoidUnit``'s output: the unit gain (nominally 1, or its
+    per-unit mismatch) times the input through the masked logistic, then an
+    unconditional clip to [0, 1]."""
     x = as_float_array(x)
-    gains = unit.gain
+    gains = 1.0
     if unit._unit_gains is not None:
         if x.shape[-1] != unit.n_units:
             raise ValueError(
                 f"input last dimension {x.shape[-1]} does not match n_units={unit.n_units}"
             )
         gains = unit._unit_gains
-    return np.clip(sigmoid_reference(gains * (x - unit.offset)), 0.0, 1.0)
+    return np.clip(sigmoid_reference(gains * x), 0.0, 1.0)
 
 
 class ReferenceSubstrate(BipartiteIsingSubstrate):

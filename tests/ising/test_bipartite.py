@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import NoiseSpec, SubstrateSpec
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM
 from repro.utils.validation import ValidationError
@@ -37,6 +37,22 @@ class TestConstruction:
     def test_n_coupling_units(self):
         substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(10, 4), rng=0)
         assert substrate.n_coupling_units == 40
+
+    @pytest.mark.parametrize(
+        "dtype, noise, fused",
+        [
+            ("float32", NoiseSpec(), True),
+            ("float32", NoiseSpec(0.0, 0.1), True),
+            ("float32", NoiseSpec(0.1, 0.0), False),
+            ("float64", NoiseSpec(), False),
+        ],
+        ids=["float32-ideal", "float32-dynamic-noise", "float32-variation", "float64"],
+    )
+    def test_fused_latch_needs_float32_and_identity_sigmoid_units(self, dtype, noise, fused):
+        """Only per-unit gain variation makes the sigmoid units differ from
+        the logistic; dynamic noise enters at the fields, before the latch."""
+        spec = SubstrateSpec(10, 4, noise=noise, compute=ComputeSpec(dtype=dtype))
+        assert BipartiteIsingSubstrate(spec=spec, rng=0)._fused_sampling is fused
 
 
 class TestProgramming:

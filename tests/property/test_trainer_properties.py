@@ -86,9 +86,12 @@ class TestHardwareTrainerProperties:
     def test_bgf_weights_respect_hardware_range(self, seed, step):
         data = _data_from_seed(seed, 25, 10)
         rbm = BernoulliRBM(10, 5, rng=seed)
-        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.1, step_size=step), rng=seed)
+        trainer = BGFTrainer(
+            spec=TrainerSpec.bgf(step, reference_batch_size=1), rng=seed
+        )
         half_range = 4.0
         trainer.train(rbm, data, epochs=2)
+        assert trainer.machine.step_size == step
         machine_weights, machine_bv, machine_bh = trainer.machine.substrate.read_parameters()
         assert machine_weights.min() >= -half_range - FLOAT64_ASSOC_ATOL
         assert machine_weights.max() <= half_range + FLOAT64_ASSOC_ATOL

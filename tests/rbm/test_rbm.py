@@ -34,6 +34,28 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             BernoulliRBM(5, -1)
 
+    @pytest.mark.parametrize(
+        "sizes, field",
+        [
+            ((2.5, 3), "n_visible"),
+            ((3, True), "n_hidden"),
+            (("4", 3), "n_visible"),
+            ((3, None), "n_hidden"),
+            ((0, 3), "n_visible"),
+        ],
+        ids=["float", "bool", "string", "none", "zero"],
+    )
+    def test_non_int_sizes_rejected_naming_the_field(self, sizes, field):
+        """``BernoulliRBM(2.5, 3)`` once died with numpy's TypeError from
+        the weight draw."""
+        with pytest.raises(ValidationError, match=field):
+            BernoulliRBM(*sizes)
+
+    def test_numpy_int_sizes_normalized(self):
+        rbm = BernoulliRBM(np.int64(4), np.int32(3), rng=0)
+        assert (type(rbm.n_visible), type(rbm.n_hidden)) == (int, int)
+        np.testing.assert_array_equal(rbm.weights, BernoulliRBM(4, 3, rng=0).weights)
+
     def test_invalid_weight_scale(self):
         with pytest.raises(ValidationError):
             BernoulliRBM(5, 5, weight_scale=0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RandomState, as_rng, spawn_rngs
+from repro.utils.rng import as_rng, spawn_rngs
 
 
 class TestAsRng:
@@ -58,33 +58,3 @@ class TestSpawnRngs:
         children = spawn_rngs(gen, 2)
         assert len(children) == 2
 
-
-class TestRandomState:
-    def test_named_streams_are_stable(self):
-        state_a = RandomState(5)
-        state_b = RandomState(5)
-        np.testing.assert_array_equal(
-            state_a.stream("noise").random(4), state_b.stream("noise").random(4)
-        )
-
-    def test_named_streams_are_independent(self):
-        state = RandomState(5)
-        a = state.stream("a").random(4)
-        b = state.stream("b").random(4)
-        assert not np.allclose(a, b)
-
-    def test_stream_is_cached(self):
-        state = RandomState(0)
-        assert state.stream("x") is state.stream("x")
-
-    def test_draws_on_one_stream_do_not_affect_another(self):
-        reference = RandomState(1).stream("target").random(4)
-        state = RandomState(1)
-        state.stream("other").random(100)  # consume a lot from another stream
-        np.testing.assert_array_equal(state.stream("target").random(4), reference)
-
-    def test_spawn(self):
-        state = RandomState(2)
-        children = state.spawn("particles", 4)
-        assert len(children) == 4
-        assert not np.allclose(children[0].random(3), children[1].random(3))
