@@ -33,15 +33,19 @@ test-sparse:
 ## cheap (analytic) artifacts through `python -m repro run`, exercising
 ## --list, multi-name runs, --preset and --set parsing end to end, and a
 ## one-run figure11 (~1 s) that drives the ML, CD and BGF trainers through
-## the shared epoch driver (serve-smoke's figure9 drives the GS one), and a
+## the shared epoch driver (serve-smoke's figure9 drives the GS one), a
 ## two-epoch figure8 (~3 s) that takes all six Sec. 4.5 noise corners from
-## the CLI through NoiseSpec into the BGF.
+## the CLI through NoiseSpec into the BGF, and two-second cuts of the
+## figure7 and table4 paper presets (the literal RunSpecs in
+## repro/api/registry.py) at the 784-visible paper shapes in float32.
 run-ci:
 	$(PYTHON) -m repro run --list
 	$(PYTHON) -m repro run table2 figure5
 	$(PYTHON) -m repro run table3 --preset ci --set n_nodes=800
 	$(PYTHON) -m repro run figure11 --set n_distributions=1 --set runs_per_distribution=1 --set ml_iterations=20 --set cd_epochs=5
 	$(PYTHON) -m repro run figure8 --set epochs=2 --set ais_chains=8 --set ais_betas=20
+	$(PYTHON) -m repro run figure7 --preset paper --set datasets=mnist --set epochs=2 --set train_samples=64 --set ais_betas=10 --set ais_chains=8
+	$(PYTHON) -m repro run table4 --preset paper --set image_benchmarks=mnist --set epochs=2 --set train_samples=64
 
 ## Serving smoke leg of the tier-1 workflow: train a small figure9 model
 ## through the CLI, persist it as a versioned artifact bundle, reload it in

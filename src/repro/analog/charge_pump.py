@@ -188,15 +188,6 @@ class ChargePumpUpdater:
         np.maximum(values, scratch.lo, out=values)
         return np.minimum(values, scratch.hi, out=values)
 
-    def step_matrix(self, weights: np.ndarray, positive: bool) -> np.ndarray:
-        """Effective per-unit step sizes for the current weights and phase."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != self.shape:
-            raise ValidationError(
-                f"weights shape {weights.shape} does not match updater shape {self.shape}"
-            )
-        return self._steps(weights, positive, False, self._scratch(weights)).copy()
-
     def apply(
         self,
         weights: np.ndarray,

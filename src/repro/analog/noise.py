@@ -123,17 +123,8 @@ class NoiseModel:
 
     def apply_dynamic(self, effective: np.ndarray) -> np.ndarray:
         """Trusted kernel: fresh dynamic coupling noise on a precomputed
-        static-effective matrix (same draw order as :meth:`perturbed_coupling`)."""
+        static-effective matrix (one :meth:`coupling_noise` draw)."""
         return effective * (1.0 + self.coupling_noise())
-
-    def effective_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Weights as the analog array actually realizes them (static variation)."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != self.coupling_shape:
-            raise ValidationError(
-                f"weights shape {weights.shape} does not match coupling shape {self.coupling_shape}"
-            )
-        return weights * self._coupling_gain
 
     def node_noise(self, shape, scale: float = 1.0) -> np.ndarray:
         """Fresh dynamic noise added to nodal quantities (currents/voltages).
@@ -150,10 +141,3 @@ class NoiseModel:
         if self.spec.noise_rms == 0.0:
             return np.zeros(self.coupling_shape, dtype=np.float64)
         return self._rng.normal(0.0, self.spec.noise_rms * scale, size=self.coupling_shape)
-
-    def perturbed_coupling(self, weights: np.ndarray) -> np.ndarray:
-        """Static variation plus fresh dynamic coupling noise, in one call."""
-        effective = self.effective_weights(weights)
-        if self.spec.noise_rms == 0.0:
-            return effective
-        return effective * (1.0 + self.coupling_noise())

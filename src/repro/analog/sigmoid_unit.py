@@ -12,8 +12,6 @@ not at the sigmoid output.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.utils.numerics import as_float_array, sigmoid
@@ -27,8 +25,8 @@ class SigmoidUnit:
     Parameters
     ----------
     n_units:
-        Number of physical unit instances (one per hidden or visible node);
-        used to draw a fixed per-unit gain mismatch once.
+        Number of physical unit instances (one per hidden or visible node),
+        required: the per-unit gain mismatch is drawn once over them.
     gain_variation_rms:
         RMS fractional variation of the unit gain (nominally 1) across
         units (static process variation, drawn once at construction).
@@ -37,7 +35,7 @@ class SigmoidUnit:
     def __init__(
         self,
         *,
-        n_units: Optional[int] = None,
+        n_units: int,
         gain_variation_rms: float = 0.0,
         rng: SeedLike = None,
     ):
@@ -45,8 +43,8 @@ class SigmoidUnit:
             gain_variation_rms, name="gain_variation_rms", strict=False
         )
         self._rng = as_rng(rng)
-        self.n_units = None if n_units is None else check_int(n_units, "n_units", 1)
-        if self.n_units is not None and self.gain_variation_rms > 0:
+        self.n_units = check_int(n_units, "n_units", 1)
+        if self.gain_variation_rms > 0:
             self._unit_gains = 1.0 + self._rng.normal(
                 0.0, self.gain_variation_rms, size=self.n_units
             )

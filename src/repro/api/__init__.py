@@ -27,7 +27,6 @@ from repro.api.registry import (
     get_experiment,
     list_experiments,
     register_experiment,
-    runspec_from_legacy_config,
 )
 
 __all__ = [
@@ -40,6 +39,5 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "experiment_names",
-    "runspec_from_legacy_config",
     "cli_main",
 ]

@@ -2,11 +2,10 @@
 
 Every experiment driver (one per table/figure) registers here with its
 runner, its formatter, and its presets — ``"ci"`` (minutes on a laptop)
-plus, where the paper-scale wiring exists, ``"paper"``.  The presets that
-used to live as ``PAPER_FIGURE7_CONFIG``-style dicts are converted into
-:class:`~repro.config.RunSpec` values at registration time
-(:func:`runspec_from_legacy_config`), so the dicts stay the single source
-of the tuned knob values while the registry exposes them declaratively.
+plus, where the paper-scale wiring exists, ``"paper"`` (and ``"sparse"``
+for the CSR variants of figures 9 and 10).  Each preset is a literal
+:class:`~repro.config.RunSpec` written out below, the one place its tuned
+knob values live.
 
 The registry is what ``python -m repro run`` drives;
 :func:`repro.api.run_experiment` validates a spec's params against the
@@ -29,7 +28,6 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "experiment_names",
-    "runspec_from_legacy_config",
 ]
 
 
@@ -186,49 +184,19 @@ def experiment_names() -> List[str]:
     return list(_REGISTRY)
 
 
-def runspec_from_legacy_config(
-    experiment: str, config: Mapping[str, Any], *, preset: str = "paper"
-) -> RunSpec:
-    """Convert a ``PAPER_*_CONFIG``-style kwargs dict into a :class:`RunSpec`.
-
-    Compute knobs (``dtype``/``workers``) move into the typed
-    :class:`ComputeSpec`, ``seed`` into the seed field, and everything else
-    becomes params — so the tuned dicts stay the single source of the knob
-    values while the registry exposes them declaratively.
-    """
-    params = {k: v for k, v in config.items() if k not in COMPUTE_KNOBS}
-    seed = params.pop("seed", 0)
-    compute_kwargs = {k: config[k] for k in COMPUTE_KNOBS if k in config}
-    return RunSpec(
-        experiment=experiment,
-        preset=preset,
-        seed=seed,
-        compute=ComputeSpec(**compute_kwargs) if compute_kwargs else None,
-        params=params,
-    )
-
-
 def _register_paper_experiments() -> None:
     """Register the ten paper artifacts (import-time, registration order =
     the paper's artifact order, which the runners and CLI preserve)."""
     from repro.experiments.fig5_execution_time import format_figure5, run_figure5
     from repro.experiments.fig6_energy import format_figure6, run_figure6
-    from repro.experiments.fig7_logprob import (
-        PAPER_FIGURE7_CONFIG,
-        format_figure7,
-        run_figure7,
-    )
+    from repro.experiments.fig7_logprob import format_figure7, run_figure7
     from repro.experiments.fig8_noise import format_figure8, run_figure8
     from repro.experiments.fig9_mae_noise import format_figure9, run_figure9
     from repro.experiments.fig10_roc_noise import format_figure10, run_figure10
     from repro.experiments.fig11_bias_kl import format_figure11, run_figure11
     from repro.experiments.table2_area_power import format_table2, run_table2
     from repro.experiments.table3_accelerators import format_table3, run_table3
-    from repro.experiments.table4_accuracy import (
-        PAPER_TABLE4_CONFIG,
-        format_table4,
-        run_table4,
-    )
+    from repro.experiments.table4_accuracy import format_table4, run_table4
 
     register_experiment(
         "figure5", run_figure5, format_figure5,
@@ -246,26 +214,67 @@ def _register_paper_experiments() -> None:
         "table3", run_table3, format_table3,
         description="Accelerator comparison (TOPS/mm^2, TOPS/W)",
     )
+    # The paper presets run the hardware methods serially (workers=1):
+    # sharding pays only with single-threaded BLAS, because every shard
+    # thread calls a multi-threaded GEMM that already uses the cores.
+    # Override workers=k (with OPENBLAS_NUM_THREADS=1) to shard; see
+    # docs/performance.md, "Workers and BLAS threads".
+    paper_compute = ComputeSpec(dtype="float32", workers=1)
     register_experiment(
         "figure7", run_figure7, format_figure7,
         description="Log-probability trajectories of CD-1/CD-10/BGF",
         presets={
-            "paper": runspec_from_legacy_config("figure7", PAPER_FIGURE7_CONFIG)
+            # MNIST scale: mnist is Table 1's 784x200 RBM, kmnist the
+            # 784x500 shape.  Software CD-1 stays the host baseline, CD-10
+            # is dropped (10x the host wall-clock for a second baseline
+            # curve is not the claim at this scale), and BGF plus the
+            # 64-chain PCD Gibbs sampler run in the float32 tier.
+            "paper": RunSpec(
+                experiment="figure7",
+                preset="paper",
+                compute=paper_compute,
+                params={
+                    "datasets": ("mnist", "kmnist"),
+                    "scale": "paper",
+                    "epochs": 5,
+                    "methods": ("cd1", "BGF"),
+                    "gs_chains": 64,
+                    "ais_chains": 64,
+                    "ais_betas": 500,
+                },
+            )
         },
     )
     register_experiment(
         "table4", run_table4, format_table4,
         description="End-task quality of CD-10 vs BGF trained models",
         presets={
-            "paper": runspec_from_legacy_config("table4", PAPER_TABLE4_CONFIG)
+            # Table 1's image shapes (784x200 mnist, 784x500 kmnist), the
+            # 8-chain PCD Gibbs-sampler column and the float32 tier for
+            # the hardware trainers.  The claim is the MNIST-scale image
+            # rows, so the DBN, recommender and anomaly rows are dropped.
+            "paper": RunSpec(
+                experiment="table4",
+                preset="paper",
+                compute=paper_compute,
+                params={
+                    "image_benchmarks": ("mnist", "kmnist"),
+                    "include_dbn": False,
+                    "include_recommender": False,
+                    "include_anomaly": False,
+                    "scale": "paper",
+                    "epochs": 10,
+                    "gs_chains": 8,
+                },
+            )
         },
     )
     register_experiment(
         "figure8", run_figure8, format_figure8,
         description="BGF log-probability trajectories under analog noise",
         presets={
-            "paper": runspec_from_legacy_config(
-                "figure8", {"scale": "paper"}
+            "paper": RunSpec(
+                experiment="figure8", preset="paper", params={"scale": "paper"}
             )
         },
     )
@@ -273,15 +282,15 @@ def _register_paper_experiments() -> None:
         "figure9", run_figure9, format_figure9,
         description="Recommender MAE under analog noise",
         presets={
-            "paper": runspec_from_legacy_config(
-                "figure9", {"scale": "paper"}
+            "paper": RunSpec(
+                experiment="figure9", preset="paper", params={"scale": "paper"}
             ),
             # Sparse one-hot MovieLens through the GS trainer's CSR
             # data-term kernels — the sparse real-data variant.
-            "sparse": runspec_from_legacy_config(
-                "figure9",
-                {"engine": "gs", "encoding": "onehot", "sparse": True, "epochs": 10},
+            "sparse": RunSpec(
+                experiment="figure9",
                 preset="sparse",
+                params={"engine": "gs", "encoding": "onehot", "sparse": True, "epochs": 10},
             ),
         },
     )
@@ -289,21 +298,21 @@ def _register_paper_experiments() -> None:
         "figure10", run_figure10, format_figure10,
         description="Anomaly-detection ROC/AUC under analog noise",
         presets={
-            "paper": runspec_from_legacy_config(
-                "figure10", {"scale": "paper"}
+            "paper": RunSpec(
+                experiment="figure10", preset="paper", params={"scale": "paper"}
             ),
             # Sparse one-hot fraud features through the GS trainer's CSR
             # data-term kernels — the sparse real-data variant.
-            "sparse": runspec_from_legacy_config(
-                "figure10",
-                {
+            "sparse": RunSpec(
+                experiment="figure10",
+                preset="sparse",
+                params={
                     "engine": "gs",
                     "encoding": "onehot",
                     "n_bins": 16,
                     "sparse": True,
                     "epochs": 10,
                 },
-                preset="sparse",
             ),
         },
     )

@@ -532,7 +532,7 @@ def run_benchmarks(
         kernels["substrate_conditional_sampling_784x500_float32"] = lambda fast: (
             _substrate_dtype_kernel(784, 500, large_batch, fast)
         )
-        # p=64 matches the paper-scale PCD pool (PAPER_FIGURE7_CONFIG's
+        # p=64 matches the paper-scale PCD pool (the figure7 paper preset's
         # gs_chains); the float32 win grows with the chain count as the
         # settle becomes purely BLAS-bound.
         kernels["substrate_settle_batch_p64_784x500_float32"] = lambda fast: (

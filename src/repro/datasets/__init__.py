@@ -25,7 +25,6 @@ from repro.datasets.registry import (
     BenchmarkConfig,
     TABLE1_CONFIGS,
     get_benchmark,
-    list_benchmarks,
     load_benchmark_dataset,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "BenchmarkConfig",
     "TABLE1_CONFIGS",
     "get_benchmark",
-    "list_benchmarks",
     "load_benchmark_dataset",
 ]

@@ -117,21 +117,6 @@ class Dataset:
             n_classes=self.n_classes,
         )
 
-    def subset(self, n_train: int, n_test: Optional[int] = None) -> "Dataset":
-        """Return a copy restricted to the first ``n_train``/``n_test`` rows."""
-        if n_train <= 0:
-            raise ValidationError(f"n_train must be positive, got {n_train}")
-        n_test = n_test if n_test is not None else max(1, n_train // 5)
-        return Dataset(
-            name=self.name,
-            train_x=self.train_x[:n_train],
-            train_y=self.train_y[:n_train],
-            test_x=self.test_x[:n_test],
-            test_y=self.test_y[:n_test],
-            image_shape=self.image_shape,
-            n_classes=self.n_classes,
-        )
-
 
 @dataclass
 class RatingsDataset:

@@ -120,15 +120,6 @@ FIGURE5_RBM_BENCHMARKS: List[str] = [
 FIGURE5_DBN_BENCHMARKS: List[str] = ["mnist", "kmnist", "fmnist", "emnist"]
 
 
-def list_benchmarks(kind: Optional[str] = None) -> List[str]:
-    """Return the registered benchmark names, optionally filtered by kind."""
-    names = []
-    for name, cfg in TABLE1_CONFIGS.items():
-        if kind is None or cfg.kind == kind:
-            names.append(name)
-    return names
-
-
 def get_benchmark(name: str) -> BenchmarkConfig:
     """Look up a benchmark configuration by (case-insensitive) name."""
     key = name.lower()

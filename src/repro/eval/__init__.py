@@ -8,24 +8,20 @@ NumPy so the library has no dependency beyond numpy/scipy.
 
 from repro.eval.logistic import LogisticRegressionClassifier
 from repro.eval.metrics import (
-    accuracy,
     mean_absolute_error,
     roc_curve,
     roc_auc,
     kl_divergence,
-    confusion_matrix,
 )
 from repro.eval.recommender import RBMRecommender
 from repro.eval.anomaly import RBMAnomalyDetector
 
 __all__ = [
     "LogisticRegressionClassifier",
-    "accuracy",
     "mean_absolute_error",
     "roc_curve",
     "roc_auc",
     "kl_divergence",
-    "confusion_matrix",
     "RBMRecommender",
     "RBMAnomalyDetector",
 ]

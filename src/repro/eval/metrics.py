@@ -1,4 +1,4 @@
-"""Evaluation metrics: accuracy, MAE, ROC/AUC, KL divergence, confusion matrix."""
+"""Evaluation metrics: MAE, ROC/AUC and KL divergence."""
 
 from __future__ import annotations
 
@@ -7,17 +7,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.utils.validation import ValidationError
-
-
-def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of exact label matches."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ValidationError("predictions and labels must have the same shape")
-    if predictions.size == 0:
-        raise ValidationError("cannot compute accuracy of empty arrays")
-    return float(np.mean(predictions == labels))
 
 
 def mean_absolute_error(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -29,22 +18,6 @@ def mean_absolute_error(predictions: np.ndarray, targets: np.ndarray) -> float:
     if predictions.size == 0:
         raise ValidationError("cannot compute MAE of empty arrays")
     return float(np.mean(np.abs(predictions - targets)))
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Confusion matrix with rows = true class, columns = predicted class."""
-    predictions = np.asarray(predictions, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if predictions.shape != labels.shape:
-        raise ValidationError("predictions and labels must have the same shape")
-    if n_classes <= 0:
-        raise ValidationError(f"n_classes must be positive, got {n_classes}")
-    matrix = np.zeros((n_classes, n_classes), dtype=int)
-    for true, pred in zip(labels, predictions):
-        if not (0 <= true < n_classes and 0 <= pred < n_classes):
-            raise ValidationError("labels/predictions out of range for n_classes")
-        matrix[true, pred] += 1
-    return matrix
 
 
 def roc_curve(scores: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from repro.rbm.ml import MaximumLikelihoodTrainer
 from repro.rbm.partition import empirical_visible_distribution, exact_visible_distribution
 from repro.rbm.rbm import BernoulliRBM, CDTrainer
 from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.validation import check_int
 
 
 def _random_training_distribution(
@@ -67,6 +68,17 @@ def run_figure11(
     preserving the comparison; pass larger values to approach the paper's
     statistical power.
     """
+    for knob, value, minimum in (
+        ("n_visible", n_visible, 1),
+        ("n_hidden", n_hidden, 1),
+        ("n_distributions", n_distributions, 1),
+        ("runs_per_distribution", runs_per_distribution, 1),
+        ("n_samples", n_samples, 1),
+        ("ml_iterations", ml_iterations, 1),
+        ("cd_epochs", cd_epochs, 1),
+        ("cd_long_k", cd_long_k, 1),
+    ):
+        check_int(value, knob, minimum)
     master = as_rng(seed)
     rows: List[Dict[str, object]] = []
     for dist_index in range(n_distributions):

@@ -30,31 +30,6 @@ FIGURE7_DATASETS: Sequence[str] = ("mnist", "kmnist", "fmnist", "emnist")
 #: The paper's three training methods, in plotting order.
 FIGURE7_METHODS: Sequence[str] = ("cd1", "cd10", "BGF")
 
-#: Paper-scale (784x500-class) Figure-7 configuration: software CD-1 is
-#: kept as the host baseline, CD-10 is dropped (10x the host wall-clock for
-#: a second baseline curve is not the claim at this scale), and the
-#: substrate methods — BGF plus the multi-chain PCD Gibbs sampler — run in
-#: the float32 precision tier.  ``run_figure7_paper`` applies these on top
-#: of ``scale="paper"``; see EXPERIMENTS.md for the expected wall-clock.
-PAPER_FIGURE7_CONFIG: Dict[str, object] = {
-    # mnist is Table 1's 784x200 RBM; kmnist is the 784x500 MNIST-scale
-    # shape the perf work targets (ROADMAP "MNIST-scale (784x500)").
-    "datasets": ("mnist", "kmnist"),
-    "scale": "paper",
-    "epochs": 5,
-    "methods": ("cd1", "BGF"),
-    "gs_chains": 64,
-    "dtype": "float32",
-    "ais_chains": 64,
-    "ais_betas": 500,
-    # Serial kernels: sharding pays only with single-threaded BLAS, because
-    # every shard thread calls a multi-threaded GEMM that already uses the
-    # cores.  Pass workers=k explicitly (with OPENBLAS_NUM_THREADS=1) to
-    # shard; see docs/performance.md, "Workers and BLAS threads".
-    "workers": 1,
-}
-
-
 def _logprob_recorder(
     data: np.ndarray,
     trajectory: List[float],
@@ -116,8 +91,14 @@ def run_figure7(
     defaults leave the CI-scale output contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """
-    if epochs < 2:
-        raise ValidationError("Figure 7 needs at least 2 epochs to show a trajectory")
+    # A trajectory needs two epochs; every count knob fails by name here,
+    # before any data is built.
+    check_int(epochs, "epochs", 2)
+    check_int(batch_size, "batch_size", 1)
+    check_int(ais_chains, "ais_chains", 1)
+    check_int(ais_betas, "ais_betas", 2)
+    if gs_chains is not None:
+        check_int(gs_chains, "gs_chains", 1)
     unknown = set(methods) - set(FIGURE7_METHODS)
     if unknown:
         raise ValidationError(
@@ -223,19 +204,6 @@ def run_figure7(
             "seed": seed,
         },
     )
-
-
-def run_figure7_paper(**overrides) -> ExperimentResult:
-    """Figure 7 at the paper's MNIST scale (784x500, float32 tier, PCD-64).
-
-    Applies :data:`PAPER_FIGURE7_CONFIG` and forwards any override (e.g.
-    ``epochs=2, train_samples=256`` for the nightly smoke).  This is the
-    configuration unlocked by the precision-tiered kernel layer; see
-    EXPERIMENTS.md for expected wall-clock.
-    """
-    config: Dict[str, object] = dict(PAPER_FIGURE7_CONFIG)
-    config.update(overrides)
-    return run_figure7(**config)
 
 
 def trajectories(result: ExperimentResult) -> Dict[str, Dict[str, List[float]]]:

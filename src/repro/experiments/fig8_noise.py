@@ -27,6 +27,7 @@ from repro.experiments.base import (
 from repro.rbm.ais import average_log_probability
 from repro.rbm.rbm import BernoulliRBM
 from repro.utils.rng import spawn_rngs
+from repro.utils.validation import check_int
 
 
 def run_figure8(
@@ -48,6 +49,10 @@ def run_figure8(
     """
     noise_configs = check_noise_configs(noise_configs)
     check_benchmark_name(dataset_name, "dataset_name")
+    check_int(epochs, "epochs", 1)
+    check_int(batch_size, "batch_size", 1)
+    check_int(ais_chains, "ais_chains", 1)
+    check_int(ais_betas, "ais_betas", 2)
     cfg = get_benchmark(dataset_name)
     dataset = load_benchmark_dataset(dataset_name, scale=scale, seed=seed)
     data = dataset.binarized().train_x

@@ -20,7 +20,7 @@ from repro.datasets.registry import get_benchmark, load_benchmark_dataset
 from repro.eval.recommender import RBMRecommender
 from repro.experiments.base import ExperimentResult, check_noise_configs, format_table
 from repro.utils.rng import spawn_rngs
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_int
 
 
 def run_figure9(
@@ -51,6 +51,7 @@ def run_figure9(
     CLI's ``--save-model`` can persist it for serving.
     """
     noise_configs = check_noise_configs(noise_configs)
+    check_int(epochs, "epochs", 1)
     if engine not in ("bgf", "gs"):
         raise ValidationError(f"engine must be 'bgf' or 'gs', got {engine!r}")
     if engine == "bgf" and sparse:

@@ -29,6 +29,7 @@ from repro.experiments.base import ExperimentResult, check_benchmark_names, form
 from repro.rbm.dbn import DeepBeliefNetwork
 from repro.rbm.rbm import BernoulliRBM, CDTrainer
 from repro.utils.rng import spawn_rngs
+from repro.utils.validation import check_int
 
 #: Image benchmarks in the Table-4 row order.
 TABLE4_IMAGE_BENCHMARKS: Sequence[str] = (
@@ -173,6 +174,12 @@ def run_table4(
     contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """
+    check_int(epochs, "epochs", 1)
+    check_int(batch_size, "batch_size", 1)
+    if gs_chains is not None:
+        check_int(gs_chains, "gs_chains", 1)
+    if train_samples is not None:
+        check_int(train_samples, "train_samples", 1)
     image_benchmarks = check_benchmark_names(image_benchmarks, "image_benchmarks")
     rbm_methods = ("cd10", "bgf") + (("gs",) if gs_chains else ())
     rows: List[Dict[str, object]] = []
@@ -260,39 +267,6 @@ def run_table4(
             "seed": seed,
         },
     )
-
-
-#: Paper-scale Table-4 configuration: Table-1 RBM shapes (784x200 mnist,
-#: 784x500 kmnist), the multi-chain PCD Gibbs-sampler column, and the
-#: float32 substrate tier for the hardware trainers.  The auxiliary
-#: benchmarks are dropped — the unlocked claim is the MNIST-scale image
-#: rows; see EXPERIMENTS.md for expected wall-clock.
-PAPER_TABLE4_CONFIG: Dict[str, object] = {
-    "image_benchmarks": ("mnist", "kmnist"),
-    "include_dbn": False,
-    "include_recommender": False,
-    "include_anomaly": False,
-    "scale": "paper",
-    "epochs": 10,
-    "gs_chains": 8,
-    "dtype": "float32",
-    # Serial kernels: sharding pays only with single-threaded BLAS, because
-    # every shard thread calls a multi-threaded GEMM that already uses the
-    # cores.  Pass workers=k explicitly (with OPENBLAS_NUM_THREADS=1) to
-    # shard; see docs/performance.md, "Workers and BLAS threads".
-    "workers": 1,
-}
-
-
-def run_table4_paper(**overrides) -> ExperimentResult:
-    """Table 4's image rows at the paper's scale (float32 tier, PCD-8 GS).
-
-    Applies :data:`PAPER_TABLE4_CONFIG` and forwards any override (e.g.
-    ``epochs=2, train_samples=256`` for the nightly smoke).
-    """
-    config: Dict[str, object] = dict(PAPER_TABLE4_CONFIG)
-    config.update(overrides)
-    return run_table4(**config)
 
 
 def format_table4(result: Optional[ExperimentResult] = None) -> str:

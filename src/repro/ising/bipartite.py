@@ -13,8 +13,8 @@ class composes those behavioral models into the substrate operations the
 Gibbs-sampler and Boltzmann-gradient-follower architectures invoke:
 
 * ``program(...)``    — write the coupling weights and biases,
-* ``sample_hidden_given_visible`` / ``sample_visible_given_hidden`` — one
-  clamped settle-and-latch, i.e. one conditional sampling step,
+* ``sample_hidden_given_visible`` — one clamped settle-and-latch, i.e. one
+  conditional sampling step (the positive phase),
 * ``settle_batch(...)`` / ``gibbs_chain(...)`` — k alternating settles (the
   hardware realization of the CD-k random walk / the annealing trajectory
   of a negative phase), all through one settle loop,
@@ -107,8 +107,9 @@ def _field_kernel(
 ) -> np.ndarray:
     """Field kernel: summed currents plus (conditional) node noise.
 
-    Single source shared by the substrate's public field methods, the
-    trusted samplers, and the sharded settle, so they cannot drift apart.
+    Single source shared by :meth:`BipartiteIsingSubstrate.hidden_field`,
+    the settle evaluation, and the sharded settle, so they cannot drift
+    apart.
     Runs in the coupling's precision tier; ``noise_model`` selects whose
     stream the node noise draws from, ``None`` skips it (the noise-free
     corner)."""
@@ -379,19 +380,6 @@ class BipartiteIsingSubstrate:
     # ------------------------------------------------------------------ #
     # Conditional sampling (one settle-and-latch)
     # ------------------------------------------------------------------ #
-    def _effective_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(effective, effective.T)`` couplings for this evaluation.
-
-        The static (variation-scaled) part is cached between programmings —
-        in the ideal-variation corner it aliases ``self.weights`` outright,
-        so the cache costs nothing.  Fresh dynamic coupling noise, when
-        configured, is still applied per call, in the same draw order as a
-        per-settle recomputation of the whole product.
-        """
-        return _dynamic_pair_kernel(
-            self._static_pair(), self._serial_context.noise_model, self.dtype
-        )
-
     def _static_pair(self) -> Tuple[np.ndarray, np.ndarray]:
         """The cached static (variation-scaled) coupling pair, built safely.
 
@@ -419,41 +407,21 @@ class BipartiteIsingSubstrate:
         return cache
 
     def hidden_field(self, visible: np.ndarray) -> np.ndarray:
-        """Summed column currents seen by the hidden nodes (plus node noise)."""
+        """Summed column currents seen by the hidden nodes (plus node noise).
+
+        The static (variation-scaled) coupling is the cached pair; fresh
+        dynamic coupling noise, when configured, is drawn per call, before
+        the node noise — the settle kernel's draw order.
+        """
         if is_sparse(visible):
             visible = as_sparse_rows(visible, dtype=self.dtype)
         else:
             # Tier dtype, not float: a float32 substrate computes (and
             # returns) float32 fields — same fix family as clamp_visible.
             visible = np.atleast_2d(np.asarray(visible, dtype=self.dtype))
-        effective, _ = self._effective_pair()
-        return _field_kernel(
-            visible, effective, self.hidden_bias, self._serial_context.noise_model
-        )
-
-    def visible_field(self, hidden: np.ndarray) -> np.ndarray:
-        """Summed row currents seen by the visible nodes (plus node noise)."""
-        hidden = np.atleast_2d(np.asarray(hidden, dtype=self.dtype))
-        _, effective_t = self._effective_pair()
-        return _field_kernel(
-            hidden, effective_t, self.visible_bias, self._serial_context.noise_model
-        )
-
-    def hidden_probability(self, visible: np.ndarray) -> np.ndarray:
-        """Sigmoid-unit output voltages at the hidden nodes, in the tier.
-
-        The sigmoid unit's variation/noise corners compute in float64; the
-        cast keeps a float32 substrate's outputs float32 (a no-op otherwise).
-        """
-        return self.hidden_sigmoid(self.hidden_field(visible)).astype(
-            self.dtype, copy=False
-        )
-
-    def visible_probability(self, hidden: np.ndarray) -> np.ndarray:
-        """Sigmoid-unit output voltages at the visible nodes, in the tier."""
-        return self.visible_sigmoid(self.visible_field(hidden)).astype(
-            self.dtype, copy=False
-        )
+        noise_model = self._serial_context.noise_model
+        effective, _ = _dynamic_pair_kernel(self._static_pair(), noise_model, self.dtype)
+        return _field_kernel(visible, effective, self.hidden_bias, noise_model)
 
     def _kernel(self) -> _ShardKernel:
         """Snapshot the settle kernel's static inputs (built per call —
@@ -485,14 +453,6 @@ class BipartiteIsingSubstrate:
         return _settle_eval_kernel(
             clamped, self._static_pair(), self._serial_context, self._kernel(),
             hidden_side=True,
-        )
-
-    def sample_visible_given_hidden(self, hidden: np.ndarray) -> np.ndarray:
-        """Clamp the hidden nodes and latch one visible sample."""
-        hidden = check_binary(np.atleast_2d(np.asarray(hidden, dtype=float)), name="hidden")
-        return _settle_eval_kernel(
-            hidden, self._static_pair(), self._serial_context, self._kernel(),
-            hidden_side=False,
         )
 
     # ------------------------------------------------------------------ #
@@ -639,13 +599,6 @@ class BipartiteIsingSubstrate:
         ``(visible, hidden)`` samples.
         """
         return self.settle_batch(hidden_init, n_steps, workers=workers)
-
-    def reconstruct(self, visible: np.ndarray) -> np.ndarray:
-        """Mean-field reconstruction through the analog sigmoid units."""
-        if not is_sparse(visible):
-            visible = np.atleast_2d(visible)
-        hidden_probs = self.hidden_probability(self.clamp_visible(visible))
-        return self.visible_probability(hidden_probs)
 
     @property
     def n_coupling_units(self) -> int:

@@ -1,17 +1,11 @@
-"""Exact partition functions and distributions by enumeration.
+"""Exact model and empirical distributions by enumeration.
 
 These routines are only tractable for small models (the Appendix-A bias
 study uses 12 visible × 4 hidden units), but they are exact, which makes
-them the ground truth for
-
-* validating the AIS estimator (``repro.rbm.ais``),
-* the Figure-11 KL-divergence bias experiment, and
-* property-based tests of the RBM's free energy and conditionals.
-
-Enumeration is performed over whichever layer is smaller: the hidden-layer
-sum inside the free energy is already analytic, so enumerating visible
-configurations costs ``2**n_visible`` free-energy evaluations, while the
-dual form enumerates ``2**n_hidden`` hidden configurations.
+them the ground truth of the Figure-11 KL-divergence bias experiment and
+the exact maximum-likelihood trainer (``repro.rbm.ml``).  The hidden-layer
+sum inside the free energy is analytic, so enumerating the visible
+configurations costs ``2**n_visible`` free-energy evaluations.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.utils.numerics import log1pexp, logsumexp
+from repro.utils.numerics import logsumexp
 from repro.utils.validation import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -45,27 +39,6 @@ def enumerate_states(n_bits: int) -> np.ndarray:
     return states
 
 
-def _hidden_free_energy(rbm: "BernoulliRBM", h: np.ndarray) -> np.ndarray:
-    """Free energy of hidden configurations: -log sum_v exp(-E(v, h))."""
-    h = np.atleast_2d(h)
-    visible_input = h @ rbm.weights.T + rbm.visible_bias
-    return -(h @ rbm.hidden_bias) - np.sum(log1pexp(visible_input), axis=1)
-
-
-def exact_log_partition(rbm: "BernoulliRBM") -> float:
-    """Exact log partition function log Z by enumerating the smaller layer."""
-    if min(rbm.n_visible, rbm.n_hidden) > MAX_ENUMERATION_BITS:
-        raise ValidationError(
-            "exact_log_partition requires one layer with at most "
-            f"{MAX_ENUMERATION_BITS} units; RBM is {rbm.n_visible}x{rbm.n_hidden}"
-        )
-    if rbm.n_visible <= rbm.n_hidden:
-        states = enumerate_states(rbm.n_visible)
-        return float(logsumexp(-rbm.free_energy(states)))
-    states = enumerate_states(rbm.n_hidden)
-    return float(logsumexp(-_hidden_free_energy(rbm, states)))
-
-
 def exact_visible_distribution(rbm: "BernoulliRBM") -> np.ndarray:
     """Exact marginal P(v) over all visible configurations.
 
@@ -76,56 +49,6 @@ def exact_visible_distribution(rbm: "BernoulliRBM") -> np.ndarray:
     log_unnorm = -rbm.free_energy(states)
     log_z = logsumexp(log_unnorm)
     return np.exp(log_unnorm - log_z)
-
-
-def exact_joint_distribution(rbm: "BernoulliRBM") -> np.ndarray:
-    """Exact joint P(v, h) as a matrix of shape (2**n_visible, 2**n_hidden)."""
-    if rbm.n_visible + rbm.n_hidden > MAX_ENUMERATION_BITS:
-        raise ValidationError(
-            "joint enumeration needs n_visible + n_hidden <= "
-            f"{MAX_ENUMERATION_BITS}; RBM is {rbm.n_visible}x{rbm.n_hidden}"
-        )
-    v_states = enumerate_states(rbm.n_visible)
-    h_states = enumerate_states(rbm.n_hidden)
-    # log unnormalized joint for every (v, h) pair
-    interaction = v_states @ rbm.weights @ h_states.T
-    log_unnorm = (
-        interaction
-        + (v_states @ rbm.visible_bias)[:, None]
-        + (h_states @ rbm.hidden_bias)[None, :]
-    )
-    log_z = logsumexp(log_unnorm.reshape(-1))
-    return np.exp(log_unnorm - log_z)
-
-
-def exact_model_moments(
-    rbm: "BernoulliRBM",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Exact first moments ``(E[v], E[h], E[v h^T])`` under the model.
-
-    Ground truth for the multi-chain statistical tests: a correct sampler's
-    long-run chain averages must converge to these expectations, whatever
-    the chain layout (single, batched, persistent).  Requires
-    ``n_visible + n_hidden <= MAX_ENUMERATION_BITS``.
-    """
-    joint = exact_joint_distribution(rbm)
-    v_states = enumerate_states(rbm.n_visible)
-    h_states = enumerate_states(rbm.n_hidden)
-    mean_v = joint.sum(axis=1) @ v_states
-    mean_h = joint.sum(axis=0) @ h_states
-    corr_vh = v_states.T @ joint @ h_states
-    return mean_v, mean_h, corr_vh
-
-
-def exact_log_likelihood(rbm: "BernoulliRBM", data: np.ndarray) -> float:
-    """Exact average log likelihood of ``data`` rows under the RBM."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != rbm.n_visible:
-        raise ValidationError(
-            f"data has {data.shape[1]} features; RBM has {rbm.n_visible} visible units"
-        )
-    log_z = exact_log_partition(rbm)
-    return float(np.mean(-rbm.free_energy(data) - log_z))
 
 
 def empirical_visible_distribution(data: np.ndarray, n_visible: int) -> np.ndarray:

@@ -11,7 +11,7 @@ Eqs. 4/5, and the contrastive-divergence training loop of Algorithm 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -115,24 +115,9 @@ class BernoulliRBM:
         p = np.clip(np.mean(data, axis=0), smoothing, 1.0 - smoothing)
         self.visible_bias = np.log(p / (1.0 - p))
 
-    def parameters(self) -> Dict[str, np.ndarray]:
-        """Return a dict with copies of the current parameters."""
-        return {
-            "weights": self.weights.copy(),
-            "visible_bias": self.visible_bias.copy(),
-            "hidden_bias": self.hidden_bias.copy(),
-        }
-
     # ------------------------------------------------------------------ #
     # Energies and probabilities
     # ------------------------------------------------------------------ #
-    def energy(self, v: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Joint energy E(v, h) (Eq. 3) for batched configurations."""
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        interaction = np.einsum("bi,ij,bj->b", v, self.weights, h)
-        return -(interaction + v @ self.visible_bias + h @ self.hidden_bias)
-
     def free_energy(self, v: np.ndarray) -> np.ndarray:
         """Visible free energy F(v) = -log sum_h exp(-E(v, h)).
 
@@ -182,23 +167,6 @@ class BernoulliRBM:
         v_new = self.sample_visible(h, gen)
         return v_new, h
 
-    def gibbs_chain(
-        self, v0: np.ndarray, n_steps: int, rng: SeedLike = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run ``n_steps`` of Gibbs sampling starting from visible state v0.
-
-        Returns the final ``(v, h)`` sample pair.
-        """
-        if n_steps < 0:
-            raise ValidationError(f"n_steps must be non-negative, got {n_steps}")
-        gen = as_rng(rng) if rng is not None else self._rng
-        v = np.atleast_2d(np.asarray(v0, dtype=float))
-        h = self.sample_hidden(v, gen)
-        for _ in range(n_steps):
-            v = self.sample_visible(h, gen)
-            h = self.sample_hidden(v, gen)
-        return v, h
-
     def reconstruct(self, v: np.ndarray) -> np.ndarray:
         """Mean-field reconstruction: P(v' | E[h | v])."""
         hidden_probs = self.hidden_activation_probability(v)
@@ -215,8 +183,8 @@ class BernoulliRBM:
         convention, up to the intractable log-partition constant):
         deterministic, stateless w.r.t. training data, and defined for
         dense or CSR visible batches — the natural quantity a serving
-        artifact exposes.  For the stochastic flip-one-bit pseudo-
-        log-likelihood proxy see :func:`repro.rbm.metrics.pseudo_log_likelihood`.
+        artifact exposes.  For a normalized log-probability see
+        :func:`repro.rbm.ais.average_log_probability`.
         """
         return -self.free_energy(v)
 

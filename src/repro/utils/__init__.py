@@ -17,16 +17,10 @@ from repro.utils.numerics import (
     bernoulli_sample,
     is_sparse,
     safe_sparse_dot,
-    to_dense,
     sparse_mean,
     sparse_mean_squared_error,
-    sparse_density,
 )
-from repro.utils.batching import (
-    minibatches,
-    shuffle_arrays,
-    train_test_split,
-)
+from repro.utils.batching import minibatches
 from repro.utils.parallel import (
     ShardedExecutor,
     check_workers,
@@ -54,13 +48,9 @@ __all__ = [
     "bernoulli_sample",
     "is_sparse",
     "safe_sparse_dot",
-    "to_dense",
     "sparse_mean",
     "sparse_mean_squared_error",
-    "sparse_density",
     "minibatches",
-    "shuffle_arrays",
-    "train_test_split",
     "ShardedExecutor",
     "check_workers",
     "shard_slices",

@@ -1,4 +1,4 @@
-"""Minibatching and dataset-splitting helpers.
+"""Minibatching helper.
 
 :func:`minibatches` is sparse-aware: scipy CSR inputs are row-sliced
 without densification, so feeding its batches to ``Trainer.partial_fit``
@@ -7,7 +7,7 @@ keeps sparse visibles sparse end to end.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -71,46 +71,3 @@ def minibatches(
             yield data[idx]
         else:
             yield data[idx], labels[idx]
-
-
-def shuffle_arrays(*arrays: np.ndarray, rng: SeedLike = None) -> Tuple[np.ndarray, ...]:
-    """Shuffle several arrays with the same permutation along axis 0."""
-    if not arrays:
-        raise ValueError("shuffle_arrays requires at least one array")
-    arrays = tuple(np.asarray(a) for a in arrays)
-    n = arrays[0].shape[0]
-    for a in arrays[1:]:
-        if a.shape[0] != n:
-            raise ValueError("all arrays must share the first dimension")
-    perm = as_rng(rng).permutation(n)
-    return tuple(a[perm] for a in arrays)
-
-
-def train_test_split(
-    data: np.ndarray,
-    labels: Optional[np.ndarray] = None,
-    *,
-    test_fraction: float = 0.2,
-    rng: SeedLike = None,
-):
-    """Split rows into train/test partitions.
-
-    Returns ``(train, test)`` or ``(train_x, test_x, train_y, test_y)`` when
-    labels are provided, mirroring the common sklearn ordering closely
-    enough to be unambiguous in this codebase.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    data = np.asarray(data)
-    n = data.shape[0]
-    n_test = max(1, int(round(n * test_fraction)))
-    if n_test >= n:
-        raise ValueError("test_fraction leaves no training samples")
-    perm = as_rng(rng).permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    if labels is None:
-        return data[train_idx], data[test_idx]
-    labels = np.asarray(labels)
-    if labels.shape[0] != n:
-        raise ValueError("labels must align with data rows")
-    return data[train_idx], data[test_idx], labels[train_idx], labels[test_idx]

@@ -1,7 +1,7 @@
 """Numerically-stable primitives used across the library.
 
 The RBM energy/probability machinery works in log space almost everywhere
-(free energies, AIS weights, exact partition functions), so a stable
+(free energies, AIS weights, exact distributions), so a stable
 ``logsumexp`` / ``log1pexp`` pair is the foundation.  The sampling paths
 (software Gibbs and the analog comparator model) share a single
 ``bernoulli_sample`` implementation so that CPU and "hardware" runs draw
@@ -253,17 +253,6 @@ def safe_sparse_dot(a, b) -> np.ndarray:
     return a @ b
 
 
-def to_dense(x, dtype=None) -> np.ndarray:
-    """Densify a sparse matrix; pass dense input through ``np.asarray``."""
-    if is_sparse(x):
-        out = x.toarray()
-    else:
-        out = np.asarray(x)
-    if dtype is not None and out.dtype != np.dtype(dtype):
-        out = out.astype(dtype)
-    return out
-
-
 def sparse_mean(x, axis: int = 0) -> np.ndarray:
     """Mean of a sparse matrix along ``axis``, returned as a dense 1-D array.
 
@@ -302,12 +291,3 @@ def sparse_mean_squared_error(x, dense, axis: Optional[int] = None):
     row -= 2.0 * np.asarray(x.multiply(dense).sum(axis=1), dtype=float).ravel()
     row += np.asarray(x.multiply(x).sum(axis=1), dtype=float).ravel()
     return row / dense.shape[1]
-
-
-def sparse_density(x) -> float:
-    """Fraction of stored (nonzero) entries; dense inputs count exact nonzeros."""
-    if is_sparse(x):
-        rows, cols = x.shape
-        return x.nnz / float(rows * cols) if rows and cols else 0.0
-    arr = np.asarray(x)
-    return float(np.count_nonzero(arr)) / arr.size if arr.size else 0.0

@@ -41,7 +41,9 @@ class TestThermalNoiseStatistics:
 class TestChargePumpStatistics:
     def test_per_unit_step_variation_rms(self):
         pump = ChargePumpUpdater((100, 100), step_size=0.01, variation_rms=0.15, rng=0)
-        steps = pump.step_matrix(np.zeros((100, 100)), positive=True)
+        # Far from the rails one full-strength update moves each unit by
+        # its own (mismatched) step.
+        steps = pump.apply(np.zeros((100, 100)), np.ones((100, 100)), positive=True)
         assert np.mean(steps) == pytest.approx(0.01, rel=0.05)
         assert np.std(steps) / np.mean(steps) == pytest.approx(0.15, rel=0.15)
 
@@ -76,6 +78,6 @@ class TestNoiseModelStatistics:
         rng = np.random.default_rng(2)
         weights = rng.normal(0, 1.0, (60, 60))
         model = NoiseModel(NoiseSpec(0.1, 0.1), (60, 60), rng=3)
-        perturbed = model.perturbed_coupling(weights)
+        perturbed = model.apply_dynamic(model.static_effective(weights))
         sign_preserved = np.mean(np.sign(perturbed) == np.sign(weights))
         assert sign_preserved > 0.95

@@ -43,7 +43,7 @@ NAN, INF = float("nan"), float("inf")
         (lambda: AnalogToDigitalConverter(8.0), "n_bits"),
         (lambda: AnalogToDigitalConverter(8, value_range=(-INF, 1.0)), "value_range"),
         (lambda: AnalogToDigitalConverter(8, value_range=(1.0, 1.0)), "value_range"),
-        (lambda: SigmoidUnit(gain_variation_rms=NAN), "gain_variation_rms"),
+        (lambda: SigmoidUnit(n_units=4, gain_variation_rms=NAN), "gain_variation_rms"),
         (lambda: SigmoidUnit(n_units=2.5), "n_units"),
     ],
 )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers.reference import perturbed_coupling
 from repro.analog import NoiseModel
 from repro.config import NoiseSpec
 from repro.analog.noise import FIGURE8_NOISE_CONFIGS, full_noise_sweep
@@ -25,15 +26,17 @@ class TestNoiseModel:
     def test_ideal_model_is_identity(self):
         model = NoiseModel(NoiseSpec(), (5, 4), rng=0)
         weights = np.random.default_rng(1).normal(size=(5, 4))
-        np.testing.assert_array_equal(model.effective_weights(weights), weights)
-        np.testing.assert_array_equal(model.perturbed_coupling(weights), weights)
+        np.testing.assert_array_equal(model.static_effective(weights), weights)
+        np.testing.assert_array_equal(
+            model.apply_dynamic(model.static_effective(weights)), weights
+        )
         np.testing.assert_array_equal(model.node_noise((3, 4)), np.zeros((3, 4)))
 
     def test_static_variation_drawn_once(self):
         model = NoiseModel(NoiseSpec(0.2, 0.0), (5, 4), rng=0)
         weights = np.ones((5, 4))
-        a = model.effective_weights(weights)
-        b = model.effective_weights(weights)
+        a = model.static_effective(weights)
+        b = model.static_effective(weights)
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, weights)
 
@@ -53,18 +56,20 @@ class TestNoiseModel:
         noise = model.node_noise(10000, scale=2.0)
         assert np.std(noise) == pytest.approx(0.2, rel=0.1)
 
-    def test_perturbed_coupling_combines_both(self):
+    def test_static_and_dynamic_noise_combine(self):
         model = NoiseModel(NoiseSpec(0.1, 0.1), (5, 4), rng=4)
         weights = np.ones((5, 4))
-        a = model.perturbed_coupling(weights)
-        b = model.perturbed_coupling(weights)
+        a = model.apply_dynamic(model.static_effective(weights))
+        b = model.apply_dynamic(model.static_effective(weights))
         # static part the same, dynamic part differs
         assert not np.allclose(a, b)
 
-    def test_weight_shape_check(self):
+    def test_static_effective_scales_by_the_coupling_gain(self):
         model = NoiseModel(NoiseSpec(0.1, 0.0), (5, 4), rng=0)
-        with pytest.raises(ValidationError):
-            model.effective_weights(np.ones((4, 5)))
+        weights = np.random.default_rng(5).normal(size=(5, 4))
+        np.testing.assert_array_equal(
+            model.static_effective(weights), weights * model.coupling_gain
+        )
 
     def test_invalid_shape(self):
         with pytest.raises(ValidationError):
@@ -95,22 +100,22 @@ class TestNoiseModelKernels:
         weights = np.ones((5, 4))
         assert model.static_effective(weights) is weights
 
-    def test_static_effective_matches_validated_path(self):
+    def test_static_effective_matches_the_oracle(self):
         model = NoiseModel(NoiseSpec(0.2, 0.0), (5, 4), rng=0)
         weights = np.random.default_rng(1).normal(size=(5, 4))
         np.testing.assert_array_equal(
-            model.static_effective(weights), model.effective_weights(weights)
+            model.static_effective(weights), perturbed_coupling(model, weights)
         )
 
     def test_apply_dynamic_draws_like_perturbed_coupling(self):
-        """Same seed, same draw order: the trusted kernel and the validated
-        one-call path produce the same perturbed couplings."""
+        """Same seed, same draw order: the trusted kernel and the oracle's
+        one-call coupling realization produce the same perturbed couplings."""
         weights = np.random.default_rng(2).normal(size=(5, 4))
         trusted = NoiseModel(NoiseSpec(0.1, 0.2), (5, 4), rng=3)
         validated = NoiseModel(NoiseSpec(0.1, 0.2), (5, 4), rng=3)
         np.testing.assert_array_equal(
             trusted.apply_dynamic(trusted.static_effective(weights)),
-            validated.perturbed_coupling(weights),
+            perturbed_coupling(validated, weights),
         )
 
     def test_apply_dynamic_is_identity_without_noise(self):

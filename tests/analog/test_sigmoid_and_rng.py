@@ -11,7 +11,7 @@ from repro.utils.validation import ValidationError
 
 class TestSigmoidUnit:
     def test_matches_logistic(self):
-        unit = SigmoidUnit()
+        unit = SigmoidUnit(n_units=21)
         x = np.linspace(-5, 5, 21)
         np.testing.assert_allclose(unit(x), sigmoid(x))
 
@@ -44,7 +44,7 @@ class TestSigmoidUnit:
 
     def test_negative_variation_rejected(self):
         with pytest.raises(ValidationError, match="gain_variation_rms"):
-            SigmoidUnit(gain_variation_rms=-0.1)
+            SigmoidUnit(n_units=3, gain_variation_rms=-0.1)
 
 
 class TestStochasticNeuronSampler:
@@ -97,7 +97,6 @@ class TestSigmoidIdentity:
     @pytest.mark.parametrize(
         "kwargs, expected",
         [
-            ({}, True),
             ({"n_units": 4}, True),
             ({"n_units": 4, "gain_variation_rms": 0.1}, False),
         ],
@@ -108,6 +107,21 @@ class TestSigmoidIdentity:
         if expected:
             x = np.linspace(-4.0, 4.0, 4)
             np.testing.assert_array_equal(unit(x), sigmoid(x))
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({}, TypeError),
+            ({"gain_variation_rms": 0.1}, TypeError),
+            ({"n_units": None}, ValidationError),
+            ({"n_units": None, "gain_variation_rms": 0.1}, ValidationError),
+        ],
+    )
+    def test_n_units_is_required(self, kwargs, error):
+        """Without a unit count a variation setting would draw no mismatch
+        and the unit would read as the identity; it fails naming n_units."""
+        with pytest.raises(error, match="n_units"):
+            SigmoidUnit(rng=0, **kwargs)
 
 
 class TestFusedLatch:

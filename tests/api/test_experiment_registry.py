@@ -7,15 +7,65 @@ import pytest
 
 from repro.api import get_experiment, list_experiments, run_experiment
 from repro.api import registry
-from repro.api.registry import runspec_from_legacy_config
 from repro.config import ComputeSpec, RunSpec, ValidationError
-from repro.experiments.fig7_logprob import PAPER_FIGURE7_CONFIG
-from repro.experiments.table4_accuracy import PAPER_TABLE4_CONFIG
 
 ALL_EXPERIMENTS = [
     "figure5", "figure6", "table2", "table3", "figure7",
     "table4", "figure8", "figure9", "figure10", "figure11",
 ]
+
+
+def _snapshot(experiment, preset="ci", *, compute=None, **params):
+    return {
+        "experiment": experiment,
+        "preset": preset,
+        "seed": 0,
+        "compute": compute,
+        "params": params,
+    }
+
+
+PAPER_COMPUTE = {"dtype": "float32", "workers": 1}
+
+#: Every registered preset's ``to_dict()``, written out as data: changing a
+#: tuned value, or adding or dropping a preset, has to change this table.
+#: perfbench's ``figure7_gs`` workload is built from the figure7 paper
+#: preset, so this table also keeps that workload's spec fixed.
+PRESET_SNAPSHOTS = {
+    **{(name, "ci"): _snapshot(name) for name in ALL_EXPERIMENTS},
+    ("figure7", "paper"): _snapshot(
+        "figure7", "paper",
+        compute=PAPER_COMPUTE,
+        datasets=["mnist", "kmnist"],
+        scale="paper",
+        epochs=5,
+        methods=["cd1", "BGF"],
+        gs_chains=64,
+        ais_chains=64,
+        ais_betas=500,
+    ),
+    ("table4", "paper"): _snapshot(
+        "table4", "paper",
+        compute=PAPER_COMPUTE,
+        image_benchmarks=["mnist", "kmnist"],
+        include_dbn=False,
+        include_recommender=False,
+        include_anomaly=False,
+        scale="paper",
+        epochs=10,
+        gs_chains=8,
+    ),
+    ("figure8", "paper"): _snapshot("figure8", "paper", scale="paper"),
+    ("figure9", "paper"): _snapshot("figure9", "paper", scale="paper"),
+    ("figure9", "sparse"): _snapshot(
+        "figure9", "sparse", engine="gs", encoding="onehot", sparse=True, epochs=10
+    ),
+    ("figure10", "paper"): _snapshot("figure10", "paper", scale="paper"),
+    ("figure10", "sparse"): _snapshot(
+        "figure10", "sparse",
+        engine="gs", encoding="onehot", n_bins=16, sparse=True, epochs=10,
+    ),
+}
 
 
 class TestRegistryCoverage:
@@ -86,20 +136,29 @@ class TestPresetRoundTrips:
             rebuilt = RunSpec.from_dict(preset.to_dict())
             assert rebuilt == preset, (name, preset_name)
 
-    def test_paper_presets_match_the_legacy_config_dicts(self):
-        """The declarative presets are conversions of the tuned dicts; the
-        materialized runner kwargs must agree knob for knob."""
-        for name, config in (
-            ("figure7", PAPER_FIGURE7_CONFIG),
-            ("table4", PAPER_TABLE4_CONFIG),
-        ):
-            experiment = get_experiment(name)
-            kwargs = experiment.materialize_kwargs(experiment.presets["paper"])
-            kwargs.pop("seed")
-            assert kwargs == {
-                key: (tuple(v) if isinstance(v, list) else v)
-                for key, v in config.items()
-            }
+    def test_the_snapshot_names_every_registered_preset(self):
+        registered = {
+            (experiment.name, preset)
+            for experiment in list_experiments()
+            for preset in experiment.presets
+        }
+        assert registered == set(PRESET_SNAPSHOTS)
+
+    @pytest.mark.parametrize(
+        "name, preset", list(PRESET_SNAPSHOTS), ids="/".join
+    )
+    def test_preset_matches_its_snapshot(self, name, preset):
+        assert get_experiment(name).preset(preset).to_dict() == PRESET_SNAPSHOTS[
+            (name, preset)
+        ]
+
+    @pytest.mark.parametrize("name", ["figure7", "table4"])
+    def test_paper_preset_takes_a_workers_override(self, name):
+        """perfbench cuts the paper presets with ``with_overrides(...,
+        workers=1)``; the override validates and keeps the float32 tier."""
+        spec = get_experiment(name).preset("paper").with_overrides(workers=1)
+        assert spec.compute == ComputeSpec(dtype="float32", workers=1)
+        get_experiment(name).materialize_kwargs(spec)
 
     @pytest.mark.parametrize("name", ["figure7", "table4"])
     def test_paper_presets_run_serial_kernels(self, name):
@@ -208,16 +267,16 @@ class TestRunExperiment:
             run_experiment({"experiment": "table2"})
 
 
-class TestLegacyConfigConversion:
+class TestOverrideRouting:
     def test_compute_knobs_split_out(self):
-        spec = runspec_from_legacy_config(
-            "figure7", {"scale": "paper", "dtype": "float32", "workers": 2}
+        spec = RunSpec(experiment="figure7").with_overrides(
+            scale="paper", dtype="float32", workers=2
         )
         assert spec.compute == ComputeSpec(dtype="float32", workers=2)
         assert spec.params == {"scale": "paper"}
-        assert spec.preset == "paper"
+        assert spec.preset == "custom"
 
     def test_seed_moves_to_the_typed_field(self):
-        spec = runspec_from_legacy_config("figure8", {"seed": 9, "epochs": 2})
+        spec = RunSpec(experiment="figure8").with_overrides(seed=9, epochs=2)
         assert spec.seed == 9
         assert spec.params == {"epochs": 2}

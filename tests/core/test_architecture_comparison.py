@@ -12,7 +12,7 @@ import pytest
 from repro.config import TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerTrainer
 from repro.rbm import BernoulliRBM
-from repro.rbm.metrics import reconstruction_error
+from repro.rbm import reconstruction_error
 
 
 @pytest.fixture(scope="module")

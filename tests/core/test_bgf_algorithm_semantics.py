@@ -88,12 +88,16 @@ class TestHardwareNonlinearity:
             TrainerSpec.bgf(0.05, reference_batch_size=1), 4, 2, rng=0
         )
         assert machine.step_size == 0.05
-        near_rail = np.full((4, 2), 3.8)
-        machine.initialize(near_rail, np.zeros(4), np.zeros(2))
-        steps_near_rail = machine.weight_pump.step_matrix(machine.substrate.weights, positive=True)
+        def increments(start):
+            machine.initialize(start, np.zeros(4), np.zeros(2))
+            weights = machine.substrate.weights
+            before = weights.copy()
+            machine.weight_pump.apply(weights, np.ones(weights.shape), positive=True)
+            return weights - before
 
-        machine.initialize(np.zeros((4, 2)), np.zeros(4), np.zeros(2))
-        steps_mid_range = machine.weight_pump.step_matrix(machine.substrate.weights, positive=True)
+        steps_near_rail = increments(np.full((4, 2), 3.8))
+        steps_mid_range = increments(np.zeros((4, 2)))
+        assert np.all(steps_near_rail > 0)
         assert np.all(steps_near_rail < steps_mid_range)
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.config import NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.rbm import BernoulliRBM, CDTrainer
-from repro.rbm.metrics import reconstruction_error
+from repro.rbm import reconstruction_error
 from repro.utils.validation import ValidationError
 
 
@@ -146,8 +146,8 @@ class TestGibbsSamplerTrainer:
             spec=TrainerSpec.gs(0.1, chains=chains, persistent=persistent), rng=0
         )
         rbm = BernoulliRBM(16, 8, rng=0)
-        before = rbm.parameters()
+        before = rbm.copy()
         with pytest.raises(ValidationError, match="batch must have at least one row"):
             trainer.partial_fit(rbm, np.zeros((0, 16)))
-        for name, value in rbm.parameters().items():
-            np.testing.assert_array_equal(value, before[name])
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            np.testing.assert_array_equal(getattr(rbm, name), getattr(before, name))

@@ -9,7 +9,7 @@ from repro.config import ComputeSpec, NoiseSpec, TrainerSpec
 from repro.core import BGFTrainer, BoltzmannGradientFollower
 from repro.core.gradient_follower import READOUT_BITS, WEIGHT_RANGE
 from repro.rbm import BernoulliRBM, CDTrainer
-from repro.rbm.metrics import reconstruction_error
+from repro.rbm import reconstruction_error
 from repro.utils.validation import ValidationError
 
 

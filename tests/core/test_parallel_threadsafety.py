@@ -8,8 +8,8 @@ concurrency stays single-owner (callers wanting reproducible streams give
 each thread its own substrate, or use the ``workers=`` sharding, whose
 per-shard substreams are the supported in-process parallelism).
 
-Before the lock, ``_effective_pair`` re-read ``self._eff_cache`` after its
-None-check; an ``invalidate_effective_weights`` landing between the check
+Before the lock, the coupling-cache read re-read ``self._eff_cache`` after
+its None-check; an ``invalidate_effective_weights`` landing between the check
 and the unpack made it ``TypeError: cannot unpack non-sequence None``.
 The stress tests here drive exactly that interleaving.
 """

@@ -26,10 +26,8 @@ from repro.utils.numerics import (
     as_sparse_rows,
     is_sparse,
     safe_sparse_dot,
-    sparse_density,
     sparse_mean,
     sparse_mean_squared_error,
-    to_dense,
 )
 from repro.utils.validation import ValidationError, check_data_matrix
 
@@ -69,11 +67,10 @@ def _programmed(substrate, seed=1):
 
 
 class TestSparseHelpers:
-    def test_is_sparse_and_to_dense(self):
+    def test_is_sparse(self):
         dense, csr = _binary_batch()
         assert is_sparse(csr) and not is_sparse(dense)
-        np.testing.assert_array_equal(to_dense(csr), dense)
-        np.testing.assert_array_equal(to_dense(dense), dense)
+        np.testing.assert_array_equal(csr.toarray(), dense)
 
     def test_safe_sparse_dot_matches_dense(self):
         dense, csr = _binary_batch()
@@ -116,10 +113,6 @@ class TestSparseHelpers:
             atol=FLOAT64_ASSOC_ATOL,
         )
 
-    def test_sparse_density(self):
-        _, csr = _binary_batch()
-        assert sparse_density(csr) == pytest.approx(csr.nnz / np.prod(csr.shape))
-
     def test_as_sparse_rows_rejects_dense(self):
         with pytest.raises(ValueError):
             as_sparse_rows(np.zeros((3, 3)))
@@ -143,7 +136,7 @@ class TestSubstrateSparsePaths:
         clamped = substrate.clamp_visible(csr)
         assert is_sparse(clamped)
         np.testing.assert_array_equal(
-            to_dense(clamped), substrate.clamp_visible(dense)
+            clamped.toarray(), substrate.clamp_visible(dense)
         )
 
     def test_clamp_visible_noisy_dtc_matches_dense_bitwise(self):
@@ -152,7 +145,7 @@ class TestSubstrateSparsePaths:
         a = _programmed(_substrate(seed=7, noise=noise))
         b = _programmed(_substrate(seed=7, noise=noise))
         np.testing.assert_array_equal(
-            to_dense(a.clamp_visible(csr)), b.clamp_visible(dense)
+            a.clamp_visible(csr).toarray(), b.clamp_visible(dense)
         )
 
     def test_clamp_visible_sparse_width_check(self):

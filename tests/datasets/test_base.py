@@ -105,15 +105,6 @@ class TestDataset:
         strict = ds.binarized(threshold=0.9)
         assert strict.train_x.mean() < ds.binarized(threshold=0.1).train_x.mean()
 
-    def test_subset(self):
-        ds = _simple_dataset().subset(10, 4)
-        assert ds.n_train == 10
-        assert ds.n_test == 4
-
-    def test_subset_invalid(self):
-        with pytest.raises(ValidationError):
-            _simple_dataset().subset(0)
-
     def test_pooled_shapes(self):
         ds = load_mnist_like(scale=0.02, seed=0)
         pooled = ds.pooled(4)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.datasets import (
+    TABLE1_CONFIGS,
     ImageDatasetSpec,
-    list_benchmarks,
     load_benchmark_dataset,
     load_cifar10_like,
     load_emnist_like,
@@ -232,7 +232,12 @@ GOLDEN_SHA256 = {
     ("smallnorb", "paper"): "b21f1ff1a75cb38324bdfe967f7798f57a2d48fac63b0232c2fe6a66431a29cb",
 }
 
-IMAGE_SCALES = [(name, scale) for scale in ("ci", "paper") for name in list_benchmarks("image")]
+IMAGE_SCALES = [
+    (name, scale)
+    for scale in ("ci", "paper")
+    for name, cfg in TABLE1_CONFIGS.items()
+    if cfg.kind == "image"
+]
 
 
 class TestGeneratorIsExact:

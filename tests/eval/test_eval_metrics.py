@@ -1,33 +1,15 @@
-"""Tests for accuracy, MAE, ROC/AUC, confusion matrix and KL divergence."""
+"""Tests for MAE, ROC/AUC and KL divergence."""
 
 import numpy as np
 import pytest
 
 from repro.eval import (
-    accuracy,
-    confusion_matrix,
     kl_divergence,
     mean_absolute_error,
     roc_auc,
     roc_curve,
 )
 from repro.utils.validation import ValidationError
-
-
-class TestAccuracy:
-    def test_perfect(self):
-        assert accuracy(np.array([1, 2, 3]), np.array([1, 2, 3])) == 1.0
-
-    def test_partial(self):
-        assert accuracy(np.array([1, 2, 3, 4]), np.array([1, 2, 0, 0])) == 0.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            accuracy(np.array([1]), np.array([1, 2]))
-
-    def test_empty(self):
-        with pytest.raises(ValidationError):
-            accuracy(np.array([]), np.array([]))
 
 
 class TestMeanAbsoluteError:
@@ -40,23 +22,6 @@ class TestMeanAbsoluteError:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             mean_absolute_error(np.zeros(3), np.zeros(4))
-
-
-class TestConfusionMatrix:
-    def test_values(self):
-        predictions = np.array([0, 1, 1, 2, 0])
-        labels = np.array([0, 1, 2, 2, 1])
-        matrix = confusion_matrix(predictions, labels, 3)
-        assert matrix[0, 0] == 1
-        assert matrix[1, 1] == 1
-        assert matrix[2, 1] == 1
-        assert matrix[2, 2] == 1
-        assert matrix[1, 0] == 1
-        assert matrix.sum() == 5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            confusion_matrix(np.array([5]), np.array([0]), 3)
 
 
 class TestROC:

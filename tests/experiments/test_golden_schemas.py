@@ -13,14 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import run_experiment
-from repro.config import RunSpec
-from repro.experiments.fig7_logprob import (
-    PAPER_FIGURE7_CONFIG,
-    run_figure7,
-    run_figure7_paper,
-)
-from repro.experiments.table4_accuracy import PAPER_TABLE4_CONFIG, run_table4
+from repro.api import get_experiment, run_experiment
+from repro.config import RunSpec, ValidationError
+from repro.experiments.fig7_logprob import run_figure7
+from repro.experiments.table4_accuracy import run_table4
 
 RUN_SPEC_KEYS = {"experiment", "preset", "seed", "compute", "params"}
 COMPUTE_KEYS = {"dtype", "workers"}
@@ -37,6 +33,18 @@ TABLE4_METADATA_KEYS = {
     "scale", "epochs", "learning_rate", "gs_chains", "dtype", "train_samples",
     "workers", "seed",
 }
+
+
+def _paper_knobs(name):
+    """The knob names the registered paper preset sets, compute included."""
+    preset = get_experiment(name).preset("paper")
+    return set(preset.params) | set(preset.compute.to_dict())
+
+
+def _run_paper_preset_with_an_unknown_knob(name):
+    spec = get_experiment(name).preset("paper").with_overrides(unknown_knob=1)
+    with pytest.raises(ValidationError, match="unknown_knob"):
+        run_experiment(spec)
 
 
 @pytest.fixture(scope="module")
@@ -100,9 +108,8 @@ class TestFigure7Schema:
     def test_paper_preset_resolves_to_known_knobs(self):
         """The paper preset only sets knobs the driver declares (so it can
         never fork the schema), and override forwarding works."""
-        assert set(PAPER_FIGURE7_CONFIG) < FIG7_METADATA_KEYS | {"ais_chains", "ais_betas"}
-        with pytest.raises(TypeError):
-            run_figure7_paper(unknown_knob=1)
+        assert _paper_knobs("figure7") < FIG7_METADATA_KEYS | {"ais_chains", "ais_betas"}
+        _run_paper_preset_with_an_unknown_knob("figure7")
 
 
 class TestTable4Schema:
@@ -138,10 +145,11 @@ class TestTable4Schema:
             assert np.isfinite(row["rbm_gs"])
 
     def test_paper_preset_resolves_to_known_knobs(self):
-        assert set(PAPER_TABLE4_CONFIG) < TABLE4_METADATA_KEYS | {
+        assert _paper_knobs("table4") < TABLE4_METADATA_KEYS | {
             "image_benchmarks", "include_dbn", "include_recommender",
             "include_anomaly",
         }
+        _run_paper_preset_with_an_unknown_knob("table4")
 
 
 class TestRunSpecMetadataSchema:

@@ -15,7 +15,14 @@ bit-identity suites have something independent to compare against:
   step as separate positive and negative phases on public substrate calls
   and the validated ``apply``/``apply_bias`` pumps, and ``run`` as a loop
   of those steps;
-* :func:`ais_sweep` — the per-beta AIS log-weight loop.
+* :func:`ais_sweep` — the per-beta AIS log-weight loop;
+* :func:`perturbed_coupling` — one settle's coupling realization (static
+  variation times fresh dynamic noise) drawn from scratch;
+* :func:`energy`, :func:`exact_log_partition`,
+  :func:`exact_joint_distribution`, :func:`exact_model_moments` and
+  :func:`exact_log_likelihood` — the RBM's joint energy (Eq. 3) and exact
+  quantities by enumeration, the ground truth of the AIS and chain
+  statistics suites (tractable only for small models).
 
 Suites swap the oracle in without touching ``src/``: :func:`use_reference`
 replaces a machine's ``substrate`` attribute (and a BGF machine's ``run``),
@@ -32,12 +39,14 @@ import numpy as np
 
 from repro.core import BoltzmannGradientFollower
 from repro.ising import BipartiteIsingSubstrate
+from repro.rbm.partition import MAX_ENUMERATION_BITS, enumerate_states
 from repro.utils.numerics import (
     as_float_array,
     as_sparse_rows,
     bernoulli_sample,
     is_sparse,
     log1pexp,
+    logsumexp,
     safe_sparse_dot,
     sigmoid,
 )
@@ -80,14 +89,30 @@ def _unit_output(unit, x: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid_reference(gains * x), 0.0, 1.0)
 
 
+def perturbed_coupling(noise_model, weights: np.ndarray) -> np.ndarray:
+    """``weights`` as one evaluation of ``noise_model``'s array realizes
+    them: the static variation gain, then (in a noisy corner) one fresh
+    ``coupling_noise`` draw applied multiplicatively."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != noise_model.coupling_shape:
+        raise ValidationError(
+            f"weights shape {weights.shape} does not match coupling shape "
+            f"{noise_model.coupling_shape}"
+        )
+    effective = weights * noise_model.coupling_gain
+    if noise_model.spec.noise_rms == 0.0:
+        return effective
+    return effective * (1.0 + noise_model.coupling_noise())
+
+
 class ReferenceSubstrate(BipartiteIsingSubstrate):
     """The substrate with every settle recomputed from scratch.
 
     Construct it like the substrate (``spec=``, ``rng=``), or wrap an
     existing one with :meth:`adopt`.  Programming, clamping and the
-    circuits' streams are the substrate's own; only the conditional
-    samplers, the field/probability methods and ``settle_batch`` are
-    replaced.
+    circuits' streams are the substrate's own; the conditional samplers
+    of both layers, the field/probability methods and ``settle_batch``
+    are the oracle's.
     """
 
     @classmethod
@@ -102,7 +127,7 @@ class ReferenceSubstrate(BipartiteIsingSubstrate):
     def _coupling(self) -> np.ndarray:
         """This settle's coupling realization: static variation times fresh
         dynamic noise, drawn per call."""
-        return self.noise_model.perturbed_coupling(self.weights)
+        return perturbed_coupling(self.noise_model, self.weights)
 
     def hidden_field(self, visible: np.ndarray) -> np.ndarray:
         if is_sparse(visible):
@@ -244,3 +269,73 @@ def ais_sweep(
         v_field = beta * (h @ weights.T + visible_bias) + (1.0 - beta) * base_bias
         v = bernoulli_sample(sigmoid(v_field), rng)
     return log_w
+
+
+def energy(rbm, v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Joint energy ``E(v, h) = -v'Wh - b_v.v - b_h.h`` (Eq. 3), batched."""
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    interaction = np.einsum("bi,ij,bj->b", v, rbm.weights, h)
+    return -(interaction + v @ rbm.visible_bias + h @ rbm.hidden_bias)
+
+
+def _hidden_free_energy(rbm, h: np.ndarray) -> np.ndarray:
+    """Free energy of hidden configurations: -log sum_v exp(-E(v, h))."""
+    h = np.atleast_2d(h)
+    visible_input = h @ rbm.weights.T + rbm.visible_bias
+    return -(h @ rbm.hidden_bias) - np.sum(log1pexp(visible_input), axis=1)
+
+
+def exact_log_partition(rbm) -> float:
+    """Exact ``log Z``, enumerating the smaller layer (the other layer's sum
+    is analytic)."""
+    if min(rbm.n_visible, rbm.n_hidden) > MAX_ENUMERATION_BITS:
+        raise ValidationError(
+            "exact_log_partition requires one layer with at most "
+            f"{MAX_ENUMERATION_BITS} units; RBM is {rbm.n_visible}x{rbm.n_hidden}"
+        )
+    if rbm.n_visible <= rbm.n_hidden:
+        states = enumerate_states(rbm.n_visible)
+        return float(logsumexp(-rbm.free_energy(states)))
+    states = enumerate_states(rbm.n_hidden)
+    return float(logsumexp(-_hidden_free_energy(rbm, states)))
+
+
+def exact_joint_distribution(rbm) -> np.ndarray:
+    """Exact joint ``P(v, h)``, shaped ``(2**n_visible, 2**n_hidden)``."""
+    if rbm.n_visible + rbm.n_hidden > MAX_ENUMERATION_BITS:
+        raise ValidationError(
+            "joint enumeration needs n_visible + n_hidden <= "
+            f"{MAX_ENUMERATION_BITS}; RBM is {rbm.n_visible}x{rbm.n_hidden}"
+        )
+    v_states = enumerate_states(rbm.n_visible)
+    h_states = enumerate_states(rbm.n_hidden)
+    log_unnorm = (
+        v_states @ rbm.weights @ h_states.T
+        + (v_states @ rbm.visible_bias)[:, None]
+        + (h_states @ rbm.hidden_bias)[None, :]
+    )
+    return np.exp(log_unnorm - logsumexp(log_unnorm.reshape(-1)))
+
+
+def exact_model_moments(rbm):
+    """Exact first moments ``(E[v], E[h], E[v h^T])`` under the model: what
+    a correct sampler's long-run chain averages converge to, whatever the
+    chain layout."""
+    joint = exact_joint_distribution(rbm)
+    v_states = enumerate_states(rbm.n_visible)
+    h_states = enumerate_states(rbm.n_hidden)
+    mean_v = joint.sum(axis=1) @ v_states
+    mean_h = joint.sum(axis=0) @ h_states
+    corr_vh = v_states.T @ joint @ h_states
+    return mean_v, mean_h, corr_vh
+
+
+def exact_log_likelihood(rbm, data: np.ndarray) -> float:
+    """Exact average log likelihood of ``data`` rows under ``rbm``."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.shape[1] != rbm.n_visible:
+        raise ValidationError(
+            f"data has {data.shape[1]} features; RBM has {rbm.n_visible} visible units"
+        )
+    return float(np.mean(-rbm.free_energy(data) - exact_log_partition(rbm)))

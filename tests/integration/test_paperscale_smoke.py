@@ -12,14 +12,19 @@ Excluded from the default pytest selection by the ``paperscale`` marker
 import numpy as np
 import pytest
 
+from repro.api import get_experiment, run_experiment
 from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerTrainer
-from repro.experiments.fig7_logprob import run_figure7_paper, trajectories
-from repro.experiments.table4_accuracy import run_table4_paper
+from repro.experiments.fig7_logprob import trajectories
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
 
 pytestmark = pytest.mark.paperscale
+
+
+def _run_paper_preset(name, **overrides):
+    """The registered paper preset, cut by ``overrides``, through the API."""
+    return run_experiment(get_experiment(name).preset("paper").with_overrides(**overrides))
 
 class TestPaperScaleKernels:
     """Direct 784x500 float32 substrate + AIS execution (no dataset loop)."""
@@ -82,7 +87,8 @@ class TestPaperPresetSmoke:
     """The wired presets execute end to end with downsized budgets."""
 
     def test_figure7_paper_preset(self):
-        result = run_figure7_paper(
+        result = _run_paper_preset(
+            "figure7",
             datasets=("kmnist",),  # the 784x500 Table-1 shape
             epochs=2,
             methods=(),
@@ -101,7 +107,8 @@ class TestPaperPresetSmoke:
         assert all(np.isfinite(v) for v in series["gs-pcd16"])
 
     def test_table4_paper_preset(self):
-        result = run_table4_paper(
+        result = _run_paper_preset(
+            "table4",
             image_benchmarks=("mnist",),  # Table-1 784x200
             epochs=2,
             train_samples=192,

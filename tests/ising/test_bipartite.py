@@ -22,6 +22,11 @@ def programmed_substrate():
     return substrate, rbm
 
 
+def _hidden_probability(substrate, visible):
+    """The hidden sigmoid units' outputs for one evaluation of the field."""
+    return substrate.hidden_sigmoid(substrate.hidden_field(visible))
+
+
 class TestConstruction:
     def test_invalid_dimensions(self):
         with pytest.raises(ValidationError):
@@ -102,8 +107,8 @@ class TestClamping:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_non_finite_clamp_rejected(self, layout, bad, input_bits):
-        """NaN/inf used to latch as silent all-zero hidden samples (and
-        reconstruct to NaN); every clamping entry point now refuses them."""
+        """NaN/inf used to latch as silent all-zero hidden samples; every
+        clamping entry point now refuses them."""
         from scipy import sparse
 
         substrate = BipartiteIsingSubstrate(
@@ -114,11 +119,7 @@ class TestClamping:
         values[1, 3] = bad
         if layout == "csr":
             values = sparse.csr_matrix(values)
-        for entry in (
-            substrate.clamp_visible,
-            substrate.sample_hidden_given_visible,
-            substrate.reconstruct,
-        ):
+        for entry in (substrate.clamp_visible, substrate.sample_hidden_given_visible):
             with pytest.raises(ValidationError, match="non-finite"):
                 entry(values)
 
@@ -126,23 +127,27 @@ class TestClamping:
 class TestConditionalSampling:
     def test_ideal_substrate_matches_rbm_probabilities(self, programmed_substrate):
         """With no noise and unit sigmoid gain the substrate's conditional
-        probabilities equal the software RBM's (Eq. 4/5)."""
+        hidden probabilities equal the software RBM's (Eq. 4)."""
         substrate, rbm = programmed_substrate
         v = (np.random.default_rng(3).random((5, 12)) < 0.5).astype(float)
         np.testing.assert_allclose(
-            substrate.hidden_probability(v), rbm.hidden_activation_probability(v), atol=1e-9
+            _hidden_probability(substrate, v), rbm.hidden_activation_probability(v), atol=1e-9
         )
-        h = (np.random.default_rng(4).random((5, 6)) < 0.5).astype(float)
-        np.testing.assert_allclose(
-            substrate.visible_probability(h), rbm.visible_activation_probability(h), atol=1e-9
-        )
+
+    def test_visible_latch_statistics_match_probabilities(self, programmed_substrate):
+        """A one-step settle latches the visibles from P(v | h) (Eq. 5)."""
+        substrate, rbm = programmed_substrate
+        h = np.tile((np.random.default_rng(4).random(6) < 0.5).astype(float), (3000, 1))
+        visible, _ = substrate.settle_batch(h, 1)
+        expected = rbm.visible_activation_probability(h[:1])[0]
+        np.testing.assert_allclose(visible.mean(axis=0), expected, atol=0.05)
 
     def test_samples_are_binary(self, programmed_substrate):
         substrate, _ = programmed_substrate
         v = (np.random.default_rng(5).random((10, 12)) < 0.5).astype(float)
         h = substrate.sample_hidden_given_visible(v)
         assert set(np.unique(h)).issubset({0.0, 1.0})
-        v2 = substrate.sample_visible_given_hidden(h)
+        v2, _ = substrate.settle_batch(h, 1)
         assert set(np.unique(v2)).issubset({0.0, 1.0})
 
     def test_sample_statistics_match_probabilities(self, programmed_substrate):
@@ -156,7 +161,7 @@ class TestConditionalSampling:
     def test_hidden_init_must_be_binary(self, programmed_substrate):
         substrate, _ = programmed_substrate
         with pytest.raises(ValidationError):
-            substrate.sample_visible_given_hidden(np.full((1, 6), 0.5))
+            substrate.settle_batch(np.full((1, 6), 0.5), 1)
 
     def test_gibbs_chain_shapes(self, programmed_substrate):
         substrate, _ = programmed_substrate
@@ -170,12 +175,12 @@ class TestConditionalSampling:
         with pytest.raises(ValidationError):
             substrate.gibbs_chain(np.zeros((1, 6)), 0)
 
-    def test_reconstruct_range(self, programmed_substrate):
-        substrate, _ = programmed_substrate
-        v = (np.random.default_rng(8).random((5, 12)) < 0.5).astype(float)
-        recon = substrate.reconstruct(v)
-        assert recon.shape == (5, 12)
-        assert recon.min() >= 0.0 and recon.max() <= 1.0
+    def test_hidden_field_accepts_one_row(self, programmed_substrate):
+        substrate, rbm = programmed_substrate
+        v = (np.random.default_rng(8).random(12) < 0.5).astype(float)
+        field = substrate.hidden_field(v)
+        assert field.shape == (1, 6)
+        np.testing.assert_allclose(field[0], v @ rbm.weights + rbm.hidden_bias, atol=1e-12)
 
 
 class TestNoiseInjection:
@@ -192,7 +197,7 @@ class TestNoiseInjection:
         for sub in (ideal, noisy):
             sub.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         v = (np.random.default_rng(4).random((5, 10)) < 0.5).astype(float)
-        assert not np.allclose(ideal.hidden_probability(v), noisy.hidden_probability(v))
+        assert not np.allclose(_hidden_probability(ideal, v), _hidden_probability(noisy, v))
 
     def test_dynamic_noise_varies_between_calls(self):
         rbm = BernoulliRBM(10, 5, rng=0)
@@ -201,15 +206,15 @@ class TestNoiseInjection:
         )
         substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         v = np.ones((2, 10))
-        a = substrate.hidden_probability(v)
-        b = substrate.hidden_probability(v)
+        a = _hidden_probability(substrate, v)
+        b = _hidden_probability(substrate, v)
         assert not np.allclose(a, b)
 
     def test_ideal_substrate_is_deterministic_in_probabilities(self, programmed_substrate):
         substrate, _ = programmed_substrate
         v = np.ones((2, 12))
         np.testing.assert_array_equal(
-            substrate.hidden_probability(v), substrate.hidden_probability(v)
+            _hidden_probability(substrate, v), _hidden_probability(substrate, v)
         )
 
     def test_moderate_noise_preserves_probability_ordering(self):
@@ -224,6 +229,6 @@ class TestNoiseInjection:
         noisy.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
         v = (np.random.default_rng(6).random((200, 12)) < 0.5).astype(float)
         ideal_p = rbm.hidden_activation_probability(v).ravel()
-        noisy_p = noisy.hidden_probability(v).ravel()
+        noisy_p = _hidden_probability(noisy, v).ravel()
         correlation = np.corrcoef(ideal_p, noisy_p)[0, 1]
         assert correlation > 0.9

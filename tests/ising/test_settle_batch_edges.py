@@ -91,11 +91,10 @@ class TestDtypeRoundTrip:
     def test_float32_tier_keeps_cache_and_fields_in_tier(self):
         substrate = _substrate(dtype="float32")
         v, h = substrate.settle_batch(_hidden(3, (4, 7)), 2)
-        effective, effective_t = substrate._effective_pair()
+        effective, effective_t = substrate._static_pair()
         assert effective.dtype == np.float32
         assert effective_t.dtype == np.float32
         assert substrate.hidden_field(v).dtype == np.float32
-        assert substrate.visible_field(h).dtype == np.float32
 
     def test_float32_values_are_exact_binaries(self):
         v, h = _substrate(dtype="float32").settle_batch(_hidden(3, (8, 7)), 3)

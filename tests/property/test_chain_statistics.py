@@ -30,11 +30,11 @@ import numpy as np
 import pytest
 
 from helpers import MOMENT_ATOL, assert_visible_kl_below
+from helpers.reference import exact_model_moments
 from repro.config import SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM
-from repro.rbm.partition import exact_model_moments
 
 N_VISIBLE, N_HIDDEN = 6, 4
 BURN_IN = 300

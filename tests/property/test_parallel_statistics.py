@@ -34,11 +34,10 @@ from helpers import (
     assert_visible_kl_below,
     chain_moments,
 )
-from helpers.reference import ais_sweep
+from helpers.reference import ais_sweep, exact_log_partition, exact_model_moments
 from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
-from repro.rbm.partition import exact_log_partition, exact_model_moments
 
 WORKER_COUNTS = [2, 4]
 

@@ -36,11 +36,11 @@ from helpers import (
     assert_visible_kl_below,
     chain_moments,
 )
+from helpers.reference import exact_log_partition, exact_model_moments
 from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM
-from repro.rbm.partition import exact_log_partition, exact_model_moments
 from repro.utils.numerics import fused_sigmoid_bernoulli, sigmoid
 
 N_VISIBLE, N_HIDDEN = 6, 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import FLOAT64_ASSOC_ATOL
-from helpers.reference import ais_sweep
+from helpers.reference import ais_sweep, exact_log_likelihood, exact_log_partition
 from repro.config import EstimatorSpec, TrainerSpec
 from repro.rbm import (
     AISEstimator,
@@ -12,8 +12,6 @@ from repro.rbm import (
     CDTrainer,
     average_log_probability,
     estimate_log_partition,
-    exact_log_likelihood,
-    exact_log_partition,
 )
 from repro.utils.numerics import log1pexp, log1pexp_diff
 from repro.utils.validation import ValidationError

@@ -1,16 +1,19 @@
-"""Tests for exact partition functions, enumeration and maximum-likelihood training."""
+"""Tests for enumeration, exact distributions and maximum-likelihood training.
+
+The exact partition function, joint distribution and log likelihood are
+test oracles (``helpers.reference``); they are pinned here against
+closed forms before the AIS and chain-statistics suites lean on them.
+"""
 
 import numpy as np
 import pytest
 
-from repro.rbm import (
-    BernoulliRBM,
-    MaximumLikelihoodTrainer,
+from helpers.reference import (
     exact_joint_distribution,
     exact_log_likelihood,
     exact_log_partition,
-    exact_visible_distribution,
 )
+from repro.rbm import BernoulliRBM, MaximumLikelihoodTrainer, exact_visible_distribution
 from repro.rbm.partition import (
     MAX_ENUMERATION_BITS,
     empirical_visible_distribution,

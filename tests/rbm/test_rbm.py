@@ -1,8 +1,12 @@
-"""Tests for the BernoulliRBM model (energies, conditionals, sampling)."""
+"""Tests for the BernoulliRBM model (energies, conditionals, sampling).
+
+The joint energy ``E(v, h)`` is the test oracle ``helpers.reference.energy``;
+``TestEnergy`` pins it to Eq. 3 and the model's free energy to it."""
 
 import numpy as np
 import pytest
 
+from helpers.reference import energy
 from repro.rbm import BernoulliRBM
 from repro.utils.numerics import sigmoid
 from repro.utils.validation import ValidationError
@@ -80,10 +84,11 @@ class TestParameters:
         with pytest.raises(ValidationError):
             small_rbm.set_parameters(np.zeros((8, 16)), np.zeros(16), np.zeros(8))
 
-    def test_parameters_returns_copies(self, small_rbm):
-        params = small_rbm.parameters()
-        params["weights"][0, 0] += 10
-        assert small_rbm.weights[0, 0] != params["weights"][0, 0]
+    def test_set_parameters_rejects_non_finite(self, small_rbm):
+        w = np.zeros((16, 8))
+        w[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="weights"):
+            small_rbm.set_parameters(w, np.zeros(16), np.zeros(8))
 
     def test_init_visible_bias_from_data(self, small_rbm):
         data = np.zeros((50, 16))
@@ -103,22 +108,22 @@ class TestEnergy:
         v = (rng.random(6) < 0.5).astype(float)
         h = (rng.random(3) < 0.5).astype(float)
         expected = -(v @ tiny_rbm.weights @ h + v @ tiny_rbm.visible_bias + h @ tiny_rbm.hidden_bias)
-        assert tiny_rbm.energy(v, h)[0] == pytest.approx(expected)
+        assert energy(tiny_rbm, v, h)[0] == pytest.approx(expected)
 
     def test_energy_batched(self, tiny_rbm):
         rng = np.random.default_rng(1)
         v = (rng.random((4, 6)) < 0.5).astype(float)
         h = (rng.random((4, 3)) < 0.5).astype(float)
-        energies = tiny_rbm.energy(v, h)
+        energies = energy(tiny_rbm, v, h)
         assert energies.shape == (4,)
         for i in range(4):
-            assert energies[i] == pytest.approx(tiny_rbm.energy(v[i], h[i])[0])
+            assert energies[i] == pytest.approx(energy(tiny_rbm, v[i], h[i])[0])
 
     def test_free_energy_consistent_with_joint(self, tiny_rbm):
         """F(v) must equal -log sum_h exp(-E(v, h)) by direct enumeration."""
         v = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
         h_states = np.array([[(i >> j) & 1 for j in range(3)] for i in range(8)], dtype=float)
-        energies = np.array([tiny_rbm.energy(v, h)[0] for h in h_states])
+        energies = np.array([energy(tiny_rbm, v, h)[0] for h in h_states])
         expected = -np.log(np.sum(np.exp(-energies)))
         assert tiny_rbm.free_energy(v)[0] == pytest.approx(expected)
 
@@ -180,18 +185,26 @@ class TestSampling:
         assert v1.shape == (5, 16)
         assert h.shape == (5, 8)
 
-    def test_gibbs_chain_zero_steps(self, small_rbm):
+    def test_gibbs_step_is_hidden_then_visible_on_one_stream(self, small_rbm):
+        """One step draws h ~ P(h | v), then v' ~ P(v | h), in that order
+        from the one generator."""
         v0 = (np.random.default_rng(3).random((3, 16)) < 0.5).astype(float)
-        v, h = small_rbm.gibbs_chain(v0, 0, rng=0)
-        np.testing.assert_array_equal(v, v0)
+        v1, h = small_rbm.gibbs_step(v0, rng=0)
+        gen = np.random.default_rng(0)
+        h_ref = small_rbm.sample_hidden(v0, gen)
+        np.testing.assert_array_equal(h, h_ref)
+        np.testing.assert_array_equal(v1, small_rbm.sample_visible(h_ref, gen))
 
-    def test_gibbs_chain_negative_steps_rejected(self, small_rbm):
-        with pytest.raises(ValidationError):
-            small_rbm.gibbs_chain(np.zeros((1, 16)), -1)
+    def test_gibbs_step_seeded_reproducible(self, small_rbm):
+        v0 = (np.random.default_rng(5).random((3, 16)) < 0.5).astype(float)
+        first = small_rbm.gibbs_step(v0, rng=7)
+        second = small_rbm.gibbs_step(v0, rng=7)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
-    def test_gibbs_chain_output_binary(self, small_rbm):
+    def test_gibbs_step_output_binary(self, small_rbm):
         v0 = (np.random.default_rng(4).random((3, 16)) < 0.5).astype(float)
-        v, h = small_rbm.gibbs_chain(v0, 5, rng=0)
+        v, h = small_rbm.gibbs_step(v0, rng=0)
         assert set(np.unique(v)).issubset({0.0, 1.0})
         assert set(np.unique(h)).issubset({0.0, 1.0})
 

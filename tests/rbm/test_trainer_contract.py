@@ -62,11 +62,11 @@ class TestEntryCheck:
     )
     def test_bad_data_raises_before_any_change(self, kind, fmt, cut, match):
         rbm = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-        before = rbm.parameters()
+        before = rbm.copy()
         with pytest.raises(ValidationError, match=match):
             _trainer(kind).train(rbm, _data(fmt)[cut], epochs=1)
-        for name, value in rbm.parameters().items():
-            np.testing.assert_array_equal(value, before[name])
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            np.testing.assert_array_equal(getattr(rbm, name), getattr(before, name))
 
     @pytest.mark.parametrize(
         "epochs, match",
@@ -133,5 +133,5 @@ def test_ml_epochs_are_exact_full_batch_steps():
         by_hand.weights += 0.1 * (data_vh - model_vh)
         by_hand.visible_bias += 0.1 * (data_v - model_v)
         by_hand.hidden_bias += 0.1 * (data_h - model_h)
-    for name, value in rbm.parameters().items():
-        np.testing.assert_array_equal(value, by_hand.parameters()[name])
+    for name in ("weights", "visible_bias", "hidden_bias"):
+        np.testing.assert_array_equal(getattr(rbm, name), getattr(by_hand, name))

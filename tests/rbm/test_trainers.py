@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import TrainerSpec
 from repro.rbm import BernoulliRBM, CDTrainer
-from repro.rbm.metrics import reconstruction_error
+from repro.rbm import reconstruction_error
 from repro.utils.validation import ValidationError
 
 

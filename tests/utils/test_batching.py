@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.utils.batching import minibatches, shuffle_arrays, train_test_split
+from repro.utils.batching import minibatches
 
 
 class TestMinibatches:
@@ -120,86 +120,3 @@ class TestMinibatchPartition:
         assert len(sparse_batches) == len(dense_batches)
         for sb, db in zip(sparse_batches, dense_batches):
             np.testing.assert_array_equal(sb.toarray(), db)
-
-
-class TestShuffleArrays:
-    def test_same_permutation_applied(self):
-        x = np.arange(20).reshape(20, 1)
-        y = np.arange(20)
-        sx, sy = shuffle_arrays(x, y, rng=0)
-        np.testing.assert_array_equal(sx.ravel(), sy)
-
-    def test_content_preserved(self):
-        x = np.arange(15)
-        (sx,) = shuffle_arrays(x, rng=1)
-        np.testing.assert_array_equal(np.sort(sx), x)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            shuffle_arrays(np.zeros(3), np.zeros(4))
-
-    def test_empty_call_rejected(self):
-        with pytest.raises(ValueError):
-            shuffle_arrays()
-
-    def test_fixed_seed_is_deterministic(self):
-        x = np.arange(25)
-        (a,) = shuffle_arrays(x, rng=7)
-        (b,) = shuffle_arrays(x, rng=7)
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_seeds_differ(self):
-        x = np.arange(50)
-        (a,) = shuffle_arrays(x, rng=0)
-        (b,) = shuffle_arrays(x, rng=1)
-        assert not np.array_equal(a, b)
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        data = np.arange(100).reshape(100, 1)
-        train, test = train_test_split(data, test_fraction=0.25, rng=0)
-        assert train.shape[0] == 75
-        assert test.shape[0] == 25
-
-    def test_partition_is_disjoint_and_complete(self):
-        data = np.arange(40).reshape(40, 1)
-        train, test = train_test_split(data, test_fraction=0.2, rng=1)
-        combined = np.sort(np.concatenate([train, test]).ravel())
-        np.testing.assert_array_equal(combined, np.arange(40))
-
-    def test_with_labels(self):
-        data = np.arange(30).reshape(30, 1)
-        labels = np.arange(30)
-        train_x, test_x, train_y, test_y = train_test_split(data, labels, test_fraction=0.3, rng=2)
-        np.testing.assert_array_equal(train_x.ravel(), train_y)
-        np.testing.assert_array_equal(test_x.ravel(), test_y)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((10, 1)), test_fraction=1.5)
-
-    def test_seeded(self):
-        data = np.arange(20).reshape(20, 1)
-        a_train, _ = train_test_split(data, test_fraction=0.2, rng=5)
-        b_train, _ = train_test_split(data, test_fraction=0.2, rng=5)
-        np.testing.assert_array_equal(a_train, b_train)
-
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
-    def test_fraction_outside_open_interval_rejected(self, fraction):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((10, 1)), test_fraction=fraction)
-
-    def test_tiny_fraction_still_yields_one_test_row(self):
-        data = np.arange(50).reshape(50, 1)
-        train, test = train_test_split(data, test_fraction=0.001, rng=0)
-        assert test.shape[0] == 1
-        assert train.shape[0] == 49
-
-    def test_fraction_that_leaves_no_training_rows_rejected(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((2, 1)), test_fraction=0.9)
-
-    def test_misaligned_labels_rejected(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((10, 1)), np.zeros(9), test_fraction=0.2)
