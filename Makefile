@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sparse lint run-ci serve-smoke examples-smoke bench bench-compare bench-compare-ci artifacts
+.PHONY: test test-sparse lint run-ci serve-smoke examples-smoke bench bench-compare bench-compare-ci row-hashes artifacts
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -100,6 +100,15 @@ bench-compare:
 bench-compare-ci:
 	$(PYTHON) benchmarks/bench_kernels.py --output /tmp/BENCH_kernels.new.json
 	$(PYTHON) benchmarks/compare_bench.py --metric speedup --threshold 0.5 benchmarks/BENCH_kernels.json /tmp/BENCH_kernels.new.json
+
+## Bit-identity gate: print the sha256 of every ci and sparse preset's rows
+## at seeds 0, 1 and 9001 as JSON (~5 min on a 2-core host).  A change that
+## claims to keep every seeded number prints the same output as its parent
+## commit.
+## One BLAS thread, because the float32 tiers differ in the last bits
+## across BLAS thread counts.
+row-hashes:
+	OPENBLAS_NUM_THREADS=1 $(PYTHON) benchmarks/row_hashes.py
 
 ## Regenerate every paper artifact (slow; prints the tables/figures).
 ## benchmarks/ is outside the default testpaths; the tier1-tests CI job

@@ -27,12 +27,14 @@ from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import (
     ValidationError,
     check_binary,
-    check_bool,
-    check_in_range,
     check_int,
     check_positive,
     check_range,
 )
+
+# Fraction of the weight range over which a weight's step rolls off to zero
+# before either rail: the charge-redistribution non-linearity ``f_ij``.
+SATURATION_MARGIN = 0.25
 
 
 class _Scratch(NamedTuple):
@@ -63,18 +65,12 @@ class ChargePumpUpdater:
         equivalent of the learning rate at minibatch size 1).
     weight_range:
         ``(w_min, w_max)`` representable by the gate voltage.  Updates
-        saturate smoothly toward these rails.
-    saturation:
-        If True (default), apply the charge-redistribution non-linearity
-        ``f_ij``: the step is constant over most of the range (the circuit
-        is designed so the transferred charge packet is nearly independent
-        of the stored voltage) and rolls off linearly to zero within the
-        last ``saturation_margin`` fraction of headroom before either rail.
-        If False the step is constant until hard clipping (an idealized
-        pump).
-    saturation_margin:
-        Fraction of the weight range over which the roll-off happens (only
-        meaningful when ``saturation`` is True).
+        saturate smoothly toward these rails through the charge-redistribution
+        non-linearity ``f_ij``: the step is constant over most of the range
+        (the circuit is designed so the transferred charge packet is nearly
+        independent of the stored voltage) and rolls off linearly to zero
+        within the last :data:`SATURATION_MARGIN` fraction of headroom before
+        either rail.
     variation_rms:
         RMS fractional mismatch of the per-unit step size (static, drawn
         once at construction).
@@ -88,8 +84,6 @@ class ChargePumpUpdater:
         step_size: float = 1e-3,
         *,
         weight_range: Tuple[float, float] = (-1.0, 1.0),
-        saturation: bool = True,
-        saturation_margin: float = 0.25,
         variation_rms: float = 0.0,
         noise_rms: float = 0.0,
         rng: SeedLike = None,
@@ -99,10 +93,6 @@ class ChargePumpUpdater:
         self.shape = (check_int(shape[0], "shape", 1), check_int(shape[1], "shape", 1))
         self.step_size = check_positive(step_size, name="step_size")
         self.weight_range = check_range(weight_range, name="weight_range")
-        self.saturation = check_bool(saturation, "saturation")
-        self.saturation_margin = check_in_range(
-            saturation_margin, 0.0, 1.0, name="saturation_margin", inclusive=(False, True)
-        )
         self.variation_rms = check_positive(variation_rms, name="variation_rms", strict=False)
         self.noise_rms = check_positive(noise_rms, name="noise_rms", strict=False)
         self._rng = as_rng(rng)
@@ -132,7 +122,7 @@ class ChargePumpUpdater:
             steps = np.empty(values.shape, dtype=np.float64)
             headroom = steps if values.dtype == np.float64 else np.empty_like(values)
             lo, hi = self.weight_range
-            constants = (lo, hi, hi - lo, self.saturation_margin, self.step_size, 0.0, 1.0)
+            constants = (lo, hi, hi - lo, SATURATION_MARGIN, self.step_size, 0.0, 1.0)
             scratch = _Scratch(
                 headroom, steps, *(np.array(c, dtype=values.dtype) for c in constants)
             )
@@ -143,25 +133,22 @@ class ChargePumpUpdater:
         """Noise-free steps ``base * f(values)``, written into ``scratch.steps``.
 
         ``f`` in [0, 1] is the charge-redistribution factor: full-strength
-        transfer while more than ``saturation_margin`` of the range remains
-        toward the target rail, linear roll-off to zero at the rail itself
-        (1 without ``saturation``).  Weights scale the per-unit mismatched
+        transfer while more than :data:`SATURATION_MARGIN` of the range
+        remains toward the target rail, linear roll-off to zero at the rail
+        itself.  Weights scale the per-unit mismatched
         float64 base steps; a bias (the clamp column) scales the nominal
         ``step_size`` in its own dtype and rolls off over the whole range.
         """
         headroom = scratch.headroom
-        if self.saturation:
-            if positive:
-                np.subtract(scratch.hi, values, out=headroom)
-            else:
-                np.subtract(values, scratch.lo, out=headroom)
-            np.divide(headroom, scratch.span, out=headroom)
-            if not bias:
-                np.divide(headroom, scratch.margin, out=headroom)
-            np.maximum(headroom, scratch.zero, out=headroom)
-            np.minimum(headroom, scratch.one, out=headroom)
+        if positive:
+            np.subtract(scratch.hi, values, out=headroom)
         else:
-            headroom.fill(1.0)
+            np.subtract(values, scratch.lo, out=headroom)
+        np.divide(headroom, scratch.span, out=headroom)
+        if not bias:
+            np.divide(headroom, scratch.margin, out=headroom)
+        np.maximum(headroom, scratch.zero, out=headroom)
+        np.minimum(headroom, scratch.one, out=headroom)
         base = scratch.step_size if bias else self._base_steps
         return np.multiply(base, headroom, out=scratch.steps)
 

@@ -58,26 +58,23 @@ def quantize_uniform(
 
 
 def quantize_symmetric(
-    values: np.ndarray, *, axis: Optional[int] = None, n_bits: int = 8
+    values: np.ndarray, *, axis: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Symmetrically quantize ``values`` to signed ``n_bits`` codes + scales.
+    """Symmetrically quantize ``values`` to signed 8-bit codes + scales.
 
     The signed-weight analogue of :func:`quantize_uniform`: each slice is
-    mapped onto the symmetric code range ``[-(2^(n_bits-1)-1),
-    +(2^(n_bits-1)-1)]`` (``[-127, 127]`` for 8 bits — the all-negative code
-    is unused, so zero sits exactly on code 0) with ``scale =
+    mapped onto the symmetric code range ``[-127, 127]`` (the all-negative
+    code is unused, so zero sits exactly on code 0) with ``scale =
     max|slice| / 127``.  ``axis=None`` uses one per-tensor scale;
     ``axis=0`` on a 2-D matrix uses one scale per column — the per-DTC
     full-scale trim of a coupling-array column.  An all-zero slice gets a
     placeholder scale of 1.0, so zeros reconstruct exactly.
 
-    Returns ``(codes, scales)``: ``codes`` is ``int8`` (``int16`` above 8
-    bits) with ``values.shape``; ``scales`` is ``float32``, scalar for
+    Returns ``(codes, scales)``: ``codes`` is ``int8`` with
+    ``values.shape``; ``scales`` is ``float32``, scalar for
     ``axis=None`` or ``(n_columns,)`` for ``axis=0`` — in both layouts it
     broadcasts directly against ``codes`` for dequantization.
     """
-    if n_bits < 2 or n_bits > 16:
-        raise ValidationError(f"n_bits must be in [2, 16], got {n_bits}")
     values = np.asarray(values, dtype=np.float64)
     if axis not in (None, 0):
         raise ValidationError(f"axis must be None or 0, got {axis!r}")
@@ -87,17 +84,16 @@ def quantize_symmetric(
         )
     if not np.all(np.isfinite(values)):
         raise ValidationError("cannot quantize non-finite values")
-    q_max = (1 << (n_bits - 1)) - 1
+    q_max = 127
     amax = np.max(np.abs(values), axis=axis) if values.size else np.zeros((), dtype=np.float64)
     scales = np.where(amax > 0.0, amax / q_max, 1.0)
     # Compute the scales in float64 but *divide by the stored float32 value*:
     # dequantization multiplies by the float32 scale, so rounding against the
     # same representable number keeps |value - code*scale| <= scale/2 exactly.
     scales = np.asarray(scales, dtype=np.float32)
-    code_dtype = np.int8 if n_bits <= 8 else np.int16
     codes = np.clip(
         np.round(values / scales.astype(np.float64)), -q_max, q_max
-    ).astype(code_dtype)
+    ).astype(np.int8)
     return codes, scales
 
 
@@ -126,11 +122,6 @@ class DigitalToTimeConverter:
         self.n_bits = check_int(n_bits, "n_bits", 1)
         self.value_range = check_range(value_range, name="value_range")
 
-    @property
-    def lsb(self) -> float:
-        lo, hi = self.value_range
-        return (hi - lo) / ((1 << self.n_bits) - 1)
-
     def convert(self, values: np.ndarray) -> np.ndarray:
         """Quantize digital input values to the analog levels the clamp drives."""
         return quantize_uniform(values, self.n_bits, self.value_range)
@@ -149,11 +140,6 @@ class AnalogToDigitalConverter:
     def __init__(self, n_bits: int = 8, *, value_range: Tuple[float, float] = (-1.0, 1.0)):
         self.n_bits = check_int(n_bits, "n_bits", 1)
         self.value_range = check_range(value_range, name="value_range")
-
-    @property
-    def lsb(self) -> float:
-        lo, hi = self.value_range
-        return (hi - lo) / ((1 << self.n_bits) - 1)
 
     def read(self, values: np.ndarray) -> np.ndarray:
         """Digitize analog values."""

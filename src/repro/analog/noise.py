@@ -17,7 +17,7 @@ Boltzmann-gradient-follower machines.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,13 +35,6 @@ FIGURE8_NOISE_CONFIGS: Tuple[NoiseSpec, ...] = (
     NoiseSpec(0.2, 0.2),
     NoiseSpec(0.3, 0.3),
 )
-
-
-def full_noise_sweep(
-    rms_values: Sequence[float] = (0.03, 0.05, 0.1, 0.2, 0.3),
-) -> list[NoiseSpec]:
-    """The paper's full 25-combination sweep (5 variation x 5 noise RMS values)."""
-    return [NoiseSpec(v, n) for v in rms_values for n in rms_values]
 
 
 class NoiseModel:

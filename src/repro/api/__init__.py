@@ -1,7 +1,7 @@
 """Builder facade and experiment registry over the typed spec layer.
 
-``repro.api`` is the front door of the library: construct substrates,
-trainers and estimators from :mod:`repro.config` specs, and run any
+``repro.api`` is the front door of the library: build the trainer a
+:mod:`repro.config` spec describes, and run any
 registered experiment from a :class:`~repro.config.RunSpec` — the same
 surface ``python -m repro run`` drives.  See ``docs/api.md``.
 
@@ -15,29 +15,20 @@ Quickstart::
 """
 
 from repro.api.cli import main as cli_main
-from repro.api.facade import (
-    build_estimator,
-    build_substrate,
-    build_trainer,
-    run_experiment,
-)
+from repro.api.facade import build_trainer, run_experiment
 from repro.api.registry import (
     ExperimentSpec,
-    experiment_names,
     get_experiment,
     list_experiments,
     register_experiment,
 )
 
 __all__ = [
-    "build_substrate",
     "build_trainer",
-    "build_estimator",
     "run_experiment",
     "ExperimentSpec",
     "register_experiment",
     "get_experiment",
     "list_experiments",
-    "experiment_names",
     "cli_main",
 ]

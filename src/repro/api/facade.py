@@ -1,10 +1,10 @@
-"""Builder facade: specs in, configured machines/trainers/estimators out.
-
-One function per artifact class: :func:`build_substrate`,
-:func:`build_trainer`, :func:`build_estimator`, and :func:`run_experiment`
-(the registry-driven experiment entry point).  Runtime objects — RNG
-seeds/generators, callbacks, pre-built machines — stay function arguments;
-everything declarative lives in the spec (see :mod:`repro.config`).
+"""Builder facade: :func:`build_trainer` picks the trainer a spec's kind
+names, and :func:`run_experiment` is the registry-driven experiment entry
+point.  Substrates and estimators are built by their constructors
+(``BipartiteIsingSubstrate(spec=...)``, ``AISEstimator(spec=...)``).
+Runtime objects — RNG seeds/generators, callbacks, pre-built machines —
+stay function arguments; everything declarative lives in the spec (see
+:mod:`repro.config`).
 """
 
 from __future__ import annotations
@@ -14,34 +14,21 @@ from typing import Optional
 from repro.config.specs import (
     COMPUTE_KNOBS,
     ComputeSpec,
-    EstimatorSpec,
     RunSpec,
-    SubstrateSpec,
     TrainerSpec,
     check_spec,
 )
 from repro.core.gibbs_sampler import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.core.gradient_follower import BGFTrainer
 from repro.experiments.base import ExperimentResult
-from repro.ising.bipartite import BipartiteIsingSubstrate
-from repro.rbm.ais import AISEstimator
 from repro.rbm.rbm import CDTrainer
 from repro.utils.rng import SeedLike
 from repro.utils.validation import ValidationError
 
 __all__ = [
-    "build_substrate",
     "build_trainer",
-    "build_estimator",
     "run_experiment",
 ]
-
-
-def build_substrate(
-    spec: SubstrateSpec, *, rng: SeedLike = None
-) -> BipartiteIsingSubstrate:
-    """Construct a :class:`BipartiteIsingSubstrate` from its spec."""
-    return BipartiteIsingSubstrate(spec=spec, rng=rng)
 
 
 def build_trainer(
@@ -66,20 +53,6 @@ def build_trainer(
     if spec.kind == "gs":
         return GibbsSamplerTrainer(spec=spec, rng=rng, callback=callback, machine=machine)
     return BGFTrainer(spec=spec, rng=rng, callback=callback)
-
-
-def build_estimator(
-    spec: EstimatorSpec,
-    *,
-    rng: SeedLike = None,
-    base_visible_bias=None,
-) -> AISEstimator:
-    """Construct an :class:`AISEstimator` from its spec.
-
-    ``base_visible_bias`` is data-derived (the log-odds trick), so it stays
-    a runtime argument rather than a spec field.
-    """
-    return AISEstimator(spec=spec, rng=rng, base_visible_bias=base_visible_bias)
 
 
 def run_experiment(spec: RunSpec) -> ExperimentResult:

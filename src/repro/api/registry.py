@@ -27,7 +27,6 @@ __all__ = [
     "register_experiment",
     "get_experiment",
     "list_experiments",
-    "experiment_names",
 ]
 
 
@@ -177,11 +176,6 @@ def get_experiment(name: str) -> ExperimentSpec:
 def list_experiments() -> List[ExperimentSpec]:
     """Registered experiments, in registration (paper-artifact) order."""
     return list(_REGISTRY.values())
-
-
-def experiment_names() -> List[str]:
-    """Registered experiment names, in registration order."""
-    return list(_REGISTRY)
 
 
 def _register_paper_experiments() -> None:

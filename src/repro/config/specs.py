@@ -331,6 +331,12 @@ class SubstrateSpec(Spec):
             raise ValidationError("noise must be a NoiseSpec")
         if not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec")
+        if self.compute.workers != 1:
+            raise ValidationError(
+                f"workers={self.compute.workers}: a substrate shards nothing on "
+                "its own; pass workers to settle_batch/gibbs_chain, or set it "
+                "on a 'gs' TrainerSpec or an EstimatorSpec"
+            )
 
 
 @dataclass(frozen=True)
@@ -348,6 +354,8 @@ class TrainerSpec(Spec):
       ``learning_rate / reference_batch_size``.
     * ``compute.dtype`` — hardware engines only; the software CD reference
       is float64 by definition.
+    * ``compute.workers`` — ``"gs"`` only: the GS shards its negative
+      chains, while CD and the BGF's per-sample loop run serially.
     """
 
     kind: str = "gs"
@@ -381,6 +389,13 @@ class TrainerSpec(Spec):
         if not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec")
         # Kind-specific constraints surface here, not deep in a train loop.
+        if self.kind != "gs" and self.compute.workers != 1:
+            raise ValidationError(
+                f"workers={self.compute.workers} applies to the 'gs' trainer "
+                f"only; the {self.kind!r} trainer has no chains to shard (CD "
+                "trains serially, and the BGF's mid-step updates serialize its "
+                "per-sample loop)"
+            )
         if self.kind == "cd":
             if self.compute.dtype != "float64":
                 raise ValidationError(

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config.specs import SubstrateSpec, TrainerSpec, check_spec
+from repro.config.specs import ComputeSpec, SubstrateSpec, TrainerSpec, check_spec
 from repro.core.host import HostStatistics
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.rbm import (
@@ -37,7 +37,7 @@ from repro.rbm.rbm import (
 from repro.utils.batching import minibatches
 from repro.utils.numerics import is_sparse, safe_sparse_dot, sparse_mean
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_array, check_binary
+from repro.utils.validation import ValidationError, check_array
 
 
 class GibbsSamplerMachine:
@@ -159,10 +159,9 @@ class GibbsSamplerTrainer:
         minibatch's own positive samples seed the negative chain; ``p > 1``
         evolves ``p`` chains through the substrate's chain-parallel
         ``settle_batch`` kernel.  ``sampler.persistent`` carries the chains
-        across minibatches (PCD; Tieleman 2008) and, with
-        ``reset_chains=False`` at ``train`` time, across ``train`` calls; it
-        changes the sampling statistics, so it is pinned distributionally
-        (``tests/property/test_chain_statistics.py``).
+        across minibatches (PCD; Tieleman 2008) and across ``partial_fit``
+        calls; it changes the sampling statistics, so it is pinned
+        distributionally (``tests/property/test_chain_statistics.py``).
         ``compute.workers`` shards the negative phase across threads with
         per-shard RNG substreams (1, the default, is the serial
         bit-identical kernel; ``k > 1`` is reproducible for fixed seed and
@@ -213,9 +212,6 @@ class GibbsSamplerTrainer:
         self.callback = callback
         self.dtype = np.dtype(spec.compute.dtype)
         self._chains_h: Optional[np.ndarray] = None
-        # True while restored chain states await their first use; their
-        # width is checked against the RBM then, not silently re-drawn.
-        self._chains_restored = False
         # Set once the entry finiteness scan has run for this trainer;
         # partial_fit validates the model arrays on the first call only (a
         # per-batch O(mn) scan would erase the trusted programming's win).
@@ -225,36 +221,6 @@ class GibbsSamplerTrainer:
     def chain_states(self) -> Optional[np.ndarray]:
         """Current hidden states of the persistent chains (copies), or None."""
         return None if self._chains_h is None else self._chains_h.copy()
-
-    def restore_chain_states(self, chains_h: np.ndarray) -> None:
-        """Adopt saved persistent-chain states (an artifact's ``chain_state``).
-
-        Subsequent ``partial_fit`` and ``train(reset_chains=False)`` calls
-        continue from these hidden chain states instead of re-initializing
-        (persistent mode only — fresh-chain CD has no state to restore).
-        The states must be binary; their width must equal the ``n_hidden``
-        of the RBM they next train, or that call raises.  So does a call
-        with ``reset_chains=True`` (``train``'s default), which would
-        discard them.
-        """
-        if not self.persistent:
-            raise ValidationError(
-                "restore_chain_states requires persistent=True (fresh-chain"
-                " CD re-seeds its chains every minibatch)"
-            )
-        chains_h = check_binary(chains_h, name="chain_states")
-        if chains_h.ndim != 2:
-            raise ValidationError(
-                f"chain_states must be 2-D (chains, n_hidden), got"
-                f" ndim={chains_h.ndim}"
-            )
-        if chains_h.shape[0] != self.chains:
-            raise ValidationError(
-                f"chain_states has {chains_h.shape[0]} chains; this trainer"
-                f" runs chains={self.chains}"
-            )
-        self._chains_h = chains_h.copy()
-        self._chains_restored = True
 
     def _ensure_machine(self, rbm: BernoulliRBM) -> GibbsSamplerMachine:
         if self.machine is None or (
@@ -266,46 +232,29 @@ class GibbsSamplerTrainer:
                     n_visible=rbm.n_visible,
                     n_hidden=rbm.n_hidden,
                     noise=self.spec.noise,
-                    compute=self.spec.compute,
+                    compute=ComputeSpec(dtype=self.spec.compute.dtype),
                 ),
                 rng=self._rng,
             )
         return self.machine
 
-    def _start(self, rbm: BernoulliRBM, reset_chains: bool) -> GibbsSamplerMachine:
+    def _start(self, rbm: BernoulliRBM) -> GibbsSamplerMachine:
         """Entry work of ``train`` and ``partial_fit``: the machine and the
-        persistent chains, (re)initialized when needed.
+        persistent chains, drawn when absent or shaped for another RBM.
 
-        Restored chain states are resumed, never silently re-drawn: a call
-        that would discard them, or whose RBM they do not fit, raises before
-        anything is drawn.  Documented RNG order: the (chains x n_hidden)
-        init block is the first draw from the trainer stream in a
-        ``train()`` call — and likewise in the first ``partial_fit`` of a
-        streamed run, which is why the two entry points consume the stream
-        identically.
+        Documented RNG order: the (chains x n_hidden) init block is the
+        first draw from the trainer stream in a ``train()`` call — and
+        likewise in the first ``partial_fit`` of a streamed run, which is
+        why the two entry points consume the stream identically.
         """
-        if self._chains_restored:
-            if reset_chains:
-                raise ValidationError(
-                    "reset_chains=True would discard the restored chain_states;"
-                    " pass reset_chains=False to resume them"
-                )
-            if self._chains_h.shape[1] != rbm.n_hidden:
-                raise ValidationError(
-                    f"restored chain_states have width {self._chains_h.shape[1]}"
-                    f" but the RBM has n_hidden={rbm.n_hidden}"
-                )
         machine = self._ensure_machine(rbm)
-        if self.persistent:
-            self._chains_restored = False
-            if (
-                reset_chains
-                or self._chains_h is None
-                or self._chains_h.shape != (self.chains, rbm.n_hidden)
-            ):
-                self._chains_h = (
-                    self._rng.random((self.chains, rbm.n_hidden)) < 0.5
-                ).astype(np.float64)
+        if self.persistent and (
+            self._chains_h is None
+            or self._chains_h.shape != (self.chains, rbm.n_hidden)
+        ):
+            self._chains_h = (
+                self._rng.random((self.chains, rbm.n_hidden)) < 0.5
+            ).astype(np.float64)
         return machine
 
     def _validate_entry_state(self, rbm: BernoulliRBM) -> None:
@@ -377,7 +326,7 @@ class GibbsSamplerTrainer:
         rbm.hidden_bias += self.learning_rate * grad_bh
         machine.host.record_host_update()
 
-    def partial_fit(self, rbm: BernoulliRBM, batch, *, reset_chains: bool = False):
+    def partial_fit(self, rbm: BernoulliRBM, batch):
         """Apply one minibatch update to ``rbm`` — the streaming entry point.
 
         Persistent chains (and fresh-chain/classic CD state) carry across
@@ -397,7 +346,7 @@ class GibbsSamplerTrainer:
         reprograms before sampling.  Returns ``self``.
         """
         batch = check_training_rows(batch, rbm.n_visible, name="batch")
-        machine = self._start(rbm, reset_chains)
+        machine = self._start(rbm)
         if not self._entry_validated:
             self._validate_entry_state(rbm)
         self._update_from_batch(rbm, machine, batch)
@@ -411,14 +360,11 @@ class GibbsSamplerTrainer:
         *,
         epochs: int = 10,
         shuffle: bool = True,
-        reset_chains: bool = True,
     ) -> TrainingHistory:
         """Train ``rbm`` in place, using the Ising substrate for sampling.
 
-        ``reset_chains=False`` keeps persistent chains from a previous
-        ``train`` call alive (when shapes still match), so stacked training
-        schedules can continue the same fantasy particles; it is also how
-        chains adopted through :meth:`restore_chain_states` resume.
+        Each call draws fresh persistent chains; only ``partial_fit``
+        carries them from one call to the next.
 
         ``data`` may be a dense array or a scipy-sparse CSR matrix.  Data
         that does not fit in memory streams through :meth:`partial_fit`,
@@ -431,7 +377,8 @@ class GibbsSamplerTrainer:
             # of re-validating and copying the m x n matrix each time.  The
             # finiteness scan runs once per train(): training arithmetic on
             # finite inputs stays finite, so only the entry state needs it.
-            self._start(rbm, reset_chains)
+            self._chains_h = None
+            self._start(rbm)
             self._validate_entry_state(rbm)
 
         def one_pass(data) -> None:

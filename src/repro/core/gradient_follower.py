@@ -47,11 +47,7 @@ from repro.rbm.rbm import (
 )
 from repro.utils.numerics import is_sparse
 from repro.utils.rng import SeedLike, as_rng, spawn_rngs
-from repro.utils.validation import (
-    ValidationError,
-    check_array,
-    check_int,
-)
+from repro.utils.validation import ValidationError, check_array
 
 #: Representable coupling range of the gate voltage: the charge pumps'
 #: rails and the readout ADCs' full scale.
@@ -59,6 +55,10 @@ WEIGHT_RANGE = (-4.0, 4.0)
 
 #: ADC resolution of the final weight readout (8 bits in the paper).
 READOUT_BITS = 8
+
+#: Samples per streamed chunk: the clamp/DTC conversion and the gating draws
+#: are batched over a chunk, the learning stays one sample at a time.
+CHUNK_SIZE = 64
 
 
 def _reject_sparse(data) -> None:
@@ -259,21 +259,15 @@ class BoltzmannGradientFollower:
         for i in range(chunk.shape[0]):
             self._bgf_sample_step(clamped[i : i + 1], v_bits_all[i], kern, static)
 
-    def run(
-        self,
-        data: np.ndarray,
-        *,
-        shuffle: bool = True,
-        chunk_size: int = 64,
-    ) -> None:
+    def run(self, data: np.ndarray, *, shuffle: bool = True) -> None:
         """Operation step 6: stream the training set once (one epoch).
 
         Requires :meth:`initialize`; ``data`` is a non-empty, finite, dense
         ``(rows, n_visible)`` matrix.  The stream is processed in chunks of
-        ``chunk_size`` samples: clamp/DTC conversion and Bernoulli gating
+        :data:`CHUNK_SIZE` samples: clamp/DTC conversion and Bernoulli gating
         draws are batched per chunk while the learning itself stays strictly
         sequential, one :meth:`_bgf_sample_step` per sample (see
-        :meth:`_stream_chunk`), so any chunk size gives the same run under a
+        :meth:`_stream_chunk`), so the run equals a per-sample loop under a
         fixed seed.  ``run(x[None], shuffle=False)`` is one learning step on
         the sample ``x``, bit-identical to running its positive phase
         (clamp, settle, pump) and then its negative phase (anneal a
@@ -281,13 +275,12 @@ class BoltzmannGradientFollower:
         """
         _reject_sparse(data)
         data = check_training_rows(data, self.n_visible)
-        chunk_size = check_int(chunk_size, "chunk_size", 1)
         if self._particles is None:
             raise ValidationError("initialize must be called before run")
         n = data.shape[0]
         order = self._rng.permutation(n) if shuffle else np.arange(n)
-        for start in range(0, n, chunk_size):
-            self._stream_chunk(data[order[start : start + chunk_size]])
+        for start in range(0, n, CHUNK_SIZE):
+            self._stream_chunk(data[order[start : start + CHUNK_SIZE]])
 
     def read_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Final step: ADC readout of the trained weights and biases."""
@@ -308,8 +301,8 @@ class BGFTrainer:
         ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`), from
         which the lazily-created :class:`BoltzmannGradientFollower` is
         built.  The learning loop is sequential by algorithm (the paper's
-        mid-step updates serialize it), so ``compute.workers`` shards
-        nothing here.
+        mid-step updates serialize it), so the spec rejects a
+        ``compute.workers`` other than 1.
     rng, callback:
         Trainer generator and optional ``callback(epoch, rbm)`` hook.
     """

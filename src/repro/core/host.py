@@ -44,21 +44,3 @@ class HostStatistics:
     def record_final_readout(self, count: int = 1) -> None:
         """Count end-of-training ADC readouts of the coupling array."""
         self.final_weight_readouts += int(count)
-
-    @property
-    def total_host_interactions(self) -> int:
-        """All host<->device events except the unavoidable data streaming."""
-        return (
-            self.programming_writes
-            + self.sample_reads
-            + self.gradient_updates_on_host
-            + self.final_weight_readouts
-        )
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.programming_writes = 0
-        self.sample_reads = 0
-        self.gradient_updates_on_host = 0
-        self.training_samples_streamed = 0
-        self.final_weight_readouts = 0

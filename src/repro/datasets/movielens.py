@@ -21,6 +21,17 @@ from repro.datasets.base import RatingsDataset
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError
 
+# The generator's latent model: the rank of the user/item factors, the
+# standard deviation of the per-user and per-item rating biases (real
+# MovieLens is dominated by such main effects, which is what makes learned
+# models clearly better than the global-mean baseline), the weight of the
+# factor interaction relative to the biases, and the standard deviation of
+# the per-rating noise added to the affinities.
+N_FACTORS = 4
+BIAS_SCALE = 0.8
+FACTOR_SCALE = 0.6
+OBSERVATION_NOISE = 0.2
+
 
 def encode_ratings_onehot(ratings, rating_levels: int, *, sparse: bool = True):
     """One-hot encode an item-major rating matrix for RBM training.
@@ -77,13 +88,9 @@ def make_movielens_like(
     n_users: int = 200,
     n_items: int = 100,
     *,
-    n_factors: int = 4,
     density: float = 0.3,
     rating_levels: int = 5,
     test_fraction: float = 0.2,
-    bias_scale: float = 0.8,
-    factor_scale: float = 0.6,
-    observation_noise: float = 0.2,
     seed: SeedLike = 0,
 ) -> RatingsDataset:
     """Generate a synthetic ratings dataset.
@@ -93,22 +100,12 @@ def make_movielens_like(
     n_users, n_items:
         Matrix dimensions.  The paper-scale configuration uses 943 users
         (visible units in the per-item RBM encoding) and 100 items.
-    n_factors:
-        Rank of the latent user/item factor model generating preferences.
     density:
         Fraction of (user, item) pairs that are observed overall.
     rating_levels:
         Ratings take integer values 1..rating_levels; 0 marks "unobserved".
     test_fraction:
         Fraction of each user's observed ratings held out for testing.
-    bias_scale:
-        Standard deviation of the per-user and per-item rating biases.  Real
-        MovieLens is dominated by such main effects, which is what makes
-        learned models clearly better than the global-mean baseline.
-    factor_scale:
-        Weight of the latent-factor interaction term relative to the biases.
-    observation_noise:
-        Standard deviation of the per-rating noise added to the affinities.
     """
     if n_users <= 1 or n_items <= 1:
         raise ValidationError("need at least 2 users and 2 items")
@@ -118,16 +115,16 @@ def make_movielens_like(
         raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = as_rng(seed)
 
-    user_factors = rng.normal(0.0, 1.0, size=(n_users, n_factors))
-    item_factors = rng.normal(0.0, 1.0, size=(n_items, n_factors))
-    user_bias = rng.normal(0.0, bias_scale, size=(n_users, 1))
-    item_bias = rng.normal(0.0, bias_scale, size=(1, n_items))
+    user_factors = rng.normal(0.0, 1.0, size=(n_users, N_FACTORS))
+    item_factors = rng.normal(0.0, 1.0, size=(n_items, N_FACTORS))
+    user_bias = rng.normal(0.0, BIAS_SCALE, size=(n_users, 1))
+    item_bias = rng.normal(0.0, BIAS_SCALE, size=(1, n_items))
     affinity = (
-        factor_scale * user_factors @ item_factors.T / np.sqrt(n_factors)
+        FACTOR_SCALE * user_factors @ item_factors.T / np.sqrt(N_FACTORS)
         + user_bias
         + item_bias
     )
-    affinity += rng.normal(0.0, observation_noise, size=affinity.shape)
+    affinity += rng.normal(0.0, OBSERVATION_NOISE, size=affinity.shape)
 
     # Map affinities to 1..rating_levels through global quantiles so the
     # rating histogram is non-degenerate (roughly bell-shaped like MovieLens).

@@ -16,6 +16,9 @@ from repro.utils.numerics import softmax
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError, check_array, check_positive
 
+#: L2 regularization strength applied to the weight matrix.
+L2 = 1e-4
+
 
 class LogisticRegressionClassifier:
     """Softmax regression trained by minibatch gradient descent.
@@ -23,9 +26,8 @@ class LogisticRegressionClassifier:
     Parameters
     ----------
     n_features, n_classes:
-        Input dimensionality and number of output classes.
-    l2:
-        L2 regularization strength applied to the weight matrix.
+        Input dimensionality and number of output classes.  The weight
+        matrix carries an :data:`L2` penalty.
     """
 
     def __init__(
@@ -33,7 +35,6 @@ class LogisticRegressionClassifier:
         n_features: int,
         n_classes: int,
         *,
-        l2: float = 1e-4,
         rng: SeedLike = None,
     ):
         if n_features <= 0 or n_classes <= 1:
@@ -42,7 +43,6 @@ class LogisticRegressionClassifier:
             )
         self.n_features = int(n_features)
         self.n_classes = int(n_classes)
-        self.l2 = check_positive(l2, name="l2", strict=False)
         self._rng = as_rng(rng)
         self.weights = self._rng.normal(0.0, 0.01, size=(n_features, n_classes))
         self.bias = np.zeros(n_classes)
@@ -90,7 +90,7 @@ class LogisticRegressionClassifier:
             ):
                 probs = softmax(batch_x @ self.weights + self.bias, axis=1)
                 err = probs - batch_y
-                grad_w = batch_x.T @ err / batch_x.shape[0] + self.l2 * self.weights
+                grad_w = batch_x.T @ err / batch_x.shape[0] + L2 * self.weights
                 grad_b = np.mean(err, axis=0)
                 self.weights -= learning_rate * grad_w
                 self.bias -= learning_rate * grad_b

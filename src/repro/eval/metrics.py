@@ -8,6 +8,9 @@ import numpy as np
 
 from repro.utils.validation import ValidationError
 
+#: Floor of the renormalized ``q`` in :func:`kl_divergence`.
+KL_EPSILON = 1e-12
+
 
 def mean_absolute_error(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Mean absolute error, the paper's recommender-quality metric."""
@@ -81,11 +84,11 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray, *, epsilon: float = 1e-12) -> float:
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """KL(p || q) between two discrete distributions (the Fig.-11 metric).
 
     Both arguments must be non-negative and are renormalized; ``q`` is
-    floored at ``epsilon`` to keep the divergence finite when the model
+    floored at :data:`KL_EPSILON` to keep the divergence finite when the model
     assigns (numerically) zero probability to an observed state — the same
     practical convention used when comparing learned RBMs to an empirical
     training distribution.
@@ -100,6 +103,6 @@ def kl_divergence(p: np.ndarray, q: np.ndarray, *, epsilon: float = 1e-12) -> fl
     if p_sum <= 0 or q_sum <= 0:
         raise ValidationError("distributions must have positive mass")
     p = p / p_sum
-    q = np.maximum(q / q_sum, epsilon)
+    q = np.maximum(q / q_sum, KL_EPSILON)
     support = p > 0
     return float(np.sum(p[support] * np.log(p[support] / q[support])))

@@ -179,19 +179,13 @@ class RBMRecommender:
         predicted = 1.0 + recon * (self._rating_levels - 1)
         return np.clip(predicted, 1.0, self._rating_levels)
 
-    def predict_matrix(self, ratings: Optional[np.ndarray] = None) -> np.ndarray:
+    def predict_matrix(self, ratings: np.ndarray) -> np.ndarray:
         """Predicted full rating matrix of shape (n_users, n_items).
 
         ``ratings`` is the observed user-major matrix to reconstruct from
-        (typically ``dataset.train_ratings``) — the recommender no longer
-        pins the training matrix in memory, so scoring takes it explicitly.
+        (typically ``dataset.train_ratings``): the fitted model does not
+        retain its training data.
         """
-        if ratings is None:
-            raise ValidationError(
-                "predict_matrix requires the observed rating matrix (pass"
-                " dataset.train_ratings); the fitted model does not retain"
-                " its training data"
-            )
         ratings = np.asarray(ratings, dtype=float)
         if ratings.ndim != 2:
             raise ValidationError(

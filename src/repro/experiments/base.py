@@ -40,16 +40,6 @@ class ExperimentResult:
     def columns(self) -> List[str]:
         return list(self.rows[0].keys()) if self.rows else []
 
-    def column(self, key: str) -> List[Any]:
-        """Extract one column across all rows."""
-        if not self.rows:
-            raise ValidationError(f"experiment {self.name!r} has no rows")
-        if key not in self.rows[0]:
-            raise ValidationError(
-                f"unknown column {key!r}; columns are {self.columns}"
-            )
-        return [row[key] for row in self.rows]
-
     def row_by(self, key: str, value: Any) -> Dict[str, Any]:
         """Return the first row whose ``key`` column equals ``value``."""
         for row in self.rows:

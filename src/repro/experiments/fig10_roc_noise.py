@@ -32,7 +32,7 @@ def run_figure10(
     roc_points: int = 21,
     engine: str = "bgf",
     encoding: str = "direct",
-    n_bins: int = 16,
+    n_bins: Optional[int] = None,
     sparse: bool = False,
     keep_model: bool = False,
     seed: int = 0,
@@ -47,7 +47,8 @@ def run_figure10(
     gradient follower; ``engine="gs"`` swaps in the Gibbs-sampler trainer,
     which additionally supports the sparse one-hot feature encoding
     (``encoding="onehot"``, ``n_bins``, ``sparse=True``) — the sparse fraud
-    variant exposed by the run registry.
+    variant exposed by the run registry.  ``n_bins`` (default 16) is the
+    one-hot quantization; setting it under another encoding raises.
 
     ``noise_configs`` entries are :class:`~repro.config.NoiseSpec` values
     or their ``to_dict()`` mappings.
@@ -59,7 +60,12 @@ def run_figure10(
     noise_configs = check_noise_configs(noise_configs)
     check_int(epochs, "epochs", 1)
     check_int(roc_points, "roc_points", 2)
-    check_int(n_bins, "n_bins", 2)
+    if n_bins is not None:
+        check_int(n_bins, "n_bins", 2)
+        if encoding != "onehot":
+            raise ValidationError(
+                f"n_bins applies only to encoding='onehot', got encoding={encoding!r}"
+            )
     if engine not in ("bgf", "gs"):
         raise ValidationError(f"engine must be 'bgf' or 'gs', got {engine!r}")
     if engine == "bgf" and sparse:
@@ -98,7 +104,7 @@ def run_figure10(
             trainer=trainer,
             epochs=epochs,
             encoding=encoding,
-            n_bins=n_bins,
+            n_bins=16 if n_bins is None else n_bins,
             sparse=sparse,
             rng=rngs[1],
         ).fit(dataset)

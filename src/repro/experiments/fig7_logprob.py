@@ -133,7 +133,6 @@ def run_figure7(
             dtype=dtype, workers=workers,
         )
 
-        hardware_compute = ComputeSpec(dtype=dtype, workers=workers)
         factories = {
             "cd1": lambda: CDTrainer(
                 spec=TrainerSpec.cd(learning_rate, cd_k=1, batch_size=batch_size),
@@ -147,7 +146,7 @@ def run_figure7(
                 spec=TrainerSpec.bgf(
                     learning_rate,
                     reference_batch_size=batch_size,
-                    compute=hardware_compute,
+                    compute=ComputeSpec(dtype=dtype),
                 ),
                 rng=rngs[3],
             ),
@@ -161,7 +160,7 @@ def run_figure7(
                     batch_size=batch_size,
                     chains=gs_chains,
                     persistent=True,
-                    compute=hardware_compute,
+                    compute=ComputeSpec(dtype=dtype, workers=workers),
                 ),
                 rng=rngs[4],
             )

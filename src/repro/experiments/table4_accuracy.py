@@ -50,7 +50,8 @@ def _make_trainer(
 
     ``dtype`` selects the substrate precision tier for the hardware methods
     (BGF and GS); the software CD reference always trains in float64.
-    ``workers`` threads the hardware methods' sharded settle layer.  All
+    ``workers`` threads the GS's sharded settle layer (the BGF's
+    per-sample loop is serial).  All
     three build through the typed spec layer (:mod:`repro.config`).
     """
     if method == "cd10":
@@ -58,13 +59,12 @@ def _make_trainer(
             spec=TrainerSpec.cd(learning_rate, cd_k=10, batch_size=batch_size),
             rng=rng,
         )
-    hardware_compute = ComputeSpec(dtype=dtype, workers=workers)
     if method == "bgf":
         return BGFTrainer(
             spec=TrainerSpec.bgf(
                 learning_rate,
                 reference_batch_size=batch_size,
-                compute=hardware_compute,
+                compute=ComputeSpec(dtype=dtype),
             ),
             rng=rng,
         )
@@ -78,7 +78,7 @@ def _make_trainer(
                 batch_size=batch_size,
                 chains=gs_chains,
                 persistent=True,
-                compute=hardware_compute,
+                compute=ComputeSpec(dtype=dtype, workers=workers),
             ),
             rng=rng,
         )
@@ -169,7 +169,7 @@ def run_table4(
     training in the single-precision substrate tier (the paper-scale
     configuration; the logistic/DBN heads and software CD stay float64);
     ``train_samples`` caps the image-benchmark training rows for downsized
-    smoke runs; ``workers`` is the multicore knob for the hardware trainers
+    smoke runs; ``workers`` is the multicore knob for the GS trainer
     (sharded settles; the default of 1 keeps the serial kernels).  The defaults leave the CI-scale output
     contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.

@@ -21,8 +21,6 @@ reproduces that methodology:
 from repro.hardware.components import (
     ComponentLibrary,
     SubunitCost,
-    gibbs_sampler_breakdown,
-    bgf_breakdown,
     table2_rows,
 )
 from repro.hardware.tpu import TPUModel, TPU_V1, TPU_V4
@@ -38,8 +36,6 @@ from repro.hardware.comparison import AcceleratorSummary, table3_rows
 __all__ = [
     "ComponentLibrary",
     "SubunitCost",
-    "gibbs_sampler_breakdown",
-    "bgf_breakdown",
     "table2_rows",
     "TPUModel",
     "TPU_V1",

@@ -45,17 +45,20 @@ class AcceleratorSummary:
 TIMELY = AcceleratorSummary(name="TIMELY", tops=21.0 * 1.0, area_mm2=21.0 / 38.3, power_w=1.0)
 
 
-def bgf_summary(n_nodes: int = 1600, clock_hz: float = 1e9) -> AcceleratorSummary:
+#: Control clock of the BGF's coupling array (1 GHz).
+BGF_CLOCK_HZ = 1e9
+
+
+def bgf_summary(n_nodes: int = 1600) -> AcceleratorSummary:
     """Derive the BGF row of Table 3 from the component model.
 
-    Effective throughput: every control cycle the ``n_nodes x n_nodes``
-    coupling array contributes one MAC-equivalent operation per coupling
-    unit (two "ops" in the TOPS convention).
+    Effective throughput: every :data:`BGF_CLOCK_HZ` control cycle the
+    ``n_nodes x n_nodes`` coupling array contributes one MAC-equivalent
+    operation per coupling unit (two "ops" in the TOPS convention).
     """
     if n_nodes <= 0:
         raise ValidationError(f"n_nodes must be positive, got {n_nodes}")
-    check_positive(clock_hz, name="clock_hz")
-    ops_per_second = 1.0 * n_nodes * n_nodes * clock_hz
+    ops_per_second = 1.0 * n_nodes * n_nodes * BGF_CLOCK_HZ
     tops = ops_per_second / 1e12
     area = BGF_LIBRARY.total_area_mm2(n_nodes)
     power = BGF_LIBRARY.total_power_w(n_nodes)

@@ -127,16 +127,6 @@ BGF_LIBRARY = ComponentLibrary("Boltzmann gradient follower", CU_BGF)
 TABLE2_NODE_COUNTS: Tuple[int, ...] = (400, 800, 1600)
 
 
-def gibbs_sampler_breakdown(n_nodes: int) -> Dict[str, Tuple[float, float]]:
-    """Table-2 breakdown (area mm^2, power mW) for the Gibbs-sampler design."""
-    return GIBBS_SAMPLER_LIBRARY.breakdown(n_nodes)
-
-
-def bgf_breakdown(n_nodes: int) -> Dict[str, Tuple[float, float]]:
-    """Table-2 breakdown (area mm^2, power mW) for the BGF design."""
-    return BGF_LIBRARY.breakdown(n_nodes)
-
-
 def table2_rows(node_counts: Sequence[int] = TABLE2_NODE_COUNTS) -> List[Dict[str, object]]:
     """Regenerate Table 2: one row per sub-circuit plus the two totals.
 

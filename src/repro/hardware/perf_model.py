@@ -98,11 +98,6 @@ class WorkloadSpec:
         if self.n_samples <= 0 or self.cd_k < 1 or self.batch_size < 1 or self.epochs < 1:
             raise ValidationError("n_samples, cd_k, batch_size and epochs must be positive")
 
-    @property
-    def largest_layer_nodes(self) -> int:
-        """Largest ``max(m, n)`` across layers — sizes the accelerator array."""
-        return max(max(m, n) for m, n in self.layers)
-
 
 @dataclass(frozen=True)
 class AcceleratorTiming:
@@ -112,10 +107,6 @@ class AcceleratorTiming:
     workload: str
     seconds: float
     joules: float
-
-    def normalized_to(self, reference: "AcceleratorTiming") -> Tuple[float, float]:
-        """(time ratio, energy ratio) relative to ``reference``."""
-        return self.seconds / reference.seconds, self.joules / reference.joules
 
 
 @dataclass(frozen=True)

@@ -599,14 +599,3 @@ class BipartiteIsingSubstrate:
         ``(visible, hidden)`` samples.
         """
         return self.settle_batch(hidden_init, n_steps, workers=workers)
-
-    @property
-    def n_coupling_units(self) -> int:
-        """Number of coupling units in the bipartite layout (m*n, per Fig. 3)."""
-        return self.n_visible * self.n_hidden
-
-    @staticmethod
-    def all_to_all_coupling_units(n_visible: int, n_hidden: int) -> int:
-        """Coupling-unit count of a generic all-to-all substrate, for comparison."""
-        total = n_visible + n_hidden
-        return total * total

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config.specs import ComputeSpec, EstimatorSpec, check_spec
-from repro.rbm.rbm import BernoulliRBM
+from repro.rbm.rbm import BernoulliRBM, smoothed_log_odds
 from repro.utils.numerics import (
     bernoulli_sample,
     fused_sigmoid_bernoulli,
@@ -128,13 +128,6 @@ class AISResult:
     def n_chains(self) -> int:
         return int(self.log_weights.shape[0])
 
-    @property
-    def effective_sample_size(self) -> float:
-        """Kish effective sample size of the importance weights."""
-        w = self.log_weights - logsumexp(self.log_weights)
-        w = np.exp(w)
-        return float(1.0 / np.sum(w**2))
-
 
 class AISEstimator:
     """Annealed-importance-sampling estimator of an RBM's log partition.
@@ -229,13 +222,6 @@ class AISEstimator:
             )
         return self.base_visible_bias
 
-    @staticmethod
-    def base_bias_from_data(data: np.ndarray, smoothing: float = 0.05) -> np.ndarray:
-        """Log-odds visible biases of the smoothed empirical pixel means."""
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        p = np.clip(np.mean(data, axis=0), smoothing, 1.0 - smoothing)
-        return np.log(p / (1.0 - p))
-
     def _shard_rngs(self, workers: int) -> list:
         """Cached per-shard generators for a ``workers``-way chain pool.
 
@@ -306,7 +292,11 @@ def estimate_log_partition(
     the data log-odds, which substantially reduces estimator variance.
     ``workers`` shards the chain pool (see :class:`AISEstimator`).
     """
-    base_bias = None if data is None else AISEstimator.base_bias_from_data(data)
+    base_bias = (
+        None
+        if data is None
+        else smoothed_log_odds(np.atleast_2d(np.asarray(data, dtype=float)))
+    )
     estimator = AISEstimator(
         spec=EstimatorSpec(
             chains=n_chains,
@@ -326,14 +316,12 @@ def average_log_probability(
     n_chains: int = 64,
     n_betas: int = 200,
     rng: SeedLike = None,
-    log_partition: Optional[float] = None,
     dtype: str = "float64",
     workers: int = 1,
 ) -> float:
     """Average log probability of ``data`` rows, the paper's quality metric.
 
-    ``log P(v) = -F(v) - log Z`` where ``log Z`` is AIS-estimated (or passed
-    in directly via ``log_partition`` to reuse an existing estimate).
+    ``log P(v) = -F(v) - log Z`` where ``log Z`` is AIS-estimated.
     ``dtype="float32"`` runs the AIS sweep in the single-precision tier; the
     free energies of the data always evaluate in float64.  ``workers``
     shards the AIS chain pool (see :class:`AISEstimator`).
@@ -343,9 +331,8 @@ def average_log_probability(
         raise ValidationError(
             f"data has {data.shape[1]} features; RBM has {rbm.n_visible} visible units"
         )
-    if log_partition is None:
-        log_partition = estimate_log_partition(
-            rbm, n_chains=n_chains, n_betas=n_betas, data=data, rng=rng,
-            dtype=dtype, workers=workers,
-        )
+    log_partition = estimate_log_partition(
+        rbm, n_chains=n_chains, n_betas=n_betas, data=data, rng=rng,
+        dtype=dtype, workers=workers,
+    )
     return float(np.mean(-rbm.free_energy(data)) - log_partition)

@@ -62,10 +62,6 @@ class DeepBeliefNetwork:
         self._feature_mean: Optional[np.ndarray] = None
         self._feature_std: Optional[np.ndarray] = None
 
-    @property
-    def n_rbm_layers(self) -> int:
-        return len(self.rbms)
-
     # ------------------------------------------------------------------ #
     def pretrain(
         self,
@@ -76,13 +72,13 @@ class DeepBeliefNetwork:
         learning_rate: float = 0.1,
         cd_k: int = 1,
         batch_size: int = 20,
-        init_visible_bias: bool = True,
         rng: SeedLike = None,
     ) -> List[TrainingHistory]:
         """Greedy layer-wise pre-training.
 
-        Each RBM is trained on the (deterministic) hidden activations of the
-        previous layer.  The default per-layer trainer is CD-k; passing a
+        Each RBM's visible biases start at the smoothed log-odds of its
+        input, and it is trained on the (deterministic) hidden activations
+        of the previous layer.  The default per-layer trainer is CD-k; passing a
         custom ``layer_trainer`` lets the experiment drivers substitute a
         Gibbs-sampler-accelerated or Boltzmann-gradient-follower trainer
         without touching this class.
@@ -107,19 +103,17 @@ class DeepBeliefNetwork:
         histories: List[TrainingHistory] = []
         layer_input = data
         for rbm in self.rbms:
-            if init_visible_bias:
-                rbm.init_visible_bias_from_data(layer_input)
+            rbm.init_visible_bias_from_data(layer_input)
             histories.append(trainer_fn(rbm, layer_input))
             layer_input = rbm.transform(layer_input)
         self._pretrained = True
         return histories
 
-    def transform(self, data: np.ndarray, *, up_to_layer: Optional[int] = None) -> np.ndarray:
+    def transform(self, data: np.ndarray) -> np.ndarray:
         """Propagate ``data`` through the RBM stack (mean-field activations)."""
         data = check_array(data, name="data", ndim=2)
-        layers = self.rbms if up_to_layer is None else self.rbms[:up_to_layer]
         out = data
-        for rbm in layers:
+        for rbm in self.rbms:
             out = rbm.transform(out)
         return out
 

@@ -35,6 +35,18 @@ from repro.utils.validation import (
     check_positive,
 )
 
+#: Clip of the empirical pixel means before their log odds, so an all-0 or
+#: all-1 pixel gets a finite bias.
+LOG_ODDS_SMOOTHING = 0.05
+
+
+def smoothed_log_odds(data: np.ndarray) -> np.ndarray:
+    """Per-column log odds ``log(p / (1 - p))`` of the mean ``p`` of the
+    2-D float ``data``, with ``p`` clipped to :data:`LOG_ODDS_SMOOTHING`
+    from either end."""
+    p = np.clip(np.mean(data, axis=0), LOG_ODDS_SMOOTHING, 1.0 - LOG_ODDS_SMOOTHING)
+    return np.log(p / (1.0 - p))
+
 
 class BernoulliRBM:
     """Restricted Boltzmann Machine with Bernoulli visible and hidden units.
@@ -97,8 +109,9 @@ class BernoulliRBM:
             hidden_bias, name="hidden_bias", shape=(self.n_hidden,)
         )
 
-    def init_visible_bias_from_data(self, data: np.ndarray, smoothing: float = 0.05) -> None:
-        """Set the visible biases to the data's per-pixel log odds.
+    def init_visible_bias_from_data(self, data: np.ndarray) -> None:
+        """Set the visible biases to the data's smoothed per-pixel log odds
+        (:func:`smoothed_log_odds`).
 
         Hinton's practical-guide initialization: with ``b_v_i = log(p_i /
         (1 - p_i))`` the model reproduces the marginal pixel statistics
@@ -110,10 +123,7 @@ class BernoulliRBM:
             raise ValidationError(
                 f"data has {data.shape[1]} features; RBM has {self.n_visible} visible units"
             )
-        if not 0.0 < smoothing < 0.5:
-            raise ValidationError(f"smoothing must be in (0, 0.5), got {smoothing}")
-        p = np.clip(np.mean(data, axis=0), smoothing, 1.0 - smoothing)
-        self.visible_bias = np.log(p / (1.0 - p))
+        self.visible_bias = smoothed_log_odds(data)
 
     # ------------------------------------------------------------------ #
     # Energies and probabilities

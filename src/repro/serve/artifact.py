@@ -3,9 +3,10 @@
 An artifact is a sidecar bundle ``<stem>.npz`` + ``<stem>.json``:
 
 * the ``.npz`` holds the parameter arrays exactly as trained (``weights``,
-  ``visible_bias``, ``hidden_bias``, optionally the persistent-chain
-  ``chain_state``) — dtypes are preserved bit-for-bit, so float32-tier and
-  float64 models round-trip losslessly.  With ``save_model(...,
+  ``visible_bias``, ``hidden_bias``) — dtypes are preserved bit-for-bit, so
+  float32-tier and float64 models round-trip losslessly.  Bundles saved with
+  a persistent-chain ``chain_state`` array still load: it is checked
+  against the manifest like every array, then ignored.  With ``save_model(...,
   quantize=True)`` the parameters are instead stored as symmetric int8
   codes plus float32 scales (``<name>_q`` / ``<name>_scale``, per-column
   scales for the weight matrix, per-tensor for the biases), roughly 4x
@@ -106,7 +107,6 @@ def save_model(
     path: Union[str, Path],
     *,
     run_spec: Optional[Union[RunSpec, Mapping[str, Any]]] = None,
-    chain_state: Optional[np.ndarray] = None,
     quantize: bool = False,
 ) -> Path:
     """Persist a fitted model as a versioned ``.npz`` + JSON bundle.
@@ -123,19 +123,13 @@ def save_model(
         Optional :class:`RunSpec` (or its ``to_dict()`` form) recording
         the configuration the model was trained under; validated through
         the lossless ``RunSpec.from_dict`` round trip before storing.
-    chain_state:
-        Optional persistent-chain array to carry alongside the weights —
-        ``GibbsSamplerTrainer.chain_states`` of a ``persistent=True`` run —
-        so a PCD run can be resumed from the artifact through
-        ``GibbsSamplerTrainer.restore_chain_states``.
     quantize:
         Store the parameter arrays as symmetric int8 codes + float32
         scales (``weights_q``/``weights_scale`` etc.) instead of the raw
         floats — per-column scales for the weight matrix and per-tensor
         for the biases.  The bundle
         is ~4x smaller; :func:`load_model` dequantizes back to float32
-        parameters.  ``chain_state`` is never quantized (it holds binary
-        unit states, not couplings).
+        parameters.
 
     Returns the ``.npz`` path.
     """
@@ -160,13 +154,6 @@ def save_model(
             quantized[name + "_q"] = codes
             quantized[name + "_scale"] = scales
         arrays = quantized
-    if chain_state is not None:
-        chain_state = np.asarray(chain_state)
-        if chain_state.ndim != 2:
-            raise ValidationError(
-                f"chain_state must be 2-D (chains, units), got ndim={chain_state.ndim}"
-            )
-        arrays["chain_state"] = chain_state
 
     stem = _stem(path)
     stem.parent.mkdir(parents=True, exist_ok=True)
@@ -215,7 +202,6 @@ class ModelArtifact:
     model: Any
     rbm: BernoulliRBM
     run_spec: Optional[RunSpec]
-    chain_state: Optional[np.ndarray]
     path: Path
     meta: Dict[str, Any] = field(default_factory=dict)
 
@@ -405,7 +391,6 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
         model=model,
         rbm=rbm,
         run_spec=run_spec,
-        chain_state=arrays.get("chain_state"),
         path=npz_path,
         meta=meta,
     )

@@ -9,11 +9,9 @@ notion of seeding and a single set of numerically-stable primitives.
 from repro.utils.rng import spawn_rngs, as_rng
 from repro.utils.numerics import (
     sigmoid,
-    log_sigmoid,
     logsumexp,
     softmax,
     log1pexp,
-    softplus,
     bernoulli_sample,
     is_sparse,
     safe_sparse_dot,
@@ -32,7 +30,6 @@ from repro.utils.validation import (
     check_binary,
     check_probability,
     check_positive,
-    check_in_range,
     ValidationError,
 )
 
@@ -40,11 +37,9 @@ __all__ = [
     "spawn_rngs",
     "as_rng",
     "sigmoid",
-    "log_sigmoid",
     "logsumexp",
     "softmax",
     "log1pexp",
-    "softplus",
     "bernoulli_sample",
     "is_sparse",
     "safe_sparse_dot",
@@ -59,6 +54,5 @@ __all__ = [
     "check_binary",
     "check_probability",
     "check_positive",
-    "check_in_range",
     "ValidationError",
 ]

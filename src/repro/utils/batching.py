@@ -29,7 +29,6 @@ def minibatches(
     labels: Optional[np.ndarray] = None,
     shuffle: bool = False,
     rng: SeedLike = None,
-    drop_last: bool = False,
 ) -> Iterator:
     """Yield minibatches of ``data`` (and optionally aligned ``labels``).
 
@@ -46,9 +45,9 @@ def minibatches(
         Shuffle the row order before batching.
     rng:
         Seed or generator used when ``shuffle`` is true.
-    drop_last:
-        Drop the final, smaller batch when the sample count is not a
-        multiple of ``batch_size``.
+
+    The final batch is smaller when the sample count is not a multiple of
+    ``batch_size``.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -65,8 +64,6 @@ def minibatches(
         as_rng(rng).shuffle(indices)
     for start in range(0, n, batch_size):
         idx = indices[start : start + batch_size]
-        if drop_last and idx.shape[0] < batch_size:
-            break
         if labels is None:
             yield data[idx]
         else:

@@ -62,12 +62,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(num, z, out=num)
 
 
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """``log(sigmoid(x))`` computed without overflow."""
-    x = as_float_array(x)
-    return -log1pexp(-x)
-
-
 def log1pexp(x: np.ndarray) -> np.ndarray:
     """``log(1 + exp(x))`` (softplus) computed without overflow.
 
@@ -86,11 +80,6 @@ def log1pexp(x: np.ndarray) -> np.ndarray:
     np.log1p(z, out=z)
     z += np.maximum(x, 0.0)
     return z
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    """Alias of :func:`log1pexp`, the conventional neural-network name."""
-    return log1pexp(x)
 
 
 def log1pexp_diff(x: np.ndarray, hi: float, lo: float) -> np.ndarray:

@@ -147,23 +147,3 @@ def check_positive(value: float, *, name: str = "value", strict: bool = True) ->
         raise ValidationError(f"{name} must be >= 0, got {value}")
     return value
 
-
-def check_in_range(
-    value: float,
-    low: float,
-    high: float,
-    *,
-    name: str = "value",
-    inclusive: Tuple[bool, bool] = (True, True),
-) -> float:
-    """Validate that ``low (<|<=) value (<|<=) high``."""
-    value = check_finite(value, name=name)
-    lo_ok = value >= low if inclusive[0] else value > low
-    hi_ok = value <= high if inclusive[1] else value < high
-    if not (lo_ok and hi_ok):
-        lo_br = "[" if inclusive[0] else "("
-        hi_br = "]" if inclusive[1] else ")"
-        raise ValidationError(
-            f"{name} must be in {lo_br}{low}, {high}{hi_br}, got {value}"
-        )
-    return value

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analog import ChargePumpUpdater
+from repro.analog.charge_pump import SATURATION_MARGIN
 from repro.utils.validation import ValidationError
 
 
@@ -34,14 +35,10 @@ class TestConfiguration:
         with pytest.raises(ValidationError):
             ChargePumpUpdater((2, 2), 0.1, weight_range=(1.0, -1.0))
 
-    def test_invalid_margin(self):
-        with pytest.raises(ValidationError):
-            ChargePumpUpdater((2, 2), 0.1, saturation_margin=0.0)
-
 
 class TestBasicUpdates:
     def test_positive_phase_increments_only_active_units(self):
-        pump = _pump(saturation=False)
+        pump = _pump()
         weights = np.zeros((4, 3))
         correlation = np.zeros((4, 3))
         correlation[1, 2] = 1.0
@@ -50,7 +47,7 @@ class TestBasicUpdates:
         assert np.count_nonzero(weights) == 1
 
     def test_negative_phase_decrements(self):
-        pump = _pump(saturation=False)
+        pump = _pump()
         weights = np.zeros((4, 3))
         correlation = np.ones((4, 3))
         pump.apply(weights, correlation, positive=False)
@@ -88,14 +85,14 @@ class TestSaturationNonlinearity:
         assert weights.max() <= 1.0 + 1e-12
 
     def test_step_shrinks_near_positive_rail(self):
-        pump = _pump(saturation_margin=0.5)
+        pump = _pump()
         far = _steps(pump, np.zeros((4, 3)))
         near = _steps(pump, np.full((4, 3), 0.9))
         assert np.all(near < far)
 
     def test_step_constant_in_linear_region(self):
         """The designed pump transfers a fixed charge packet away from the rails."""
-        pump = _pump(saturation_margin=0.25)
+        pump = _pump()
         low = _steps(pump, np.full((4, 3), -0.2))
         mid = _steps(pump, np.zeros((4, 3)))
         np.testing.assert_allclose(low, mid)
@@ -107,11 +104,26 @@ class TestSaturationNonlinearity:
             pump.apply(weights, np.ones((4, 3)), positive=False)
         assert weights.min() >= -1.0 - 1e-12
 
-    def test_no_saturation_mode_clips_hard(self):
-        pump = _pump(saturation=False, step_size=0.4)
-        weights = np.full((4, 3), 0.9)
-        pump.apply(weights, np.ones((4, 3)), positive=True)
-        np.testing.assert_allclose(weights, 1.0)
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("weight", [-0.95, -0.6, -0.3, 0.0, 0.3, 0.6, 0.95])
+    def test_weight_step_follows_f_ij(self, weight, positive):
+        """``f_ij``: full step while more than the saturation margin of the
+        range remains toward the phase's rail, linear roll-off to zero at
+        the rail itself."""
+        pump = _pump(step_size=1e-3)
+        headroom = (1.0 - weight) if positive else (weight + 1.0)
+        expected = 1e-3 * np.clip(headroom / (2.0 * SATURATION_MARGIN), 0.0, 1.0)
+        np.testing.assert_allclose(
+            _steps(pump, np.full((4, 3), weight), positive=positive), expected, rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_weight_at_its_rail_does_not_move(self, positive):
+        pump = _pump()
+        rail = 1.0 if positive else -1.0
+        np.testing.assert_array_equal(
+            _steps(pump, np.full((4, 3), rail), positive=positive), 0.0
+        )
 
 
 class TestVariationAndNoise:
@@ -135,9 +147,10 @@ class TestVariationAndNoise:
         assert not np.allclose(weights_a, weights_b)
 
     def test_expected_update_close_to_nominal_under_noise(self):
-        pump = _pump(step_size=0.004, noise_rms=0.2, rng=4, saturation=False)
+        pump = _pump(step_size=0.004, noise_rms=0.2, rng=4)
         weights = np.zeros((4, 3))
-        n_updates = 200
+        # 100 updates keep every weight below the roll-off region.
+        n_updates = 100
         for _ in range(n_updates):
             pump.apply(weights, np.ones((4, 3)), positive=True)
         np.testing.assert_allclose(weights / n_updates, 0.004, rtol=0.1)
@@ -145,13 +158,16 @@ class TestVariationAndNoise:
 
 class TestBiasUpdates:
     def test_bias_increment_and_decrement(self):
-        pump = _pump(saturation=False)
+        """A bias step rolls off over the whole range: half the nominal
+        step at the midpoint, and the headroom toward the phase's rail
+        sets the next one."""
+        pump = _pump()
         biases = np.zeros(4)
         active = np.array([1.0, 0.0, 1.0, 0.0])
         pump.apply_bias(biases, active, positive=True)
-        np.testing.assert_allclose(biases, [0.1, 0.0, 0.1, 0.0])
+        np.testing.assert_allclose(biases, [0.05, 0.0, 0.05, 0.0])
         pump.apply_bias(biases, active, positive=False)
-        np.testing.assert_allclose(biases, 0.0, atol=1e-12)
+        np.testing.assert_allclose(biases, [0.05 - 0.1 * 1.05 / 2, 0.0] * 2)
 
     def test_bias_respects_range(self):
         pump = _pump(step_size=0.5)
@@ -159,6 +175,15 @@ class TestBiasUpdates:
         for _ in range(20):
             pump.apply_bias(biases, np.ones(3), positive=True)
         assert biases.max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("positive", [True, False])
+    @pytest.mark.parametrize("bias", [-0.5, 0.0, 0.5])
+    def test_bias_step_rolls_off_over_the_whole_range(self, bias, positive):
+        pump = _pump()
+        biases = np.full(4, bias)
+        pump.apply_bias(biases, np.ones(4), positive=positive)
+        headroom = (1.0 - bias) if positive else (bias + 1.0)
+        np.testing.assert_allclose(np.abs(biases - bias), 0.1 * headroom / 2.0)
 
     def test_bias_shape_mismatch(self):
         pump = _pump()
@@ -196,20 +221,18 @@ class TestWorkBuffers:
 class TestTrustedEntryPoints:
     """The raw-latch-bit updates the BGF kernel calls land the same values,
     bit for bit, as the validated ``apply``/``apply_bias`` on the outer
-    product, with and without the roll-off (the BGF builds only saturating
-    pumps; the idealized law is the pump's own ablation)."""
+    product."""
 
-    @pytest.mark.parametrize("saturation", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sample_updates_equal_validated_updates(self, saturation, dtype):
+    def test_sample_updates_equal_validated_updates(self, dtype):
         rng = np.random.default_rng(3)
         start = rng.uniform(-1.0, 1.0, (4, 3)).astype(dtype)
         bias_start = rng.uniform(-1.0, 1.0, 4).astype(dtype)
         samples = [(rng.random(4) < 0.5, rng.random(3) < 0.5) for _ in range(20)]
         results = []
         for trusted in (True, False):
-            pump = _pump(saturation=saturation, variation_rms=0.1, noise_rms=0.1)
-            bias_pump = _pump(shape=(4, 1), saturation=saturation, noise_rms=0.1)
+            pump = _pump(variation_rms=0.1, noise_rms=0.1)
+            bias_pump = _pump(shape=(4, 1), noise_rms=0.1)
             weights, biases = start.copy(), bias_start.copy()
             for step, (v, h) in enumerate(samples):
                 v_bits, h_bits = v.astype(np.float64), h.astype(np.float64)

@@ -29,12 +29,6 @@ NAN, INF = float("nan"), float("inf")
         (lambda: ChargePumpUpdater(4), "shape"),
         (lambda: ChargePumpUpdater((2, 2), weight_range=(0.0, NAN)), "weight_range"),
         (lambda: ChargePumpUpdater((2, 2), weight_range=(1.0, -1.0)), "weight_range"),
-        (lambda: ChargePumpUpdater((2, 2), saturation="no"), "saturation must be a bool"),
-        (lambda: ChargePumpUpdater((2, 2), saturation=1), "saturation must be a bool"),
-        (lambda: ChargePumpUpdater((2, 2), saturation_margin="0.5"), "saturation_margin"),
-        (lambda: ChargePumpUpdater((2, 2), saturation_margin=NAN), "saturation_margin"),
-        (lambda: ChargePumpUpdater((2, 2), saturation_margin=0.0), "saturation_margin"),
-        (lambda: ChargePumpUpdater((2, 2), saturation_margin=1.5), "saturation_margin"),
         (lambda: DigitalToTimeConverter(7.9), "n_bits"),
         (lambda: DigitalToTimeConverter(True), "n_bits"),
         (lambda: DigitalToTimeConverter(0), "n_bits"),
@@ -56,7 +50,6 @@ def test_valid_values_are_canonicalized():
     pump = ChargePumpUpdater((np.int64(3), 2), weight_range=[-1, 1])
     assert pump.shape == (3, 2) and all(type(dim) is int for dim in pump.shape)
     assert pump.weight_range == (-1.0, 1.0)
-    assert ChargePumpUpdater((2, 2), saturation_margin=np.float32(0.5)).saturation_margin == 0.5
     dtc = DigitalToTimeConverter(np.int64(4), value_range=np.array([0, 1]))
     assert type(dtc.n_bits) is int and dtc.value_range == (0.0, 1.0)
     assert AnalogToDigitalConverter(6).value_range == (-1.0, 1.0)

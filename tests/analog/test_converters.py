@@ -103,15 +103,14 @@ class TestQuantizeSymmetric:
         codes, scales = quantize_symmetric(np.random.default_rng(6).normal(0, 1, 9))
         assert dequantize_symmetric(codes, scales).dtype == np.float32
 
-    def test_wider_codes_use_int16(self):
-        codes, scales = quantize_symmetric(np.linspace(-1, 1, 9), n_bits=12)
-        assert codes.dtype == np.int16
-        assert int(np.abs(codes).max()) == (1 << 11) - 1
-
-    def test_invalid_n_bits(self):
-        for n_bits in (1, 17):
-            with pytest.raises(ValidationError):
-                quantize_symmetric(np.zeros(3), n_bits=n_bits)
+    @pytest.mark.parametrize("axis", [None, 0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_codes_are_int8_for_any_input(self, dtype, axis):
+        values = (np.random.default_rng(7).normal(0, 40, (6, 5))).astype(dtype)
+        codes, scales = quantize_symmetric(values, axis=axis)
+        assert codes.dtype == np.int8
+        assert scales.dtype == np.float32
+        assert int(np.abs(codes).max()) == 127
 
     def test_invalid_axis(self):
         with pytest.raises(ValidationError):
@@ -124,15 +123,25 @@ class TestQuantizeSymmetric:
             quantize_symmetric(np.array([1.0, np.nan]))
 
 
+def _levels(converter, values):
+    """Distinct output levels a converter produces over ``values``."""
+    if isinstance(converter, DigitalToTimeConverter):
+        return np.unique(converter.convert(values))
+    return np.unique(converter.read(values))
+
+
 class TestDigitalToTimeConverter:
     def test_lsb(self):
-        dtc = DigitalToTimeConverter(8)
-        assert dtc.lsb == pytest.approx(1.0 / 255)
+        """Adjacent 8-bit levels are one LSB, (hi - lo) / 255, apart."""
+        levels = _levels(DigitalToTimeConverter(8), np.linspace(0.0, 1.0, 4001))
+        assert levels.size == 256
+        np.testing.assert_allclose(np.diff(levels), 1.0 / 255)
 
     def test_ideal_conversion_error(self):
         dtc = DigitalToTimeConverter(8)
         values = np.random.default_rng(1).random(200)
-        assert np.max(np.abs(dtc.convert(values) - values)) <= dtc.lsb / 2 + 1e-12
+        lsb = 1.0 / 255
+        assert np.max(np.abs(dtc.convert(values) - values)) <= lsb / 2 + 1e-12
 
     def test_one_bit_converter(self):
         dtc = DigitalToTimeConverter(1)
@@ -150,12 +159,22 @@ class TestAnalogToDigitalConverter:
     def test_round_trip_error_bounded(self):
         adc = AnalogToDigitalConverter(8, value_range=(-1.0, 1.0))
         values = np.random.default_rng(3).uniform(-1, 1, 300)
-        assert np.max(np.abs(adc.read(values) - values)) <= adc.lsb / 2 + 1e-12
+        lsb = 2.0 / 255
+        assert np.max(np.abs(adc.read(values) - values)) <= lsb / 2 + 1e-12
 
     def test_readout_quantization_is_coarse_at_low_bits(self):
         adc = AnalogToDigitalConverter(2, value_range=(-1.0, 1.0))
         values = np.random.default_rng(4).uniform(-1, 1, 300)
         assert np.unique(adc.read(values)).size <= 4
+
+    @pytest.mark.parametrize("cls", [DigitalToTimeConverter, AnalogToDigitalConverter])
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 5])
+    def test_levels_span_the_range_evenly(self, cls, n_bits):
+        converter = cls(n_bits, value_range=(-0.5, 1.5))
+        levels = _levels(converter, np.linspace(-0.5, 1.5, 2001))
+        assert levels.size == 2**n_bits
+        assert levels[0] == -0.5 and levels[-1] == 1.5
+        np.testing.assert_allclose(np.diff(levels), 2.0 / (2**n_bits - 1))
 
     def test_paper_default_is_8_bits(self):
         assert AnalogToDigitalConverter().n_bits == 8

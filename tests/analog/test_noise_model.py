@@ -6,7 +6,7 @@ import pytest
 from helpers.reference import perturbed_coupling
 from repro.analog import NoiseModel
 from repro.config import NoiseSpec
-from repro.analog.noise import FIGURE8_NOISE_CONFIGS, full_noise_sweep
+from repro.analog.noise import FIGURE8_NOISE_CONFIGS
 from repro.utils.validation import ValidationError
 
 
@@ -15,11 +15,6 @@ class TestNoiseSweep:
         assert all(isinstance(c, NoiseSpec) for c in FIGURE8_NOISE_CONFIGS)
         labels = [c.label for c in FIGURE8_NOISE_CONFIGS]
         assert labels == ["0_0", "0.03_0.03", "0.05_0.05", "0.1_0.1", "0.2_0.2", "0.3_0.3"]
-
-    def test_full_sweep_is_25_combinations(self):
-        sweep = full_noise_sweep()
-        assert len(sweep) == 25
-        assert len({c.label for c in sweep}) == 25
 
 
 class TestNoiseModel:

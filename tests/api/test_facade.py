@@ -7,7 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.api import build_estimator, build_substrate, build_trainer
+from repro.api import build_trainer
 from repro.config import ComputeSpec, TrainerSpec, ValidationError
 from repro.core import (
     BGFTrainer,
@@ -64,12 +64,6 @@ def data():
     return samples
 
 
-class TestBuildSubstrate:
-    def test_type_checked(self):
-        with pytest.raises(ValidationError, match="SubstrateSpec"):
-            build_substrate(TrainerSpec.cd())
-
-
 class TestBuildTrainer:
     def test_runtime_arguments_combine_with_spec_freely(self):
         trainer = GibbsSamplerTrainer(spec=TrainerSpec.gs(0.1), rng=3, callback=print)
@@ -93,9 +87,3 @@ class TestBuildTrainer:
         )
         trainer.train(BernoulliRBM(20, 8, rng=0), data, epochs=1)
         assert trainer.machine.dtype == np.float32
-
-
-class TestBuildEstimator:
-    def test_type_checked(self):
-        with pytest.raises(ValidationError, match="EstimatorSpec"):
-            build_estimator(ComputeSpec())

@@ -142,6 +142,12 @@ class TestSubstrateSpec:
     def test_none_input_bits_allowed(self):
         assert SubstrateSpec(n_visible=4, n_hidden=2, input_bits=None).input_bits is None
 
+    def test_workers_rejected_naming_the_reason(self):
+        """The substrate never read ``compute.workers``: its sharding is a
+        ``settle_batch`` argument."""
+        with pytest.raises(ValidationError, match="workers=4.*settle_batch"):
+            SubstrateSpec(4, 2, compute=ComputeSpec(workers=4))
+
 
 
 class TestTrainerSpec:
@@ -170,6 +176,15 @@ class TestTrainerSpec:
             TrainerSpec(kind="cd", sampler=SamplerSpec(chains=64, persistent=True))
         with pytest.raises(ValidationError, match="noise"):
             TrainerSpec(kind="cd", noise=NoiseSpec(0.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "kind, reason", [("cd", "no chains to shard"), ("bgf", "mid-step updates")]
+    )
+    def test_workers_applies_to_gs_only(self, kind, reason):
+        """CD and the BGF accepted ``compute.workers`` and never read it."""
+        with pytest.raises(ValidationError, match=f"workers=2 applies to the 'gs'.*{reason}"):
+            TrainerSpec(kind=kind, compute=ComputeSpec(workers=2))
+        assert TrainerSpec.gs(compute=ComputeSpec(workers=2)).compute.workers == 2
 
     def test_reference_batch_size_is_bgf_only(self):
         with pytest.raises(ValidationError, match="reference_batch_size"):

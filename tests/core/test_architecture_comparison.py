@@ -22,6 +22,16 @@ def training_data():
     return prototypes[rng.integers(0, 4, 100)]
 
 
+def _host_interactions(host) -> int:
+    """Every host<->device event except the unavoidable data streaming."""
+    return (
+        host.programming_writes
+        + host.sample_reads
+        + host.gradient_updates_on_host
+        + host.final_weight_readouts
+    )
+
+
 class TestHostInteractionGap:
     def test_bgf_needs_orders_of_magnitude_fewer_host_interactions(self, training_data):
         """The BGF's entire point: per-sample learning without per-batch host
@@ -37,8 +47,8 @@ class TestHostInteractionGap:
         bgf.train(rbm_bgf, training_data, epochs=epochs)
         bgf.machine.read_out()
 
-        gs_interactions = gs.machine.host.total_host_interactions
-        bgf_interactions = bgf.machine.host.total_host_interactions
+        gs_interactions = _host_interactions(gs.machine.host)
+        bgf_interactions = _host_interactions(bgf.machine.host)
         assert bgf_interactions < gs_interactions / 10
 
     def test_gs_host_interactions_scale_with_batches(self, training_data):
@@ -65,8 +75,8 @@ class TestHostInteractionGap:
         rbm2 = BernoulliRBM(16, 8, rng=0)
         large.train(rbm2, training_data, epochs=1)
         assert (
-            small.machine.host.total_host_interactions
-            == large.machine.host.total_host_interactions
+            _host_interactions(small.machine.host)
+            == _host_interactions(large.machine.host)
         )
         assert (
             large.machine.host.training_samples_streamed

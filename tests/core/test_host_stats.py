@@ -6,8 +6,7 @@ from repro.core import HostStatistics
 class TestHostStatistics:
     def test_starts_at_zero(self):
         stats = HostStatistics()
-        assert stats.total_host_interactions == 0
-        assert stats.training_samples_streamed == 0
+        assert stats == HostStatistics(0, 0, 0, 0, 0)
 
     def test_counters_accumulate(self):
         stats = HostStatistics()
@@ -21,17 +20,3 @@ class TestHostStatistics:
         assert stats.gradient_updates_on_host == 1
         assert stats.final_weight_readouts == 1
         assert stats.training_samples_streamed == 10
-
-    def test_total_excludes_streaming(self):
-        stats = HostStatistics()
-        stats.record_sample_streamed(100)
-        stats.record_programming()
-        assert stats.total_host_interactions == 1
-
-    def test_reset(self):
-        stats = HostStatistics()
-        stats.record_programming(5)
-        stats.record_sample_streamed(5)
-        stats.reset()
-        assert stats.total_host_interactions == 0
-        assert stats.training_samples_streamed == 0

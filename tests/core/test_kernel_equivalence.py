@@ -30,7 +30,9 @@ from helpers.reference import (
     use_reference,
 )
 from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
+from repro.analog.charge_pump import SATURATION_MARGIN
 from repro.core import BGFTrainer, BoltzmannGradientFollower, GibbsSamplerTrainer
+from repro.core.gradient_follower import CHUNK_SIZE
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, CDTrainer
 from repro.utils.numerics import log1pexp, sigmoid
@@ -86,12 +88,13 @@ class TestTrainerEquivalenceIdealCorner:
         _assert_same_model(_train(factory, data), _train(factory, data, reference=True))
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_bgf_chunk_size_does_not_change_the_stream(self, data, dtype):
+    def test_bgf_chunk_size_does_not_change_the_stream(self, data, dtype, monkeypatch):
         """Chunking is bookkeeping only: any chunk size yields the same run,
         on every tier (the per-chunk block draw of the gating bits equals
         the per-sample draws)."""
         results = []
-        for chunk_size in (1, 7, 64):
+        for chunk_size in (1, 7, CHUNK_SIZE):
+            monkeypatch.setattr("repro.core.gradient_follower.CHUNK_SIZE", chunk_size)
             rbm = BernoulliRBM(49, 32, rng=0)
             trainer = BGFTrainer(
                 spec=TrainerSpec.bgf(
@@ -101,7 +104,7 @@ class TestTrainerEquivalenceIdealCorner:
             )
             machine = trainer._ensure_machine(rbm)
             machine.initialize(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-            machine.run(data, chunk_size=chunk_size)
+            machine.run(data)
             results.append(machine.substrate.read_parameters())
         for weights, bv, bh in results[1:]:
             np.testing.assert_array_equal(weights, results[0][0])
@@ -140,9 +143,8 @@ class TestBGFStreamMatchesPerSampleLoop:
         machine = self._machine("float64", NoiseSpec())
         pump = machine.weight_pump
         lo, hi = pump.weight_range
-        margin = pump.saturation_margin * (hi - lo)
+        margin = SATURATION_MARGIN * (hi - lo)
         weights = machine.substrate.weights
-        assert pump.saturation
         assert (weights > hi - margin).any() and (weights < lo + margin).any()
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -153,9 +155,12 @@ class TestBGFStreamMatchesPerSampleLoop:
             data = data.copy()
             data[:, ::3] *= np.linspace(0.2, 0.9, data.shape[0])[:, None]
         streamed = self._machine(dtype, noise)
-        streamed.run(data[:60], shuffle=False, chunk_size=16)
+        # More rows than one CHUNK_SIZE chunk, so the per-chunk gating
+        # draw is checked across a chunk boundary.
+        assert CHUNK_SIZE < 100 <= data.shape[0]
+        streamed.run(data[:100], shuffle=False)
         looped = self._machine(dtype, noise)
-        for sample in data[:60]:
+        for sample in data[:100]:
             learn_sample(looped, sample)
         for a, b in zip(streamed.substrate.read_parameters(), looped.substrate.read_parameters()):
             assert a.dtype == b.dtype

@@ -140,8 +140,8 @@ class TestPersistentChainBookkeeping:
         trainer.train(rbm, data, epochs=1)
         first = trainer.chain_states
         assert first.shape == (8, 32)
-        # reset_chains=False continues the same fantasy particles.
-        trainer.train(rbm, data, epochs=1, reset_chains=False)
+        # partial_fit continues the same fantasy particles.
+        trainer.partial_fit(rbm, data[:10])
         second = trainer.chain_states
         assert second.shape == (8, 32)
         assert not np.array_equal(first, second)  # they advanced
@@ -153,8 +153,8 @@ class TestPersistentChainBookkeeping:
         )
         trainer.train(BernoulliRBM(49, 32, rng=0), data, epochs=1)
         # A different hidden size must re-initialize rather than crash,
-        # even when the caller asks to keep the chains.
-        trainer.train(BernoulliRBM(49, 16, rng=0), data, epochs=1, reset_chains=False)
+        # even on the entry that keeps the chains.
+        trainer.partial_fit(BernoulliRBM(49, 16, rng=0), data[:10])
         assert trainer.chain_states.shape == (4, 16)
 
     def test_nonpersistent_multichain_keeps_no_state(self, data):

@@ -102,13 +102,29 @@ class TestGSPartialFitBitIdentity:
         trainer.partial_fit(rbm, data[BATCH : 2 * BATCH])
         assert not np.array_equal(first, trainer.chain_states)
 
-    def test_reset_chains_reinitializes(self):
-        data = _data()
-        trainer = _gs_trainer(chains=4, persistent=True)
-        rbm = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
-        trainer.partial_fit(rbm, data[:BATCH])
-        trainer.partial_fit(rbm, data[:BATCH], reset_chains=True)
-        assert trainer.chain_states.shape == (4, N_HIDDEN)
+    @pytest.mark.parametrize("chains", [1, 4])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_train_redraws_chains_left_by_earlier_calls(self, chains, sparse):
+        """Two trainers at the same RNG position but holding different
+        persistent chains train identically: ``train`` never resumes the
+        chains an earlier call left behind."""
+        data = _data(sparse=sparse)
+        first, second = (_gs_trainer(chains=chains, persistent=True) for _ in range(2))
+        # Hidden biases of opposite sign push the two chain sets apart.
+        for trainer, sign in ((first, -1.0), (second, 1.0)):
+            rbm = BernoulliRBM(N_VISIBLE, N_HIDDEN, rng=0)
+            rbm.hidden_bias = np.full(N_HIDDEN, 6.0 * sign)
+            trainer.partial_fit(rbm, data[:BATCH])
+        assert not np.array_equal(first.chain_states, second.chain_states)
+
+        # Strong couplings, so the chains a negative phase starts from
+        # shape the samples it draws.
+        rbm_first = BernoulliRBM(N_VISIBLE, N_HIDDEN, weight_scale=3.0, rng=2)
+        rbm_second = BernoulliRBM(N_VISIBLE, N_HIDDEN, weight_scale=3.0, rng=2)
+        first.train(rbm_first, data, epochs=1, shuffle=False)
+        second.train(rbm_second, data, epochs=1, shuffle=False)
+        _assert_params_equal(rbm_first, rbm_second)
+        np.testing.assert_array_equal(first.chain_states, second.chain_states)
 
     def test_batch_width_validated(self):
         trainer = _gs_trainer()

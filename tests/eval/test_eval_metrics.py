@@ -9,6 +9,7 @@ from repro.eval import (
     roc_auc,
     roc_curve,
 )
+from repro.eval.metrics import KL_EPSILON
 from repro.utils.validation import ValidationError
 
 
@@ -121,6 +122,12 @@ class TestKLDivergence:
         p = np.array([0.5, 0.5])
         q = np.array([1.0, 0.0])
         assert np.isfinite(kl_divergence(p, q))
+
+    def test_zero_model_probability_is_floored_at_kl_epsilon(self):
+        p = np.array([0.5, 0.5])
+        q = np.array([1.0, 0.0])
+        expected = 0.5 * np.log(0.5) + 0.5 * np.log(0.5 / KL_EPSILON)
+        assert kl_divergence(p, q) == pytest.approx(expected)
 
     def test_asymmetry(self):
         p = np.array([0.9, 0.1])

@@ -37,7 +37,7 @@ class TestRBMRecommender:
         takes the observed ratings explicitly."""
         recommender = RBMRecommender(n_hidden=8, epochs=3, rng=0).fit(tiny_ratings_dataset)
         assert not hasattr(recommender, "_train_data")
-        with pytest.raises(ValidationError, match="does not retain"):
+        with pytest.raises(TypeError, match="ratings"):
             recommender.predict_matrix()
 
     def test_predict_ratings_row_width_check(self, tiny_ratings_dataset):

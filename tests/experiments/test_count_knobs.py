@@ -85,3 +85,12 @@ def test_cli_exits_2_naming_the_knob(no_data, capsys, argv):
     assert main(argv) == 2
     knob = argv[-1].split("=")[0]
     assert f"{knob} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_bins", [2, 16])
+def test_figure10_n_bins_needs_onehot_before_any_data(no_data, n_bins):
+    """``n_bins`` quantizes the one-hot encoding only; under the default
+    ``direct`` encoding it once changed nothing, silently."""
+    spec = RunSpec(experiment="figure10").with_overrides(n_bins=n_bins, encoding="direct")
+    with pytest.raises(ValidationError, match="n_bins applies only to encoding='onehot'"):
+        run_experiment(spec)

@@ -22,17 +22,8 @@ class TestExperimentResult:
     def test_columns(self):
         assert _result().columns == ["workload", "value"]
 
-    def test_column_extraction(self):
-        assert _result().column("value") == [1.5, 2.5]
-
-    def test_unknown_column(self):
-        with pytest.raises(ValidationError):
-            _result().column("missing")
-
-    def test_column_on_empty_result(self):
+    def test_columns_of_empty_result(self):
         empty = ExperimentResult(name="empty", description="", rows=[])
-        with pytest.raises(ValidationError):
-            empty.column("x")
         assert empty.columns == []
 
     def test_row_by(self):

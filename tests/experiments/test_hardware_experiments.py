@@ -21,7 +21,7 @@ class TestFigure5Driver:
         return run_figure5()
 
     def test_rows_cover_all_benchmarks_plus_geomean(self, result):
-        workloads = result.column("workload")
+        workloads = [row["workload"] for row in result.rows]
         assert len(workloads) == 12
         assert workloads[-1] == "GeoMean"
         assert "MNIST_RBM" in workloads and "RC_RBM" in workloads
@@ -87,7 +87,7 @@ class TestTable2Driver:
 class TestTable3Driver:
     def test_rows(self):
         result = run_table3()
-        accelerators = result.column("accelerator")
+        accelerators = [row["accelerator"] for row in result.rows]
         assert accelerators == ["TPU v1", "TPU v4", "TIMELY", "BGF (1600x1600)"]
 
     def test_bgf_values(self):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.hardware.comparison import AcceleratorSummary, TIMELY, bgf_summary, table3_rows, tpu_summary
+from repro.hardware.comparison import (
+    BGF_CLOCK_HZ,
+    TIMELY,
+    AcceleratorSummary,
+    bgf_summary,
+    table3_rows,
+    tpu_summary,
+)
 from repro.hardware.tpu import TPU_V1, TPU_V4
 from repro.utils.validation import ValidationError
 
@@ -54,6 +61,10 @@ class TestTable3Reproduction:
         large = bgf_summary(1600)
         # Efficiency per area improves with size because O(N) circuits amortize.
         assert large.tops_per_watt > small.tops_per_watt
+
+    @pytest.mark.parametrize("n_nodes", [400, 800, 1600])
+    def test_bgf_throughput_is_one_mac_per_coupling_unit_per_cycle(self, n_nodes):
+        assert bgf_summary(n_nodes).tops == pytest.approx(n_nodes**2 * BGF_CLOCK_HZ / 1e12)
 
     def test_invalid_nodes(self):
         with pytest.raises(ValidationError):

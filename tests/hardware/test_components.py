@@ -8,8 +8,6 @@ from repro.hardware.components import (
     CU_GIBBS,
     GIBBS_SAMPLER_LIBRARY,
     SubunitCost,
-    bgf_breakdown,
-    gibbs_sampler_breakdown,
     table2_rows,
 )
 from repro.utils.validation import ValidationError
@@ -92,7 +90,7 @@ class TestTable2Reproduction:
         """Sec. 3.1: "the vast majority of the area is devoted to the coupling
         units" — check that it dominates at every reported size."""
         for nodes in (400, 800, 1600):
-            breakdown = bgf_breakdown(nodes)
+            breakdown = BGF_LIBRARY.breakdown(nodes)
             cu_area = breakdown["CU (BGF)"][0]
             total = BGF_LIBRARY.total_area_mm2(nodes)
             assert cu_area / total > 0.9
@@ -122,7 +120,7 @@ class TestTable2Reproduction:
 
     def test_breakdowns_sum_to_totals(self):
         for nodes in (400, 1600):
-            gibbs_total = sum(a for a, _ in gibbs_sampler_breakdown(nodes).values())
+            gibbs_total = sum(a for a, _ in GIBBS_SAMPLER_LIBRARY.breakdown(nodes).values())
             assert gibbs_total == pytest.approx(GIBBS_SAMPLER_LIBRARY.total_area_mm2(nodes))
-            bgf_total = sum(p for _, p in bgf_breakdown(nodes).values())
+            bgf_total = sum(p for _, p in BGF_LIBRARY.breakdown(nodes).values())
             assert bgf_total == pytest.approx(BGF_LIBRARY.total_power_mw(nodes))

@@ -49,10 +49,6 @@ class TestWorkloadSpec:
         with pytest.raises(ValidationError):
             WorkloadSpec(name="bad", layers=((10, 10),), n_samples=0)
 
-    def test_largest_layer_nodes(self):
-        spec = WorkloadSpec(name="x", layers=((784, 200), (200, 1024)), n_samples=10)
-        assert spec.largest_layer_nodes == 1024
-
 
 class TestTimingModel:
     def test_all_times_positive(self, model, workloads):
@@ -105,11 +101,10 @@ class TestTimingModel:
         host_wait = breakdown["host_compute"] + breakdown["communication"]
         assert 0.05 < breakdown["communication"] / host_wait < 0.7
 
-    def test_normalized_to(self, model, mnist_workload):
+    def test_tpu_slower_and_costlier_than_bgf(self, model, mnist_workload):
         timings = model.evaluate(mnist_workload)
-        time_ratio, energy_ratio = timings["TPU"].normalized_to(timings["BGF"])
-        assert time_ratio > 1
-        assert energy_ratio > 1
+        assert timings["TPU"].seconds > timings["BGF"].seconds
+        assert timings["TPU"].joules > timings["BGF"].joules
 
 
 class TestFigure5Claims:

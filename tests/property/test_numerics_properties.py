@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from helpers import FLOAT64_ASSOC_ATOL, FLOAT64_EXACT_ATOL
 from repro.utils.numerics import (
     log1pexp,
-    log_sigmoid,
     logsumexp,
     sigmoid,
     softmax,
@@ -38,13 +37,6 @@ class TestSigmoidProperties:
     def test_monotonicity(self, x, y):
         low, high = min(x, y), max(x, y)
         assert sigmoid(np.array([low]))[0] <= sigmoid(np.array([high]))[0] + FLOAT64_EXACT_ATOL
-
-    @given(small_floats)
-    def test_log_sigmoid_consistency(self, x):
-        assert log_sigmoid(np.array([x]))[0] <= 0.0
-        np.testing.assert_allclose(
-            np.exp(log_sigmoid(np.array([x])))[0], sigmoid(np.array([x]))[0], atol=FLOAT64_ASSOC_ATOL
-        )
 
 
 class TestLog1pexpProperties:

@@ -5,13 +5,14 @@ import pytest
 
 from repro.config import TrainerSpec
 from repro.rbm import CDTrainer, DeepBeliefNetwork
+from repro.rbm.rbm import smoothed_log_odds
 from repro.utils.validation import ValidationError
 
 
 class TestDeepBeliefNetworkConstruction:
     def test_layer_structure(self):
         dbn = DeepBeliefNetwork((20, 12, 8, 4), rng=0)
-        assert dbn.n_rbm_layers == 2
+        assert len(dbn.rbms) == 2
         assert dbn.rbms[0].n_visible == 20 and dbn.rbms[0].n_hidden == 12
         assert dbn.rbms[1].n_visible == 12 and dbn.rbms[1].n_hidden == 8
         assert dbn.n_classes == 4
@@ -44,11 +45,27 @@ class TestDeepBeliefNetworkTraining:
         features = dbn.transform(train_x)
         assert features.shape == (train_x.shape[0], 12)
 
-    def test_transform_up_to_layer(self, labelled_data):
+    def test_transform_chains_the_layers_mean_field(self, labelled_data):
         train_x, _, _, _, n_classes = labelled_data
         dbn = DeepBeliefNetwork((train_x.shape[1], 16, 12, n_classes), rng=0)
         dbn.pretrain(train_x, epochs=1, batch_size=16)
-        assert dbn.transform(train_x, up_to_layer=1).shape == (train_x.shape[0], 16)
+        np.testing.assert_array_equal(
+            dbn.transform(train_x), dbn.rbms[1].transform(dbn.rbms[0].transform(train_x))
+        )
+
+    def test_each_layer_starts_from_its_inputs_log_odds(self, labelled_data):
+        train_x, _, _, _, n_classes = labelled_data
+        seen = []
+
+        def layer_trainer(rbm, layer_data):
+            seen.append((rbm.visible_bias.copy(), np.asarray(layer_data).copy()))
+            return CDTrainer(spec=TrainerSpec.cd(0.1), rng=0).train(rbm, layer_data, epochs=1)
+
+        dbn = DeepBeliefNetwork((train_x.shape[1], 10, 6, n_classes), rng=0)
+        dbn.pretrain(train_x, layer_trainer=layer_trainer)
+        assert len(seen) == 2
+        for visible_bias, layer_data in seen:
+            np.testing.assert_array_equal(visible_bias, smoothed_log_odds(layer_data))
 
     def test_predict_requires_fine_tune(self, labelled_data):
         train_x, _, _, _, n_classes = labelled_data

@@ -8,6 +8,7 @@ import pytest
 
 from helpers.reference import energy
 from repro.rbm import BernoulliRBM
+from repro.rbm.rbm import LOG_ODDS_SMOOTHING, smoothed_log_odds
 from repro.utils.numerics import sigmoid
 from repro.utils.validation import ValidationError
 
@@ -65,6 +66,28 @@ class TestConstruction:
             BernoulliRBM(5, 5, weight_scale=0.0)
 
 
+class TestSmoothedLogOdds:
+    @pytest.mark.parametrize(
+        "mean, clipped",
+        [
+            (0.0, LOG_ODDS_SMOOTHING),
+            (0.02, LOG_ODDS_SMOOTHING),
+            (0.5, 0.5),
+            (0.8, 0.8),
+            (1.0, 1.0 - LOG_ODDS_SMOOTHING),
+        ],
+    )
+    def test_log_odds_of_the_clipped_column_mean(self, mean, clipped):
+        data = np.zeros((50, 2))
+        data[: int(round(mean * 50)), 0] = 1.0
+        data[:, 1] = 1.0
+        odds = smoothed_log_odds(data)
+        assert odds[0] == pytest.approx(np.log(clipped / (1.0 - clipped)))
+        assert odds[1] == pytest.approx(
+            np.log((1.0 - LOG_ODDS_SMOOTHING) / LOG_ODDS_SMOOTHING)
+        )
+
+
 class TestParameters:
     def test_copy_is_deep(self, small_rbm):
         clone = small_rbm.copy()
@@ -93,7 +116,7 @@ class TestParameters:
     def test_init_visible_bias_from_data(self, small_rbm):
         data = np.zeros((50, 16))
         data[:, 0] = 1.0  # pixel 0 always on, others always off
-        small_rbm.init_visible_bias_from_data(data, smoothing=0.05)
+        small_rbm.init_visible_bias_from_data(data)
         assert small_rbm.visible_bias[0] == pytest.approx(np.log(0.95 / 0.05))
         assert small_rbm.visible_bias[1] == pytest.approx(np.log(0.05 / 0.95))
 

@@ -7,15 +7,14 @@ results, and every corruption/mismatch path fails with a ValidationError
 naming the offending file.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.analog import dequantize_symmetric, quantize_symmetric
-from repro.config import TrainerSpec
 from repro.config.specs import ComputeSpec, RunSpec
-from repro.core import GibbsSamplerTrainer
 from repro.eval import RBMAnomalyDetector, RBMRecommender
 from repro.rbm import BernoulliRBM
 from repro.serve import (
@@ -235,14 +234,6 @@ class TestQuantizedArtifact:
         ratio = full_path.stat().st_size / quantized_path.stat().st_size
         assert ratio >= 3.0
 
-    def test_chain_state_stays_full_precision(self, tmp_path):
-        rbm = _random_rbm()
-        chains = (np.random.default_rng(3).random((4, 16)) < 0.5).astype(float)
-        save_model(rbm, tmp_path / "q", quantize=True, chain_state=chains)
-        artifact = load_model(tmp_path / "q")
-        assert artifact.chain_state.dtype == np.float64
-        np.testing.assert_array_equal(artifact.chain_state, chains)
-
     def test_quantized_save_reload_is_idempotent_on_values(self, tmp_path):
         """Dequantized parameters re-quantize to the same codes, so a
         quantized artifact survives load -> save -> load unchanged."""
@@ -290,93 +281,37 @@ class TestQuantizedArtifact:
         assert np.corrcoef(direct, loaded)[0, 1] > 0.99
 
 
-class TestChainStateRoundTrip:
-    def test_gs_chain_states_survive_and_restore(self, tmp_path, tiny_binary_data):
-        rbm = BernoulliRBM(16, 8, rng=0)
-        trainer = GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=4, persistent=True),
-            rng=3,
-        )
-        trainer.train(rbm, tiny_binary_data, epochs=1)
-        save_model(rbm, tmp_path / "gs", chain_state=trainer.chain_states)
+class TestLegacyChainState:
+    """Bundles once could carry a persistent-chain ``chain_state`` array.
+    They still load: the array is checked against the manifest like every
+    other, then ignored."""
 
-        artifact = load_model(tmp_path / "gs")
-        np.testing.assert_array_equal(artifact.chain_state, trainer.chain_states)
-        resumed = GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(0.1, cd_k=1, batch_size=10, chains=4, persistent=True),
-            rng=3,
-        )
-        resumed.restore_chain_states(artifact.chain_state)
+    @staticmethod
+    def _with_chain_state(tmp_path, chains):
+        rbm = _random_rbm()
+        save_model(rbm, tmp_path / "old")
+        npz_path, json_path = tmp_path / "old.npz", tmp_path / "old.json"
+        with np.load(npz_path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        np.savez(npz_path, **arrays, chain_state=chains)
+        meta = json.loads(json_path.read_text())
+        meta["arrays"]["chain_state"] = {"shape": [4, 8], "dtype": "float64"}
+        meta["npz_sha256"] = hashlib.sha256(npz_path.read_bytes()).hexdigest()
+        json_path.write_text(json.dumps(meta))
+        return rbm
+
+    def test_bundle_with_chain_state_loads_and_scores(self, tmp_path):
+        rbm = self._with_chain_state(tmp_path, np.eye(4, 8))
+        artifact = load_model(tmp_path / "old")
+        rows = (np.random.default_rng(2).random((5, 16)) < 0.5).astype(float)
         np.testing.assert_array_equal(
-            resumed.chain_states, trainer.chain_states
+            artifact.scorer()(rows), rbm.score_samples(rows)
         )
 
-    def test_restore_hooks_validate_shapes(self):
-        with pytest.raises(ValidationError, match="chains"):
-            GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(0.1, chains=6, persistent=True), rng=0
-            ).restore_chain_states(np.zeros((3, 8)))
-        trainer = GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(0.1, chains=4, persistent=False), rng=0
-        )
-        with pytest.raises(ValidationError, match="persistent"):
-            trainer.restore_chain_states(np.zeros((4, 8)))
-
-    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
-    def test_restore_rejects_non_binary_states(self, bad):
-        trainer = GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(0.1, chains=4, persistent=True), rng=0
-        )
-        states = np.zeros((4, 8))
-        states[1, 2] = bad
-        with pytest.raises(ValidationError, match="chain_states"):
-            trainer.restore_chain_states(states)
-
-    @pytest.mark.parametrize("entry", ["partial_fit", "train"])
-    def test_restored_width_must_match_the_rbm(self, entry, tiny_binary_data):
-        trainer = GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(0.1, batch_size=10, chains=4, persistent=True),
-            rng=0,
-        )
-        trainer.restore_chain_states(np.zeros((4, 9)))
-        rbm = BernoulliRBM(16, 8, rng=0)
-        with pytest.raises(ValidationError, match="width 9.*n_hidden=8"):
-            if entry == "partial_fit":
-                trainer.partial_fit(rbm, tiny_binary_data[:10])
-            else:
-                trainer.train(rbm, tiny_binary_data, epochs=1, reset_chains=False)
-
-    @pytest.mark.parametrize("entry", ["partial_fit", "train"])
-    def test_reset_chains_refuses_to_discard_restored_states(
-        self, entry, tiny_binary_data
-    ):
-        """``train``'s default ``reset_chains=True`` once silently re-drew
-        restored chains; it now raises, and ``reset_chains=False`` resumes."""
-        trainer = GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(0.1, batch_size=10, chains=4, persistent=True),
-            rng=0,
-        )
-        states = np.eye(4, 8)
-        trainer.restore_chain_states(states)
-        rbm = BernoulliRBM(16, 8, rng=0)
-        with pytest.raises(ValidationError, match="reset_chains=False to resume"):
-            if entry == "partial_fit":
-                trainer.partial_fit(rbm, tiny_binary_data[:10], reset_chains=True)
-            else:
-                trainer.train(rbm, tiny_binary_data, epochs=1)
-        np.testing.assert_array_equal(trainer.chain_states, states)
-        resumed = GibbsSamplerTrainer(
-            spec=TrainerSpec.gs(0.1, batch_size=10, chains=4, persistent=True),
-            rng=0,
-        )
-        resumed.restore_chain_states(states)
-        resumed.train(BernoulliRBM(16, 8, rng=0), tiny_binary_data, epochs=1, reset_chains=False)
-        trainer.train(rbm, tiny_binary_data, epochs=1, reset_chains=False)
-        np.testing.assert_array_equal(trainer.chain_states, resumed.chain_states)
-
-    def test_dense_artifact_has_no_chain_state(self, tmp_path):
-        save_model(_random_rbm(), tmp_path / "model")
-        assert load_model(tmp_path / "model").chain_state is None
+    def test_chain_state_is_still_checked_against_the_manifest(self, tmp_path):
+        self._with_chain_state(tmp_path, np.eye(4, 9))
+        with pytest.raises(ValidationError, match="'chain_state'"):
+            load_model(tmp_path / "old")
 
 
 class TestSaveErrors:
@@ -389,10 +324,6 @@ class TestSaveErrors:
     def test_unsupported_model_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="supported models"):
             save_model(object(), tmp_path / "m")
-
-    def test_chain_state_must_be_2d(self, tmp_path):
-        with pytest.raises(ValidationError, match="2-D"):
-            save_model(_random_rbm(), tmp_path / "m", chain_state=np.zeros(8))
 
 
 class TestLoadErrors:

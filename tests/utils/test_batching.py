@@ -18,11 +18,6 @@ class TestMinibatches:
         sizes = [b.shape[0] for b in minibatches(data, 4)]
         assert sizes == [4, 4, 2]
 
-    def test_drop_last(self):
-        data = np.arange(20).reshape(10, 2)
-        sizes = [b.shape[0] for b in minibatches(data, 4, drop_last=True)]
-        assert sizes == [4, 4]
-
     def test_no_shuffle_preserves_order(self):
         data = np.arange(12).reshape(6, 2)
         first = next(iter(minibatches(data, 3)))
@@ -59,10 +54,6 @@ class TestMinibatches:
         batches = list(minibatches(data, 100))
         assert len(batches) == 1
         np.testing.assert_array_equal(batches[0], data)
-
-    def test_oversized_batch_with_drop_last_yields_nothing(self):
-        data = np.arange(12).reshape(6, 2)
-        assert list(minibatches(data, 100, drop_last=True)) == []
 
     def test_sparse_batches_stay_sparse_and_match_dense(self):
         dense = np.where(np.random.default_rng(0).random((11, 4)) < 0.3, 1.0, 0.0)
@@ -104,13 +95,15 @@ class TestMinibatchPartition:
         np.testing.assert_array_equal(stack, dense)
 
     @pytest.mark.parametrize("batch_size", [1, 4, 7])
-    def test_drop_last_keeps_only_full_batches(self, batch_size):
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_last_batch_holds_the_remainder(self, batch_size, sparse):
+        """Every batch is full except the last, which keeps the leftover
+        rows instead of dropping them."""
         dense = _binary()
-        batches = list(minibatches(sp.csr_matrix(dense), batch_size, drop_last=True))
-        assert len(batches) == dense.shape[0] // batch_size
-        assert all(b.shape[0] == batch_size for b in batches)
-        kept = len(batches) * batch_size
-        np.testing.assert_array_equal(sp.vstack(batches).toarray(), dense[:kept])
+        data = sp.csr_matrix(dense) if sparse else dense
+        sizes = [b.shape[0] for b in minibatches(data, batch_size)]
+        full, rest = divmod(dense.shape[0], batch_size)
+        assert sizes == [batch_size] * full + ([rest] if rest else [])
 
     @pytest.mark.parametrize("batch_size", [1, 4, 17])
     def test_shuffled_csr_matches_shuffled_dense(self, batch_size):

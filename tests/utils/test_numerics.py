@@ -7,11 +7,9 @@ from scipy.special import expit, logsumexp as scipy_logsumexp
 from repro.utils.numerics import (
     bernoulli_sample,
     log1pexp,
-    log_sigmoid,
     logsumexp,
     sigmoid,
     softmax,
-    softplus,
 )
 
 
@@ -32,15 +30,7 @@ class TestSigmoid:
         assert sigmoid(np.zeros((3, 4))).shape == (3, 4)
 
 
-class TestLogSigmoidAndSoftplus:
-    def test_log_sigmoid_matches_log_of_sigmoid(self):
-        x = np.linspace(-10, 10, 41)
-        np.testing.assert_allclose(log_sigmoid(x), np.log(expit(x)), atol=1e-10)
-
-    def test_log_sigmoid_large_negative(self):
-        # log(sigmoid(-500)) = -500 exactly (to first order), must not be -inf
-        assert log_sigmoid(np.array([-500.0]))[0] == pytest.approx(-500.0, rel=1e-6)
-
+class TestLog1pexp:
     def test_log1pexp_matches_naive_in_safe_range(self):
         x = np.linspace(-30, 30, 61)
         np.testing.assert_allclose(log1pexp(x), np.log1p(np.exp(np.minimum(x, 700))), rtol=1e-10)
@@ -48,9 +38,30 @@ class TestLogSigmoidAndSoftplus:
     def test_log1pexp_large_positive_is_linear(self):
         assert log1pexp(np.array([1000.0]))[0] == pytest.approx(1000.0)
 
-    def test_softplus_alias(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        np.testing.assert_array_equal(softplus(x), log1pexp(x))
+    def test_log_sigmoid_matches_log_of_sigmoid(self):
+        """``log(sigmoid(x)) = -log1pexp(-x)``, the form the free energy uses."""
+        x = np.linspace(-10, 10, 41)
+        np.testing.assert_allclose(-log1pexp(-x), np.log(expit(x)), atol=1e-10)
+
+    def test_log_sigmoid_large_negative(self):
+        # log(sigmoid(-500)) = -500 to first order; it must not be -inf.
+        assert -log1pexp(np.array([500.0]))[0] == pytest.approx(-500.0, rel=1e-6)
+
+    def test_large_negative_decays_to_zero(self):
+        out = log1pexp(np.array([-1000.0, -50.0]))
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+        assert out[0] == 0.0 and out[1] == pytest.approx(np.exp(-50.0))
+
+    @pytest.mark.parametrize("magnitude", [0.0, 0.5, 3.0, 30.0, 700.0, 1e4])
+    def test_difference_of_mirrored_arguments_is_the_argument(self, magnitude):
+        x = np.array([magnitude, -magnitude])
+        diff = log1pexp(x) - log1pexp(-x)
+        np.testing.assert_allclose(diff, x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_preserved(self, dtype):
+        x = np.linspace(-5, 5, 11).astype(dtype)
+        assert log1pexp(x).dtype == dtype
 
 
 class TestLogsumexp:

@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_bool,
     check_data_matrix,
     check_finite,
-    check_in_range,
     check_int,
     check_positive,
     check_probability,
@@ -102,31 +101,6 @@ class TestCheckPositive:
         for value in (np.float32(0.5), np.int64(3), 2):
             out = check_positive(value)
             assert type(out) is float and out == float(value)
-
-
-class TestCheckInRange:
-    def test_inclusive_bounds(self):
-        assert check_in_range(0.0, 0.0, 1.0) == 0.0
-        assert check_in_range(1.0, 0.0, 1.0) == 1.0
-
-    def test_exclusive_bounds(self):
-        with pytest.raises(ValidationError):
-            check_in_range(0.0, 0.0, 1.0, inclusive=(False, True))
-        with pytest.raises(ValidationError):
-            check_in_range(1.0, 0.0, 1.0, inclusive=(True, False))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            check_in_range(2.0, 0.0, 1.0)
-
-    def test_error_mentions_name(self):
-        with pytest.raises(ValidationError, match="momentum"):
-            check_in_range(2.0, 0.0, 1.0, name="momentum")
-
-    @pytest.mark.parametrize("value", [float("nan"), "0.5"])
-    def test_rejects_nan_and_strings(self, value):
-        with pytest.raises(ValidationError, match="momentum"):
-            check_in_range(value, 0.0, 1.0, name="momentum")
 
 
 class TestCheckFinite:
