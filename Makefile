@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-sparse lint run-ci serve-smoke examples-smoke bench bench-compare bench-compare-ci row-hashes artifacts
+.PHONY: test test-sparse lint run-ci serve-smoke examples-smoke bench bench-compare bench-compare-ci row-hashes reach artifacts
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -109,6 +109,14 @@ bench-compare-ci:
 ## across BLAS thread counts.
 row-hashes:
 	OPENBLAS_NUM_THREADS=1 $(PYTHON) benchmarks/row_hashes.py
+
+## Reach probe: run every ci/sparse preset, the run-ci, serve-smoke and
+## examples-smoke recipes, the other examples, lint, the kernel bench and
+## perfbench under a profile hook, and print as JSON the src/repro
+## functions no pipeline called and the defaulted parameters none set
+## (~7 min on a 2-core host; see docs/dev.md).
+reach:
+	@$(PYTHON) benchmarks/reach.py
 
 ## Regenerate every paper artifact (slow; prints the tables/figures).
 ## benchmarks/ is outside the default testpaths; the tier1-tests CI job

@@ -19,8 +19,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro=repro.api.cli:main",
-            "repro-bench-kernels=repro.bench.kernels:main",
-            "repro-compare-bench=repro.bench.compare:main",
         ]
     },
 )

@@ -24,8 +24,6 @@ contains:
                            and a dict round trip.
 * ``repro.api``         -- the builder facade + experiment registry over
                            those specs (``python -m repro run ...``).
-* ``repro.bench``       -- kernel-regression benchmark harness
-                           (``BENCH_kernels.json`` emit/compare tooling).
 
 Quickstart::
 
@@ -57,5 +55,4 @@ __all__ = [
     "config",
     "api",
     "utils",
-    "bench",
 ]

@@ -129,8 +129,8 @@ class NoiseModel:
             return np.zeros(shape, dtype=np.float64)
         return self._rng.normal(0.0, self.spec.noise_rms * scale, size=shape)
 
-    def coupling_noise(self, scale: float = 1.0) -> np.ndarray:
+    def coupling_noise(self) -> np.ndarray:
         """Fresh dynamic noise applied multiplicatively at the coupling units."""
         if self.spec.noise_rms == 0.0:
             return np.zeros(self.coupling_shape, dtype=np.float64)
-        return self._rng.normal(0.0, self.spec.noise_rms * scale, size=self.coupling_shape)
+        return self._rng.normal(0.0, self.spec.noise_rms, size=self.coupling_shape)

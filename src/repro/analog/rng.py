@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.utils.numerics import fused_sigmoid_bernoulli
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_int
+from repro.utils.validation import check_int
 
 
 def _draw_dtype(values) -> np.dtype:
@@ -36,8 +36,7 @@ class StochasticNeuronSampler:
     Parameters
     ----------
     n_units:
-        Number of nodes the sampler latches (the width the validated
-        :meth:`sample` checks).
+        Number of nodes the sampler latches.
     rng:
         Generator of the thermal-noise references.
     """
@@ -55,26 +54,14 @@ class StochasticNeuronSampler:
         """
         return StochasticNeuronSampler(self.n_units, rng=rng)
 
-    def sample(self, probabilities: np.ndarray, *, validate: bool = True) -> np.ndarray:
+    def sample(self, probabilities: np.ndarray) -> np.ndarray:
         """Draw binary samples whose success probabilities are ``probabilities``.
 
-        The validated path checks that the probabilities lie in [0, 1] and
-        that their last dimension is ``n_units``, then latches float64
-        samples.  ``validate=False`` is the trusted fast path used by the
-        substrate's inner sampling loops, whose probabilities come straight
-        from the sigmoid units and are in [0, 1] by construction.  The
-        trusted path is dtype-preserving: float32 probabilities draw float32
-        uniform references and latch float32 samples.
+        Trusted and dtype-preserving: the probabilities come straight from
+        the sigmoid units, in [0, 1] by construction, so nothing is checked;
+        float32 probabilities draw float32 uniform references and latch
+        float32 samples, every other dtype draws and latches float64.
         """
-        if validate:
-            probabilities = check_in_range_array(probabilities)
-            if probabilities.shape[-1:] != (self.n_units,):
-                raise ValidationError(
-                    f"probabilities of shape {probabilities.shape} do not end "
-                    f"in n_units={self.n_units}"
-                )
-            reference = self._rng.random(probabilities.shape)
-            return (probabilities > reference).astype(np.float64)
         dtype = _draw_dtype(probabilities)
         reference = self._rng.random(np.shape(probabilities), dtype=dtype)
         return (probabilities > reference).astype(dtype)
@@ -91,10 +78,3 @@ class StochasticNeuronSampler:
         uniforms = self._rng.random(np.shape(field), dtype=_draw_dtype(field))
         return fused_sigmoid_bernoulli(field, uniforms)
 
-
-def check_in_range_array(p: np.ndarray) -> np.ndarray:
-    """Validate a probability array lies in [0, 1] (helper for the sampler)."""
-    p = np.asarray(p, dtype=float)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
-    return p

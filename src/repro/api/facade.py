@@ -2,14 +2,12 @@
 names, and :func:`run_experiment` is the registry-driven experiment entry
 point.  Substrates and estimators are built by their constructors
 (``BipartiteIsingSubstrate(spec=...)``, ``AISEstimator(spec=...)``).
-Runtime objects — RNG seeds/generators, callbacks, pre-built machines —
-stay function arguments; everything declarative lives in the spec (see
+Runtime objects — RNG seeds/generators and callbacks — stay function
+arguments; everything declarative lives in the spec (see
 :mod:`repro.config`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.config.specs import (
     COMPUTE_KNOBS,
@@ -18,7 +16,7 @@ from repro.config.specs import (
     TrainerSpec,
     check_spec,
 )
-from repro.core.gibbs_sampler import GibbsSamplerMachine, GibbsSamplerTrainer
+from repro.core.gibbs_sampler import GibbsSamplerTrainer
 from repro.core.gradient_follower import BGFTrainer
 from repro.experiments.base import ExperimentResult
 from repro.rbm.rbm import CDTrainer
@@ -36,22 +34,13 @@ def build_trainer(
     *,
     rng: SeedLike = None,
     callback=None,
-    machine: Optional[GibbsSamplerMachine] = None,
 ):
-    """Construct the trainer ``spec.kind`` describes (cd / gs / bgf).
-
-    ``machine`` (a pre-built :class:`GibbsSamplerMachine`, GS only) is a
-    runtime escape hatch; passing it to another kind raises.
-    """
+    """Construct the trainer ``spec.kind`` describes (cd / gs / bgf)."""
     check_spec(spec, TrainerSpec, "build_trainer")
-    if machine is not None and spec.kind != "gs":
-        raise ValidationError(
-            f"machine= applies to the 'gs' trainer, not kind={spec.kind!r}"
-        )
     if spec.kind == "cd":
         return CDTrainer(spec=spec, rng=rng, callback=callback)
     if spec.kind == "gs":
-        return GibbsSamplerTrainer(spec=spec, rng=rng, callback=callback, machine=machine)
+        return GibbsSamplerTrainer(spec=spec, rng=rng, callback=callback)
     return BGFTrainer(spec=spec, rng=rng, callback=callback)
 
 

@@ -433,15 +433,10 @@ class TrainerSpec(Spec):
         *,
         cd_k: int = 1,
         batch_size: int = 10,
-        compute: Optional[ComputeSpec] = None,
     ) -> "TrainerSpec":
-        """Software CD-k reference trainer spec."""
+        """Software CD-k reference trainer spec (float64, one worker)."""
         return cls(
-            kind="cd",
-            learning_rate=learning_rate,
-            cd_k=cd_k,
-            batch_size=batch_size,
-            compute=compute if compute is not None else ComputeSpec(),
+            kind="cd", learning_rate=learning_rate, cd_k=cd_k, batch_size=batch_size
         )
 
     @classmethod

@@ -60,11 +60,6 @@ class GibbsSamplerMachine:
         self.host = HostStatistics()
 
     @property
-    def dtype(self) -> np.dtype:
-        """The substrate's precision tier."""
-        return self.substrate.dtype
-
-    @property
     def n_visible(self) -> int:
         return self.substrate.n_visible
 
@@ -73,23 +68,13 @@ class GibbsSamplerMachine:
         return self.substrate.n_hidden
 
     # ------------------------------------------------------------------ #
-    def program(self, rbm: BernoulliRBM) -> None:
-        """Host programs the RBM's current parameters into the array."""
-        if (rbm.n_visible, rbm.n_hidden) != (self.n_visible, self.n_hidden):
-            raise ValidationError(
-                f"RBM shape {(rbm.n_visible, rbm.n_hidden)} does not match the "
-                f"machine's {(self.n_visible, self.n_hidden)} array"
-            )
-        self.substrate.program(rbm.weights, rbm.visible_bias, rbm.hidden_bias)
-        self.host.record_programming()
-
     def program_trusted(self, rbm: BernoulliRBM) -> None:
-        """Zero-copy reprogramming used by the trainer's minibatch loop.
+        """Host programs the RBM's current parameters into the array.
 
-        The RBM's parameter arrays are adopted by reference instead of being
-        re-validated and deep-copied on every minibatch; the trainer
-        reprograms before each batch, so the substrate never samples from
-        stale couplings.  :meth:`program` remains the validated public API.
+        Zero-copy: the RBM's parameter arrays are adopted by reference
+        instead of being re-validated and deep-copied on every minibatch;
+        the trainer reprograms before each batch, so the substrate never
+        samples from stale couplings.
         """
         if (rbm.n_visible, rbm.n_hidden) != (self.n_visible, self.n_hidden):
             raise ValidationError(
@@ -174,10 +159,9 @@ class GibbsSamplerTrainer:
         Trainer generator (see the stream order below).
     callback:
         Optional ``callback(epoch, rbm)`` hook invoked after every epoch.
-    machine:
-        Optional pre-built machine (useful to share one across layers or to
-        configure its noise); when omitted, a machine matching the RBM's
-        shape is created lazily at ``train`` time.
+
+    The machine is created lazily at ``train`` (or the first
+    ``partial_fit``) time, matching the RBM's shape.
 
     RNG stream order
     ----------------
@@ -197,7 +181,6 @@ class GibbsSamplerTrainer:
         *,
         rng: SeedLike = None,
         callback=None,
-        machine: Optional[GibbsSamplerMachine] = None,
     ):
         check_spec(spec, TrainerSpec, "GibbsSamplerTrainer", kind="gs")
         self.spec = spec
@@ -207,10 +190,9 @@ class GibbsSamplerTrainer:
         self.chains = spec.sampler.chains
         self.persistent = spec.sampler.persistent
         self.workers = spec.compute.workers
-        self.machine = machine
+        self.machine: Optional[GibbsSamplerMachine] = None
         self._rng = as_rng(rng)
         self.callback = callback
-        self.dtype = np.dtype(spec.compute.dtype)
         self._chains_h: Optional[np.ndarray] = None
         # Set once the entry finiteness scan has run for this trainer;
         # partial_fit validates the model arrays on the first call only (a
@@ -310,13 +292,13 @@ class GibbsSamplerTrainer:
             model_term = v_neg.T @ h_neg
             model_term /= v_neg.shape[0]
             grad_w -= model_term
-            grad_bv = sparse_mean(batch, axis=0) - np.mean(v_neg, axis=0)
+            grad_bv = sparse_mean(batch) - np.mean(v_neg, axis=0)
             grad_bh = np.mean(h_pos, axis=0) - np.mean(h_neg, axis=0)
         else:
             grad_w -= v_neg.T @ h_neg
             grad_w /= n
             if is_sparse(batch):
-                grad_bv = sparse_mean(batch, axis=0) - np.mean(v_neg, axis=0)
+                grad_bv = sparse_mean(batch) - np.mean(v_neg, axis=0)
             else:
                 grad_bv = np.mean(batch - v_neg, axis=0)
             grad_bh = np.mean(h_pos - h_neg, axis=0)

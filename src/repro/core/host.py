@@ -25,22 +25,22 @@ class HostStatistics:
     training_samples_streamed: int = 0
     final_weight_readouts: int = 0
 
-    def record_programming(self, count: int = 1) -> None:
+    def record_programming(self) -> None:
         """Count a (re)programming of the coupling array by the host."""
-        self.programming_writes += int(count)
+        self.programming_writes += 1
 
     def record_sample_read(self, count: int = 1) -> None:
         """Count host readouts of node states (positive/negative samples)."""
         self.sample_reads += int(count)
 
-    def record_host_update(self, count: int = 1) -> None:
-        """Count gradient computations/parameter updates performed on the host."""
-        self.gradient_updates_on_host += int(count)
+    def record_host_update(self) -> None:
+        """Count a gradient computation/parameter update performed on the host."""
+        self.gradient_updates_on_host += 1
 
     def record_sample_streamed(self, count: int = 1) -> None:
         """Count training samples streamed from host to the visible latches."""
         self.training_samples_streamed += int(count)
 
-    def record_final_readout(self, count: int = 1) -> None:
-        """Count end-of-training ADC readouts of the coupling array."""
-        self.final_weight_readouts += int(count)
+    def record_final_readout(self) -> None:
+        """Count an end-of-training ADC readout of the coupling array."""
+        self.final_weight_readouts += 1

@@ -67,13 +67,13 @@ class Dataset:
     def n_test(self) -> int:
         return int(self.test_x.shape[0])
 
-    def binarized(self, threshold: float = 0.5) -> "Dataset":
-        """Return a copy with features thresholded to {0, 1}."""
+    def binarized(self) -> "Dataset":
+        """Return a copy with features thresholded to {0, 1} (1 above 0.5)."""
         return Dataset(
             name=f"{self.name}-binary",
-            train_x=(self.train_x > threshold).astype(float),
+            train_x=(self.train_x > 0.5).astype(float),
             train_y=self.train_y.copy(),
-            test_x=(self.test_x > threshold).astype(float),
+            test_x=(self.test_x > 0.5).astype(float),
             test_y=self.test_y.copy(),
             image_shape=self.image_shape,
             n_classes=self.n_classes,

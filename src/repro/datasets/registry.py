@@ -57,14 +57,6 @@ class BenchmarkConfig:
     in_figure5: bool = True
 
     @property
-    def n_visible(self) -> int:
-        return self.rbm_shape[0]
-
-    @property
-    def n_hidden(self) -> int:
-        return self.rbm_shape[1]
-
-    @property
     def has_dbn(self) -> bool:
         return self.dbn_layers is not None
 

@@ -3,9 +3,8 @@
 The paper trains a 28-visible / 10-hidden RBM on normal transactions and
 flags anomalies by how poorly the model explains a transaction, reporting
 the area under the ROC curve (Table 4, Figure 10).  Following the RBM
-fraud-detection literature (Pumsirirat & Yan 2018) the default anomaly
-score is the reconstruction error of the input; the free energy is offered
-as an alternative scorer.
+fraud-detection literature (Pumsirirat & Yan 2018) the anomaly score is the
+reconstruction error of the input.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ import numpy as np
 from repro.datasets.base import AnomalyDataset
 from repro.datasets.fraud import encode_features_onehot
 from repro.eval.metrics import roc_auc, roc_curve
-from repro.config.specs import TrainerSpec
-from repro.rbm.rbm import BernoulliRBM, CDTrainer
+from repro.rbm.rbm import BernoulliRBM
 from repro.utils.numerics import is_sparse, sparse_mean_squared_error
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError, check_array
@@ -32,9 +30,8 @@ class RBMAnomalyDetector:
     n_hidden:
         Hidden-layer size (10 in the paper's configuration).
     trainer:
-        Any object with ``train(rbm, data, epochs=...)``; defaults to CD-1.
-    score_method:
-        ``"reconstruction"`` (default) or ``"free_energy"``.
+        Any object with ``train(rbm, data, epochs=...)``; :meth:`fit` needs
+        one (a model rebuilt from an artifact serves without one).
     encoding:
         ``"direct"`` (default) trains on the [0, 1] features as-is;
         ``"onehot"`` quantizes each feature into ``n_bins`` indicator
@@ -47,7 +44,6 @@ class RBMAnomalyDetector:
         the same seed.
     """
 
-    SCORE_METHODS = ("reconstruction", "free_energy")
     ENCODINGS = ("direct", "onehot")
 
     def __init__(
@@ -56,7 +52,6 @@ class RBMAnomalyDetector:
         *,
         trainer=None,
         epochs: int = 20,
-        score_method: str = "reconstruction",
         encoding: str = "direct",
         n_bins: int = 16,
         sparse: bool = False,
@@ -66,10 +61,6 @@ class RBMAnomalyDetector:
             raise ValidationError(f"n_hidden must be positive, got {n_hidden}")
         if epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {epochs}")
-        if score_method not in self.SCORE_METHODS:
-            raise ValidationError(
-                f"score_method must be one of {self.SCORE_METHODS}, got {score_method!r}"
-            )
         if encoding not in self.ENCODINGS:
             raise ValidationError(
                 f"encoding must be one of {self.ENCODINGS}, got {encoding!r}"
@@ -82,14 +73,11 @@ class RBMAnomalyDetector:
             )
         self.n_hidden = int(n_hidden)
         self.epochs = int(epochs)
-        self.score_method = score_method
         self.encoding = encoding
         self.n_bins = int(n_bins)
         self.sparse = bool(sparse)
         self._rng = as_rng(rng)
-        self.trainer = trainer if trainer is not None else CDTrainer(
-            spec=TrainerSpec.cd(0.05, cd_k=1, batch_size=20), rng=self._rng
-        )
+        self.trainer = trainer
         self.rbm: Optional[BernoulliRBM] = None
         self._train_mean_score: float = 0.0
         self._n_features_raw: int = 0
@@ -102,6 +90,8 @@ class RBMAnomalyDetector:
 
     def fit(self, dataset: AnomalyDataset) -> "RBMAnomalyDetector":
         """Train the RBM on the (all-normal) training partition."""
+        if self.trainer is None:
+            raise ValidationError("fit needs a trainer= (none was given)")
         train_x = check_array(dataset.train_x, name="train_x", ndim=2)
         self._n_features_raw = dataset.n_features
         encoded = self._encode(train_x)
@@ -113,10 +103,8 @@ class RBMAnomalyDetector:
         return self
 
     def _raw_scores(self, data) -> np.ndarray:
-        """Per-row anomaly scores on already-encoded (possibly CSR) data."""
+        """Per-row reconstruction errors of already-encoded (possibly CSR) data."""
         assert self.rbm is not None
-        if self.score_method == "free_energy":
-            return self.rbm.free_energy(data)
         recon = self.rbm.reconstruct(data)
         if is_sparse(data):
             return sparse_mean_squared_error(data, recon, axis=1)

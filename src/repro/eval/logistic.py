@@ -67,9 +67,11 @@ class LogisticRegressionClassifier:
         epochs: int = 100,
         learning_rate: float = 0.1,
         batch_size: int = 50,
-        rng: SeedLike = None,
     ) -> "LogisticRegressionClassifier":
-        """Train the classifier; returns ``self`` for chaining."""
+        """Train the classifier; returns ``self`` for chaining.
+
+        Minibatch shuffles draw from the constructor's generator.
+        """
         features = check_array(features, name="features", ndim=2)
         if features.shape[1] != self.n_features:
             raise ValidationError(
@@ -82,11 +84,10 @@ class LogisticRegressionClassifier:
         if epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {epochs}")
         one_hot = self._one_hot(labels)
-        gen = as_rng(rng) if rng is not None else self._rng
 
         for _ in range(epochs):
             for batch_x, batch_y in minibatches(
-                features, batch_size, labels=one_hot, shuffle=True, rng=gen
+                features, batch_size, labels=one_hot, shuffle=True, rng=self._rng
             ):
                 probs = softmax(batch_x @ self.weights + self.bias, axis=1)
                 err = probs - batch_y

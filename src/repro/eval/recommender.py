@@ -27,8 +27,7 @@ import numpy as np
 from repro.datasets.base import RatingsDataset
 from repro.datasets.movielens import encode_ratings_onehot
 from repro.eval.metrics import mean_absolute_error
-from repro.config.specs import TrainerSpec
-from repro.rbm.rbm import BernoulliRBM, CDTrainer
+from repro.rbm.rbm import BernoulliRBM
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError
 
@@ -41,7 +40,8 @@ class RBMRecommender:
     n_hidden:
         Hidden-layer size (100 in the paper's configuration).
     trainer:
-        Any object with ``train(rbm, data, epochs=...)``; defaults to CD-1.
+        Any object with ``train(rbm, data, epochs=...)``; :meth:`fit` needs
+        one (a model rebuilt from an artifact serves without one).
     epochs:
         Training epochs passed to the trainer.
     encoding:
@@ -85,9 +85,7 @@ class RBMRecommender:
         self.encoding = encoding
         self.sparse = bool(sparse)
         self._rng = as_rng(rng)
-        self.trainer = trainer if trainer is not None else CDTrainer(
-            spec=TrainerSpec.cd(0.05, cd_k=1, batch_size=10), rng=self._rng
-        )
+        self.trainer = trainer
         self.rbm: Optional[BernoulliRBM] = None
         self._rating_levels: int = 5
         self._global_mean: float = 3.0
@@ -124,6 +122,8 @@ class RBMRecommender:
 
     def fit(self, dataset: RatingsDataset) -> "RBMRecommender":
         """Train the underlying RBM on the training ratings."""
+        if self.trainer is None:
+            raise ValidationError("fit needs a trainer= (none was given)")
         observed = dataset.train_ratings > 0
         if not observed.any():
             raise ValidationError(

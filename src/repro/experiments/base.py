@@ -7,6 +7,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.specs import NoiseSpec
 from repro.datasets.registry import get_benchmark
+from repro.rbm.ais import average_log_probability
 from repro.utils.validation import ValidationError
 
 
@@ -36,16 +37,37 @@ class ExperimentResult:
     metadata: Dict[str, Any] = field(default_factory=dict)
     artifacts: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def columns(self) -> List[str]:
-        return list(self.rows[0].keys()) if self.rows else []
-
     def row_by(self, key: str, value: Any) -> Dict[str, Any]:
         """Return the first row whose ``key`` column equals ``value``."""
         for row in self.rows:
             if row.get(key) == value:
                 return row
         raise ValidationError(f"no row with {key}={value!r} in experiment {self.name!r}")
+
+
+def logprob_recorder(
+    data,
+    trajectory: List[float],
+    *,
+    n_chains: int,
+    n_betas: int,
+    seed: int,
+    dtype: str = "float64",
+    workers: int = 1,
+):
+    """A per-epoch ``callback(epoch, rbm)`` appending the AIS average log
+    probability of ``data`` to ``trajectory`` (figures 7 and 8).  Epoch
+    ``e`` seeds its AIS run with ``seed + e``."""
+
+    def callback(epoch: int, rbm) -> None:
+        trajectory.append(
+            average_log_probability(
+                rbm, data, n_chains=n_chains, n_betas=n_betas, rng=seed + epoch,
+                dtype=dtype, workers=workers,
+            )
+        )
+
+    return callback
 
 
 def check_noise_configs(noise_configs: Any) -> Tuple[NoiseSpec, ...]:

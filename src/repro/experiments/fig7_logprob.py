@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.config.specs import ComputeSpec, TrainerSpec
 from repro.core.gibbs_sampler import GibbsSamplerTrainer
 from repro.core.gradient_follower import BGFTrainer
 from repro.datasets.registry import load_benchmark_dataset, get_benchmark
-from repro.experiments.base import ExperimentResult, check_benchmark_names, format_table
+from repro.experiments.base import (
+    ExperimentResult,
+    check_benchmark_names,
+    format_table,
+    logprob_recorder,
+)
 from repro.rbm.ais import average_log_probability
 from repro.rbm.rbm import BernoulliRBM, CDTrainer
 from repro.utils.rng import spawn_rngs
@@ -29,28 +32,6 @@ FIGURE7_DATASETS: Sequence[str] = ("mnist", "kmnist", "fmnist", "emnist")
 
 #: The paper's three training methods, in plotting order.
 FIGURE7_METHODS: Sequence[str] = ("cd1", "cd10", "BGF")
-
-def _logprob_recorder(
-    data: np.ndarray,
-    trajectory: List[float],
-    *,
-    n_chains: int,
-    n_betas: int,
-    seed: int,
-    dtype: str = "float64",
-    workers: int = 1,
-):
-    """Build a per-epoch callback appending the AIS average log probability."""
-
-    def callback(epoch: int, rbm: BernoulliRBM) -> None:
-        trajectory.append(
-            average_log_probability(
-                rbm, data, n_chains=n_chains, n_betas=n_betas, rng=seed + epoch,
-                dtype=dtype, workers=workers,
-            )
-        )
-
-    return callback
 
 
 def run_figure7(
@@ -168,7 +149,7 @@ def run_figure7(
             # Epoch 0 is the shared untrained starting point; epochs 1..E are
             # recorded by the per-epoch callback during training.
             trajectory: List[float] = [float(initial_logprob)]
-            trainer.callback = _logprob_recorder(
+            trainer.callback = logprob_recorder(
                 data, trajectory, n_chains=ais_chains, n_betas=ais_betas, seed=seed,
                 dtype=dtype, workers=workers,
             )

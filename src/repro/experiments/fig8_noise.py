@@ -23,6 +23,7 @@ from repro.experiments.base import (
     check_benchmark_name,
     check_noise_configs,
     format_table,
+    logprob_recorder,
 )
 from repro.rbm.ais import average_log_probability
 from repro.rbm.rbm import BernoulliRBM
@@ -70,14 +71,9 @@ def run_figure8(
         rbm = base_rbm.copy()
         # Epoch 0 is the shared untrained starting point.
         trajectory: List[float] = [float(initial_logprob)]
-
-        def callback(epoch: int, model: BernoulliRBM) -> None:
-            trajectory.append(
-                average_log_probability(
-                    model, data, n_chains=ais_chains, n_betas=ais_betas, rng=seed + epoch
-                )
-            )
-
+        callback = logprob_recorder(
+            data, trajectory, n_chains=ais_chains, n_betas=ais_betas, seed=seed
+        )
         trainer = BGFTrainer(
             spec=TrainerSpec.bgf(
                 learning_rate,

@@ -82,25 +82,10 @@ class TPUModel:
         check_positive(ops, name="ops", strict=False)
         return ops / (self.effective_tops(rows, cols) * 1e12)
 
-    def energy_for_time(self, seconds: float) -> float:
-        """Energy (J) consumed while busy for ``seconds``."""
-        check_positive(seconds, name="seconds", strict=False)
-        return self.busy_power_w * seconds
-
     @property
     def compute_area_mm2(self) -> float:
         """Area of the MAC array alone (the Table-3 normalization)."""
         return self.die_area_mm2 * self.mac_array_fraction
-
-    @property
-    def tops_per_mm2(self) -> float:
-        """Peak TOPS per mm^2 of compute area (Table 3's first column)."""
-        return self.peak_tops / self.compute_area_mm2
-
-    @property
-    def tops_per_watt(self) -> float:
-        """Peak TOPS per watt of busy power (Table 3's second column)."""
-        return self.peak_tops / self.busy_power_w
 
 
 #: TPU v1 (Jouppi et al. 2017): 92 TOPS, 331 mm^2 die (24% MAC array), ~40 W.

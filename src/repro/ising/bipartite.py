@@ -150,7 +150,7 @@ def _settle_eval_kernel(
     if kern.fused_sampling:
         return sampler.sample_from_field(field)
     unit = kern.hidden_sigmoid if hidden_side else kern.visible_sigmoid
-    latch = sampler.sample(unit(field), validate=False)
+    latch = sampler.sample(unit(field))
     # Noisy-corner sigmoid math may run in float64; binary latches cast
     # back into the tier exactly, keeping chain states dtype-stable.
     return latch if latch.dtype == kern.dtype else latch.astype(kern.dtype)

@@ -124,10 +124,6 @@ class AISResult:
     log_weights: np.ndarray
     log_partition_base: float
 
-    @property
-    def n_chains(self) -> int:
-        return int(self.log_weights.shape[0])
-
 
 class AISEstimator:
     """Annealed-importance-sampling estimator of an RBM's log partition.

@@ -16,9 +16,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.eval.logistic import LogisticRegressionClassifier
-from repro.config.specs import TrainerSpec
-from repro.rbm.rbm import BernoulliRBM, CDTrainer, TrainingHistory
-from repro.utils.rng import SeedLike, as_rng, spawn_rngs
+from repro.rbm.rbm import BernoulliRBM, TrainingHistory
+from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import ValidationError, check_array
 
 #: A layer trainer takes (rbm, data) and trains the RBM in place.
@@ -64,47 +63,26 @@ class DeepBeliefNetwork:
 
     # ------------------------------------------------------------------ #
     def pretrain(
-        self,
-        data: np.ndarray,
-        *,
-        layer_trainer: Optional[LayerTrainer] = None,
-        epochs: int = 5,
-        learning_rate: float = 0.1,
-        cd_k: int = 1,
-        batch_size: int = 20,
-        rng: SeedLike = None,
+        self, data: np.ndarray, *, layer_trainer: LayerTrainer
     ) -> List[TrainingHistory]:
         """Greedy layer-wise pre-training.
 
         Each RBM's visible biases start at the smoothed log-odds of its
-        input, and it is trained on the (deterministic) hidden activations
-        of the previous layer.  The default per-layer trainer is CD-k; passing a
-        custom ``layer_trainer`` lets the experiment drivers substitute a
-        Gibbs-sampler-accelerated or Boltzmann-gradient-follower trainer
-        without touching this class.
+        input, and ``layer_trainer`` trains it on the (deterministic) hidden
+        activations of the previous layer.  The experiment drivers pass a
+        CD-k, Gibbs-sampler-accelerated or Boltzmann-gradient-follower
+        trainer without touching this class.
         """
         data = check_array(data, name="data", ndim=2)
         if data.shape[1] != self.layer_sizes[0]:
             raise ValidationError(
                 f"data has {data.shape[1]} features; DBN input layer is {self.layer_sizes[0]}"
             )
-        gen = as_rng(rng)
-
-        def default_trainer(rbm: BernoulliRBM, layer_data: np.ndarray) -> TrainingHistory:
-            trainer = CDTrainer(
-                spec=TrainerSpec.cd(
-                    learning_rate, cd_k=cd_k, batch_size=batch_size
-                ),
-                rng=gen,
-            )
-            return trainer.train(rbm, layer_data, epochs=epochs)
-
-        trainer_fn = layer_trainer or default_trainer
         histories: List[TrainingHistory] = []
         layer_input = data
         for rbm in self.rbms:
             rbm.init_visible_bias_from_data(layer_input)
-            histories.append(trainer_fn(rbm, layer_input))
+            histories.append(layer_trainer(rbm, layer_input))
             layer_input = rbm.transform(layer_input)
         self._pretrained = True
         return histories
@@ -125,7 +103,6 @@ class DeepBeliefNetwork:
         epochs: int = 50,
         learning_rate: float = 0.1,
         batch_size: int = 50,
-        rng: SeedLike = None,
     ) -> None:
         """Train the classifier head on top of the (frozen) RBM features.
 
@@ -144,7 +121,6 @@ class DeepBeliefNetwork:
             epochs=epochs,
             learning_rate=learning_rate,
             batch_size=batch_size,
-            rng=rng,
         )
         self._fine_tuned = True
 
@@ -159,12 +135,6 @@ class DeepBeliefNetwork:
         if not self._fine_tuned:
             raise ValidationError("fine_tune must be called before predict")
         return self.classifier.predict(self._head_features(data))
-
-    def predict_proba(self, data: np.ndarray) -> np.ndarray:
-        """Predict class probabilities for ``data``."""
-        if not self._fine_tuned:
-            raise ValidationError("fine_tune must be called before predict_proba")
-        return self.classifier.predict_proba(self._head_features(data))
 
     def score(self, data: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy on ``(data, labels)``."""

@@ -63,7 +63,7 @@ class MaximumLikelihoodTrainer:
         h_probs = rbm.hidden_activation_probability(data)
         n = data.shape[0]
         vh = safe_sparse_dot(data.T, h_probs) / n
-        return vh, sparse_mean(data, axis=0), np.mean(h_probs, axis=0)
+        return vh, sparse_mean(data), np.mean(h_probs, axis=0)
 
     def train(
         self, rbm: BernoulliRBM, data: np.ndarray, *, epochs: int = 1000

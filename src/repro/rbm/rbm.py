@@ -327,7 +327,7 @@ class CDTrainer:
         # are dense Gibbs samples either way).
         grad_w = (safe_sparse_dot(v_pos.T, h_pos_prob) - v_neg.T @ h_neg_prob) / batch
         if is_sparse(v_pos):
-            grad_bv = sparse_mean(v_pos, axis=0) - np.mean(v_neg, axis=0)
+            grad_bv = sparse_mean(v_pos) - np.mean(v_neg, axis=0)
         else:
             grad_bv = np.mean(v_pos - v_neg, axis=0)
         grad_bh = np.mean(h_pos_prob - h_neg_prob, axis=0)

@@ -88,7 +88,6 @@ def _estimator_state(model) -> tuple:
         state = {
             "n_hidden": model.n_hidden,
             "epochs": model.epochs,
-            "score_method": model.score_method,
             "encoding": model.encoding,
             "n_bins": model.n_bins,
             "sparse": model.sparse,
@@ -368,10 +367,18 @@ def load_model(path: Union[str, Path]) -> ModelArtifact:
         model._global_mean = state_field("global_mean", float)
         model._n_users = state_field("n_users", int)
     elif kind == "anomaly":
+        # Bundles written before the reconstruction error became the only
+        # score carry it as ``score_method``; any other scorer would score
+        # differently here, so it fails the load.
+        score_method = state.get("score_method", "reconstruction")
+        if score_method != "reconstruction":
+            raise ValidationError(
+                f"artifact {json_path} scores by score_method={score_method!r};"
+                " this build scores anomalies only by reconstruction error"
+            )
         model = RBMAnomalyDetector(
             n_hidden=state_field("n_hidden", int),
             epochs=state_field("epochs", int),
-            score_method=state_field("score_method"),
             encoding=state_field("encoding"),
             n_bins=state_field("n_bins", int),
             sparse=state_field("sparse", check_bool),

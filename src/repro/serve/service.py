@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_int, check_positive
 
 
 @dataclass
@@ -101,10 +101,11 @@ class MicroBatchScoringService:
         Expected row width; submitted rows are validated against it when
         given (a loaded artifact knows it via ``artifact.n_features``).
     max_batch_size:
-        Maximum rows per coalesced scorer call.
+        Maximum rows per coalesced scorer call (an int >= 1).
     max_delay_s:
         How long the batcher lingers for stragglers after the first
-        request of a batch arrives (the latency cost ceiling of batching).
+        request of a batch arrives (the latency cost ceiling of batching);
+        finite and >= 0.
     """
 
     def __init__(
@@ -115,16 +116,11 @@ class MicroBatchScoringService:
         max_batch_size: int = 64,
         max_delay_s: float = 0.002,
     ):
-        if max_batch_size < 1:
-            raise ValidationError(
-                f"max_batch_size must be >= 1, got {max_batch_size}"
-            )
-        if max_delay_s < 0:
-            raise ValidationError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self.scorer = scorer
         self.n_features = None if n_features is None else int(n_features)
-        self.max_batch_size = int(max_batch_size)
-        self.max_delay_s = float(max_delay_s)
+        self.max_batch_size = check_int(max_batch_size, "max_batch_size", 1)
+        # Finite: an infinite linger never answers a partial batch.
+        self.max_delay_s = check_positive(max_delay_s, name="max_delay_s", strict=False)
         self.stats = ServiceStats()
         self._queue: Optional[asyncio.Queue] = None
         self._worker: Optional[asyncio.Task] = None
@@ -320,7 +316,6 @@ def score_batches(
     *,
     n_features: Optional[int] = None,
     max_batch_size: int = 64,
-    max_delay_s: float = 0.002,
 ) -> tuple:
     """Score ``requests`` concurrently through a fresh service.
 
@@ -334,7 +329,6 @@ def score_batches(
             scorer,
             n_features=n_features,
             max_batch_size=max_batch_size,
-            max_delay_s=max_delay_s,
         ) as service:
             results = await asyncio.gather(
                 *(service.submit(rows) for rows in requests)
@@ -350,8 +344,6 @@ def measure_latency(
     *,
     concurrency: int,
     waves: int = 20,
-    max_batch_size: Optional[int] = None,
-    max_delay_s: float = 0.002,
 ) -> Dict[str, Any]:
     """Per-request latency/throughput of the coalesced path.
 
@@ -363,11 +355,7 @@ def measure_latency(
 
     async def _drive():
         latencies: List[float] = []
-        service = MicroBatchScoringService(
-            scorer,
-            max_batch_size=concurrency if max_batch_size is None else max_batch_size,
-            max_delay_s=max_delay_s,
-        )
+        service = MicroBatchScoringService(scorer, max_batch_size=concurrency)
         async with service:
             async def one_request(rows):
                 start = time.perf_counter()
@@ -391,35 +379,36 @@ def measure_latency(
     return asyncio.run(_drive())
 
 
-def run_self_test(
-    artifact,
-    *,
-    concurrency: int = 16,
-    waves: int = 5,
-    seed: int = 0,
-) -> Dict[str, Any]:
+#: The self-test's load: ``SELF_TEST_WAVES`` rounds of
+#: ``SELF_TEST_CONCURRENCY`` concurrent requests, drawn from seed 0.
+SELF_TEST_CONCURRENCY = 16
+SELF_TEST_WAVES = 5
+
+
+def run_self_test(artifact) -> Dict[str, Any]:
     """End-to-end in-process check of a loaded artifact behind the service.
 
-    Submits ``waves`` rounds of ``concurrency`` concurrent requests,
-    verifies every coalesced response matches scoring the same rows
-    directly (at the float64 BLAS-reduction tolerance batching is pinned
-    at — see the module docstring), checks that coalescing actually
-    happened, and reports the latency/throughput summary.  Raises
+    Submits ``SELF_TEST_WAVES`` rounds of ``SELF_TEST_CONCURRENCY``
+    concurrent requests, verifies every coalesced response matches scoring
+    the same rows directly (at the float64 BLAS-reduction tolerance
+    batching is pinned at — see the module docstring), checks that
+    coalescing actually happened, and reports the latency/throughput
+    summary.  Raises
     :class:`ValidationError` on any mismatch — the CI serve-smoke job
     calls this via ``python -m repro serve --self-test``.
     """
     scorer = artifact.scorer()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     request_blocks = [
         artifact.example_rows(int(rng.integers(1, 4)), rng)
-        for _ in range(concurrency * waves)
+        for _ in range(SELF_TEST_CONCURRENCY * SELF_TEST_WAVES)
     ]
 
     results, stats = score_batches(
         scorer,
         request_blocks,
         n_features=artifact.n_features,
-        max_batch_size=max(2, concurrency),
+        max_batch_size=SELF_TEST_CONCURRENCY,
     )
     for rows, scores in zip(request_blocks, results):
         direct = np.asarray(scorer(rows))
@@ -440,8 +429,8 @@ def run_self_test(
     latency = measure_latency(
         scorer,
         lambda n: artifact.example_rows(n, rng),
-        concurrency=concurrency,
-        waves=waves,
+        concurrency=SELF_TEST_CONCURRENCY,
+        waves=SELF_TEST_WAVES,
     )
     return {
         "kind": artifact.kind,

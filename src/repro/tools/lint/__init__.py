@@ -25,7 +25,7 @@ findings (``R000``) so suppressions cannot rot silently.
 
 from repro.tools.lint.base import Finding, LintContext, Rule, all_rules, select_rules
 from repro.tools.lint.pragmas import PragmaTable
-from repro.tools.lint.runner import lint_paths, lint_source, main, run_lint
+from repro.tools.lint.runner import lint_paths, lint_source, run_lint
 
 __all__ = [
     "Finding",
@@ -35,7 +35,6 @@ __all__ = [
     "all_rules",
     "lint_paths",
     "lint_source",
-    "main",
     "run_lint",
     "select_rules",
 ]

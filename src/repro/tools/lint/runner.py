@@ -13,13 +13,13 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.tools.lint.base import PRAGMA_CODE, Finding, LintContext, all_rules, select_rules
 from repro.tools.lint.pragmas import PragmaTable
 from repro.utils.validation import ValidationError
 
-__all__ = ["discover_files", "lint_paths", "lint_source", "main", "run_lint"]
+__all__ = ["discover_files", "lint_paths", "lint_source", "run_lint"]
 
 
 def discover_files(paths: Sequence["str | Path"]) -> List[Path]:
@@ -73,7 +73,6 @@ def lint_source(
     source: str,
     path: "str | Path" = "<string>",
     *,
-    module: Optional[str] = None,
     select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Lint one module's source text and return its sorted findings.
@@ -100,8 +99,7 @@ def lint_source(
             )
         )
         return sorted(findings)
-    if module is None:
-        module = module_name_for(Path(path)) if path != "<string>" else "<string>"
+    module = module_name_for(Path(path)) if path != "<string>" else "<string>"
     if pragmas.module_override is not None:
         module = pragmas.module_override
     ctx = LintContext(
@@ -160,11 +158,11 @@ def format_json(findings: Sequence[Finding], files_checked: int) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _list_rules(stream: TextIO) -> None:
-    stream.write("code  name                     enforces\n")
+def _list_rules() -> None:
+    print("code  name                     enforces")
     for rule in all_rules():
-        stream.write(f"{rule.code}  {rule.name:<23}  {rule.contract}\n")
-        stream.write(f"      {rule.description}\n")
+        print(f"{rule.code}  {rule.name:<23}  {rule.contract}")
+        print(f"      {rule.description}")
 
 
 def run_lint(
@@ -173,12 +171,10 @@ def run_lint(
     select: Optional[str] = None,
     output_format: str = "text",
     list_rules: bool = False,
-    stream: Optional[TextIO] = None,
 ) -> int:
-    """Programmatic entry shared by ``python -m repro lint`` and tests."""
-    stream = stream if stream is not None else sys.stdout
+    """Programmatic entry of ``python -m repro lint``; reports to stdout."""
     if list_rules:
-        _list_rules(stream)
+        _list_rules()
         return 0
     if not paths:
         if not Path("src").is_dir():
@@ -196,21 +192,14 @@ def run_lint(
         print(f"error: {error}", file=sys.stderr)
         return 2
     if output_format == "json":
-        stream.write(format_json(findings, files_checked) + "\n")
+        print(format_json(findings, files_checked))
     else:
-        stream.write(format_text(findings, files_checked) + "\n")
+        print(format_text(findings, files_checked))
     return 1 if findings else 0
 
 
-def build_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.ArgumentParser:
-    """The lint argument surface (shared with the ``repro lint`` subcommand)."""
-    if parser is None:
-        parser = argparse.ArgumentParser(
-            prog="python -m repro lint",
-            description="reprolint: AST-based checks of the repo's invariants"
-            " (R001 global RNG, R002 dtype tiers, R003 lock discipline,"
-            " R004 async purity).",
-        )
+def build_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Add the lint arguments to ``parser`` (the ``repro lint`` subcommand)."""
     parser.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: src/)",
@@ -229,17 +218,3 @@ def build_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.A
         help="print the rule catalogue and exit",
     )
     return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_lint(
-        args.paths,
-        select=args.select,
-        output_format=args.output_format,
-        list_rules=args.list_rules,
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

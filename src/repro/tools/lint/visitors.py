@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
-__all__ = ["build_alias_map", "qualified_name", "call_keywords", "has_keyword"]
+__all__ = ["build_alias_map", "qualified_name"]
 
 
 def build_alias_map(tree: ast.AST) -> Dict[str, str]:
@@ -67,13 +67,3 @@ def qualified_name(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
     base = aliases.get(node.id, node.id)
     parts.append(base)
     return ".".join(reversed(parts))
-
-
-def call_keywords(call: ast.Call) -> Dict[Optional[str], ast.expr]:
-    """Keyword arguments of a call; a ``None`` key marks a ``**splat``."""
-    return {kw.arg: kw.value for kw in call.keywords}
-
-
-def has_keyword(call: ast.Call, name: str) -> bool:
-    """Whether the call passes ``name=`` explicitly."""
-    return any(kw.arg == name for kw in call.keywords)

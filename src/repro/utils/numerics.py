@@ -148,19 +148,13 @@ def fused_sigmoid_bernoulli(field: np.ndarray, uniforms: np.ndarray) -> np.ndarr
     return np.less(t, 1.0).astype(field.dtype)
 
 
-def logsumexp(x: np.ndarray, axis: Optional[int] = None, keepdims: bool = False) -> np.ndarray:
-    """Stable ``log(sum(exp(x)))`` along ``axis``."""
+def logsumexp(x: np.ndarray) -> float:
+    """Stable ``log(sum(exp(x)))`` over every element of ``x``."""
     x = np.asarray(x, dtype=float)
-    xmax = np.max(x, axis=axis, keepdims=True)
+    xmax = np.max(x, keepdims=True)
     xmax = np.where(np.isfinite(xmax), xmax, 0.0)
-    shifted = np.exp(x - xmax)
-    summed = np.sum(shifted, axis=axis, keepdims=True)
-    out = np.log(summed) + xmax
-    if not keepdims and axis is not None:
-        out = np.squeeze(out, axis=axis)
-    if axis is None and not keepdims:
-        out = float(np.squeeze(out))
-    return out
+    summed = np.sum(np.exp(x - xmax), keepdims=True)
+    return float(np.squeeze(np.log(summed) + xmax))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -242,15 +236,15 @@ def safe_sparse_dot(a, b) -> np.ndarray:
     return a @ b
 
 
-def sparse_mean(x, axis: int = 0) -> np.ndarray:
-    """Mean of a sparse matrix along ``axis``, returned as a dense 1-D array.
+def sparse_mean(x) -> np.ndarray:
+    """Column means of a (possibly sparse) matrix, as a dense 1-D array.
 
     ``spmatrix.mean`` returns ``np.matrix``; this wrapper flattens to the
     plain ndarray the gradient code expects.
     """
     if not is_sparse(x):
-        return np.mean(np.asarray(x, dtype=float), axis=axis)
-    return np.asarray(x.mean(axis=axis), dtype=float).ravel()
+        return np.mean(np.asarray(x, dtype=float), axis=0)
+    return np.asarray(x.mean(axis=0), dtype=float).ravel()
 
 
 def sparse_mean_squared_error(x, dense, axis: Optional[int] = None):

@@ -19,15 +19,14 @@ def check_array(
     name: str = "array",
     ndim: Optional[int] = None,
     shape: Optional[Sequence[Optional[int]]] = None,
-    dtype=float,
 ) -> np.ndarray:
-    """Coerce ``x`` to an ndarray and validate its dimensionality/shape.
+    """Coerce ``x`` to a float64 ndarray and validate its dimensionality/shape.
 
     ``shape`` entries of ``None`` act as wildcards, e.g. ``shape=(None, 10)``
     requires a 2-D array whose second dimension is exactly 10.
     """
     try:
-        arr = np.asarray(x, dtype=dtype)
+        arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(
             f"{name} must be a numeric array, got {type(x).__name__} ({exc})"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers.reference import latch
 from repro.analog import SigmoidUnit, StochasticNeuronSampler
-from repro.analog.rng import check_in_range_array
 from repro.utils.numerics import sigmoid
 from repro.utils.validation import ValidationError
 
@@ -60,32 +60,13 @@ class TestStochasticNeuronSampler:
         samples = sampler.sample(probabilities)
         np.testing.assert_allclose(samples.mean(axis=0), [0.1, 0.3, 0.7, 0.95], atol=0.02)
 
-    def test_out_of_range_probabilities_rejected(self):
-        sampler = StochasticNeuronSampler(2, rng=0)
-        with pytest.raises(ValidationError):
-            sampler.sample(np.array([[0.5, 1.2]]))
-
-    def test_validated_path_latches_probability_above_its_uniform_reference(self):
-        p = np.random.default_rng(4).random((6, 3)).astype(np.float32)
-        out = StochasticNeuronSampler(3, rng=9).sample(p)
-        reference = np.random.default_rng(9).random(p.shape)
-        np.testing.assert_array_equal(out, (p > reference).astype(np.float64))
-        assert out.dtype == np.float64
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_trusted_path_draws_in_the_probability_dtype(self, dtype):
+    def test_draws_in_the_probability_dtype(self, dtype):
         p = np.random.default_rng(4).random((6, 3)).astype(dtype)
-        out = StochasticNeuronSampler(3, rng=9).sample(p, validate=False)
+        out = StochasticNeuronSampler(3, rng=9).sample(p)
         reference = np.random.default_rng(9).random(p.shape, dtype=dtype)
         np.testing.assert_array_equal(out, (p > reference).astype(dtype))
         assert out.dtype == dtype
-
-    @pytest.mark.parametrize("p", [np.zeros((2, 5)), 0.5], ids=["width", "scalar"])
-    def test_shape_mismatch_rejected(self, p):
-        """A scalar once raised a bare IndexError from the width check."""
-        sampler = StochasticNeuronSampler(4, rng=0)
-        with pytest.raises(ValidationError, match="n_units=4"):
-            sampler.sample(p)
 
     @pytest.mark.parametrize("n_units", [0, 2.5, True])
     def test_invalid_units(self, n_units):
@@ -145,17 +126,44 @@ class TestFusedLatch:
     def test_substreams_with_one_seed_draw_alike(self):
         sampler = StochasticNeuronSampler(3, rng=0)
         p = np.full((50, 3), 0.5)
-        a = sampler.spawn_substream(9).sample(p, validate=False)
-        b = sampler.spawn_substream(9).sample(p, validate=False)
+        a = sampler.spawn_substream(9).sample(p)
+        b = sampler.spawn_substream(9).sample(p)
         np.testing.assert_array_equal(a, b)
 
 
-class TestProbabilityRangeCheck:
-    @pytest.mark.parametrize("p", [[0.0, 0.5, 1.0], []])
-    def test_accepts_unit_interval(self, p):
-        np.testing.assert_array_equal(check_in_range_array(p), np.asarray(p, dtype=float))
+class TestOracleLatch:
+    """The oracle's validated latch (``tests/helpers/reference.py``): the
+    range and width checks the library's trusted latch leaves out."""
+
+    def test_out_of_range_probabilities_rejected(self):
+        sampler = StochasticNeuronSampler(2, rng=0)
+        with pytest.raises(ValidationError):
+            latch(sampler, np.array([[0.5, 1.2]]))
+
+    def test_latches_probability_above_its_float64_reference(self):
+        p = np.random.default_rng(4).random((6, 3)).astype(np.float32)
+        out = latch(StochasticNeuronSampler(3, rng=9), p)
+        reference = np.random.default_rng(9).random(p.shape)
+        np.testing.assert_array_equal(out, (p > reference).astype(np.float64))
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("p", [np.zeros((2, 5)), 0.5], ids=["width", "scalar"])
+    def test_shape_mismatch_rejected(self, p):
+        """A scalar once raised a bare IndexError from the width check."""
+        sampler = StochasticNeuronSampler(4, rng=0)
+        with pytest.raises(ValidationError, match="n_units=4"):
+            latch(sampler, p)
+
+    def test_accepts_the_closed_unit_interval(self):
+        """The endpoints pass the range check and latch deterministically."""
+        out = latch(StochasticNeuronSampler(2, rng=0), np.tile([0.0, 1.0], (50, 1)))
+        np.testing.assert_array_equal(out, np.tile([0.0, 1.0], (50, 1)))
+
+    def test_accepts_an_empty_batch(self):
+        out = latch(StochasticNeuronSampler(3, rng=0), np.zeros((0, 3)))
+        assert out.shape == (0, 3) and out.dtype == np.float64
 
     @pytest.mark.parametrize("p", [[-0.1, 0.5], [0.5, 1.1]])
     def test_rejects_outside_unit_interval(self, p):
         with pytest.raises(ValidationError, match="probabilities"):
-            check_in_range_array(p)
+            latch(StochasticNeuronSampler(2, rng=0), p)

@@ -24,7 +24,7 @@ from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 ENTRY_POINT_SIGNATURES = {
     BipartiteIsingSubstrate: ["spec", "rng"],
     GibbsSamplerMachine: ["spec", "rng"],
-    GibbsSamplerTrainer: ["spec", "rng", "callback", "machine"],
+    GibbsSamplerTrainer: ["spec", "rng", "callback"],
     CDTrainer: ["spec", "rng", "callback"],
     BGFTrainer: ["spec", "rng", "callback"],
     AISEstimator: ["spec", "rng", "base_visible_bias"],
@@ -77,13 +77,9 @@ class TestBuildTrainer:
         with pytest.raises(ValidationError, match="kind='cd'"):
             CDTrainer(spec=TrainerSpec.bgf())
 
-    def test_runtime_escape_hatches_are_kind_checked(self):
-        with pytest.raises(ValidationError, match="machine"):
-            build_trainer(TrainerSpec.cd(), machine=object())
-
     def test_float32_spec_threads_to_machine(self, data):
         trainer = build_trainer(
             TrainerSpec.gs(0.1, compute=ComputeSpec(dtype="float32")), rng=0
         )
         trainer.train(BernoulliRBM(20, 8, rng=0), data, epochs=1)
-        assert trainer.machine.dtype == np.float32
+        assert trainer.machine.substrate.dtype == np.float32

@@ -14,18 +14,18 @@ class TestGibbsSamplerMachine:
     def test_program_requires_matching_shape(self):
         machine = GibbsSamplerMachine(spec=SubstrateSpec(10, 5), rng=0)
         with pytest.raises(ValidationError):
-            machine.program(BernoulliRBM(8, 5, rng=0))
+            machine.program_trusted(BernoulliRBM(8, 5, rng=0))
 
     def test_positive_phase_produces_binary_hidden(self, tiny_binary_data):
         machine = GibbsSamplerMachine(spec=SubstrateSpec(16, 8), rng=0)
-        machine.program(BernoulliRBM(16, 8, rng=1))
+        machine.program_trusted(BernoulliRBM(16, 8, rng=1))
         h = machine.positive_phase(tiny_binary_data[:10])
         assert h.shape == (10, 8)
         assert set(np.unique(h)).issubset({0.0, 1.0})
 
     def test_negative_phase_shapes(self, tiny_binary_data):
         machine = GibbsSamplerMachine(spec=SubstrateSpec(16, 8), rng=0)
-        machine.program(BernoulliRBM(16, 8, rng=1))
+        machine.program_trusted(BernoulliRBM(16, 8, rng=1))
         h = machine.positive_phase(tiny_binary_data[:10])
         v_neg, h_neg = machine.negative_phase(h, cd_k=3)
         assert v_neg.shape == (10, 16)
@@ -33,7 +33,7 @@ class TestGibbsSamplerMachine:
 
     def test_host_counters_track_operations(self, tiny_binary_data):
         machine = GibbsSamplerMachine(spec=SubstrateSpec(16, 8), rng=0)
-        machine.program(BernoulliRBM(16, 8, rng=1))
+        machine.program_trusted(BernoulliRBM(16, 8, rng=1))
         machine.positive_phase(tiny_binary_data[:10])
         machine.negative_phase(np.zeros((10, 8)), cd_k=2)
         assert machine.host.programming_writes == 1
@@ -47,7 +47,7 @@ class TestGibbsSamplerMachine:
         rng = np.random.default_rng(1)
         rbm.set_parameters(rng.normal(0, 1, (10, 4)), np.zeros(10), rng.normal(0, 0.5, 4))
         machine = GibbsSamplerMachine(spec=SubstrateSpec(10, 4, input_bits=None), rng=2)
-        machine.program(rbm)
+        machine.program_trusted(rbm)
         v = np.tile((rng.random(10) < 0.5).astype(float), (4000, 1))
         samples = machine.positive_phase(v)
         expected = rbm.hidden_activation_probability(v[:1])[0]

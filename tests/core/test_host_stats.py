@@ -10,7 +10,8 @@ class TestHostStatistics:
 
     def test_counters_accumulate(self):
         stats = HostStatistics()
-        stats.record_programming(3)
+        for _ in range(3):
+            stats.record_programming()
         stats.record_sample_read(2)
         stats.record_host_update()
         stats.record_final_readout()

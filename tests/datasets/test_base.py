@@ -100,10 +100,10 @@ class TestDataset:
         assert set(np.unique(ds.train_x)).issubset({0.0, 1.0})
         assert set(np.unique(ds.test_x)).issubset({0.0, 1.0})
 
-    def test_binarized_threshold(self):
+    def test_binarized_threshold_is_one_half(self):
         ds = _simple_dataset()
-        strict = ds.binarized(threshold=0.9)
-        assert strict.train_x.mean() < ds.binarized(threshold=0.1).train_x.mean()
+        np.testing.assert_array_equal(ds.binarized().train_x, (ds.train_x > 0.5).astype(float))
+        np.testing.assert_array_equal(ds.binarized().test_x, (ds.test_x > 0.5).astype(float))
 
     def test_pooled_shapes(self):
         ds = load_mnist_like(scale=0.02, seed=0)

@@ -86,6 +86,6 @@ class TestTraining:
 
     def test_deterministic_with_seeds(self):
         features, labels = _separable_data(seed=7)
-        a = LogisticRegressionClassifier(6, 3, rng=1).fit(features, labels, epochs=10, rng=2)
-        b = LogisticRegressionClassifier(6, 3, rng=1).fit(features, labels, epochs=10, rng=2)
+        a = LogisticRegressionClassifier(6, 3, rng=1).fit(features, labels, epochs=10)
+        b = LogisticRegressionClassifier(6, 3, rng=1).fit(features, labels, epochs=10)
         np.testing.assert_array_equal(a.weights, b.weights)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers.estimators import cd1_detector, cd1_recommender
 from repro.config import TrainerSpec
 from repro.core import BGFTrainer
 from repro.eval import RBMAnomalyDetector, RBMRecommender
@@ -18,15 +19,19 @@ class TestRBMRecommender:
             RBMRecommender(epochs=0)
 
     def test_fit_predict_shapes(self, tiny_ratings_dataset):
-        recommender = RBMRecommender(n_hidden=12, epochs=5, rng=0).fit(tiny_ratings_dataset)
+        recommender = cd1_recommender(n_hidden=12, epochs=5, rng=0).fit(tiny_ratings_dataset)
         predictions = recommender.predict_matrix(tiny_ratings_dataset.train_ratings)
         assert predictions.shape == (tiny_ratings_dataset.n_users, tiny_ratings_dataset.n_items)
 
     def test_predictions_in_rating_range(self, tiny_ratings_dataset):
-        recommender = RBMRecommender(n_hidden=12, epochs=5, rng=0).fit(tiny_ratings_dataset)
+        recommender = cd1_recommender(n_hidden=12, epochs=5, rng=0).fit(tiny_ratings_dataset)
         predictions = recommender.predict_matrix(tiny_ratings_dataset.train_ratings)
         assert predictions.min() >= 1.0
         assert predictions.max() <= tiny_ratings_dataset.rating_levels
+
+    def test_fit_needs_a_trainer(self, tiny_ratings_dataset):
+        with pytest.raises(ValidationError, match="trainer"):
+            RBMRecommender(n_hidden=8, epochs=1, rng=0).fit(tiny_ratings_dataset)
 
     def test_requires_fit_before_predict(self, tiny_ratings_dataset):
         with pytest.raises(ValidationError, match="fit must be called"):
@@ -35,13 +40,13 @@ class TestRBMRecommender:
     def test_predict_matrix_requires_ratings(self, tiny_ratings_dataset):
         """The fitted model no longer retains the training matrix: scoring
         takes the observed ratings explicitly."""
-        recommender = RBMRecommender(n_hidden=8, epochs=3, rng=0).fit(tiny_ratings_dataset)
+        recommender = cd1_recommender(n_hidden=8, epochs=3, rng=0).fit(tiny_ratings_dataset)
         assert not hasattr(recommender, "_train_data")
         with pytest.raises(TypeError, match="ratings"):
             recommender.predict_matrix()
 
     def test_predict_ratings_row_width_check(self, tiny_ratings_dataset):
-        recommender = RBMRecommender(n_hidden=8, epochs=3, rng=0).fit(tiny_ratings_dataset)
+        recommender = cd1_recommender(n_hidden=8, epochs=3, rng=0).fit(tiny_ratings_dataset)
         with pytest.raises(ValidationError, match="user columns"):
             recommender.predict_ratings(np.zeros((2, tiny_ratings_dataset.n_users + 1)))
 
@@ -55,7 +60,7 @@ class TestRBMRecommender:
             rating_levels=tiny_ratings_dataset.rating_levels,
         )
         with pytest.raises(ValidationError, match="no observed entries"):
-            RBMRecommender(n_hidden=8, epochs=1, rng=0).fit(empty)
+            cd1_recommender(n_hidden=8, epochs=1, rng=0).fit(empty)
 
     def test_beats_global_mean_baseline(self, tiny_ratings_dataset):
         """The quality bar behind Table 4's MAE row: the learned model must be
@@ -77,8 +82,8 @@ class TestRBMRecommender:
         assert 0.0 < mae < tiny_ratings_dataset.rating_levels
 
     def test_deterministic_given_seeds(self, tiny_ratings_dataset):
-        a = RBMRecommender(n_hidden=8, epochs=3, rng=5).fit(tiny_ratings_dataset)
-        b = RBMRecommender(n_hidden=8, epochs=3, rng=5).fit(tiny_ratings_dataset)
+        a = cd1_recommender(n_hidden=8, epochs=3, rng=5).fit(tiny_ratings_dataset)
+        b = cd1_recommender(n_hidden=8, epochs=3, rng=5).fit(tiny_ratings_dataset)
         np.testing.assert_allclose(
             a.predict_matrix(tiny_ratings_dataset.train_ratings),
             b.predict_matrix(tiny_ratings_dataset.train_ratings),
@@ -90,7 +95,11 @@ class TestRBMAnomalyDetector:
         with pytest.raises(ValidationError):
             RBMAnomalyDetector(n_hidden=0)
         with pytest.raises(ValidationError):
-            RBMAnomalyDetector(score_method="nonsense")
+            RBMAnomalyDetector(epochs=0)
+
+    def test_fit_needs_a_trainer(self, tiny_fraud_dataset):
+        with pytest.raises(ValidationError, match="trainer"):
+            RBMAnomalyDetector(n_hidden=8, epochs=1, rng=0).fit(tiny_fraud_dataset)
 
     def test_requires_fit_before_scoring(self, tiny_fraud_dataset):
         detector = RBMAnomalyDetector(rng=0)
@@ -98,25 +107,18 @@ class TestRBMAnomalyDetector:
             detector.anomaly_scores(tiny_fraud_dataset.test_x)
 
     def test_scores_shape(self, tiny_fraud_dataset):
-        detector = RBMAnomalyDetector(n_hidden=8, epochs=5, rng=0).fit(tiny_fraud_dataset)
+        detector = cd1_detector(n_hidden=8, epochs=5, rng=0).fit(tiny_fraud_dataset)
         scores = detector.anomaly_scores(tiny_fraud_dataset.test_x)
         assert scores.shape == (tiny_fraud_dataset.test_x.shape[0],)
 
     def test_auc_well_above_chance(self, tiny_fraud_dataset):
         """Table 4 reports AUC ~0.96; at miniature scale we still expect the
         detector to be clearly better than random."""
-        detector = RBMAnomalyDetector(n_hidden=10, epochs=20, rng=0).fit(tiny_fraud_dataset)
+        detector = cd1_detector(n_hidden=10, epochs=20, rng=0).fit(tiny_fraud_dataset)
         assert detector.evaluate_auc(tiny_fraud_dataset) > 0.8
 
-    def test_free_energy_scoring_runs(self, tiny_fraud_dataset):
-        detector = RBMAnomalyDetector(
-            n_hidden=8, epochs=5, score_method="free_energy", rng=0
-        ).fit(tiny_fraud_dataset)
-        auc = detector.evaluate_auc(tiny_fraud_dataset)
-        assert 0.0 <= auc <= 1.0
-
     def test_roc_curve_output(self, tiny_fraud_dataset):
-        detector = RBMAnomalyDetector(n_hidden=8, epochs=5, rng=0).fit(tiny_fraud_dataset)
+        detector = cd1_detector(n_hidden=8, epochs=5, rng=0).fit(tiny_fraud_dataset)
         fpr, tpr, thresholds = detector.evaluate_roc(tiny_fraud_dataset)
         assert fpr.shape == tpr.shape == thresholds.shape
         assert fpr[-1] == 1.0 and tpr[-1] == 1.0
@@ -129,7 +131,7 @@ class TestRBMAnomalyDetector:
         assert detector.evaluate_auc(tiny_fraud_dataset) > 0.75
 
     def test_feature_width_check(self, tiny_fraud_dataset):
-        detector = RBMAnomalyDetector(n_hidden=8, epochs=3, rng=0).fit(tiny_fraud_dataset)
+        detector = cd1_detector(n_hidden=8, epochs=3, rng=0).fit(tiny_fraud_dataset)
         with pytest.raises(ValidationError):
             detector.anomaly_scores(np.zeros((5, 10)))
 
@@ -145,7 +147,7 @@ class TestSparseEncodedPipelines:
             RBMRecommender(encoding="nonsense")
 
     def test_recommender_onehot_predictions_in_range(self, tiny_ratings_dataset):
-        recommender = RBMRecommender(
+        recommender = cd1_recommender(
             n_hidden=12, epochs=5, encoding="onehot", sparse=True, rng=0
         ).fit(tiny_ratings_dataset)
         predictions = recommender.predict_matrix(tiny_ratings_dataset.train_ratings)
@@ -158,7 +160,7 @@ class TestSparseEncodedPipelines:
 
     def test_recommender_sparse_matches_dense(self, tiny_ratings_dataset):
         predictions = [
-            RBMRecommender(
+            cd1_recommender(
                 n_hidden=12, epochs=5, encoding="onehot", sparse=sparse, rng=0
             )
             .fit(tiny_ratings_dataset)
@@ -175,16 +177,14 @@ class TestSparseEncodedPipelines:
         with pytest.raises(ValidationError):
             RBMAnomalyDetector(encoding="onehot", n_bins=1)
 
-    @pytest.mark.parametrize("score_method", ["reconstruction", "free_energy"])
-    def test_detector_sparse_matches_dense(self, tiny_fraud_dataset, score_method):
+    def test_detector_sparse_matches_dense(self, tiny_fraud_dataset):
         scores = [
-            RBMAnomalyDetector(
+            cd1_detector(
                 n_hidden=8,
                 epochs=5,
                 encoding="onehot",
                 n_bins=8,
                 sparse=sparse,
-                score_method=score_method,
                 rng=0,
             )
             .fit(tiny_fraud_dataset)
@@ -194,7 +194,7 @@ class TestSparseEncodedPipelines:
         np.testing.assert_allclose(scores[0], scores[1], atol=1e-8)
 
     def test_detector_onehot_takes_raw_features(self, tiny_fraud_dataset):
-        detector = RBMAnomalyDetector(
+        detector = cd1_detector(
             n_hidden=8, epochs=5, encoding="onehot", n_bins=8, sparse=True, rng=0
         ).fit(tiny_fraud_dataset)
         scores = detector.anomaly_scores(tiny_fraud_dataset.test_x)

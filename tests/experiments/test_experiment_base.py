@@ -19,13 +19,6 @@ def _result():
 
 
 class TestExperimentResult:
-    def test_columns(self):
-        assert _result().columns == ["workload", "value"]
-
-    def test_columns_of_empty_result(self):
-        empty = ExperimentResult(name="empty", description="", rows=[])
-        assert empty.columns == []
-
     def test_row_by(self):
         assert _result().row_by("workload", "b")["value"] == 2.5
 

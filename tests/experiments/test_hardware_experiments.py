@@ -71,12 +71,12 @@ class TestTable2Driver:
     def test_rows_and_columns(self):
         result = run_table2()
         assert len(result.rows) == 8
-        assert "area_mm2@1600" in result.columns
-        assert "power_mw@400" in result.columns
+        assert "area_mm2@1600" in result.rows[0]
+        assert "power_mw@400" in result.rows[0]
 
     def test_custom_node_counts(self):
         result = run_table2((200,))
-        assert "area_mm2@200" in result.columns
+        assert "area_mm2@200" in result.rows[0]
 
     def test_formatting(self):
         text = format_table2(run_table2())

@@ -53,7 +53,7 @@ def table4_result():
 
 class TestFigure7:
     def test_row_structure(self, figure7_result):
-        assert set(figure7_result.columns) == {
+        assert set(figure7_result.rows[0]) == {
             "dataset", "method", "epoch", "avg_log_probability",
         }
         methods = {row["method"] for row in figure7_result.rows}

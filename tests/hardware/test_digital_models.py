@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware import GPUModel, TESLA_T4, TPUModel, TPU_V1, TPU_V4
+from repro.hardware import GPUModel, TESLA_T4, TPUModel, TPU_V1
 from repro.utils.validation import ValidationError
 
 
@@ -11,15 +11,6 @@ class TestTPUModel:
         assert TPU_V1.peak_tops == pytest.approx(92.0)
         assert TPU_V1.die_area_mm2 == pytest.approx(331.0)
         assert TPU_V1.busy_power_w == pytest.approx(40.0)
-
-    def test_v1_table3_efficiency(self):
-        """Table 3 row: TPU v1 at 1.16 TOPS/mm^2 (MAC-array area) and 2.30 TOPS/W."""
-        assert TPU_V1.tops_per_mm2 == pytest.approx(1.16, abs=0.02)
-        assert TPU_V1.tops_per_watt == pytest.approx(2.30, abs=0.02)
-
-    def test_v4_table3_efficiency(self):
-        assert TPU_V4.tops_per_mm2 == pytest.approx(1.91, abs=0.05)
-        assert TPU_V4.tops_per_watt == pytest.approx(1.62, abs=0.05)
 
     def test_utilization_penalizes_small_layers(self):
         full = TPU_V1.utilization(512, 512)
@@ -34,9 +25,6 @@ class TestTPUModel:
         t1 = TPU_V1.time_for_ops(1e9, 512, 512)
         t2 = TPU_V1.time_for_ops(2e9, 512, 512)
         assert t2 == pytest.approx(2 * t1)
-
-    def test_energy(self):
-        assert TPU_V1.energy_for_time(2.0) == pytest.approx(80.0)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValidationError):

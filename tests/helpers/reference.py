@@ -7,6 +7,7 @@ bit-identity suites have something independent to compare against:
 
 * :func:`sigmoid_reference` / :func:`log1pexp_reference` — the two-pass
   masked elementwise kernels;
+* :func:`latch` — the node latch with its range and width checks;
 * :class:`ReferenceSubstrate` — the substrate with a fresh
   ``NoiseModel.perturbed_coupling`` per settle, the masked sigmoid with an
   unconditional output clip, validated latches, and a per-step
@@ -89,6 +90,21 @@ def _unit_output(unit, x: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid_reference(gains * x), 0.0, 1.0)
 
 
+def latch(sampler, probabilities) -> np.ndarray:
+    """The validated latch: ``probabilities`` checked to lie in [0, 1] and
+    to end in the ``sampler``'s ``n_units``, cast to float64, then latched
+    by ``sampler`` (so float32 inputs draw the float64 references too)."""
+    probabilities = np.asarray(probabilities, dtype=float)
+    if probabilities.size and (probabilities.min() < 0.0 or probabilities.max() > 1.0):
+        raise ValidationError("probabilities must lie in [0, 1]")
+    if probabilities.shape[-1:] != (sampler.n_units,):
+        raise ValidationError(
+            f"probabilities of shape {probabilities.shape} do not end "
+            f"in n_units={sampler.n_units}"
+        )
+    return sampler.sample(probabilities)
+
+
 def perturbed_coupling(noise_model, weights: np.ndarray) -> np.ndarray:
     """``weights`` as one evaluation of ``noise_model``'s array realizes
     them: the static variation gain, then (in a noisy corner) one fresh
@@ -153,11 +169,11 @@ class ReferenceSubstrate(BipartiteIsingSubstrate):
     def sample_hidden_given_visible(self, visible: np.ndarray) -> np.ndarray:
         if not is_sparse(visible):
             visible = np.atleast_2d(np.asarray(visible, dtype=float))
-        return self.hidden_sampler.sample(self.hidden_probability(self.clamp_visible(visible)))
+        return latch(self.hidden_sampler, self.hidden_probability(self.clamp_visible(visible)))
 
     def sample_visible_given_hidden(self, hidden: np.ndarray) -> np.ndarray:
         hidden = check_binary(np.atleast_2d(np.asarray(hidden, dtype=float)), name="hidden")
-        return self.visible_sampler.sample(self.visible_probability(hidden))
+        return latch(self.visible_sampler, self.visible_probability(hidden))
 
     def settle_batch(self, hidden_init, n_steps, *, workers=1):
         """``n_steps`` alternating settles through the validated samplers

@@ -229,7 +229,7 @@ class TestFloat32Trainers:
             histories[dtype] = trainer.train(rbm, tiny_binary_data, epochs=12)
             # Host-side model stays double precision (mixed-precision split).
             assert rbm.weights.dtype == np.float64
-            assert trainer.machine.dtype == np.dtype(dtype)
+            assert trainer.machine.substrate.dtype == np.dtype(dtype)
         final64 = histories["float64"].reconstruction_error[-1]
         final32 = histories["float32"].reconstruction_error[-1]
         # Both tiers learn (error well below the ~0.5 random-guess floor)
@@ -248,9 +248,9 @@ class TestFloat32Trainers:
         assert np.isfinite(rbm.weights).all()
         assert history.reconstruction_error[-1] < history.reconstruction_error[0] + 0.05
 
-    def test_machine_dtype_property(self):
+    def test_machine_substrate_takes_the_spec_dtype(self):
         machine = GibbsSamplerMachine(
             spec=SubstrateSpec(8, 4, compute=ComputeSpec(dtype="float32")), rng=0
         )
-        assert machine.dtype == np.float32
+        assert machine.substrate.dtype == np.float32
         assert machine.substrate.weights.dtype == np.float32

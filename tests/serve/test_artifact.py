@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers.estimators import cd1_detector, cd1_recommender
 from repro.analog import dequantize_symmetric, quantize_symmetric
 from repro.config.specs import ComputeSpec, RunSpec
 from repro.eval import RBMAnomalyDetector, RBMRecommender
@@ -63,7 +64,7 @@ class TestRoundTrip:
     def test_recommender_round_trip_scores_bit_identical(
         self, tmp_path, tiny_ratings_dataset
     ):
-        recommender = RBMRecommender(n_hidden=8, epochs=3, rng=0).fit(
+        recommender = cd1_recommender(n_hidden=8, epochs=3, rng=0).fit(
             tiny_ratings_dataset
         )
         save_model(recommender, tmp_path / "rec")
@@ -82,7 +83,7 @@ class TestRoundTrip:
     def test_sparse_trained_recommender_round_trip(
         self, tmp_path, tiny_ratings_dataset
     ):
-        recommender = RBMRecommender(
+        recommender = cd1_recommender(
             n_hidden=8, epochs=3, encoding="onehot", sparse=True, rng=0
         ).fit(tiny_ratings_dataset)
         save_model(recommender, tmp_path / "rec")
@@ -98,7 +99,7 @@ class TestRoundTrip:
     def test_anomaly_detector_round_trip_scores_bit_identical(
         self, tmp_path, tiny_fraud_dataset
     ):
-        detector = RBMAnomalyDetector(n_hidden=8, epochs=3, rng=0).fit(
+        detector = cd1_detector(n_hidden=8, epochs=3, rng=0).fit(
             tiny_fraud_dataset
         )
         save_model(detector, tmp_path / "det")
@@ -271,7 +272,7 @@ class TestQuantizedArtifact:
     def test_quantized_anomaly_detector_still_ranks(self, tmp_path, tiny_fraud_dataset):
         """A quantized estimator artifact keeps its scoring behavior: the
         anomaly ranking survives the int8 round trip."""
-        detector = RBMAnomalyDetector(n_hidden=8, epochs=3, rng=0).fit(
+        detector = cd1_detector(n_hidden=8, epochs=3, rng=0).fit(
             tiny_fraud_dataset
         )
         save_model(detector, tmp_path / "det", quantize=True)
@@ -312,6 +313,36 @@ class TestLegacyChainState:
         self._with_chain_state(tmp_path, np.eye(4, 9))
         with pytest.raises(ValidationError, match="'chain_state'"):
             load_model(tmp_path / "old")
+
+
+class TestLegacyScoreMethod:
+    """Detector bundles once stored a ``score_method``.  The reconstruction
+    error is the only score now: a bundle that stored it loads, and one
+    that stored another scorer fails rather than score differently."""
+
+    @staticmethod
+    def _detector_bundle(tmp_path, tiny_fraud_dataset, score_method):
+        detector = cd1_detector(n_hidden=8, epochs=2, rng=0).fit(tiny_fraud_dataset)
+        save_model(detector, tmp_path / "det")
+        json_path = tmp_path / "det.json"
+        meta = json.loads(json_path.read_text())
+        assert "score_method" not in meta["state"]
+        meta["state"]["score_method"] = score_method
+        json_path.write_text(json.dumps(meta))
+        return detector
+
+    def test_reconstruction_bundle_loads_and_scores(self, tmp_path, tiny_fraud_dataset):
+        detector = self._detector_bundle(tmp_path, tiny_fraud_dataset, "reconstruction")
+        loaded = load_model(tmp_path / "det").model
+        np.testing.assert_array_equal(
+            loaded.anomaly_scores(tiny_fraud_dataset.test_x),
+            detector.anomaly_scores(tiny_fraud_dataset.test_x),
+        )
+
+    def test_other_score_method_fails_the_load(self, tmp_path, tiny_fraud_dataset):
+        self._detector_bundle(tmp_path, tiny_fraud_dataset, "free_energy")
+        with pytest.raises(ValidationError, match="score_method"):
+            load_model(tmp_path / "det")
 
 
 class TestSaveErrors:
@@ -401,7 +432,7 @@ class TestLoadErrors:
             load_model(tmp_path / "model")
 
     def test_incomplete_estimator_state_is_corruption(self, tmp_path, tiny_fraud_dataset):
-        detector = RBMAnomalyDetector(n_hidden=8, epochs=2, rng=0).fit(
+        detector = cd1_detector(n_hidden=8, epochs=2, rng=0).fit(
             tiny_fraud_dataset
         )
         save_model(detector, tmp_path / "det")
@@ -416,10 +447,10 @@ def _fitted_estimator(kind, request):
     if kind == "rbm":
         return _random_rbm()
     if kind == "recommender":
-        return RBMRecommender(n_hidden=8, epochs=2, rng=0).fit(
+        return cd1_recommender(n_hidden=8, epochs=2, rng=0).fit(
             request.getfixturevalue("tiny_ratings_dataset")
         )
-    return RBMAnomalyDetector(n_hidden=8, epochs=2, rng=0).fit(
+    return cd1_detector(n_hidden=8, epochs=2, rng=0).fit(
         request.getfixturevalue("tiny_fraud_dataset")
     )
 

@@ -305,6 +305,33 @@ class TestValidation:
         with pytest.raises(ValidationError, match="max_delay_s"):
             MicroBatchScoringService(scorer_rbm.score_samples, max_delay_s=-1.0)
 
+    @pytest.mark.parametrize("value", [2.5, True, "8"])
+    def test_max_batch_size_must_be_an_int(self, scorer_rbm, value):
+        """2.5 once truncated to 2, True counted as 1 and "8" raised a bare
+        TypeError."""
+        with pytest.raises(ValidationError, match="max_batch_size"):
+            MicroBatchScoringService(scorer_rbm.score_samples, max_batch_size=value)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_max_delay_s_must_be_finite(self, scorer_rbm, value):
+        """An infinite linger never answers a partial batch."""
+        with pytest.raises(ValidationError, match="max_delay_s"):
+            MicroBatchScoringService(scorer_rbm.score_samples, max_delay_s=value)
+
+    def test_cli_rejects_an_infinite_linger_before_binding(
+        self, tmp_path, scorer_rbm, monkeypatch, capsys
+    ):
+        from repro.api.cli import main
+
+        def bind(*args, **kwargs):
+            raise AssertionError("the server bound a socket")
+
+        monkeypatch.setattr(service_module.asyncio, "start_server", bind)
+        save_model(scorer_rbm, tmp_path / "model")
+        argv = ["serve", str(tmp_path / "model"), "--port", "0", "--max-delay-ms", "inf"]
+        assert main(argv) == 2
+        assert "max_delay_s" in capsys.readouterr().err
+
     def test_submit_requires_started_service(self, scorer_rbm):
         service = MicroBatchScoringService(scorer_rbm.score_samples)
         with pytest.raises(ValidationError, match="not started"):
@@ -329,10 +356,10 @@ class TestSelfTest:
     def test_self_test_reports_latency_and_coalescing(self, tmp_path, scorer_rbm):
         save_model(scorer_rbm, tmp_path / "model")
         artifact = load_model(tmp_path / "model")
-        report = run_self_test(artifact, concurrency=8, waves=3, seed=0)
+        report = run_self_test(artifact)
         assert report["kind"] == "rbm"
         assert report["n_features"] == 12
-        assert report["verified_requests"] == 24
+        assert report["verified_requests"] == 80
         assert report["coalesced"]["batches"] < report["coalesced"]["requests"]
         assert report["p50_ms"] > 0 and report["p99_ms"] >= report["p50_ms"]
         assert report["req_per_s"] > 0

@@ -6,10 +6,12 @@ documentation in sync with the code (every experiment listed in DESIGN.md's
 index has a corresponding benchmark file).
 """
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -103,6 +105,24 @@ class TestRepositoryStructure:
 
     def test_examples_directory_has_quickstart(self):
         assert (REPO_ROOT / "examples" / "quickstart.py").is_file()
+
+    def test_setup_shim_mirrors_the_console_scripts(self):
+        """setup.py's ``console_scripts`` are pyproject.toml's
+        ``[project.scripts]``, entry for entry."""
+        pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+        tree = ast.parse((REPO_ROOT / "setup.py").read_text())
+        (entries,) = [
+            value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "console_scripts"
+        ]
+        shim = dict(
+            (part.strip() for part in entry.split("=", 1))
+            for entry in ast.literal_eval(entries)
+        )
+        assert shim == pyproject["project"]["scripts"]
 
     def test_experiments_md_covers_every_artifact(self):
         text = (REPO_ROOT / "EXPERIMENTS.md").read_text()

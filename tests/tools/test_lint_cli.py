@@ -1,5 +1,6 @@
 """The lint driver surface: exit codes, --format json, discovery, CLI wiring."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -14,7 +15,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def run(*argv_paths, **kwargs):
     stream = io.StringIO()
-    code = run_lint(list(argv_paths), stream=stream, **kwargs)
+    with contextlib.redirect_stdout(stream):
+        code = run_lint(list(argv_paths), **kwargs)
     return code, stream.getvalue()
 
 
