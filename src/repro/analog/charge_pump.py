@@ -38,19 +38,30 @@ SATURATION_MARGIN = 0.25
 
 
 class _Scratch(NamedTuple):
-    """Work buffers of one update target, and the law's constants as 0-d
-    arrays of its dtype: the values ufuncs would cast Python floats to,
-    without the per-call conversion."""
+    """Work buffers of one update target, and its law's per-element (or 0-d)
+    constants in the target's dtype: the values ufuncs would cast Python
+    floats to, without the per-call conversion.
+
+    ``base`` is every element's unit step and ``rolloff`` the headroom over
+    which its step rolls off (the weight range times its margin);
+    ``noise_parts`` names, per slice of the target, the generator and RMS
+    its units draw their dynamic noise from (each pump's own stream; held
+    as generators, not pumps, so a pump and its scratch form no reference
+    cycle); ``rounded`` names the slices whose steps a float32 bias unit
+    rounds in its own dtype."""
 
     headroom: np.ndarray
     steps: np.ndarray
+    noise: Optional[np.ndarray]
     lo: np.ndarray
     hi: np.ndarray
-    span: np.ndarray
-    margin: np.ndarray
-    step_size: np.ndarray
+    rolloff: np.ndarray
+    base: np.ndarray
     zero: np.ndarray
     one: np.ndarray
+    noise_parts: tuple
+    rounded: tuple
+    bias: bool
 
 
 class ChargePumpUpdater:
@@ -76,6 +87,15 @@ class ChargePumpUpdater:
         once at construction).
     noise_rms:
         RMS fractional noise on every individual update (dynamic).
+    bias_pumps:
+        The pumps of the array's bias column (visible biases, shape
+        ``(n_visible, 1)``) and bias row (hidden biases, ``(n_hidden, 1)``):
+        the coupling units whose other node is permanently 1 (Fig. 4).
+        With them, :meth:`apply_sample` also pulses the augmented
+        ``(n_visible + 1, n_hidden + 1)`` buffer — the array with its bias
+        column and row, the corner unused — in one update, every bias unit
+        drawing its dynamic noise from its own pump's stream.  They share
+        this pump's step size, rails and noise level.
     """
 
     def __init__(
@@ -87,6 +107,7 @@ class ChargePumpUpdater:
         variation_rms: float = 0.0,
         noise_rms: float = 0.0,
         rng: SeedLike = None,
+        bias_pumps: Optional[Tuple["ChargePumpUpdater", "ChargePumpUpdater"]] = None,
     ):
         if not isinstance(shape, (tuple, list)) or len(shape) != 2:
             raise ValidationError(f"shape must be a pair (rows, cols), got {shape!r}")
@@ -96,6 +117,18 @@ class ChargePumpUpdater:
         self.variation_rms = check_positive(variation_rms, name="variation_rms", strict=False)
         self.noise_rms = check_positive(noise_rms, name="noise_rms", strict=False)
         self._rng = as_rng(rng)
+        if bias_pumps is not None:
+            law = (self.step_size, self.weight_range, self.noise_rms)
+            shapes = [pump.shape for pump in bias_pumps]
+            if shapes != [(self.shape[0], 1), (self.shape[1], 1)] or any(
+                (pump.step_size, pump.weight_range, pump.noise_rms) != law
+                for pump in bias_pumps
+            ):
+                raise ValidationError(
+                    "bias_pumps must be the (n_visible, 1) and (n_hidden, 1) pumps "
+                    "sharing this pump's step_size, weight_range and noise_rms"
+                )
+        self.bias_pumps = bias_pumps
         if self.variation_rms > 0:
             self._unit_gain = 1.0 + self._rng.normal(0.0, self.variation_rms, size=self.shape)
             self._unit_gain = np.maximum(self._unit_gain, 0.05)
@@ -108,62 +141,107 @@ class ChargePumpUpdater:
         self._last_scratch: Optional[_Scratch] = None
 
     # ------------------------------------------------------------------ #
-    def _scratch(self, values: np.ndarray) -> _Scratch:
+    def _layout(self, shape, dtype, bias: bool):
+        """The law's per-element ``(base, rolloff, noise_parts, rounded)``
+        for a target of ``shape`` and ``dtype`` (see :class:`_Scratch`).
+
+        A weight array scales the float64 per-unit mismatched base steps and
+        rolls off over :data:`SATURATION_MARGIN` of the range; a bias (the
+        clamp column) scales the nominal ``step_size`` in its own dtype and
+        rolls off over the whole range (margin 1.0).  The augmented buffer
+        holds both, and a 0 base step in its corner.  Both margins are
+        powers of two, so one division by ``span * margin`` rounds exactly
+        as dividing by the span and then by the margin.
+        """
+        lo, hi = self.weight_range
+        span = np.array(hi - lo, dtype=dtype)
+        step = np.array(self.step_size, dtype=dtype)
+        own = ((self._rng, self.noise_rms, ...),)
+        if bias:
+            return step, span, own, ()
+        rolloff = span * np.array(SATURATION_MARGIN, dtype=dtype)
+        if shape == self.shape:
+            return self._base_steps, rolloff, own, ()
+        m, n = self.shape
+        if self.bias_pumps is None or shape != (m + 1, n + 1):
+            raise ValidationError(
+                f"values of shape {shape} match neither the {self.shape} array "
+                "nor, with bias pumps, its augmented buffer"
+            )
+        units, column, row = np.s_[:m, :n], np.s_[:m, n], np.s_[m, :n]
+        base = np.zeros(shape, dtype=np.float64)
+        base[units] = self._base_steps
+        base[column] = base[row] = step
+        rolloffs = np.full(shape, span, dtype=dtype)
+        rolloffs[units] = rolloff
+        visible, hidden = self.bias_pumps
+        # A float32 bias unit's step is the float32 product of step and
+        # headroom; the float64 product of the same two float32 values is
+        # exact, so rounding it to float32 lands the same step.
+        rounded = () if np.dtype(dtype) == np.float64 else (column, row)
+        noise_parts = (
+            (self._rng, self.noise_rms, units),
+            (visible._rng, visible.noise_rms, column),
+            (hidden._rng, hidden.noise_rms, row),
+        )
+        return base, rolloffs, noise_parts, rounded
+
+    def _scratch(self, values: np.ndarray, bias: bool) -> _Scratch:
         """Work buffers for updates of arrays like ``values``, kept between
         calls — a pump serves one array, so they are rebuilt only when its
-        shape or dtype changes (which also makes an updater single-threaded,
-        as its in-place update and noise stream already are)."""
+        shape, dtype or kind changes (which also makes an updater
+        single-threaded, as its in-place update and noise stream already
+        are)."""
         scratch = self._last_scratch
         if (
             scratch is None
             or scratch.headroom.shape != values.shape
             or scratch.headroom.dtype != values.dtype
+            or scratch.bias != bias
         ):
             steps = np.empty(values.shape, dtype=np.float64)
             headroom = steps if values.dtype == np.float64 else np.empty_like(values)
-            lo, hi = self.weight_range
-            constants = (lo, hi, hi - lo, SATURATION_MARGIN, self.step_size, 0.0, 1.0)
+            lo, hi, zero, one = (
+                np.array(c, dtype=values.dtype) for c in (*self.weight_range, 0.0, 1.0)
+            )
+            base, rolloff, noise_parts, rounded = self._layout(
+                values.shape, values.dtype, bias
+            )
+            noise = np.empty(values.shape, dtype=np.float64) if self.noise_rms > 0 else None
             scratch = _Scratch(
-                headroom, steps, *(np.array(c, dtype=values.dtype) for c in constants)
+                headroom, steps, noise, lo, hi, rolloff, base, zero, one,
+                noise_parts, rounded, bias,
             )
             self._last_scratch = scratch
         return scratch
-
-    def _steps(self, values: np.ndarray, positive: bool, bias: bool, scratch: _Scratch):
-        """Noise-free steps ``base * f(values)``, written into ``scratch.steps``.
-
-        ``f`` in [0, 1] is the charge-redistribution factor: full-strength
-        transfer while more than :data:`SATURATION_MARGIN` of the range
-        remains toward the target rail, linear roll-off to zero at the rail
-        itself.  Weights scale the per-unit mismatched
-        float64 base steps; a bias (the clamp column) scales the nominal
-        ``step_size`` in its own dtype and rolls off over the whole range.
-        """
-        headroom = scratch.headroom
-        if positive:
-            np.subtract(scratch.hi, values, out=headroom)
-        else:
-            np.subtract(values, scratch.lo, out=headroom)
-        np.divide(headroom, scratch.span, out=headroom)
-        if not bias:
-            np.divide(headroom, scratch.margin, out=headroom)
-        np.maximum(headroom, scratch.zero, out=headroom)
-        np.minimum(headroom, scratch.one, out=headroom)
-        base = scratch.step_size if bias else self._base_steps
-        return np.multiply(base, headroom, out=scratch.steps)
 
     def _update(self, values: np.ndarray, *gates, positive: bool, bias: bool) -> np.ndarray:
         """The update law, in place and unvalidated — the one implementation
         behind every ``apply*`` entry point.
 
-        ``values`` moves by ``f(values) * base * (1 + noise)`` toward the
+        ``values`` moves by ``base * f(values) * (1 + noise)`` toward the
         phase's rail wherever the product of the binary ``gates`` (each
-        broadcast against ``values``) is 1, then clips to the rails.
+        broadcast against ``values``) is 1, then clips to the rails.  ``f``
+        in [0, 1] is the charge-redistribution factor: full-strength
+        transfer while more than the unit's margin of the range remains
+        toward the target rail, linear roll-off to zero at the rail itself.
         """
-        scratch = self._scratch(values)
-        steps = self._steps(values, positive, bias, scratch)
+        scratch = self._scratch(values, bias)
+        headroom = scratch.headroom
+        if positive:
+            np.subtract(scratch.hi, values, out=headroom)
+        else:
+            np.subtract(values, scratch.lo, out=headroom)
+        np.divide(headroom, scratch.rolloff, out=headroom)
+        np.maximum(headroom, scratch.zero, out=headroom)
+        np.minimum(headroom, scratch.one, out=headroom)
+        steps = np.multiply(scratch.base, headroom, out=scratch.steps)
+        for part in scratch.rounded:
+            steps[part] = steps[part].astype(values.dtype)
         if self.noise_rms > 0:
-            noise = self._rng.normal(0.0, self.noise_rms, size=values.shape)
+            noise = scratch.noise
+            for rng, rms, part in scratch.noise_parts:
+                noise[part] = rng.normal(0.0, rms, size=noise[part].shape)
             noise += 1.0
             steps *= noise
         for gate in gates:
@@ -209,7 +287,12 @@ class ChargePumpUpdater:
 
     def apply_sample(self, weights, v_bits, h_bits, *, positive: bool) -> np.ndarray:
         """Trusted :meth:`apply` from raw latch bits: the ``v_i`` column and
-        ``h_j`` row gates land the correlation's values."""
+        ``h_j`` row gates land the correlation's values.
+
+        With :attr:`bias_pumps`, ``weights`` may be the augmented buffer and
+        the bits ``[v, 1]`` and ``[h, 1]``: one pulse then moves every
+        coupling and both bias vectors, each unit exactly as its own pump's
+        update would."""
         return self._update(
             weights, v_bits[:, None], h_bits[None, :], positive=positive, bias=False
         )

@@ -74,6 +74,15 @@ def _reject_sparse(data) -> None:
 class BoltzmannGradientFollower:
     """The BGF machine: in-substrate sampling *and* in-substrate learning.
 
+    The array holds the weights and biases as the paper wires a bias
+    (Fig. 4): one ``(n_visible + 1, n_hidden + 1)`` buffer whose last
+    column and row are the couplings of the visible and hidden nodes to an
+    always-on spin (see :meth:`initialize`).  Each phase of a learning step
+    pulses every coupling unit of it once: one trusted
+    ``weight_pump.apply_sample`` on the buffer, gated by ``[v, 1]`` and
+    ``[h, 1]``, with the bias units drawing their update noise from the
+    visible- and hidden-bias pumps' own streams.
+
     Parameters
     ----------
     spec:
@@ -93,8 +102,8 @@ class BoltzmannGradientFollower:
     n_visible, n_hidden:
         Coupling-array dimensions.
     rng:
-        Master seed; the substrate and the three pumps draw from streams
-        spawned from it.
+        Master seed; the substrate and the three pumps (the weights', the
+        bias column's and the bias row's) draw from streams spawned from it.
     """
 
     def __init__(
@@ -111,9 +120,9 @@ class BoltzmannGradientFollower:
         noise = spec.noise
         streams = spawn_rngs(rng, 4)
         # ``compute.dtype`` selects the substrate precision tier: settles and
-        # latch draws run in float32 when requested, while the charge pumps
-        # edit the (tier-dtype) coupling array in place with float64 step
-        # math — the update law itself is not precision-tiered.
+        # latch draws run in float32 when requested, while the pump pulse
+        # edits the (tier-dtype) buffer in place with float64 step math —
+        # the update law itself is not precision-tiered.
         self.substrate = BipartiteIsingSubstrate(
             spec=SubstrateSpec(
                 n_visible=n_visible,
@@ -123,22 +132,32 @@ class BoltzmannGradientFollower:
             ),
             rng=streams[0],
         )
-        self.weight_pump, self.visible_bias_pump, self.hidden_bias_pump = (
-            ChargePumpUpdater(
-                shape,
-                step_size=self.step_size,
-                weight_range=WEIGHT_RANGE,
-                variation_rms=noise.variation_rms,
-                noise_rms=noise.noise_rms,
-                rng=stream,
-            )
-            for shape, stream in zip(
-                ((n_visible, n_hidden), (n_visible, 1), (n_hidden, 1)), streams[1:]
-            )
+        law = dict(
+            step_size=self.step_size,
+            weight_range=WEIGHT_RANGE,
+            variation_rms=noise.variation_rms,
+            noise_rms=noise.noise_rms,
+        )
+        self.visible_bias_pump, self.hidden_bias_pump = (
+            ChargePumpUpdater((size, 1), rng=stream, **law)
+            for size, stream in ((n_visible, streams[2]), (n_hidden, streams[3]))
+        )
+        self.weight_pump = ChargePumpUpdater(
+            (n_visible, n_hidden),
+            rng=streams[1],
+            bias_pumps=(self.visible_bias_pump, self.hidden_bias_pump),
+            **law,
         )
         self._rng = as_rng(streams[0])
         self.readout_adc = AnalogToDigitalConverter(READOUT_BITS, value_range=WEIGHT_RANGE)
         self.host = HostStatistics()
+        # The augmented coupling buffer (see initialize) and the pump gates
+        # ``[v, 1]`` and ``[h, 1]`` of its always-on spins, float64 like the
+        # steps they gate.
+        self._buffer: Optional[np.ndarray] = None
+        self._gates = tuple(
+            np.ones(size + 1, dtype=np.float64) for size in (n_visible, n_hidden)
+        )
         self._particles: Optional[np.ndarray] = None
         self._particle_cursor = 0
 
@@ -162,7 +181,17 @@ class BoltzmannGradientFollower:
         visible_bias: np.ndarray,
         hidden_bias: np.ndarray,
     ) -> None:
-        """Operation step 1: host initializes the weights and biases."""
+        """Operation step 1: host initializes the weights and biases.
+
+        The array holds them as the paper wires a bias (Fig. 4): one
+        ``(n_visible + 1, n_hidden + 1)`` buffer in the substrate's dtype,
+        the weights in its ``(n_visible, n_hidden)`` block, the visible
+        biases in its last column (couplings to an always-on hidden spin)
+        and the hidden biases in its last row (couplings to an always-on
+        visible spin); the corner stays 0.  The substrate adopts views of
+        it, so each phase's single pump pulse on the buffer is what the
+        next settle sees.
+        """
         lo, hi = WEIGHT_RANGE
         weights = np.clip(
             check_array(weights, name="weights", shape=(self.n_visible, self.n_hidden)),
@@ -175,7 +204,13 @@ class BoltzmannGradientFollower:
         hidden_bias = np.clip(
             check_array(hidden_bias, name="hidden_bias", shape=(self.n_hidden,)), lo, hi
         )
-        self.substrate.program(weights, visible_bias, hidden_bias)
+        m, n = self.n_visible, self.n_hidden
+        buffer = np.zeros((m + 1, n + 1), dtype=self.substrate.dtype)
+        buffer[:m, :n] = weights
+        buffer[:m, n] = visible_bias
+        buffer[m, :n] = hidden_bias
+        self._buffer = buffer
+        self.substrate.program_trusted(buffer[:m, :n], buffer[:m, n], buffer[m, :n])
         self.host.record_programming()
         self._particles = (
             self._rng.random((self.spec.sampler.chains, self.n_hidden)) < 0.5
@@ -218,13 +253,16 @@ class BoltzmannGradientFollower:
         self._pump_sample(visible[0], hidden[0], positive=False, invalidate=static is None)
 
     def _pump_sample(self, v_bits, h_bits, *, positive: bool, invalidate: bool) -> None:
-        """One phase's trusted charge-pump updates from raw latch bits."""
-        sub = self.substrate
-        self.weight_pump.apply_sample(sub.weights, v_bits, h_bits, positive=positive)
-        self.visible_bias_pump.apply_bias_sample(sub.visible_bias, v_bits, positive=positive)
-        self.hidden_bias_pump.apply_bias_sample(sub.hidden_bias, h_bits, positive=positive)
+        """One phase's charge-pump pulse from raw latch bits: a single
+        trusted update of the whole augmented buffer, gated by ``[v, 1]``
+        and ``[h, 1]``, so the weights and both bias vectors move at once
+        (each unit as its own pump's update would move it)."""
+        v_gate, h_gate = self._gates
+        v_gate[:-1] = v_bits
+        h_gate[:-1] = h_bits
+        self.weight_pump.apply_sample(self._buffer, v_gate, h_gate, positive=positive)
         if invalidate:
-            sub.invalidate_effective_weights()
+            self.substrate.invalidate_effective_weights()
 
     def _stream_chunk(self, chunk: np.ndarray) -> None:
         """Stream one chunk of samples through the sequential learning loop.

@@ -64,9 +64,9 @@ class LogisticRegressionClassifier:
         features: np.ndarray,
         labels: np.ndarray,
         *,
-        epochs: int = 100,
-        learning_rate: float = 0.1,
-        batch_size: int = 50,
+        epochs: int,
+        learning_rate: float,
+        batch_size: int,
     ) -> "LogisticRegressionClassifier":
         """Train the classifier; returns ``self`` for chaining.
 

@@ -44,7 +44,13 @@ from repro.utils.parallel import (
     shard_seed_sequence,
     shard_slices,
 )
-from repro.utils.numerics import as_sparse_rows, is_sparse, safe_sparse_dot
+from repro.utils.numerics import (
+    as_sparse_rows,
+    fused_sigmoid_bernoulli,
+    is_sparse,
+    safe_sparse_dot,
+    sigmoid_kernel,
+)
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import ValidationError, check_array, check_binary
 
@@ -68,35 +74,21 @@ class _ShardKernel(NamedTuple):
     """Per-call snapshot of the settle evaluation's static inputs.
 
     Everything the settle loop needs beyond the coupling matrix and a
-    shard's circuits: biases, sigmoid units, the precision tier, and the
-    fused-latch eligibility.  Built once per settle call (reprogramming
-    swaps the bias arrays) and shared by every shard thread of a sharded
-    settle, so a reprogramming that lands mid-settle cannot hand different
-    shards different biases — the same staleness semantics as the static
-    coupling pair each settle grabs at entry.
+    shard's circuits: biases, the sigmoid units' per-unit gains (``None``
+    for an ideal unit), the precision tier, and the fused-latch
+    eligibility.  Built once per settle call (reprogramming swaps the bias
+    arrays) and shared by every shard thread of a sharded settle, so a
+    reprogramming that lands mid-settle cannot hand different shards
+    different biases — the same staleness semantics as the static coupling
+    pair each settle grabs at entry.
     """
 
     hidden_bias: np.ndarray
     visible_bias: np.ndarray
-    hidden_sigmoid: SigmoidUnit
-    visible_sigmoid: SigmoidUnit
+    hidden_gains: Optional[np.ndarray]
+    visible_gains: Optional[np.ndarray]
     dtype: np.dtype
     fused_sampling: bool
-
-
-def _dynamic_pair_kernel(
-    static_pair: Tuple[np.ndarray, np.ndarray],
-    noise_model: Optional[NoiseModel],
-    dtype: np.dtype,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply fresh dynamic coupling noise (when configured) to the cached
-    static pair — the per-evaluation half of the coupling realization,
-    shared by the serial and sharded kernels (``noise_model`` selects whose
-    stream draws; ``None`` means the ideal no-noise corner)."""
-    if noise_model is None:
-        return static_pair
-    effective = np.asarray(noise_model.apply_dynamic(static_pair[0]), dtype=dtype)
-    return effective, effective.T
 
 
 def _field_kernel(
@@ -112,7 +104,9 @@ def _field_kernel(
     apart.
     Runs in the coupling's precision tier; ``noise_model`` selects whose
     stream the node noise draws from, ``None`` skips it (the noise-free
-    corner)."""
+    corner).  The node noise scales with the field's standard deviation,
+    computed as ``np.std`` computes it (the same reductions and casts)
+    without its dispatch."""
     if state.dtype != coupling.dtype:
         state = state.astype(coupling.dtype)
     # safe_sparse_dot falls through to the plain operator for dense
@@ -121,8 +115,14 @@ def _field_kernel(
     field = safe_sparse_dot(state, coupling)
     field += bias
     if noise_model is not None:
-        scale = max(float(np.std(field)), 1.0)
-        field += noise_model.node_noise(field.shape, scale=scale)
+        count = np.intp(field.size)
+        mean = np.add.reduce(field, axis=None, keepdims=True)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        deviation = np.subtract(field, mean)
+        np.square(deviation, out=deviation)
+        variance = np.add.reduce(deviation, axis=None)
+        std = np.sqrt(variance.dtype.type(variance / count))
+        field += noise_model.node_noise(field.shape, scale=max(float(std), 1.0))
     return field
 
 
@@ -135,25 +135,42 @@ def _settle_eval_kernel(
     hidden_side: bool,
 ) -> np.ndarray:
     """One settle-and-latch: the single evaluation kernel behind the serial
-    trusted samplers and the sharded settle.
+    trusted samplers, the sharded settle and the BGF's learning step.
 
     The per-evaluation order is fixed — dynamic coupling draw, field
     (matmul + bias + node noise), latch — and ``ctx`` selects whose
     circuits draw: the substrate's own (the serial path) or a worker
-    shard's substream clones.
+    shard's substream clones.  The node circuit runs inline: the unit
+    gain, the logistic (:func:`~repro.utils.numerics.sigmoid_kernel`) and
+    the comparator against a uniform reference drawn from the sampler's
+    stream, in the probability's dtype, latched straight into the tier
+    dtype; the float32 tier's ideal units latch through the fused
+    sigmoid→compare instead.
     """
-    effective, effective_t = _dynamic_pair_kernel(static_pair, ctx.noise_model, kern.dtype)
-    coupling = effective if hidden_side else effective_t
-    bias = kern.hidden_bias if hidden_side else kern.visible_bias
-    field = _field_kernel(state, coupling, bias, ctx.noise_model)
-    sampler = ctx.hidden_sampler if hidden_side else ctx.visible_sampler
+    noise_model = ctx.noise_model
+    if noise_model is None:
+        coupling = static_pair[0] if hidden_side else static_pair[1]
+    else:
+        coupling = np.asarray(noise_model.apply_dynamic(static_pair[0]), dtype=kern.dtype)
+        if not hidden_side:
+            coupling = coupling.T
+    if hidden_side:
+        bias, sampler, gains = kern.hidden_bias, ctx.hidden_sampler, kern.hidden_gains
+    else:
+        bias, sampler, gains = kern.visible_bias, ctx.visible_sampler, kern.visible_gains
+    field = _field_kernel(state, coupling, bias, noise_model)
     if kern.fused_sampling:
-        return sampler.sample_from_field(field)
-    unit = kern.hidden_sigmoid if hidden_side else kern.visible_sigmoid
-    latch = sampler.sample(unit(field))
-    # Noisy-corner sigmoid math may run in float64; binary latches cast
-    # back into the tier exactly, keeping chain states dtype-stable.
-    return latch if latch.dtype == kern.dtype else latch.astype(kern.dtype)
+        uniforms = sampler._rng.random(field.shape, dtype=field.dtype)
+        return fused_sigmoid_bernoulli(field, uniforms)
+    if gains is not None:
+        # The gain mismatch may run in float64; the binary latch lands in
+        # the tier exactly, keeping chain states dtype-stable.
+        field = gains * field
+    probability = sigmoid_kernel(field, out=field)
+    # A float64 reference, the probability's dtype: a float32 tier latches
+    # here only with its float64 unit gains, so the probability is float64.
+    reference = sampler._rng.random(field.shape)
+    return np.greater(probability, reference).astype(kern.dtype)
 
 
 def _settle_loop_kernel(
@@ -420,7 +437,9 @@ class BipartiteIsingSubstrate:
             # returns) float32 fields — same fix family as clamp_visible.
             visible = np.atleast_2d(np.asarray(visible, dtype=self.dtype))
         noise_model = self._serial_context.noise_model
-        effective, _ = _dynamic_pair_kernel(self._static_pair(), noise_model, self.dtype)
+        effective = self._static_pair()[0]
+        if noise_model is not None:
+            effective = np.asarray(noise_model.apply_dynamic(effective), dtype=self.dtype)
         return _field_kernel(visible, effective, self.hidden_bias, noise_model)
 
     def _kernel(self) -> _ShardKernel:
@@ -429,8 +448,8 @@ class BipartiteIsingSubstrate:
         return _ShardKernel(
             hidden_bias=self.hidden_bias,
             visible_bias=self.visible_bias,
-            hidden_sigmoid=self.hidden_sigmoid,
-            visible_sigmoid=self.visible_sigmoid,
+            hidden_gains=self.hidden_sigmoid._unit_gains,
+            visible_gains=self.visible_sigmoid._unit_gains,
             dtype=self.dtype,
             fused_sampling=self._fused_sampling,
         )

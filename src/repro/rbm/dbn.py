@@ -100,9 +100,9 @@ class DeepBeliefNetwork:
         data: np.ndarray,
         labels: np.ndarray,
         *,
-        epochs: int = 50,
-        learning_rate: float = 0.1,
-        batch_size: int = 50,
+        epochs: int,
+        learning_rate: float,
+        batch_size: int,
     ) -> None:
         """Train the classifier head on top of the (frozen) RBM features.
 

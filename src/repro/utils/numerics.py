@@ -54,11 +54,31 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     if x.ndim == 0:
         z = np.exp(-np.abs(x))
         return np.where(x >= 0, 1.0, z) / (1.0 + z)
-    z = np.abs(x)
-    np.negative(z, out=z)
+    return sigmoid_kernel(x)
+
+
+#: ``(0, -1, 1)`` as 0-d arrays of each float dtype: the values ufuncs would
+#: cast Python numbers to, without the per-call conversion.
+_SIGMOID_CONSTANTS = {
+    np.dtype(dtype): tuple(np.array(c, dtype=dtype) for c in (0.0, -1.0, 1.0))
+    for dtype in (np.float32, np.float64)
+}
+
+
+def sigmoid_kernel(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Trusted :func:`sigmoid` of a float32 or float64 array of rank >= 1.
+
+    The settle kernel's logistic, without the coercion: ``out`` receives the
+    ``-|x|`` work buffer (``np.copysign(x, -1)``, exactly ``-abs(x)``), so a
+    caller that owns ``x`` passes ``out=x`` and saves the allocation; the
+    sign mask is read first.  The result is a new array in ``x``'s dtype.
+    """
+    zero, minus_one, one = _SIGMOID_CONSTANTS[x.dtype]
+    positive = np.greater_equal(x, zero)
+    z = np.copysign(x, minus_one, out=out)
     np.exp(z, out=z)
-    num = np.where(x >= 0, 1.0, z)
-    z += 1.0
+    num = np.where(positive, one, z)
+    np.add(z, one, out=z)
     return np.divide(num, z, out=num)
 
 

@@ -247,3 +247,43 @@ class TestTrustedEntryPoints:
         for trusted, validated in zip(*results):
             assert trusted.dtype == validated.dtype == dtype
             np.testing.assert_array_equal(trusted, validated)
+
+
+class TestBiasPumps:
+    """A pump with its bias column's and row's pumps also serves the
+    augmented ``(m + 1, n + 1)`` buffer (the per-pump equivalence is pinned
+    in ``tests/core/test_kernel_equivalence.py``)."""
+
+    def _pumps(self):
+        return _pump(shape=(4, 1), rng=1), _pump(shape=(3, 1), rng=2)
+
+    def test_buffer_pulse_moves_weights_and_both_bias_vectors(self):
+        pump = _pump(bias_pumps=self._pumps())
+        buffer = np.zeros((5, 4))
+        v_gate = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        h_gate = np.array([0.0, 1.0, 1.0, 1.0])
+        pump.apply_sample(buffer, v_gate, h_gate, positive=True)
+        expected = np.zeros((5, 4))
+        expected[[0, 2], 1:3] = 0.1
+        # Bias units roll off over the whole range: half a step at 0.
+        expected[[0, 2], 3] = 0.05
+        expected[4, 1:3] = 0.05
+        np.testing.assert_allclose(buffer, expected)
+        assert buffer[4, 3] == 0.0
+
+    @pytest.mark.parametrize(
+        "visible, hidden",
+        [
+            (dict(shape=(3, 1)), dict(shape=(3, 1))),
+            (dict(shape=(4, 1), step_size=0.2), dict(shape=(3, 1))),
+            (dict(shape=(4, 1)), dict(shape=(3, 1), noise_rms=0.1)),
+            (dict(shape=(4, 1), weight_range=(-2.0, 2.0)), dict(shape=(3, 1))),
+        ],
+    )
+    def test_bias_pumps_must_fit_the_array_and_share_its_law(self, visible, hidden):
+        with pytest.raises(ValidationError, match="bias_pumps"):
+            _pump(bias_pumps=(_pump(**visible), _pump(**hidden)))
+
+    def test_buffer_needs_bias_pumps(self):
+        with pytest.raises(ValidationError, match="augmented buffer"):
+            _pump().apply_sample(np.zeros((5, 4)), np.ones(5), np.ones(4), positive=True)

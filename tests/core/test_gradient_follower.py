@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from repro.analog import ChargePumpUpdater
 from repro.config import ComputeSpec, NoiseSpec, TrainerSpec
 from repro.core import BGFTrainer, BoltzmannGradientFollower
 from repro.core.gradient_follower import READOUT_BITS, WEIGHT_RANGE
@@ -135,6 +136,75 @@ class TestBoltzmannGradientFollowerMachine:
         assert machine.host.training_samples_streamed == 2 * tiny_binary_data.shape[0]
         assert machine.host.programming_writes == machine.host.final_weight_readouts == 1
         assert machine.host.sample_reads == machine.host.gradient_updates_on_host == 0
+
+
+class TestAugmentedBuffer:
+    """The weights and biases live in one ``(m + 1, n + 1)`` buffer, the
+    biases as couplings to always-on spins, pulsed once per phase."""
+
+    @staticmethod
+    def _machine(dtype="float64", noise=None):
+        machine = BoltzmannGradientFollower(
+            TrainerSpec.bgf(
+                0.5, reference_batch_size=1, noise=noise, compute=ComputeSpec(dtype=dtype)
+            ),
+            16,
+            8,
+            rng=0,
+        )
+        rng = np.random.default_rng(1)
+        machine.initialize(
+            rng.uniform(-4, 4, (16, 8)), rng.uniform(-4, 4, 16), rng.uniform(-4, 4, 8)
+        )
+        return machine
+
+    def test_one_pulse_per_phase(self, tiny_binary_data, monkeypatch):
+        calls = {}
+        for name in ("apply", "apply_sample", "apply_bias", "apply_bias_sample"):
+            original = getattr(ChargePumpUpdater, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ChargePumpUpdater, name, counted)
+        self._machine().run(tiny_binary_data)
+        assert calls == {"apply_sample": 2 * tiny_binary_data.shape[0]}
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_substrate_reads_views_of_the_buffer(self, dtype):
+        machine = self._machine(dtype)
+        buffer, sub = machine._buffer, machine.substrate
+        assert buffer.shape == (17, 9) and buffer.dtype == np.dtype(dtype)
+        assert sub.weights.base is buffer and sub.weights.shape == (16, 8)
+        assert sub.visible_bias.base is buffer and sub.hidden_bias.base is buffer
+        np.testing.assert_array_equal(buffer[:16, 8], sub.visible_bias)
+        np.testing.assert_array_equal(buffer[16, :8], sub.hidden_bias)
+
+    def test_read_parameters_returns_copies(self):
+        machine = self._machine()
+        parameters = machine.substrate.read_parameters()
+        for array in parameters:
+            assert not np.shares_memory(array, machine._buffer)
+        before = machine._buffer.copy()
+        for array in parameters:
+            array += 1.0
+        np.testing.assert_array_equal(machine._buffer, before)
+
+    def test_rbm_arrays_stay_separate(self, tiny_binary_data):
+        rbm = BernoulliRBM(16, 8, rng=1)
+        trainer = BGFTrainer(spec=TrainerSpec.bgf(0.2), rng=0)
+        trainer.train(rbm, tiny_binary_data, epochs=1)
+        for array in (rbm.weights, rbm.visible_bias, rbm.hidden_bias):
+            assert not np.shares_memory(array, trainer.machine._buffer)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.3, 0.3)], ids=["ideal", "noisy"])
+    def test_corner_stays_zero(self, tiny_binary_data, dtype, noise):
+        machine = self._machine(dtype, noise)
+        for _ in range(2):
+            machine.run(tiny_binary_data)
+        assert machine._buffer[16, 8] == 0.0
 
 
 class TestBGFTrainer:

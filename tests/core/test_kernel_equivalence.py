@@ -24,6 +24,7 @@ import pytest
 
 from helpers.reference import (
     ReferenceSubstrate,
+    apply_pumps,
     learn_sample,
     log1pexp_reference,
     sigmoid_reference,
@@ -168,6 +169,57 @@ class TestBGFStreamMatchesPerSampleLoop:
         np.testing.assert_array_equal(streamed.particles, looped.particles)
         assert streamed.particles.dtype == looped.particles.dtype
         assert streamed.host == looped.host
+
+
+class TestBufferPulseMatchesPerPumpLaw:
+    """One pump pulse on the BGF's augmented buffer (weights, bias column,
+    bias row) lands what the three separate pump updates of the oracle's
+    :func:`apply_pumps` land, bit for bit, with every unit starting next
+    to a rail."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec(), NoiseSpec(0.1, 0.1), NoiseSpec(0.1, 0.0), NoiseSpec(0.0, 0.1)],
+        ids=["ideal", "noisy", "variation", "noise"],
+    )
+    def test_one_pulse_equals_three_pump_updates(self, dtype, noise):
+        rng = np.random.default_rng(4)
+        # Units within a step of either rail, so the roll-off and the clip
+        # act on weights and biases alike.
+        start = [
+            rng.choice([-1.0, 1.0], shape) * rng.uniform(3.5, 4.0, shape)
+            for shape in ((49, 32), 49, 32)
+        ]
+        phases = [
+            (rng.random(49) < 0.5, rng.random(32) < 0.5, step % 2 == 0)
+            for step in range(40)
+        ]
+        machines = []
+        for pulse in (True, False):
+            machine = BoltzmannGradientFollower(
+                TrainerSpec.bgf(
+                    0.5, reference_batch_size=1, noise=noise, compute=ComputeSpec(dtype=dtype)
+                ),
+                49,
+                32,
+                rng=3,
+            )
+            machine.initialize(*start)
+            for v, h, positive in phases:
+                v_bits, h_bits = v.astype(np.float64), h.astype(machine.substrate.dtype)
+                if pulse:
+                    machine._pump_sample(v_bits, h_bits, positive=positive, invalidate=True)
+                else:
+                    apply_pumps(machine, v_bits, h_bits, positive=positive)
+            machines.append(machine)
+        pulsed, looped = (m.substrate.read_parameters() for m in machines)
+        for a, b in zip(pulsed, looped):
+            assert a.dtype == b.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(a, b)
+        # The pulses moved the weights and both bias vectors.
+        for moved, first in zip(pulsed, start):
+            assert not np.array_equal(moved, np.asarray(first).astype(dtype))
 
 
 class TestTrainerEquivalenceNoisyCorner:

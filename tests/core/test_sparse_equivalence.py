@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from repro.config.specs import (
-    ComputeSpec,
-    NoiseSpec,
-    SubstrateSpec,
-    TrainerSpec,
-)
+from repro.config.specs import NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core.gibbs_sampler import GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.ising.bipartite import BipartiteIsingSubstrate
 from repro.rbm.ml import MaximumLikelihoodTrainer

@@ -1,6 +1,5 @@
 """Tests for the analytic experiment drivers (Figures 5-6, Tables 2-3)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import (

@@ -12,10 +12,13 @@ bit-identity suites have something independent to compare against:
   ``NoiseModel.perturbed_coupling`` per settle, the masked sigmoid with an
   unconditional output clip, validated latches, and a per-step
   ``check_binary`` plus DTC re-clamp in every chain;
+* :func:`apply_pumps` — one BGF phase as three separate pump updates
+  (the validated ``apply`` of the weight pump on the weights, ``apply_bias``
+  of each bias pump on its vector), the per-pump law the machine's single
+  pulse on its augmented buffer must reproduce;
 * :func:`learn_sample` / :func:`learn_sample_run` — the BGF's learning
   step as separate positive and negative phases on public substrate calls
-  and the validated ``apply``/``apply_bias`` pumps, and ``run`` as a loop
-  of those steps;
+  and :func:`apply_pumps`, and ``run`` as a loop of those steps;
 * :func:`ais_sweep` — the per-beta AIS log-weight loop;
 * :func:`perturbed_coupling` — one settle's coupling realization (static
   variation times fresh dynamic noise) drawn from scratch;
@@ -193,9 +196,11 @@ class ReferenceSubstrate(BipartiteIsingSubstrate):
         return visible, hidden
 
 
-def _apply_pumps(machine, v_bits, h_bits, *, positive: bool) -> None:
-    """One phase's validated charge-pump updates, gated by ``v_i * h_j``,
-    then an invalidation of the substrate's cached couplings."""
+def apply_pumps(machine, v_bits, h_bits, *, positive: bool) -> None:
+    """One phase's validated charge-pump updates, pump by pump — the
+    weights gated by ``v_i * h_j``, the visible biases by ``v_i`` and the
+    hidden biases by ``h_j``, each pump drawing from its own stream — then
+    an invalidation of the substrate's cached couplings."""
     sub = machine.substrate
     machine.weight_pump.apply(sub.weights, np.outer(v_bits, h_bits), positive=positive)
     machine.visible_bias_pump.apply_bias(sub.visible_bias, v_bits, positive=positive)
@@ -223,7 +228,7 @@ def learn_sample(machine, sample) -> None:
     visible = sub.clamp_visible(np.atleast_2d(sample))
     hidden = sub.sample_hidden_given_visible(visible)
     v_bits = bernoulli_sample(np.clip(visible, 0.0, 1.0), machine._rng)[0]
-    _apply_pumps(machine, v_bits, hidden[0], positive=True)
+    apply_pumps(machine, v_bits, hidden[0], positive=True)
 
     index = machine._particle_cursor % machine.spec.sampler.chains
     machine._particle_cursor += 1
@@ -231,7 +236,7 @@ def learn_sample(machine, sample) -> None:
         machine._particles[index : index + 1], machine.spec.cd_k
     )
     machine._particles[index] = hidden[0]
-    _apply_pumps(machine, visible[0], hidden[0], positive=False)
+    apply_pumps(machine, visible[0], hidden[0], positive=False)
 
 
 def learn_sample_run(machine, data, *, epochs: int = 1, shuffle: bool = True):

@@ -30,7 +30,9 @@ class TestImageClassificationPipelines:
         test_f = rbm.transform(data.test_x)
         mean, std = train_f.mean(axis=0), train_f.std(axis=0) + 1e-6
         clf = LogisticRegressionClassifier(rbm.n_hidden, data.n_classes, rng=seed)
-        clf.fit((train_f - mean) / std, data.train_y, epochs=60, learning_rate=0.2)
+        clf.fit(
+            (train_f - mean) / std, data.train_y, epochs=60, learning_rate=0.2, batch_size=50
+        )
         return clf.score((test_f - mean) / std, data.test_y)
 
     def test_cd_and_bgf_features_both_classify_well(self, image_data):
@@ -66,7 +68,9 @@ class TestImageClassificationPipelines:
             )
 
         dbn.pretrain(image_data.train_x, layer_trainer=layer_trainer)
-        dbn.fine_tune(image_data.train_x, image_data.train_y, epochs=80, learning_rate=0.2)
+        dbn.fine_tune(
+            image_data.train_x, image_data.train_y, epochs=80, learning_rate=0.2, batch_size=50
+        )
         assert dbn.score(image_data.test_x, image_data.test_y) > 2.0 / image_data.n_classes
 
 
