@@ -2,7 +2,8 @@
 """Time the hot kernels; emit BENCH_kernels.json.
 
 Each kernel is the inner loop every figure/table experiment funnels through
-(substrate conditional sampling, GS/BGF/CD training epochs, AIS).  Every
+(substrate conditional sampling, GS/BGF/CD training epochs, AIS, the
+logistic classification head).  Every
 row reports the kernel's median wall-clock seconds (``fast_median_s``) at
 the 49x32 benchmark scale and — for the BLAS-bound kernels — the paper's
 784x500 MNIST scale.  Rows that time a kernel against a baseline leg of
@@ -35,6 +36,7 @@ import numpy as np
 from repro.config import ComputeSpec, EstimatorSpec, SubstrateSpec, TrainerSpec
 from repro.core import BGFTrainer, GibbsSamplerMachine, GibbsSamplerTrainer
 from repro.datasets import load_kmnist_like
+from repro.eval import LogisticRegressionClassifier
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import AISEstimator, BernoulliRBM, CDTrainer
 from repro.serve import MicroBatchScoringService, measure_latency
@@ -435,6 +437,21 @@ def _image_dataset_kernel():
     return lambda: load_kmnist_like(scale=1.0)
 
 
+def _logistic_head_kernel(n_rows: int = 400, n_features: int = 32, n_classes: int = 10):
+    """One fit of the softmax head on ``n_rows`` feature rows, with the
+    epochs, step and batch size of table4's RBM-feature head."""
+    rng = np.random.default_rng(4)
+    features = rng.random((n_rows, n_features))
+    labels = rng.integers(0, n_classes, n_rows)
+
+    def kernel():
+        LogisticRegressionClassifier(n_features, n_classes, rng=0).fit(
+            features, labels, epochs=80, learning_rate=0.2, batch_size=32
+        )
+
+    return kernel
+
+
 def _ais_kernel(n_visible: int = 49, n_hidden: int = 32):
     """One AIS log-Z estimate (the vectorized beta sweep)."""
     rbm = BernoulliRBM(n_visible, n_hidden, rng=0)
@@ -513,6 +530,7 @@ def run_benchmarks(
         "gibbs_sampler_training_epoch_49x32": lambda: _gs_epoch_kernel(data),
         "bgf_training_epoch_49x32": lambda: _bgf_epoch_kernel(data),
         "cd1_training_epoch_49x32": lambda: _cd_epoch_kernel(data),
+        "logistic_head_fit_400x32": _logistic_head_kernel,
         "ais_logz_49x32": _ais_kernel,
         "gs_pcd8_training_epoch_49x32": lambda: _gs_pcd_epoch_kernel(data),
         "gs_multichain_negative_phase_p8_49x32": lambda: (
@@ -602,8 +620,9 @@ def run_benchmarks(
             "note": (
                 "median per-call wall-clock seconds (inner-loop calibrated "
                 "so each measurement spans >=5ms); the substrate "
-                "conditional-sampling, GS/BGF/CD epoch, gs_pcd/gs_multichain, "
-                "ais_logz_49x32 and image_dataset entries have one "
+                "conditional-sampling, GS/BGF/CD epoch, logistic_head, "
+                "gs_pcd/gs_multichain, ais_logz_49x32 and image_dataset "
+                "entries have one "
                 "implementation and "
                 "record fast_median_s only (no baseline leg, no speedup); "
                 "for *_float32 entries legacy = the float64 tier and "

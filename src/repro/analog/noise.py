@@ -17,7 +17,7 @@ Boltzmann-gradient-follower machines.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -64,12 +64,11 @@ class NoiseModel:
         self.spec = spec
         self.coupling_shape = (int(coupling_shape[0]), int(coupling_shape[1]))
         self._rng = as_rng(rng)
+        self._coupling_gain = None
         if spec.variation_rms > 0:
             self._coupling_gain = 1.0 + self._rng.normal(
                 0.0, spec.variation_rms, size=self.coupling_shape
             )
-        else:
-            self._coupling_gain = np.ones(self.coupling_shape, dtype=np.float64)
 
     def spawn_substream(self, rng: SeedLike) -> "NoiseModel":
         """A noise-model view drawing its *dynamic* noise from ``rng``.
@@ -89,8 +88,10 @@ class NoiseModel:
         return clone
 
     @property
-    def coupling_gain(self) -> np.ndarray:
-        """Static multiplicative variation applied to every coupling weight."""
+    def coupling_gain(self) -> Optional[np.ndarray]:
+        """Static multiplicative variation applied to every coupling weight,
+        or ``None`` in the ideal-variation corner (a gain of exactly 1,
+        which :meth:`static_effective` skips)."""
         return self._coupling_gain
 
     @property

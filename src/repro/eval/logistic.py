@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.batching import minibatches
 from repro.utils.numerics import softmax
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_array, check_positive
+from repro.utils.validation import ValidationError, check_array, check_int, check_positive
 
 #: L2 regularization strength applied to the weight matrix.
 L2 = 1e-4
@@ -70,7 +69,11 @@ class LogisticRegressionClassifier:
     ) -> "LogisticRegressionClassifier":
         """Train the classifier; returns ``self`` for chaining.
 
-        Minibatch shuffles draw from the constructor's generator.
+        Each epoch draws one row permutation from the constructor's
+        generator and gathers the shuffled rows once; each batch of
+        ``batch_size`` rows (the last may be smaller) takes one gradient
+        step on the L2-penalized softmax cross-entropy, with the softmax
+        and the gradient evaluated in place in one buffer.
         """
         features = check_array(features, name="features", ndim=2)
         if features.shape[1] != self.n_features:
@@ -81,20 +84,34 @@ class LogisticRegressionClassifier:
         if labels.shape[0] != features.shape[0]:
             raise ValidationError("features and labels must align")
         check_positive(learning_rate, name="learning_rate")
+        batch_size = check_int(batch_size, "batch_size", 1)
         if epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {epochs}")
         one_hot = self._one_hot(labels)
 
+        n = features.shape[0]
+        weights, bias = self.weights, self.bias
         for _ in range(epochs):
-            for batch_x, batch_y in minibatches(
-                features, batch_size, labels=one_hot, shuffle=True, rng=self._rng
-            ):
-                probs = softmax(batch_x @ self.weights + self.bias, axis=1)
-                err = probs - batch_y
-                grad_w = batch_x.T @ err / batch_x.shape[0] + L2 * self.weights
-                grad_b = np.mean(err, axis=0)
-                self.weights -= learning_rate * grad_w
-                self.bias -= learning_rate * grad_b
+            order = np.arange(n)
+            self._rng.shuffle(order)
+            epoch_x, epoch_y = features[order], one_hot[order]
+            for start in range(0, n, batch_size):
+                x = epoch_x[start : start + batch_size]
+                rows = x.shape[0]
+                # err = softmax(x W + b) - y, the stable softmax in place.
+                err = x @ weights
+                err += bias
+                err -= np.maximum.reduce(err, axis=1, keepdims=True)
+                np.exp(err, out=err)
+                err /= np.add.reduce(err, axis=1, keepdims=True)
+                err -= epoch_y[start : start + batch_size]
+                grad_w = x.T @ err
+                grad_w /= rows
+                grad_w += L2 * weights
+                grad_b = np.add.reduce(err, axis=0)
+                grad_b /= rows
+                weights -= learning_rate * grad_w
+                bias -= learning_rate * grad_b
         self._fitted = True
         return self
 

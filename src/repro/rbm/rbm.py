@@ -22,7 +22,7 @@ from repro.utils.numerics import (
     is_sparse,
     log1pexp,
     safe_sparse_dot,
-    sigmoid,
+    sigmoid_kernel,
     sparse_mean,
     sparse_mean_squared_error,
 )
@@ -46,6 +46,21 @@ def smoothed_log_odds(data: np.ndarray) -> np.ndarray:
     from either end."""
     p = np.clip(np.mean(data, axis=0), LOG_ODDS_SMOOTHING, 1.0 - LOG_ODDS_SMOOTHING)
     return np.log(p / (1.0 - p))
+
+
+def conditional_probability(state, coupling: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Trusted Eq. 4/5 conditional ``sigmoid(state @ coupling + bias)``.
+
+    ``state`` is a 2-D float array (or, for the hidden units, a CSR
+    visible batch) and ``coupling`` the weights (``W`` for the hidden
+    units, ``W.T`` for the visible ones); nothing is coerced or checked.
+    The field is one buffer: the bias is added in place and the logistic's
+    work buffer reuses it, so a call allocates the field and the result
+    only.
+    """
+    field = safe_sparse_dot(state, coupling)
+    field += bias
+    return sigmoid_kernel(field, out=field)
 
 
 class BernoulliRBM:
@@ -85,8 +100,12 @@ class BernoulliRBM:
     # Parameters
     # ------------------------------------------------------------------ #
     def copy(self) -> "BernoulliRBM":
-        """Return a deep copy (sharing no parameter arrays)."""
-        clone = BernoulliRBM(self.n_visible, self.n_hidden, rng=self._rng)
+        """Return a deep copy (sharing no parameter arrays, but the same
+        generator); nothing is drawn."""
+        clone = object.__new__(BernoulliRBM)
+        clone.n_visible = self.n_visible
+        clone.n_hidden = self.n_hidden
+        clone._rng = self._rng
         clone.weights = self.weights.copy()
         clone.visible_bias = self.visible_bias.copy()
         clone.hidden_bias = self.hidden_bias.copy()
@@ -150,12 +169,12 @@ class BernoulliRBM:
         """
         if not is_sparse(v):
             v = np.atleast_2d(np.asarray(v, dtype=float))
-        return sigmoid(safe_sparse_dot(v, self.weights) + self.hidden_bias)
+        return conditional_probability(v, self.weights, self.hidden_bias)
 
     def visible_activation_probability(self, h: np.ndarray) -> np.ndarray:
         """P(v_i = 1 | h) for each visible unit (Eq. 5)."""
         h = np.atleast_2d(np.asarray(h, dtype=float))
-        return sigmoid(h @ self.weights.T + self.visible_bias)
+        return conditional_probability(h, self.weights.T, self.visible_bias)
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -305,18 +324,22 @@ class CDTrainer:
 
         Follows Algorithm 1 lines 9-15: the positive phase clamps the data
         and samples hidden units once; the negative phase runs ``cd_k`` full
-        Gibbs steps starting from those hidden samples.
+        Gibbs steps starting from those hidden samples.  ``v_pos`` is a
+        2-D float64 (or CSR) batch of rows :func:`run_epochs` checked, so
+        the chain runs the trusted :func:`conditional_probability` and
+        :func:`~repro.utils.numerics.bernoulli_sample` directly.
         """
-        h_pos_prob = rbm.hidden_activation_probability(v_pos)
-        h_pos = bernoulli_sample(h_pos_prob, self._rng)
+        rng = self._rng
+        weights, weights_t = rbm.weights, rbm.weights.T
+        h_pos_prob = conditional_probability(v_pos, weights, rbm.hidden_bias)
+        h_neg = bernoulli_sample(h_pos_prob, rng)
 
-        h_neg = h_pos
         v_neg = v_pos
         for _ in range(self.cd_k):
-            v_neg_prob = rbm.visible_activation_probability(h_neg)
-            v_neg = bernoulli_sample(v_neg_prob, self._rng)
-            h_neg_prob = rbm.hidden_activation_probability(v_neg)
-            h_neg = bernoulli_sample(h_neg_prob, self._rng)
+            v_neg_prob = conditional_probability(h_neg, weights_t, rbm.visible_bias)
+            v_neg = bernoulli_sample(v_neg_prob, rng)
+            h_neg_prob = conditional_probability(v_neg, weights, rbm.hidden_bias)
+            h_neg = bernoulli_sample(h_neg_prob, rng)
 
         batch = v_pos.shape[0]
         # Use probabilities for the positive hidden statistics and the final
@@ -327,10 +350,10 @@ class CDTrainer:
         # are dense Gibbs samples either way).
         grad_w = (safe_sparse_dot(v_pos.T, h_pos_prob) - v_neg.T @ h_neg_prob) / batch
         if is_sparse(v_pos):
-            grad_bv = sparse_mean(v_pos) - np.mean(v_neg, axis=0)
+            grad_bv = sparse_mean(v_pos) - np.add.reduce(v_neg, axis=0) / batch
         else:
-            grad_bv = np.mean(v_pos - v_neg, axis=0)
-        grad_bh = np.mean(h_pos_prob - h_neg_prob, axis=0)
+            grad_bv = np.add.reduce(v_pos - v_neg, axis=0) / batch
+        grad_bh = np.add.reduce(h_pos_prob - h_neg_prob, axis=0) / batch
         return grad_w, grad_bv, grad_bh, v_neg
 
     def train(

@@ -7,7 +7,7 @@ keeps sparse visibles sparse end to end.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -26,11 +26,10 @@ def minibatches(
     data: np.ndarray,
     batch_size: int,
     *,
-    labels: Optional[np.ndarray] = None,
     shuffle: bool = False,
     rng: SeedLike = None,
 ) -> Iterator:
-    """Yield minibatches of ``data`` (and optionally aligned ``labels``).
+    """Yield minibatches of the rows of ``data``.
 
     Parameters
     ----------
@@ -38,9 +37,6 @@ def minibatches(
         Array of shape ``(n_samples, ...)``.
     batch_size:
         Number of rows per batch; must be positive.
-    labels:
-        Optional aligned label array; when given, ``(batch, label_batch)``
-        tuples are yielded instead of bare batches.
     shuffle:
         Shuffle the row order before batching.
     rng:
@@ -53,18 +49,8 @@ def minibatches(
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     data = _as_rows(data)
     n = data.shape[0]
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape[0] != n:
-            raise ValueError(
-                f"labels length {labels.shape[0]} does not match data length {n}"
-            )
     indices = np.arange(n)
     if shuffle:
         as_rng(rng).shuffle(indices)
     for start in range(0, n, batch_size):
-        idx = indices[start : start + batch_size]
-        if labels is None:
-            yield data[idx]
-        else:
-            yield data[idx], labels[idx]
+        yield data[indices[start : start + batch_size]]

@@ -2,10 +2,9 @@
 
 The RBM energy/probability machinery works in log space almost everywhere
 (free energies, AIS weights, exact distributions), so a stable
-``logsumexp`` / ``log1pexp`` pair is the foundation.  The sampling paths
-(software Gibbs and the analog comparator model) share a single
-``bernoulli_sample`` implementation so that CPU and "hardware" runs draw
-through the same code.
+``logsumexp`` / ``log1pexp`` pair is the foundation.  The software
+sampling paths (CD-k and the AIS sweep) share a single trusted
+``bernoulli_sample`` latch.
 
 Precision policy: the elementwise kernels (``sigmoid``, ``log1pexp`` and
 their fused variants) are *dtype-preserving* for float32 and float64 inputs
@@ -20,8 +19,6 @@ import sys
 from typing import Optional
 
 import numpy as np
-
-from repro.utils.rng import SeedLike, as_rng
 
 
 def as_float_array(x) -> np.ndarray:
@@ -185,16 +182,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / np.sum(ex, axis=axis, keepdims=True)
 
 
-def bernoulli_sample(p: np.ndarray, rng: SeedLike = None) -> np.ndarray:
-    """Draw Bernoulli samples (0/1 floats) with success probability ``p``.
+def bernoulli_sample(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Trusted Bernoulli latch: 0/1 float64 samples with success
+    probability ``p``, an array of probabilities, against one ``rng.random``
+    block of ``p``'s shape.
 
-    This is the single sampling primitive shared by the software CD-k
-    reference implementation and the GS/BGF behavioral models, mirroring
-    the paper's ``rand() < sigmoid(...)`` lines in Algorithm 1.
+    This is the single sampling primitive of the software CD-k reference
+    trainer and the AIS sweep, mirroring the paper's ``rand() <
+    sigmoid(...)`` lines in Algorithm 1.  It coerces nothing: ``rng`` is a
+    :class:`numpy.random.Generator` (see :func:`~repro.utils.rng.as_rng`).
     """
-    gen = as_rng(rng)
-    p = np.asarray(p, dtype=float)
-    return (gen.random(p.shape) < p).astype(float)
+    return np.less(rng.random(p.shape), p).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers.reference import perturbed_coupling
+from helpers.reference import coupling_gain, perturbed_coupling
 from repro.analog import NoiseModel
 from repro.config import NoiseSpec
 from repro.analog.noise import FIGURE8_NOISE_CONFIGS
@@ -117,6 +117,22 @@ class TestNoiseModelKernels:
         model = NoiseModel(NoiseSpec(0.1, 0.0), (5, 4), rng=0)
         effective = np.random.default_rng(4).normal(size=(5, 4))
         np.testing.assert_array_equal(model.apply_dynamic(effective), effective)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_ideal_variation_corner_keeps_no_gain_array(self, noise):
+        """Without variation the model allocates no coupling-sized gain;
+        the oracle's ``coupling_gain`` reads it as ones."""
+        model = NoiseModel(NoiseSpec(0.0, noise), (5, 4), rng=0)
+        assert model.coupling_gain is None
+        assert model.spawn_substream(1).coupling_gain is None
+        np.testing.assert_array_equal(coupling_gain(model), np.ones((5, 4)))
+        weights = np.random.default_rng(3).normal(size=(5, 4))
+        if noise == 0.0:
+            np.testing.assert_array_equal(perturbed_coupling(model, weights), weights)
+
+    def test_oracle_gain_is_the_drawn_gain_with_variation(self):
+        model = NoiseModel(NoiseSpec(0.2, 0.0), (5, 4), rng=0)
+        assert coupling_gain(model) is model.coupling_gain
 
     def test_substream_shares_the_static_draw(self):
         model = NoiseModel(NoiseSpec(0.2, 0.1), (5, 4), rng=0)

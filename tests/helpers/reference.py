@@ -20,6 +20,11 @@ bit-identity suites have something independent to compare against:
   step as separate positive and negative phases on public substrate calls
   and :func:`apply_pumps`, and ``run`` as a loop of those steps;
 * :func:`ais_sweep` — the per-beta AIS log-weight loop;
+* :func:`cd_gradient` / :func:`cd_train` — CD-k (Algorithm 1) on the
+  RBM's public, coercing conditionals and ``np.mean`` statistics, and
+  training as a loop over ``minibatches`` of those gradient steps;
+* :func:`logistic_fit` — the softmax head's minibatch SGD through
+  ``minibatches``, ``softmax`` and ``np.mean``;
 * :func:`perturbed_coupling` — one settle's coupling realization (static
   variation times fresh dynamic noise) drawn from scratch;
 * :func:`energy`, :func:`exact_log_partition`,
@@ -42,8 +47,10 @@ import functools
 import numpy as np
 
 from repro.core import BoltzmannGradientFollower
+from repro.eval.logistic import L2
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm.partition import MAX_ENUMERATION_BITS, enumerate_states
+from repro.utils.batching import minibatches
 from repro.utils.numerics import (
     as_float_array,
     as_sparse_rows,
@@ -53,6 +60,8 @@ from repro.utils.numerics import (
     logsumexp,
     safe_sparse_dot,
     sigmoid,
+    softmax,
+    sparse_mean,
 )
 from repro.utils.validation import ValidationError, check_array, check_binary
 
@@ -108,17 +117,25 @@ def latch(sampler, probabilities) -> np.ndarray:
     return sampler.sample(probabilities)
 
 
+def coupling_gain(noise_model) -> np.ndarray:
+    """``noise_model``'s static variation gain as an array: the drawn gain,
+    or ones in the ideal-variation corner (where the model keeps none)."""
+    gain = noise_model.coupling_gain
+    return np.ones(noise_model.coupling_shape) if gain is None else gain
+
+
 def perturbed_coupling(noise_model, weights: np.ndarray) -> np.ndarray:
     """``weights`` as one evaluation of ``noise_model``'s array realizes
-    them: the static variation gain, then (in a noisy corner) one fresh
-    ``coupling_noise`` draw applied multiplicatively."""
+    them: the static variation gain (:func:`coupling_gain`), then (in a
+    noisy corner) one fresh ``coupling_noise`` draw applied
+    multiplicatively."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != noise_model.coupling_shape:
         raise ValidationError(
             f"weights shape {weights.shape} does not match coupling shape "
             f"{noise_model.coupling_shape}"
         )
-    effective = weights * noise_model.coupling_gain
+    effective = weights * coupling_gain(noise_model)
     if noise_model.spec.noise_rms == 0.0:
         return effective
     return effective * (1.0 + noise_model.coupling_noise())
@@ -290,6 +307,64 @@ def ais_sweep(
         v_field = beta * (h @ weights.T + visible_bias) + (1.0 - beta) * base_bias
         v = bernoulli_sample(sigmoid(v_field), rng)
     return log_w
+
+
+def cd_gradient(rbm, v_pos, cd_k: int, rng: np.random.Generator):
+    """One CD-k gradient estimate ``(grad_w, grad_bv, grad_bh, v_neg)``:
+    the positive phase samples the hidden units once from the data, the
+    negative phase runs ``cd_k`` Gibbs steps through the RBM's public
+    conditionals, and the statistics are ``np.mean`` over the batch."""
+    h_pos_prob = rbm.hidden_activation_probability(v_pos)
+    h_neg = bernoulli_sample(h_pos_prob, rng)
+    v_neg = v_pos
+    for _ in range(cd_k):
+        v_neg = bernoulli_sample(rbm.visible_activation_probability(h_neg), rng)
+        h_neg_prob = rbm.hidden_activation_probability(v_neg)
+        h_neg = bernoulli_sample(h_neg_prob, rng)
+    batch = v_pos.shape[0]
+    grad_w = (safe_sparse_dot(v_pos.T, h_pos_prob) - v_neg.T @ h_neg_prob) / batch
+    if is_sparse(v_pos):
+        grad_bv = sparse_mean(v_pos) - np.mean(v_neg, axis=0)
+    else:
+        grad_bv = np.mean(v_pos - v_neg, axis=0)
+    grad_bh = np.mean(h_pos_prob - h_neg_prob, axis=0)
+    return grad_w, grad_bv, grad_bh, v_neg
+
+
+def cd_train(rbm, data, *, epochs, learning_rate, cd_k, batch_size, rng, shuffle=True):
+    """Train ``rbm`` in place by CD-k: each epoch one pass of
+    :func:`cd_gradient` steps over ``minibatches`` of ``data`` (dense or
+    CSR), all draws from ``rng``.  Returns ``rbm``."""
+    for _ in range(epochs):
+        for batch in minibatches(data, batch_size, shuffle=shuffle, rng=rng):
+            grad_w, grad_bv, grad_bh, _ = cd_gradient(rbm, batch, cd_k, rng)
+            rbm.weights += learning_rate * grad_w
+            rbm.visible_bias += learning_rate * grad_bv
+            rbm.hidden_bias += learning_rate * grad_bh
+    return rbm
+
+
+def logistic_fit(clf, features, labels, *, epochs, learning_rate, batch_size):
+    """Fit the softmax head ``clf`` in place: each epoch ``minibatches``
+    shuffles the row indices with ``clf``'s generator, and each batch takes
+    one step on the L2-penalized cross-entropy gradient, written with
+    ``softmax`` and ``np.mean``.  Returns ``clf``."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    one_hot = np.zeros((labels.shape[0], clf.n_classes))
+    one_hot[np.arange(labels.shape[0]), labels] = 1.0
+    for _ in range(epochs):
+        for idx in minibatches(
+            np.arange(features.shape[0]), batch_size, shuffle=True, rng=clf._rng
+        ):
+            batch_x, batch_y = features[idx], one_hot[idx]
+            probs = softmax(batch_x @ clf.weights + clf.bias, axis=1)
+            err = probs - batch_y
+            grad_w = batch_x.T @ err / batch_x.shape[0] + L2 * clf.weights
+            grad_b = np.mean(err, axis=0)
+            clf.weights -= learning_rate * grad_w
+            clf.bias -= learning_rate * grad_b
+    return clf
 
 
 def energy(rbm, v: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -88,5 +88,5 @@ class TestMetricProperties:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.05, 0.95))
     def test_bernoulli_sampling_mean(self, seed, probability):
-        samples = bernoulli_sample(np.full(4000, probability), rng=seed)
+        samples = bernoulli_sample(np.full(4000, probability), np.random.default_rng(seed))
         assert samples.mean() == pytest.approx(probability, abs=0.05)

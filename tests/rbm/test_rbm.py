@@ -94,6 +94,24 @@ class TestParameters:
         clone.weights[0, 0] += 1.0
         assert small_rbm.weights[0, 0] != clone.weights[0, 0]
 
+    def test_copy_draws_nothing(self):
+        """A copy shares the source's generator but leaves its stream where
+        it was: the source's next draw is the one it would have made."""
+        rbm = BernoulliRBM(30, 20, rng=4)
+        untouched = BernoulliRBM(30, 20, rng=4)
+        clone = rbm.copy()
+        assert clone._rng is rbm._rng
+        assert rbm._rng.random() == untouched._rng.random()
+
+    def test_copy_equals_the_source_and_shares_no_array(self, small_rbm):
+        small_rbm.visible_bias = np.linspace(-1.0, 1.0, 16)
+        small_rbm.hidden_bias = np.linspace(1.0, -1.0, 8)
+        clone = small_rbm.copy()
+        assert (clone.n_visible, clone.n_hidden) == (16, 8)
+        for name in ("weights", "visible_bias", "hidden_bias"):
+            np.testing.assert_array_equal(getattr(clone, name), getattr(small_rbm, name))
+            assert not np.shares_memory(getattr(clone, name), getattr(small_rbm, name))
+
     def test_set_parameters(self, small_rbm):
         w = np.ones((16, 8))
         bv = np.full(16, 0.5)

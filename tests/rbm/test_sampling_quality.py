@@ -122,6 +122,6 @@ class TestBernoulliSamplerSharedPath:
         """The software CD path and the substrate's comparator path both reduce
         to bernoulli_sample, so their statistics agree by construction."""
         p = np.full(50000, 0.37)
-        software = bernoulli_sample(p, rng=0).mean()
-        hardware_style = bernoulli_sample(p, rng=1).mean()
+        software = bernoulli_sample(p, np.random.default_rng(0)).mean()
+        hardware_style = bernoulli_sample(p, np.random.default_rng(1)).mean()
         assert software == pytest.approx(hardware_style, abs=0.02)

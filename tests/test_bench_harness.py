@@ -110,6 +110,12 @@ class TestOnlyFilter:
         row = results["kernels"]["image_dataset_kmnist_paper"]
         assert row == {"fast_median_s": row["fast_median_s"]}
 
+    def test_logistic_head_row_is_single_leg(self):
+        results = run_benchmarks(repeats=1, include_large=False, only="logistic_head")
+        assert list(results["kernels"]) == ["logistic_head_fit_400x32"]
+        row = results["kernels"]["logistic_head_fit_400x32"]
+        assert row == {"fast_median_s": row["fast_median_s"]}
+
     def test_only_with_no_match_raises(self):
         with pytest.raises(ValueError, match="matches no benchmark entries"):
             run_benchmarks(repeats=1, include_large=False, only="no-such-kernel")
@@ -148,6 +154,38 @@ class TestCompareGate:
     def test_median_metric_gates_every_row(self):
         _, regressions = compare_benchmarks(self.OLD, self._new(0.020, 4.0))
         assert regressions == ["single"]
+
+    @pytest.mark.parametrize("flagged_in", ["old", "new", "both"])
+    def test_speedup_metric_skips_oversubscribed_rows(self, flagged_in):
+        """A ``*_workersK`` row timed on fewer than K cores carries
+        ``oversubscribed``; its speedup is thread overhead on that machine,
+        so a drop there is listed, not gated."""
+        old = {"kernels": {**self.OLD["kernels"], "pool_workers4": {"speedup": 0.53}}}
+        new = {"kernels": {**self._new(0.010, 4.0)["kernels"], "pool_workers4": {"speedup": 0.18}}}
+        for side in (("old", "new") if flagged_in == "both" else (flagged_in,)):
+            {"old": old, "new": new}[side]["kernels"]["pool_workers4"]["oversubscribed"] = True
+        report, regressions = compare_benchmarks(old, new, threshold=0.5, metric="speedup")
+        assert regressions == []
+        assert "not gated (oversubscribed in either file): pool_workers4" in report
+        assert not any(line.startswith("pool_workers4") for line in report)
+
+    def test_speedup_metric_still_gates_fitting_worker_rows(self):
+        old = {"kernels": {"pool_workers2": {"speedup": 1.8}}}
+        new = {"kernels": {"pool_workers2": {"speedup": 0.7}}}
+        _, regressions = compare_benchmarks(old, new, threshold=0.5, metric="speedup")
+        assert regressions == ["pool_workers2"]
+
+    def test_median_metric_still_gates_oversubscribed_rows(self):
+        """On one machine the absolute medians stay comparable."""
+        old = {"kernels": {"pool_workers4": {"fast_median_s": 0.01, "oversubscribed": True}}}
+        new = {"kernels": {"pool_workers4": {"fast_median_s": 0.02, "oversubscribed": True}}}
+        _, regressions = compare_benchmarks(old, new)
+        assert regressions == ["pool_workers4"]
+
+    def test_speedup_metric_with_only_oversubscribed_rows_is_bad_input(self):
+        old = {"kernels": {"pool_workers4": {"speedup": 0.5, "oversubscribed": True}}}
+        with pytest.raises(ValueError, match="oversubscribed"):
+            compare_benchmarks(old, old, metric="speedup")
 
     def test_speedup_metric_with_no_gated_row_is_bad_input(self):
         old = {"kernels": {"single": {"fast_median_s": 0.01}}}

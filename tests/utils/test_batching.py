@@ -35,16 +35,6 @@ class TestMinibatches:
         b = np.concatenate(list(minibatches(data, 7, shuffle=True, rng=3)))
         np.testing.assert_array_equal(a, b)
 
-    def test_with_labels(self):
-        data = np.arange(10).reshape(10, 1)
-        labels = np.arange(10)
-        for batch_x, batch_y in minibatches(data, 3, labels=labels):
-            np.testing.assert_array_equal(batch_x.ravel(), batch_y)
-
-    def test_misaligned_labels_rejected(self):
-        with pytest.raises(ValueError):
-            list(minibatches(np.zeros((5, 2)), 2, labels=np.zeros(4)))
-
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             list(minibatches(np.zeros((5, 2)), 0))
@@ -64,13 +54,6 @@ class TestMinibatches:
         for sb, db in zip(sparse_batches, dense_batches):
             assert sp.issparse(sb)
             np.testing.assert_array_equal(sb.toarray(), db)
-
-    def test_sparse_with_labels(self):
-        csr = sp.csr_matrix(np.eye(7))
-        labels = np.arange(7)
-        for batch_x, batch_y in minibatches(csr, 3, labels=labels):
-            assert sp.issparse(batch_x)
-            assert batch_x.shape[0] == batch_y.shape[0]
 
 
 def _binary(n_rows=17, n_cols=3, seed=1):

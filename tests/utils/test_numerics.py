@@ -101,18 +101,21 @@ class TestSoftmax:
 class TestBernoulliSample:
     def test_output_is_binary(self):
         p = np.random.default_rng(4).random((20, 20))
-        samples = bernoulli_sample(p, rng=0)
+        samples = bernoulli_sample(p, np.random.default_rng(0))
         assert set(np.unique(samples)).issubset({0.0, 1.0})
 
     def test_deterministic_probabilities(self):
         p = np.array([0.0, 1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(bernoulli_sample(p, rng=0), p)
+        np.testing.assert_array_equal(bernoulli_sample(p, np.random.default_rng(0)), p)
 
     def test_mean_approximates_probability(self):
         p = np.full(20000, 0.3)
-        samples = bernoulli_sample(p, rng=5)
+        samples = bernoulli_sample(p, np.random.default_rng(5))
         assert samples.mean() == pytest.approx(0.3, abs=0.02)
 
     def test_seeded_reproducibility(self):
         p = np.full(100, 0.5)
-        np.testing.assert_array_equal(bernoulli_sample(p, rng=9), bernoulli_sample(p, rng=9))
+        np.testing.assert_array_equal(
+            bernoulli_sample(p, np.random.default_rng(9)),
+            bernoulli_sample(p, np.random.default_rng(9)),
+        )
