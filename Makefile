@@ -8,8 +8,8 @@ test:
 
 ## Static-analysis leg of the tier-1 workflow: reprolint enforces the
 ## repo's own invariants over src/ (R001 no global RNG, R002 dtype-tier
-## hygiene in kernel modules, R003 lock discipline, R004 async purity in
-## the serving layer — see docs/dev.md),
+## hygiene in kernel modules, R004 async purity in the serving layer —
+## see docs/dev.md),
 ## then ruff runs the generic pyflakes/import-hygiene baseline from
 ## pyproject.toml.  ruff is optional locally (the dev container doesn't
 ## ship it); CI installs it, so the baseline still gates every PR.
@@ -80,9 +80,8 @@ examples-smoke:
 	$(PYTHON) examples/image_classification.py
 	$(PYTHON) examples/recommender_system.py
 
-## Run the kernel benchmark harness and refresh the evidence file
-## (includes the multicore *_workers4 entries; their speedup is bounded by
-## the machine's core count, recorded in the JSON's meta.cpu_count).
+## Run the kernel benchmark harness and refresh the evidence file (the
+## JSON's meta records the machine's core count and BLAS thread count).
 bench:
 	$(PYTHON) benchmarks/bench_kernels.py --output benchmarks/BENCH_kernels.json
 

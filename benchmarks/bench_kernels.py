@@ -7,8 +7,8 @@ logistic classification head).  Every
 row reports the kernel's median wall-clock seconds (``fast_median_s``) at
 the 49x32 benchmark scale and — for the BLAS-bound kernels — the paper's
 784x500 MNIST scale.  Rows that time a kernel against a baseline leg of
-the same run (float32 vs float64, sharded vs serial, CSR vs dense,
-coalesced vs naive serving) also carry
+the same run (float32 vs float64, CSR vs dense, coalesced vs naive
+serving) also carry
 ``legacy_median_s`` and their ratio, ``speedup``.  The JSON this writes is
 the evidence file the ``compare_bench.py`` regression gate consumes.
 Run from the repo root (``make bench`` is the canonical invocation)::
@@ -29,7 +29,7 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -144,61 +144,6 @@ def _settle_batch_dtype_kernel(
 
     def kernel():
         substrate.settle_batch(hidden, n_steps)
-
-    return kernel
-
-
-def _settle_batch_workers_kernel(
-    n_visible: int,
-    n_hidden: int,
-    chains: int,
-    n_steps: int,
-    workers: int,
-    fast: bool,
-):
-    """Multicore sharded settles: ``workers`` shards vs the serial kernel.
-
-    Both legs run the float32 tier; ``fast`` selects the sharded
-    execution layer (``workers`` thread shards, per-shard RNG substreams)
-    and the baseline is the serial ``workers=1`` settle, so the ratio is
-    the multicore win itself.  Scales with physical cores — see the
-    ``cpu_count`` entry in the meta block when reading the numbers.
-    """
-    substrate = _substrate(n_visible, n_hidden, dtype="float32")
-    weights = np.random.default_rng(1).normal(0, 0.1, (n_visible, n_hidden))
-    substrate.program(weights, np.zeros(n_visible), np.zeros(n_hidden))
-    hidden = (np.random.default_rng(2).random((chains, n_hidden)) < 0.5).astype(float)
-    shard_workers = workers if fast else 1
-
-    def kernel():
-        substrate.settle_batch(hidden, n_steps, workers=shard_workers)
-
-    return kernel
-
-
-def _ais_workers_kernel(n_visible: int, n_hidden: int, workers: int, fast: bool):
-    """Threaded AIS chain pool vs the serial sweep (float32 tier both legs)."""
-    rbm = BernoulliRBM(n_visible, n_hidden, rng=0)
-    rng = np.random.default_rng(1)
-    rbm.set_parameters(
-        rng.normal(0, 0.1, (n_visible, n_hidden)),
-        rng.normal(0, 0.2, n_visible),
-        rng.normal(0, 0.2, n_hidden),
-    )
-    pool_workers = workers if fast else 1
-
-    def kernel():
-        # 64 chains so a 4-way pool still hands each shard a 16-row GEMM
-        # block (matching the paper presets' ais_chains=64); skinnier
-        # shards lose more to GEMM efficiency than they gain from cores.
-        AISEstimator(
-            spec=EstimatorSpec(
-                chains=64,
-                betas=20,
-                compute=ComputeSpec(dtype="float32", workers=pool_workers),
-            ),
-            rng=3,
-        ).estimate_log_partition(rbm)
 
     return kernel
 
@@ -484,40 +429,16 @@ def blas_threads() -> Optional[int]:
     return None
 
 
-def annotate_oversubscription(results: Dict) -> List[str]:
-    """Flag ``*_workersK`` entries timed with more workers than cores.
-
-    A K-wide shard/pool on fewer than K cores measures scheduling overhead,
-    not the multicore win, so its speedup is not comparable across machines.
-    Mutates ``results`` in place — each kernel whose name encodes a worker
-    width larger than ``meta.cpu_count`` gains ``"oversubscribed": true`` —
-    and returns the flagged names so callers can print warnings.
-    """
-    cpu_count = results.get("meta", {}).get("cpu_count")
-    flagged: List[str] = []
-    if not cpu_count:
-        return flagged
-    for name, row in results.get("kernels", {}).items():
-        match = re.search(r"_workers(\d+)$", name)
-        if match and int(match.group(1)) > cpu_count:
-            row["oversubscribed"] = True
-            flagged.append(name)
-    return flagged
-
-
 def run_benchmarks(
     repeats: int = 9,
     include_large: bool = True,
-    workers: int = 4,
     only: Optional[str] = None,
 ) -> Dict:
     """Run every kernel and return the results dictionary.
 
     Single-implementation kernels record ``fast_median_s`` only; paired
     kernels also time their baseline leg (``legacy_median_s``) and record
-    the ``speedup``.  ``workers`` sets the shard/pool width of the
-    multicore entries (their baseline leg is always the serial
-    ``workers=1`` kernel).  ``only`` restricts the run to entries whose
+    the ``speedup``.  ``only`` restricts the run to entries whose
     name contains the substring (ValueError when nothing matches).
     """
     data = _benchmark_data()
@@ -563,16 +484,6 @@ def run_benchmarks(
         kernels["ais_logz_784x500_float32"] = lambda fast: (
             _ais_dtype_kernel(784, 500, fast)
         )
-        # Multicore entries: legacy = the serial workers=1 kernel, fast =
-        # the sharded settle / threaded AIS pool at the requested width.
-        # p=256 is the multicore target shape (chain blocks >> 64 are where
-        # sharding pays; see docs/performance.md "The multicore layer").
-        kernels[f"substrate_settle_batch_p256_784x500_float32_workers{workers}"] = (
-            lambda fast: _settle_batch_workers_kernel(784, 500, 256, 2, workers, fast)
-        )
-        kernels[f"ais_logz_784x500_float32_workers{workers}"] = lambda fast: (
-            _ais_workers_kernel(784, 500, workers, fast)
-        )
         # Sparse entries: legacy = dense visibles, fast = the same values as
         # scipy CSR at the real one-hot workload density.
         sparse_dense, sparse_csr = _sparse_benchmark_batch(
@@ -608,15 +519,10 @@ def run_benchmarks(
             "repeats": repeats,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            # The multicore entries' speedup is bounded by physical cores:
-            # on a 1-core machine workers=4 measures ~1x (thread overhead
-            # only); the >=2x target applies on 4+ cores.  Recording the
-            # timing machine's core count keeps the evidence file honest.
+            # The BLAS-bound rows depend on the timing machine's cores and
+            # BLAS thread count (None = the library default).
             "cpu_count": os.cpu_count(),
-            # Each shard thread calls BLAS, so the multicore rows also depend
-            # on the BLAS thread count (None = the library default).
             "blas_threads": blas_threads(),
-            "workers": workers,
             "note": (
                 "median per-call wall-clock seconds (inner-loop calibrated "
                 "so each measurement spans >=5ms); the substrate "
@@ -627,10 +533,6 @@ def run_benchmarks(
                 "record fast_median_s only (no baseline leg, no speedup); "
                 "for *_float32 entries legacy = the float64 tier and "
                 "fast = the float32 precision tier (fused Bernoulli latch); "
-                "for *_workersK entries legacy = the serial workers=1 "
-                "kernel and fast = the K-way sharded settle / threaded AIS "
-                "pool (speedup bounded by meta.cpu_count; entries timed "
-                "with more workers than cores carry oversubscribed=true); "
                 "for *_sparse entries legacy = dense visibles and fast = "
                 "the same values as scipy CSR at meta.sparse_density — the "
                 "positive-phase entry times the deterministic data-side "
@@ -678,7 +580,6 @@ def run_benchmarks(
             p99_ms=latency["p99_ms"],
             req_per_s=latency["req_per_s"],
         )
-    annotate_oversubscription(results)
     return results
 
 
@@ -699,15 +600,6 @@ def main(argv: Optional[list] = None) -> int:
         help="skip the 784x500 substrate kernel (quicker smoke runs)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help=(
-            "shard/pool width of the multicore bench entries (the baseline "
-            "leg stays workers=1; default 4, the multicore target width)"
-        ),
-    )
-    parser.add_argument(
         "--only",
         default=None,
         metavar="SUBSTRING",
@@ -722,7 +614,6 @@ def main(argv: Optional[list] = None) -> int:
         results = run_benchmarks(
             repeats=args.repeats,
             include_large=not args.skip_large,
-            workers=args.workers,
             only=args.only,
         )
     except ValueError as error:
@@ -741,14 +632,6 @@ def main(argv: Optional[list] = None) -> int:
                 f"  speedup={row['speedup']:5.2f}x"
             )
         print(line)
-    for name in sorted(
-        n for n, row in results["kernels"].items() if row.get("oversubscribed")
-    ):
-        print(
-            f"  WARNING: {name} timed with more workers than the "
-            f"{results['meta']['cpu_count']} available cores — speedup "
-            "measures thread overhead, not the multicore win"
-        )
     return 0
 
 

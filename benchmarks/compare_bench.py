@@ -13,10 +13,7 @@ perf the same way it gates correctness.  Two metrics:
   from different hardware (the CI gate, ``make bench-compare-ci``).  A
   regression is a drop of the speedup by more than the threshold.  Only the
   rows that carry a ``speedup`` in both files are gated; single-leg rows
-  (one implementation, no baseline leg) are listed as not gated, and so
-  are rows either file marks ``"oversubscribed": true`` (a ``*_workersK``
-  row timed on fewer than K cores measures thread overhead on that
-  machine, so its speedup does not carry across machines).
+  (one implementation, no baseline leg) are listed as not gated.
 
 Usage, from the repo root::
 
@@ -48,23 +45,14 @@ def compare_benchmarks(
     if not shared:
         raise ValueError("the two benchmark files share no kernels")
     ungated: List[str] = []
-    oversubscribed: List[str] = []
     if metric == "speedup":
         ungated = [
             name for name in shared
             if metric not in old_kernels[name] or metric not in new_kernels[name]
         ]
-        oversubscribed = [
-            name for name in shared
-            if name not in ungated
-            and any(kernels[name].get("oversubscribed") for kernels in (old_kernels, new_kernels))
-        ]
-        shared = [name for name in shared if name not in ungated + oversubscribed]
+        shared = [name for name in shared if name not in ungated]
         if not shared:
-            raise ValueError(
-                "no kernel carries a 'speedup' entry in both files "
-                "without being oversubscribed"
-            )
+            raise ValueError("no kernel carries a 'speedup' entry in both files")
     width = max(len(name) for name in shared)
     for name in shared:
         if metric not in old_kernels[name] or metric not in new_kernels[name]:
@@ -98,10 +86,6 @@ def compare_benchmarks(
         report.append(row + flag)
     if ungated:
         report.append(f"not gated (no speedup in both files): {', '.join(ungated)}")
-    if oversubscribed:
-        report.append(
-            f"not gated (oversubscribed in either file): {', '.join(oversubscribed)}"
-        )
     only_old = sorted(set(old_kernels) - set(new_kernels))
     only_new = sorted(set(new_kernels) - set(old_kernels))
     if only_old:

@@ -38,7 +38,7 @@ Quickstart::
 
 Experiments run from the command line through the same spec layer::
 
-    python -m repro run figure7 --preset paper --set workers=4
+    python -m repro run figure7 --preset paper --set dtype=float32
 """
 
 __version__ = "1.0.0"

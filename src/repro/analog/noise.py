@@ -70,23 +70,6 @@ class NoiseModel:
                 0.0, spec.variation_rms, size=self.coupling_shape
             )
 
-    def spawn_substream(self, rng: SeedLike) -> "NoiseModel":
-        """A noise-model view drawing its *dynamic* noise from ``rng``.
-
-        Used by the sharded settle kernel: every worker shard perturbs its
-        own chain block with noise from a dedicated substream (in hardware
-        each chain replica's array has its own physical noise), while the
-        *static* variation draw — the chip's fixed process corner — is
-        shared by reference, so all shards see the same effective
-        couplings.
-        """
-        clone = object.__new__(NoiseModel)
-        clone.spec = self.spec
-        clone.coupling_shape = self.coupling_shape
-        clone._rng = as_rng(rng)
-        clone._coupling_gain = self._coupling_gain
-        return clone
-
     @property
     def coupling_gain(self) -> Optional[np.ndarray]:
         """Static multiplicative variation applied to every coupling weight,

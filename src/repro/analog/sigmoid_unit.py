@@ -5,7 +5,9 @@ differential-to-single-ended amplifier whose transfer curve closely
 follows ``S(x) = 1 / (1 + exp(-x))``.  The behavioral model is that
 logistic, optionally with a gain mismatch per instantiated unit (process
 variation), expressed as a Gaussian RMS fraction, matching the paper's
-Section 4.5 noise-injection methodology.  Dynamic noise enters the settle
+Section 4.5 noise-injection methodology.  The settle kernel
+(:mod:`repro.ising.bipartite`) applies the gains and the logistic inline;
+this class draws and holds the mismatch.  Dynamic noise enters the settle
 at the node fields and couplings (:class:`~repro.analog.noise.NoiseModel`),
 not at the sigmoid output.
 """
@@ -14,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.numerics import as_float_array, sigmoid
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import ValidationError, check_int, check_positive
+from repro.utils.validation import check_int, check_positive
 
 
 class SigmoidUnit:
@@ -59,23 +60,3 @@ class SigmoidUnit:
         no per-unit gain mismatch.  The substrate's fused sigmoid→compare
         latch is valid precisely under this condition."""
         return self._unit_gains is None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the unit, applying the per-unit gain variation.
-
-        ``x`` may be 1-D (one value per unit) or 2-D (batch, units); the
-        per-unit gain mismatch is applied along the last axis.  Float32
-        inputs stay float32 through the logistic (the precision tier); the
-        variation corner may compute in float64 — callers that need a fixed
-        output dtype cast the (exactly representable) binary latch
-        downstream.
-        """
-        if self.is_identity:
-            # The ideal unit, the settle kernel's common case.
-            return sigmoid(x)
-        x = as_float_array(x)
-        if x.shape[-1] != self.n_units:
-            raise ValidationError(
-                f"input last dimension {x.shape[-1]} does not match n_units={self.n_units}"
-            )
-        return sigmoid(self._unit_gains * x)

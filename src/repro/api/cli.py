@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro run figure7 --preset paper --set workers=4 --set dtype=float32
+    python -m repro run figure7 --preset paper --set dtype=float32
     python -m repro run table2 figure5            # several artifacts, CI scale
     python -m repro run --list                    # what can I run?
     python -m repro list                          # same listing
@@ -11,8 +11,8 @@ Usage::
     python -m repro serve model/fig9 --self-test  # in-process service check
     python -m repro lint src --format json        # repo invariant checks
 
-``--set key=value`` overrides route through the typed spec layer: compute
-knobs (``dtype``/``workers``) land in the run's
+``--set key=value`` overrides route through the typed spec layer: the compute
+knob ``dtype`` lands in the run's
 :class:`~repro.config.ComputeSpec`, ``seed`` in the seed field, everything
 else in the experiment params — all validated against the experiment's
 declared knob surface before anything trains.  Values parse as Python-ish
@@ -145,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--set", dest="overrides", metavar="KEY=VALUE",
         type=parse_set_argument, action="append", default=[],
-        help="override a spec knob (repeatable); compute knobs "
-             "(dtype/workers) route into the ComputeSpec; "
+        help="override a spec knob (repeatable); the compute knob "
+             "dtype routes into the ComputeSpec; "
              "comma-separate lists (trailing comma for one element)",
     )
     run_parser.add_argument(

@@ -208,12 +208,7 @@ def _register_paper_experiments() -> None:
         "table3", run_table3, format_table3,
         description="Accelerator comparison (TOPS/mm^2, TOPS/W)",
     )
-    # The paper presets run the hardware methods serially (workers=1):
-    # sharding pays only with single-threaded BLAS, because every shard
-    # thread calls a multi-threaded GEMM that already uses the cores.
-    # Override workers=k (with OPENBLAS_NUM_THREADS=1) to shard; see
-    # docs/performance.md, "Workers and BLAS threads".
-    paper_compute = ComputeSpec(dtype="float32", workers=1)
+    paper_compute = ComputeSpec(dtype="float32")
     register_experiment(
         "figure7", run_figure7, format_figure7,
         description="Log-probability trajectories of CD-1/CD-10/BGF",

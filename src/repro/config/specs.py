@@ -1,12 +1,12 @@
 """Typed, frozen run-spec dataclasses: the single configuration surface.
 
-Three scaling PRs in a row (multi-chain/persistent, the float32 precision
-tier, the multicore workers knob) each re-threaded the same keyword
-arguments through substrate → trainers → estimator → experiment runners →
-preset dicts.  This module turns those knobs into *specs*: frozen,
+Three scaling changes in a row (multi-chain/persistent, the float32
+precision tier, a since-retired multicore knob) each re-threaded the same
+keyword arguments through substrate → trainers → estimator → experiment
+runners → preset dicts.  This module turns those knobs into *specs*: frozen,
 validated dataclasses with
 
-* ``ValidationError`` at construction — a typo'd dtype or a ``workers=0``
+* ``ValidationError`` at construction — a typo'd dtype or a ``chains=0``
   fails at the API boundary, not as a numpy traceback deep in a settle;
 * ``to_dict()`` / ``from_dict()`` — a lossless, JSON-compatible round trip
   (tuples serialize as lists and normalize back), which is what lets every
@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -151,37 +151,59 @@ def _same_value(value: Any, candidate: Any) -> bool:
     return type(value) is type(candidate) and value == candidate
 
 
+def _one_of(*valid: Any) -> Callable[[Any], bool]:
+    """A predicate true for the type-strict members of ``valid``."""
+    return lambda value: any(_same_value(value, v) for v in valid)
+
+
+def _positive_int(value: Any) -> bool:
+    """An int ``>= 1``; a bool is a typo, not a count."""
+    return (
+        isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
+        and value >= 1
+    )
+
+
 @dataclass(frozen=True)
 class ComputeSpec(Spec):
     """Execution-tier knobs shared by the substrate, trainers and estimator.
 
-    Both fields are concrete: a spec means the same thing on every host.
+    The field is concrete: a spec means the same thing on every host.
 
     Attributes
     ----------
     dtype:
         Precision tier: ``"float64"`` (bit-identical contract) or
         ``"float32"`` (statistically pinned single-precision kernels).
-    workers:
-        Thread shards for the chain-parallel kernels, an int ``>= 1``; 1
-        runs the serial kernels.
     """
 
     dtype: str = "float64"
-    workers: int = 1
 
-    #: Retired knobs that serialized specs may still carry: the values that
-    #: were valid for each, and why it went.  A once-valid value drew the
-    #: same numbers as today's single implementation, so dropping the key on
-    #: load keeps the recorded provenance exact.
-    _LEGACY_KEYS: ClassVar[Dict[str, Tuple[Tuple[Any, ...], str]]] = {
+    #: Retired knobs, each with the values a saved spec may still carry,
+    #: the values a ``--set`` override may still give, and why the knob
+    #: went.  Both kinds of once-valid value drew the same numbers as
+    #: today's single implementation, so the key is dropped: on load by
+    #: :meth:`from_dict`, on override by :meth:`RunSpec.with_overrides`.
+    #: Any other value is rejected with the reason.
+    _LEGACY_KEYS: ClassVar[
+        Dict[str, Tuple[Callable[[Any], bool], Callable[[Any], bool], str]]
+    ] = {
         "executor": (
-            (None, "threads", "processes"),
-            "sharding always runs on threads (set workers instead)",
+            _one_of(None, "threads", "processes"),
+            _one_of(),
+            "no sharding tier is left, process or thread",
         ),
         "fast_path": (
-            (True,),
+            _one_of(True),
+            _one_of(),
             "every kernel has one implementation, the former fast path",
+        ),
+        "workers": (
+            lambda value: _positive_int(value) or _one_of(None, "auto")(value),
+            _positive_int,
+            "a chain block settles as one batched matmul, and BLAS threads "
+            "are the only parallelism",
         ),
     }
 
@@ -196,12 +218,6 @@ class ComputeSpec(Spec):
             "the qint8 compute tier was removed; it computed in float32, and "
             "the 8-bit DTC (input_bits) and the BGF's 8-bit ADC readout model "
             "finite precision",
-        ),
-        "workers": (
-            (None, "auto"),
-            1,
-            "worker counts are explicit ints; the REPRO_WORKERS default and "
-            "'auto' (core count) were removed",
         ),
     }
 
@@ -222,7 +238,6 @@ class ComputeSpec(Spec):
         if canonical not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValidationError(message)
         object.__setattr__(self, "dtype", str(canonical))
-        object.__setattr__(self, "workers", check_int(self.workers, "workers", 1))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ComputeSpec":
@@ -233,14 +248,14 @@ class ComputeSpec(Spec):
         :class:`ValidationError`."""
         if isinstance(data, Mapping):
             data = dict(data)
-            for key, (valid, reason) in cls._LEGACY_KEYS.items():
+            for key, (loads, _, reason) in cls._LEGACY_KEYS.items():
                 if key not in data:
                     continue
                 value = data.pop(key)
-                if not any(_same_value(value, v) for v in valid):
+                if not loads(value):
                     raise ValidationError(
-                        f"legacy ComputeSpec key {key!r} must be one of "
-                        f"{valid}, got {value!r}; the knob was removed: {reason}"
+                        f"legacy ComputeSpec key {key!r} never held {value!r}; "
+                        f"the knob was removed: {reason}"
                     )
             for key, (retired, replacement, _) in cls._RETIRED_VALUES.items():
                 if key in data and any(_same_value(data[key], old) for old in retired):
@@ -331,12 +346,6 @@ class SubstrateSpec(Spec):
             raise ValidationError("noise must be a NoiseSpec")
         if not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec")
-        if self.compute.workers != 1:
-            raise ValidationError(
-                f"workers={self.compute.workers}: a substrate shards nothing on "
-                "its own; pass workers to settle_batch/gibbs_chain, or set it "
-                "on a 'gs' TrainerSpec or an EstimatorSpec"
-            )
 
 
 @dataclass(frozen=True)
@@ -354,8 +363,6 @@ class TrainerSpec(Spec):
       ``learning_rate / reference_batch_size``.
     * ``compute.dtype`` — hardware engines only; the software CD reference
       is float64 by definition.
-    * ``compute.workers`` — ``"gs"`` only: the GS shards its negative
-      chains, while CD and the BGF's per-sample loop run serially.
     """
 
     kind: str = "gs"
@@ -389,13 +396,6 @@ class TrainerSpec(Spec):
         if not isinstance(self.compute, ComputeSpec):
             raise ValidationError("compute must be a ComputeSpec")
         # Kind-specific constraints surface here, not deep in a train loop.
-        if self.kind != "gs" and self.compute.workers != 1:
-            raise ValidationError(
-                f"workers={self.compute.workers} applies to the 'gs' trainer "
-                f"only; the {self.kind!r} trainer has no chains to shard (CD "
-                "trains serially, and the BGF's mid-step updates serialize its "
-                "per-sample loop)"
-            )
         if self.kind == "cd":
             if self.compute.dtype != "float64":
                 raise ValidationError(
@@ -434,7 +434,7 @@ class TrainerSpec(Spec):
         cd_k: int = 1,
         batch_size: int = 10,
     ) -> "TrainerSpec":
-        """Software CD-k reference trainer spec (float64, one worker)."""
+        """Software CD-k reference trainer spec (float64)."""
         return cls(
             kind="cd", learning_rate=learning_rate, cd_k=cd_k, batch_size=batch_size
         )
@@ -518,7 +518,7 @@ class RunSpec(Spec):
     seed:
         Master seed, forwarded to experiments that accept one.
     compute:
-        Optional execution-tier overrides (dtype/workers) for
+        Optional execution-tier overrides (dtype) for
         experiments that thread them; ``None`` keeps the experiment's
         defaults.
     params:
@@ -526,7 +526,7 @@ class RunSpec(Spec):
         Values are normalized to plain-data canonical form (lists become
         tuples) so the dict round trip is exact; names are validated
         against the experiment's signature by the registry at run time.
-        The reserved knobs ``seed``/``dtype``/``workers``
+        The reserved knobs ``seed``/``dtype``
         must live in their typed fields, not here, and a retired compute
         knob (:attr:`ComputeSpec._LEGACY_KEYS`) is rejected outright.
     """
@@ -560,7 +560,7 @@ class RunSpec(Spec):
             if key in ComputeSpec._LEGACY_KEYS:
                 raise ValidationError(
                     f"{key!r} is no longer a knob: "
-                    f"{ComputeSpec._LEGACY_KEYS[key][1]}"
+                    f"{ComputeSpec._LEGACY_KEYS[key][2]}"
                 )
             if key == "seed" or key in COMPUTE_KNOBS:
                 raise ValidationError(
@@ -573,11 +573,19 @@ class RunSpec(Spec):
     def with_overrides(self, **settings: Any) -> "RunSpec":
         """Apply ``--set``-style overrides, routing each key to its field.
 
-        Compute knobs (``dtype``, ``workers``) land in
-        :attr:`compute` (created on demand), ``seed`` in :attr:`seed`, and
-        everything else in :attr:`params`.  The preset label flips to
+        The compute knob ``dtype`` lands in :attr:`compute` (created on
+        demand), ``seed`` in :attr:`seed`, and everything else in
+        :attr:`params`.  A retired compute knob's once-valid override
+        value (:attr:`ComputeSpec._LEGACY_KEYS`) changes nothing and is
+        dropped; any other value for it fails.  The preset label flips to
         ``"custom"`` so recorded metadata distinguishes overridden runs.
         """
+        legacy = ComputeSpec._LEGACY_KEYS
+        settings = {
+            key: value
+            for key, value in settings.items()
+            if not (key in legacy and legacy[key][1](value))
+        }
         if not settings:
             return self
         compute = self.compute

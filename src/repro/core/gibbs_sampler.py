@@ -96,16 +96,9 @@ class GibbsSamplerMachine:
         self,
         h_init: np.ndarray,
         cd_k: int,
-        *,
-        workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Let the substrate evolve for ``cd_k`` steps from the hidden state.
-
-        ``workers`` forwards to the substrate's sharded settle layer (the
-        hidden rows are independent chains, so a minibatch-seeded negative
-        phase shards exactly like a PCD pool).
-        """
-        v_neg, h_neg = self.substrate.gibbs_chain(h_init, cd_k, workers=workers)
+        """Let the substrate evolve for ``cd_k`` steps from the hidden state."""
+        v_neg, h_neg = self.substrate.gibbs_chain(h_init, cd_k)
         self.host.record_sample_read(2)
         return v_neg, h_neg
 
@@ -113,18 +106,15 @@ class GibbsSamplerMachine:
         self,
         chains_h: np.ndarray,
         cd_k: int,
-        *,
-        workers: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance ``p`` independent negative chains by ``cd_k`` steps each.
 
         All chains evolve together through the substrate's chain-parallel
         :meth:`~repro.ising.bipartite.BipartiteIsingSubstrate.settle_batch`
         kernel — every settle is one batched matmul across the whole chain
-        block.  ``workers`` forwards to the substrate's sharded settle layer
-        (:mod:`repro.utils.parallel`).
+        block.
         """
-        v_neg, h_neg = self.substrate.settle_batch(chains_h, cd_k, workers=workers)
+        v_neg, h_neg = self.substrate.settle_batch(chains_h, cd_k)
         self.host.record_sample_read(2)
         return v_neg, h_neg
 
@@ -147,14 +137,11 @@ class GibbsSamplerTrainer:
         across minibatches (PCD; Tieleman 2008) and across ``partial_fit``
         calls; it changes the sampling statistics, so it is pinned
         distributionally (``tests/property/test_chain_statistics.py``).
-        ``compute.workers`` shards the negative phase across threads with
-        per-shard RNG substreams (1, the default, is the serial
-        bit-identical kernel; ``k > 1`` is reproducible for fixed seed and
-        ``k``, statistical across ``k``).  ``compute.dtype`` is the
-        lazily-created machine's precision tier: ``"float32"`` samples in
-        single precision while gradients and the RBM's parameters stay
-        float64 (``tests/property/test_precision_tiers.py``).  ``noise`` is
-        the lazily-created machine's operating point.
+        ``compute.dtype`` is the lazily-created machine's precision tier:
+        ``"float32"`` samples in single precision while gradients and the
+        RBM's parameters stay float64
+        (``tests/property/test_precision_tiers.py``).  ``noise`` is the
+        lazily-created machine's operating point.
     rng:
         Trainer generator (see the stream order below).
     callback:
@@ -189,7 +176,6 @@ class GibbsSamplerTrainer:
         self.batch_size = spec.batch_size
         self.chains = spec.sampler.chains
         self.persistent = spec.sampler.persistent
-        self.workers = spec.compute.workers
         self.machine: Optional[GibbsSamplerMachine] = None
         self._rng = as_rng(rng)
         self.callback = callback
@@ -262,20 +248,16 @@ class GibbsSamplerTrainer:
         chain_engine = self.persistent or self.chains > 1
         h_pos = machine.positive_phase(batch)
         if not chain_engine:
-            v_neg, h_neg = machine.negative_phase(h_pos, self.cd_k, workers=self.workers)
+            v_neg, h_neg = machine.negative_phase(h_pos, self.cd_k)
         elif self.persistent:
-            v_neg, h_neg = machine.negative_phase_chains(
-                self._chains_h, self.cd_k, workers=self.workers
-            )
+            v_neg, h_neg = machine.negative_phase_chains(self._chains_h, self.cd_k)
             self._chains_h = h_neg
         else:
             # Fresh chains each minibatch, seeded from the positive
             # samples (rows cycled when p exceeds the batch) — CD
             # statistics with a decoupled chain count.
             seed_rows = np.resize(np.arange(batch.shape[0]), self.chains)
-            v_neg, h_neg = machine.negative_phase_chains(
-                h_pos[seed_rows], self.cd_k, workers=self.workers
-            )
+            v_neg, h_neg = machine.negative_phase_chains(h_pos[seed_rows], self.cd_k)
 
         # Step 8: host computes the gradient from the read-out samples.  The
         # data term is the only place the (possibly sparse) batch enters:

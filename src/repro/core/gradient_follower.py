@@ -232,12 +232,12 @@ class BoltzmannGradientFollower:
         particle round-robin, anneal it, persist it and decrement W.
 
         The settles run the substrate's own evaluation kernels on its
-        serial circuits with the chunk's ``kern`` snapshot; ``static`` is
+        circuits with the chunk's ``kern`` snapshot; ``static`` is
         the chunk's coupling pair when the pumps' in-place edits keep it
         current, ``None`` when each update invalidates it.
         """
         sub = self.substrate
-        ctx = sub._serial_context
+        ctx = sub._circuits
         pair = sub._static_pair() if static is None else static
         hidden = _settle_eval_kernel(clamped_row, pair, ctx, kern, hidden_side=True)
         self._pump_sample(v_bits, hidden[0], positive=True, invalidate=static is None)
@@ -339,8 +339,7 @@ class BGFTrainer:
         ``kind="bgf"``; see :meth:`~repro.config.TrainerSpec.bgf`), from
         which the lazily-created :class:`BoltzmannGradientFollower` is
         built.  The learning loop is sequential by algorithm (the paper's
-        mid-step updates serialize it), so the spec rejects a
-        ``compute.workers`` other than 1.
+        mid-step updates serialize it).
     rng, callback:
         Trainer generator and optional ``callback(epoch, rbm)`` hook.
     """

@@ -53,7 +53,6 @@ def logprob_recorder(
     n_betas: int,
     seed: int,
     dtype: str = "float64",
-    workers: int = 1,
 ):
     """A per-epoch ``callback(epoch, rbm)`` appending the AIS average log
     probability of ``data`` to ``trajectory`` (figures 7 and 8).  Epoch
@@ -63,7 +62,7 @@ def logprob_recorder(
         trajectory.append(
             average_log_probability(
                 rbm, data, n_chains=n_chains, n_betas=n_betas, rng=seed + epoch,
-                dtype=dtype, workers=workers,
+                dtype=dtype,
             )
         )
 

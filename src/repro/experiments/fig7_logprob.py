@@ -47,7 +47,6 @@ def run_figure7(
     methods: Sequence[str] = FIGURE7_METHODS,
     dtype: str = "float64",
     train_samples: Optional[int] = None,
-    workers: int = 1,
     seed: int = 0,
 ) -> ExperimentResult:
     """Train with CD-1, CD-10 and BGF and record log-probability trajectories.
@@ -65,11 +64,8 @@ def run_figure7(
     substrate/AIS precision tier for the hardware methods (``"float32"`` is
     the paper-scale configuration; software CD always trains in float64);
     ``train_samples`` caps the training rows (downsized smoke runs), and
-    only those rows are generated;
-    ``workers`` is the multicore knob, threaded into the GS trainer's
-    sharded negative phase and the AIS estimator's threaded chain pool
-    (the default of 1 keeps the serial, bit-identical kernels).  The
-    defaults leave the CI-scale output contract untouched — pinned by
+    only those rows are generated.  The defaults leave the CI-scale output
+    contract untouched — pinned by
     ``tests/experiments/test_golden_schemas.py``.
     """
     # A trajectory needs two epochs; every count knob fails by name here,
@@ -111,7 +107,7 @@ def run_figure7(
         base_rbm.init_visible_bias_from_data(data)
         initial_logprob = average_log_probability(
             base_rbm, data, n_chains=ais_chains, n_betas=ais_betas, rng=seed,
-            dtype=dtype, workers=workers,
+            dtype=dtype,
         )
 
         factories = {
@@ -141,7 +137,7 @@ def run_figure7(
                     batch_size=batch_size,
                     chains=gs_chains,
                     persistent=True,
-                    compute=ComputeSpec(dtype=dtype, workers=workers),
+                    compute=ComputeSpec(dtype=dtype),
                 ),
                 rng=rngs[4],
             )
@@ -151,7 +147,7 @@ def run_figure7(
             trajectory: List[float] = [float(initial_logprob)]
             trainer.callback = logprob_recorder(
                 data, trajectory, n_chains=ais_chains, n_betas=ais_betas, seed=seed,
-                dtype=dtype, workers=workers,
+                dtype=dtype,
             )
             rbm = base_rbm.copy()
             trainer.train(rbm, data, epochs=epochs)
@@ -180,7 +176,6 @@ def run_figure7(
             "methods": tuple(methods),
             "dtype": str(dtype),
             "train_samples": train_samples,
-            "workers": workers,
             "seed": seed,
         },
     )

@@ -44,14 +44,12 @@ TABLE4_IMAGE_BENCHMARKS: Sequence[str] = (
 
 def _make_trainer(
     method: str, *, learning_rate: float, batch_size: int, rng, gs_chains: int = 8,
-    dtype: str = "float64", workers: int = 1,
+    dtype: str = "float64",
 ):
     """Build the per-layer trainer for ``method`` ('cd10', 'bgf' or 'gs').
 
     ``dtype`` selects the substrate precision tier for the hardware methods
-    (BGF and GS); the software CD reference always trains in float64.
-    ``workers`` threads the GS's sharded settle layer (the BGF's
-    per-sample loop is serial).  All
+    (BGF and GS); the software CD reference always trains in float64.  All
     three build through the typed spec layer (:mod:`repro.config`).
     """
     if method == "cd10":
@@ -78,7 +76,7 @@ def _make_trainer(
                 batch_size=batch_size,
                 chains=gs_chains,
                 persistent=True,
-                compute=ComputeSpec(dtype=dtype, workers=workers),
+                compute=ComputeSpec(dtype=dtype),
             ),
             rng=rng,
         )
@@ -96,7 +94,7 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> tuple:
 def _rbm_feature_accuracy(
     dataset, n_hidden: int, method: str, *, epochs: int, learning_rate: float,
     batch_size: int, seed: int, gs_chains: int = 8, dtype: str = "float64",
-    train_samples: Optional[int] = None, workers: int = 1,
+    train_samples: Optional[int] = None,
 ) -> float:
     """Accuracy of a logistic head on single-RBM features trained by ``method``."""
     rngs = spawn_rngs(seed, 3)
@@ -108,7 +106,7 @@ def _rbm_feature_accuracy(
     rbm.init_visible_bias_from_data(train_x)
     trainer = _make_trainer(
         method, learning_rate=learning_rate, batch_size=batch_size, rng=rngs[1],
-        gs_chains=gs_chains, dtype=dtype, workers=workers,
+        gs_chains=gs_chains, dtype=dtype,
     )
     trainer.train(rbm, train_x, epochs=epochs)
     features_train, features_test = _standardize(
@@ -157,7 +155,6 @@ def run_table4(
     gs_chains: Optional[int] = None,
     dtype: str = "float64",
     train_samples: Optional[int] = None,
-    workers: int = 1,
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Table 4: quality metric per benchmark for cd-10 and BGF.
@@ -169,10 +166,8 @@ def run_table4(
     training in the single-precision substrate tier (the paper-scale
     configuration; the logistic/DBN heads and software CD stay float64);
     ``train_samples`` caps the image-benchmark training rows for downsized
-    smoke runs; ``workers`` is the multicore knob for the GS trainer
-    (sharded settles; the default of 1 keeps the serial kernels).  The defaults leave the CI-scale output
-    contract untouched — pinned by
-    ``tests/experiments/test_golden_schemas.py``.
+    smoke runs.  The defaults leave the CI-scale output contract
+    untouched — pinned by ``tests/experiments/test_golden_schemas.py``.
     """
     check_int(epochs, "epochs", 1)
     check_int(batch_size, "batch_size", 1)
@@ -194,7 +189,7 @@ def run_table4(
                 epochs=epochs, learning_rate=learning_rate,
                 batch_size=batch_size, seed=seed + index,
                 gs_chains=gs_chains or 8, dtype=dtype,
-                train_samples=train_samples, workers=workers,
+                train_samples=train_samples,
             )
         if include_dbn and cfg.has_dbn:
             layers = (
@@ -263,7 +258,6 @@ def run_table4(
             "gs_chains": gs_chains,
             "dtype": str(dtype),
             "train_samples": train_samples,
-            "workers": workers,
             "seed": seed,
         },
     )

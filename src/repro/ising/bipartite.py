@@ -28,8 +28,7 @@ the paper's Sec. 4.5 robustness study.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,12 +37,6 @@ from repro.analog.noise import NoiseModel
 from repro.analog.rng import StochasticNeuronSampler
 from repro.analog.sigmoid_unit import SigmoidUnit
 from repro.config.specs import SubstrateSpec, check_spec
-from repro.utils.parallel import (
-    ShardedExecutor,
-    check_workers,
-    shard_seed_sequence,
-    shard_slices,
-)
 from repro.utils.numerics import (
     as_sparse_rows,
     fused_sigmoid_bernoulli,
@@ -55,32 +48,23 @@ from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import ValidationError, check_array, check_binary
 
 
-class _ShardContext(NamedTuple):
-    """Per-worker-shard sampling circuits for the sharded settle kernel.
-
-    Each shard owns clones of the samplers (and, in noisy corners, of the
-    noise model) whose *streams* are dedicated SeedSequence substreams while
-    their *static* hardware state — the chip's variation draw — is shared
-    by reference with the substrate's own circuits (see
-    ``spawn_substream`` on each class).
-    """
+class _Circuits(NamedTuple):
+    """The sampling circuits a settle draws from: the substrate's two
+    latches and, in a dynamic-noise corner, its noise model (``None``
+    skips the coupling and node noise)."""
 
     hidden_sampler: StochasticNeuronSampler
     visible_sampler: StochasticNeuronSampler
     noise_model: Optional[NoiseModel]
 
 
-class _ShardKernel(NamedTuple):
+class _SettleInputs(NamedTuple):
     """Per-call snapshot of the settle evaluation's static inputs.
 
-    Everything the settle loop needs beyond the coupling matrix and a
-    shard's circuits: biases, the sigmoid units' per-unit gains (``None``
-    for an ideal unit), the precision tier, and the fused-latch
-    eligibility.  Built once per settle call (reprogramming swaps the bias
-    arrays) and shared by every shard thread of a sharded settle, so a
-    reprogramming that lands mid-settle cannot hand different shards
-    different biases — the same staleness semantics as the static coupling
-    pair each settle grabs at entry.
+    Everything the settle loop needs beyond the coupling matrix and the
+    circuits: biases, the sigmoid units' per-unit gains (``None`` for an
+    ideal unit), the precision tier, and the fused-latch eligibility.
+    Built once per settle call, since reprogramming swaps the bias arrays.
     """
 
     hidden_bias: np.ndarray
@@ -99,9 +83,8 @@ def _field_kernel(
 ) -> np.ndarray:
     """Field kernel: summed currents plus (conditional) node noise.
 
-    Single source shared by :meth:`BipartiteIsingSubstrate.hidden_field`,
-    the settle evaluation, and the sharded settle, so they cannot drift
-    apart.
+    Single source shared by :meth:`BipartiteIsingSubstrate.hidden_field`
+    and the settle evaluation, so they cannot drift apart.
     Runs in the coupling's precision tier; ``noise_model`` selects whose
     stream the node noise draws from, ``None`` skips it (the noise-free
     corner).  The node noise scales with the field's standard deviation,
@@ -129,19 +112,17 @@ def _field_kernel(
 def _settle_eval_kernel(
     state: np.ndarray,
     static_pair: Tuple[np.ndarray, np.ndarray],
-    ctx: _ShardContext,
-    kern: _ShardKernel,
+    ctx: _Circuits,
+    kern: _SettleInputs,
     *,
     hidden_side: bool,
 ) -> np.ndarray:
-    """One settle-and-latch: the single evaluation kernel behind the serial
-    trusted samplers, the sharded settle and the BGF's learning step.
+    """One settle-and-latch: the single evaluation kernel behind the
+    trusted samplers, the chain settle and the BGF's learning step.
 
     The per-evaluation order is fixed — dynamic coupling draw, field
-    (matmul + bias + node noise), latch — and ``ctx`` selects whose
-    circuits draw: the substrate's own (the serial path) or a worker
-    shard's substream clones.  The node circuit runs inline: the unit
-    gain, the logistic (:func:`~repro.utils.numerics.sigmoid_kernel`) and
+    (matmul + bias + node noise), latch — on ``ctx``'s circuits.  The node
+    circuit runs inline: the unit gain, the logistic (:func:`~repro.utils.numerics.sigmoid_kernel`) and
     the comparator against a uniform reference drawn from the sampler's
     stream, in the probability's dtype, latched straight into the tier
     dtype; the float32 tier's ideal units latch through the fused
@@ -177,12 +158,11 @@ def _settle_loop_kernel(
     hidden: np.ndarray,
     n_steps: int,
     static_pair: Tuple[np.ndarray, np.ndarray],
-    ctx: _ShardContext,
-    kern: _ShardKernel,
+    ctx: _Circuits,
+    kern: _SettleInputs,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance one chain block for ``n_steps`` alternating settles under
-    ``ctx``'s circuits — a worker shard's, or the substrate's own (the
-    serial settle is the single-block case of this loop)."""
+    """Advance one chain block for ``n_steps`` alternating settles on
+    ``ctx``'s circuits."""
     visible = _settle_eval_kernel(hidden, static_pair, ctx, kern, hidden_side=False)
     for _ in range(n_steps - 1):
         hidden = _settle_eval_kernel(visible, static_pair, ctx, kern, hidden_side=True)
@@ -209,14 +189,13 @@ class BipartiteIsingSubstrate:
         see the precision policy in ``docs/performance.md``).
     rng:
         Master seed; per-subcircuit streams are spawned from it.
+
+    A substrate is single-owner: one thread drives it at a time.  Its
+    effective-coupling cache and its circuits' streams are plain state,
+    as the hardware's one node array is; run concurrent chains as rows of
+    one :meth:`settle_batch` block, or give each thread its own substrate.
     """
 
-    # Lock discipline (enforced by reprolint R003, see docs/dev.md): every
-    # access to the effective-weight cache outside the lock must carry an
-    # explicit justification.
-    # reprolint: guard(_cache_lock)=_eff_cache
-
-    # reprolint: lockfree -- construction happens-before sharing: no other thread holds a reference until __init__ returns, so the initial cache-field writes need no lock
     def __init__(self, spec: SubstrateSpec, *, rng: SeedLike = None):
         check_spec(spec, SubstrateSpec, "BipartiteIsingSubstrate")
         self.spec = spec
@@ -226,10 +205,9 @@ class BipartiteIsingSubstrate:
         input_bits = spec.input_bits
         noise = spec.noise
 
-        # Stream 6 is the shard-substream root for the multicore settle
-        # kernel.  Stream 5 is unused but still spawned: SeedSequence
-        # children are keyed by index, so streams 0-4 and 6 keep their
-        # draws.
+        # Streams 5 and 6 are unused but still spawned: a seed sequence
+        # numbers its children in spawn order, so a caller's later spawns
+        # from the same generator keep their draws.
         streams = spawn_rngs(rng, 7)
         self.noise_model = NoiseModel(
             noise, (self.n_visible, self.n_hidden), rng=streams[0]
@@ -265,24 +243,9 @@ class BipartiteIsingSubstrate:
         # Cached (effective, effective.T) pair of the variation-scaled
         # coupling matrix; rebuilt lazily after (re)programming or an
         # explicit invalidation (the BGF's in-place charge-pump updates).
-        # The build is guarded by a lock so concurrent settles on one
-        # substrate can never observe a half-built pair or crash on an
-        # invalidation that lands between the None-check and the unpack;
-        # draw-stream determinism under external concurrency is still
-        # single-owner (see docs/performance.md, "Thread safety").
         self._eff_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._cache_lock = threading.Lock()
-        # Per-worker-count shard circuits, built lazily from the shard
-        # seed root (stream 6) and cached so shard streams stay stateful
-        # across settle calls — fixed (seed, workers) is reproducible run
-        # to run.
-        self._shard_seed_root = streams[6].bit_generator.seed_seq
-        if self._shard_seed_root is None:  # pragma: no cover - defensive
-            self._shard_seed_root = np.random.SeedSequence()
-        self._shard_contexts: Dict[int, List[_ShardContext]] = {}
-        # The serial path is just the shared evaluation kernel running on
-        # the substrate's own circuits (see _settle_eval_kernel).
-        self._serial_context = _ShardContext(
+        # The circuits every settle draws from (see _settle_eval_kernel).
+        self._circuits = _Circuits(
             hidden_sampler=self.hidden_sampler,
             visible_sampler=self.visible_sampler,
             noise_model=self.noise_model if self._has_dynamic else None,
@@ -353,8 +316,7 @@ class BipartiteIsingSubstrate:
         """Invalidate the effective-coupling cache — the single
         invalidation point shared by ``program``, ``program_trusted`` and
         the BGF's in-place charge-pump updates."""
-        with self._cache_lock:
-            self._eff_cache = None
+        self._eff_cache = None
 
     def read_parameters(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read back the programmed parameters (host-visible copies)."""
@@ -398,30 +360,18 @@ class BipartiteIsingSubstrate:
     # Conditional sampling (one settle-and-latch)
     # ------------------------------------------------------------------ #
     def _static_pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The cached static (variation-scaled) coupling pair, built safely.
-
-        Double-checked locking: the cache is read once into a local (an
-        ``invalidate_effective_weights`` racing in from another thread can
-        therefore never turn a passed None-check into an unpack of None),
-        and the build itself is serialized so concurrent settles agree on
-        one ``(effective, effective.T)`` pair.
-        """
-        cache = self._eff_cache  # reprolint: disable=R003 -- double-checked locking: the one lock-free read, snapshotted into a local so a racing invalidation can never turn a passed None-check into an unpack of None
-        if cache is None:
-            with self._cache_lock:
-                cache = self._eff_cache
-                if cache is None:
-                    # The variation product is drawn/scaled in float64 and
-                    # quantized into the substrate tier once per
-                    # (re)programming; in the ideal corner static_effective
-                    # aliases self.weights, already in tier.
-                    static = np.asarray(
-                        self.noise_model.static_effective(self.weights),
-                        dtype=self.dtype,
-                    )
-                    cache = (static, static.T)
-                    self._eff_cache = cache
-        return cache
+        """The cached static (variation-scaled) ``(effective, effective.T)``
+        coupling pair, rebuilt after a (re)programming or invalidation."""
+        if self._eff_cache is None:
+            # The variation product is drawn/scaled in float64 and
+            # quantized into the substrate tier once per (re)programming;
+            # in the ideal corner static_effective aliases self.weights,
+            # already in tier.
+            static = np.asarray(
+                self.noise_model.static_effective(self.weights), dtype=self.dtype
+            )
+            self._eff_cache = (static, static.T)
+        return self._eff_cache
 
     def hidden_field(self, visible: np.ndarray) -> np.ndarray:
         """Summed column currents seen by the hidden nodes (plus node noise).
@@ -436,16 +386,16 @@ class BipartiteIsingSubstrate:
             # Tier dtype, not float: a float32 substrate computes (and
             # returns) float32 fields — same fix family as clamp_visible.
             visible = np.atleast_2d(np.asarray(visible, dtype=self.dtype))
-        noise_model = self._serial_context.noise_model
+        noise_model = self._circuits.noise_model
         effective = self._static_pair()[0]
         if noise_model is not None:
             effective = np.asarray(noise_model.apply_dynamic(effective), dtype=self.dtype)
         return _field_kernel(visible, effective, self.hidden_bias, noise_model)
 
-    def _kernel(self) -> _ShardKernel:
+    def _kernel(self) -> _SettleInputs:
         """Snapshot the settle kernel's static inputs (built per call —
         reprogramming swaps the bias arrays out from under a cached one)."""
-        return _ShardKernel(
+        return _SettleInputs(
             hidden_bias=self.hidden_bias,
             visible_bias=self.visible_bias,
             hidden_gains=self.hidden_sigmoid._unit_gains,
@@ -470,73 +420,8 @@ class BipartiteIsingSubstrate:
                 np.atleast_2d(np.asarray(visible, dtype=float))
             )
         return _settle_eval_kernel(
-            clamped, self._static_pair(), self._serial_context, self._kernel(),
+            clamped, self._static_pair(), self._circuits, self._kernel(),
             hidden_side=True,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Sharded settles (the multicore execution layer)
-    # ------------------------------------------------------------------ #
-    def _shard_contexts_for(self, workers: int) -> List[_ShardContext]:
-        """Per-shard sampling circuits for a ``workers``-way settle.
-
-        Shard ``i`` of a ``workers=k`` run draws from substreams at the
-        deterministic spawn key ``(k, i)`` under the substrate's shard seed
-        root (stream 6 of the master spawn) — a pure function of the master
-        seed, so fixed ``(seed, workers)`` is reproducible run to run and
-        different worker counts never alias.  Contexts are cached per
-        worker count: their streams advance statefully across settle calls,
-        exactly like the serial samplers' streams do.
-        """
-        contexts = self._shard_contexts.get(workers)
-        if contexts is None:
-            contexts = []
-            for index in range(workers):
-                seq = shard_seed_sequence(self._shard_seed_root, workers, index)
-                h_rng, v_rng, n_rng = (
-                    np.random.default_rng(child) for child in seq.spawn(3)
-                )
-                contexts.append(
-                    _ShardContext(
-                        hidden_sampler=self.hidden_sampler.spawn_substream(h_rng),
-                        visible_sampler=self.visible_sampler.spawn_substream(v_rng),
-                        noise_model=(
-                            self.noise_model.spawn_substream(n_rng)
-                            if self._has_dynamic
-                            else None
-                        ),
-                    )
-                )
-            self._shard_contexts[workers] = contexts
-        return contexts
-
-    def _settle_batch_sharded(
-        self, hidden: np.ndarray, n_steps: int, workers: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Shard the chain block row-wise and settle the shards in threads.
-
-        The settle matmuls, elementwise kernels, and Generator fills all
-        release the GIL, so shard threads genuinely occupy multiple cores;
-        the static effective pair is built once (under the cache lock) on
-        the dispatching thread and shared read-only (with one
-        :class:`_ShardKernel` snapshot), so shard threads never touch the
-        substrate's cache or its serial streams.
-        """
-        static_pair = self._static_pair()
-        kern = self._kernel()
-        contexts = self._shard_contexts_for(workers)
-        slices = shard_slices(hidden.shape[0], workers)
-
-        def settle(indexed_slice: Tuple[int, slice]) -> Tuple[np.ndarray, np.ndarray]:
-            index, rows = indexed_slice
-            return _settle_loop_kernel(
-                hidden[rows], n_steps, static_pair, contexts[index], kern
-            )
-
-        results = ShardedExecutor(workers).map(settle, list(enumerate(slices)))
-        return (
-            np.concatenate([pair[0] for pair in results], axis=0),
-            np.concatenate([pair[1] for pair in results], axis=0),
         )
 
     # ------------------------------------------------------------------ #
@@ -546,8 +431,6 @@ class BipartiteIsingSubstrate:
         self,
         hidden_init: np.ndarray,
         n_steps: int,
-        *,
-        workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Evolve ``p`` independent chains in parallel for ``n_steps`` settles.
 
@@ -568,18 +451,6 @@ class BipartiteIsingSubstrate:
         tests in ``tests/property/test_chain_statistics.py`` rather than by
         seed.  With a single row the two orders coincide bit-for-bit.
 
-        ``workers`` is the multicore knob: ``workers=k > 1`` splits the
-        ``p`` chain rows into ``min(k, p)`` contiguous shards and settles
-        them concurrently on a thread pool, each shard drawing from its own
-        documented SeedSequence substream (spawn key ``(k, shard)`` under
-        the substrate's shard seed root) — reproducible run to run for
-        fixed seed and ``k``, statistically equivalent across ``k`` (pinned
-        by ``tests/property/test_parallel_statistics.py``).  ``workers=1``
-        (and a single chain row) runs the serial kernel below,
-        bit-identical to the pre-threading implementation.  Dynamic
-        coupling/node noise shards too: each shard perturbs its replica
-        from its own substream.
-
         Returns the final ``(visible, hidden)`` samples, shaped
         ``(p, n_visible)`` and ``(p, n_hidden)``, in the substrate's
         precision tier (``self.dtype``) — a float32 substrate returns
@@ -587,34 +458,26 @@ class BipartiteIsingSubstrate:
         the dtype never depends on the caller's input dtype (binary values
         round-trip exactly through the validation cast).
         """
-        workers = check_workers(workers)
         if n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
         hidden = check_binary(
             np.atleast_2d(np.asarray(hidden_init, dtype=float)), name="hidden_init"
         ).astype(self.dtype, copy=False)
-        if workers > 1 and hidden.shape[0] > 1:
-            return self._settle_batch_sharded(hidden, n_steps, workers)
-        # The serial settle is the shared loop on the substrate's own
-        # circuits (one body with the sharded path).
         return _settle_loop_kernel(
-            hidden, n_steps, self._static_pair(), self._serial_context, self._kernel()
+            hidden, n_steps, self._static_pair(), self._circuits, self._kernel()
         )
 
     def gibbs_chain(
         self,
         hidden_init: np.ndarray,
         n_steps: int,
-        *,
-        workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Run ``n_steps`` alternating settles starting from a hidden state.
 
         Mirrors the negative phase of Algorithm 1 / the annealing trajectory
         of the BGF's negative sample: hidden -> visible -> hidden, repeated.
         Delegates to :meth:`settle_batch` (a chain is the single- or
-        multi-row case of the chain-parallel kernel; ``workers`` is
-        forwarded to its sharded execution layer) and returns the final
+        multi-row case of the chain-parallel kernel) and returns the final
         ``(visible, hidden)`` samples.
         """
-        return self.settle_batch(hidden_init, n_steps, workers=workers)
+        return self.settle_batch(hidden_init, n_steps)

@@ -25,20 +25,8 @@ from repro.utils.numerics import (
     logsumexp,
     sigmoid,
 )
-from repro.utils.parallel import (
-    ShardedExecutor,
-    shard_seed_sequence,
-    shard_slices,
-)
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import ValidationError, check_array
-
-#: Sentinel spawn-key branch for the threaded chain pool's seed root.
-#: Ordinary ``SeedSequence.spawn`` children are keyed by small sequential
-#: integers, so this branch (ASCII "AISP") is unreachable by any natural
-#: spawn tree of the same master seed — shard substreams can never alias a
-#: component that spawned from the caller's generator.
-AIS_SHARD_ROOT_KEY = 0x41495350
 
 
 def _ais_sweep(
@@ -54,12 +42,8 @@ def _ais_sweep(
 ) -> np.ndarray:
     """Run the full beta sweep for ``n_chains`` particles on ``rng``.
 
-    The whole estimator minus the seed/shard bookkeeping, as a function of
-    plain arrays: the serial path calls it once with the estimator's own
-    generator (bit-identical to the pre-threading implementation), and the
-    threaded pool calls it once per shard with that shard's substream — the
-    chains are mutually independent, so sharding only moves chains between
-    streams.
+    The whole estimator as a function of plain arrays, so the per-beta
+    oracle (``tests/helpers/reference.py``) can stand in for it.
     """
     # Initial samples from the base-rate model.
     v = bernoulli_sample(np.tile(sigmoid(base_bias), (n_chains, 1)), rng)
@@ -146,14 +130,6 @@ class AISEstimator:
         ``compute.dtype="float32"`` runs the sweep in single precision while
         the log weights accumulate in float64, pinned statistically
         (``tests/property/test_precision_tiers.py``).
-        ``compute.workers=k > 1`` splits the chains into ``min(k, chains)``
-        shards, each running the whole sweep on its own thread and
-        SeedSequence substream (spawn key ``(k, shard)`` under the
-        estimator's seed root); ``workers=1`` (the default) is
-        bit-identical to the serial estimator, ``k`` is reproducible for
-        fixed seed, and
-        estimates across worker counts agree statistically
-        (``tests/property/test_parallel_statistics.py``).
     rng:
         The estimator's generator (see the stream order below).
     base_visible_bias:
@@ -168,8 +144,7 @@ class AISEstimator:
     initialization, then per intermediate temperature one hidden block
     followed by one visible block.  Chains are decorrelated by their row
     position inside each block; no draw touches NumPy's global RNG, and the
-    order is identical on both paths.  With ``workers=k > 1`` the same
-    block order holds *per shard*, on the shard's own substream.
+    order is identical on both tiers.
     """
 
     def __init__(
@@ -188,25 +163,6 @@ class AISEstimator:
         )
         self._rng = as_rng(rng)
         self.dtype = np.dtype(spec.compute.dtype)
-        self.workers = spec.compute.workers
-        # Seed root for the threaded chain pool's per-shard substreams;
-        # shard generators are cached per worker count so their streams
-        # stay stateful across estimates (reproducible run to run).  The
-        # root branches off the caller's seed sequence at a dedicated
-        # sentinel spawn key: ordinary SeedSequence.spawn children are
-        # keyed 0, 1, 2, ... — hanging shard keys (k, i) directly off the
-        # caller's root would make shard stream (k, i) bit-identical to
-        # "child k's i-th spawned child" of the same master seed, silently
-        # correlating the estimator with any component spawned from that
-        # seed (the substrate avoids this with its reserved stream-6 root).
-        seed_seq = getattr(self._rng.bit_generator, "seed_seq", None)
-        if not isinstance(seed_seq, np.random.SeedSequence):
-            seed_seq = np.random.SeedSequence()
-        self._shard_seed_root = np.random.SeedSequence(
-            entropy=seed_seq.entropy,
-            spawn_key=tuple(seed_seq.spawn_key) + (AIS_SHARD_ROOT_KEY,),
-        )
-        self._shard_rngs_cache: dict = {}
 
     # ------------------------------------------------------------------ #
     def _base_bias(self, rbm: BernoulliRBM) -> np.ndarray:
@@ -218,27 +174,8 @@ class AISEstimator:
             )
         return self.base_visible_bias
 
-    def _shard_rngs(self, workers: int) -> list:
-        """Cached per-shard generators for a ``workers``-way chain pool.
-
-        Substreams sit at spawn key ``(workers, shard)`` under the
-        estimator's seed root — a pure function of the master seed, never
-        aliasing another worker count — and stay stateful across estimates.
-        """
-        rngs = self._shard_rngs_cache.get(workers)
-        if rngs is None:
-            rngs = [
-                np.random.default_rng(
-                    shard_seed_sequence(self._shard_seed_root, workers, index)
-                )
-                for index in range(workers)
-            ]
-            self._shard_rngs_cache[workers] = rngs
-        return rngs
-
     def estimate_log_partition(self, rbm: BernoulliRBM) -> AISResult:
         """Run AIS and return the estimated log partition function."""
-        workers = self.workers
         base_bias = self._base_bias(rbm)
         # Python-float betas: a NumPy float64 scalar is not a "weak" scalar
         # under NEP 50, so `beta * float32_array` would silently promote the
@@ -250,23 +187,10 @@ class AISEstimator:
         # and visible units factorize over (1 + exp(base_bias)).
         log_z_base = rbm.n_hidden * np.log(2.0) + float(np.sum(log1pexp(base_bias)))
 
-        def sweep(n_chains: int, rng: np.random.Generator) -> np.ndarray:
-            return _ais_sweep(
-                rbm.weights, rbm.visible_bias, rbm.hidden_bias, base_bias, betas,
-                n_chains, rng, dtype=self.dtype,
-            )
-
-        if workers == 1 or self.n_chains == 1:
-            log_w = sweep(self.n_chains, self._rng)
-        else:
-            # Threaded chain pool: each shard runs the whole sweep for its
-            # slice of the particle population on its own substream; the
-            # sweep is matmul/ufunc-bound, so the shard threads release the
-            # GIL and occupy separate cores.  Shard sizes are the balanced
-            # contiguous split of n_chains, gathered in shard order.
-            sizes = [s.stop - s.start for s in shard_slices(self.n_chains, workers)]
-            jobs = list(zip(sizes, self._shard_rngs(workers)))
-            log_w = np.concatenate(ShardedExecutor(workers).map(lambda job: sweep(*job), jobs))
+        log_w = _ais_sweep(
+            rbm.weights, rbm.visible_bias, rbm.hidden_bias, base_bias, betas,
+            self.n_chains, self._rng, dtype=self.dtype,
+        )
 
         log_z = log_z_base + float(logsumexp(log_w) - np.log(self.n_chains))
         return AISResult(log_partition=log_z, log_weights=log_w, log_partition_base=log_z_base)
@@ -280,13 +204,11 @@ def estimate_log_partition(
     data: Optional[np.ndarray] = None,
     rng: SeedLike = None,
     dtype: str = "float64",
-    workers: int = 1,
 ) -> float:
     """Convenience wrapper returning just the estimated log Z.
 
     When ``data`` is given, the base-rate model's visible biases are set to
     the data log-odds, which substantially reduces estimator variance.
-    ``workers`` shards the chain pool (see :class:`AISEstimator`).
     """
     base_bias = (
         None
@@ -297,7 +219,7 @@ def estimate_log_partition(
         spec=EstimatorSpec(
             chains=n_chains,
             betas=n_betas,
-            compute=ComputeSpec(dtype=dtype, workers=workers),
+            compute=ComputeSpec(dtype=dtype),
         ),
         base_visible_bias=base_bias,
         rng=rng,
@@ -313,14 +235,12 @@ def average_log_probability(
     n_betas: int = 200,
     rng: SeedLike = None,
     dtype: str = "float64",
-    workers: int = 1,
 ) -> float:
     """Average log probability of ``data`` rows, the paper's quality metric.
 
     ``log P(v) = -F(v) - log Z`` where ``log Z`` is AIS-estimated.
     ``dtype="float32"`` runs the AIS sweep in the single-precision tier; the
-    free energies of the data always evaluate in float64.  ``workers``
-    shards the AIS chain pool (see :class:`AISEstimator`).
+    free energies of the data always evaluate in float64.
     """
     data = check_array(data, name="data", ndim=2)
     if data.shape[1] != rbm.n_visible:
@@ -329,6 +249,6 @@ def average_log_probability(
         )
     log_partition = estimate_log_partition(
         rbm, n_chains=n_chains, n_betas=n_betas, data=data, rng=rng,
-        dtype=dtype, workers=workers,
+        dtype=dtype,
     )
     return float(np.mean(-rbm.free_energy(data)) - log_partition)

@@ -2,9 +2,8 @@
 
 ``repro.tools.lint`` (*reprolint*) is the AST-based invariant checker that
 mechanically enforces the repo's load-bearing contracts — the RNG
-stream-order contract, the precision-tier policy, lock discipline on
-declared guarded attributes, async purity in the serving layer, and
-spec-layer construction.  See ``docs/dev.md`` for the rule catalogue and
+stream-order contract, the precision-tier policy and async purity in the
+serving layer.  See ``docs/dev.md`` for the rule catalogue and
 ``python -m repro lint --list-rules`` for the live registry.
 """
 

@@ -3,12 +3,12 @@
 A rule is a named invariant with a stable ``R00x`` code.  Rules are pure
 functions of a :class:`LintContext` (one parsed module plus its pragma
 table) yielding :class:`Finding` values; the runner applies per-line
-suppressions afterwards, so rules never need to know about pragmas except
-R003, which consumes the guard/lockfree *declarations*.
+suppressions afterwards, so rules never need to know about pragmas.
 
 Adding a rule (see ``docs/dev.md``): subclass :class:`Rule`, pick the next
-free code, decorate with :func:`register`, and commit one passing and one
-failing fixture under ``tests/tools/fixtures/``.
+unused code (R003, the retired lock-discipline rule, stays unused),
+decorate with :func:`register`, and commit one passing and one failing
+fixture under ``tests/tools/fixtures/``.
 """
 
 from __future__ import annotations

@@ -1,24 +1,14 @@
-"""Pragma parsing: suppressions, guard declarations, and module overrides.
+"""Pragma parsing: suppressions and module overrides.
 
 Pragmas are ordinary ``#`` comments addressed to the linter.  They are
 extracted with :mod:`tokenize` (never by scanning raw lines), so pragma
 syntax quoted inside strings and docstrings — like the examples below — is
-inert.  Four directives exist:
+inert.  Two directives exist:
 
-``# reprolint: disable=R001[,R003] -- <reason>``
+``# reprolint: disable=R001[,R002] -- <reason>``
     Suppress the named rules on this line.  The reason string is
     mandatory: a suppression is a reviewed exception to a contract, and
     the justification must travel with the code.
-
-``# reprolint: lockfree -- <reason>``
-    On (or directly above) a ``def`` line: the method is exempt from lock
-    discipline (R003) — e.g. ``__init__`` publishing state before the
-    object is shared, with the happens-before argument as the reason.
-
-``# reprolint: guard(<lock>)=<attr>[,<attr>...]``
-    Inside a class body: declares that the named ``self.<attr>``
-    attributes may only be touched while ``with self.<lock>`` is held
-    (R003).  A declaration, not a suppression — no reason required.
 
 ``# reprolint: module=<dotted.name>``
     Override the module identity derived from the file path.  Scoped
@@ -36,13 +26,12 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Disable", "GuardDeclaration", "PragmaTable"]
+__all__ = ["Disable", "PragmaTable"]
 
 _PRAGMA_RE = re.compile(r"#\s*reprolint\s*:\s*(?P<body>.*\S)?\s*$")
 _CODE_RE = re.compile(r"^R\d{3}$")
-_GUARD_RE = re.compile(r"^guard\((?P<lock>[A-Za-z_]\w*)\)=(?P<attrs>[A-Za-z_][\w,]*)$")
 _MODULE_RE = re.compile(r"^[A-Za-z_][\w]*(\.[A-Za-z_]\w*)*$")
 
 
@@ -55,22 +44,11 @@ class Disable:
     reason: str
 
 
-@dataclass(frozen=True)
-class GuardDeclaration:
-    """A guarded-attribute declaration inside a class body."""
-
-    line: int
-    lock: str
-    attrs: Tuple[str, ...]
-
-
 @dataclass
 class PragmaTable:
     """All pragmas of one module, indexed for the rules and the runner."""
 
     disables: Dict[int, Disable] = field(default_factory=dict)
-    lockfree: Dict[int, str] = field(default_factory=dict)
-    guards: List[GuardDeclaration] = field(default_factory=list)
     module_override: Optional[str] = None
     errors: List[Tuple[int, str]] = field(default_factory=list)
 
@@ -115,22 +93,6 @@ class PragmaTable:
                 return
             self.disables[line] = Disable(line=line, codes=codes, reason=reason)
             return
-        if directive == "lockfree":
-            if not separator or not reason:
-                self.errors.append(
-                    (line, "lockfree pragma is missing its mandatory"
-                     " ' -- <reason>' string")
-                )
-                return
-            self.lockfree[line] = reason
-            return
-        guard = _GUARD_RE.match(directive)
-        if guard is not None:
-            attrs = tuple(a for a in guard.group("attrs").split(",") if a)
-            self.guards.append(
-                GuardDeclaration(line=line, lock=guard.group("lock"), attrs=attrs)
-            )
-            return
         if directive.startswith("module="):
             name = directive[len("module="):]
             if not _MODULE_RE.match(name):
@@ -140,22 +102,10 @@ class PragmaTable:
             return
         self.errors.append(
             (line, f"unknown reprolint directive {directive.split('=')[0]!r}"
-             " (known: disable=, lockfree, guard(<lock>)=, module=)")
+             " (known: disable=, module=)")
         )
 
     def is_suppressed(self, code: str, line: int) -> bool:
         """Whether a ``code`` finding on ``line`` carries a reasoned disable."""
         disable = self.disables.get(line)
         return disable is not None and code in disable.codes
-
-    def guards_for_span(self, start: int, end: int) -> List[GuardDeclaration]:
-        """Guard declarations lexically inside a ``lineno..end_lineno`` span."""
-        return [g for g in self.guards if start <= g.line <= end]
-
-    def lockfree_reason(self, lines: Iterable[int]) -> Optional[str]:
-        """The lockfree justification on any of ``lines`` (def line or above)."""
-        for line in lines:
-            reason = self.lockfree.get(line)
-            if reason is not None:
-                return reason
-        return None

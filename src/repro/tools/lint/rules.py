@@ -1,4 +1,4 @@
-"""The rule catalogue: R001–R004, one class per load-bearing invariant.
+"""The rule catalogue: R001, R002 and R004, one class per load-bearing invariant.
 
 Every rule's ``contract`` attribute names the prose contract it
 mechanizes; ``docs/dev.md`` is the companion chapter.  The fixture corpus
@@ -10,16 +10,14 @@ failure mode fails the suite.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 from repro.tools.lint.base import Finding, LintContext, Rule, register
-from repro.tools.lint.pragmas import GuardDeclaration
 from repro.tools.lint.visitors import build_alias_map, qualified_name
 
 __all__ = [
     "NoGlobalRng",
     "DtypeTierHygiene",
-    "LockDiscipline",
     "AsyncPurity",
 ]
 
@@ -184,127 +182,6 @@ class DtypeTierHygiene(Rule):
                     " input's dtype and can silently change the precision"
                     " tier; make the dtype explicit",
                 )
-
-
-# --------------------------------------------------------------------- #
-# R003 — lock discipline on declared guarded attributes
-# --------------------------------------------------------------------- #
-@register
-class LockDiscipline(Rule):
-    """Declared guarded attributes are only touched under their lock.
-
-    A class declares its invariant once, in its own body::
-
-        # reprolint: guard(_cache_lock)=_eff_cache
-
-    and every ``self._eff_cache`` access in that class must then sit inside ``with self._cache_lock`` — or in a method
-    carrying ``# reprolint: lockfree -- <reason>`` (e.g. ``__init__``
-    publishing state before the object is shared).  This is the contract
-    the effective-weight cache's double-checked build depends on
-    (docs/performance.md, "Thread safety"): the hand-audited lock sites of
-    PR 4/8 become machine-checked, so a new cache-touching site cannot
-    land unguarded and unjustified.
-    """
-
-    code = "R003"
-    name = "lock-discipline"
-    description = "guarded attributes accessed outside their declared lock's with-block"
-    contract = "docs/performance.md: Thread safety"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            declarations = ctx.pragmas.guards_for_span(
-                node.lineno, node.end_lineno or node.lineno
-            )
-            if declarations:
-                yield from self._check_class(ctx, node, declarations)
-
-    def _check_class(
-        self,
-        ctx: LintContext,
-        cls: ast.ClassDef,
-        declarations: List[GuardDeclaration],
-    ) -> Iterator[Finding]:
-        guarded: Dict[str, GuardDeclaration] = {}
-        for decl in declarations:
-            for attr in decl.attrs:
-                guarded[attr] = decl
-        for stmt in cls.body:
-            yield from self._walk(ctx, stmt, guarded, frozenset(), lockfree=False)
-
-    def _walk(
-        self,
-        ctx: LintContext,
-        node: ast.AST,
-        guarded: Dict[str, GuardDeclaration],
-        held: FrozenSet[str],
-        lockfree: bool,
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # A function body runs whenever the function is *called*, not
-            # where it is defined, so held locks do not flow in.  The
-            # lockfree justification does: a closure defined inside a
-            # lockfree method shares its happens-before argument.
-            exempt = lockfree or (
-                self._lockfree_reason(ctx, node) is not None
-            )
-            for child in ast.iter_child_nodes(node):
-                yield from self._walk(ctx, child, guarded, frozenset(), exempt)
-            return
-        if isinstance(node, ast.Lambda):
-            yield from self._walk(ctx, node.body, guarded, frozenset(), lockfree)
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            acquired = set(held)
-            for item in node.items:
-                # The lock expressions themselves evaluate before entry.
-                yield from self._walk(ctx, item, guarded, held, lockfree)
-                lock = self._lock_name(item.context_expr)
-                if lock is not None:
-                    acquired.add(lock)
-            for stmt in node.body:
-                yield from self._walk(ctx, stmt, guarded, frozenset(acquired), lockfree)
-            return
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and node.attr in guarded
-        ):
-            decl = guarded[node.attr]
-            if decl.lock not in held and not lockfree:
-                yield ctx.finding(
-                    self.code,
-                    node,
-                    f"self.{node.attr} is guarded by self.{decl.lock}"
-                    f" (declared line {decl.line}) but accessed outside its"
-                    " with-block; hold the lock, mark the method"
-                    " '# reprolint: lockfree -- <reason>', or add a reasoned"
-                    " disable",
-                )
-        for child in ast.iter_child_nodes(node):
-            yield from self._walk(ctx, child, guarded, held, lockfree)
-
-    @staticmethod
-    def _lockfree_reason(ctx: LintContext, node: ast.AST) -> Optional[str]:
-        lineno = getattr(node, "lineno", None)
-        if lineno is None:
-            return None
-        return ctx.pragmas.lockfree_reason((lineno, lineno - 1))
-
-    @staticmethod
-    def _lock_name(expr: ast.expr) -> Optional[str]:
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-        ):
-            return expr.attr
-        if isinstance(expr, ast.Name):
-            return expr.id
-        return None
 
 
 # --------------------------------------------------------------------- #

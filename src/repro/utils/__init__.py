@@ -19,11 +19,6 @@ from repro.utils.numerics import (
     sparse_mean_squared_error,
 )
 from repro.utils.batching import minibatches
-from repro.utils.parallel import (
-    ShardedExecutor,
-    check_workers,
-    shard_slices,
-)
 from repro.utils.validation import (
     check_array,
     check_data_matrix,
@@ -46,9 +41,6 @@ __all__ = [
     "sparse_mean",
     "sparse_mean_squared_error",
     "minibatches",
-    "ShardedExecutor",
-    "check_workers",
-    "shard_slices",
     "check_array",
     "check_data_matrix",
     "check_binary",

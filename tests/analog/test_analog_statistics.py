@@ -10,6 +10,7 @@ make the noise-injection experiments meaningful.
 import numpy as np
 import pytest
 
+from helpers.reference import sample
 from repro.analog import ChargePumpUpdater, SigmoidUnit, StochasticNeuronSampler
 from repro.analog.noise import NoiseModel
 from repro.config import NoiseSpec
@@ -32,7 +33,7 @@ class TestThermalNoiseStatistics:
         levels = np.linspace(0.1, 0.9, 9)
         n = 20000
         sampler = StochasticNeuronSampler(levels.size, rng=0)
-        counts = sampler.sample(np.tile(levels, (n, 1))).sum(axis=0)
+        counts = sample(sampler, np.tile(levels, (n, 1))).sum(axis=0)
         expected = n * levels
         chi_square = np.sum((counts - expected) ** 2 / (expected * (1.0 - levels)))
         assert chi_square < 30  # 9 dof; generous bound

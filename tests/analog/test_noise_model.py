@@ -124,7 +124,6 @@ class TestNoiseModelKernels:
         the oracle's ``coupling_gain`` reads it as ones."""
         model = NoiseModel(NoiseSpec(0.0, noise), (5, 4), rng=0)
         assert model.coupling_gain is None
-        assert model.spawn_substream(1).coupling_gain is None
         np.testing.assert_array_equal(coupling_gain(model), np.ones((5, 4)))
         weights = np.random.default_rng(3).normal(size=(5, 4))
         if noise == 0.0:
@@ -133,19 +132,3 @@ class TestNoiseModelKernels:
     def test_oracle_gain_is_the_drawn_gain_with_variation(self):
         model = NoiseModel(NoiseSpec(0.2, 0.0), (5, 4), rng=0)
         assert coupling_gain(model) is model.coupling_gain
-
-    def test_substream_shares_the_static_draw(self):
-        model = NoiseModel(NoiseSpec(0.2, 0.1), (5, 4), rng=0)
-        shard = model.spawn_substream(7)
-        assert shard.coupling_gain is model.coupling_gain
-        assert shard.spec == model.spec
-        assert shard.coupling_shape == model.coupling_shape
-
-    def test_substream_draws_dynamic_noise_from_its_own_rng(self):
-        model = NoiseModel(NoiseSpec(0.2, 0.1), (5, 4), rng=0)
-        before = NoiseModel(NoiseSpec(0.2, 0.1), (5, 4), rng=0)
-        a = model.spawn_substream(7).coupling_noise()
-        b = model.spawn_substream(7).coupling_noise()
-        np.testing.assert_array_equal(a, b)
-        # The parent's own dynamic stream is untouched by its shards.
-        np.testing.assert_array_equal(model.coupling_noise(), before.coupling_noise())

@@ -1,10 +1,20 @@
-"""Tests for the sigmoid unit and the neuron sampler (reference plus latch)."""
+"""Tests for the sigmoid unit and the neuron sampler (reference plus latch).
+
+The settle kernel runs the unit's transfer curve and the latch inline, so
+their laws live in the oracle (``tests/helpers/reference.py``:
+``unit_output``, ``sample``, ``sample_from_field``) and are pinned here on
+the library's circuits — the drawn gains and the samplers' streams.
+"""
+
+import copy
 
 import numpy as np
 import pytest
 
-from helpers.reference import latch
+from helpers.reference import latch, sample, sample_from_field, unit_output
 from repro.analog import SigmoidUnit, StochasticNeuronSampler
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec
+from repro.ising import BipartiteIsingSubstrate
 from repro.utils.numerics import sigmoid
 from repro.utils.validation import ValidationError
 
@@ -13,16 +23,16 @@ class TestSigmoidUnit:
     def test_matches_logistic(self):
         unit = SigmoidUnit(n_units=21)
         x = np.linspace(-5, 5, 21)
-        np.testing.assert_allclose(unit(x), sigmoid(x))
+        np.testing.assert_allclose(unit_output(unit, x), sigmoid(x))
 
     def test_per_unit_gain_variation_is_static(self):
         unit = SigmoidUnit(n_units=20, gain_variation_rms=0.3, rng=1)
         x = np.ones((1, 20))
-        np.testing.assert_array_equal(unit(x), unit(x))
+        np.testing.assert_array_equal(unit_output(unit, x), unit_output(unit, x))
 
     def test_gain_variation_makes_units_differ(self):
         unit = SigmoidUnit(n_units=50, gain_variation_rms=0.3, rng=2)
-        out = unit(np.full((1, 50), 2.0))
+        out = unit_output(unit, np.full((1, 50), 2.0))
         assert np.std(out) > 0.0
 
     def test_variation_scales_the_logistic_input(self):
@@ -31,7 +41,7 @@ class TestSigmoidUnit:
         x = np.linspace(-3.0, 3.0, 12).reshape(2, 6)
         expected_gains = 1.0 + np.random.default_rng(3).normal(0.0, 0.2, size=6)
         np.testing.assert_array_equal(unit._unit_gains, expected_gains)
-        np.testing.assert_array_equal(unit(x), sigmoid(expected_gains * x))
+        np.testing.assert_array_equal(unit_output(unit, x), sigmoid(expected_gains * x))
 
     def test_gain_clipped_at_five_percent_of_nominal(self):
         unit = SigmoidUnit(n_units=2000, gain_variation_rms=2.0, rng=0)
@@ -40,7 +50,7 @@ class TestSigmoidUnit:
     def test_unit_count_mismatch_rejected(self):
         unit = SigmoidUnit(n_units=10, gain_variation_rms=0.1, rng=0)
         with pytest.raises(ValidationError, match="n_units=10"):
-            unit(np.zeros((1, 5)))
+            unit_output(unit, np.zeros((1, 5)))
 
     def test_negative_variation_rejected(self):
         with pytest.raises(ValidationError, match="gain_variation_rms"):
@@ -50,20 +60,20 @@ class TestSigmoidUnit:
 class TestStochasticNeuronSampler:
     def test_samples_are_binary(self):
         sampler = StochasticNeuronSampler(8, rng=0)
-        out = sampler.sample(np.full((10, 8), 0.5))
+        out = sample(sampler, np.full((10, 8), 0.5))
         assert set(np.unique(out)).issubset({0.0, 1.0})
 
     def test_probability_is_respected(self):
         """The comparator-vs-noise circuit implements an unbiased Bernoulli draw."""
         sampler = StochasticNeuronSampler(4, rng=1)
         probabilities = np.tile(np.array([0.1, 0.3, 0.7, 0.95]), (20000, 1))
-        samples = sampler.sample(probabilities)
+        samples = sample(sampler, probabilities)
         np.testing.assert_allclose(samples.mean(axis=0), [0.1, 0.3, 0.7, 0.95], atol=0.02)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_draws_in_the_probability_dtype(self, dtype):
         p = np.random.default_rng(4).random((6, 3)).astype(dtype)
-        out = StochasticNeuronSampler(3, rng=9).sample(p)
+        out = sample(StochasticNeuronSampler(3, rng=9), p)
         reference = np.random.default_rng(9).random(p.shape, dtype=dtype)
         np.testing.assert_array_equal(out, (p > reference).astype(dtype))
         assert out.dtype == dtype
@@ -87,7 +97,7 @@ class TestSigmoidIdentity:
         assert unit.is_identity is expected
         if expected:
             x = np.linspace(-4.0, 4.0, 4)
-            np.testing.assert_array_equal(unit(x), sigmoid(x))
+            np.testing.assert_array_equal(unit_output(unit, x), sigmoid(x))
 
     @pytest.mark.parametrize(
         "kwargs, error",
@@ -109,26 +119,56 @@ class TestFusedLatch:
     def test_sample_from_field_follows_sigmoid_of_field(self):
         sampler = StochasticNeuronSampler(4, rng=5)
         field = np.tile(np.array([-2.0, -0.5, 0.5, 3.0]), (20000, 1))
-        samples = sampler.sample_from_field(field)
+        samples = sample_from_field(sampler, field)
         np.testing.assert_allclose(samples.mean(axis=0), sigmoid(field[0]), atol=0.02)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sample_from_field_keeps_field_dtype(self, dtype):
         sampler = StochasticNeuronSampler(3, rng=0)
-        out = sampler.sample_from_field(np.zeros((4, 3), dtype=dtype))
+        out = sample_from_field(sampler, np.zeros((4, 3), dtype=dtype))
         assert out.dtype == dtype
         assert set(np.unique(out)).issubset({0.0, 1.0})
 
-    def test_substream_keeps_the_width(self):
-        shard = StochasticNeuronSampler(3, rng=0).spawn_substream(9)
-        assert shard.n_units == 3
 
-    def test_substreams_with_one_seed_draw_alike(self):
-        sampler = StochasticNeuronSampler(3, rng=0)
-        p = np.full((50, 3), 0.5)
-        a = sampler.spawn_substream(9).sample(p)
-        b = sampler.spawn_substream(9).sample(p)
-        np.testing.assert_array_equal(a, b)
+class TestSettleKernelLatchesByTheOracleLaw:
+    """The substrate's hidden latch, inline in the settle kernel, is the
+    oracle's law on the substrate's own circuits: the unit gain and the
+    logistic then :func:`sample` against a float64 reference, or, on the
+    float32 tier's ideal units, :func:`sample_from_field` against float32
+    uniforms.  No dynamic noise, so the field draws nothing and the
+    sampler's stream holds exactly the latch's references."""
+
+    @pytest.mark.parametrize(
+        "dtype, variation",
+        [("float64", 0.0), ("float64", 0.1), ("float32", 0.0), ("float32", 0.1)],
+        ids=["float64-ideal", "float64-variation", "float32-fused", "float32-variation"],
+    )
+    def test_hidden_latch(self, dtype, variation):
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(
+                12,
+                7,
+                input_bits=None,
+                noise=NoiseSpec(variation, 0.0),
+                compute=ComputeSpec(dtype=dtype),
+            ),
+            rng=4,
+        )
+        rng = np.random.default_rng(1)
+        substrate.program(
+            rng.normal(0, 1.0, (12, 7)), rng.normal(0, 0.5, 12), rng.normal(0, 0.5, 7)
+        )
+        visible = (rng.random((300, 12)) < 0.5).astype(float)
+        field = substrate.hidden_field(visible)
+        twin = StochasticNeuronSampler(7, rng=copy.deepcopy(substrate.hidden_sampler._rng))
+        if substrate._fused_sampling:
+            expected = sample_from_field(twin, field)
+        else:
+            expected = sample(twin, unit_output(substrate.hidden_sigmoid, field))
+        latched = substrate.sample_hidden_given_visible(visible)
+        np.testing.assert_array_equal(latched, expected)
+        assert latched.dtype == np.dtype(dtype)
+        assert 0.0 < latched.mean() < 1.0
 
 
 class TestOracleLatch:

@@ -32,14 +32,14 @@ class TestSetValueParsing:
         assert parse_set_value(raw) == expected
 
     def test_key_value_split(self):
-        assert parse_set_argument("workers=4") == ("workers", 4)
+        assert parse_set_argument("epochs=4") == ("epochs", 4)
         assert parse_set_argument("dtype=float32") == ("dtype", "float32")
 
     def test_missing_equals_rejected(self):
         import argparse
 
         with pytest.raises(argparse.ArgumentTypeError, match="key=value"):
-            parse_set_argument("workers4")
+            parse_set_argument("epochs4")
 
     @pytest.mark.parametrize(
         "raw", ["lr=nan", "lr=NaN", "lr=inf", "lr=-inf", "lr=Infinity"]
@@ -147,8 +147,9 @@ class TestMain:
         "setting, reason",
         [
             ("dtype=qint8", "qint8 compute tier was removed"),
-            ("workers=auto", "worker counts are explicit"),
-            ("workers=none", "worker counts are explicit"),
+            ("workers=auto", "'workers' is no longer a knob"),
+            ("workers=none", "'workers' is no longer a knob"),
+            ("workers=0", "'workers' is no longer a knob"),
         ],
     )
     def test_retired_compute_values_fail_before_training(

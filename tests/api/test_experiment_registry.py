@@ -25,7 +25,7 @@ def _snapshot(experiment, preset="ci", *, compute=None, **params):
     }
 
 
-PAPER_COMPUTE = {"dtype": "float32", "workers": 1}
+PAPER_COMPUTE = {"dtype": "float32"}
 
 #: Every registered preset's ``to_dict()``, written out as data: changing a
 #: tuned value, or adding or dropping a preset, has to change this table.
@@ -153,18 +153,13 @@ class TestPresetRoundTrips:
         ]
 
     @pytest.mark.parametrize("name", ["figure7", "table4"])
-    def test_paper_preset_takes_a_workers_override(self, name):
+    def test_paper_preset_drops_a_workers_override(self, name):
         """perfbench cuts the paper presets with ``with_overrides(...,
-        workers=1)``; the override validates and keeps the float32 tier."""
-        spec = get_experiment(name).preset("paper").with_overrides(workers=1)
-        assert spec.compute == ComputeSpec(dtype="float32", workers=1)
+        workers=1)``; the retired knob's override changes nothing."""
+        preset = get_experiment(name).preset("paper")
+        spec = preset.with_overrides(workers=1)
+        assert spec.to_dict() == preset.to_dict()
         get_experiment(name).materialize_kwargs(spec)
-
-    @pytest.mark.parametrize("name", ["figure7", "table4"])
-    def test_paper_presets_run_serial_kernels(self, name):
-        """Sharding on top of a multi-threaded BLAS oversubscribes the cores,
-        so the paper presets default to one worker."""
-        assert get_experiment(name).preset("paper").compute.workers == 1
 
 
 class TestMaterializeKwargs:
@@ -182,9 +177,9 @@ class TestMaterializeKwargs:
 
     def test_compute_knob_on_unthreaded_experiment_rejected(self):
         experiment = get_experiment("table2")
-        with pytest.raises(ValidationError, match="workers"):
+        with pytest.raises(ValidationError, match="dtype"):
             experiment.materialize_kwargs(
-                RunSpec(experiment="table2", compute=ComputeSpec(workers=4))
+                RunSpec(experiment="table2", compute=ComputeSpec(dtype="float32"))
             )
 
     def test_default_compute_on_unthreaded_experiment_is_fine(self):
@@ -217,13 +212,13 @@ class TestMaterializeKwargs:
             RunSpec(
                 experiment="figure7",
                 seed=2,
-                compute=ComputeSpec(dtype="float32", workers=4),
+                compute=ComputeSpec(dtype="float32"),
             )
         )
         assert kwargs["dtype"] == "float32"
-        assert kwargs["workers"] == 4
         assert kwargs["seed"] == 2
-        assert "fast_path" not in kwargs  # a retired knob, never threaded
+        # Retired knobs are never threaded.
+        assert "fast_path" not in kwargs and "workers" not in kwargs
 
 
 class TestRunExperiment:
@@ -239,10 +234,7 @@ class TestRunExperiment:
         result = run_experiment(
             RunSpec(experiment="figure5", compute=ComputeSpec())
         )
-        assert result.metadata["run_spec"]["compute"] == {
-            "dtype": "float64",
-            "workers": 1,
-        }
+        assert result.metadata["run_spec"]["compute"] == {"dtype": "float64"}
 
     def test_compute_recorded_even_without_a_compute_spec(self):
         """A compute-threading experiment run with compute=None records the
@@ -256,7 +248,7 @@ class TestRunExperiment:
             )
         )
         recorded = result.metadata["run_spec"]
-        assert recorded["compute"] == {"dtype": "float64", "workers": 1}
+        assert recorded["compute"] == {"dtype": "float64"}
         assert RunSpec.from_dict(recorded).compute == ComputeSpec()
         assert run_experiment(
             RunSpec(experiment="table2")
@@ -270,9 +262,9 @@ class TestRunExperiment:
 class TestOverrideRouting:
     def test_compute_knobs_split_out(self):
         spec = RunSpec(experiment="figure7").with_overrides(
-            scale="paper", dtype="float32", workers=2
+            scale="paper", dtype="float32"
         )
-        assert spec.compute == ComputeSpec(dtype="float32", workers=2)
+        assert spec.compute == ComputeSpec(dtype="float32")
         assert spec.params == {"scale": "paper"}
         assert spec.preset == "custom"
 

@@ -23,7 +23,6 @@ class TestComputeSpec:
     def test_defaults(self):
         spec = ComputeSpec()
         assert spec.dtype == "float64"
-        assert spec.workers == 1
 
     def test_dtype_normalized_to_canonical_string(self):
         assert ComputeSpec(dtype=np.float32).dtype == "float32"
@@ -38,32 +37,35 @@ class TestComputeSpec:
         with pytest.raises(ValidationError, match=re.escape(message)):
             ComputeSpec(dtype=dtype)
 
-    @pytest.mark.parametrize(
-        "field, value, reason",
-        [
-            ("dtype", "qint8", "qint8 compute tier was removed"),
-            ("workers", None, "worker counts are explicit"),
-            ("workers", "auto", "worker counts are explicit"),
-        ],
-    )
-    def test_retired_values_rejected_naming_the_reason(self, field, value, reason):
+    def test_retired_dtype_rejected_naming_the_reason(self):
+        reason = "qint8 compute tier was removed"
         with pytest.raises(ValidationError, match=reason):
-            ComputeSpec(**{field: value})
+            ComputeSpec(dtype="qint8")
         with pytest.raises(ValidationError, match=reason):
-            RunSpec(experiment="figure7").with_overrides(**{field: value})
+            RunSpec(experiment="figure7").with_overrides(dtype="qint8")
 
-    @pytest.mark.parametrize("workers", [0, -1, 2.5, "two", True, [2]])
-    def test_bad_workers_rejected_at_construction(self, workers):
-        with pytest.raises(ValidationError, match="workers"):
-            ComputeSpec(workers=workers)
+    def test_workers_is_no_longer_a_field(self):
+        with pytest.raises(TypeError, match="workers"):
+            ComputeSpec(workers=1)
 
-    def test_numpy_int_workers_normalized(self):
-        spec = ComputeSpec(workers=np.int64(3))
-        assert spec.workers == 3 and type(spec.workers) is int
+    @pytest.mark.parametrize("workers", [1, 2, np.int64(3)])
+    def test_positive_workers_override_is_dropped(self, workers):
+        """A once-valid worker count ran the one settle path; the override
+        changes nothing and is not recorded."""
+        base = RunSpec(experiment="figure7", compute=ComputeSpec(dtype="float32"))
+        assert base.with_overrides(workers=workers) is base
+        spec = base.with_overrides(workers=workers, epochs=3)
+        assert spec.compute == ComputeSpec(dtype="float32")
+        assert spec.params == {"epochs": 3}
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, "two", True, [2], None, "auto"])
+    def test_other_workers_overrides_rejected_naming_the_knob(self, workers):
+        with pytest.raises(ValidationError, match="'workers' is no longer a knob"):
+            RunSpec(experiment="figure7").with_overrides(workers=workers)
 
 
 SPEC_FIELDS = {
-    ComputeSpec: ("dtype", "workers"),
+    ComputeSpec: ("dtype",),
     SamplerSpec: ("chains", "persistent"),
     NoiseSpec: ("variation_rms", "noise_rms"),
     SubstrateSpec: ("n_visible", "n_hidden", "input_bits", "noise", "compute"),
@@ -142,12 +144,6 @@ class TestSubstrateSpec:
     def test_none_input_bits_allowed(self):
         assert SubstrateSpec(n_visible=4, n_hidden=2, input_bits=None).input_bits is None
 
-    def test_workers_rejected_naming_the_reason(self):
-        """The substrate never read ``compute.workers``: its sharding is a
-        ``settle_batch`` argument."""
-        with pytest.raises(ValidationError, match="workers=4.*settle_batch"):
-            SubstrateSpec(4, 2, compute=ComputeSpec(workers=4))
-
 
 
 class TestTrainerSpec:
@@ -176,15 +172,6 @@ class TestTrainerSpec:
             TrainerSpec(kind="cd", sampler=SamplerSpec(chains=64, persistent=True))
         with pytest.raises(ValidationError, match="noise"):
             TrainerSpec(kind="cd", noise=NoiseSpec(0.1, 0.1))
-
-    @pytest.mark.parametrize(
-        "kind, reason", [("cd", "no chains to shard"), ("bgf", "mid-step updates")]
-    )
-    def test_workers_applies_to_gs_only(self, kind, reason):
-        """CD and the BGF accepted ``compute.workers`` and never read it."""
-        with pytest.raises(ValidationError, match=f"workers=2 applies to the 'gs'.*{reason}"):
-            TrainerSpec(kind=kind, compute=ComputeSpec(workers=2))
-        assert TrainerSpec.gs(compute=ComputeSpec(workers=2)).compute.workers == 2
 
     def test_reference_batch_size_is_bgf_only(self):
         with pytest.raises(ValidationError, match="reference_batch_size"):
@@ -263,11 +250,11 @@ class TestRunSpec:
 
     def test_with_overrides_routes_compute_and_seed(self):
         spec = RunSpec(experiment="figure7").with_overrides(
-            workers=4, dtype="float32", seed=7, epochs=3
+            dtype="float32", seed=7, epochs=3
         )
         assert spec.preset == "custom"
         assert spec.seed == 7
-        assert spec.compute == ComputeSpec(dtype="float32", workers=4)
+        assert spec.compute == ComputeSpec(dtype="float32")
         assert spec.params == {"epochs": 3}
 
     @pytest.mark.parametrize("value", ["threads", "processes"])
@@ -321,7 +308,7 @@ class TestRunSpec:
 @pytest.mark.parametrize(
     "spec",
     [
-        ComputeSpec(dtype="float32", workers=2),
+        ComputeSpec(dtype="float32"),
         SamplerSpec(chains=8, persistent=True),
         NoiseSpec(0.1, 0.2),
         SubstrateSpec(
@@ -331,7 +318,9 @@ class TestRunSpec:
             noise=NoiseSpec(0.05, 0.05),
             compute=ComputeSpec(dtype="float32"),
         ),
-        TrainerSpec.gs(0.2, chains=4, persistent=True, compute=ComputeSpec(workers=2)),
+        TrainerSpec.gs(
+            0.2, chains=4, persistent=True, compute=ComputeSpec(dtype="float32")
+        ),
         TrainerSpec.bgf(
             0.1, reference_batch_size=20, anneal_steps=3, noise=NoiseSpec(0.1, 0.1)
         ),
@@ -340,7 +329,7 @@ class TestRunSpec:
             experiment="figure7",
             preset="paper",
             seed=3,
-            compute=ComputeSpec(dtype="float32", workers=2),
+            compute=ComputeSpec(dtype="float32"),
             params={"datasets": ("mnist", "kmnist"), "epochs": 5},
         ),
     ],
@@ -383,9 +372,9 @@ class TestFromDictValidation:
     def test_legacy_executor_key_dropped(self, value):
         """Specs saved while the process tier existed still load."""
         data = {"dtype": "float32", "workers": 2, "fast_path": True, "executor": value}
-        assert ComputeSpec.from_dict(data) == ComputeSpec(dtype="float32", workers=2)
+        assert ComputeSpec.from_dict(data) == ComputeSpec(dtype="float32")
         run = {"experiment": "figure7", "compute": data}
-        assert RunSpec.from_dict(run).compute == ComputeSpec(dtype="float32", workers=2)
+        assert RunSpec.from_dict(run).compute == ComputeSpec(dtype="float32")
 
     @pytest.mark.parametrize("value", ["forks", "PROCESSES", "", 2])
     def test_legacy_executor_key_with_invalid_value_rejected(self, value):
@@ -401,8 +390,8 @@ class TestFromDictValidation:
             "compute": {"dtype": "float64", "workers": 1, "fast_path": True},
         }
         loaded = RunSpec.from_dict(json.loads(json.dumps(run)))
-        assert loaded.compute == ComputeSpec(workers=1)
-        assert "fast_path" not in loaded.to_dict()["compute"]
+        assert loaded.compute == ComputeSpec()
+        assert loaded.to_dict()["compute"] == {"dtype": "float64"}
 
     @pytest.mark.parametrize("value", [False, "no", "true", 1, None])
     def test_legacy_fast_path_other_values_rejected(self, value):
@@ -413,25 +402,44 @@ class TestFromDictValidation:
     @pytest.mark.parametrize(
         "stored, loaded",
         [
-            ({"dtype": "qint8", "workers": 2}, ComputeSpec(dtype="float32", workers=2)),
+            ({"dtype": "qint8", "workers": 2}, ComputeSpec(dtype="float32")),
             ({"dtype": "float32", "workers": None}, ComputeSpec(dtype="float32")),
             ({"dtype": "float64", "workers": "auto"}, ComputeSpec()),
             ({"dtype": "qint8", "workers": "auto"}, ComputeSpec(dtype="float32")),
         ],
     )
     def test_retired_values_load_mapped(self, stored, loaded):
-        """Specs saved with a retired tier or a deferred worker count load
-        as the concrete spec they computed under."""
+        """Specs saved with a retired tier or any once-valid worker count
+        load as the concrete spec they computed under."""
         assert ComputeSpec.from_dict(stored) == loaded
         run = RunSpec.from_dict({"experiment": "figure7", "compute": stored})
         assert run.compute == loaded
 
     @pytest.mark.parametrize(
-        "stored", [{"dtype": "QINT8"}, {"workers": "AUTO"}, {"workers": 0}]
+        "stored",
+        [{"dtype": "QINT8"}, {"workers": "AUTO"}, {"workers": 0}, {"workers": True}],
     )
     def test_near_miss_retired_values_rejected(self, stored):
         with pytest.raises(ValidationError):
             ComputeSpec.from_dict(stored)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 64, np.int64(3), None, "auto"])
+    def test_once_valid_stored_workers_dropped(self, workers):
+        """Every once-valid worker count ran the one settle path, so a
+        saved spec loads dtype-only and saves back without the key."""
+        stored = {"dtype": "float32", "workers": workers}
+        assert ComputeSpec.from_dict(stored) == ComputeSpec(dtype="float32")
+        run = RunSpec.from_dict({"experiment": "table4", "compute": stored})
+        assert run.to_dict()["compute"] == {"dtype": "float32"}
+
+    @pytest.mark.parametrize("workers", [0, -1, False, True, "4", "two", 2.5, [2], "AUTO"])
+    def test_other_stored_workers_rejected_naming_the_knob(self, workers):
+        """A value no saved spec ever held is corruption, not history."""
+        stored = {"dtype": "float64", "workers": workers}
+        with pytest.raises(ValidationError, match="key 'workers' never held"):
+            ComputeSpec.from_dict(stored)
+        with pytest.raises(ValidationError, match="key 'workers' never held"):
+            RunSpec.from_dict({"experiment": "table4", "compute": stored})
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValidationError, match="mapping"):

@@ -14,7 +14,14 @@ change a single drawn bit against the straightforward formulation kept in
   loop in every tier x noise x column-type corner, with weights spread
   across the pump's roll-off region;
 * noisy corner — the kernels preserve the per-stream RNG draw order, so
-  even the (0.1, 0.1) operating point reproduces exactly;
+  even the (0.1, 0.1) operating point reproduces exactly, across a
+  stateful sequence of settle calls as well as within one;
+* the settle kernel equals the oracle's settle and clamped hidden latch in
+  every float64 noise corner, over chain-block heights, chain lengths,
+  DTC widths and layer shapes down to one unit;
+* a settle always sees the couplings and biases programmed last, through
+  ``program`` and through in-place edits plus
+  ``invalidate_effective_weights``, in every tier;
 * the fused numeric kernels (sigmoid / softplus) match their masked
   reference implementations bit-for-bit.
 """
@@ -275,6 +282,18 @@ class TestSubstrateEquivalence:
         np.testing.assert_array_equal(v_fast, v_legacy)
         np.testing.assert_array_equal(h_fast, h_legacy)
 
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.1, 0.1)], ids=["ideal", "noisy"])
+    def test_stateful_settle_sequence_bit_identical(self, noise):
+        """The circuits' streams carry across calls: a sequence of settles
+        of varying length draws exactly as the oracle's does."""
+        fast, legacy = self._pair(noise=noise)
+        h_fast = h_legacy = (np.random.default_rng(3).random((9, 32)) < 0.5).astype(float)
+        for steps in (2, 1, 3):
+            v_fast, h_fast = fast.settle_batch(h_fast, steps)
+            v_legacy, h_legacy = legacy.settle_batch(h_legacy, steps)
+            np.testing.assert_array_equal(v_fast, v_legacy)
+            np.testing.assert_array_equal(h_fast, h_legacy)
+
     def test_noisy_sampling_bit_identical(self, data):
         fast, legacy = self._pair(noise=NoiseSpec(0.1, 0.1))
         np.testing.assert_array_equal(
@@ -297,6 +316,148 @@ class TestSubstrateEquivalence:
             ref.sample_hidden_given_visible(data[:5]),
         )
         assert not np.array_equal(first, sub.sample_hidden_given_visible(data[:5]))
+
+
+#: The noise corners the float64 oracle covers: the ideal array, the
+#: (0.1, 0.1) operating point, and each half of it alone (static variation
+#: only gives the sigmoid units and couplings a gain but draws nothing per
+#: settle; dynamic noise only draws per settle around unit gains).
+ORACLE_CORNERS = {
+    "ideal": NoiseSpec(),
+    "noisy": NoiseSpec(0.1, 0.1),
+    "variation": NoiseSpec(0.1, 0.0),
+    "noise": NoiseSpec(0.0, 0.1),
+}
+
+
+def _oracle_pair(noise, n_visible=12, n_hidden=7, *, input_bits=None, seed=7):
+    """The kernel's substrate and the oracle on one seed, both programmed
+    with the same moderately coupled parameters."""
+    rng = np.random.default_rng(1)
+    params = (
+        rng.normal(0, 0.6, (n_visible, n_hidden)),
+        rng.normal(0, 0.3, n_visible),
+        rng.normal(0, 0.3, n_hidden),
+    )
+    subs = []
+    for cls in (BipartiteIsingSubstrate, ReferenceSubstrate):
+        sub = cls(
+            spec=SubstrateSpec(n_visible, n_hidden, input_bits=input_bits, noise=noise),
+            rng=seed,
+        )
+        sub.program(*params)
+        subs.append(sub)
+    return subs
+
+
+class TestSettleBatchMatchesOracle:
+    """The settle kernel against the oracle's per-step recomputation, bit
+    for bit, in every float64 noise corner, for one chain, a chain block
+    and a block wider than either layer, over one settle and several, and
+    on layers down to a single unit."""
+
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    @pytest.mark.parametrize("chains", [1, 9, 33])
+    @pytest.mark.parametrize("corner", sorted(ORACLE_CORNERS))
+    def test_settle_batch(self, corner, chains, n_steps):
+        fast, legacy = _oracle_pair(ORACLE_CORNERS[corner])
+        h0 = (np.random.default_rng(chains).random((chains, 7)) < 0.5).astype(float)
+        v_fast, h_fast = fast.settle_batch(h0, n_steps)
+        v_legacy, h_legacy = legacy.settle_batch(h0, n_steps)
+        assert v_fast.shape == (chains, 12) and h_fast.shape == (chains, 7)
+        np.testing.assert_array_equal(v_fast, v_legacy)
+        np.testing.assert_array_equal(h_fast, h_legacy)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (49, 32), (100, 3)], ids=lambda s: "x".join(map(str, s))
+    )
+    @pytest.mark.parametrize("corner", ["ideal", "noisy"])
+    def test_layer_shapes(self, corner, shape):
+        """A one-unit layer makes every field a column (or a scalar) and
+        its node-noise scale a one-element or one-column deviation."""
+        n_visible, n_hidden = shape
+        fast, legacy = _oracle_pair(ORACLE_CORNERS[corner], n_visible, n_hidden)
+        h0 = (np.random.default_rng(2).random((6, n_hidden)) < 0.5).astype(float)
+        for out_fast, out_legacy in zip(fast.settle_batch(h0, 3), legacy.settle_batch(h0, 3)):
+            np.testing.assert_array_equal(out_fast, out_legacy)
+
+    @pytest.mark.parametrize("input_bits", [None, 8, 3])
+    @pytest.mark.parametrize("corner", sorted(ORACLE_CORNERS))
+    def test_clamped_hidden_latch(self, corner, input_bits):
+        """The positive phase: grayscale rows through the DTC clamp, then
+        one hidden latch, in every corner and converter width."""
+        fast, legacy = _oracle_pair(ORACLE_CORNERS[corner], input_bits=input_bits)
+        visible = np.random.default_rng(3).random((20, 12))
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                fast.sample_hidden_given_visible(visible),
+                legacy.sample_hidden_given_visible(visible),
+            )
+
+
+class TestSettleSeesTheLatestProgram:
+    """Saturated parameters make the latched states certain, so a settle
+    against a stale coupling cache or bias snapshot would flip every unit.
+    A field of +-20 latches a unit whatever the tier: couplings of +-4 give
+    an all-ones hidden state a visible field of +-128 with zero biases, and
+    a bias of +-20 does it with zero couplings, so a stale copy of one
+    cannot mask a stale copy of the other."""
+
+    CORNERS = {
+        "ideal": {},
+        "noisy": {"noise": NoiseSpec(0.1, 0.1)},
+        "float32": {"compute": ComputeSpec(dtype="float32")},
+    }
+
+    def _substrate(self, corner):
+        return BipartiteIsingSubstrate(
+            spec=SubstrateSpec(49, 32, input_bits=None, **self.CORNERS[corner]), rng=5
+        )
+
+    @staticmethod
+    def _program_uniform(substrate, coupling, bias):
+        substrate.program(np.full((49, 32), coupling), np.full(49, bias), np.full(32, bias))
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_reprogrammed_couplings_reach_the_settle(self, corner):
+        substrate = self._substrate(corner)
+        h = np.ones((9, 32))
+        self._program_uniform(substrate, +4.0, 0.0)
+        v_on, h_on = substrate.settle_batch(h, 1)
+        self._program_uniform(substrate, -4.0, 0.0)
+        v_off, _ = substrate.settle_batch(h, 1)
+        np.testing.assert_array_equal(v_on, np.ones_like(v_on))
+        np.testing.assert_array_equal(h_on, np.ones_like(h_on))
+        np.testing.assert_array_equal(v_off, np.zeros_like(v_off))
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_reprogrammed_biases_reach_the_settle(self, corner):
+        substrate = self._substrate(corner)
+        h = (np.random.default_rng(3).random((9, 32)) < 0.5).astype(float)
+        self._program_uniform(substrate, 0.0, +20.0)
+        v_on, h_on = substrate.settle_batch(h, 2)
+        self._program_uniform(substrate, 0.0, -20.0)
+        v_off, h_off = substrate.settle_batch(h, 2)
+        np.testing.assert_array_equal(v_on, np.ones_like(v_on))
+        np.testing.assert_array_equal(h_on, np.ones_like(h_on))
+        np.testing.assert_array_equal(v_off, np.zeros_like(v_off))
+        np.testing.assert_array_equal(h_off, np.zeros_like(h_off))
+
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_in_place_edit_then_invalidate(self, corner):
+        """The charge-pump route: the couplings are edited in place and the
+        cache dropped explicitly.  In the noisy corner the cached pair is a
+        copy (variation gain), so a missed invalidation would keep settling
+        against the old couplings."""
+        substrate = self._substrate(corner)
+        h = np.ones((9, 32))
+        self._program_uniform(substrate, +4.0, 0.0)
+        v_on, _ = substrate.settle_batch(h, 1)
+        substrate.weights[...] = -4.0
+        substrate.invalidate_effective_weights()
+        v_off, _ = substrate.settle_batch(h, 1)
+        np.testing.assert_array_equal(v_on, np.ones_like(v_on))
+        np.testing.assert_array_equal(v_off, np.zeros_like(v_off))
 
 
 class TestNumericKernels:

@@ -8,7 +8,6 @@ the *claims* each driver is meant to reproduce.
 import numpy as np
 import pytest
 
-from repro.api import get_experiment, run_experiment
 from repro.config import NoiseSpec
 from repro.experiments.fig7_logprob import format_figure7, run_figure7, trajectories
 from repro.experiments.fig8_noise import final_logprob_by_config, format_figure8, run_figure8
@@ -168,34 +167,6 @@ class TestTable4:
     def test_formatting(self, table4_result):
         text = format_table4(table4_result)
         assert "benchmark" in text and "rbm_bgf" in text
-
-
-class TestWorkersShardsOnlyTheGS:
-    """``--set workers=k`` reaches the GS trainer and the AIS estimator;
-    the BGF's per-sample loop is serial, so its spec carries the dtype
-    alone and its rows do not move with ``workers``."""
-
-    def test_table4_bgf_rows_equal_across_workers(self):
-        rows = {
-            workers: run_experiment(
-                get_experiment("table4").preset("ci").with_overrides(
-                    image_benchmarks=("mnist",), include_dbn=False,
-                    include_recommender=False, include_anomaly=False,
-                    epochs=2, train_samples=60, gs_chains=4, workers=workers,
-                )
-            ).rows
-            for workers in (1, 2)
-        }
-        assert [row["rbm_bgf"] for row in rows[2]] == [row["rbm_bgf"] for row in rows[1]]
-
-    def test_figure7_bgf_runs_at_two_workers(self):
-        result = run_experiment(
-            get_experiment("figure7").preset("ci").with_overrides(
-                datasets=("mnist",), methods=("BGF",), epochs=2, train_samples=40,
-                ais_chains=4, ais_betas=10, workers=2,
-            )
-        )
-        assert {row["method"] for row in result.rows} == {"BGF"}
 
 
 class TestFigure9:

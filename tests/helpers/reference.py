@@ -7,6 +7,11 @@ bit-identity suites have something independent to compare against:
 
 * :func:`sigmoid_reference` / :func:`log1pexp_reference` — the two-pass
   masked elementwise kernels;
+* :func:`unit_output` — a ``SigmoidUnit``'s transfer curve, the per-unit
+  gain times the input through the masked logistic;
+* :func:`sample` / :func:`sample_from_field` — the node latch against a
+  uniform reference from the sampler's stream, drawn in the tier dtype,
+  and its fused sigmoid→compare form; the settle kernel runs both inline;
 * :func:`latch` — the node latch with its range and width checks;
 * :class:`ReferenceSubstrate` — the substrate with a fresh
   ``NoiseModel.perturbed_coupling`` per settle, the masked sigmoid with an
@@ -36,8 +41,8 @@ bit-identity suites have something independent to compare against:
 Suites swap the oracle in without touching ``src/``: :func:`use_reference`
 replaces a machine's ``substrate`` attribute (and a BGF machine's ``run``),
 and :func:`ais_sweep` has the signature of ``repro.rbm.ais._ais_sweep`` so
-``monkeypatch.setattr`` can substitute it.  The oracle is float64 and
-serial by definition.
+``monkeypatch.setattr`` can substitute it.  The oracle is float64 by
+definition.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from repro.utils.numerics import (
     as_float_array,
     as_sparse_rows,
     bernoulli_sample,
+    fused_sigmoid_bernoulli,
     is_sparse,
     log1pexp,
     logsumexp,
@@ -87,25 +93,50 @@ def log1pexp_reference(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_output(unit, x: np.ndarray) -> np.ndarray:
+def unit_output(unit, x: np.ndarray) -> np.ndarray:
     """A ``SigmoidUnit``'s output: the unit gain (nominally 1, or its
-    per-unit mismatch) times the input through the masked logistic, then an
-    unconditional clip to [0, 1]."""
+    per-unit mismatch along the last axis) times the input through the
+    masked logistic, then an unconditional clip to [0, 1]."""
     x = as_float_array(x)
     gains = 1.0
     if unit._unit_gains is not None:
         if x.shape[-1] != unit.n_units:
-            raise ValueError(
+            raise ValidationError(
                 f"input last dimension {x.shape[-1]} does not match n_units={unit.n_units}"
             )
         gains = unit._unit_gains
     return np.clip(sigmoid_reference(gains * x), 0.0, 1.0)
 
 
+def _draw_dtype(values) -> np.dtype:
+    """Tier rule: float32 values draw float32 references; every other
+    dtype draws float64."""
+    if getattr(values, "dtype", None) == np.float32:
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
+def sample(sampler, probabilities) -> np.ndarray:
+    """The node latch: 1 where ``probabilities`` exceeds a uniform
+    reference drawn from ``sampler``'s stream, references and latch in the
+    tier dtype (:func:`_draw_dtype`)."""
+    dtype = _draw_dtype(probabilities)
+    reference = sampler._rng.random(np.shape(probabilities), dtype=dtype)
+    return (probabilities > reference).astype(dtype)
+
+
+def sample_from_field(sampler, field) -> np.ndarray:
+    """The fused latch: Bernoulli(``sigmoid(field)``) as one logit-space
+    compare of ``field`` against uniforms from ``sampler``'s stream, drawn
+    in the field's tier dtype."""
+    uniforms = sampler._rng.random(np.shape(field), dtype=_draw_dtype(field))
+    return fused_sigmoid_bernoulli(field, uniforms)
+
+
 def latch(sampler, probabilities) -> np.ndarray:
     """The validated latch: ``probabilities`` checked to lie in [0, 1] and
     to end in the ``sampler``'s ``n_units``, cast to float64, then latched
-    by ``sampler`` (so float32 inputs draw the float64 references too)."""
+    by :func:`sample` (so float32 inputs draw the float64 references too)."""
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.size and (probabilities.min() < 0.0 or probabilities.max() > 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")
@@ -114,7 +145,7 @@ def latch(sampler, probabilities) -> np.ndarray:
             f"probabilities of shape {probabilities.shape} do not end "
             f"in n_units={sampler.n_units}"
         )
-    return sampler.sample(probabilities)
+    return sample(sampler, probabilities)
 
 
 def coupling_gain(noise_model) -> np.ndarray:
@@ -181,10 +212,10 @@ class ReferenceSubstrate(BipartiteIsingSubstrate):
         return field + self.noise_model.node_noise(field.shape, scale=scale)
 
     def hidden_probability(self, visible: np.ndarray) -> np.ndarray:
-        return _unit_output(self.hidden_sigmoid, self.hidden_field(visible))
+        return unit_output(self.hidden_sigmoid, self.hidden_field(visible))
 
     def visible_probability(self, hidden: np.ndarray) -> np.ndarray:
-        return _unit_output(self.visible_sigmoid, self.visible_field(hidden))
+        return unit_output(self.visible_sigmoid, self.visible_field(hidden))
 
     def sample_hidden_given_visible(self, visible: np.ndarray) -> np.ndarray:
         if not is_sparse(visible):
@@ -195,11 +226,10 @@ class ReferenceSubstrate(BipartiteIsingSubstrate):
         hidden = check_binary(np.atleast_2d(np.asarray(hidden, dtype=float)), name="hidden")
         return latch(self.visible_sampler, self.visible_probability(hidden))
 
-    def settle_batch(self, hidden_init, n_steps, *, workers=1):
+    def settle_batch(self, hidden_init, n_steps):
         """``n_steps`` alternating settles through the validated samplers
         (each hidden settle re-clamps its visibles through the DTC, each
-        visible settle re-checks its hidden states).  Serial: ``workers`` is
-        accepted for signature compatibility only."""
+        visible settle re-checks its hidden states)."""
         if n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
         hidden = check_binary(

@@ -100,7 +100,7 @@ class TestPaperPresetSmoke:
         )
         assert result.metadata["scale"] == "paper"
         assert result.metadata["dtype"] == "float32"
-        assert result.metadata["workers"] == 1
+        assert "workers" not in result.metadata
         series = trajectories(result)["kmnist"]
         assert set(series) == {"gs-pcd16"}
         assert len(series["gs-pcd16"]) == 3
@@ -115,7 +115,7 @@ class TestPaperPresetSmoke:
             seed=0,
         )
         assert result.metadata["scale"] == "paper"
-        assert result.metadata["workers"] == 1
+        assert "workers" not in result.metadata
         row = result.row_by("benchmark", "mnist")
         for key in ("rbm_cd10", "rbm_bgf", "rbm_gs"):
             assert 0.0 <= row[key] <= 1.0

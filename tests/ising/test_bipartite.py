@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from helpers.reference import unit_output
 from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM
+from repro.utils.rng import spawn_rngs
 from repro.utils.validation import ValidationError
 
 
@@ -24,7 +26,7 @@ def programmed_substrate():
 
 def _hidden_probability(substrate, visible):
     """The hidden sigmoid units' outputs for one evaluation of the field."""
-    return substrate.hidden_sigmoid(substrate.hidden_field(visible))
+    return unit_output(substrate.hidden_sigmoid, substrate.hidden_field(visible))
 
 
 class TestConstruction:
@@ -47,6 +49,41 @@ class TestConstruction:
         the logistic; dynamic noise enters at the fields, before the latch."""
         spec = SubstrateSpec(10, 4, noise=noise, compute=ComputeSpec(dtype=dtype))
         assert BipartiteIsingSubstrate(spec=spec, rng=0)._fused_sampling is fused
+
+
+class TestStreamLayout:
+    """The master seed spawns seven child streams, in a fixed order: the
+    noise model, the hidden and visible sigmoid units, the hidden and
+    visible samplers, and two unused streams.  The unused ones are still
+    spawned, since a seed sequence numbers its children in spawn order and
+    a caller's later spawns from the same generator must keep their draws."""
+
+    CIRCUITS = {
+        "noise_model": 0,
+        "hidden_sigmoid": 1,
+        "visible_sigmoid": 2,
+        "hidden_sampler": 3,
+        "visible_sampler": 4,
+    }
+
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+    def test_circuit_draws_from_its_spawned_child(self, circuit):
+        # The ideal corner draws nothing at construction, so each circuit's
+        # stream is still the child's initial state.
+        substrate = BipartiteIsingSubstrate(spec=SubstrateSpec(10, 4), rng=11)
+        child = spawn_rngs(11, 7)[self.CIRCUITS[circuit]]
+        stream = getattr(substrate, circuit)._rng
+        assert stream.bit_generator.state == child.bit_generator.state
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(0.1, 0.1)], ids=["ideal", "noisy"])
+    def test_a_generator_seed_spawns_seven_children(self, noise):
+        parent = np.random.default_rng(11)
+        BipartiteIsingSubstrate(spec=SubstrateSpec(10, 4, noise=noise), rng=parent)
+        assert parent.bit_generator.seed_seq.n_children_spawned == 7
+        # The caller's next spawn is the eighth child of its seed.
+        after = spawn_rngs(parent, 1)[0]
+        eighth = np.random.default_rng(np.random.SeedSequence(11).spawn(8)[7])
+        np.testing.assert_array_equal(after.random(5), eighth.random(5))
 
 
 class TestProgramming:

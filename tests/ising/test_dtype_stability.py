@@ -103,9 +103,8 @@ class TestPublicPathsStayInTier:
     def test_conditional_samples(self, substrate, expected):
         assert substrate.sample_hidden_given_visible(_visible_batch()).dtype == expected
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_settle_batch(self, substrate, expected, workers):
-        visible, hidden = substrate.settle_batch(_hidden_batch(), 2, workers=workers)
+    def test_settle_batch(self, substrate, expected):
+        visible, hidden = substrate.settle_batch(_hidden_batch(), 2)
         assert visible.dtype == expected
         assert hidden.dtype == expected
 

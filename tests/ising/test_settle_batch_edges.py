@@ -4,23 +4,32 @@ The kernel is the funnel for every negative phase (single chains, PCD
 pools, the BGF particle refresh), so its degenerate corners — one chain,
 1-D inputs, chain counts that do not divide the minibatch, zero steps, and
 the float32 precision tier's dtype round-trip — get explicit coverage
-beyond the statistical suites.
+beyond the statistical suites.  So does its stream order: which circuit
+streams a settle draws from, in what shapes and dtypes, and that the
+streams carry across calls — the seeded numbers of every float64 run
+depend on it.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
-from repro.config import ComputeSpec, SubstrateSpec, TrainerSpec
+from repro.config import ComputeSpec, NoiseSpec, SubstrateSpec, TrainerSpec
 from repro.core import GibbsSamplerTrainer
 from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM
 from repro.utils.validation import ValidationError
 
 
-def _substrate(seed=0, *, n_visible=12, n_hidden=7, dtype="float64"):
+def _substrate(seed=0, *, n_visible=12, n_hidden=7, dtype="float64", noise=None):
     substrate = BipartiteIsingSubstrate(
         spec=SubstrateSpec(
-            n_visible, n_hidden, input_bits=None, compute=ComputeSpec(dtype=dtype)
+            n_visible,
+            n_hidden,
+            input_bits=None,
+            noise=noise or NoiseSpec(),
+            compute=ComputeSpec(dtype=dtype),
         ),
         rng=seed,
     )
@@ -102,63 +111,6 @@ class TestDtypeRoundTrip:
         assert set(np.unique(h)) <= {0.0, 1.0}
 
 
-class TestWorkersValidation:
-    """The multicore knob fails loudly at the API boundary: a bad shard
-    count raises a ValidationError naming the offense, never a numpy
-    reshape traceback from inside a settle."""
-
-    @pytest.mark.parametrize("workers", [0, -1, -8])
-    def test_subpositive_workers_rejected(self, workers):
-        with pytest.raises(ValidationError, match=">= 1"):
-            _substrate().settle_batch(_hidden(3, (4, 7)), 2, workers=workers)
-
-    @pytest.mark.parametrize("workers", [2.0, 1.5, "two", True, False, (2,)])
-    def test_non_int_workers_rejected(self, workers):
-        with pytest.raises(ValidationError, match="workers"):
-            _substrate().settle_batch(_hidden(3, (4, 7)), 2, workers=workers)
-
-    @pytest.mark.parametrize("workers", [0, 2.5, "many"])
-    def test_gibbs_chain_validates_workers_too(self, workers):
-        with pytest.raises(ValidationError):
-            _substrate().gibbs_chain(_hidden(3, (1, 7)), 2, workers=workers)
-
-    def test_numpy_integer_workers_accepted(self):
-        v, h = _substrate().settle_batch(_hidden(3, (4, 7)), 2, workers=np.int64(2))
-        assert v.shape == (4, 12) and h.shape == (4, 7)
-
-    def test_workers_validated_before_the_chain_block_is_touched(self):
-        """Even with an invalid hidden_init, the workers typo is the error
-        the caller sees first (knob validation is hoisted)."""
-        with pytest.raises(ValidationError, match="workers"):
-            _substrate().settle_batch(np.full((2, 7), 0.5), 1, workers="four")
-
-    def test_trainer_rejects_bad_workers_at_construction(self):
-        with pytest.raises(ValidationError, match="workers"):
-            GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(0.1, compute=ComputeSpec(workers=0))
-            )
-        with pytest.raises(ValidationError, match="workers"):
-            GibbsSamplerTrainer(
-                spec=TrainerSpec.gs(0.1, compute=ComputeSpec(workers=2.5))
-            )
-
-    @pytest.mark.parametrize("workers", [2, 3, 16])
-    def test_workers_exceeding_chains_degrade_to_one_shard_per_chain(self, workers):
-        """More workers than chains: shards cap at the chain count, shapes
-        and binary values stay intact."""
-        v, h = _substrate().settle_batch(_hidden(3, (2, 7)), 2, workers=workers)
-        assert v.shape == (2, 12) and h.shape == (2, 7)
-        assert set(np.unique(v)) <= {0.0, 1.0}
-        assert set(np.unique(h)) <= {0.0, 1.0}
-
-    @pytest.mark.parametrize("tier", ["float64", "float32"])
-    def test_sharded_outputs_keep_the_substrate_tier(self, tier):
-        substrate = _substrate(dtype=tier)
-        v, h = substrate.settle_batch(_hidden(3, (6, 7)), 2, workers=2)
-        assert v.dtype == np.dtype(tier)
-        assert h.dtype == np.dtype(tier)
-
-
 class TestChainCountVsBatchSize:
     """The trainer's chain engine with chain counts that do not divide (or
     exceed) the minibatch: seed rows cycle, shapes stay consistent."""
@@ -198,3 +150,88 @@ class TestChainCountVsBatchSize:
         trainer.train(rbm, data, epochs=2)
         assert trainer.chain_states.shape == (5, 7)
         assert set(np.unique(trainer.chain_states)) <= {0.0, 1.0}
+
+
+#: Tier x noise corners of the settle kernel.  ``float32`` latches through
+#: the fused sigmoid->compare against float32 uniforms; ``float32-variation``
+#: has float64 unit gains, so its probabilities and references are float64.
+CORNERS = {
+    "ideal": dict(),
+    "variation": dict(noise=NoiseSpec(0.1, 0.0)),
+    "noisy": dict(noise=NoiseSpec(0.1, 0.1)),
+    "float32": dict(dtype="float32"),
+    "float32-variation": dict(dtype="float32", noise=NoiseSpec(0.1, 0.0)),
+}
+
+
+def _reference_dtype(substrate):
+    return np.float32 if substrate._fused_sampling else np.float64
+
+
+class TestStreamOrder:
+    """Per evaluation a settle draws one ``(p, n)`` block of comparator
+    references from the latching layer's sampler, in the tier's reference
+    dtype; in a dynamic-noise corner it first draws one coupling-noise
+    matrix and then one node-noise block from the noise model.  Nothing
+    else touches a stream."""
+
+    @pytest.mark.parametrize("rows, n_steps", [(1, 1), (5, 3), (16, 2)])
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_samplers_draw_one_reference_block_per_evaluation(self, corner, rows, n_steps):
+        substrate = _substrate(5, **CORNERS[corner])
+        dtype = _reference_dtype(substrate)
+        visible_rng = copy.deepcopy(substrate.visible_sampler._rng)
+        hidden_rng = copy.deepcopy(substrate.hidden_sampler._rng)
+        substrate.settle_batch(_hidden(3, (rows, 7)), n_steps)
+        for _ in range(n_steps):
+            visible_rng.random((rows, 12), dtype=dtype)
+            hidden_rng.random((rows, 7), dtype=dtype)
+        assert substrate.visible_sampler._rng.bit_generator.state == visible_rng.bit_generator.state
+        assert substrate.hidden_sampler._rng.bit_generator.state == hidden_rng.bit_generator.state
+
+    @pytest.mark.parametrize("rows, n_steps", [(1, 1), (5, 3), (16, 2)])
+    def test_noise_model_draws_coupling_then_node_noise(self, rows, n_steps):
+        substrate = _substrate(5, **CORNERS["noisy"])
+        noise_rng = copy.deepcopy(substrate.noise_model._rng)
+        substrate.settle_batch(_hidden(3, (rows, 7)), n_steps)
+        for _ in range(n_steps):
+            for width in (12, 7):
+                noise_rng.normal(0.0, 1.0, size=(12, 7))
+                noise_rng.normal(0.0, 1.0, size=(rows, width))
+        assert substrate.noise_model._rng.bit_generator.state == noise_rng.bit_generator.state
+
+    @pytest.mark.parametrize("corner", ["ideal", "variation", "float32", "float32-variation"])
+    def test_static_corners_leave_the_noise_stream_alone(self, corner):
+        substrate = _substrate(5, **CORNERS[corner])
+        before = copy.deepcopy(substrate.noise_model._rng.bit_generator.state)
+        substrate.settle_batch(_hidden(3, (9, 7)), 4)
+        assert substrate.noise_model._rng.bit_generator.state == before
+
+
+class TestSettleSplitsAcrossCalls:
+    """The circuits' streams carry across calls: ``a + b`` settles in one
+    call equal ``a`` settles continued from their hidden state for ``b``
+    more, bit for bit — so a PCD pool advanced minibatch by minibatch
+    draws what one long chain draws."""
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (4, 1)])
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_split_settle_equals_one_settle(self, corner, a, b):
+        h0 = _hidden(3, (9, 7))
+        v_once, h_once = _substrate(5, **CORNERS[corner]).settle_batch(h0, a + b)
+        split = _substrate(5, **CORNERS[corner])
+        _, h_mid = split.settle_batch(h0, a)
+        v_split, h_split = split.settle_batch(h_mid, b)
+        np.testing.assert_array_equal(v_once, v_split)
+        np.testing.assert_array_equal(h_once, h_split)
+
+
+class TestGibbsChainIsSettleBatchInEveryCorner:
+    @pytest.mark.parametrize("rows", [1, 9])
+    @pytest.mark.parametrize("corner", sorted(CORNERS))
+    def test_same_draws(self, corner, rows):
+        h = _hidden(4, (rows, 7))
+        v_chain, h_chain = _substrate(5, **CORNERS[corner]).gibbs_chain(h, 3)
+        v_batch, h_batch = _substrate(5, **CORNERS[corner]).settle_batch(h, 3)
+        np.testing.assert_array_equal(v_chain, v_batch)
+        np.testing.assert_array_equal(h_chain, h_batch)

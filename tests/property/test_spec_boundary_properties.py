@@ -20,8 +20,10 @@ from repro.api.cli import SetArgumentError, parse_set_argument, parse_set_value
 from repro.config import ComputeSpec, RunSpec, ValidationError
 
 #: Knobs RunSpec routes to its typed fields instead of params.
-ROUTED = ("seed", "dtype", "workers")
-#: Retired compute knobs RunSpec rejects outright.
+ROUTED = ("seed", "dtype")
+#: Retired compute knobs: RunSpec rejects them in params, and
+#: ``with_overrides`` drops a once-valid override value (a positive
+#: ``workers`` count) and rejects every other.
 RETIRED = tuple(ComputeSpec._LEGACY_KEYS)
 
 names = st.text(alphabet=string.ascii_lowercase + "_", min_size=1, max_size=12)
@@ -32,11 +34,7 @@ scalars = st.one_of(
 )
 param_values = st.one_of(scalars, st.lists(scalars, max_size=4))
 seeds = st.integers(0, 2**32 - 1)
-computes = st.builds(
-    ComputeSpec,
-    dtype=st.sampled_from(["float64", "float32"]),
-    workers=st.integers(1, 8),
-)
+computes = st.builds(ComputeSpec, dtype=st.sampled_from(["float64", "float32"]))
 run_specs = st.builds(
     RunSpec,
     experiment=names,
@@ -80,8 +78,9 @@ class TestRunSpecRoundTrips:
         overridden = spec.with_overrides(**settings_)
         assert RunSpec.from_dict(overridden.to_dict()) == overridden
         assert overridden.seed == (spec.seed if seed is None else seed)
-        if workers is not None:
-            assert overridden.compute.workers == workers
+        # A positive worker count is a retired knob's once-valid value:
+        # dropped, so the compute block is the spec's own.
+        assert overridden.compute == spec.compute
         expected = RunSpec(experiment="x", params=params).params
         for key in params:
             assert overridden.params[key] == expected[key]
@@ -160,12 +159,8 @@ class TestComputeSpecDicts:
     @given(st.fixed_dictionaries({}, optional=ONCE_VALID))
     def test_once_valid_dicts_load_as_concrete_specs(self, stored):
         loaded = ComputeSpec.from_dict(json.loads(json.dumps(stored)))
-        assert loaded.dtype in ("float64", "float32")
-        assert type(loaded.workers) is int and loaded.workers >= 1
         dtype = stored.get("dtype", "float64")
-        assert loaded.dtype == ("float32" if dtype == "qint8" else dtype)
-        workers = stored.get("workers", 1)
-        assert loaded.workers == (workers if isinstance(workers, int) else 1)
+        assert loaded.to_dict() == {"dtype": "float32" if dtype == "qint8" else dtype}
         assert ComputeSpec.from_dict(loaded.to_dict()) == loaded
 
     @settings(max_examples=200, deadline=None)

@@ -1,12 +1,15 @@
 """Statistical tests of the RBM's samplers and of the CD gradient estimate."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.config import TrainerSpec
+from repro.config import NoiseSpec, SubstrateSpec, TrainerSpec
+from repro.ising import BipartiteIsingSubstrate
 from repro.rbm import BernoulliRBM, CDTrainer, MaximumLikelihoodTrainer
 from repro.rbm.partition import enumerate_states, exact_visible_distribution
-from repro.utils.numerics import bernoulli_sample
+from repro.utils.numerics import bernoulli_sample, sigmoid
 
 
 class TestGibbsSamplingStatistics:
@@ -118,10 +121,28 @@ class TestCDGradientQuality:
 
 
 class TestBernoulliSamplerSharedPath:
-    def test_software_and_hardware_draw_through_same_primitive(self):
-        """The software CD path and the substrate's comparator path both reduce
-        to bernoulli_sample, so their statistics agree by construction."""
-        p = np.full(50000, 0.37)
-        software = bernoulli_sample(p, np.random.default_rng(0)).mean()
-        hardware_style = bernoulli_sample(p, np.random.default_rng(1)).mean()
-        assert software == pytest.approx(hardware_style, abs=0.02)
+    @pytest.mark.parametrize(
+        "noise", [NoiseSpec(), NoiseSpec(0.1, 0.0)], ids=["ideal", "variation"]
+    )
+    def test_software_and_hardware_draw_through_same_primitive(self, noise):
+        """The substrate's comparator latch (inline in the settle kernel)
+        and the software CD path's ``bernoulli_sample`` are one law: given
+        the same probabilities and the same uniforms they latch the same
+        bits, so the two paths' statistics agree by construction."""
+        substrate = BipartiteIsingSubstrate(
+            spec=SubstrateSpec(12, 7, input_bits=None, noise=noise), rng=4
+        )
+        rng = np.random.default_rng(1)
+        substrate.program(
+            rng.normal(0, 1.0, (12, 7)), rng.normal(0, 0.5, 12), rng.normal(0, 0.5, 7)
+        )
+        visible = (rng.random((400, 12)) < 0.5).astype(float)
+        # Without dynamic noise the field draws nothing, so the hidden
+        # sampler's stream holds exactly the latch's uniforms.
+        field = substrate.hidden_field(visible)
+        gains = substrate.hidden_sigmoid._unit_gains
+        probability = sigmoid(field if gains is None else gains * field)
+        uniforms = copy.deepcopy(substrate.hidden_sampler._rng)
+        latched = substrate.sample_hidden_given_visible(visible)
+        np.testing.assert_array_equal(latched, bernoulli_sample(probability, uniforms))
+        assert 0.0 < latched.mean() < 1.0

@@ -125,7 +125,7 @@ class TestRoundTrip:
 def _save_with_legacy_key(path, key, value):
     """Save a bundle whose run_spec JSON carries a retired ``compute.<key>``,
     as artifacts written while that knob existed do."""
-    spec = RunSpec(experiment="figure7", compute=ComputeSpec(dtype="float32", workers=2))
+    spec = RunSpec(experiment="figure7", compute=ComputeSpec(dtype="float32"))
     save_model(_random_rbm(), path, run_spec=spec)
     json_path = path.with_suffix(".json")
     meta = json.loads(json_path.read_text())
@@ -169,11 +169,12 @@ class TestRetiredComputeValues:
     @pytest.mark.parametrize(
         "key, value, compute",
         [
-            ("dtype", "qint8", ComputeSpec(dtype="float32", workers=2)),
+            ("dtype", "qint8", ComputeSpec(dtype="float32")),
+            ("workers", 2, ComputeSpec(dtype="float32")),
             ("workers", None, ComputeSpec(dtype="float32")),
             ("workers", "auto", ComputeSpec(dtype="float32")),
-            ("executor", "threads", ComputeSpec(dtype="float32", workers=2)),
-            ("fast_path", True, ComputeSpec(dtype="float32", workers=2)),
+            ("executor", "threads", ComputeSpec(dtype="float32")),
+            ("fast_path", True, ComputeSpec(dtype="float32")),
         ],
     )
     def test_loads_bit_equal_with_mapped_run_spec(self, tmp_path, key, value, compute):

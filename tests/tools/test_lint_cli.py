@@ -42,8 +42,9 @@ class TestExitCodes:
     def test_list_rules(self):
         code, out = run(list_rules=True)
         assert code == 0
-        for rule_code in ("R001", "R002", "R003", "R004"):
+        for rule_code in ("R001", "R002", "R004"):
             assert rule_code in out
+        assert "R003" not in out
 
 
 class TestJsonFormat:
@@ -60,7 +61,7 @@ class TestJsonFormat:
         assert finding["code"] == "R002"
 
     def test_clean_report(self):
-        code, out = run(str(FIXTURES / "r003_good.py"), output_format="json")
+        code, out = run(str(FIXTURES / "r001_good.py"), output_format="json")
         assert code == 0
         report = json.loads(out)
         assert report["clean"] is True
@@ -83,7 +84,7 @@ class TestDiscovery:
         report = json.loads(out)
         assert report["files_checked"] == len(list(FIXTURES.glob("*.py")))
         # Every bad fixture contributes its rule to the summary.
-        assert set(report["summary"]) == {"R001", "R002", "R003", "R004"}
+        assert set(report["summary"]) == {"R001", "R002", "R004"}
 
     def test_duplicate_paths_deduplicate(self):
         path = str(FIXTURES / "r001_bad.py")

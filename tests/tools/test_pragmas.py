@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.tools.lint import lint_source
 from repro.tools.lint.pragmas import PragmaTable
 
@@ -84,24 +86,16 @@ class TestModuleOverride:
 
 
 class TestParseTable:
-    def test_guard_declaration_parses(self):
-        table = PragmaTable.parse(
-            "# reprolint: guard(_cache_lock)=_eff_cache,_shard_cache\n"
-        )
-        assert table.errors == []
-        (guard,) = table.guards
-        assert guard.lock == "_cache_lock"
-        assert guard.attrs == ("_eff_cache", "_shard_cache")
-
-    def test_lockfree_records_reason(self):
-        table = PragmaTable.parse(
-            "# reprolint: lockfree -- happens-before: not shared yet\n"
-        )
-        assert table.lockfree == {1: "happens-before: not shared yet"}
-
-    def test_lockfree_without_reason_is_error(self):
-        table = PragmaTable.parse("# reprolint: lockfree\n")
+    @pytest.mark.parametrize(
+        "pragma",
+        ["guard(_lock)=_cache", "lockfree -- not shared yet"],
+    )
+    def test_retired_lock_directives_are_unknown(self, pragma):
+        """The lock-discipline rule went with the last lock; a leftover
+        declaration is reported, not silently ignored."""
+        table = PragmaTable.parse(f"# reprolint: {pragma}\n")
         assert len(table.errors) == 1
+        assert "unknown reprolint directive" in table.errors[0][1]
 
     def test_syntax_error_reported_as_r000(self):
         findings = lint_source("def broken(:\n")

@@ -32,5 +32,3 @@ def test_every_suppression_in_src_carries_a_reason():
         assert table.errors == [], f"{path}: malformed pragmas {table.errors}"
         for disable in table.disables.values():
             assert disable.reason.strip(), f"{path}:{disable.line}"
-        for line, reason in table.lockfree.items():
-            assert reason.strip(), f"{path}:{line}"
